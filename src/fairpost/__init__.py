@@ -38,7 +38,6 @@ from .solver import (
 )
 from .multical import (
     CalibrationResult,
-    CalibrationState,
     CheckFunction,
     audit,
     brier,
@@ -73,7 +72,7 @@ __all__ = [
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
     "TrajectoryRecord", "best_response", "dual_gradient", "iteration_budget",
     "lagrangian_value", "project_l1", "run", "run_sampled", "sample_size",
-    "CalibrationResult", "CalibrationState", "CheckFunction", "audit", "brier",
+    "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "d_of_v", "default_checks", "threshold_eval",
     "InfeasibleError", "OracleSolution", "PointwiseArgmin", "enumerate_optimum",
     "pointwise_argmin", "simplex_solve",

@@ -8,10 +8,13 @@ error, 2 guarantee miss, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import hashlib
 import json
 import os
+import re
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -241,22 +244,96 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
         "beta": [float(b) for b in mixture.base.beta],
         "w": [float(w) for w in mixture.base.w],
         "tiebreak_positive": mixture.tiebreak_positive,
-        "lambdas": [[float(v) for v in row] for row in mixture.lambdas],
+        "lambdas": mixture.lambdas.tolist(),
     }
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_JSON_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
+
+
+def _parse_mixture(text: str) -> Tuple[dict, Optional[np.ndarray]]:
+    """json.loads of a mixture document, except that the top-level "lambdas"
+    rows are decoded one at a time into a (T, n_groups) float array.
+
+    The plain parse holds a Python list and n_groups float objects per rule,
+    about 170 bytes against the array's 8 per group: 50 MB more at the
+    fixture's T = 313,600.  Every value still goes through the json module's
+    decoder, so the doubles are the ones json.load returns.
+    """
+    decoder = json.JSONDecoder()
+    decode = decoder.raw_decode
+
+    def expect(char, i):
+        i = _JSON_SPACE.match(text, i).end()
+        if not text.startswith(char, i):
+            raise json.JSONDecodeError(f"Expecting {char!r}", text, i)
+        return _JSON_SPACE.match(text, i + 1).end()
+
+    def rows(i):
+        # the C scanner straight, without raw_decode's Python frame: this
+        # loop runs once per rule and is most of the load time
+        scan, comma_at, values = decoder.scan_once, _JSON_COMMA.match, array.array("d")
+        width = count = 0
+        if not text.startswith("]", i):
+            try:
+                row, i = scan(text, i)
+                width = len(row) if isinstance(row, list) else -1
+                while True:
+                    if type(row) is not list or len(row) != width:
+                        raise InputError("mixture lambdas must be a list of equal-length rows")
+                    values.extend(row)
+                    count += 1
+                    comma = comma_at(text, i)
+                    if comma is None:
+                        break
+                    row, i = scan(text, comma.end())
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", text, err.value) from None
+            except TypeError:
+                raise InputError("mixture lambdas must be numbers") from None
+        return np.frombuffer(values).reshape(count, width), expect("]", i)
+
+    payload, lambdas = {}, None
+    i = expect("{", 0)
+    if not text.startswith("}", i):
+        while True:
+            key, i = decode(text, i)
+            if not isinstance(key, str):
+                raise json.JSONDecodeError("Expecting property name", text, i)
+            i = expect(":", i)
+            if key == "lambdas" and text.startswith("[", i):
+                lambdas, i = rows(expect("[", i))
+            else:
+                payload[key], i = decode(text, i)
+            comma = _JSON_COMMA.match(text, i)
+            if comma is None:
+                break
+            i = comma.end()
+    i = expect("}", i)
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return payload, lambdas
+
+
 def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
+    """Load a mixture.json; the returned payload holds every field but "lambdas"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload, lambdas = _parse_mixture(fh.read())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mixture {path!r}: {exc}") from exc
     if payload.get("schema") != "fairpost.mixture.v1":
         raise InputError("unrecognized mixture schema")
+    if lambdas is None:
+        raise InputError("mixture has no lambdas rows")
     notion = FairnessNotion.coerce(payload["notion"])
     base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
-    mixture = MixtureClassifier(np.array(payload["lambdas"], dtype=float), notion, base,
-                                payload.get("tiebreak_positive", True))
+    try:
+        mixture = MixtureClassifier(lambdas, notion, base,
+                                    payload.get("tiebreak_positive", True))
+    except ValueError as exc:
+        raise InputError(f"bad mixture: {exc}") from exc
     return mixture, payload
 
 
@@ -302,26 +379,30 @@ def cmd_solve(args) -> int:
     solver_config = _solver_config(config)
     t0 = time.perf_counter()
     dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]))
-    t_parse = time.perf_counter() - t0
+    t1 = time.perf_counter()
     try:
         result = run(dist, solver_config)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    t_solve = time.perf_counter() - t0 - t_parse
+    t2 = time.perf_counter()
+    report, code = _solve_report(result, dist, has_labels, solver_config.gamma,
+                                 args.guarantee_tol)
+    report["exit_code"] = code
+    t3 = time.perf_counter()
 
     _write_trajectory(out_dir / "trajectory.csv", result.trajectory)
     _write_json(out_dir / "mixture.json",
                 _mixture_payload(result.mixture, dist, solver_config.gamma))
-    report, code = _solve_report(result, dist, has_labels, solver_config.gamma,
-                                 args.guarantee_tol)
-    report["exit_code"] = code
     _write_json(out_dir / "report.json", report)
+    timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2,
+               "write": time.perf_counter() - t3}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     _write_manifest(
-        out_dir, "solve", config, args.dataset,
-        {"parse": t_parse, "solve": t_solve},
+        out_dir, "solve", config, args.dataset, timings,
         ["mixture.json", "trajectory.csv", "report.json"],
-        extra={"theorem_bounds": result.theorem_bounds})
+        extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
+               "peak_rss_mb": peak_rss_mb})
     return code
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "bits_from_mask",
     "pointwise_values",
     "decide_batch",
+    "decision_thresholds",
 ]
 
 MASS_TOL = 1e-9
@@ -178,9 +179,6 @@ class CellDistribution:
             raise ValueError("operation requires label_mean on every cell")
         return self.label_means
 
-    def mask_array(self) -> np.ndarray:
-        return np.array([c.groups for c in self.cells], dtype=object)
-
     def with_scores_from_labels(self) -> "CellDistribution":
         """Replace every cell score by its label_mean snapped to the grid.
 
@@ -255,6 +253,47 @@ def decide_batch(S, f, notion: FairnessNotion, tiebreak_positive: bool = True):
     return v1 < v0
 
 
+_SIGN_BIT = np.int64(-2 ** 63)
+_MAX_KEY = np.float64(np.finfo(float).max).view(np.int64)
+
+
+def _double_at(key: np.ndarray) -> np.ndarray:
+    """The double at each position of the ordered finite doubles (key 0 is +0.0)."""
+    return np.where(key >= 0, key, -key | _SIGN_BIT).view(np.float64)
+
+
+def decision_thresholds(f, notion: FairnessNotion, tiebreak_positive: bool = True,
+                        decide=decide_batch):
+    """Per-cell sign s and threshold d with decide(S, f)[j] == (s[j]*S <= d[j]).
+
+    The rounded best response is monotone in S for every finite double S:
+    a down-set for FP and SP, an up-set for FN, and for ERR a step at
+    S = -1 whose direction depends on how f compares with 1-f.  The sign
+    comes from the predicate at the two ends of the finite doubles; d is
+    the last double of s*S at which it holds, found by bisection over the
+    ordered doubles with ``decide`` as the oracle (64 calls), and is +inf
+    or -inf for a cell whose decision never changes.  Multiplying S by
+    s = -1 is exact, so the threshold form reproduces every rounding and
+    tie of ``decide`` bit for bit.
+    """
+    f = np.asarray(f, dtype=float)
+    top = np.full(f.shape, np.finfo(float).max)
+    at_low = decide(-top, f, notion, tiebreak_positive)
+    at_high = decide(top, f, notion, tiebreak_positive)
+    s = np.where(at_high & ~at_low, -1.0, 1.0)
+    lo = np.full(f.shape, -_MAX_KEY)   # predicate of s*y holds here ...
+    hi = np.full(f.shape, _MAX_KEY)    # ... and fails here
+    for _ in range(64):
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        holds = decide(s * _double_at(mid), f, notion, tiebreak_positive)
+        lo = np.where(holds, mid, lo)
+        hi = np.where(holds, hi, mid)
+    d = _double_at(lo)
+    d[at_low & at_high] = np.inf
+    d[~at_low & ~at_high] = -np.inf
+    return s, d
+
+
 @dataclass(frozen=True)
 class ThresholdRule:
     """Deterministic classifier thresholding the score at a group-dependent value."""
@@ -318,10 +357,6 @@ class MixtureClassifier:
         return ThresholdRule(tuple(self.lambdas[i]), self.notion, self.base,
                              self.tiebreak_positive)
 
-    @property
-    def rules(self) -> list:
-        return [self.rule(i) for i in range(len(self))]
-
     def _decision_matrix(self, scores: np.ndarray, masks: Sequence[int]) -> np.ndarray:
         g = self.lambdas.shape[1]
         memb = np.array([bits_from_mask(m, g) for m in masks], dtype=float).T
@@ -344,15 +379,18 @@ class MixtureClassifier:
                                      ).mean(axis=0)
 
     def positive_prob_vector(self, dist: CellDistribution, chunk: int = 65536) -> np.ndarray:
-        """Per-cell positive probability over a whole distribution."""
-        memb = dist.group_matrix - self.base.beta[:, None]
+        """Per-cell positive probability over a whole distribution.
+
+        Each rule's decision on a cell is the exact threshold form of
+        decide_batch (see decision_thresholds): one matmul and one compare
+        per chunk of rules.
+        """
+        sign, thresh = decision_thresholds(dist.scores, self.notion, self.tiebreak_positive)
+        smemb = (dist.group_matrix - self.base.beta[:, None]) * sign
         counts = np.zeros(dist.n_cells, dtype=float)
         T = len(self)
         for start in range(0, T, chunk):
-            lam = self.lambdas[start:start + chunk]
-            S = lam @ memb
-            dec = decide_batch(S, dist.scores[None, :], self.notion, self.tiebreak_positive)
-            counts += dec.sum(axis=0)
+            counts += (self.lambdas[start:start + chunk] @ smemb <= thresh).sum(axis=0)
         return counts / T
 
 

@@ -26,7 +26,6 @@ from .core import (
 
 __all__ = [
     "CheckFunction",
-    "CalibrationState",
     "PatchRecord",
     "CalibrationResult",
     "d_of_v",
@@ -157,14 +156,6 @@ class _CompiledCheck:
 
 
 @dataclass(frozen=True)
-class CalibrationState:
-    grid_m: int
-    assignment: dict
-    round: int
-    potential: float
-
-
-@dataclass(frozen=True)
 class PatchRecord:
     round: int
     check_index: int
@@ -183,10 +174,6 @@ class CalibrationResult:
     history: List[PatchRecord]
     rounds: int
     final_potential: float
-
-    def final_state(self, dist: CellDistribution) -> CalibrationState:
-        mapping = {c.key(): float(v) for c, v in zip(dist.cells, self.assignment)}
-        return CalibrationState(self.grid_m, mapping, self.rounds, self.final_potential)
 
 
 def brier(assignment, dist: CellDistribution) -> float:

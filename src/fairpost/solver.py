@@ -22,7 +22,7 @@ from .core import (
     MixtureClassifier,
     ThresholdRule,
     decide_batch,
-    pointwise_values,
+    decision_thresholds,
 )
 from .metrics import base_rates, positive_probs
 
@@ -117,6 +117,10 @@ class SolveResult:
     T: int
     eta: float
     estimation_deviations: Optional[np.ndarray] = None
+    # rounds run, rounds whose step left the L1 ball (project_l1 ran), and
+    # distinct decision patterns in the step cache (0 for sampled runs,
+    # whose rounds bypass it)
+    counters: dict = field(default_factory=dict)
 
 
 def iteration_budget(C: float, group_count: int) -> int:
@@ -274,6 +278,10 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
 
 def _run_loop(dist: CellDistribution, config: SolverConfig, scores_as_f: bool,
               sampler=None, record_deviation: bool = False) -> SolveResult:
+    """Primal/dual rounds.  The best response is the per-cell threshold form
+    of decide_batch: one matvec and one compare per round.  The dual step
+    depends only on the 0/1 decision pattern, so exact-rate runs compute it
+    once per distinct pattern; sampled rounds recompute it every round."""
     notion = config.notion
     base = base_rates(dist, notion, config.beta_mode)
     f = dist.scores if scores_as_f else dist.require_labels()
@@ -286,56 +294,71 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, scores_as_f: bool,
     viol_mult = base.w if notion is FairnessNotion.SP else base.beta
     memb = G - beta[:, None]
     gamma, C = config.gamma, config.C
+    sign, thresh = decision_thresholds(f, notion, decide=decide_batch)
+    smemb = memb * sign
 
-    lam_p = np.zeros(n_groups)
-    lam_m = np.zeros(n_groups)
+    def round_terms(h, eval_masses):
+        # (dual step for the concatenated (lambda+, lambda-), err_hat, max
+        # violation, rho_g) of one decision pattern, in the reference
+        # loop's own expressions
+        h = h.astype(float)
+        rho_g, rho0 = _rate_terms(notion, f, h, eval_masses, G)
+        centered = rho_g - beta * rho0
+        step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
+        return (step, float(eval_masses @ (f + h * (1.0 - 2.0 * f))),
+                float(np.abs(rho_g - viol_mult * rho0).max()), rho_g)
+
+    dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
+    lam_p, lam_m = dual[:n_groups], dual[n_groups:]
     lam_hist = np.empty((T, n_groups))
+    compute_gap, record_every = config.compute_gap, config.record_every
     dec_sum = np.zeros(n_cells)
     sum_lam_p = np.zeros(n_groups)
     sum_lam_m = np.zeros(n_groups)
     trajectory: List[TrajectoryRecord] = []
-    deviations = np.empty((T, n_groups)) if record_deviation else None
+    deviations = np.zeros((T, n_groups)) if record_deviation else None
+    cache = {}
+    projections = 0
 
     for t in range(1, T + 1):
-        lam = lam_p - lam_m
-        lam_hist[t - 1] = lam
-        S = lam @ memb
-        h = decide_batch(S, f, notion).astype(float)
-        dec_sum += h
+        lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
+        h = lam @ smemb <= thresh
 
         if sampler is None:
-            eval_masses = masses
+            key = np.packbits(h).tobytes()
+            terms = cache.get(key)
+            if terms is None:
+                terms = cache[key] = round_terms(h, masses)
         else:
-            eval_masses = sampler(t)
-        rho_g, rho0 = _rate_terms(notion, f, h, eval_masses, G)
-        if record_deviation:
-            pop_rho_g, _ = _rate_terms(notion, f, h, masses, G)
-            deviations[t - 1] = np.abs(rho_g - pop_rho_g)
-        centered = rho_g - beta * rho0
+            terms = round_terms(h, sampler(t))
+            if record_deviation:
+                pop_rho_g, _ = _rate_terms(notion, f, h.astype(float), masses, G)
+                deviations[t - 1] = np.abs(terms[3] - pop_rho_g)
+        step, err_hat, max_violation, _ = terms
 
-        if config.compute_gap:
+        if compute_gap:
+            dec_sum += h
             sum_lam_p += lam_p
             sum_lam_m += lam_m
 
-        lam_p = np.maximum(0.0, lam_p + eta * (centered - gamma))
-        lam_m = np.maximum(0.0, lam_m + eta * (-centered - gamma))
+        np.maximum(0.0, dual + step, out=dual)
         total = lam_p.sum() + lam_m.sum()
         if total > C:
             projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
-            lam_p, lam_m = projected.lambda_plus, projected.lambda_minus
+            lam_p[:] = projected.lambda_plus
+            lam_m[:] = projected.lambda_minus
+            projections += 1
 
-        if (t - 1) % config.record_every == 0:
-            err_hat = float(eval_masses @ (f + h * (1.0 - 2.0 * f)))
-            viol_g = rho_g - viol_mult * rho0
+        if (t - 1) % record_every == 0:
             gap = None
-            if config.compute_gap:
+            if compute_gap:
                 gap = _gap_estimate(
                     dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
                     memb, beta, notion, gamma, C)
             trajectory.append(TrajectoryRecord(
                 t=t,
                 err_hat=err_hat,
-                max_violation_hat=float(np.abs(viol_g).max()),
+                max_violation_hat=max_violation,
                 lambda_l1=float(lam_p.sum() + lam_m.sum()),
                 duality_gap_estimate=gap,
             ))
@@ -350,6 +373,8 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, scores_as_f: bool,
         T=T,
         eta=eta,
         estimation_deviations=deviations,
+        counters={"rounds": T, "projections": projections,
+                  "distinct_decisions": len(cache)},
     )
 
 

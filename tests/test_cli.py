@@ -54,6 +54,22 @@ def test_solve_vacuous_gamma(dataset, tmp_path):
         assert (out / name).exists()
 
 
+def test_solve_manifest_counters_and_timings(dataset, tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", str(dataset), "--gamma", "0.0", "--C", "1", "--eta", "0.5",
+                 "--T", "300", "--grid-m", "20", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert set(manifest["timings_seconds"]) == {"parse", "solve", "report", "write"}
+    assert all(v >= 0.0 for v in manifest["timings_seconds"].values())
+    counters = manifest["counters"]
+    assert set(counters) == {"rounds", "projections", "distinct_decisions"}
+    assert counters["rounds"] == report["iterations"] == 300
+    assert 0 < counters["projections"] <= counters["rounds"]
+    assert 1 <= counters["distinct_decisions"] <= counters["rounds"]
+    assert manifest["peak_rss_mb"] > 0.0
+
+
 def test_solve_trajectory_rows(dataset, tmp_path):
     out = tmp_path / "run"
     assert main(["solve", str(dataset), "--gamma", "0.05", "--C", "4", "--T", "103",
@@ -75,6 +91,35 @@ def test_mixture_roundtrip(dataset, tmp_path):
         assert mixture.positive_prob(cell) == p[j]
     report = json.loads((out / "report.json").read_text())
     assert surrogate_error(p, dist) == report["err_hat"]
+
+
+def test_mixture_load_matches_json(dataset, tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", str(dataset), "--gamma", "0.02", "--C", "4", "--T", "150",
+                 "--grid-m", "20", "--out-dir", str(out)]) == 0
+    mixture, payload = load_mixture(str(out / "mixture.json"))
+    plain = json.loads((out / "mixture.json").read_text())
+    want = np.array(plain.pop("lambdas"), dtype=float)
+    assert payload == plain
+    assert mixture.lambdas.shape == want.shape
+    assert np.array_equal(mixture.lambdas.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("lambdas, message", [
+    ("[[0.1, 0.2], [0.3]]", "equal-length rows"),
+    ("[0.1, 0.2]", "equal-length rows"),
+    ('[["x"]]', "must be numbers"),
+    ("[[0.1],]", "cannot read mixture"),
+    ("[]", "at least one rule"),
+    ("null", "no lambdas rows"),
+])
+def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
+    path = tmp_path / "mixture.json"
+    path.write_text('{"schema": "fairpost.mixture.v1", "notion": "fp", "beta": [1.0],'
+                    f' "w": [1.0], "grid_m": 20, "group_names": ["I"], "lambdas": {lambdas}}}')
+    code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_row_names_line(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import List
 
 import numpy as np
 import pytest
@@ -23,8 +24,16 @@ from fairpost import (
     sample_size,
     surrogate_error,
 )
-from fairpost.core import decide_batch
-from fairpost.solver import _solver_constraints
+from fairpost.core import MixtureClassifier, decide_batch
+from fairpost.solver import (
+    SolveResult,
+    TrajectoryRecord,
+    _gap_estimate,
+    _rate_terms,
+    _resolve_schedule,
+    _solver_constraints,
+    _theorem_bounds,
+)
 
 from conftest import make_dist, rand_lambda
 
@@ -337,3 +346,192 @@ def test_gap_estimate_nonnegative_and_shrinks():
     gaps = [r.duality_gap_estimate for r in res.trajectory]
     assert all(g >= -1e-9 for g in gaps)
     assert gaps[-1] <= gaps[0]
+
+
+# ------------------------------------------------------------ reference loop
+#
+# The dense solver loop the threshold kernel replaced, kept verbatim as the
+# reference: every round evaluates decide_batch on all cells and recomputes
+# the dual step from scratch.
+
+def _reference_run_loop(dist, config, scores_as_f, sampler=None,
+                        record_deviation=False):
+    notion = config.notion
+    base = base_rates(dist, notion, config.beta_mode)
+    f = dist.scores if scores_as_f else dist.require_labels()
+    masses = dist.masses
+    G = dist.group_matrix
+    n_groups, n_cells = G.shape
+    T, eta = _resolve_schedule(config, n_groups, n_cells)
+
+    beta = base.beta
+    viol_mult = base.w if notion is FairnessNotion.SP else base.beta
+    memb = G - beta[:, None]
+    gamma, C = config.gamma, config.C
+
+    lam_p = np.zeros(n_groups)
+    lam_m = np.zeros(n_groups)
+    lam_hist = np.empty((T, n_groups))
+    dec_sum = np.zeros(n_cells)
+    sum_lam_p = np.zeros(n_groups)
+    sum_lam_m = np.zeros(n_groups)
+    trajectory: List[TrajectoryRecord] = []
+    deviations = np.empty((T, n_groups)) if record_deviation else None
+
+    for t in range(1, T + 1):
+        lam = lam_p - lam_m
+        lam_hist[t - 1] = lam
+        S = lam @ memb
+        h = decide_batch(S, f, notion).astype(float)
+        dec_sum += h
+
+        if sampler is None:
+            eval_masses = masses
+        else:
+            eval_masses = sampler(t)
+        rho_g, rho0 = _rate_terms(notion, f, h, eval_masses, G)
+        if record_deviation:
+            pop_rho_g, _ = _rate_terms(notion, f, h, masses, G)
+            deviations[t - 1] = np.abs(rho_g - pop_rho_g)
+        centered = rho_g - beta * rho0
+
+        if config.compute_gap:
+            sum_lam_p += lam_p
+            sum_lam_m += lam_m
+
+        lam_p = np.maximum(0.0, lam_p + eta * (centered - gamma))
+        lam_m = np.maximum(0.0, lam_m + eta * (-centered - gamma))
+        total = lam_p.sum() + lam_m.sum()
+        if total > C:
+            projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
+            lam_p, lam_m = projected.lambda_plus, projected.lambda_minus
+
+        if (t - 1) % config.record_every == 0:
+            err_hat = float(eval_masses @ (f + h * (1.0 - 2.0 * f)))
+            viol_g = rho_g - viol_mult * rho0
+            gap = None
+            if config.compute_gap:
+                gap = _gap_estimate(
+                    dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
+                    memb, beta, notion, gamma, C)
+            trajectory.append(TrajectoryRecord(
+                t=t,
+                err_hat=err_hat,
+                max_violation_hat=float(np.abs(viol_g).max()),
+                lambda_l1=float(lam_p.sum() + lam_m.sum()),
+                duality_gap_estimate=gap,
+            ))
+
+    mixture = MixtureClassifier(lam_hist, notion, base)
+    return SolveResult(
+        mixture=mixture,
+        final_dual=DualState(lam_p, lam_m, C),
+        trajectory=trajectory,
+        theorem_bounds=_theorem_bounds(C),
+        base=base,
+        T=T,
+        eta=eta,
+        estimation_deviations=deviations,
+    )
+
+
+def _reference_sampled(population, sampler_seed, config, epsilon, delta,
+                       record_deviation=False):
+    """run_sampled's sampler driving the reference loop."""
+    n_groups, n_cells = population.group_matrix.shape
+    T, _ = _resolve_schedule(config, n_groups, n_cells)
+    m = sample_size(T, n_groups, epsilon, delta)
+    rng = np.random.Generator(np.random.PCG64(sampler_seed))
+    masses = population.masses / population.masses.sum()
+
+    def sampler(_t):
+        return rng.multinomial(m, masses) / m
+
+    return _reference_run_loop(population, config, True, sampler=sampler,
+                               record_deviation=record_deviation)
+
+
+def _reference_positive_prob_vector(mixture, dist, chunk=65536):
+    """Per-cell positive probability through decide_batch on every rule."""
+    memb = dist.group_matrix - mixture.base.beta[:, None]
+    counts = np.zeros(dist.n_cells, dtype=float)
+    T = len(mixture)
+    for start in range(0, T, chunk):
+        S = mixture.lambdas[start:start + chunk] @ memb
+        dec = decide_batch(S, dist.scores[None, :], mixture.notion,
+                           mixture.tiebreak_positive)
+        counts += dec.sum(axis=0)
+    return counts / T
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_bit_equal(got, want, dist):
+    assert np.array_equal(_bits(got.mixture.lambdas), _bits(want.mixture.lambdas))
+    # repr round-trips every float, so equal reprs mean equal bits
+    assert repr(got.trajectory) == repr(want.trajectory)
+    assert np.array_equal(_bits(got.final_dual.lambda_plus),
+                          _bits(want.final_dual.lambda_plus))
+    assert np.array_equal(_bits(got.final_dual.lambda_minus),
+                          _bits(want.final_dual.lambda_minus))
+    if want.estimation_deviations is None:
+        assert got.estimation_deviations is None
+    else:
+        assert np.array_equal(_bits(got.estimation_deviations),
+                              _bits(want.estimation_deviations))
+    for tiebreak in (True, False):
+        mix = MixtureClassifier(got.mixture.lambdas, got.mixture.notion, got.base,
+                                tiebreak_positive=tiebreak)
+        assert np.array_equal(_bits(mix.positive_prob_vector(dist)),
+                              _bits(_reference_positive_prob_vector(mix, dist)))
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_threshold_kernel_matches_reference_loop(biased_instance, notion):
+    cfg = SolverConfig(notion=notion, gamma=0.01, C=10.0, T=20000, record_every=100)
+    got = run(biased_instance, cfg)
+    _assert_bit_equal(got, _reference_run_loop(biased_instance, cfg, True),
+                      biased_instance)
+    assert got.counters["rounds"] == 20000
+    assert 1 <= got.counters["distinct_decisions"] <= 2 ** biased_instance.n_cells
+
+
+@pytest.mark.parametrize("mode", ["euclidean_l1", "rescale"])
+def test_threshold_kernel_matches_reference_when_projecting(biased_instance, mode):
+    cfg = SolverConfig(notion="fp", gamma=0.0, C=1.0, eta=0.05, T=2000,
+                       record_every=7, projection_mode=mode)
+    got = run(biased_instance, cfg)
+    _assert_bit_equal(got, _reference_run_loop(biased_instance, cfg, True),
+                      biased_instance)
+    assert 0 < got.counters["projections"] < 2000
+
+
+def test_threshold_kernel_matches_reference_with_gap(biased_instance):
+    cfg = SolverConfig(notion="fn", gamma=0.0, C=1.0, eta=0.05, T=2000,
+                       record_every=50, compute_gap=True)
+    got = run(biased_instance, cfg)
+    _assert_bit_equal(got, _reference_run_loop(biased_instance, cfg, True),
+                      biased_instance)
+    assert all(r.duality_gap_estimate is not None for r in got.trajectory)
+
+
+def test_threshold_kernel_matches_reference_sampled(biased_instance):
+    cfg = SolverConfig(notion="fp", gamma=0.02, C=3.0, T=300, record_every=10)
+    got = run_sampled(biased_instance, 5, cfg, 0.1, 0.1, record_deviation=True)
+    want = _reference_sampled(biased_instance, 5, cfg, 0.1, 0.1, record_deviation=True)
+    want.theorem_bounds = _theorem_bounds(cfg.C, 0.1)
+    _assert_bit_equal(got, want, biased_instance)
+    assert got.theorem_bounds == want.theorem_bounds
+    assert got.counters["distinct_decisions"] == 0   # sampled rounds bypass the cache
+
+
+def test_threshold_kernel_matches_reference_on_ties():
+    # scores on the 1/2 grid: at the zero dual of round 1, cells with f = 1/2
+    # tie for every notion and must go positive, as decide_batch has it
+    dist, _ = make_dist(3, n_cells=6, n_groups=2, grid_m=2)
+    assert np.any(dist.scores == 0.5)
+    for notion in NOTIONS:
+        cfg = SolverConfig(notion=notion, gamma=0.01, C=2.0, T=500, record_every=1)
+        _assert_bit_equal(run(dist, cfg), _reference_run_loop(dist, cfg, True), dist)
