@@ -9,7 +9,6 @@ from .core import (
     MixtureClassifier,
     ThresholdRule,
     build_cells,
-    positive_prob,
     snap_to_grid,
 )
 from .metrics import (
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseRates", "Cell", "CellDistribution", "FairnessNotion", "GroupSystem",
-    "MixtureClassifier", "ThresholdRule", "build_cells", "positive_prob",
+    "MixtureClassifier", "ThresholdRule", "build_cells",
     "snap_to_grid",
     "RateReport", "base_rates", "constraint_lhs", "constraint_vector",
     "surrogate_error", "surrogate_group_rate", "true_rates",

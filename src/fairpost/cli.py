@@ -157,8 +157,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, input_path: Optional[str],
-                    timings: dict, outputs: List[str], extra: Optional[dict] = None) -> None:
+                    timings: dict, outputs: List[str], extra: Optional[dict] = None,
+                    write_start: Optional[float] = None) -> None:
+    """Write manifest.json; with write_start, timings["write"] runs from it
+    to just before the manifest itself is written (the input hash included)."""
     manifest = {
         "command": command,
         "config": config,
@@ -172,6 +179,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, input_path: Optio
     for name in outputs:
         if not (out_dir / name).exists():
             raise RuntimeError(f"manifest names missing output {name!r}")
+    if write_start is not None:
+        timings["write"] = time.perf_counter() - write_start
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -233,8 +242,9 @@ def _write_trajectory(path: Path, trajectory) -> None:
                      f"{_fmt(rec.lambda_l1)},{_fmt(rec.duality_gap_estimate)}\n")
 
 
-def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
-                     gamma: float) -> dict:
+def _mixture_header(mixture: MixtureClassifier, dist: CellDistribution,
+                    gamma: float) -> dict:
+    """Every field of mixture.json except the "lambdas" rows."""
     return {
         "schema": "fairpost.mixture.v1",
         "notion": mixture.notion.value,
@@ -244,8 +254,31 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
         "beta": [float(b) for b in mixture.base.beta],
         "w": [float(w) for w in mixture.base.w],
         "tiebreak_positive": mixture.tiebreak_positive,
-        "lambdas": mixture.lambdas.tolist(),
     }
+
+
+def _write_mixture(path: Path, mixture: MixtureClassifier, dist: CellDistribution,
+                   gamma: float) -> None:
+    """The bytes of _write_json with the header plus "lambdas": rows.tolist(),
+    written 4096 rows at a time.
+
+    json.dump with indent runs the pure-Python encoder over every float and
+    needs the whole list of lists in memory.  Each chunk here goes through
+    the C encoder without indent, "[[a, b], [c, d]]"; its numbers contain
+    no "[", "]", "," or " ", so two replaces give the indented form.
+    """
+    head, tail = json.dumps({**_mixture_header(mixture, dist, gamma), "lambdas": []},
+                            indent=2, sort_keys=True).split('"lambdas": []')
+    lambdas = mixture.lambdas  # at least one row
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '"lambdas": [')
+        sep = "\n    [\n      "
+        for start in range(0, len(lambdas), 4096):
+            rows = json.dumps(lambdas[start:start + 4096].tolist())[2:-2]
+            fh.write(sep + rows.replace("], [", "\n    ],\n    [\n      ")
+                     .replace(", ", ",\n      ") + "\n    ]")
+            sep = ",\n    [\n      "
+        fh.write("\n  ]" + tail + "\n")
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
@@ -392,17 +425,14 @@ def cmd_solve(args) -> int:
     t3 = time.perf_counter()
 
     _write_trajectory(out_dir / "trajectory.csv", result.trajectory)
-    _write_json(out_dir / "mixture.json",
-                _mixture_payload(result.mixture, dist, solver_config.gamma))
+    _write_mixture(out_dir / "mixture.json", result.mixture, dist, solver_config.gamma)
     _write_json(out_dir / "report.json", report)
-    timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2,
-               "write": time.perf_counter() - t3}
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2}
     _write_manifest(
         out_dir, "solve", config, args.dataset, timings,
         ["mixture.json", "trajectory.csv", "report.json"],
         extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
-               "peak_rss_mb": peak_rss_mb})
+               "peak_rss_mb": _peak_rss_mb()}, write_start=t3)
     return code
 
 
@@ -508,39 +538,58 @@ def _build_checks(dist, args, trajectory_lambdas=None):
                           seed=args.seed, trajectory_lambdas=trajectory_lambdas)
 
 
+def _check_config(args) -> dict:
+    return {"grid_m": args.grid_m, "n_random_checks": args.n_random_checks,
+            "check_C": args.check_C, "seed": args.seed}
+
+
 def cmd_audit(args) -> int:
+    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     dist, has_labels = read_dataset(args.dataset, args.grid_m)
     if not has_labels:
         print("error: audit requires labeled data (y column)", file=sys.stderr)
         return EXIT_INPUT
+    t1 = time.perf_counter()
     checks = _build_checks(dist, args)
     assignment = assignment_from_scores(dist, args.grid_m)
+    t2 = time.perf_counter()
     per_check, max_violation = audit(assignment, checks, dist)
+    t3 = time.perf_counter()
     _write_json(out_dir / "audit.json", {
         "max_violation": max_violation,
         "per_check": [{"name": c.name or c.kind, "kind": c.kind, "violation": v}
                       for c, v in zip(checks, per_check)],
     })
-    _write_manifest(out_dir, "audit",
-                    {"grid_m": args.grid_m, "n_random_checks": args.n_random_checks,
-                     "check_C": args.check_C, "seed": args.seed},
-                    args.dataset, {"total": time.perf_counter() - t0}, ["audit.json"])
+    # audit computes one term per (check, distinct level)
+    levels = len(set(assignment.tolist()))
+    counters = {"checks": len(checks), "levels": levels, "patch_rounds": 0,
+                "term_updates": len(checks) * levels}
+    _write_manifest(out_dir, "audit", _check_config(args), args.dataset,
+                    {"parse": t1 - t0, "checks": t2 - t1, "calibrate": 0.0,
+                     "audit": t3 - t2},
+                    ["audit.json"],
+                    extra={"counters": counters, "peak_rss_mb": _peak_rss_mb()},
+                    write_start=t3)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
+    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     dist, has_labels = read_dataset(args.dataset, args.grid_m)
     if not has_labels:
         print("error: calibrate requires labeled data (y column)", file=sys.stderr)
         return EXIT_INPUT
+    t1 = time.perf_counter()
     checks = _build_checks(dist, args)
+    t2 = time.perf_counter()
     result = calibrate(dist.scores, checks, dist, args.alpha)
+    t3 = time.perf_counter()
+    per_check, max_violation = audit(result.assignment, checks, dist)
+    t4 = time.perf_counter()
     with open(out_dir / "calibration_history.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_SCHEMA + "\n")
         fh.write("round,check,level,v_tilde,v_prime,potential,mass\n")
@@ -548,7 +597,6 @@ def cmd_calibrate(args) -> int:
             name = checks[rec.check_index].name or checks[rec.check_index].kind
             fh.write(f"{rec.round},{name},{_fmt(rec.level)},{_fmt(rec.v_tilde)},"
                      f"{_fmt(rec.v_prime)},{_fmt(rec.potential)},{_fmt(rec.mass)}\n")
-    per_check, max_violation = audit(result.assignment, checks, dist)
     _write_json(out_dir / "calibration.json", {
         "alpha": args.alpha,
         "rounds": result.rounds,
@@ -557,12 +605,18 @@ def cmd_calibrate(args) -> int:
         "final_potential": result.final_potential,
         "post_audit_max_violation": max_violation,
     })
-    _write_manifest(out_dir, "calibrate",
-                    {"alpha": args.alpha, "grid_m": args.grid_m,
-                     "n_random_checks": args.n_random_checks,
-                     "check_C": args.check_C, "seed": args.seed},
-                    args.dataset, {"total": time.perf_counter() - t0},
-                    ["calibration_history.csv", "calibration.json"])
+    # term_updates: the calibration's cached terms plus the post-audit's
+    counters = {"checks": len(checks), "levels": result.counters["levels"],
+                "patch_rounds": result.rounds,
+                "term_updates": result.counters["term_updates"]
+                + len(checks) * len(set(result.assignment.tolist()))}
+    _write_manifest(out_dir, "calibrate", {"alpha": args.alpha, **_check_config(args)},
+                    args.dataset,
+                    {"parse": t1 - t0, "checks": t2 - t1, "calibrate": t3 - t2,
+                     "audit": t4 - t3},
+                    ["calibration_history.csv", "calibration.json"],
+                    extra={"counters": counters, "peak_rss_mb": _peak_rss_mb()},
+                    write_start=t4)
     return EXIT_OK
 
 

@@ -24,8 +24,8 @@ __all__ = [
     "ThresholdRule",
     "MixtureClassifier",
     "build_cells",
-    "positive_prob",
     "snap_to_grid",
+    "grid_indices",
     "mask_from_bits",
     "bits_from_mask",
     "pointwise_values",
@@ -56,6 +56,18 @@ def snap_to_grid(x: float, m: int) -> float:
     k = math.floor(x * m + 0.5)
     k = min(max(k, 0), m)
     return k / m
+
+
+def grid_indices(x, m: int) -> np.ndarray:
+    """Array form of snap_to_grid's index: int64 k with k/m nearest each x.
+
+    The same floor(x*m + 0.5) clipped to [0, m], so
+    ``grid_indices(x, m) / m`` equals snap_to_grid elementwise, bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("values to snap must be finite")
+    return np.clip(np.floor(x * m + 0.5), 0, m).astype(np.int64)
 
 
 def mask_from_bits(bits: Sequence[int]) -> int:
@@ -392,11 +404,6 @@ class MixtureClassifier:
         for start in range(0, T, chunk):
             counts += (self.lambdas[start:start + chunk] @ smemb <= thresh).sum(axis=0)
         return counts / T
-
-
-def positive_prob(h: MixtureClassifier, cell: Cell) -> float:
-    """Probability that the randomized classifier h labels the cell 1."""
-    return h.positive_prob(cell)
 
 
 def build_cells(rows: Iterable, grid_m: int,

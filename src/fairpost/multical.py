@@ -10,7 +10,7 @@ decreasing potential that bounds the round count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import (
     FairnessNotion,
     ThresholdRule,
     bits_from_mask,
+    grid_indices,
     snap_to_grid,
 )
 
@@ -147,12 +148,27 @@ class _CompiledCheck:
             self.S = None
             self.notion = None
 
+    def fires(self, idx: np.ndarray, tables: dict, level: int) -> np.ndarray:
+        """Indicator on the cells idx, all at one level: ``tables[notion][level]``
+        is d(v) at that level's value v (see _d_tables)."""
+        if self.fixed is not None:
+            return self.fixed[idx]
+        return _compare(self.S[idx], tables[self.notion][level], self.notion)
+
     def evaluate(self, levels: np.ndarray) -> np.ndarray:
         """Indicator per cell, with v set to the cell's current level."""
         if self.fixed is not None:
             return self.fixed
-        d = np.array([d_of_v(self.notion, float(v)) for v in levels])
-        return np.asarray(_compare(self.S, d, self.notion), dtype=bool)
+        values, k = np.unique(levels, return_inverse=True)
+        d = _d_tables([self], values)[self.notion]
+        return np.asarray(_compare(self.S, d[k], self.notion), dtype=bool)
+
+
+def _d_tables(compiled: Sequence[_CompiledCheck], values: np.ndarray) -> dict:
+    """d(v) at every level value, per notion the threshold checks use; these
+    are the only d_of_v calls of an audit or a calibration."""
+    notions = {c.notion for c in compiled if c.notion is not None}
+    return {n: np.array([d_of_v(n, float(v)) for v in values]) for n in notions}
 
 
 @dataclass(frozen=True)
@@ -174,6 +190,9 @@ class CalibrationResult:
     history: List[PatchRecord]
     rounds: int
     final_potential: float
+    # grid levels (m + 1) and (check, level) terms computed, the initial
+    # ones included
+    counters: dict = field(default_factory=dict)
 
 
 def brier(assignment, dist: CellDistribution) -> float:
@@ -185,7 +204,7 @@ def brier(assignment, dist: CellDistribution) -> float:
 
 def assignment_from_scores(dist: CellDistribution, m: int) -> np.ndarray:
     """Per-cell scores snapped to the 1/m calibration grid."""
-    return np.array([snap_to_grid(s, m) for s in dist.scores])
+    return grid_indices(dist.scores, m) / m
 
 
 def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution):
@@ -197,13 +216,17 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution):
     a = np.asarray(assignment, dtype=float)
     q = dist.require_labels()
     m = dist.masses
+    compiled = [c.compile(dist) for c in checks]
+    values, k = np.unique(a, return_inverse=True)
+    members = [np.flatnonzero(k == level) for level in range(len(values))]
+    tables = _d_tables(compiled, values)
     per_check = []
-    for check in checks:
-        cval = check.compile(dist).evaluate(a)
+    for comp in compiled:
         total = 0.0
-        for v in np.unique(a[cval]):
-            sel = cval & (a == v)
-            total += abs(float(np.sum(m[sel] * (v - q[sel]))))
+        for level, (v, idx) in enumerate(zip(values, members)):
+            sel = idx[comp.fires(idx, tables, level)]
+            if len(sel):
+                total += abs(float(np.sum(m[sel] * (v - q[sel]))))
         per_check.append(total)
     max_violation = max(per_check) if per_check else 0.0
     return per_check, max_violation
@@ -216,6 +239,10 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     Each round reassigns the offending set to its rounded conditional label
     mean; the loop provably needs at most 4/alpha^2 rounds, each decreasing
     the Brier potential by at least alpha^2/4.
+
+    Cells hold a grid index k (level value k/m).  The term of every
+    (level, check) pair is cached; a patch moves cells between two levels
+    only, so a round recomputes the terms of those two levels alone.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -224,49 +251,79 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     masses = dist.masses
     if f_initial is None:
         f_initial = dist.scores
-    f_initial = np.asarray(f_initial, dtype=float)
-    assign = np.array([snap_to_grid(float(v), m_grid) for v in f_initial])
+    k = grid_indices(f_initial, m_grid)
+    values = np.arange(m_grid + 1) / m_grid  # values[k] == snap_to_grid(., m_grid)
+    assign = values[k]
     initial = assign.copy()
 
     compiled = [c.compile(dist) for c in checks]
+    tables = _d_tables(compiled, values)
+    n_checks = len(compiled)
+    # per occupied level: terms[level][check], 0.0 where the check selects
+    # no mass there, and the selected set's label mean mus[level][check]
+    terms, mus = {}, {}
+    term_updates = 0
+
+    def selected(level: int, ci: int, idx: np.ndarray) -> np.ndarray:
+        return idx[compiled[ci].fires(idx, tables, level)]
+
+    def refresh(level: int) -> None:
+        nonlocal term_updates
+        terms.pop(level, None)
+        mus.pop(level, None)
+        idx = np.flatnonzero(k == level)
+        if not len(idx):
+            return
+        term_updates += n_checks
+        v = values[level]
+        row, mu_row = np.zeros(n_checks), np.zeros(n_checks)
+        for ci in range(n_checks):
+            sel = selected(level, ci, idx)
+            if not len(sel):
+                continue
+            mass = float(masses[sel].sum())
+            if mass <= 0.0:
+                continue
+            mu = float((masses[sel] @ q[sel]) / mass)
+            row[ci] = mass * (v - mu) ** 2
+            mu_row[ci] = mu
+        terms[level], mus[level] = row, mu_row
+
+    for level in np.flatnonzero(np.bincount(k)):
+        refresh(int(level))
     max_rounds = math.floor(4.0 / (alpha * alpha)) + 1
     history: List[PatchRecord] = []
     t = 0
     while True:
-        best = None  # (term, v, check_idx, sel)
-        worst_sum = 0.0
-        for ci, comp in enumerate(compiled):
-            cval = comp.evaluate(assign)
-            check_sum = 0.0
-            for v in np.unique(assign[cval]):
-                sel = cval & (assign == v)
-                mass = float(masses[sel].sum())
-                if mass <= 0.0:
-                    continue
-                mu = float((masses[sel] @ q[sel]) / mass)
-                term = mass * (v - mu) ** 2
-                check_sum += term
-                cand = (term, v, ci)
-                if best is None or term > best[0] or (
-                        term == best[0] and (v, ci) < (best[1], best[2])):
-                    best = cand
-                    best_sel = sel
-                    best_mu = mu
-            worst_sum = max(worst_sum, check_sum)
-        if worst_sum < alpha or best is None:
+        occupied = sorted(terms)
+        # a check's sum adds its terms left to right in ascending level order
+        check_sums = np.zeros(n_checks)
+        for level in occupied:
+            check_sums += terms[level]
+        if check_sums.max(initial=0.0) < alpha:
             break
         t += 1
         if t > max_rounds:
             raise RuntimeError(
                 "calibration failed to terminate within 4/alpha^2 rounds")
-        _, v, ci = best
-        v_prime = snap_to_grid(best_mu, m_grid)
-        assign = assign.copy()
-        assign[best_sel] = v_prime
+        # the first maximum in (level, check) order: the largest term, ties
+        # to the lowest level, then to the lowest check index
+        top = max(terms[level].max() for level in occupied)
+        level = next(level for level in occupied if terms[level].max() == top)
+        ci = int(np.argmax(terms[level]))
+        mu = float(mus[level][ci])
+        sel = selected(level, ci, np.flatnonzero(k == level))
+        k_prime = int(grid_indices(mu, m_grid))
+        v_prime = k_prime / m_grid
+        k[sel] = k_prime
+        assign[sel] = v_prime
         history.append(PatchRecord(
-            round=t, check_index=ci, level=float(v), v_tilde=best_mu,
+            round=t, check_index=ci, level=float(values[level]), v_tilde=mu,
             v_prime=v_prime, potential=brier(assign, dist),
-            mass=float(masses[best_sel].sum())))
+            mass=float(masses[sel].sum())))
+        refresh(level)
+        if k_prime != level:
+            refresh(k_prime)
 
     return CalibrationResult(
         grid_m=m_grid,
@@ -275,6 +332,7 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
         history=history,
         rounds=t,
         final_potential=brier(assign, dist),
+        counters={"levels": m_grid + 1, "term_updates": term_updates},
     )
 
 

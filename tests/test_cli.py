@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from fairpost import build_cells, surrogate_error
+from fairpost import BaseRates, FairnessNotion, MixtureClassifier, build_cells, surrogate_error
 from fairpost.cli import load_mixture, main, read_dataset
 
 
@@ -260,3 +261,77 @@ def test_eval_oracle_guard(dataset, tmp_path):
                    "--oracle", "--max-cells", "2", "--out-dir", str(tmp_path / "o"))
     assert proc.returncode == 1
     assert "guard" in proc.stderr
+
+
+def _mixture_bytes_both_ways(tmp_path, lambdas):
+    """mixture.json bytes from the streaming writer and from one json.dump."""
+    from fairpost.cli import _mixture_header, _write_json, _write_mixture
+    data = tmp_path / "tiny.csv"
+    data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
+    dist, _ = read_dataset(str(data), 4)
+    base = BaseRates(FairnessNotion.FP, np.full(3, 0.25), np.full(3, 0.5))
+    mix = MixtureClassifier(np.asarray(lambdas, dtype=float), FairnessNotion.FP, base)
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    _write_mixture(streamed, mix, dist, 0.05)
+    _write_json(whole, {**_mixture_header(mix, dist, 0.05), "lambdas": mix.lambdas.tolist()})
+    return streamed.read_bytes(), whole.read_bytes()
+
+
+@pytest.mark.parametrize("T", [1, 2, 4095, 4096, 4097, 8193])
+def test_streamed_mixture_bytes_equal_json_dump(tmp_path, T):
+    # row counts around the writer's 4096-row chunks; magnitudes from
+    # subnormal to near overflow, with signed zeros
+    rng = np.random.Generator(np.random.PCG64(T))
+    lam = rng.standard_normal((T, 3)) * 10.0 ** rng.integers(-320, 300, size=(T, 3))
+    specials = [-0.0, 5e-324, 0.0, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1.5]
+    lam.flat[:len(specials)] = specials[:lam.size]
+    streamed, whole = _mixture_bytes_both_ways(tmp_path, lam)
+    assert streamed == whole
+    assert json.loads(streamed)["lambdas"] == lam.tolist()
+
+
+def test_streamed_mixture_round_trips_through_load(tmp_path):
+    lam = [[-0.0, 5e-324, 1.0], [0.1, -2.5e-310, 3.0]]
+    streamed, whole = _mixture_bytes_both_ways(tmp_path, lam)
+    assert streamed == whole
+    mixture, _ = load_mixture(str(tmp_path / "streamed.json"))
+    assert mixture.lambdas.tobytes() == np.array(lam).tobytes()
+
+
+@pytest.fixture(scope="module")
+def calibration_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cal") / "data.csv"
+    assert main(["synth", "--seed", "2", "--n-cells", "40", "--n-groups", "3",
+                 "--grid-m", "50", "--profile", "adversarial_overlap",
+                 "--miscalibration", "0.4", "--samples", "20000", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["audit", "calibrate"])
+def test_multical_manifest_stages_and_counters(calibration_dataset, tmp_path, command):
+    from fairpost.cli import build_parser
+    out = tmp_path / command
+    extra = ["--alpha", "0.01"] if command == "calibrate" else []
+    args = build_parser().parse_args([command, str(calibration_dataset), "--grid-m", "50",
+                                      *extra, "--out-dir", str(out)])
+    t0 = time.perf_counter()
+    assert args.func(args) == 0
+    wall = time.perf_counter() - t0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings_seconds"]
+    assert set(timings) == {"parse", "checks", "calibrate", "audit", "write"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert abs(sum(timings.values()) - wall) <= 0.05 * wall
+    counters = manifest["counters"]
+    assert set(counters) == {"checks", "levels", "patch_rounds", "term_updates"}
+    assert counters["checks"] == 4 + 64  # I and three groups, 64 random thresholds
+    assert manifest["peak_rss_mb"] > 0.0
+    if command == "audit":
+        assert timings["calibrate"] == 0.0 and counters["patch_rounds"] == 0
+        assert 1 <= counters["levels"] <= 51
+        assert counters["term_updates"] == counters["checks"] * counters["levels"]
+    else:
+        calibration = json.loads((out / "calibration.json").read_text())
+        assert counters["patch_rounds"] == calibration["rounds"] > 0
+        assert counters["levels"] == 101
+        assert counters["term_updates"] >= counters["checks"] * (1 + counters["patch_rounds"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairpost import (
     BaseRates,
@@ -12,10 +13,9 @@ from fairpost import (
     MixtureClassifier,
     ThresholdRule,
     build_cells,
-    positive_prob,
     snap_to_grid,
 )
-from fairpost.core import mask_from_bits
+from fairpost.core import grid_indices, mask_from_bits
 
 from conftest import make_dist
 
@@ -103,14 +103,14 @@ def test_positive_prob_counts_rules():
     cell = Cell(0.55, 1, 1.0)
     decisions = [mix.rule(i).decide(cell) for i in range(4)]
     assert sum(decisions) == 3
-    assert positive_prob(mix, cell) == 0.75
+    assert mix.positive_prob(cell) == 0.75
 
 
 def test_positive_prob_identical_rules_is_binary():
     base = _fp_base(1)
     mix = MixtureClassifier(np.zeros((5, 1)), FairnessNotion.FP, base)
     for score in (0.2, 0.5, 0.8):
-        assert positive_prob(mix, Cell(score, 1, 1.0)) in (0.0, 1.0)
+        assert mix.positive_prob(Cell(score, 1, 1.0)) in (0.0, 1.0)
 
 
 def test_positive_prob_matches_per_rule_enumeration(rng):
@@ -152,3 +152,37 @@ def test_group_system_validation():
     system = GroupSystem(("I", "g"), includes_all_group=True)
     with pytest.raises(ValueError, match="covers"):
         CellDistribution(2, system, [Cell(0.5, 1, 0.5), Cell(0.0, 2, 0.5)])
+
+
+@st.composite
+def _snap_inputs(draw):
+    # m, then values in and outside [0, 1]: grid points, half-grid points
+    # (ties, which round up) and their neighbouring doubles
+    m = draw(st.integers(min_value=1, max_value=5000))
+    k = st.integers(min_value=-3, max_value=m + 3)
+    half = k.map(lambda i: (2 * i + 1) / (2 * m))
+    point = st.one_of(
+        st.floats(min_value=-4.0, max_value=5.0),
+        k.map(lambda i: i / m),
+        half,
+        half.map(lambda x: math.nextafter(x, math.inf)),
+        half.map(lambda x: math.nextafter(x, -math.inf)),
+        st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324]),
+    )
+    return m, draw(st.lists(point, min_size=1, max_size=40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_snap_inputs())
+def test_grid_indices_snap_like_scalar_bitwise(case):
+    m, xs = case
+    k = grid_indices(np.array(xs), m)
+    want = np.array([snap_to_grid(x, m) for x in xs])
+    assert k.dtype == np.int64
+    assert (k / m).tobytes() == want.tobytes()
+
+
+def test_grid_indices_reject_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            grid_indices(np.array([0.5, bad]), 10)

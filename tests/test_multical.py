@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairpost import (
     Cell,
@@ -20,11 +22,21 @@ from fairpost import (
     d_of_v,
     default_checks,
     run,
+    snap_to_grid,
     threshold_eval,
 )
-from fairpost.multical import apply_patches, assignment_from_scores
+from fairpost.multical import (
+    CalibrationResult,
+    PatchRecord,
+    _compare,
+    _d_tables,
+    apply_patches,
+    assignment_from_scores,
+)
 
 from conftest import make_dist, rand_lambda
+
+NOTIONS = ["fp", "fn", "err", "sp"]
 
 
 def test_d_of_v_values():
@@ -270,3 +282,233 @@ def test_apply_patches_replays_training_assignment():
         for cell in pert.cells
     ])
     assert np.array_equal(replayed, result.assignment)
+
+
+# ------------------------------------------------ reference: per-round rescan
+#
+# calibrate and audit as they were before the level tables and the term
+# cache: every round evaluates every check on every cell with a scalar
+# d_of_v per cell and re-reduces every (check, level) set.  The optimized
+# functions must reproduce them bit for bit.
+
+def _reference_evaluate(comp, levels):
+    if comp.fixed is not None:
+        return comp.fixed
+    d = np.array([d_of_v(comp.notion, float(v)) for v in levels])
+    return np.asarray(_compare(comp.S, d, comp.notion), dtype=bool)
+
+
+def _reference_audit(assignment, checks, dist):
+    a = np.asarray(assignment, dtype=float)
+    q = dist.require_labels()
+    m = dist.masses
+    per_check = []
+    for check in checks:
+        cval = _reference_evaluate(check.compile(dist), a)
+        total = 0.0
+        for v in np.unique(a[cval]):
+            sel = cval & (a == v)
+            total += abs(float(np.sum(m[sel] * (v - q[sel]))))
+        per_check.append(total)
+    max_violation = max(per_check) if per_check else 0.0
+    return per_check, max_violation
+
+
+def _reference_calibrate(f_initial, checks, dist, alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    m_grid = math.ceil(1.0 / alpha)
+    q = dist.require_labels()
+    masses = dist.masses
+    if f_initial is None:
+        f_initial = dist.scores
+    f_initial = np.asarray(f_initial, dtype=float)
+    assign = np.array([snap_to_grid(float(v), m_grid) for v in f_initial])
+    initial = assign.copy()
+
+    compiled = [c.compile(dist) for c in checks]
+    max_rounds = math.floor(4.0 / (alpha * alpha)) + 1
+    history = []
+    t = 0
+    while True:
+        best = None  # (term, v, check_idx, sel)
+        worst_sum = 0.0
+        for ci, comp in enumerate(compiled):
+            cval = _reference_evaluate(comp, assign)
+            check_sum = 0.0
+            for v in np.unique(assign[cval]):
+                sel = cval & (assign == v)
+                mass = float(masses[sel].sum())
+                if mass <= 0.0:
+                    continue
+                mu = float((masses[sel] @ q[sel]) / mass)
+                term = mass * (v - mu) ** 2
+                check_sum += term
+                cand = (term, v, ci)
+                if best is None or term > best[0] or (
+                        term == best[0] and (v, ci) < (best[1], best[2])):
+                    best = cand
+                    best_sel = sel
+                    best_mu = mu
+            worst_sum = max(worst_sum, check_sum)
+        if worst_sum < alpha or best is None:
+            break
+        t += 1
+        if t > max_rounds:
+            raise RuntimeError(
+                "calibration failed to terminate within 4/alpha^2 rounds")
+        _, v, ci = best
+        v_prime = snap_to_grid(best_mu, m_grid)
+        assign = assign.copy()
+        assign[best_sel] = v_prime
+        history.append(PatchRecord(
+            round=t, check_index=ci, level=float(v), v_tilde=best_mu,
+            v_prime=v_prime, potential=brier(assign, dist),
+            mass=float(masses[best_sel].sum())))
+
+    return CalibrationResult(
+        grid_m=m_grid,
+        initial_assignment=initial,
+        assignment=assign,
+        history=history,
+        rounds=t,
+        final_potential=brier(assign, dist),
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_audit(assignment, checks, dist):
+    got, got_max = audit(assignment, checks, dist)
+    want, want_max = _reference_audit(assignment, checks, dist)
+    assert _bits(got) == _bits(want)
+    assert _bits(got_max) == _bits(want_max)
+
+
+def _assert_same_calibration(checks, dist, alpha, f_initial=None):
+    f_initial = dist.scores if f_initial is None else f_initial
+    got = calibrate(f_initial, checks, dist, alpha)
+    want = _reference_calibrate(f_initial, checks, dist, alpha)
+    assert got.rounds == want.rounds
+    assert [vars(r) for r in got.history] == [vars(r) for r in want.history]
+    for a, b in zip(got.history, want.history):
+        assert _bits([a.level, a.v_tilde, a.v_prime, a.potential, a.mass]) == \
+            _bits([b.level, b.v_tilde, b.v_prime, b.potential, b.mass])
+    assert _bits(got.initial_assignment) == _bits(want.initial_assignment)
+    assert _bits(got.assignment) == _bits(want.assignment)
+    assert _bits(got.final_potential) == _bits(want.final_potential)
+    assert got.grid_m == want.grid_m
+    for assignment in (got.initial_assignment, got.assignment):
+        _assert_same_audit(assignment, checks, dist)
+    return got
+
+
+def test_calibrate_matches_reference_on_miscalibrated_fixture():
+    _, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
+    base = _base(pert, "fp")
+    cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
+    traj = run(pert, cfg).mixture.lambdas[::20][:10]
+    checks = default_checks(pert, base, n_random=16, C=10.0, seed=9,
+                            trajectory_lambdas=traj)
+    got = _assert_same_calibration(checks, pert, 0.01)
+    assert got.rounds > 0
+    assert got.counters["levels"] == 101
+    assert got.counters["term_updates"] >= len(checks) * (1 + got.rounds)
+
+
+def test_calibrate_matches_reference_on_adversarial_overlap():
+    _, pert = make_dist(3, n_cells=50, n_groups=3, grid_m=50,
+                        profile="adversarial_overlap", miscalibration=0.4)
+    checks = default_checks(pert, _base(pert, "fp"), n_random=24, C=10.0, seed=0)
+    got = _assert_same_calibration(checks, pert, 0.004)
+    assert got.rounds > 5
+
+
+def test_calibrate_matches_reference_with_ties_and_repeated_levels():
+    # equal masses and label means that are exact binary fractions: many
+    # (level, check) terms tie exactly, duplicate checks tie across check
+    # indices, and a patch can move a set onto an occupied level
+    system = GroupSystem(("I", "a", "b"), includes_all_group=True)
+    cells = []
+    for j, (score, mask) in enumerate(itertools.product(
+            (0.0, 0.25, 0.5, 0.75, 1.0), (1, 3, 5, 7))):
+        cells.append(Cell(score, mask, 1 / 32 if j % 2 else 1 / 64,
+                          (0.25, 0.5, 0.75, 0.5)[j % 4]))
+    total = sum(c.mass for c in cells)
+    cells = [Cell(c.score, c.groups, c.mass / total, c.label_mean) for c in cells]
+    dist = CellDistribution(4, system, cells)
+    checks = [CheckFunction("group", g) for g in (0, 1, 2, 0, 1)]
+    checks.append(CheckFunction("product", (1, ThresholdRule(
+        (0.0, 0.0, 0.0), FairnessNotion.SP, _base(dist, "sp")))))
+    for alpha in (0.3, 0.05, 0.01):
+        _assert_same_calibration(checks, dist, alpha)
+
+
+def _singular_level_dist():
+    # levels 0, 1/2 and 1 all occupied: d(v) is infinite there for FN, ERR
+    # and FP respectively
+    system = GroupSystem(("I", "a", "b"), includes_all_group=True)
+    scores = (0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0)
+    cells = []
+    for j, (score, mask) in enumerate(itertools.product(scores, (1, 3, 5, 7))):
+        cells.append(Cell(score, mask, 1.0, ((j * 7) % 11) / 10))
+    return CellDistribution(10, system, [
+        Cell(c.score, c.groups, 1 / len(cells), c.label_mean) for c in cells])
+
+
+def test_calibrate_matches_reference_for_every_notion_at_singular_levels():
+    dist = _singular_level_dist()
+    rng = np.random.Generator(np.random.PCG64(5))
+    checks = []
+    for notion in NOTIONS:
+        base = _base(dist, notion)
+        for k in range(6):
+            lam = rand_lambda(rng, dist.n_groups, 4.0)
+            checks.append(CheckFunction("threshold", (lam, notion, base)))
+        checks.append(CheckFunction("threshold", (np.zeros(dist.n_groups), notion, base)))
+    for alpha in (0.1, 0.02):  # grids of 10 and 50: 0, 1/2 and 1 are levels
+        got = _assert_same_calibration(checks, dist, alpha)
+        assert {0.0, 0.5, 1.0} <= set(got.initial_assignment)
+    _assert_same_audit(dist.scores, checks, dist)
+
+
+def test_calibrate_matches_reference_with_hypothesis_and_product_checks():
+    _, pert = make_dist(12, n_cells=40, n_groups=2, grid_m=25, miscalibration=0.4)
+    base = _base(pert, "fp")
+    rules = [ThresholdRule((0.8, -0.5, 0.3), FairnessNotion.FP, base),
+             ThresholdRule((0.0, 0.0, 0.0), FairnessNotion.FP, base, False)]
+    checks = default_checks(pert, base, hypotheses=rules, n_random=8, C=5.0, seed=1)
+    assert {"hypothesis", "product"} <= {c.kind for c in checks}
+    _assert_same_calibration(checks, pert, 0.01)
+
+
+def test_audit_matches_reference_off_the_grid(rng):
+    # audit takes any assignment in [0, 1], not only grid levels
+    dist, _ = make_dist(13, n_cells=30, n_groups=2, grid_m=20, miscalibration=0.3)
+    checks = default_checks(dist, _base(dist, "fp"), n_random=8, C=5.0, seed=2)
+    levels = rng.uniform(size=7)
+    assignment = levels[rng.integers(len(levels), size=dist.n_cells)]
+    _assert_same_audit(assignment, checks, dist)
+    _assert_same_audit(rng.uniform(size=dist.n_cells), checks, dist)
+
+
+def test_audit_rejects_levels_outside_unit_interval():
+    dist, _ = make_dist(14, n_cells=8, n_groups=1)
+    checks = default_checks(dist, _base(dist, "fp"), n_random=2, seed=0)
+    with pytest.raises(ValueError, match="v must lie"):
+        audit(np.full(dist.n_cells, 1.5), checks, dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NOTIONS), st.integers(min_value=1, max_value=2000),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_level_table_equals_d_of_v_at_snapped_value(notion, m, x):
+    dist, _ = make_dist(15, n_cells=4, n_groups=1)
+    comp = CheckFunction("threshold", (np.zeros(dist.n_groups), notion,
+                                       _base(dist, "fp"))).compile(dist)
+    table = _d_tables([comp], np.arange(m + 1) / m)[comp.notion]
+    v = snap_to_grid(x, m)
+    k = round(v * m)
+    assert _bits(table[k]) == _bits(d_of_v(notion, v))
