@@ -12,12 +12,10 @@ import array
 import csv
 import hashlib
 import json
-import os
 import re
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -453,6 +451,7 @@ def _sweep_one(dist, has_labels, config, gamma):
 
 
 def cmd_sweep(args) -> int:
+    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _load_config(args)
@@ -464,25 +463,22 @@ def cmd_sweep(args) -> int:
     if any(g < 0 for g in gammas):
         print("error: gamma values must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
-    t0 = time.perf_counter()
     dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]))
-
-    workers = int(os.environ.get("FAIRPOST_WORKERS", "0")) or min(len(gammas), os.cpu_count() or 1)
+    t1 = time.perf_counter()
     rows = []
     failures = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {g: pool.submit(_sweep_one, dist, has_labels, config, g) for g in gammas}
-        for g in gammas:
-            try:
-                rows.append(futures[g].result())
-            except BudgetExceededError as exc:
-                message = str(exc).replace(",", ";")
-                rows.append((g, None, None, None, f"error: {message}"))
-                failures += 1
-            except Exception as exc:  # per-row failure, reported in the csv
-                message = str(exc).replace(",", ";").replace("\n", " ")
-                rows.append((g, None, None, None, f"error: {message}"))
-                failures += 1
+    for g in gammas:
+        try:
+            rows.append(_sweep_one(dist, has_labels, config, g))
+        except BudgetExceededError as exc:
+            message = str(exc).replace(",", ";")
+            rows.append((g, None, None, None, f"error: {message}"))
+            failures += 1
+        except Exception as exc:  # per-row failure, reported in the csv
+            message = str(exc).replace(",", ";").replace("\n", " ")
+            rows.append((g, None, None, None, f"error: {message}"))
+            failures += 1
+    t2 = time.perf_counter()
 
     with open(out_dir / "pareto.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PARETO_SCHEMA + "\n")
@@ -494,7 +490,8 @@ def cmd_sweep(args) -> int:
         _write_pareto_svg(out_dir / "pareto.svg", rows)
         outputs.append("pareto.svg")
     _write_manifest(out_dir, "sweep", config, args.dataset,
-                    {"total": time.perf_counter() - t0}, outputs)
+                    {"parse": t1 - t0, "sweep": t2 - t1}, outputs,
+                    extra={"peak_rss_mb": _peak_rss_mb()}, write_start=t2)
     return EXIT_OK if failures == 0 else EXIT_INPUT
 
 
@@ -647,15 +644,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     mixture, payload = load_mixture(args.mixture)
     dist, has_labels = read_dataset(args.dataset, payload["grid_m"])
     if list(dist.groups.names) != payload["group_names"]:
         raise InputError(
             f"dataset groups {list(dist.groups.names)} do not match mixture "
             f"groups {payload['group_names']}")
+    t1 = time.perf_counter()
     p = mixture.positive_prob_vector(dist)
     report = {
         "err_hat": surrogate_error(p, dist),
@@ -681,10 +679,12 @@ def cmd_eval(args) -> int:
             "err_gap": report["err_hat"] - sol.opt_value,
             "support_size": len(sol.support),
         }
+    t2 = time.perf_counter()
     _write_json(out_dir / "evaluation.json", report)
     _write_manifest(out_dir, "eval", {"mixture": args.mixture, "oracle": args.oracle},
-                    args.dataset, {"total": time.perf_counter() - t0},
-                    ["evaluation.json"])
+                    args.dataset, {"parse": t1 - t0, "eval": t2 - t1},
+                    ["evaluation.json"], extra={"peak_rss_mb": _peak_rss_mb()},
+                    write_start=t2)
     return EXIT_OK
 
 

@@ -129,9 +129,6 @@ class Cell:
     def key(self):
         return (self.score, self.groups)
 
-    def in_group(self, g: int) -> bool:
-        return bool((self.groups >> g) & 1)
-
 
 class CellDistribution:
     """A probability distribution over (score, group-mask) cells.

@@ -23,6 +23,9 @@ from .core import (
 
 __all__ = [
     "RateReport",
+    "rate_terms",
+    "group_rates",
+    "error_rate",
     "base_rates",
     "positive_probs",
     "surrogate_group_rate",
@@ -53,36 +56,69 @@ def _f_array(dist: CellDistribution, scores_as_f: bool) -> np.ndarray:
     return dist.scores if scores_as_f else dist.require_labels()
 
 
+def rate_terms(notion, f):
+    """The rate table: (a, b, c) of a notion at per-cell label probability f.
+
+    At positive probability p a cell's rate integrand is a + b*p and its
+    conditioning weight is c:
+
+        notion   a    b      c
+        FP       0    1-f    1-f
+        FN       f    -f     f
+        ERR      f    1-2f   1
+        SP       0    1      1
+
+    Every group rate, weight, constraint value and error in the package is
+    read off this table; the ERR row is the classifier's error, which
+    surrogate_error rounds in its definitional form.
+    """
+    notion = FairnessNotion.coerce(notion)
+    if notion is FairnessNotion.FP:
+        neg = 1.0 - f
+        return 0.0, neg, neg
+    if notion is FairnessNotion.FN:
+        return f, -f, f
+    if notion is FairnessNotion.ERR:
+        return f, 1.0 - 2.0 * f, 1.0
+    return 0.0, 1.0, 1.0
+
+
+def group_rates(terms, p, masses: np.ndarray, G: np.ndarray):
+    """(per-group rates G @ u, aggregate u.sum()) with u = masses * (a + b p)."""
+    a, b, _ = terms
+    u = masses * (a + b * p)
+    return G @ u, float(u.sum())
+
+
+def error_rate(p, f, masses: np.ndarray) -> float:
+    """Misclassification rate: the ERR row of the table, masses @ (f + (1-2f) p)."""
+    a, b, _ = rate_terms(FairnessNotion.ERR, f)
+    return float(masses @ (a + b * p))
+
+
 def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> BaseRates:
     """Per-group beta and w constants for a fairness notion.
 
     mode="from_scores" estimates label marginals from the scores (the
-    unlabeled-data path); mode="from_labels" uses label_mean.
+    unlabeled-data path); mode="from_labels" uses label_mean.  w is the
+    group's conditioning weight G @ (masses * c).
     """
     notion = FairnessNotion.coerce(notion)
     if mode not in ("from_scores", "from_labels"):
         raise ValueError(f"unknown mode {mode!r}")
     q = dist.scores if mode == "from_scores" else dist.require_labels()
-    m = dist.masses
-    G = dist.group_matrix
-    if notion is FairnessNotion.FP:
-        denom = float(m @ (1.0 - q))
-        if denom <= 0.0:
-            raise ValueError("degenerate label marginal: Pr[y=0] = 0")
-        w = G @ (m * (1.0 - q))
-        beta = w / denom
-    elif notion is FairnessNotion.FN:
-        denom = float(m @ q)
-        if denom <= 0.0:
-            raise ValueError("degenerate label marginal: Pr[y=1] = 0")
-        w = G @ (m * q)
-        beta = w / denom
-    elif notion is FairnessNotion.ERR:
-        w = G @ m
-        beta = w.copy()
-    else:  # SP: the rule consumes the constant 1; w is the group mass
-        w = G @ m
+    c = rate_terms(notion, q)[2]
+    w = dist.group_matrix @ (dist.masses * c)
+    if notion is FairnessNotion.SP:   # the rule consumes the constant 1
         beta = np.ones(dist.n_groups)
+    elif notion is FairnessNotion.ERR:
+        beta = w.copy()
+    else:
+        denom = float(dist.masses @ c)
+        if denom <= 0.0:
+            label = 1 if notion is FairnessNotion.FN else 0
+            raise ValueError(f"degenerate label marginal: Pr[y={label}] = 0")
+        beta = w / denom
     beta = np.clip(beta, 0.0, 1.0)
     return BaseRates(notion=notion, beta=beta, w=w)
 
@@ -94,25 +130,20 @@ def surrogate_group_rate(h: ClassifierLike, g: Optional[int], dist: CellDistribu
     g=None drops the group factor and yields the aggregate the constraint
     compares against.
     """
-    notion = FairnessNotion.coerce(notion)
     p = positive_probs(h, dist)
     f = _f_array(dist, scores_as_f)
-    m = dist.masses
-    gvec = np.ones(dist.n_cells) if g is None else dist.group_matrix[g]
-    if notion is FairnessNotion.FP:
-        integrand = p * (1.0 - f)
-    elif notion is FairnessNotion.FN:
-        integrand = (1.0 - p) * f
-    elif notion is FairnessNotion.ERR:
-        integrand = (1.0 - p) * f + p * (1.0 - f)
-    else:
-        integrand = p
-    return float(m @ (gvec * integrand))
+    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
+    return rho0 if g is None else float(rho_g[g])
 
 
 def surrogate_error(h: ClassifierLike, dist: CellDistribution,
                     scores_as_f: bool = True) -> float:
-    """Score-weighted misclassification rate E[f(1-p) + (1-f)p]."""
+    """Score-weighted misclassification rate E[f(1-p) + (1-f)p].
+
+    The ERR row of the rate table in its definitional rounding, which is
+    pinned bit for bit; error_rate's f + (1-2f)p is the same sum rounded
+    another way and differs from it by ulps.
+    """
     p = positive_probs(h, dist)
     f = _f_array(dist, scores_as_f)
     return float(dist.masses @ (f * (1.0 - p) + (1.0 - f) * p))
@@ -134,18 +165,8 @@ def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,
         raise ValueError("base rates were computed for a different notion")
     p = positive_probs(h, dist)
     f = _f_array(dist, scores_as_f)
-    m = dist.masses
-    if notion is FairnessNotion.FP:
-        integrand = p * (1.0 - f)
-    elif notion is FairnessNotion.FN:
-        integrand = (1.0 - p) * f
-    elif notion is FairnessNotion.ERR:
-        integrand = (1.0 - p) * f + p * (1.0 - f)
-    else:
-        integrand = p
-    per_group = dist.group_matrix @ (m * integrand)
-    aggregate = float(m @ integrand)
-    return per_group - _constraint_multiplier(base) * aggregate
+    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
+    return rho_g - _constraint_multiplier(base) * rho0
 
 
 def constraint_lhs(h: ClassifierLike, g: int, dist: CellDistribution, notion,
@@ -177,26 +198,14 @@ def true_rates(h: ClassifierLike, dist: CellDistribution, notion) -> RateReport:
     q = dist.require_labels()
     p = positive_probs(h, dist)
     m = dist.masses
-    G = dist.group_matrix
+    row = rate_terms(notion, q)
 
-    err = float(m @ (q * (1.0 - p) + (1.0 - q) * p))
-    if notion is FairnessNotion.FP:
-        cond = m * (1.0 - q)
-        stat = p
-    elif notion is FairnessNotion.FN:
-        cond = m * q
-        stat = 1.0 - p
-    elif notion is FairnessNotion.ERR:
-        cond = m
-        stat = q * (1.0 - p) + (1.0 - q) * p
-    else:
-        cond = m
-        stat = p
-
-    w = G @ cond
-    num = G @ (cond * stat)
+    err = error_rate(p, q, m)
+    num, num_total = group_rates(row, p, m, dist.group_matrix)
+    cond = m * row[2]
+    w = dist.group_matrix @ cond
     total = float(np.sum(cond))
-    rho_overall = float(np.sum(cond * stat) / total) if total > 0 else 0.0
+    rho_overall = num_total / total if total > 0 else 0.0
 
     degenerate = tuple(int(g) for g in np.flatnonzero(w <= 0.0))
     rho = np.zeros(dist.n_groups)

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import BaseRates, Cell, CellDistribution, FairnessNotion, pointwise_values
-from .metrics import _constraint_multiplier
+from .metrics import _constraint_multiplier, rate_terms
 
 __all__ = [
     "OracleSolution",
@@ -180,23 +180,10 @@ def _subset_sums(w: np.ndarray) -> np.ndarray:
 def _constraint_columns(dist: CellDistribution, notion: FairnessNotion,
                         base: BaseRates, f: np.ndarray):
     """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group."""
+    a, b, _ = rate_terms(notion, f)
     m = dist.masses
-    G = dist.group_matrix
-    mult = _constraint_multiplier(base)
-    centered = G - mult[:, None]
-    if notion is FairnessNotion.FP:
-        const = np.zeros(dist.n_groups)
-        coef = centered * (m * (1.0 - f))[None, :]
-    elif notion is FairnessNotion.FN:
-        const = centered @ (m * f)
-        coef = -centered * (m * f)[None, :]
-    elif notion is FairnessNotion.ERR:
-        const = centered @ (m * f)
-        coef = centered * (m * (1.0 - 2.0 * f))[None, :]
-    else:
-        const = np.zeros(dist.n_groups)
-        coef = centered * m[None, :]
-    return const, coef
+    centered = dist.group_matrix - _constraint_multiplier(base)[:, None]
+    return centered @ (m * a), centered * (m * b)
 
 
 def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
@@ -217,7 +204,8 @@ def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
     f = dist.scores if scores_as_f else dist.require_labels()
     m = dist.masses
 
-    err = float(m @ f) + _subset_sums(m * (1.0 - 2.0 * f))
+    err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
+    err = float(m @ err_a) + _subset_sums(m * err_b)
     const, coef = _constraint_columns(dist, notion, base, f)
     a = np.stack([const[g] + _subset_sums(coef[g]) for g in range(dist.n_groups)])
 

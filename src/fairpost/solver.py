@@ -24,7 +24,14 @@ from .core import (
     decide_batch,
     decision_thresholds,
 )
-from .metrics import base_rates, positive_probs
+from .metrics import (
+    _constraint_multiplier,
+    base_rates,
+    error_rate,
+    group_rates,
+    positive_probs,
+    rate_terms,
+)
 
 __all__ = [
     "DualState",
@@ -150,20 +157,6 @@ def best_response(lam, cell: Cell, notion, base: BaseRates,
     return rule.decide(cell)
 
 
-def _rate_terms(notion: FairnessNotion, f: np.ndarray, h: np.ndarray,
-                masses: np.ndarray, G: np.ndarray):
-    """(rho_g vector, rho_0 aggregate) of the notion's surrogate rate."""
-    if notion is FairnessNotion.FP:
-        u = masses * (1.0 - f) * h
-    elif notion is FairnessNotion.FN:
-        u = masses * f * (1.0 - h)
-    elif notion is FairnessNotion.ERR:
-        u = masses * (f + h * (1.0 - 2.0 * f))
-    else:
-        u = masses * h
-    return G @ u, float(u.sum())
-
-
 def dual_gradient(h_t, dist: CellDistribution, notion, base: BaseRates,
                   gamma: float, scores_as_f: bool = True):
     """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier.
@@ -172,10 +165,9 @@ def dual_gradient(h_t, dist: CellDistribution, notion, base: BaseRates,
     mirror; for SP the rule-side beta of one makes this the E[h(g-1)] form
     of the statistical-parity Lagrangian.
     """
-    notion = FairnessNotion.coerce(notion)
     p = positive_probs(h_t, dist)
     f = dist.scores if scores_as_f else dist.require_labels()
-    rho_g, rho0 = _rate_terms(notion, f, p, dist.masses, dist.group_matrix)
+    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
     centered = rho_g - base.beta * rho0
     return centered - gamma, -centered - gamma
 
@@ -207,48 +199,17 @@ def project_l1(dual: DualState, mode: str = "euclidean_l1") -> DualState:
     return DualState(w[:g], w[g:], dual.bound_C)
 
 
-def _solver_constraints(notion: FairnessNotion, f, p, masses, G, beta):
-    """Per-group signed constraint values in the Lagrangian's own form."""
-    rho_g, rho0 = _rate_terms(notion, f, p, masses, G)
-    return rho_g - beta * rho0
-
-
 def lagrangian_value(h, dual: DualState, dist: CellDistribution, notion,
-                     base: BaseRates, gamma: float, scores_as_f: bool = True,
-                     verify: bool = False) -> float:
-    """Lagrangian of the parity-constrained program at (h, lambda).
-
-    With verify=True the definitional form is checked against the
-    distributed-out expansion to 1e-10 before returning.
-    """
-    notion = FairnessNotion.coerce(notion)
+                     base: BaseRates, gamma: float, scores_as_f: bool = True) -> float:
+    """Lagrangian of the parity-constrained program at (h, lambda):
+    err(h) + sum_g lambda+_g (c_g - gamma) + lambda-_g (-c_g - gamma), with
+    c_g = rho_g - beta_g rho_0 the constraint in the rule's own form."""
     p = positive_probs(h, dist)
     f = dist.scores if scores_as_f else dist.require_labels()
-    m = dist.masses
-    lam_p, lam_m = dual.lambda_plus, dual.lambda_minus
-
-    objective = float(m @ (f * (1.0 - p) + (1.0 - f) * p))
-    cons = _solver_constraints(notion, f, p, m, dist.group_matrix, base.beta)
-    penalty = float(lam_p @ (cons - gamma) + lam_m @ (-cons - gamma))
-    value = objective + penalty
-
-    if verify:
-        lam = lam_p - lam_m
-        S = lam @ (dist.group_matrix - base.beta[:, None])
-        budget = gamma * float(lam_p.sum() + lam_m.sum())
-        if notion is FairnessNotion.FP:
-            expanded = float(m @ (p * (1.0 + S) - f * (-(1.0 - p) + p * (1.0 + S))))
-        elif notion is FairnessNotion.FN:
-            expanded = float(m @ (p + f * (-p + (1.0 - p) * (1.0 + S))))
-        elif notion is FairnessNotion.ERR:
-            expanded = float(m @ (p * (1.0 + S) + f * (1.0 + S) * (1.0 - 2.0 * p)))
-        else:
-            expanded = float(m @ (f * (1.0 - 2.0 * p) + p + p * S))
-        expanded -= budget
-        if abs(expanded - value) > 1e-10:
-            raise RuntimeError(
-                f"Lagrangian forms disagree: {value!r} vs {expanded!r}")
-    return value
+    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
+    cons = rho_g - base.beta * rho0
+    penalty = float(dual.lambda_plus @ (cons - gamma) + dual.lambda_minus @ (-cons - gamma))
+    return error_rate(p, f, dist.masses) + penalty
 
 
 def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
@@ -276,22 +237,23 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
     }
 
 
-def _run_loop(dist: CellDistribution, config: SolverConfig, scores_as_f: bool,
-              sampler=None, record_deviation: bool = False) -> SolveResult:
+def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
+              record_deviation: bool = False) -> SolveResult:
     """Primal/dual rounds.  The best response is the per-cell threshold form
     of decide_batch: one matvec and one compare per round.  The dual step
     depends only on the 0/1 decision pattern, so exact-rate runs compute it
     once per distinct pattern; sampled rounds recompute it every round."""
     notion = config.notion
     base = base_rates(dist, notion, config.beta_mode)
-    f = dist.scores if scores_as_f else dist.require_labels()
+    f = dist.scores
     masses = dist.masses
     G = dist.group_matrix
     n_groups, n_cells = G.shape
     T, eta = _resolve_schedule(config, n_groups, n_cells)
 
     beta = base.beta
-    viol_mult = base.w if notion is FairnessNotion.SP else base.beta
+    viol_mult = _constraint_multiplier(base)
+    row = rate_terms(notion, f)
     memb = G - beta[:, None]
     gamma, C = config.gamma, config.C
     sign, thresh = decision_thresholds(f, notion, decide=decide_batch)
@@ -299,13 +261,13 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, scores_as_f: bool,
 
     def round_terms(h, eval_masses):
         # (dual step for the concatenated (lambda+, lambda-), err_hat, max
-        # violation, rho_g) of one decision pattern, in the reference
-        # loop's own expressions
+        # violation, rho_g) of one decision pattern; for 0/1 h the rate
+        # table gives the reference loop's bits
         h = h.astype(float)
-        rho_g, rho0 = _rate_terms(notion, f, h, eval_masses, G)
+        rho_g, rho0 = group_rates(row, h, eval_masses, G)
         centered = rho_g - beta * rho0
         step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
-        return (step, float(eval_masses @ (f + h * (1.0 - 2.0 * f))),
+        return (step, error_rate(h, f, eval_masses),
                 float(np.abs(rho_g - viol_mult * rho0).max()), rho_g)
 
     dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
@@ -332,7 +294,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, scores_as_f: bool,
         else:
             terms = round_terms(h, sampler(t))
             if record_deviation:
-                pop_rho_g, _ = _rate_terms(notion, f, h.astype(float), masses, G)
+                pop_rho_g, _ = group_rates(row, h.astype(float), masses, G)
                 deviations[t - 1] = np.abs(terms[3] - pop_rho_g)
         step, err_hat, max_violation, _ = terms
 
@@ -385,16 +347,19 @@ def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
     Upper: the running mixture against the best vertex of the dual ball.
     Lower: the dual function at the averaged played dual (best response).
     """
-    err_bar = float(masses @ (f + p_bar * (1.0 - 2.0 * f)))
-    cons_bar = _solver_constraints(notion, f, p_bar, masses, G, beta)
-    upper = err_bar + max(0.0, C * (float(np.abs(cons_bar).max()) - gamma))
+    row = rate_terms(notion, f)
+    rho_g, rho0 = group_rates(row, p_bar, masses, G)
+    cons_bar = rho_g - beta * rho0
+    upper = error_rate(p_bar, f, masses) + max(
+        0.0, C * (float(np.abs(cons_bar).max()) - gamma))
 
     avg_lam = avg_lam_p - avg_lam_m
     S = avg_lam @ memb
     h_br = decide_batch(S, f, notion).astype(float)
-    cons_br = _solver_constraints(notion, f, h_br, masses, G, beta)
-    err_br = float(masses @ (f + h_br * (1.0 - 2.0 * f)))
-    lower = err_br + float(avg_lam_p @ (cons_br - gamma) + avg_lam_m @ (-cons_br - gamma))
+    rho_g, rho0 = group_rates(row, h_br, masses, G)
+    cons_br = rho_g - beta * rho0
+    lower = error_rate(h_br, f, masses) + float(
+        avg_lam_p @ (cons_br - gamma) + avg_lam_m @ (-cons_br - gamma))
     return upper - lower
 
 
@@ -408,7 +373,7 @@ def run(dist: CellDistribution, config: SolverConfig,
     """
     if not scores_as_f:
         dist = dist.with_scores_from_labels()
-    return _run_loop(dist, config, scores_as_f=True)
+    return _run_loop(dist, config)
 
 
 def run_sampled(population: CellDistribution, sampler_seed: int,
@@ -424,7 +389,6 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if not scores_as_f:
         population = population.with_scores_from_labels()
-        scores_as_f = True
     n_groups, n_cells = population.group_matrix.shape
     T, _ = _resolve_schedule(config, n_groups, n_cells)
     m = sample_size(T, n_groups, epsilon, delta)
@@ -435,7 +399,7 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
         counts = rng.multinomial(m, masses)
         return counts / m
 
-    result = _run_loop(population, config, scores_as_f, sampler=sampler,
+    result = _run_loop(population, config, sampler=sampler,
                        record_deviation=record_deviation)
     result.theorem_bounds = _theorem_bounds(config.C, epsilon)
     return result

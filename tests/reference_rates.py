@@ -1,0 +1,188 @@
+"""Per-notion rate expressions as they stood before the rate table.
+
+Each function here spells a notion's integrand out in its own if-chain,
+verbatim from the code that `fairpost.metrics.rate_terms` replaced.  The
+tests compare the table against them: bit for bit where the table keeps
+the arithmetic (0/1 decisions, the weights, the oracle's LP columns), and
+to 1e-12 where it sums in another order (fractional positive
+probabilities).  `expanded_lagrangian` is the distributed-out Lagrangian
+that `lagrangian_value` once checked itself against.
+"""
+
+import numpy as np
+
+from fairpost import BaseRates, FairnessNotion, RateReport
+from fairpost.metrics import _constraint_multiplier, _f_array, positive_probs
+
+
+def _rate_terms(notion, f, h, masses, G):
+    """(rho_g vector, rho_0 aggregate) of the notion's surrogate rate."""
+    if notion is FairnessNotion.FP:
+        u = masses * (1.0 - f) * h
+    elif notion is FairnessNotion.FN:
+        u = masses * f * (1.0 - h)
+    elif notion is FairnessNotion.ERR:
+        u = masses * (f + h * (1.0 - 2.0 * f))
+    else:
+        u = masses * h
+    return G @ u, float(u.sum())
+
+
+def _solver_constraints(notion, f, p, masses, G, beta):
+    """Per-group signed constraint values in the Lagrangian's own form."""
+    rho_g, rho0 = _rate_terms(notion, f, p, masses, G)
+    return rho_g - beta * rho0
+
+
+def _constraint_columns(dist, notion, base, f):
+    """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group."""
+    m = dist.masses
+    G = dist.group_matrix
+    mult = _constraint_multiplier(base)
+    centered = G - mult[:, None]
+    if notion is FairnessNotion.FP:
+        const = np.zeros(dist.n_groups)
+        coef = centered * (m * (1.0 - f))[None, :]
+    elif notion is FairnessNotion.FN:
+        const = centered @ (m * f)
+        coef = -centered * (m * f)[None, :]
+    elif notion is FairnessNotion.ERR:
+        const = centered @ (m * f)
+        coef = centered * (m * (1.0 - 2.0 * f))[None, :]
+    else:
+        const = np.zeros(dist.n_groups)
+        coef = centered * m[None, :]
+    return const, coef
+
+
+def base_rates(dist, notion, mode="from_scores"):
+    notion = FairnessNotion.coerce(notion)
+    q = dist.scores if mode == "from_scores" else dist.require_labels()
+    m = dist.masses
+    G = dist.group_matrix
+    if notion is FairnessNotion.FP:
+        denom = float(m @ (1.0 - q))
+        if denom <= 0.0:
+            raise ValueError("degenerate label marginal: Pr[y=0] = 0")
+        w = G @ (m * (1.0 - q))
+        beta = w / denom
+    elif notion is FairnessNotion.FN:
+        denom = float(m @ q)
+        if denom <= 0.0:
+            raise ValueError("degenerate label marginal: Pr[y=1] = 0")
+        w = G @ (m * q)
+        beta = w / denom
+    elif notion is FairnessNotion.ERR:
+        w = G @ m
+        beta = w.copy()
+    else:  # SP: the rule consumes the constant 1; w is the group mass
+        w = G @ m
+        beta = np.ones(dist.n_groups)
+    beta = np.clip(beta, 0.0, 1.0)
+    return BaseRates(notion=notion, beta=beta, w=w)
+
+
+def surrogate_group_rate(h, g, dist, scores_as_f=True, notion=FairnessNotion.FP):
+    notion = FairnessNotion.coerce(notion)
+    p = positive_probs(h, dist)
+    f = _f_array(dist, scores_as_f)
+    m = dist.masses
+    gvec = np.ones(dist.n_cells) if g is None else dist.group_matrix[g]
+    if notion is FairnessNotion.FP:
+        integrand = p * (1.0 - f)
+    elif notion is FairnessNotion.FN:
+        integrand = (1.0 - p) * f
+    elif notion is FairnessNotion.ERR:
+        integrand = (1.0 - p) * f + p * (1.0 - f)
+    else:
+        integrand = p
+    return float(m @ (gvec * integrand))
+
+
+def surrogate_error(h, dist, scores_as_f=True):
+    p = positive_probs(h, dist)
+    f = _f_array(dist, scores_as_f)
+    return float(dist.masses @ (f * (1.0 - p) + (1.0 - f) * p))
+
+
+def constraint_vector(h, dist, notion, base, scores_as_f=True):
+    notion = FairnessNotion.coerce(notion)
+    p = positive_probs(h, dist)
+    f = _f_array(dist, scores_as_f)
+    m = dist.masses
+    if notion is FairnessNotion.FP:
+        integrand = p * (1.0 - f)
+    elif notion is FairnessNotion.FN:
+        integrand = (1.0 - p) * f
+    elif notion is FairnessNotion.ERR:
+        integrand = (1.0 - p) * f + p * (1.0 - f)
+    else:
+        integrand = p
+    per_group = dist.group_matrix @ (m * integrand)
+    aggregate = float(m @ integrand)
+    return per_group - _constraint_multiplier(base) * aggregate
+
+
+def true_rates(h, dist, notion):
+    notion = FairnessNotion.coerce(notion)
+    q = dist.require_labels()
+    p = positive_probs(h, dist)
+    m = dist.masses
+    G = dist.group_matrix
+
+    err = float(m @ (q * (1.0 - p) + (1.0 - q) * p))
+    if notion is FairnessNotion.FP:
+        cond = m * (1.0 - q)
+        stat = p
+    elif notion is FairnessNotion.FN:
+        cond = m * q
+        stat = 1.0 - p
+    elif notion is FairnessNotion.ERR:
+        cond = m
+        stat = q * (1.0 - p) + (1.0 - q) * p
+    else:
+        cond = m
+        stat = p
+
+    w = G @ cond
+    num = G @ (cond * stat)
+    total = float(np.sum(cond))
+    rho_overall = float(np.sum(cond * stat) / total) if total > 0 else 0.0
+
+    degenerate = tuple(int(g) for g in np.flatnonzero(w <= 0.0))
+    rho = np.zeros(dist.n_groups)
+    nonzero = w > 0.0
+    rho[nonzero] = num[nonzero] / w[nonzero]
+    violation = w * np.abs(rho - rho_overall)
+    violation[~nonzero] = 0.0
+    return RateReport(
+        notion=notion,
+        err=err,
+        rho_overall=rho_overall,
+        rho_by_group=rho,
+        violation_by_group=violation,
+        max_violation=float(violation.max()),
+        degenerate_groups=degenerate,
+    )
+
+
+def expanded_lagrangian(h, dual, dist, notion, base, gamma, scores_as_f=True):
+    """The Lagrangian with the penalty distributed over the cells: the
+    per-cell weight S = lambda . (g - beta) multiplies each notion's terms."""
+    notion = FairnessNotion.coerce(notion)
+    p = positive_probs(h, dist)
+    f = dist.scores if scores_as_f else dist.require_labels()
+    m = dist.masses
+    lam_p, lam_m = dual.lambda_plus, dual.lambda_minus
+    lam = lam_p - lam_m
+    S = lam @ (dist.group_matrix - base.beta[:, None])
+    budget = gamma * float(lam_p.sum() + lam_m.sum())
+    if notion is FairnessNotion.FP:
+        expanded = float(m @ (p * (1.0 + S) - f * (-(1.0 - p) + p * (1.0 + S))))
+    elif notion is FairnessNotion.FN:
+        expanded = float(m @ (p + f * (-p + (1.0 - p) * (1.0 + S))))
+    elif notion is FairnessNotion.ERR:
+        expanded = float(m @ (p * (1.0 + S) + f * (1.0 + S) * (1.0 - 2.0 * p)))
+    else:
+        expanded = float(m @ (f * (1.0 - 2.0 * p) + p + p * S))
+    return expanded - budget

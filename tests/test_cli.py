@@ -307,6 +307,31 @@ def calibration_dataset(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_sweep_eval_manifest_stages(calibration_dataset, tmp_path, command):
+    from fairpost.cli import build_parser
+    data = str(calibration_dataset)
+    if command == "sweep":
+        argv = ["sweep", data, "--gammas", "0.25,0.05,1.0", "--C", "4", "--T", "2000",
+                "--grid-m", "50", "--svg"]
+    else:
+        run_dir = tmp_path / "run"
+        assert main(["solve", data, "--gamma", "0.05", "--C", "4", "--T", "2000",
+                     "--grid-m", "50", "--out-dir", str(run_dir)]) == 0
+        argv = ["eval", data, "--mixture", str(run_dir / "mixture.json")]
+    out = tmp_path / command
+    args = build_parser().parse_args(argv + ["--out-dir", str(out)])
+    t0 = time.perf_counter()
+    assert args.func(args) == 0
+    wall = time.perf_counter() - t0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings_seconds"]
+    assert set(timings) == {"parse", command, "write"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert abs(sum(timings.values()) - wall) <= 0.05 * wall
+    assert manifest["peak_rss_mb"] > 0.0
+
+
 @pytest.mark.parametrize("command", ["audit", "calibrate"])
 def test_multical_manifest_stages_and_counters(calibration_dataset, tmp_path, command):
     from fairpost.cli import build_parser

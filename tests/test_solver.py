@@ -29,13 +29,12 @@ from fairpost.solver import (
     SolveResult,
     TrajectoryRecord,
     _gap_estimate,
-    _rate_terms,
     _resolve_schedule,
-    _solver_constraints,
     _theorem_bounds,
 )
 
 from conftest import make_dist, rand_lambda
+from reference_rates import _rate_terms, _solver_constraints, expanded_lagrangian
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -257,8 +256,8 @@ def test_lagrangian_forms_agree(rng):
         base = base_rates(dist, notion, "from_labels")
         lp = np.abs(rng.standard_normal(dist.n_groups)) * rng.uniform(0, 3)
         lm = np.abs(rng.standard_normal(dist.n_groups)) * rng.uniform(0, 3)
-        lagrangian_value(p, DualState(lp, lm, 10.0), dist, notion, base,
-                         gamma=float(rng.uniform(0, 0.2)), verify=True)
+        args = (p, DualState(lp, lm, 10.0), dist, notion, base, float(rng.uniform(0, 0.2)))
+        assert abs(lagrangian_value(*args) - expanded_lagrangian(*args)) <= 1e-10
 
 
 def test_no_regret_bound(biased_instance):
