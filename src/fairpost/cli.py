@@ -358,9 +358,9 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError("unrecognized mixture schema")
     if lambdas is None:
         raise InputError("mixture has no lambdas rows")
-    notion = FairnessNotion.coerce(payload["notion"])
-    base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
     try:
+        notion = FairnessNotion.coerce(payload["notion"])
+        base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
         mixture = MixtureClassifier(lambdas, notion, base,
                                     payload.get("tiebreak_positive", True))
     except ValueError as exc:
@@ -443,10 +443,10 @@ def _sweep_one(dist, has_labels, config, gamma):
     result = run(dist, solver_config)
     p = result.mixture.positive_prob_vector(dist)
     err_hat = surrogate_error(p, dist)
-    cons = constraint_vector(p, dist, solver_config.notion, result.base)
     if has_labels:
         rep = true_rates(p, dist, solver_config.notion)
         return gamma, err_hat, rep.err, rep.max_violation, "ok"
+    cons = constraint_vector(p, dist, solver_config.notion, result.base)
     return gamma, err_hat, None, float(np.abs(cons).max()), "ok"
 
 

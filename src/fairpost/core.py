@@ -223,9 +223,10 @@ class BaseRates:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if np.any(self.beta < -1e-12) or np.any(self.beta > 1 + 1e-12):
+        # written so that NaN entries fail too
+        if not np.all((self.beta >= -1e-12) & (self.beta <= 1 + 1e-12)):
             raise ValueError("beta entries must lie in [0, 1]")
-        if np.any(self.w < -1e-12) or np.any(self.w > 1 + 1e-12):
+        if not np.all((self.w >= -1e-12) & (self.w <= 1 + 1e-12)):
             raise ValueError("w entries must lie in [0, 1]")
 
 
@@ -340,6 +341,9 @@ class ThresholdRule:
         return decide_batch(S, dist.scores, self.notion, self.tiebreak_positive).astype(float)
 
 
+_RULE_BLOCK = 65536
+
+
 class MixtureClassifier:
     """Uniform mixture over T threshold rules (the randomized classifier).
 
@@ -354,6 +358,10 @@ class MixtureClassifier:
             raise ValueError("lambdas must be a (T, n_groups) array")
         if lambdas.shape[0] == 0:
             raise ValueError("mixture must contain at least one rule")
+        if lambdas.shape[1] != len(base.beta):
+            raise ValueError("lambdas width must match the group count")
+        if not np.isfinite(lambdas).all():
+            raise ValueError("lambdas must be finite")
         self.lambdas = lambdas
         self.notion = FairnessNotion.coerce(notion)
         self.base = base
@@ -366,12 +374,49 @@ class MixtureClassifier:
         return ThresholdRule(tuple(self.lambdas[i]), self.notion, self.base,
                              self.tiebreak_positive)
 
-    def _decision_matrix(self, scores: np.ndarray, masks: Sequence[int]) -> np.ndarray:
-        g = self.lambdas.shape[1]
-        memb = np.array([bits_from_mask(m, g) for m in masks], dtype=float).T
-        S = self.lambdas @ (memb - self.base.beta[:, None])  # (T, n)
-        return decide_batch(S, np.asarray(scores, dtype=float)[None, :], self.notion,
-                            self.tiebreak_positive)
+    def _group_sums(self, bits, S: np.ndarray) -> np.ndarray:
+        """Write S_t = lambda_t . (bits - beta) for every rule t into S.
+
+        One membership pattern, as an explicit ordered sum over the groups,
+        lambda[:, 0]*c_0 + lambda[:, 1]*c_1 + ... with c = bits - beta, so a
+        point's sums do not depend on which other points are evaluated with
+        it (a BLAS product may block and fuse differently with the batch
+        shape).
+        """
+        c = np.asarray(bits, dtype=float) - self.base.beta
+        # blocks of rules bound the product temporaries
+        for start in range(0, len(S), _RULE_BLOCK):
+            block = slice(start, start + _RULE_BLOCK)
+            lam, out = self.lambdas[block], S[block]
+            np.multiply(lam[:, 0], c[0], out=out)
+            for i in range(1, len(c)):
+                out += lam[:, i] * c[i]
+        return S
+
+    def _positive_probs(self, scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """Fraction of rules deciding 1 at each point (scores[i], bits[i]).
+
+        A rule decides 1 exactly when s*S_t <= d (decision_thresholds), so
+        each distinct membership pattern's sums are sorted once and a point's
+        count is one binary search: the rules with S_t <= d for s = +1, with
+        S_t >= -d for s = -1.  Memory is O(T + n) whatever the pattern count.
+        """
+        T = len(self)
+        patterns, pattern_of = np.unique(bits, axis=0, return_inverse=True)
+        values, value_of = np.unique(scores, return_inverse=True)
+        sign, thresh = decision_thresholds(values, self.notion, self.tiebreak_positive)
+        sign, thresh = sign[value_of], thresh[value_of]
+        pattern_of = pattern_of.ravel()  # numpy 2.0.0 returns a 2-d inverse with axis=0
+        rows_by_pattern = np.split(np.argsort(pattern_of, kind="stable"),
+                                   np.cumsum(np.bincount(pattern_of))[:-1])
+        counts = np.empty(len(scores), dtype=np.int64)
+        S = np.empty(T)
+        for pattern, rows in zip(patterns, rows_by_pattern):
+            self._group_sums(pattern, S).sort()
+            d = thresh[rows]
+            counts[rows] = np.where(sign[rows] > 0, np.searchsorted(S, d, "right"),
+                                    T - np.searchsorted(S, -d, "left"))
+        return counts / T
 
     def positive_prob(self, cell_or_score, mask: Optional[int] = None) -> float:
         """Fraction of the constituent rules classifying the point as 1."""
@@ -379,28 +424,31 @@ class MixtureClassifier:
             score, mask = cell_or_score.score, cell_or_score.groups
         else:
             score = float(cell_or_score)
-        dec = self._decision_matrix(np.array([score]), [mask])
-        return float(dec.mean(axis=0)[0])
+        bits = bits_from_mask(mask, self.lambdas.shape[1])
+        return float(self.positive_prob_points([score], [bits])[0])
 
-    def positive_prob_points(self, scores, masks) -> np.ndarray:
-        """Positive probabilities for a batch of (score, mask) points."""
-        return self._decision_matrix(np.asarray(scores, dtype=float), list(masks)
-                                     ).mean(axis=0)
+    def positive_prob_points(self, scores, groups) -> np.ndarray:
+        """Positive probabilities for a batch of points.
 
-    def positive_prob_vector(self, dist: CellDistribution, chunk: int = 65536) -> np.ndarray:
+        groups is the (n, n_groups) 0/1 membership matrix, one row per score.
+        """
+        scores = np.asarray(scores, dtype=float).ravel()
+        groups = np.asarray(groups)
+        if groups.shape != (len(scores), self.lambdas.shape[1]):
+            raise ValueError("groups must be an (n_points, n_groups) membership matrix")
+        return self._positive_probs(scores, groups)
+
+    def positive_prob_vector(self, dist: CellDistribution) -> np.ndarray:
         """Per-cell positive probability over a whole distribution.
 
-        Each rule's decision on a cell is the exact threshold form of
-        decide_batch (see decision_thresholds): one matmul and one compare
-        per chunk of rules.
+        The cells take the same compiled path as positive_prob_points: the
+        rules' group sums S_t are built and sorted once per distinct
+        membership pattern, and each cell counts the rules that decide 1
+        with one binary search against its exact threshold (s, d) from
+        decision_thresholds.  The count equals the sum of decide_batch over
+        the rules bit for bit, and memory stays O(T + n_cells).
         """
-        sign, thresh = decision_thresholds(dist.scores, self.notion, self.tiebreak_positive)
-        smemb = (dist.group_matrix - self.base.beta[:, None]) * sign
-        counts = np.zeros(dist.n_cells, dtype=float)
-        T = len(self)
-        for start in range(0, T, chunk):
-            counts += (self.lambdas[start:start + chunk] @ smemb <= thresh).sum(axis=0)
-        return counts / T
+        return self._positive_probs(dist.scores, dist.group_matrix.T)
 
 
 def build_cells(rows: Iterable, grid_m: int,

@@ -44,7 +44,7 @@ def check_scores_groups(scores, groups, y=None):
         raise ValueError("scores and groups have different lengths")
     if not np.all(np.isin(groups, (0, 1))):
         raise ValueError("group indicators must be 0 or 1")
-    if np.any(scores < 0) or np.any(scores > 1):
+    if not np.all((scores >= 0) & (scores <= 1)):
         raise ValueError("scores must lie in [0, 1]")
     if y is not None:
         y = np.asarray(y).ravel()
@@ -130,8 +130,7 @@ class FairThresholdPostprocessor(_ParamsMixin):
         scores, groups, _ = check_scores_groups(scores, groups)
         if groups.shape[1] != self.n_groups_:
             raise ValueError("group matrix width changed between fit and predict")
-        masks = [mask_from_bits(g) for g in groups]
-        return self.mixture_.positive_prob_points(scores, masks)
+        return self.mixture_.positive_prob_points(scores, groups)
 
     def predict(self, scores, groups, random_state: Optional[int] = None) -> np.ndarray:
         """Sample hard labels from the randomized classifier."""

@@ -123,6 +123,23 @@ def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta, lambdas, message", [
+    ("[1.0]", "[[0.1], [NaN]]", "lambdas must be finite"),
+    ("[1.0]", "[[Infinity]]", "lambdas must be finite"),
+    ("[1.0]", "[[-Infinity], [0.2]]", "lambdas must be finite"),
+    ("[NaN]", "[[0.1]]", "beta entries must lie in [0, 1]"),
+    ("[1.0, 1.0]", "[[0.1]]", "lambdas width must match the group count"),
+])
+def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
+    path = tmp_path / "mixture.json"
+    path.write_text('{"schema": "fairpost.mixture.v1", "notion": "fp", "beta": '
+                    f'{beta}, "w": [1.0], "grid_m": 20, "group_names": ["I"], '
+                    f'"lambdas": {lambdas}}}')
+    code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"error: bad mixture: {message}" in capsys.readouterr().err
+
+
 def test_malformed_row_names_line(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,score,y,g_I\n0,0.5,1,1\n1,oops,0,1\n")

@@ -10,6 +10,7 @@ from fairpost import (
     build_cells,
     default_checks,
 )
+from fairpost.estimators import check_scores_groups
 from fairpost.multical import assignment_from_scores
 
 from conftest import make_dist
@@ -73,6 +74,14 @@ def test_input_validation():
         est.fit([0.5], [[2]], None)
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         est.fit([1.5], [[1]], None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(bad):
+    with pytest.raises(ValueError, match="scores must lie in \\[0, 1\\]"):
+        check_scores_groups([0.5, bad], [[1], [0]])
+    with pytest.raises(ValueError, match="scores must lie in \\[0, 1\\]"):
+        FairThresholdPostprocessor().fit([bad], [[1]], [1])
 
 
 def test_calibrator_reduces_audit_violation(rng):
