@@ -341,7 +341,9 @@ class ThresholdRule:
         return decide_batch(S, dist.scores, self.notion, self.tiebreak_positive).astype(float)
 
 
-_RULE_BLOCK = 65536
+# Rules per evaluation block: a block's group terms and partial sums take
+# O(n_groups * _RULE_BLOCK) memory whatever T is, and stay in cache.
+_RULE_BLOCK = 16384
 
 
 class MixtureClassifier:
@@ -362,6 +364,15 @@ class MixtureClassifier:
             raise ValueError("lambdas width must match the group count")
         if not np.isfinite(lambdas).all():
             raise ValueError("lambdas must be finite")
+        # rounding is monotone, so no group sum, in any pattern, exceeds the
+        # same ordered sum of |lambda_i| * max|bits_i - beta_i| in magnitude
+        c_max = np.maximum(np.abs(base.beta), np.abs(1.0 - base.beta))
+        bound = np.abs(lambdas[:, 0]) * c_max[0]
+        with np.errstate(over="ignore"):
+            for i in range(1, len(c_max)):
+                bound += np.abs(lambdas[:, i]) * c_max[i]
+        if not np.isfinite(bound).all():
+            raise ValueError("lambdas too large: a group sum would overflow")
         self.lambdas = lambdas
         self.notion = FairnessNotion.coerce(notion)
         self.base = base
@@ -374,34 +385,25 @@ class MixtureClassifier:
         return ThresholdRule(tuple(self.lambdas[i]), self.notion, self.base,
                              self.tiebreak_positive)
 
-    def _group_sums(self, bits, S: np.ndarray) -> np.ndarray:
-        """Write S_t = lambda_t . (bits - beta) for every rule t into S.
-
-        One membership pattern, as an explicit ordered sum over the groups,
-        lambda[:, 0]*c_0 + lambda[:, 1]*c_1 + ... with c = bits - beta, so a
-        point's sums do not depend on which other points are evaluated with
-        it (a BLAS product may block and fuse differently with the batch
-        shape).
-        """
-        c = np.asarray(bits, dtype=float) - self.base.beta
-        # blocks of rules bound the product temporaries
-        for start in range(0, len(S), _RULE_BLOCK):
-            block = slice(start, start + _RULE_BLOCK)
-            lam, out = self.lambdas[block], S[block]
-            np.multiply(lam[:, 0], c[0], out=out)
-            for i in range(1, len(c)):
-                out += lam[:, i] * c[i]
-        return S
-
     def _positive_probs(self, scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Fraction of rules deciding 1 at each point (scores[i], bits[i]).
 
-        A rule decides 1 exactly when s*S_t <= d (decision_thresholds), so
-        each distinct membership pattern's sums are sorted once and a point's
-        count is one binary search: the rules with S_t <= d for s = +1, with
-        S_t >= -d for s = -1.  Memory is O(T + n) whatever the pattern count.
+        A rule decides 1 exactly when s*S_t <= d (decision_thresholds), where
+        S_t = lambda_t . (bits - beta), so a point's count needs only its
+        membership pattern's sums and its (s, d).  The rules are taken in
+        blocks of _RULE_BLOCK.  In a block, each distinct pattern's sums are
+        the ordered sum lambda[:, 0]*c_0 + lambda[:, 1]*c_1 + ... with
+        c = bits - beta.  Each group's two possible terms are computed once
+        per block, and np.unique returns the patterns sorted, so a pattern
+        keeps the partial sums of the leading groups it shares with the one
+        before.  A pattern with at least log2(block) points sorts its sums
+        and counts each point with one binary search; one with fewer points
+        compares each point against the sums, which costs less than the
+        sort.  Both count the same rules exactly, and the ordered sum, unlike
+        a BLAS product that may block and fuse with the batch shape, does not
+        depend on the other points evaluated with it.
         """
-        T = len(self)
+        T, g = self.lambdas.shape
         patterns, pattern_of = np.unique(bits, axis=0, return_inverse=True)
         values, value_of = np.unique(scores, return_inverse=True)
         sign, thresh = decision_thresholds(values, self.notion, self.tiebreak_positive)
@@ -409,13 +411,34 @@ class MixtureClassifier:
         pattern_of = pattern_of.ravel()  # numpy 2.0.0 returns a 2-d inverse with axis=0
         rows_by_pattern = np.split(np.argsort(pattern_of, kind="stable"),
                                    np.cumsum(np.bincount(pattern_of))[:-1])
-        counts = np.empty(len(scores), dtype=np.int64)
-        S = np.empty(T)
-        for pattern, rows in zip(patterns, rows_by_pattern):
-            self._group_sums(pattern, S).sort()
-            d = thresh[rows]
-            counts[rows] = np.where(sign[rows] > 0, np.searchsorted(S, d, "right"),
-                                    T - np.searchsorted(S, -d, "left"))
+        patterns = patterns.astype(np.intp)
+        # the first group in which each pattern differs from the one before
+        first = np.zeros(len(patterns), dtype=int)
+        first[1:] = np.argmax(patterns[1:] != patterns[:-1], axis=1)
+        coeffs = np.array([[0.0], [1.0]]) - self.base.beta  # coeffs[b, i] = b - beta_i
+        counts = np.zeros(len(scores), dtype=np.int64)
+        for start in range(0, T, _RULE_BLOCK):
+            lam = self.lambdas[start:start + _RULE_BLOCK]
+            n = len(lam)
+            # terms[i, b] = lambda_i * (b - beta_i) over the block's rules, each
+            # a contiguous row
+            terms = np.multiply(lam.T[:, None, :], coeffs.T[:, :, None], order="C")
+            partial = np.empty((g, n))  # partial[i]: the sum over groups 0..i
+            for pattern, shared, rows in zip(patterns, first, rows_by_pattern):
+                if shared == 0:
+                    partial[0] = terms[0, pattern[0]]
+                for i in range(max(shared, 1), g):
+                    np.add(partial[i - 1], terms[i, pattern[i]], out=partial[i])
+                S = partial[-1]
+                if len(rows) >= np.log2(n):
+                    S.sort()
+                    d = thresh[rows]
+                    counts[rows] += np.where(sign[rows] > 0, np.searchsorted(S, d, "right"),
+                                             n - np.searchsorted(S, -d, "left"))
+                else:
+                    for r in rows:
+                        counts[r] += np.count_nonzero(
+                            S <= thresh[r] if sign[r] > 0 else S >= -thresh[r])
         return counts / T
 
     def positive_prob(self, cell_or_score, mask: Optional[int] = None) -> float:
@@ -436,17 +459,21 @@ class MixtureClassifier:
         groups = np.asarray(groups)
         if groups.shape != (len(scores), self.lambdas.shape[1]):
             raise ValueError("groups must be an (n_points, n_groups) membership matrix")
+        if not np.isin(groups, (0, 1)).all():
+            raise ValueError("group indicators must be 0 or 1")
         return self._positive_probs(scores, groups)
 
     def positive_prob_vector(self, dist: CellDistribution) -> np.ndarray:
         """Per-cell positive probability over a whole distribution.
 
         The cells take the same compiled path as positive_prob_points: the
-        rules' group sums S_t are built and sorted once per distinct
-        membership pattern, and each cell counts the rules that decide 1
-        with one binary search against its exact threshold (s, d) from
-        decision_thresholds.  The count equals the sum of decide_batch over
-        the rules bit for bit, and memory stays O(T + n_cells).
+        rules' group sums S_t are built once per distinct membership pattern
+        and block of rules, and each cell counts the rules that decide 1
+        against its exact threshold (s, d) from decision_thresholds, with a
+        binary search in the sorted sums when its pattern has enough cells
+        to pay for the sort.  The count equals the sum of decide_batch over
+        the rules bit for bit, and memory stays O(n_groups * block + n_cells)
+        whatever T is.
         """
         return self._positive_probs(dist.scores, dist.group_matrix.T)
 

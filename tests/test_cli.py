@@ -129,6 +129,8 @@ def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     ("[1.0]", "[[-Infinity], [0.2]]", "lambdas must be finite"),
     ("[NaN]", "[[0.1]]", "beta entries must lie in [0, 1]"),
     ("[1.0, 1.0]", "[[0.1]]", "lambdas width must match the group count"),
+    ("[0.0, 0.0]", "[[0.1, 0.2], [1e308, 1e308]]",
+     "lambdas too large: a group sum would overflow"),
 ])
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
     path = tmp_path / "mixture.json"

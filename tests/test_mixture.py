@@ -6,15 +6,18 @@ threshold (s, d).  The reference here builds the same S_t as an ordered sum
 over the groups, applies decide_batch to every rule and counts, so the two
 must agree bit for bit: on off-grid scores and f in {0, 1/2, 1}, on all-zero
 rules, on sums exactly at the threshold, at -1 and at signed zeros, with
-duplicate patterns, and at T = 1 and T = 2.  A point's probability must also
-not depend on the batch it is scored in.
+duplicate patterns, and at T = 1 and T = 2, whether a pattern's points are
+counted by a binary search or one by one, and across blocks of rules.  A
+point's probability must also not depend on the batch it is scored in.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairpost import FairThresholdPostprocessor
+from fairpost import FairThresholdPostprocessor, core
 from fairpost.core import (
     BaseRates,
     FairnessNotion,
@@ -54,7 +57,7 @@ lam_value = st.floats(min_value=-50.0, max_value=50.0)
 
 @st.composite
 def instances(draw):
-    g = draw(st.integers(min_value=1, max_value=3))
+    g = draw(st.integers(min_value=1, max_value=4))
     # beta = 0 or 1 makes c = +-1 exactly, so a rule's sum can be aimed at a value
     beta = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit),
                                   min_size=g, max_size=g)))
@@ -63,7 +66,7 @@ def instances(draw):
     scores = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit),
                                     min_size=1, max_size=12)))
     patterns = draw(st.lists(st.lists(st.integers(0, 1), min_size=g, max_size=g),
-                             min_size=1, max_size=3))
+                             min_size=1, max_size=6))
     # few patterns for many points, so patterns repeat
     groups = np.array([draw(st.sampled_from(patterns)) for _ in scores], dtype=int)
     s, d = decision_thresholds(scores, notion, tiebreak)
@@ -88,15 +91,34 @@ def instances(draw):
     return mix, scores, groups
 
 
-@settings(max_examples=400, deadline=None)
+# the default block holds every T drawn here; blocks of 1 and 3 rules split
+# the sums, and a block of 3 counts single points directly and pairs by search
+@pytest.mark.parametrize("block", [core._RULE_BLOCK, 1, 3])
+@settings(max_examples=300, deadline=None)
 @given(case=instances())
-def test_compiled_counts_equal_decide_batch(case):
+def test_compiled_counts_equal_decide_batch(block, case):
     mix, scores, groups = case
     want = _reference_probs(mix, scores, groups)
-    assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)), _bits(want))
-    for f, bits, p in zip(scores, groups, want):
-        mask = sum(int(b) << i for i, b in enumerate(bits))
-        assert _bits(mix.positive_prob(f, mask)) == _bits(p)
+    with mock.patch.object(core, "_RULE_BLOCK", block):
+        assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)), _bits(want))
+        for f, bits, p in zip(scores, groups, want):
+            mask = sum(int(b) << i for i, b in enumerate(bits))
+            assert _bits(mix.positive_prob(f, mask)) == _bits(p)
+
+
+def test_many_patterns_over_several_blocks(rng):
+    # 2**8 patterns over a few points each, T spanning three blocks: the
+    # points are counted one by one and the shared group prefixes are reused
+    g, T, n = 8, 2 * core._RULE_BLOCK + 5, 600
+    beta = rng.uniform(size=g)
+    lambdas = rng.standard_normal((T, g)) * rng.choice([0.0, 1.0, 30.0], size=(T, g))
+    scores = np.concatenate([rng.uniform(size=n - 3), [0.0, 0.5, 1.0]])
+    groups = rng.integers(0, 2, size=(n, g))
+    groups[:200] = groups[0]  # one pattern with enough points for the sort
+    for notion in NOTIONS:
+        mix = MixtureClassifier(lambdas, notion, BaseRates(notion, beta, np.full(g, 0.5)))
+        assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
+                              _bits(_reference_probs(mix, scores, groups)))
 
 
 def test_sums_at_the_threshold_are_counted_by_decide_batch():
@@ -121,6 +143,9 @@ def test_points_need_a_membership_matrix():
     mix = MixtureClassifier(np.zeros((3, 2)), FairnessNotion.FP, base)
     with pytest.raises(ValueError, match="membership matrix"):
         mix.positive_prob_points([0.5, 0.5], [1, 3])
+    for bad in (2, 0.5, -1):
+        with pytest.raises(ValueError, match="0 or 1"):
+            mix.positive_prob_points([0.5, 0.5], [[1, 0], [bad, 1]])
     assert mix.positive_prob_points([], np.zeros((0, 2))).shape == (0,)
 
 
@@ -129,6 +154,21 @@ def test_mixture_rejects_non_finite_lambdas(bad):
     base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
     with pytest.raises(ValueError, match="finite"):
         MixtureClassifier(np.array([[0.1, 0.2], [bad, 0.0]]), FairnessNotion.FP, base)
+
+
+def test_mixture_rejects_lambdas_whose_group_sum_overflows():
+    # with beta = 0 the pattern (1, 1) sums to 2e308 = inf; with beta = 1/2
+    # every |c_i| is 1/2 and no pattern can overflow
+    lambdas = np.array([[1e308, 1e308], [0.1, 0.2]])
+    zero = BaseRates(FairnessNotion.FP, np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="overflow"):
+        MixtureClassifier(lambdas, FairnessNotion.FP, zero)
+    half = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
+    mix = MixtureClassifier(lambdas, FairnessNotion.FP, half)
+    groups = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    scores = np.ones(4)
+    assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
+                          _bits(_reference_probs(mix, scores, groups)))
 
 
 @pytest.mark.parametrize("notion", [n.value for n in NOTIONS])
