@@ -8,6 +8,7 @@ from .core import (
     GroupSystem,
     MixtureClassifier,
     ThresholdRule,
+    aggregate_cells,
     build_cells,
     snap_to_grid,
 )
@@ -64,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseRates", "Cell", "CellDistribution", "FairnessNotion", "GroupSystem",
-    "MixtureClassifier", "ThresholdRule", "build_cells",
+    "MixtureClassifier", "ThresholdRule", "aggregate_cells", "build_cells",
     "snap_to_grid",
     "RateReport", "base_rates", "constraint_lhs", "constraint_vector",
     "surrogate_error", "surrogate_group_rate", "true_rates",

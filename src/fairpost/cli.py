@@ -11,6 +11,7 @@ import argparse
 import array
 import csv
 import hashlib
+import io
 import json
 import re
 import resource
@@ -27,7 +28,8 @@ from .core import (
     FairnessNotion,
     MixtureClassifier,
     BaseRates,
-    build_cells,
+    aggregate_cells,
+    build_cells,  # noqa: F401  (bench/spans.py traces it by this name)
 )
 from .metrics import base_rates, constraint_vector, surrogate_error, true_rates
 from .multical import assignment_from_scores, audit, brier, calibrate, default_checks
@@ -59,36 +61,139 @@ def _fmt(x) -> str:
 
 # ---------------------------------------------------------------- datasets
 
-def read_dataset(path: str, grid_m: int) -> Tuple[CellDistribution, bool]:
-    """Parse a dataset CSV into a cell distribution.
+# Bytes per read of the array parser; each chunk is cut after its last newline.
+_CHUNK = 1 << 20
+# Longest score token the array parser gathers; longer ones take the row loop.
+_MAX_SCORE_TOKEN = 32
 
-    Returns (distribution, has_labels).  A synthetic all-ones group I is
-    prepended when no column covers every row.
-    """
+
+class _Decline(Exception):
+    """The array parser leaves this input to the row loop."""
+
+
+def _columns(header: Sequence[str]) -> Tuple[bool, List[str]]:
+    """(has_y, group names) of a dataset header."""
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[0] != "id" or header[1] != "score":
+        raise InputError("header must start with 'id,score'")
+    has_y = len(header) > 2 and header[2] == "y"
+    group_names = []
+    for name in header[3 if has_y else 2:]:
+        if not name.startswith("g_"):
+            raise InputError(f"column {name!r} is not a group column (g_<name>)")
+        group_names.append(name[2:])
+    if not group_names:
+        raise InputError("dataset has no group columns")
+    return has_y, group_names
+
+
+def _parse_chunk(data: bytes, n_cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(scores, flags) of the rows in data, which ends with a newline; flags
+    holds the y and group columns as uint8 0/1.  Raises _Decline on anything
+    the row loop must judge, errors included."""
+    buf = np.frombuffer(data + bytes(_MAX_SCORE_TOKEN), np.uint8)
+    ends = np.flatnonzero((buf == 44) | (buf == 10))  # each field's "," or "\n"
+    n = data.count(b"\n")
+    if len(ends) != n * n_cols:
+        raise _Decline
+    ends = ends.reshape(n, n_cols)
+    if not (buf[ends[:, -1]] == 10).all():
+        raise _Decline
+    # y and group tokens: one byte each, "0" or "1"
+    flags = buf[ends[:, 2:] - 1] - np.uint8(48)
+    if not ((np.diff(ends[:, 1:], axis=1) == 2).all() and (flags <= 1).all()):
+        raise _Decline
+    # scores: each distinct token goes through float(), as in the row loop
+    start = ends[:, 0] + 1
+    length = ends[:, 1] - start
+    width = int(length.max())
+    if not 0 < width <= _MAX_SCORE_TOKEN:
+        raise _Decline
+    width = -(-width // 8) * 8  # NUL-padded to whole words; 8 bytes sort as one uint64
+    tokens = np.lib.stride_tricks.sliding_window_view(buf, width)[start]
+    tokens[np.arange(width) >= length[:, None]] = 0
+    words = tokens.view(np.uint64 if width == 8 else f"S{width}").reshape(-1)
+    distinct, inverse = np.unique(words, return_inverse=True)
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot open dataset {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+        values = np.array([float(t.decode()) for t in distinct.view(f"S{width}").tolist()])
+    except ValueError:
+        raise _Decline from None
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise _Decline
+    return values[inverse], flags
+
+
+def _read_arrays(fh, digest) -> tuple:
+    """(scores, bits, labels or None, group names) by the array parser.
+
+    Reads _CHUNK bytes at a time and keeps a float score and one byte per
+    y/group column for each row.  Declines (raises _Decline) on non-ASCII
+    bytes (a BOM included), a quote, CR, NUL, a blank line, a score token
+    longer than _MAX_SCORE_TOKEN, and any row the row loop would reject.
+    """
+    header, carry = None, b""
+    scores, flags = [], []
+    while True:
+        block = fh.read(_CHUNK)
+        digest.update(block)
+        data = carry + block
+        if block:
+            cut = data.rfind(b"\n") + 1
+            data, carry = data[:cut], data[cut:]
+        elif data:
+            data, carry = data + b"\n", b""  # a last row without its newline
+        if data:
+            if (not data.isascii() or b'"' in data or b"\r" in data or b"\0" in data
+                    or data.startswith(b"\n") or b"\n\n" in data):
+                raise _Decline
+            if header is None:
+                line, _, data = data.partition(b"\n")
+                header = line.decode("ascii").split(",")
+                has_y, group_names = _columns(header)
+        if data:
+            chunk_scores, chunk_flags = _parse_chunk(data, len(header))
+            scores.append(chunk_scores)
+            flags.append(chunk_flags)
+        if not block:
+            break
+    if not scores:
+        raise _Decline
+    flags = np.concatenate(flags)
+    return (np.concatenate(scores), flags[:, 1:] if has_y else flags,
+            flags[:, 0] if has_y else None, group_names)
+
+
+def _read_rows(fh, digest) -> tuple:
+    """(scores, bits, labels or None, group names) by the csv row loop.
+
+    The path for inputs the array parser declines; every bad input fails
+    here with its row number.
+    """
+    data = fh.read()
+    digest.update(data)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                            errors="surrogateescape", newline="")
+
+    def records():
+        # bytes that are not UTF-8 arrive as lone surrogates
+        for row, rec in enumerate(csv.reader(text), start=1):
+            try:
+                ",".join(rec).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = exc.object[exc.start:exc.end].encode("utf-8", "surrogateescape")
+                raise InputError(f"row {row}: bytes {bad!r} are not valid UTF-8") from None
+            yield rec
+
+    reader = records()
+    lineno = 0
+    scores, bits, labels = array.array("d"), array.array("B"), array.array("B")
+    try:
         try:
             header = next(reader)
         except StopIteration:
             raise InputError("empty dataset: missing header")
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != "id" or header[1] != "score":
-            raise InputError("header must start with 'id,score'")
-        has_y = len(header) > 2 and header[2] == "y"
-        group_cols = list(range(3 if has_y else 2, len(header)))
-        group_names = []
-        for i in group_cols:
-            if not header[i].startswith("g_"):
-                raise InputError(f"column {header[i]!r} is not a group column (g_<name>)")
-            group_names.append(header[i][2:])
-        if not group_cols:
-            raise InputError("dataset has no group columns")
-
-        rows = []
+        lineno = 1
+        has_y, group_names = _columns(header)
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
@@ -100,54 +205,62 @@ def read_dataset(path: str, grid_m: int) -> Tuple[CellDistribution, bool]:
                 raise InputError(f"row {lineno}: score {rec[1]!r} is not a number")
             if not 0.0 <= score <= 1.0:
                 raise InputError(f"row {lineno}: score {score!r} outside [0, 1]")
-            label = None
             if has_y:
                 if rec[2] not in ("0", "1"):
                     raise InputError(f"row {lineno}: y must be 0 or 1, got {rec[2]!r}")
-                label = int(rec[2])
-            bits = []
-            for i in group_cols:
-                if rec[i] not in ("0", "1"):
+                labels.append(int(rec[2]))
+            flags = rec[3 if has_y else 2:]
+            for name, flag in zip(group_names, flags):
+                if flag not in ("0", "1"):
                     raise InputError(
-                        f"row {lineno}: group {header[i]!r} must be 0 or 1, got {rec[i]!r}")
-                bits.append(int(rec[i]))
-            rows.append((score, tuple(bits), label))
-
-    if not rows:
+                        f"row {lineno}: group {'g_' + name!r} must be 0 or 1, got {flag!r}")
+            scores.append(score)
+            bits.extend(map(int, flags))
+    except csv.Error as exc:
+        raise InputError(f"row {lineno + 1}: {exc}") from None
+    if not scores:
         raise InputError("empty dataset: no data rows")
-    if not any(all(r[1][i] for r in rows) for i in range(len(group_names))):
-        all_name = "I" if "I" not in group_names else "_all"
-        group_names = [all_name] + group_names
-        rows = [(s, (1,) + b, y) for s, b, y in rows]
+    return (np.frombuffer(scores), np.frombuffer(bits, np.uint8).reshape(len(scores), -1),
+            np.frombuffer(labels, np.uint8) if has_y else None, group_names)
+
+
+def read_dataset(path: str, grid_m: int,
+                 source: Optional[dict] = None) -> Tuple[CellDistribution, bool]:
+    """Parse a dataset CSV into a cell distribution.
+
+    Returns (distribution, has_labels).  A synthetic all-ones group I is
+    prepended when no column covers every row.  The array parser reads the
+    file; what it declines, the csv row loop reads again from the start.
+    source, if given, receives the input summary: "sha256" of the bytes
+    parsed, "rows", "cells" and "parser" ("array" or "rows").
+    """
     try:
-        dist = build_cells(rows, grid_m, group_names=tuple(group_names))
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot open dataset {path!r}: {exc}") from exc
+    with fh:
+        digest = hashlib.sha256()
+        try:
+            parsed, parser = _read_arrays(fh, digest), "array"
+        except _Decline:
+            fh.seek(0)
+            digest = hashlib.sha256()
+            parsed, parser = _read_rows(fh, digest), "rows"
+    scores, bits, labels, group_names = parsed
+    if not bits.all(axis=0).any():
+        group_names = ["I" if "I" not in group_names else "_all"] + group_names
+        bits = np.column_stack([np.ones(len(bits), dtype=bits.dtype), bits])
+    try:
+        dist = aggregate_cells(scores, bits, labels, grid_m, group_names)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return dist, has_y
-
-
-def _write_dataset(path: Path, rows: List[tuple], group_names: Sequence[str],
-                   with_labels: bool) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ["id", "score"] + (["y"] if with_labels else []) + [f"g_{n}" for n in group_names]
-        fh.write(",".join(cols) + "\n")
-        for i, (score, bits, y) in enumerate(rows):
-            rec = [str(i), _fmt(score)]
-            if with_labels:
-                rec.append(str(y))
-            rec.extend(str(b) for b in bits)
-            fh.write(",".join(rec) + "\n")
+    if source is not None:
+        source.update(sha256=digest.hexdigest(), rows=len(scores), cells=dist.n_cells,
+                      parser=parser)
+    return dist, labels is not None
 
 
 # ---------------------------------------------------------------- manifests
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -159,15 +272,17 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, input_path: Optional[str],
+def _write_manifest(out_dir: Path, command: str, config: dict, source: dict,
                     timings: dict, outputs: List[str], extra: Optional[dict] = None,
                     write_start: Optional[float] = None) -> None:
-    """Write manifest.json; with write_start, timings["write"] runs from it
-    to just before the manifest itself is written (the input hash included)."""
+    """Write manifest.json; source is read_dataset's input summary.  With
+    write_start, timings["write"] runs from it to just before the manifest
+    itself is written."""
     manifest = {
         "command": command,
         "config": config,
-        "input_sha256": _sha256(input_path) if input_path else None,
+        "input_sha256": source["sha256"],
+        "input": {key: source[key] for key in ("rows", "cells", "parser")},
         "version": __version__,
         "timings_seconds": timings,
         "outputs": outputs,
@@ -354,6 +469,9 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
             payload, lambdas = _parse_mixture(fh.read())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mixture {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"bad mixture: bytes {exc.object[exc.start:exc.end]!r} at offset "
+                         f"{exc.start} are not valid UTF-8") from None
     if payload.get("schema") != "fairpost.mixture.v1":
         raise InputError("unrecognized mixture schema")
     if lambdas is None:
@@ -409,7 +527,8 @@ def cmd_solve(args) -> int:
     config = _load_config(args)
     solver_config = _solver_config(config)
     t0 = time.perf_counter()
-    dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]))
+    source = {}
+    dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]), source)
     t1 = time.perf_counter()
     try:
         result = run(dist, solver_config)
@@ -427,7 +546,7 @@ def cmd_solve(args) -> int:
     _write_json(out_dir / "report.json", report)
     timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2}
     _write_manifest(
-        out_dir, "solve", config, args.dataset, timings,
+        out_dir, "solve", config, source, timings,
         ["mixture.json", "trajectory.csv", "report.json"],
         extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
                "peak_rss_mb": _peak_rss_mb()}, write_start=t3)
@@ -463,7 +582,8 @@ def cmd_sweep(args) -> int:
     if any(g < 0 for g in gammas):
         print("error: gamma values must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
-    dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]))
+    source = {}
+    dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]), source)
     t1 = time.perf_counter()
     rows = []
     failures = 0
@@ -489,7 +609,7 @@ def cmd_sweep(args) -> int:
     if args.svg:
         _write_pareto_svg(out_dir / "pareto.svg", rows)
         outputs.append("pareto.svg")
-    _write_manifest(out_dir, "sweep", config, args.dataset,
+    _write_manifest(out_dir, "sweep", config, source,
                     {"parse": t1 - t0, "sweep": t2 - t1}, outputs,
                     extra={"peak_rss_mb": _peak_rss_mb()}, write_start=t2)
     return EXIT_OK if failures == 0 else EXIT_INPUT
@@ -544,7 +664,8 @@ def cmd_audit(args) -> int:
     t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dist, has_labels = read_dataset(args.dataset, args.grid_m)
+    source = {}
+    dist, has_labels = read_dataset(args.dataset, args.grid_m, source)
     if not has_labels:
         print("error: audit requires labeled data (y column)", file=sys.stderr)
         return EXIT_INPUT
@@ -563,7 +684,7 @@ def cmd_audit(args) -> int:
     levels = len(set(assignment.tolist()))
     counters = {"checks": len(checks), "levels": levels, "patch_rounds": 0,
                 "term_updates": len(checks) * levels}
-    _write_manifest(out_dir, "audit", _check_config(args), args.dataset,
+    _write_manifest(out_dir, "audit", _check_config(args), source,
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": 0.0,
                      "audit": t3 - t2},
                     ["audit.json"],
@@ -576,7 +697,8 @@ def cmd_calibrate(args) -> int:
     t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dist, has_labels = read_dataset(args.dataset, args.grid_m)
+    source = {}
+    dist, has_labels = read_dataset(args.dataset, args.grid_m, source)
     if not has_labels:
         print("error: calibrate requires labeled data (y column)", file=sys.stderr)
         return EXIT_INPUT
@@ -608,7 +730,7 @@ def cmd_calibrate(args) -> int:
                 "term_updates": result.counters["term_updates"]
                 + len(checks) * len(set(result.assignment.tolist()))}
     _write_manifest(out_dir, "calibrate", {"alpha": args.alpha, **_check_config(args)},
-                    args.dataset,
+                    source,
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": t3 - t2,
                      "audit": t4 - t3},
                     ["calibration_history.csv", "calibration.json"],
@@ -619,6 +741,10 @@ def cmd_calibrate(args) -> int:
 
 # ---------------------------------------------------------------- synth / eval
 
+# Rows per write of the synth CSV.
+_WRITE_ROWS = 1 << 16
+
+
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -627,19 +753,23 @@ def cmd_synth(args) -> int:
                      miscalibration=args.miscalibration)
     exact, perturbed = gen_instance(spec)
     dist = exact if args.exact_scores else perturbed
-    rng = SplitMix64((args.seed << 1) ^ 0xD1B54A32D192ED03)
-    cum = np.cumsum(dist.masses)
-    rows = []
+    # each sample draws its cell, then its label: uniforms 2i and 2i + 1
+    u = SplitMix64((args.seed << 1) ^ 0xD1B54A32D192ED03).uniforms(2 * max(args.samples, 0))
+    cells = np.minimum(np.searchsorted(np.cumsum(dist.masses), u[0::2], "right"),
+                       dist.n_cells - 1)
+    codes = 2 * cells + (u[1::2] < dist.label_means[cells])
+    # a row is "id," plus a tail that depends only on its (cell, y)
     names = dist.groups.names
-    for _ in range(args.samples):
-        u = rng.uniform()
-        idx = int(np.searchsorted(cum, u, side="right"))
-        idx = min(idx, dist.n_cells - 1)
-        cell = dist.cells[idx]
-        y = int(rng.uniform() < cell.label_mean)
-        bits = tuple((cell.groups >> i) & 1 for i in range(len(names)))
-        rows.append((cell.score, bits, y))
-    _write_dataset(out, rows, names, with_labels=not args.no_labels)
+    with_labels = not args.no_labels
+    tails = [",".join([_fmt(c.score)] + ([str(y)] if with_labels else [])
+                      + [str((c.groups >> i) & 1) for i in range(len(names))])
+             for c in dist.cells for y in (0, 1)]
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["id", "score"] + (["y"] if with_labels else [])
+                          + [f"g_{n}" for n in names]) + "\n")
+        for start in range(0, len(codes), _WRITE_ROWS):
+            fh.write("".join(f"{i},{tails[code]}\n" for i, code in
+                             enumerate(codes[start:start + _WRITE_ROWS].tolist(), start)))
     return EXIT_OK
 
 
@@ -648,7 +778,8 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mixture, payload = load_mixture(args.mixture)
-    dist, has_labels = read_dataset(args.dataset, payload["grid_m"])
+    source = {}
+    dist, has_labels = read_dataset(args.dataset, payload["grid_m"], source)
     if list(dist.groups.names) != payload["group_names"]:
         raise InputError(
             f"dataset groups {list(dist.groups.names)} do not match mixture "
@@ -682,7 +813,7 @@ def cmd_eval(args) -> int:
     t2 = time.perf_counter()
     _write_json(out_dir / "evaluation.json", report)
     _write_manifest(out_dir, "eval", {"mixture": args.mixture, "oracle": args.oracle},
-                    args.dataset, {"parse": t1 - t0, "eval": t2 - t1},
+                    source, {"parse": t1 - t0, "eval": t2 - t1},
                     ["evaluation.json"], extra={"peak_rss_mb": _peak_rss_mb()},
                     write_start=t2)
     return EXIT_OK

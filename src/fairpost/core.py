@@ -23,6 +23,7 @@ __all__ = [
     "BaseRates",
     "ThresholdRule",
     "MixtureClassifier",
+    "aggregate_cells",
     "build_cells",
     "snap_to_grid",
     "grid_indices",
@@ -478,56 +479,101 @@ class MixtureClassifier:
         return self._positive_probs(dist.scores, dist.group_matrix.T)
 
 
+def _cell_keys(k: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """An int64 key per row, ordered like (k, mask) with mask = sum bits[:, i] << i.
+
+    The groups enter one bit at a time, the highest first.  When the next
+    shift could overflow, the key is first replaced by its dense rank
+    (below the row count), which keeps its order, so one path serves any
+    number of groups.  While k << n_groups fits in 62 bits it never ranks,
+    and the key is k << n_groups | mask.
+    """
+    key = k
+    for i in reversed(range(bits.shape[1])):
+        if key.max() >> 62:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = (key << 1) | bits[:, i]
+    return key
+
+
+def _first_bad(ok: np.ndarray) -> Optional[int]:
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+def aggregate_cells(scores, bits, labels, grid_m: int,
+                    group_names: Optional[Sequence[str]] = None) -> CellDistribution:
+    """Aggregate per-row arrays into cells: the one aggregation path.
+
+    scores: n floats in [0, 1], snapped to the nearest 1/grid_m grid point
+    (half up); bits: (n, n_groups) 0/1 memberships; labels: n 0/1 labels or
+    None.  Masses are count / n and label_mean is label_sum / count, each
+    one correctly rounded division as in a per-row count, and the cells come
+    out in (score, mask) order.  The group system includes the all-ones
+    group when exactly one column covers every row.
+    """
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    n = len(scores)
+    if n == 0:
+        raise ValueError("empty dataset")
+    if grid_m < 1:
+        raise ValueError("grid_m must be a positive integer")
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or len(bits) != n:
+        raise ValueError("bits must be an (n_rows, n_groups) membership matrix")
+    row = _first_bad((scores >= 0.0) & (scores <= 1.0))
+    if row is not None:
+        raise ValueError(f"row {row}: score {float(scores[row])!r} outside [0, 1]")
+    row = _first_bad(((bits == 0) | (bits == 1)).all(axis=1))
+    if row is not None:
+        raise ValueError(f"row {row}: group indicators must be 0 or 1")
+    bits = bits.astype(np.uint8, copy=False)
+    if labels is not None:
+        labels = np.asarray(labels).reshape(-1)
+        if len(labels) != n:
+            raise ValueError("labels and scores have different lengths")
+        row = _first_bad((labels == 0) | (labels == 1))
+        if row is not None:
+            raise ValueError(f"row {row}: label must be 0 or 1")
+
+    k = grid_indices(scores, grid_m)
+    _, inverse, counts = np.unique(_cell_keys(k, bits), return_inverse=True,
+                                   return_counts=True)
+    first = np.empty(len(counts), dtype=np.intp)  # a row of each cell
+    first[inverse] = np.arange(n)
+    masses = (counts / n).tolist()
+    if labels is None:
+        label_means = [None] * len(counts)
+    else:
+        sums = np.bincount(inverse, weights=labels.astype(float), minlength=len(counts))
+        label_means = (sums / counts).tolist()
+    cells = [Cell(score=kk / grid_m, groups=mask_from_bits(b), mass=mass, label_mean=q)
+             for kk, b, mass, q in zip(k[first].tolist(), bits[first].tolist(),
+                                       masses, label_means)]
+    if group_names is None:
+        group_names = tuple(f"g{i}" for i in range(bits.shape[1]))
+    system = GroupSystem(tuple(group_names),
+                         includes_all_group=int(bits.all(axis=0).sum()) == 1)
+    return CellDistribution(grid_m, system, cells)
+
+
 def build_cells(rows: Iterable, grid_m: int,
                 group_names: Optional[Sequence[str]] = None) -> CellDistribution:
     """Aggregate raw (score, group bits, optional label) rows into cells.
 
-    Scores are snapped to the nearest 1/grid_m grid point (half up), masses
-    are empirical frequencies, and label_mean is the within-cell mean label
-    when every row carries one.
+    Checks that the rows have one group vector length and labels on all
+    rows or none, then aggregates with aggregate_cells.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("empty dataset")
-    if grid_m < 1:
-        raise ValueError("grid_m must be a positive integer")
-
-    width = None
-    agg = {}
-    n_labels = 0
-    for idx, row in enumerate(rows):
-        score, bits, label = row
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"row {idx}: score {score!r} outside [0, 1]")
-        bits = tuple(bits)
-        if width is None:
-            width = len(bits)
-        elif len(bits) != width:
+    scores, bits, labels = zip(*rows)
+    width = len(bits[0])
+    for idx, b in enumerate(bits):
+        if len(b) != width:
             raise ValueError(f"row {idx}: inconsistent group vector length")
-        key = (snap_to_grid(float(score), grid_m), mask_from_bits(bits))
-        cnt, lab_sum, lab_cnt = agg.get(key, (0, 0.0, 0))
-        if label is not None:
-            if label not in (0, 1):
-                raise ValueError(f"row {idx}: label must be 0 or 1")
-            lab_sum += label
-            lab_cnt += 1
-            n_labels += 1
-        agg[key] = (cnt + 1, lab_sum, lab_cnt)
-
-    if 0 < n_labels < len(rows):
+    labeled = [label is not None for label in labels]
+    if any(labeled) and not all(labeled):
         raise ValueError("labels must be present on all rows or none")
-
-    n = len(rows)
-    cells = []
-    for (score, mask), (cnt, lab_sum, lab_cnt) in sorted(agg.items()):
-        label_mean = (lab_sum / lab_cnt) if lab_cnt else None
-        cells.append(Cell(score=score, groups=mask, mass=cnt / n, label_mean=label_mean))
-
-    if group_names is None:
-        group_names = tuple(f"g{i}" for i in range(width))
-    all_ones = [
-        i for i in range(width)
-        if all((c.groups >> i) & 1 for c in cells)
-    ]
-    system = GroupSystem(tuple(group_names), includes_all_group=len(all_ones) == 1)
-    return CellDistribution(grid_m, system, cells)
+    return aggregate_cells(scores, np.array(bits), labels if labeled[0] else None,
+                           grid_m, group_names)

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairnessNotion, build_cells, mask_from_bits
+from .core import FairnessNotion, aggregate_cells, mask_from_bits
+from .core import build_cells  # noqa: F401  (bench/spans.py traces it by this name)
 from .multical import apply_patches, calibrate, default_checks
 from .metrics import base_rates
 from .solver import SolverConfig, run
@@ -75,12 +76,6 @@ class _ParamsMixin:
         return self
 
 
-def _rows_from_arrays(scores, groups, y):
-    if y is None:
-        return [(float(s), tuple(g), None) for s, g in zip(scores, groups)]
-    return [(float(s), tuple(g), int(label)) for s, g, label in zip(scores, groups, y)]
-
-
 class FairThresholdPostprocessor(_ParamsMixin):
     """Fit a parity-constrained randomized thresholding of a score function.
 
@@ -106,8 +101,7 @@ class FairThresholdPostprocessor(_ParamsMixin):
 
     def fit(self, scores, groups, y=None, group_names: Optional[Sequence[str]] = None):
         scores, groups, y = check_scores_groups(scores, groups, y)
-        rows = _rows_from_arrays(scores, groups, y)
-        dist = build_cells(rows, self.grid_m, group_names=group_names)
+        dist = aggregate_cells(scores, groups, y, self.grid_m, group_names)
         config = SolverConfig(
             notion=self.notion, gamma=self.gamma, C=self.C, eta=self.eta,
             T=self.T, projection_mode=self.projection, beta_mode=self.beta_mode,
@@ -157,8 +151,7 @@ class JointMulticalibrator(_ParamsMixin):
         scores, groups, y = check_scores_groups(scores, groups, y)
         if y is None:
             raise ValueError("calibration requires labels")
-        rows = _rows_from_arrays(scores, groups, y)
-        dist = build_cells(rows, self.grid_m, group_names=group_names)
+        dist = aggregate_cells(scores, groups, y, self.grid_m, group_names)
         base = base_rates(dist, FairnessNotion.FP, self.beta_mode)
         checks = default_checks(dist, base, n_random=self.n_random_checks,
                                 C=self.C, seed=self.seed)
@@ -169,16 +162,24 @@ class JointMulticalibrator(_ParamsMixin):
         return self
 
     def transform(self, scores, groups) -> np.ndarray:
-        """Recalibrated scores obtained by replaying the patch history."""
+        """Recalibrated scores obtained by replaying the patch history.
+
+        A check reads a point only through its raw score and its mask, so
+        the history is replayed once per distinct (score bits, membership
+        row) and the results are scattered back to the points.
+        """
         if not hasattr(self, "result_"):
             raise NotFittedError("call fit() before transforming")
         scores, groups, _ = check_scores_groups(scores, groups)
         if groups.shape[1] != self.n_groups_:
             raise ValueError("group matrix width changed between fit and transform")
-        return np.array([
+        rows, inverse = np.unique(np.column_stack([scores.view(np.int64), groups]),
+                                  axis=0, return_inverse=True)
+        replayed = np.array([
             apply_patches(float(s), mask_from_bits(g), self.result_, self.checks_)
-            for s, g in zip(scores, groups)
+            for s, g in zip(rows[:, 0].view(float), rows[:, 1:].tolist())
         ])
+        return replayed[inverse.reshape(-1)]
 
     def fit_transform(self, scores, groups, y, **kwargs) -> np.ndarray:
         return self.fit(scores, groups, y, **kwargs).transform(scores, groups)

@@ -51,7 +51,12 @@ __all__ = [
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when T * n_cells would exceed the configured work cap."""
+    """Raised when T * n_cells would exceed the configured work cap, or the
+    (T, n_groups) lambda history would exceed LAMBDA_HISTORY_CAP bytes."""
+
+
+# The mixture keeps one float64 lambda row per round: T * n_groups * 8 bytes.
+LAMBDA_HISTORY_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -220,6 +225,10 @@ def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
         raise BudgetExceededError(
             f"budget exceeded: T*cells = {T * n_cells:.3g} > work cap "
             f"{config.work_cap:.3g}; lower C or raise work_cap")
+    if T * n_groups * 8 > LAMBDA_HISTORY_CAP:
+        raise BudgetExceededError(
+            f"budget exceeded: lambda history T*groups*8 = {T * n_groups * 8:.3g} bytes "
+            f"> cap {LAMBDA_HISTORY_CAP:.3g} bytes; lower C or T")
     eta = (config.C / math.sqrt(2.0 * n_groups * T)
            if config.eta == "auto" else float(config.eta))
     if eta <= 0:

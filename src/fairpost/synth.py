@@ -19,6 +19,7 @@ import numpy as np
 __all__ = ["SynthSpec", "SplitMix64", "gen_instance"]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _PROFILES = ("uniform", "two_group_bias", "adversarial_overlap")
 
 
@@ -29,7 +30,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -37,6 +38,24 @@ class SplitMix64:
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count uniform() values as one array.
+
+        The generator is counter-based: after k draws the state is
+        seed + k * gamma mod 2**64 (Steele, Lea & Flood 2014), so the states
+        are one wrapping uint64 multiply-add and the mix runs on the array.
+        """
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(float) / float(1 << 53)
 
     def randint(self, n: int) -> int:
         return self.next_u64() % n

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -195,6 +196,55 @@ def test_budget_exit_code(dataset, tmp_path):
                    "--work-cap", "100", "--out-dir", str(tmp_path / "o"))
     assert proc.returncode == 3
     assert "budget" in proc.stderr
+
+
+def test_lambda_history_cap_exit_code(tmp_path):
+    # 4 cells keep T*cells under the work cap at C=40; the 33 GB lambda
+    # history does not fit under the history cap
+    data = tmp_path / "four.csv"
+    data.write_text("id,score,g_I,g_a,g_b,g_c\n0,0.2,1,0,1,0\n1,0.4,1,1,0,0\n"
+                    "2,0.6,1,0,0,1\n3,0.8,1,1,1,1\n")
+    proc = run_cli("solve", str(data), "--C", "40", "--grid-m", "10",
+                   "--out-dir", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    assert "lambda history" in proc.stderr
+    assert "3.34e+10 bytes > cap 1.07e+09 bytes" in proc.stderr
+
+
+def test_non_utf8_dataset_is_an_input_error(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"id,score,y,g_a\n0,0.5,1,1\n1,\xff\xfe,0,1\n")
+    proc = run_cli("solve", str(bad), "--T", "5", "--out-dir", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: row 3: ")
+    assert "not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_mixture_is_a_bad_mixture(dataset, tmp_path):
+    path = tmp_path / "mixture.json"
+    path.write_bytes(b'{"schema": "fairpost.mixture.v1", "notion": "f\xff"}')
+    proc = run_cli("eval", str(dataset), "--mixture", str(path),
+                   "--out-dir", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bad mixture: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+def test_manifest_input_summary(dataset, tmp_path, crlf):
+    data = dataset
+    if crlf:
+        data = tmp_path / "crlf.csv"
+        data.write_bytes(dataset.read_bytes().replace(b"\n", b"\r\n"))
+    out = tmp_path / "run"
+    assert main(["solve", str(data), "--gamma", "0.05", "--C", "2", "--T", "20",
+                 "--grid-m", "20", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    dist, _ = read_dataset(str(data), 20)
+    assert manifest["input"] == {"rows": 4000, "cells": dist.n_cells,
+                                 "parser": "rows" if crlf else "array"}
+    assert manifest["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
 def test_guarantee_miss_exit_code(dataset, tmp_path):

@@ -10,8 +10,9 @@ from fairpost import (
     build_cells,
     default_checks,
 )
+from fairpost.core import mask_from_bits
 from fairpost.estimators import check_scores_groups
-from fairpost.multical import assignment_from_scores
+from fairpost.multical import apply_patches, assignment_from_scores
 
 from conftest import make_dist
 
@@ -118,6 +119,26 @@ def test_calibrator_transform_matches_fit_assignment(rng):
         [c.score for c in cells],
         [[(c.groups >> i) & 1 for i in range(cal.n_groups_)] for c in cells])
     assert np.array_equal(got, cal.result_.assignment)
+
+
+def test_calibrator_transform_equals_per_point_replay(rng):
+    _, pert = make_dist(23, n_cells=30, n_groups=3, grid_m=20, miscalibration=0.4)
+    scores, groups, y = _sample_arrays(rng, pert, 6000)
+    cal = JointMulticalibrator(alpha=0.02, n_random_checks=8, grid_m=20, seed=2)
+    cal.fit(scores, groups, y)
+    assert cal.result_.rounds > 0
+    # fit cells and off-grid points, each repeated, shuffled, with both zeros
+    fresh = rng.uniform(size=200)
+    fresh[:2] = [0.0, -0.0]
+    batch_scores = np.concatenate([scores[:300], fresh, scores[:300], fresh])
+    batch_groups = np.concatenate([groups[:300], groups[300:500]] * 2)
+    order = rng.permutation(len(batch_scores))
+    batch_scores, batch_groups = batch_scores[order], batch_groups[order]
+    want = np.array([apply_patches(float(s), mask_from_bits(g), cal.result_, cal.checks_)
+                     for s, g in zip(batch_scores, batch_groups.tolist())])
+    got = cal.transform(batch_scores, batch_groups)
+    assert got.tobytes() == want.tobytes()
+    assert cal.transform(batch_scores[:0], batch_groups[:0]).shape == (0,)
 
 
 def test_calibrator_requires_labels():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from typing import List
 
 import numpy as np
@@ -208,6 +209,23 @@ def test_run_work_cap():
     dist, _ = make_dist(34, n_cells=10, n_groups=2)
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T="auto", work_cap=1000)
     with pytest.raises(BudgetExceededError, match="budget exceeded"):
+        run(dist, cfg)
+
+
+def test_lambda_history_cap():
+    # C=40 on 4 groups: T = 1,044,582,400 rounds.  On 4 cells T*cells stays
+    # under the default work cap, but the lambda history would take 33 GB.
+    from fairpost import build_cells
+    from fairpost.solver import LAMBDA_HISTORY_CAP
+    rows = [(0.2, (1, 0, 1, 0), None), (0.4, (1, 1, 0, 0), None),
+            (0.6, (1, 0, 0, 1), None), (0.8, (1, 1, 1, 1), None)]
+    dist = build_cells(rows, 10)
+    assert dist.n_cells == 4
+    cfg = SolverConfig(notion="fp", gamma=0.01, C=40.0, T="auto")
+    T = iteration_budget(40.0, 4)
+    assert T * 4 <= cfg.work_cap < T * 4 * 8
+    message = f"{T * 4 * 8:.3g} bytes > cap {LAMBDA_HISTORY_CAP:.3g} bytes"
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
         run(dist, cfg)
 
 
