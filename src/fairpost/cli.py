@@ -32,7 +32,8 @@ from .core import (
     build_cells,  # noqa: F401  (bench/spans.py traces it by this name)
 )
 from .metrics import base_rates, constraint_vector, surrogate_error, true_rates
-from .multical import assignment_from_scores, audit, brier, calibrate, default_checks
+from .multical import (assignment_from_scores, audit, brier, calibrate, default_checks,
+                       round_cap)
 from .oracle import enumerate_optimum
 from .solver import BudgetExceededError, SolverConfig, run
 from .synth import SplitMix64, SynthSpec, gen_instance
@@ -476,13 +477,25 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError("unrecognized mixture schema")
     if lambdas is None:
         raise InputError("mixture has no lambdas rows")
+    for key in ("notion", "beta", "w", "grid_m", "group_names"):
+        if key not in payload:
+            raise InputError(f"bad mixture: missing field {key!r}")
+    grid_m, names = payload["grid_m"], payload["group_names"]
+    tiebreak = payload.get("tiebreak_positive", True)
+    if type(grid_m) is not int or grid_m < 1:
+        raise InputError("bad mixture: grid_m must be a positive integer")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise InputError("bad mixture: group_names must be a list of strings")
+    if not isinstance(tiebreak, bool):
+        raise InputError("bad mixture: tiebreak_positive must be true or false")
     try:
         notion = FairnessNotion.coerce(payload["notion"])
         base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
-        mixture = MixtureClassifier(lambdas, notion, base,
-                                    payload.get("tiebreak_positive", True))
-    except ValueError as exc:
+        mixture = MixtureClassifier(lambdas, notion, base, tiebreak)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
+    if len(names) != len(base.beta):
+        raise InputError("bad mixture: group_names and beta differ in length")
     return mixture, payload
 
 
@@ -695,6 +708,10 @@ def cmd_audit(args) -> int:
 
 def cmd_calibrate(args) -> int:
     t0 = time.perf_counter()
+    try:
+        cap = round_cap(args.alpha)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = {}
@@ -719,7 +736,7 @@ def cmd_calibrate(args) -> int:
     _write_json(out_dir / "calibration.json", {
         "alpha": args.alpha,
         "rounds": result.rounds,
-        "round_cap": int(4.0 / args.alpha ** 2),
+        "round_cap": cap,
         "initial_potential": brier(result.initial_assignment, dist),
         "final_potential": result.final_potential,
         "post_audit_max_violation": max_violation,
@@ -748,10 +765,13 @@ _WRITE_ROWS = 1 << 16
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(seed=args.seed, n_cells=args.n_cells, n_groups=args.n_groups,
-                     grid_m=args.grid_m, bias_profile=args.profile,
-                     miscalibration=args.miscalibration)
-    exact, perturbed = gen_instance(spec)
+    try:
+        spec = SynthSpec(seed=args.seed, n_cells=args.n_cells, n_groups=args.n_groups,
+                         grid_m=args.grid_m, bias_profile=args.profile,
+                         miscalibration=args.miscalibration)
+        exact, perturbed = gen_instance(spec)
+    except (ValueError, RuntimeError) as exc:
+        raise InputError(str(exc)) from exc
     dist = exact if args.exact_scores else perturbed
     # each sample draws its cell, then its label: uniforms 2i and 2i + 1
     u = SplitMix64((args.seed << 1) ^ 0xD1B54A32D192ED03).uniforms(2 * max(args.samples, 0))
@@ -761,9 +781,9 @@ def cmd_synth(args) -> int:
     # a row is "id," plus a tail that depends only on its (cell, y)
     names = dist.groups.names
     with_labels = not args.no_labels
-    tails = [",".join([_fmt(c.score)] + ([str(y)] if with_labels else [])
-                      + [str((c.groups >> i) & 1) for i in range(len(names))])
-             for c in dist.cells for y in (0, 1)]
+    members = dist.group_matrix.T.astype(int).tolist()
+    tails = [",".join([_fmt(score)] + ([str(y)] if with_labels else []) + list(map(str, bits)))
+             for score, bits in zip(dist.scores.tolist(), members) for y in (0, 1)]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["id", "score"] + (["y"] if with_labels else [])
                           + [f"g_{n}" for n in names]) + "\n")
@@ -800,10 +820,13 @@ def cmd_eval(args) -> int:
                   f"{args.max_cells}", file=sys.stderr)
             return EXIT_INPUT
         gamma = args.gamma if args.gamma is not None else payload.get("gamma", 0.0)
-        base = base_rates(dist, mixture.notion,
-                          "from_labels" if has_labels else "from_scores")
-        sol = enumerate_optimum(dist, mixture.notion, base, gamma,
-                                max_cells=args.max_cells)
+        try:
+            base = base_rates(dist, mixture.notion,
+                              "from_labels" if has_labels else "from_scores")
+            sol = enumerate_optimum(dist, mixture.notion, base, gamma,
+                                    max_cells=args.max_cells)
+        except ValueError as exc:
+            raise InputError(f"oracle: {exc}") from exc
         report["oracle"] = {
             "gamma": gamma,
             "opt_value": sol.opt_value,

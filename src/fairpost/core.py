@@ -2,14 +2,18 @@
 
 Every quantity the solver and the metrics need depends on a point x only
 through its score f(x) and its group-membership vector, so all distributions
-are aggregated into (score, group-mask) cells.  Cell objects are immutable
-after construction and safe to share across threads.
+are aggregated into (score, group-mask) cells, held as per-cell arrays.  Rows
+are grouped into cells, and points into membership patterns, by one int64
+key (_cell_keys, _group_rows).  Cell objects are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
@@ -134,48 +138,70 @@ class Cell:
 class CellDistribution:
     """A probability distribution over (score, group-mask) cells.
 
-    Scores live on the grid {0, 1/m, ..., 1}; cell keys are unique and
-    masses sum to one.  Arrays derived from the cells (scores, masses,
-    group membership matrix) are precomputed for vectorized consumers.
+    The distribution is its arrays: ``scores``, ``masses``, ``label_means``
+    (None unless every cell has a label mean) and the (n_groups, n_cells)
+    ``group_matrix``.  Scores lie on the grid {0, 1/m, ..., 1} to within
+    1e-12, (score, groups) keys are unique and masses sum to one.  ``cells``
+    holds the same cells as Cell objects: the ones given, or built from the
+    arrays on first use.
     """
 
     def __init__(self, grid_m: int, groups: GroupSystem, cells: Sequence[Cell]):
+        cells = tuple(cells)
+        labels = [c.label_mean for c in cells]
+        # two's-complement bytes wide enough for every mask, so that masks
+        # which differ only at or above the group count stay distinct keys
+        masks = [operator.index(c.groups) for c in cells]
+        width = max([groups.count] + [mask.bit_length() + 1 for mask in masks]) // 8 + 1
+        packed = b"".join(mask.to_bytes(width, "little", signed=True) for mask in masks)
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(cells), width),
+                             axis=1, bitorder="little")
+        checked = self._from_arrays(grid_m, groups, np.array([c.score for c in cells], float),
+                                    np.array([c.mass for c in cells], float),
+                                    None if None in labels else np.array(labels, float), bits)
+        vars(self).update(vars(checked), cells=cells)
+
+    @classmethod
+    def _from_arrays(cls, grid_m: int, groups: GroupSystem, scores: np.ndarray,
+                     masses: np.ndarray, label_means: Optional[np.ndarray],
+                     bits: np.ndarray) -> "CellDistribution":
+        """The distribution of per-cell arrays, checked.  bits is an (n_cells, width)
+        0/1 matrix: its first n_groups columns are the membership, and all of
+        them key the duplicate check."""
         if grid_m < 1:
             raise ValueError("grid_m must be a positive integer")
-        cells = tuple(cells)
-        if not cells:
+        if not len(scores):
             raise ValueError("empty dataset")
-        keys = [c.key() for c in cells]
-        if len(set(keys)) != len(keys):
+        score_rank = np.unique(scores, return_inverse=True)[1].reshape(-1)
+        if len(np.unique(_cell_keys(score_rank, bits))) < len(scores):
             raise ValueError("duplicate (score, groups) cell keys")
-        total = math.fsum(c.mass for c in cells)
+        total = math.fsum(masses.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"cell masses sum to {total!r}, expected 1")
-        for c in cells:
-            if abs(c.score - snap_to_grid(c.score, grid_m)) > 1e-12:
-                raise ValueError(f"score {c.score!r} is not on the 1/{grid_m} grid")
-        self.grid_m = grid_m
-        self.groups = groups
-        self.cells = cells
-
-        self.scores = np.array([c.score for c in cells], dtype=float)
-        self.masses = np.array([c.mass for c in cells], dtype=float)
-        if all(c.label_mean is not None for c in cells):
-            self.label_means = np.array([c.label_mean for c in cells], dtype=float)
-        else:
-            self.label_means = None
-        g = groups.count
-        self.group_matrix = np.zeros((g, len(cells)), dtype=float)
-        for j, c in enumerate(cells):
-            for i in range(g):
-                if (c.groups >> i) & 1:
-                    self.group_matrix[i, j] = 1.0
-        if groups.includes_all_group and not np.any(self.group_matrix.min(axis=1) == 1.0):
+        off = np.abs(scores - grid_indices(scores, grid_m) / grid_m) > 1e-12
+        if off.any():
+            raise ValueError(f"score {float(scores[off.argmax()])!r} is not on the "
+                             f"1/{grid_m} grid")
+        group_matrix = np.zeros((groups.count, len(scores)))
+        group_matrix[:bits.shape[1]] = bits[:, :groups.count].T
+        if groups.includes_all_group and not np.any(group_matrix.min(axis=1) == 1.0):
             raise ValueError("includes_all_group set but no group covers every cell")
+        dist = cls.__new__(cls)
+        vars(dist).update(grid_m=grid_m, groups=groups, scores=scores, masses=masses,
+                          label_means=label_means, group_matrix=group_matrix)
+        return dist
+
+    @cached_property
+    def cells(self) -> tuple:
+        masks = np.packbits(self.group_matrix.T.astype(np.uint8), axis=1, bitorder="little")
+        labels = [None] * self.n_cells if self.label_means is None else self.label_means.tolist()
+        return tuple(Cell(score, int.from_bytes(mask.tobytes(), "little"), mass, label)
+                     for score, mask, mass, label in zip(self.scores.tolist(), masks,
+                                                          self.masses.tolist(), labels))
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.scores)
 
     @property
     def n_groups(self) -> int:
@@ -192,19 +218,19 @@ class CellDistribution:
     def with_scores_from_labels(self) -> "CellDistribution":
         """Replace every cell score by its label_mean snapped to the grid.
 
-        Cells whose new keys collide are merged mass-weightedly.
+        Cells whose new keys collide are merged: masses add, and label_mean
+        is the mass-weighted mean (0.0 for zero mass), each sum taken in
+        cell order.
         """
         q = self.require_labels()
-        rows = {}
-        for c, qi in zip(self.cells, q):
-            key = (snap_to_grid(float(qi), self.grid_m), c.groups)
-            mass, wq = rows.get(key, (0.0, 0.0))
-            rows[key] = (mass + c.mass, wq + c.mass * qi)
-        cells = [
-            Cell(score=s, groups=g, mass=mass, label_mean=(wq / mass if mass > 0 else 0.0))
-            for (s, g), (mass, wq) in sorted(rows.items())
-        ]
-        return CellDistribution(self.grid_m, self.groups, cells)
+        k = grid_indices(q, self.grid_m)
+        bits = self.group_matrix.T.astype(np.uint8)
+        row, cell_of = _group_rows(k, bits)
+        mass = np.bincount(cell_of, weights=self.masses)
+        wq = np.bincount(cell_of, weights=self.masses * q)
+        label_means = np.divide(wq, mass, out=np.zeros_like(mass), where=mass > 0)
+        return CellDistribution._from_arrays(self.grid_m, self.groups, k[row] / self.grid_m,
+                                             mass, label_means, bits[row])
 
 
 @dataclass(frozen=True)
@@ -395,24 +421,25 @@ class MixtureClassifier:
         blocks of _RULE_BLOCK.  In a block, each distinct pattern's sums are
         the ordered sum lambda[:, 0]*c_0 + lambda[:, 1]*c_1 + ... with
         c = bits - beta.  Each group's two possible terms are computed once
-        per block, and np.unique returns the patterns sorted, so a pattern
-        keeps the partial sums of the leading groups it shares with the one
-        before.  A pattern with at least log2(block) points sorts its sums
-        and counts each point with one binary search; one with fewer points
-        compares each point against the sums, which costs less than the
-        sort.  Both count the same rules exactly, and the ordered sum, unlike
-        a BLAS product that may block and fuse with the batch shape, does not
-        depend on the other points evaluated with it.
+        per block, and _group_rows numbers the patterns in order, group 0
+        most significant, so a pattern keeps the partial sums of the leading
+        groups it shares with the one before.  A pattern with at least
+        log2(block) points sorts its sums and counts each point with one
+        binary search; one with fewer points compares each point against the
+        sums, which costs less than the sort.  Both count the same rules
+        exactly, and the ordered sum, unlike a BLAS product that may block and
+        fuse with the batch shape, does not depend on the other points
+        evaluated with it.
         """
         T, g = self.lambdas.shape
-        patterns, pattern_of = np.unique(bits, axis=0, return_inverse=True)
+        bits = np.asarray(bits, dtype=np.uint8)
+        row, pattern_of = _group_rows(np.zeros(len(bits), dtype=np.int64), bits[:, ::-1])
+        patterns = bits[row].astype(np.intp)
         values, value_of = np.unique(scores, return_inverse=True)
         sign, thresh = decision_thresholds(values, self.notion, self.tiebreak_positive)
         sign, thresh = sign[value_of], thresh[value_of]
-        pattern_of = pattern_of.ravel()  # numpy 2.0.0 returns a 2-d inverse with axis=0
         rows_by_pattern = np.split(np.argsort(pattern_of, kind="stable"),
                                    np.cumsum(np.bincount(pattern_of))[:-1])
-        patterns = patterns.astype(np.intp)
         # the first group in which each pattern differs from the one before
         first = np.zeros(len(patterns), dtype=int)
         first[1:] = np.argmax(patterns[1:] != patterns[:-1], axis=1)
@@ -490,10 +517,20 @@ def _cell_keys(k: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """
     key = k
     for i in reversed(range(bits.shape[1])):
-        if key.max() >> 62:
+        if key.max(initial=0) >> 62:
             key = np.unique(key, return_inverse=True)[1].reshape(-1)
         key = (key << 1) | bits[:, i]
     return key
+
+
+def _group_rows(k: np.ndarray, bits: np.ndarray):
+    """Rows grouped by (k, mask), numbered in _cell_keys order: (a row of each
+    group, the group of each row).  k is a nonnegative int64 per row."""
+    keys, group_of = np.unique(_cell_keys(k, bits), return_inverse=True)
+    group_of = group_of.reshape(-1)
+    row = np.empty(len(keys), dtype=np.intp)
+    row[group_of] = np.arange(len(group_of))
+    return row, group_of
 
 
 def _first_bad(ok: np.ndarray) -> Optional[int]:
@@ -537,24 +574,16 @@ def aggregate_cells(scores, bits, labels, grid_m: int,
             raise ValueError(f"row {row}: label must be 0 or 1")
 
     k = grid_indices(scores, grid_m)
-    _, inverse, counts = np.unique(_cell_keys(k, bits), return_inverse=True,
-                                   return_counts=True)
-    first = np.empty(len(counts), dtype=np.intp)  # a row of each cell
-    first[inverse] = np.arange(n)
-    masses = (counts / n).tolist()
-    if labels is None:
-        label_means = [None] * len(counts)
-    else:
-        sums = np.bincount(inverse, weights=labels.astype(float), minlength=len(counts))
-        label_means = (sums / counts).tolist()
-    cells = [Cell(score=kk / grid_m, groups=mask_from_bits(b), mass=mass, label_mean=q)
-             for kk, b, mass, q in zip(k[first].tolist(), bits[first].tolist(),
-                                       masses, label_means)]
+    row, cell_of = _group_rows(k, bits)
+    counts = np.bincount(cell_of)
+    label_means = None if labels is None else (
+        np.bincount(cell_of, weights=labels.astype(float)) / counts)
     if group_names is None:
         group_names = tuple(f"g{i}" for i in range(bits.shape[1]))
     system = GroupSystem(tuple(group_names),
                          includes_all_group=int(bits.all(axis=0).sum()) == 1)
-    return CellDistribution(grid_m, system, cells)
+    return CellDistribution._from_arrays(grid_m, system, k[row] / grid_m, counts / n,
+                                         label_means, bits[row])
 
 
 def build_cells(rows: Iterable, grid_m: int,

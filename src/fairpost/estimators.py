@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairnessNotion, aggregate_cells, mask_from_bits
+from .core import FairnessNotion, _group_rows, aggregate_cells, mask_from_bits
 from .core import build_cells  # noqa: F401  (bench/spans.py traces it by this name)
 from .multical import apply_patches, calibrate, default_checks
 from .metrics import base_rates
@@ -165,21 +165,21 @@ class JointMulticalibrator(_ParamsMixin):
         """Recalibrated scores obtained by replaying the patch history.
 
         A check reads a point only through its raw score and its mask, so
-        the history is replayed once per distinct (score bits, membership
-        row) and the results are scattered back to the points.
+        the history is replayed once per distinct (score, membership row)
+        and the results are scattered back to the points.  The score key is
+        the bits of score + 0.0, so -0.0 and 0.0 share one replay.
         """
         if not hasattr(self, "result_"):
             raise NotFittedError("call fit() before transforming")
         scores, groups, _ = check_scores_groups(scores, groups)
         if groups.shape[1] != self.n_groups_:
             raise ValueError("group matrix width changed between fit and transform")
-        rows, inverse = np.unique(np.column_stack([scores.view(np.int64), groups]),
-                                  axis=0, return_inverse=True)
+        row, point_of = _group_rows((scores + 0.0).view(np.int64), groups)
         replayed = np.array([
-            apply_patches(float(s), mask_from_bits(g), self.result_, self.checks_)
-            for s, g in zip(rows[:, 0].view(float), rows[:, 1:].tolist())
+            apply_patches(s, mask_from_bits(g), self.result_, self.checks_)
+            for s, g in zip(scores[row].tolist(), groups[row].tolist())
         ])
-        return replayed[inverse.reshape(-1)]
+        return replayed[point_of]
 
     def fit_transform(self, scores, groups, y, **kwargs) -> np.ndarray:
         return self.fit(scores, groups, y, **kwargs).transform(scores, groups)

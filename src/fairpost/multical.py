@@ -133,20 +133,17 @@ class _CompiledCheck:
 
     def __init__(self, check: CheckFunction, dist: CellDistribution):
         self.check = check
-        n = dist.n_cells
+        self.S = self.notion = self.fixed = None
         if check.kind == "threshold":
             lam, notion, base = check.payload
             lam = np.asarray(lam, dtype=float)
             self.notion = FairnessNotion.coerce(notion)
             self.S = lam @ (dist.group_matrix - base.beta[:, None])
-            self.fixed = None
+        elif check.kind == "group":
+            self.fixed = dist.group_matrix[check.payload] == 1.0
         else:
-            bits = np.empty(n)
-            for j, c in enumerate(dist.cells):
-                bits[j] = check.eval_point(c.score, c.groups, c.score)
-            self.fixed = bits.astype(bool)
-            self.S = None
-            self.notion = None
+            self.fixed = np.array([check.eval_point(c.score, c.groups, c.score)
+                                   for c in dist.cells], dtype=bool)
 
     def fires(self, idx: np.ndarray, tables: dict, level: int) -> np.ndarray:
         """Indicator on the cells idx, all at one level: ``tables[notion][level]``
@@ -232,6 +229,13 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution):
     return per_check, max_violation
 
 
+def round_cap(alpha: float) -> int:
+    """The most patch rounds calibrate takes at this alpha: floor(4/alpha^2) + 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return math.floor(4.0 / (alpha * alpha)) + 1
+
+
 def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution,
               alpha: float) -> CalibrationResult:
     """Patch the worst (level, check) pair until all checks pass.
@@ -244,8 +248,7 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     (level, check) pair is cached; a patch moves cells between two levels
     only, so a round recomputes the terms of those two levels alone.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    max_rounds = round_cap(alpha)
     m_grid = math.ceil(1.0 / alpha)
     q = dist.require_labels()
     masses = dist.masses
@@ -291,7 +294,6 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
 
     for level in np.flatnonzero(np.bincount(k)):
         refresh(int(level))
-    max_rounds = math.floor(4.0 / (alpha * alpha)) + 1
     history: List[PatchRecord] = []
     t = 0
     while True:

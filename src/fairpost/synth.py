@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .core import Cell, CellDistribution, GroupSystem, snap_to_grid
+from .core import (CellDistribution, GroupSystem, _group_rows, bits_from_mask, grid_indices,
+                   snap_to_grid)
 from .metrics import true_rates
 from .core import FairnessNotion, ThresholdRule, BaseRates
 import numpy as np
@@ -75,6 +76,8 @@ class SynthSpec:
             raise ValueError("n_cells must be at least 1")
         if self.n_groups < 1:
             raise ValueError("n_groups must be at least 1")
+        if self.grid_m < 1:
+            raise ValueError("grid_m must be at least 1")
         if self.bias_profile not in _PROFILES:
             raise ValueError(f"bias_profile must be one of {_PROFILES}")
         if self.miscalibration < 0:
@@ -139,20 +142,21 @@ def _draw_cells(rng: SplitMix64, spec: SynthSpec) -> List[Tuple[int, int, int]]:
 
 def _build(spec: SynthSpec, raw: List[Tuple[int, int, int]], scores: List[float],
            names: Tuple[str, ...]) -> CellDistribution:
-    total = sum(w for _, _, w in raw)
-    merged = {}
-    for (k, mask, weight), s in zip(raw, scores):
-        merged.setdefault((s, mask), []).append((weight / total, k / spec.grid_m))
-    cells = []
-    for (s, mask), parts in sorted(merged.items()):
-        mass = sum(m for m, _ in parts)
-        if len(parts) == 1:
-            label_mean = parts[0][1]
-        else:
-            label_mean = sum(m * v for m, v in parts) / mass
-        cells.append(Cell(score=s, groups=mask, mass=mass, label_mean=label_mean))
+    """Cells of the drawn rows at the given scores.  Rows with one (score, mask)
+    merge, and a cell of one row keeps its label mean k/m exactly."""
+    k, masks, weights = zip(*raw)
+    weights = np.array(weights)
+    mass = weights / weights.sum()
+    value = np.array(k) / spec.grid_m
+    scores = np.array(scores, dtype=float)
+    bits = np.array([bits_from_mask(mask, len(names)) for mask in masks], dtype=np.uint8)
+    row, cell_of = _group_rows(grid_indices(scores, spec.grid_m), bits)
+    cell_mass = np.bincount(cell_of, weights=mass)
+    merged = np.bincount(cell_of, weights=mass * value) / cell_mass
+    label_means = np.where(np.bincount(cell_of) == 1, value[row], merged)
     system = GroupSystem(names, includes_all_group=True)
-    return CellDistribution(spec.grid_m, system, cells)
+    return CellDistribution._from_arrays(spec.grid_m, system, scores[row], cell_mass,
+                                         label_means, bits[row])
 
 
 def _bayes_fp_violation(dist: CellDistribution) -> float:

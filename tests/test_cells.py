@@ -1,0 +1,193 @@
+"""CellDistribution is its arrays: equivalence with the per-cell code.
+
+`reference_cells` keeps the per-cell `CellDistribution` and the dict merge of
+`synth._build`.  Built from the same input, the array code must give
+bit-equal scores, masses, label means and group matrix, the same Cell
+objects and the same rejection, over one to seventy groups (the grouping key
+ranks past 62), scores on or within 1e-12 of a grid point, -0.0, duplicate
+and shuffled cells, masks with bits past the group count, zero masses and
+merges of zero-mass cells.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fairpost import synth
+from fairpost.core import Cell, CellDistribution, GroupSystem, aggregate_cells
+
+import reference_cells as ref
+
+GROUP_COUNTS = [1, 2, 3, 8, 62, 63, 64, 70]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _cells(dist):
+    return [(float(c.score).hex(), c.groups, float(c.mass).hex(),
+             None if c.label_mean is None else float(c.label_mean).hex()) for c in dist.cells]
+
+
+def assert_same(new, old):
+    assert (new.grid_m, new.groups, new.n_cells, new.n_groups) == \
+           (old.grid_m, old.groups, old.n_cells, old.n_groups)
+    assert np.array_equal(_bits(new.scores), _bits(old.scores))
+    assert np.array_equal(_bits(new.masses), _bits(old.masses))
+    assert (new.label_means is None) == (old.label_means is None)
+    if old.label_means is not None:
+        assert np.array_equal(_bits(new.label_means), _bits(old.label_means))
+    assert new.group_matrix.shape == old.group_matrix.shape
+    assert new.group_matrix.flags.c_contiguous
+    assert np.array_equal(_bits(new.group_matrix), _bits(old.group_matrix))
+    assert _cells(new) == _cells(old)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cell_inputs(draw, valid=False):
+    """(grid_m, system, cells); valid=True draws only accepted, labeled input."""
+    g = draw(st.sampled_from(GROUP_COUNTS))
+    m = draw(st.sampled_from([1, 2, 7, 20, 100, 10 ** 6]))
+    # invalid input may also carry masks past the group count, or negative ones
+    low, high = (0, 2 ** g - 1) if valid else (-2 ** g, 2 ** (g + 1) - 1)
+    patterns = draw(st.lists(st.integers(low, high), min_size=1, max_size=4))
+    n = draw(st.integers(1, 10))
+    keys = draw(st.lists(st.tuples(st.integers(0, m), st.sampled_from(patterns)),
+                         min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if sum(weights) == 0:
+        weights[0] = 1
+    labeled = valid or draw(st.sampled_from(["all", "none", "some"]))
+    cells = []
+    for (k, mask), w in zip(keys, weights):
+        score = k / m
+        nudge = draw(st.sampled_from(["on", "near", "zero"]))
+        if nudge == "near":    # within 1e-12: accepted, and kept unsnapped
+            score = float(np.clip(score + draw(st.sampled_from([-9e-13, -1e-15, 4e-13])),
+                                  -1e-12, 1 + 1e-12))
+        elif nudge == "zero" and k == 0:
+            score = -0.0
+        if labeled == "none" or (labeled == "some" and draw(st.booleans())):
+            label = None
+        else:
+            label = draw(st.one_of(st.integers(0, m).map(lambda j: j / m),
+                                   st.floats(0.0, 1.0)))
+        cells.append(Cell(score, mask, w / sum(weights), label))
+    # at most one fault: a duplicate key, a score 1e-9 off the grid, masses off one
+    fault = "none" if valid else draw(st.sampled_from(["none", "none", "none", "duplicate",
+                                                       "off-grid", "mass"]))
+    if fault == "duplicate":
+        cells.append(cells[draw(st.integers(0, len(cells) - 1))])
+    order = draw(st.permutations(range(len(cells))))
+    cells = [cells[i] for i in order]
+    c = cells[0]
+    if fault == "off-grid":
+        cells[0] = Cell(c.score + 1e-9, c.groups, c.mass, c.label_mean)
+    elif fault == "mass":
+        cells[0] = Cell(c.score, c.groups, c.mass + 1e-6, c.label_mean)
+    system = GroupSystem(tuple(f"g{i}" for i in range(g)),
+                         includes_all_group=draw(st.booleans()))
+    if valid and system.includes_all_group:
+        system = GroupSystem(system.names, includes_all_group=any(
+            all((c.groups >> i) & 1 for c in cells) for i in range(g)))
+    return m, system, cells
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cell_inputs())
+def test_distribution_from_cells_equals_per_cell_code(case):
+    m, system, cells = case
+    new = _outcome(lambda: CellDistribution(m, system, cells))
+    old = _outcome(lambda: ref.CellDistribution(m, system, cells))
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert_same(new, old)
+        assert new.cells == tuple(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cell_inputs(valid=True))
+def test_scores_from_labels_equals_dict_merge(case):
+    m, system, cells = case
+    new = CellDistribution(m, system, cells).with_scores_from_labels()
+    old = ref.CellDistribution(m, system, cells).with_scores_from_labels()
+    assert_same(new, old)
+    # twice: the second merge starts from an array-built distribution
+    assert_same(new.with_scores_from_labels(), old.with_scores_from_labels())
+
+
+@pytest.mark.parametrize("g", GROUP_COUNTS)
+def test_aggregated_cells_and_relabelling_equal_per_cell_code(g):
+    rng = np.random.default_rng(g)
+    n, m = 3000, 40
+    patterns = rng.integers(0, 2, size=(6, g))
+    bits = patterns[rng.integers(0, 6, size=n)]
+    scores = rng.choice([0.0, -0.0, 0.5, 1.0, 0.2], size=n) + rng.uniform(size=n) * (
+        rng.uniform(size=n) < 0.5) * 0.5
+    labels = rng.integers(0, 2, size=n)
+    new = aggregate_cells(np.clip(scores, 0.0, 1.0), bits, labels, m)
+    old = ref.CellDistribution(m, new.groups, new.cells)
+    assert_same(new, old)
+    assert_same(new.with_scores_from_labels(), old.with_scores_from_labels())
+
+
+def test_zero_mass_cells_merge_to_label_zero():
+    system = GroupSystem(("I",))
+    cells = [Cell(0.1, 1, 0.0, 0.5), Cell(0.2, 1, 0.0, 0.5), Cell(0.9, 1, 1.0, 0.9)]
+    new = CellDistribution(10, system, cells).with_scores_from_labels()
+    assert_same(new, ref.CellDistribution(10, system, cells).with_scores_from_labels())
+    assert new.label_means.tolist() == [0.0, 0.9]
+
+
+@st.composite
+def synth_inputs(draw):
+    g = draw(st.sampled_from([1, 2, 5, 62, 63, 70]))
+    m = draw(st.sampled_from([1, 3, 20, 100]))
+    patterns = draw(st.lists(st.integers(0, 2 ** g - 1), min_size=1, max_size=3))
+    raw = draw(st.lists(st.tuples(st.integers(0, m), st.sampled_from(patterns)
+                                  .map(lambda p: 1 | p << 1), st.integers(1, 100)),
+                        min_size=1, max_size=12))
+    # few distinct scores, so that cells merge
+    levels = draw(st.lists(st.integers(0, m), min_size=1, max_size=3))
+    scores = [draw(st.sampled_from(levels)) / m for _ in raw]
+    spec = synth.SynthSpec(seed=0, n_cells=len(raw), n_groups=g, grid_m=m)
+    names = tuple(["I"] + [f"g{i}" for i in range(1, g + 1)])
+    return spec, raw, scores, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=synth_inputs())
+def test_synth_build_equals_dict_merge(case):
+    assert_same(synth._build(*case), ref._build(*case))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("miscalibration", [0.0, 0.3])
+def test_gen_instance_equals_dict_merge(monkeypatch, seed, miscalibration):
+    spec = synth.SynthSpec(seed=seed, n_cells=40, n_groups=3, grid_m=20,
+                           bias_profile="uniform", miscalibration=miscalibration)
+    new = synth.gen_instance(spec)
+    monkeypatch.setattr(synth, "_build", ref._build)
+    for a, b in zip(new, synth.gen_instance(spec)):
+        assert_same(a, b)
+
+
+def test_cells_are_built_once_from_arrays():
+    dist = aggregate_cells([0.25, 0.75, 0.25], [[1, 0], [1, 1], [1, 0]], [1, 0, 0], 4)
+    assert "cells" not in vars(dist)
+    assert dist.cells == (Cell(0.25, 1, 2 / 3, 0.5), Cell(0.75, 3, 1 / 3, 0.0))
+    assert dist.cells is dist.cells
+    assert all(type(v) is float for c in dist.cells for v in (c.score, c.mass, c.label_mean))
+    assert all(type(c.groups) is int for c in dist.cells)
+    assert math.fsum(dist.masses) == 1.0

@@ -5,10 +5,13 @@ import subprocess
 import sys
 import time
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from fairpost import BaseRates, FairnessNotion, MixtureClassifier, build_cells, surrogate_error
+from fairpost import cli, multical
 from fairpost.cli import load_mixture, main, read_dataset
 
 
@@ -132,12 +135,32 @@ def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     ("[1.0, 1.0]", "[[0.1]]", "lambdas width must match the group count"),
     ("[0.0, 0.0]", "[[0.1, 0.2], [1e308, 1e308]]",
      "lambdas too large: a group sum would overflow"),
+    *(pytest.param({key: None}, "[[0.1]]", f"missing field {key!r}", id=f"no-{key}")
+      for key in ("notion", "beta", "w", "grid_m", "group_names")),
+    pytest.param({"grid_m": '"100"'}, "[[0.1]]", "grid_m must be a positive integer",
+                 id="grid_m-string"),
+    pytest.param({"grid_m": "0"}, "[[0.1]]", "grid_m must be a positive integer",
+                 id="grid_m-zero"),
+    pytest.param({"grid_m": "true"}, "[[0.1]]", "grid_m must be a positive integer",
+                 id="grid_m-bool"),
+    pytest.param({"tiebreak_positive": '"no"'}, "[[0.1]]",
+                 "tiebreak_positive must be true or false", id="tiebreak-string"),
+    pytest.param({"group_names": '"I"'}, "[[0.1]]", "group_names must be a list of strings",
+                 id="group_names-string"),
+    pytest.param({"group_names": '["I", "a"]'}, "[[0.1]]",
+                 "group_names and beta differ in length", id="group_names-length"),
+    pytest.param({"beta": '{"I": 1.0}'}, "[[0.1]]", "float() argument", id="beta-object"),
 ])
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
+    """beta is the beta field's JSON text, or a dict of field texts to set
+    (None drops the field)."""
+    fields = {"schema": '"fairpost.mixture.v1"', "notion": '"fp"', "beta": "[1.0]",
+              "w": "[1.0]", "grid_m": "20", "group_names": '["I"]'}
+    fields.update(beta if isinstance(beta, dict) else {"beta": beta})
+    fields["lambdas"] = lambdas
     path = tmp_path / "mixture.json"
-    path.write_text('{"schema": "fairpost.mixture.v1", "notion": "fp", "beta": '
-                    f'{beta}, "w": [1.0], "grid_m": 20, "group_names": ["I"], '
-                    f'"lambdas": {lambdas}}}')
+    path.write_text("{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()
+                                    if text is not None) + "}")
     code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
     assert code == 1
     assert f"error: bad mixture: {message}" in capsys.readouterr().err
@@ -306,6 +329,21 @@ def test_calibrate_history_capped(tmp_path):
     report = json.loads((out / "calibration.json").read_text())
     assert report["rounds"] == len(lines) - 2
     assert report["post_audit_max_violation"] <= math.sqrt(alpha)
+    # the reported cap is the one calibrate enforces: a run needing exactly
+    # `rounds` patches passes at that cap and fails one below it
+    assert report["round_cap"] == multical.round_cap(alpha) == math.floor(4 / alpha ** 2) + 1
+
+    def calibrate_with_cap(cap):
+        with mock.patch.object(multical, "round_cap", return_value=cap) as patched, \
+                mock.patch.object(cli, "round_cap", patched):
+            return main(["calibrate", str(data), "--alpha", str(alpha), "--grid-m", "20",
+                         "--n-random-checks", "8", "--out-dir", str(out)])
+
+    rounds = report["rounds"]
+    assert calibrate_with_cap(rounds) == 0
+    assert json.loads((out / "calibration.json").read_text())["round_cap"] == rounds
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        calibrate_with_cap(rounds - 1)
 
 
 def test_eval_with_oracle(dataset, tmp_path):
@@ -320,6 +358,41 @@ def test_eval_with_oracle(dataset, tmp_path):
     # the mixture can undercut the strictly-feasible optimum only within
     # its own constraint slack
     assert report["err_hat"] >= report["oracle"]["opt_value"] - 0.5
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """An 8-cell and a 24-cell dataset, each with a short solve's mixture.json."""
+    root = tmp_path_factory.mktemp("solved")
+    paths = {}
+    for cells in (8, 24):
+        data, run_dir = root / f"data{cells}.csv", root / f"run{cells}"
+        assert main(["synth", "--seed", "1", "--n-cells", str(cells), "--grid-m", "20",
+                     "--samples", "20000", "--out", str(data)]) == 0
+        assert read_dataset(str(data), 20)[0].n_cells == cells
+        assert main(["solve", str(data), "--gamma", "0.05", "--C", "4", "--T", "50",
+                     "--grid-m", "20", "--out-dir", str(run_dir)]) == 0
+        paths[cells] = (str(data), str(run_dir / "mixture.json"))
+    return paths
+
+
+@pytest.mark.parametrize("command, message", [
+    (["eval", 24, "--oracle", "--max-cells", "30"],
+     "oracle: cell count 24 exceeds enumeration guard 20"),
+    (["eval", 8, "--oracle", "--gamma", "-1"], "oracle: gamma must be nonnegative"),
+    (["calibrate", 8, "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+    (["synth", "--seed", "1", "--n-cells", "0"], "n_cells must be at least 1"),
+])
+def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, command, message):
+    argv = [command[0]]
+    if isinstance(command[1], int):
+        data, mixture = solved[command[1]]
+        argv += [data] + (["--mixture", mixture] if command[0] == "eval" else [])
+        argv += command[2:] + ["--out-dir", str(tmp_path / "out")]
+    else:
+        argv += command[1:] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_eval_oracle_guard(dataset, tmp_path):

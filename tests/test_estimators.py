@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,23 @@ def test_calibrator_transform_equals_per_point_replay(rng):
     got = cal.transform(batch_scores, batch_groups)
     assert got.tobytes() == want.tobytes()
     assert cal.transform(batch_scores[:0], batch_groups[:0]).shape == (0,)
+
+
+def test_calibrator_transform_signed_zero_and_repeats(rng):
+    _, pert = make_dist(23, n_cells=30, n_groups=3, grid_m=20, miscalibration=0.4)
+    scores, groups, y = _sample_arrays(rng, pert, 6000)
+    cal = JointMulticalibrator(alpha=0.02, n_random_checks=8, grid_m=20, seed=2)
+    cal.fit(scores, groups, y)
+    rows = np.concatenate([groups[:50], groups[:50]])
+    zeros = np.concatenate([np.zeros(50), np.full(50, -0.0)])
+    with mock.patch("fairpost.estimators.apply_patches", wraps=apply_patches) as replay:
+        got = cal.transform(zeros, rows)
+    # -0.0 and 0.0 share a key, so each distinct row is replayed once
+    assert replay.call_count == len(np.unique(groups[:50], axis=0))
+    assert got[:50].tobytes() == got[50:].tobytes()
+    assert got.tobytes() == cal.transform(np.abs(zeros), rows).tobytes()
+    repeated = cal.transform(np.tile(scores[:100], 3), np.tile(groups[:100], (3, 1)))
+    assert repeated.tobytes() == np.tile(cal.transform(scores[:100], groups[:100]), 3).tobytes()
 
 
 def test_calibrator_requires_labels():

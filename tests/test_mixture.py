@@ -121,6 +121,24 @@ def test_many_patterns_over_several_blocks(rng):
                               _bits(_reference_probs(mix, scores, groups)))
 
 
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_more_than_62_groups_counts_equal_decide_batch(rng, notion):
+    # the pattern key ranks between groups past 62, and must keep patterns
+    # in order (group 0 most significant) for the shared prefixes
+    g, T, n = 70, 40, 120
+    beta = rng.choice([0.0, 0.5, 1.0], size=g) * rng.uniform(size=g)
+    lambdas = rng.standard_normal((T, g)) * rng.choice([0.0, 1.0, 30.0], size=(T, g))
+    patterns = rng.integers(0, 2, size=(6, g))
+    patterns[1:3] = patterns[0]
+    patterns[1, -1] ^= 1   # differs from pattern 0 in the last group only
+    patterns[2, 0] ^= 1    # ... and in the first group only
+    groups = patterns[rng.integers(0, 6, size=n)]
+    scores = np.concatenate([rng.uniform(size=n - 3), [0.0, 0.5, 1.0]])
+    mix = MixtureClassifier(lambdas, notion, BaseRates(notion, beta, np.full(g, 0.5)))
+    assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
+                          _bits(_reference_probs(mix, scores, groups)))
+
+
 def test_sums_at_the_threshold_are_counted_by_decide_batch():
     # c = 1 for the single group, so S_t = lambda_t exactly
     f = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
