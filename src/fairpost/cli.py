@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import array
+import base64
 import csv
 import hashlib
 import io
 import json
+import math
 import re
 import resource
 import sys
@@ -356,11 +358,17 @@ def _write_trajectory(path: Path, trajectory) -> None:
                      f"{_fmt(rec.lambda_l1)},{_fmt(rec.duality_gap_estimate)}\n")
 
 
-def _mixture_header(mixture: MixtureClassifier, dist: CellDistribution,
-                    gamma: float) -> dict:
-    """Every field of mixture.json except the "lambdas" rows."""
+MIXTURE_SCHEMA = "fairpost.mixture.v2"
+
+
+def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
+                     gamma: float) -> dict:
+    """The mixture.json document: a JSON header, and "lambdas" as the
+    standard padded base64 of the (T, n_groups) rows, little-endian float64
+    in row-major order."""
+    rows = np.ascontiguousarray(mixture.lambdas, dtype="<f8")
     return {
-        "schema": "fairpost.mixture.v1",
+        "schema": MIXTURE_SCHEMA,
         "notion": mixture.notion.value,
         "gamma": gamma,
         "grid_m": dist.grid_m,
@@ -368,31 +376,22 @@ def _mixture_header(mixture: MixtureClassifier, dist: CellDistribution,
         "beta": [float(b) for b in mixture.base.beta],
         "w": [float(w) for w in mixture.base.w],
         "tiebreak_positive": mixture.tiebreak_positive,
+        "lambdas": base64.b64encode(rows).decode("ascii"),
     }
 
 
-def _write_mixture(path: Path, mixture: MixtureClassifier, dist: CellDistribution,
-                   gamma: float) -> None:
-    """The bytes of _write_json with the header plus "lambdas": rows.tolist(),
-    written 4096 rows at a time.
-
-    json.dump with indent runs the pure-Python encoder over every float and
-    needs the whole list of lists in memory.  Each chunk here goes through
-    the C encoder without indent, "[[a, b], [c, d]]"; its numbers contain
-    no "[", "]", "," or " ", so two replaces give the indented form.
-    """
-    head, tail = json.dumps({**_mixture_header(mixture, dist, gamma), "lambdas": []},
-                            indent=2, sort_keys=True).split('"lambdas": []')
-    lambdas = mixture.lambdas  # at least one row
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '"lambdas": [')
-        sep = "\n    [\n      "
-        for start in range(0, len(lambdas), 4096):
-            rows = json.dumps(lambdas[start:start + 4096].tolist())[2:-2]
-            fh.write(sep + rows.replace("], [", "\n    ],\n    [\n      ")
-                     .replace(", ", ",\n      ") + "\n    ]")
-            sep = ",\n    [\n      "
-        fh.write("\n  ]" + tail + "\n")
+def _decode_lambdas(text, width: int) -> np.ndarray:
+    """The (T, width) rows of a v2 "lambdas" string."""
+    if not isinstance(text, str):
+        raise ValueError("lambdas must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"lambdas are not valid base64: {exc}") from None
+    if width < 1 or not raw or len(raw) % (8 * width):
+        raise ValueError(f"lambdas hold {len(raw)} bytes, not a positive multiple of "
+                         f"8 * {width} groups")
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, width)
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
@@ -400,8 +399,9 @@ _JSON_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
 
 
 def _parse_mixture(text: str) -> Tuple[dict, Optional[np.ndarray]]:
-    """json.loads of a mixture document, except that the top-level "lambdas"
-    rows are decoded one at a time into a (T, n_groups) float array.
+    """json.loads of a mixture document, except that a top-level "lambdas"
+    list (schema v1) is decoded one row at a time into a (T, n_groups) float
+    array; a v2 "lambdas" string stays in the payload.
 
     The plain parse holds a Python list and n_groups float objects per rule,
     about 170 bytes against the array's 8 per group: 50 MB more at the
@@ -464,7 +464,8 @@ def _parse_mixture(text: str) -> Tuple[dict, Optional[np.ndarray]]:
 
 
 def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
-    """Load a mixture.json; the returned payload holds every field but "lambdas"."""
+    """Load a mixture.json, schema v2 or v1; the returned payload holds every
+    field but "lambdas"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload, lambdas = _parse_mixture(fh.read())
@@ -473,24 +474,32 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     except UnicodeDecodeError as exc:
         raise InputError(f"bad mixture: bytes {exc.object[exc.start:exc.end]!r} at offset "
                          f"{exc.start} are not valid UTF-8") from None
-    if payload.get("schema") != "fairpost.mixture.v1":
+    schema = payload.get("schema")
+    if schema == MIXTURE_SCHEMA:
+        encoded = payload.pop("lambdas", None)
+    elif schema != "fairpost.mixture.v1":
         raise InputError("unrecognized mixture schema")
-    if lambdas is None:
+    elif lambdas is None:
         raise InputError("mixture has no lambdas rows")
     for key in ("notion", "beta", "w", "grid_m", "group_names"):
         if key not in payload:
             raise InputError(f"bad mixture: missing field {key!r}")
     grid_m, names = payload["grid_m"], payload["group_names"]
     tiebreak = payload.get("tiebreak_positive", True)
+    gamma = payload.get("gamma", 0.0)
     if type(grid_m) is not int or grid_m < 1:
         raise InputError("bad mixture: grid_m must be a positive integer")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise InputError("bad mixture: group_names must be a list of strings")
     if not isinstance(tiebreak, bool):
         raise InputError("bad mixture: tiebreak_positive must be true or false")
+    if type(gamma) not in (int, float) or not 0.0 <= gamma < math.inf:
+        raise InputError("bad mixture: gamma must be a nonnegative number")
     try:
         notion = FairnessNotion.coerce(payload["notion"])
         base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
+        if schema == MIXTURE_SCHEMA:
+            lambdas = _decode_lambdas(encoded, len(base.beta))
         mixture = MixtureClassifier(lambdas, notion, base, tiebreak)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
@@ -554,15 +563,19 @@ def cmd_solve(args) -> int:
     report["exit_code"] = code
     t3 = time.perf_counter()
 
+    mixture_path = out_dir / "mixture.json"
+    _write_json(mixture_path, _mixture_payload(result.mixture, dist, solver_config.gamma))
+    t4 = time.perf_counter()
     _write_trajectory(out_dir / "trajectory.csv", result.trajectory)
-    _write_mixture(out_dir / "mixture.json", result.mixture, dist, solver_config.gamma)
     _write_json(out_dir / "report.json", report)
-    timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2}
+    timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2,
+               "write_mixture": t4 - t3}
     _write_manifest(
         out_dir, "solve", config, source, timings,
         ["mixture.json", "trajectory.csv", "report.json"],
         extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
-               "peak_rss_mb": _peak_rss_mb()}, write_start=t3)
+               "mixture_bytes": mixture_path.stat().st_size,
+               "peak_rss_mb": _peak_rss_mb()}, write_start=t4)
     return code
 
 
@@ -798,13 +811,14 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mixture, payload = load_mixture(args.mixture)
+    t1 = time.perf_counter()
     source = {}
     dist, has_labels = read_dataset(args.dataset, payload["grid_m"], source)
     if list(dist.groups.names) != payload["group_names"]:
         raise InputError(
             f"dataset groups {list(dist.groups.names)} do not match mixture "
             f"groups {payload['group_names']}")
-    t1 = time.perf_counter()
+    t2 = time.perf_counter()
     p = mixture.positive_prob_vector(dist)
     report = {
         "err_hat": surrogate_error(p, dist),
@@ -833,12 +847,14 @@ def cmd_eval(args) -> int:
             "err_gap": report["err_hat"] - sol.opt_value,
             "support_size": len(sol.support),
         }
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     _write_json(out_dir / "evaluation.json", report)
     _write_manifest(out_dir, "eval", {"mixture": args.mixture, "oracle": args.oracle},
-                    source, {"parse": t1 - t0, "eval": t2 - t1},
-                    ["evaluation.json"], extra={"peak_rss_mb": _peak_rss_mb()},
-                    write_start=t2)
+                    source, {"load_mixture": t1 - t0, "parse": t2 - t1, "eval": t3 - t2},
+                    ["evaluation.json"],
+                    extra={"mixture_bytes": Path(args.mixture).stat().st_size,
+                           "peak_rss_mb": _peak_rss_mb()},
+                    write_start=t3)
     return EXIT_OK
 
 

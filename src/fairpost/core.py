@@ -387,6 +387,8 @@ class MixtureClassifier:
             raise ValueError("lambdas must be a (T, n_groups) array")
         if lambdas.shape[0] == 0:
             raise ValueError("mixture must contain at least one rule")
+        if lambdas.shape[1] == 0:
+            raise ValueError("lambdas must have at least one group column")
         if lambdas.shape[1] != len(base.beta):
             raise ValueError("lambdas width must match the group count")
         if not np.isfinite(lambdas).all():

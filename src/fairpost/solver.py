@@ -290,13 +290,17 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     deviations = np.zeros((T, n_groups)) if record_deviation else None
     cache = {}
     projections = 0
+    # every order of summing the 2|G| nonnegative entries lands within a
+    # relative (2|G| - 1) eps of their exact sum, so a quick sum at or below
+    # l1_safe proves that lam_p.sum() + lam_m.sum() does not exceed C
+    l1_safe = C * (1.0 - 16.0 * n_groups * np.finfo(float).eps)
 
     for t in range(1, T + 1):
         lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
         h = lam @ smemb <= thresh
 
         if sampler is None:
-            key = np.packbits(h).tobytes()
+            key = h.tobytes()
             terms = cache.get(key)
             if terms is None:
                 terms = cache[key] = round_terms(h, masses)
@@ -313,8 +317,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
             sum_lam_m += lam_m
 
         np.maximum(0.0, dual + step, out=dual)
-        total = lam_p.sum() + lam_m.sum()
-        if total > C:
+        if sum(dual.tolist()) > l1_safe and lam_p.sum() + lam_m.sum() > C:
             projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
             lam_p[:] = projected.lambda_plus
             lam_m[:] = projected.lambda_minus

@@ -1,0 +1,128 @@
+"""The solver loop as it stood before the round-body cuts, kept verbatim.
+
+`reference_run_loop` keys its step cache by `np.packbits(h).tobytes()` and
+runs the exact `lam_p.sum() + lam_m.sum() > C` test every round.  The tests
+require `solver.run` to give byte-equal lambdas, an equal trajectory and
+equal counters.
+"""
+
+from typing import List
+
+import numpy as np
+
+from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
+from fairpost.metrics import (_constraint_multiplier, base_rates, error_rate, group_rates,
+                              rate_terms)
+from fairpost.solver import (
+    DualState,
+    SolveResult,
+    SolverConfig,
+    TrajectoryRecord,
+    _gap_estimate,
+    _resolve_schedule,
+    _theorem_bounds,
+    project_l1,
+)
+
+
+def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
+                       record_deviation: bool = False) -> SolveResult:
+    """Primal/dual rounds.  The best response is the per-cell threshold form
+    of decide_batch: one matvec and one compare per round.  The dual step
+    depends only on the 0/1 decision pattern, so exact-rate runs compute it
+    once per distinct pattern; sampled rounds recompute it every round."""
+    notion = config.notion
+    base = base_rates(dist, notion, config.beta_mode)
+    f = dist.scores
+    masses = dist.masses
+    G = dist.group_matrix
+    n_groups, n_cells = G.shape
+    T, eta = _resolve_schedule(config, n_groups, n_cells)
+
+    beta = base.beta
+    viol_mult = _constraint_multiplier(base)
+    row = rate_terms(notion, f)
+    memb = G - beta[:, None]
+    gamma, C = config.gamma, config.C
+    sign, thresh = decision_thresholds(f, notion, decide=decide_batch)
+    smemb = memb * sign
+
+    def round_terms(h, eval_masses):
+        # (dual step for the concatenated (lambda+, lambda-), err_hat, max
+        # violation, rho_g) of one decision pattern; for 0/1 h the rate
+        # table gives the reference loop's bits
+        h = h.astype(float)
+        rho_g, rho0 = group_rates(row, h, eval_masses, G)
+        centered = rho_g - beta * rho0
+        step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
+        return (step, error_rate(h, f, eval_masses),
+                float(np.abs(rho_g - viol_mult * rho0).max()), rho_g)
+
+    dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
+    lam_p, lam_m = dual[:n_groups], dual[n_groups:]
+    lam_hist = np.empty((T, n_groups))
+    compute_gap, record_every = config.compute_gap, config.record_every
+    dec_sum = np.zeros(n_cells)
+    sum_lam_p = np.zeros(n_groups)
+    sum_lam_m = np.zeros(n_groups)
+    trajectory: List[TrajectoryRecord] = []
+    deviations = np.zeros((T, n_groups)) if record_deviation else None
+    cache = {}
+    projections = 0
+
+    for t in range(1, T + 1):
+        lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
+        h = lam @ smemb <= thresh
+
+        if sampler is None:
+            key = np.packbits(h).tobytes()
+            terms = cache.get(key)
+            if terms is None:
+                terms = cache[key] = round_terms(h, masses)
+        else:
+            terms = round_terms(h, sampler(t))
+            if record_deviation:
+                pop_rho_g, _ = group_rates(row, h.astype(float), masses, G)
+                deviations[t - 1] = np.abs(terms[3] - pop_rho_g)
+        step, err_hat, max_violation, _ = terms
+
+        if compute_gap:
+            dec_sum += h
+            sum_lam_p += lam_p
+            sum_lam_m += lam_m
+
+        np.maximum(0.0, dual + step, out=dual)
+        total = lam_p.sum() + lam_m.sum()
+        if total > C:
+            projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
+            lam_p[:] = projected.lambda_plus
+            lam_m[:] = projected.lambda_minus
+            projections += 1
+
+        if (t - 1) % record_every == 0:
+            gap = None
+            if compute_gap:
+                gap = _gap_estimate(
+                    dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
+                    memb, beta, notion, gamma, C)
+            trajectory.append(TrajectoryRecord(
+                t=t,
+                err_hat=err_hat,
+                max_violation_hat=max_violation,
+                lambda_l1=float(lam_p.sum() + lam_m.sum()),
+                duality_gap_estimate=gap,
+            ))
+
+    mixture = MixtureClassifier(lam_hist, notion, base)
+    return SolveResult(
+        mixture=mixture,
+        final_dual=DualState(lam_p, lam_m, C),
+        trajectory=trajectory,
+        theorem_bounds=_theorem_bounds(C),
+        base=base,
+        T=T,
+        eta=eta,
+        estimation_deviations=deviations,
+        counters={"rounds": T, "projections": projections,
+                  "distinct_decisions": len(cache)},
+    )

@@ -1,6 +1,9 @@
+import base64
+import binascii
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 import time
@@ -9,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairpost import BaseRates, FairnessNotion, MixtureClassifier, build_cells, surrogate_error
 from fairpost import cli, multical
@@ -65,8 +70,10 @@ def test_solve_manifest_counters_and_timings(dataset, tmp_path):
                  "--T", "300", "--grid-m", "20", "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     report = json.loads((out / "report.json").read_text())
-    assert set(manifest["timings_seconds"]) == {"parse", "solve", "report", "write"}
+    assert set(manifest["timings_seconds"]) == {"parse", "solve", "report", "write_mixture",
+                                                "write"}
     assert all(v >= 0.0 for v in manifest["timings_seconds"].values())
+    assert manifest["mixture_bytes"] == (out / "mixture.json").stat().st_size
     counters = manifest["counters"]
     assert set(counters) == {"rounds", "projections", "distinct_decisions"}
     assert counters["rounds"] == report["iterations"] == 300
@@ -98,16 +105,55 @@ def test_mixture_roundtrip(dataset, tmp_path):
     assert surrogate_error(p, dist) == report["err_hat"]
 
 
-def test_mixture_load_matches_json(dataset, tmp_path):
+def _v1_document(path, payload, lambdas):
+    """A fairpost.mixture.v1 file: the header as text and the rows as nested
+    JSON lists, the bytes the v1 writer produced."""
+    cli._write_json(path, {**payload, "schema": "fairpost.mixture.v1",
+                           "lambdas": np.asarray(lambdas, dtype=float).tolist()})
+
+
+@pytest.fixture
+def solved_pair(dataset, tmp_path):
+    """(v1 path, v2 path) of one short solve's mixture."""
     out = tmp_path / "run"
     assert main(["solve", str(dataset), "--gamma", "0.02", "--C", "4", "--T", "150",
                  "--grid-m", "20", "--out-dir", str(out)]) == 0
-    mixture, payload = load_mixture(str(out / "mixture.json"))
-    plain = json.loads((out / "mixture.json").read_text())
+    v2 = out / "mixture.json"
+    payload = json.loads(v2.read_text())
+    rows = np.frombuffer(base64.b64decode(payload["lambdas"]), dtype="<f8").reshape(150, 3)
+    _v1_document(tmp_path / "v1.json", payload, rows)
+    return tmp_path / "v1.json", v2
+
+
+def test_mixture_load_matches_json(solved_pair):
+    v1, _ = solved_pair
+    mixture, payload = load_mixture(str(v1))
+    plain = json.loads(v1.read_text())
     want = np.array(plain.pop("lambdas"), dtype=float)
     assert payload == plain
     assert mixture.lambdas.shape == want.shape
     assert np.array_equal(mixture.lambdas.view(np.uint64), want.view(np.uint64))
+
+
+def test_mixture_v2_load_matches_json(solved_pair):
+    _, v2 = solved_pair
+    mixture, payload = load_mixture(str(v2))
+    plain = json.loads(v2.read_text())
+    assert plain["schema"] == "fairpost.mixture.v2"
+    raw = binascii.a2b_base64(plain.pop("lambdas").encode("ascii"))
+    want = np.array(struct.unpack(f"<{len(raw) // 8}d", raw)).reshape(-1, len(plain["beta"]))
+    assert payload == plain
+    assert mixture.lambdas.shape == want.shape == (150, 3)
+    assert np.array_equal(mixture.lambdas.view(np.uint64), want.view(np.uint64))
+
+
+def test_v1_and_v2_mixtures_evaluate_alike(dataset, solved_pair, tmp_path):
+    v1, v2 = solved_pair
+    for name, path in (("e1", v1), ("e2", v2)):
+        assert main(["eval", str(dataset), "--mixture", str(path), "--oracle",
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "e1" / "evaluation.json").read_bytes()
+            == (tmp_path / "e2" / "evaluation.json").read_bytes())
 
 
 @pytest.mark.parametrize("lambdas, message", [
@@ -125,6 +171,14 @@ def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def _b64(*values):
+    """JSON text of a v2 "lambdas" string holding the given doubles."""
+    return json.dumps(base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode())
+
+
+V2 = {"schema": '"fairpost.mixture.v2"'}
 
 
 @pytest.mark.parametrize("beta, lambdas, message", [
@@ -150,6 +204,30 @@ def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     pytest.param({"group_names": '["I", "a"]'}, "[[0.1]]",
                  "group_names and beta differ in length", id="group_names-length"),
     pytest.param({"beta": '{"I": 1.0}'}, "[[0.1]]", "float() argument", id="beta-object"),
+    pytest.param({"beta": "[]", "w": "[]", "group_names": "[]"}, "[[]]",
+                 "lambdas must have at least one group column", id="no-groups"),
+    *(pytest.param({"gamma": text}, "[[0.1]]", "gamma must be a nonnegative number",
+                   id=f"gamma-{name}")
+      for name, text in (("string", '"x"'), ("negative", "-0.5"), ("bool", "true"),
+                         ("nan", "NaN"), ("infinite", "Infinity"), ("null", "null"),
+                         ("list", "[0.1]"))),
+    pytest.param(V2, "[[0.1]]", "lambdas must be a base64 string", id="v2-list"),
+    pytest.param(V2, None, "lambdas must be a base64 string", id="v2-no-lambdas"),
+    # without validation the "$" would be dropped, leaving 8 valid bytes
+    pytest.param(V2, '"AAAA$AAAAAAA="', "lambdas are not valid base64", id="v2-bad-char"),
+    pytest.param(V2, '"AAAAAAAAAAA"', "lambdas are not valid base64", id="v2-unpadded"),
+    pytest.param(V2, '""', "lambdas hold 0 bytes, not a positive multiple of 8 * 1 groups",
+                 id="v2-empty"),
+    pytest.param(V2, json.dumps(base64.b64encode(bytes(12)).decode()),
+                 "lambdas hold 12 bytes, not a positive multiple of 8 * 1 groups",
+                 id="v2-ragged"),
+    pytest.param({**V2, "beta": "[1.0, 1.0]"}, _b64(0.1, 0.2, 0.3),
+                 "lambdas hold 24 bytes, not a positive multiple of 8 * 2 groups",
+                 id="v2-width"),
+    pytest.param(V2, _b64(0.1, math.nan), "lambdas must be finite", id="v2-nan"),
+    pytest.param(V2, _b64(-math.inf), "lambdas must be finite", id="v2-infinite"),
+    pytest.param({**V2, "beta": "[0.0, 0.0]"}, _b64(0.1, 0.2, 1e308, 1e308),
+                 "lambdas too large: a group sum would overflow", id="v2-overflow"),
 ])
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
     """beta is the beta field's JSON text, or a dict of field texts to set
@@ -405,39 +483,54 @@ def test_eval_oracle_guard(dataset, tmp_path):
     assert "guard" in proc.stderr
 
 
-def _mixture_bytes_both_ways(tmp_path, lambdas):
-    """mixture.json bytes from the streaming writer and from one json.dump."""
-    from fairpost.cli import _mixture_header, _write_json, _write_mixture
+def _mixture_files(tmp_path, lambdas):
+    """(v1 path, v2 path) of one FP mixture over groups I, a, b: v2 as solve
+    writes it, v1 as the v1 writer wrote the same rows."""
     data = tmp_path / "tiny.csv"
     data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
     dist, _ = read_dataset(str(data), 4)
-    base = BaseRates(FairnessNotion.FP, np.full(3, 0.25), np.full(3, 0.5))
+    # beta = 1/2 keeps every group sum of rows within +-1e308 finite
+    base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
     mix = MixtureClassifier(np.asarray(lambdas, dtype=float), FairnessNotion.FP, base)
-    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
-    _write_mixture(streamed, mix, dist, 0.05)
-    _write_json(whole, {**_mixture_header(mix, dist, 0.05), "lambdas": mix.lambdas.tolist()})
-    return streamed.read_bytes(), whole.read_bytes()
+    payload = cli._mixture_payload(mix, dist, 0.05)
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    cli._write_json(v2, payload)
+    _v1_document(v1, payload, mix.lambdas)
+    return v1, v2
 
 
 @pytest.mark.parametrize("T", [1, 2, 4095, 4096, 4097, 8193])
-def test_streamed_mixture_bytes_equal_json_dump(tmp_path, T):
-    # row counts around the writer's 4096-row chunks; magnitudes from
-    # subnormal to near overflow, with signed zeros
+def test_v1_and_v2_mixtures_load_to_same_bits(tmp_path, T):
+    # magnitudes from subnormal to near overflow, with signed zeros
     rng = np.random.Generator(np.random.PCG64(T))
     lam = rng.standard_normal((T, 3)) * 10.0 ** rng.integers(-320, 300, size=(T, 3))
     specials = [-0.0, 5e-324, 0.0, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1.5]
     lam.flat[:len(specials)] = specials[:lam.size]
-    streamed, whole = _mixture_bytes_both_ways(tmp_path, lam)
-    assert streamed == whole
-    assert json.loads(streamed)["lambdas"] == lam.tolist()
+    v1, v2 = _mixture_files(tmp_path, lam)
+    assert json.loads(v1.read_text())["lambdas"] == lam.tolist()
+    for path in (v1, v2):
+        mixture, payload = load_mixture(str(path))
+        assert "lambdas" not in payload
+        assert mixture.lambdas.tobytes() == lam.tobytes()
+    # the v2 file is far smaller than the v1 text
+    assert v2.stat().st_size < v1.stat().st_size
 
 
-def test_streamed_mixture_round_trips_through_load(tmp_path):
-    lam = [[-0.0, 5e-324, 1.0], [0.1, -2.5e-310, 3.0]]
-    streamed, whole = _mixture_bytes_both_ways(tmp_path, lam)
-    assert streamed == whole
-    mixture, _ = load_mixture(str(tmp_path / "streamed.json"))
-    assert mixture.lambdas.tobytes() == np.array(lam).tobytes()
+_FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, 2, 4097]).flatmap(
+    lambda T: hnp.arrays(np.float64, (T, 3), elements=_FINITE)))
+@example(rows=np.array([[-0.0, 5e-324, 1.0], [0.1, -2.5e-310, 3.0]]))
+@example(rows=np.array([[1e308, -1e308, -0.0]]))
+def test_mixture_round_trips_through_load(tmp_path_factory, rows):
+    tmp_path = tmp_path_factory.mktemp("mix")
+    v1, v2 = _mixture_files(tmp_path, rows)
+    text = json.loads(v2.read_text())["lambdas"]
+    assert base64.b64decode(text) == rows.astype("<f8").tobytes()
+    for path in (v1, v2):
+        assert load_mixture(str(path))[0].lambdas.tobytes() == rows.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -468,7 +561,11 @@ def test_sweep_eval_manifest_stages(calibration_dataset, tmp_path, command):
     wall = time.perf_counter() - t0
     manifest = json.loads((out / "manifest.json").read_text())
     timings = manifest["timings_seconds"]
-    assert set(timings) == {"parse", command, "write"}
+    if command == "sweep":
+        assert set(timings) == {"parse", "sweep", "write"}
+    else:
+        assert set(timings) == {"load_mixture", "parse", "eval", "write"}
+        assert manifest["mixture_bytes"] == (run_dir / "mixture.json").stat().st_size
     assert all(v >= 0.0 for v in timings.values())
     assert abs(sum(timings.values()) - wall) <= 0.05 * wall
     assert manifest["peak_rss_mb"] > 0.0

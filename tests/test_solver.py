@@ -36,6 +36,7 @@ from fairpost.solver import (
 
 from conftest import make_dist, rand_lambda
 from reference_rates import _rate_terms, _solver_constraints, expanded_lagrangian
+from reference_solver import reference_run_loop
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -552,3 +553,76 @@ def test_threshold_kernel_matches_reference_on_ties():
     for notion in NOTIONS:
         cfg = SolverConfig(notion=notion, gamma=0.01, C=2.0, T=500, record_every=1)
         _assert_bit_equal(run(dist, cfg), _reference_run_loop(dist, cfg, True), dist)
+
+
+# ------------------------------------------------------------ round body
+#
+# run against the loop before the round-body cuts (step cache keyed by the
+# raw decision bytes, quick L1 sum in front of the exact test).
+
+def _assert_same_run(got, want):
+    assert got.mixture.lambdas.tobytes() == want.mixture.lambdas.tobytes()
+    # repr round-trips every float, so equal reprs mean equal bits
+    assert repr(got.trajectory) == repr(want.trajectory)
+    assert got.counters == want.counters
+    assert got.final_dual.lam.tobytes() == want.final_dual.lam.tobytes()
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("C, eta, T, mode", [
+    (10.0, "auto", 20000, "euclidean_l1"),
+    (0.5, 0.05, 3000, "euclidean_l1"),
+    (0.5, 0.05, 3000, "rescale"),
+])
+def test_round_body_matches_parent_loop(biased_instance, notion, C, eta, T, mode):
+    cfg = SolverConfig(notion=notion, gamma=0.0 if C < 1.0 else 0.01, C=C, eta=eta, T=T,
+                       record_every=7, projection_mode=mode)
+    got = run(biased_instance, cfg)
+    _assert_same_run(got, reference_run_loop(biased_instance, cfg))
+    if C < 1.0:
+        # the quick sum passes rounds on to the exact test, which projects
+        assert 0 < got.counters["projections"] < T
+
+
+def test_round_body_matches_parent_loop_with_gap():
+    dist, _ = make_dist(4, n_cells=12, n_groups=3, grid_m=20, profile="two_group_bias")
+    cfg = SolverConfig(notion="sp", gamma=0.0, C=0.5, eta=0.02, T=2000, record_every=25,
+                       compute_gap=True)
+    got = run(dist, cfg)
+    _assert_same_run(got, reference_run_loop(dist, cfg))
+    assert got.counters["projections"] > 0
+
+
+def _assert_ball_boundary(dist, notion, eta, gamma=0.01):
+    # C set to the exact L1 total after round 1, and one double either
+    # side: the quick sum lets each through, and only the exact test tells
+    # "on the sphere" (no projection) from "just outside" (projection)
+    def config(C, T):
+        return SolverConfig(notion=notion, gamma=gamma, C=C, eta=eta, T=T, record_every=3)
+
+    first = run(dist, config(10.0, 1)).final_dual
+    total = first.lambda_plus.sum() + first.lambda_minus.sum()
+    assert total > 0.0
+    for C, projected in ((np.nextafter(total, 0.0), 1), (total, 0),
+                         (np.nextafter(total, np.inf), 0)):
+        assert run(dist, config(float(C), 1)).counters["projections"] == projected
+        cfg = config(float(C), 300)
+        _assert_same_run(run(dist, cfg), reference_run_loop(dist, cfg))
+    return first
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_l1_check_at_the_ball_boundary(biased_instance, notion):
+    _assert_ball_boundary(biased_instance, notion, 0.05)
+
+
+@pytest.mark.parametrize("eta, quick_above", [(0.03, True), (0.07, False)])
+def test_l1_check_where_summation_orders_differ(eta, quick_above):
+    # here the quick sum of the round-1 dual and lam_p.sum() + lam_m.sum()
+    # differ in the last bit, one way for each eta, so a check that trusted
+    # the quick sum alone would project on the wrong rounds
+    dist, _ = make_dist(3, n_cells=12, n_groups=3, grid_m=20, profile="two_group_bias")
+    first = _assert_ball_boundary(dist, "fp", eta, gamma=0.001)
+    quick = sum(np.concatenate((first.lambda_plus, first.lambda_minus)).tolist())
+    exact = first.lambda_plus.sum() + first.lambda_minus.sum()
+    assert (quick > exact) if quick_above else (quick < exact)
