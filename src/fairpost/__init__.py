@@ -33,6 +33,7 @@ from .solver import (
     lagrangian_value,
     project_l1,
     run,
+    run_many,
     run_sampled,
     sample_size,
 )
@@ -71,7 +72,7 @@ __all__ = [
     "surrogate_error", "surrogate_group_rate", "true_rates",
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
     "TrajectoryRecord", "best_response", "dual_gradient", "iteration_budget",
-    "lagrangian_value", "project_l1", "run", "run_sampled", "sample_size",
+    "lagrangian_value", "project_l1", "run", "run_many", "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "d_of_v", "default_checks", "threshold_eval",
     "InfeasibleError", "OracleSolution", "PointwiseArgmin", "enumerate_optimum",

@@ -37,7 +37,7 @@ from .metrics import base_rates, constraint_vector, surrogate_error, true_rates
 from .multical import (assignment_from_scores, audit, brier, calibrate, default_checks,
                        round_cap)
 from .oracle import enumerate_optimum
-from .solver import BudgetExceededError, SolverConfig, run
+from .solver import BudgetExceededError, SolverConfig, run, run_batches
 from .synth import SplitMix64, SynthSpec, gen_instance
 
 __all__ = ["main"]
@@ -363,9 +363,9 @@ MIXTURE_SCHEMA = "fairpost.mixture.v2"
 
 def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
                      gamma: float) -> dict:
-    """The mixture.json document: a JSON header, and "lambdas" as the
-    standard padded base64 of the (T, n_groups) rows, little-endian float64
-    in row-major order."""
+    """The mixture.json document for _write_mixture: the JSON header, and
+    "lambdas" as the (T, n_groups) rows, little-endian float64 in row-major
+    order, which the file holds as their standard padded base64."""
     rows = np.ascontiguousarray(mixture.lambdas, dtype="<f8")
     return {
         "schema": MIXTURE_SCHEMA,
@@ -376,8 +376,34 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
         "beta": [float(b) for b in mixture.base.beta],
         "w": [float(w) for w in mixture.base.w],
         "tiebreak_positive": mixture.tiebreak_positive,
-        "lambdas": base64.b64encode(rows).decode("ascii"),
+        "lambdas": rows,
     }
+
+
+# base64 maps each 3 bytes to 4 characters, so pieces of a multiple of 3
+# bytes encode to strings that concatenate to the base64 of the whole
+_B64_CHUNK = 3 << 16
+_LAMBDAS_SLOT = "\0lambdas"
+
+
+def _write_mixture(path: Path, payload: dict) -> None:
+    """The bytes of _write_json(path, payload) with "lambdas" replaced by the
+    base64 string of its rows, written _B64_CHUNK bytes of rows at a time
+    instead of held whole (json.dump writes the encoder's pieces the same
+    way, and a base64 string needs no JSON escapes)."""
+    raw = memoryview(payload["lambdas"]).cast("B")
+    slot = json.dumps(_LAMBDAS_SLOT)
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for piece in encoder.iterencode({**payload, "lambdas": _LAMBDAS_SLOT}):
+            if piece != slot:
+                fh.write(piece)
+                continue
+            fh.write('"')
+            for lo in range(0, len(raw), _B64_CHUNK):
+                fh.write(base64.b64encode(raw[lo:lo + _B64_CHUNK]).decode("ascii"))
+            fh.write('"')
+        fh.write("\n")
 
 
 def _decode_lambdas(text, width: int) -> np.ndarray:
@@ -564,7 +590,7 @@ def cmd_solve(args) -> int:
     t3 = time.perf_counter()
 
     mixture_path = out_dir / "mixture.json"
-    _write_json(mixture_path, _mixture_payload(result.mixture, dist, solver_config.gamma))
+    _write_mixture(mixture_path, _mixture_payload(result.mixture, dist, solver_config.gamma))
     t4 = time.perf_counter()
     _write_trajectory(out_dir / "trajectory.csv", result.trajectory)
     _write_json(out_dir / "report.json", report)
@@ -581,18 +607,20 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_one(dist, has_labels, config, gamma):
-    cfg = dict(config)
-    cfg["gamma"] = gamma
-    solver_config = _solver_config(cfg)
-    result = run(dist, solver_config)
+def _sweep_row(dist, has_labels, gamma, result):
     p = result.mixture.positive_prob_vector(dist)
     err_hat = surrogate_error(p, dist)
+    notion = result.mixture.notion
     if has_labels:
-        rep = true_rates(p, dist, solver_config.notion)
+        rep = true_rates(p, dist, notion)
         return gamma, err_hat, rep.err, rep.max_violation, "ok"
-    cons = constraint_vector(p, dist, solver_config.notion, result.base)
+    cons = constraint_vector(p, dist, notion, result.base)
     return gamma, err_hat, None, float(np.abs(cons).max()), "ok"
+
+
+def _error_row(gamma, exc):
+    message = str(exc).replace(",", ";").replace("\n", " ")
+    return gamma, None, None, None, f"error: {message}"
 
 
 def cmd_sweep(args) -> int:
@@ -605,25 +633,29 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print("error: --gammas must be a comma-separated list of numbers", file=sys.stderr)
         return EXIT_INPUT
-    if any(g < 0 for g in gammas):
-        print("error: gamma values must be nonnegative", file=sys.stderr)
+    if not all(0.0 <= g < math.inf for g in gammas):
+        print("error: gamma values must be finite and nonnegative", file=sys.stderr)
         return EXIT_INPUT
     source = {}
     dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]), source)
     t1 = time.perf_counter()
-    rows = []
-    failures = 0
-    for g in gammas:
-        try:
-            rows.append(_sweep_one(dist, has_labels, config, g))
-        except BudgetExceededError as exc:
-            message = str(exc).replace(",", ";")
-            rows.append((g, None, None, None, f"error: {message}"))
-            failures += 1
-        except Exception as exc:  # per-row failure, reported in the csv
-            message = str(exc).replace(",", ";").replace("\n", " ")
-            rows.append((g, None, None, None, f"error: {message}"))
-            failures += 1
+    # the solver runs the gammas in as few loops as LAMBDA_HISTORY_CAP
+    # admits; every failure is reported per gamma, in the csv
+    rows, counters, batches = [], [], 0
+    try:
+        configs = [_solver_config({**config, "gamma": g}) for g in gammas]
+        for results in run_batches(dist, configs):
+            batches += 1
+            for result in results:
+                g = gammas[len(rows)]
+                try:
+                    rows.append(_sweep_row(dist, has_labels, g, result))
+                except Exception as exc:
+                    rows.append(_error_row(g, exc))
+                counters.append({"gamma": g, **result.counters})
+    except Exception as exc:    # the rest fail alike: they share T and |G|
+        rows += [_error_row(g, exc) for g in gammas[len(rows):]]
+    failures = sum(row[4] != "ok" for row in rows)
     t2 = time.perf_counter()
 
     with open(out_dir / "pareto.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -637,7 +669,8 @@ def cmd_sweep(args) -> int:
         outputs.append("pareto.svg")
     _write_manifest(out_dir, "sweep", config, source,
                     {"parse": t1 - t0, "sweep": t2 - t1}, outputs,
-                    extra={"peak_rss_mb": _peak_rss_mb()}, write_start=t2)
+                    extra={"counters": counters, "solver_batches": batches,
+                           "peak_rss_mb": _peak_rss_mb()}, write_start=t2)
     return EXIT_OK if failures == 0 else EXIT_INPUT
 
 

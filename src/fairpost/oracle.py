@@ -196,6 +196,8 @@ def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
     LP with the two-phase simplex.  Guarded to 2^max_cells labelings.
     """
     notion = FairnessNotion.coerce(notion)
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     n = dist.n_cells

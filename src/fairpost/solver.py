@@ -9,8 +9,9 @@ mixture over all rounds' rules is the returned randomized classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -46,6 +47,8 @@ __all__ = [
     "project_l1",
     "lagrangian_value",
     "run",
+    "run_many",
+    "run_batches",
     "run_sampled",
 ]
 
@@ -55,7 +58,9 @@ class BudgetExceededError(RuntimeError):
     (T, n_groups) lambda history would exceed LAMBDA_HISTORY_CAP bytes."""
 
 
-# The mixture keeps one float64 lambda row per round: T * n_groups * 8 bytes.
+# Each mixture keeps one float64 lambda row per round: T * n_groups * 8
+# bytes.  One solver loop over K gammas holds K such histories, so
+# run_batches gives each loop as many gammas as fit under the cap.
 LAMBDA_HISTORY_CAP = 1 << 30
 
 
@@ -98,15 +103,17 @@ class SolverConfig:
 
     def __post_init__(self):
         self.notion = FairnessNotion.coerce(self.notion)
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be a finite nonnegative number")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
+        if self.eta != "auto" and not 0 < float(self.eta) < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.projection_mode not in ("euclidean_l1", "rescale"):
             raise ValueError(f"unknown projection mode {self.projection_mode!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.work_cap <= 0:
+        if not self.work_cap > 0:    # NaN too; inf lifts the cap
             raise ValueError("work_cap must be positive")
 
 
@@ -218,7 +225,7 @@ def lagrangian_value(h, dual: DualState, dist: CellDistribution, notion,
 
 
 def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
-    T = iteration_budget(config.C, n_groups) if config.T == "auto" else int(config.T)
+    T = _rounds(config, n_groups)
     if T < 1:
         raise ValueError("T must be at least 1")
     if T * n_cells > config.work_cap:
@@ -231,9 +238,13 @@ def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
             f"> cap {LAMBDA_HISTORY_CAP:.3g} bytes; lower C or T")
     eta = (config.C / math.sqrt(2.0 * n_groups * T)
            if config.eta == "auto" else float(config.eta))
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     return T, eta
+
+
+def _rounds(config: SolverConfig, n_groups: int) -> int:
+    return iteration_budget(config.C, n_groups) if config.T == "auto" else int(config.T)
 
 
 def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
@@ -246,12 +257,24 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
     }
 
 
-def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
-              record_deviation: bool = False) -> SolveResult:
-    """Primal/dual rounds.  The best response is the per-cell threshold form
-    of decide_batch: one matvec and one compare per round.  The dual step
-    depends only on the 0/1 decision pattern, so exact-rate runs compute it
-    once per distinct pattern; sampled rounds recompute it every round."""
+def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
+              record_deviation: bool = False) -> List[SolveResult]:
+    """Primal/dual rounds for K configs that differ only in gamma, advanced
+    together.  The best response is the per-cell threshold form of
+    decide_batch: one stacked matvec and one compare per round for all K
+    duals.  The dual step depends only on the 0/1 decision pattern, so
+    exact-rate runs compute each row's step once per distinct pattern;
+    sampled rounds (K = 1 only) recompute it every round.
+
+    State arrays carry a batch shape, () when K = 1 and (K, 1) when K > 1:
+    the dual is batch + (2|G|,) and round t's lambdas are lam_hist[t - 1],
+    batch + (|G|,).  matmul runs one gemv per (1, |G|) row of the stack,
+    the same call the 1-D product makes, so every row's S has the bits of
+    the single-gamma run.  run_batches checks the configs and sizes K."""
+    config = configs[0]
+    K = len(configs)
+    if K > 1 and sampler is not None:
+        raise ValueError("sampled runs solve one gamma at a time")
     notion = config.notion
     base = base_rates(dist, notion, config.beta_mode)
     f = dist.scores
@@ -264,64 +287,117 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     viol_mult = _constraint_multiplier(base)
     row = rate_terms(notion, f)
     memb = G - beta[:, None]
-    gamma, C = config.gamma, config.C
+    C = config.C
     sign, thresh = decision_thresholds(f, notion, decide=decide_batch)
     smemb = memb * sign
 
-    def round_terms(h, eval_masses):
-        # (dual step for the concatenated (lambda+, lambda-), err_hat, max
-        # violation, rho_g) of one decision pattern; for 0/1 h the rate
-        # table gives the reference loop's bits
+    def rates(h, eval_masses):
+        # (centered constraint, err_hat, max violation, rho_g) of one
+        # decision pattern; for 0/1 h the rate table gives the reference
+        # loop's bits
         h = h.astype(float)
         rho_g, rho0 = group_rates(row, h, eval_masses, G)
-        centered = rho_g - beta * rho0
-        step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
-        return (step, error_rate(h, f, eval_masses),
+        return (rho_g - beta * rho0, error_rate(h, f, eval_masses),
                 float(np.abs(rho_g - viol_mult * rho0).max()), rho_g)
 
-    dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
-    lam_p, lam_m = dual[:n_groups], dual[n_groups:]
-    lam_hist = np.empty((T, n_groups))
+    def round_terms(pattern_rates, gamma):
+        # (dual step for the concatenated (lambda+, lambda-), err_hat, max
+        # violation, rho_g) of one row
+        centered, err_hat, max_violation, rho_g = pattern_rates
+        step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
+        return step, err_hat, max_violation, rho_g
+
+    batch = () if K == 1 else (K, 1)
+    dual = np.zeros(batch + (2 * n_groups,))    # lambda+ then lambda-, updated in place
+    # thresholds repeated to S's shape: the compare then runs as one loop
+    thresh = np.ascontiguousarray(np.broadcast_to(thresh, batch + (n_cells,)))
+    lam_p, lam_m = dual[..., :n_groups], dual[..., n_groups:]
+    # row k's history is the contiguous (T, |G|) block hists[k]; lam_hist
+    # views it round-major, (T,) + batch + (|G|,)
+    hists = np.empty((K, T, n_groups))
+    lam_hist = hists[0] if K == 1 else hists[:, :, None, :].transpose(1, 0, 2, 3)
+    # per row: 1-D lambda+ and lambda- views, and the step cache
+    rows_p, rows_m = ([lam_p], [lam_m]) if K == 1 else (list(lam_p[:, 0]), list(lam_m[:, 0]))
+    caches = [{} for _ in configs]
+    cache = caches[0]
+    patterns = {}    # decision pattern -> rates, shared by the rows
+    gammas = [c.gamma for c in configs]
     compute_gap, record_every = config.compute_gap, config.record_every
+    gamma = config.gamma
     dec_sum = np.zeros(n_cells)
     sum_lam_p = np.zeros(n_groups)
     sum_lam_m = np.zeros(n_groups)
-    trajectory: List[TrajectoryRecord] = []
+    trajectories: List[List[TrajectoryRecord]] = [[] for _ in configs]
     deviations = np.zeros((T, n_groups)) if record_deviation else None
-    cache = {}
-    projections = 0
+    projections = [0] * K
     # every order of summing the 2|G| nonnegative entries lands within a
     # relative (2|G| - 1) eps of their exact sum, so a quick sum at or below
     # l1_safe proves that lam_p.sum() + lam_m.sum() does not exceed C
     l1_safe = C * (1.0 - 16.0 * n_groups * np.finfo(float).eps)
+    # row k's decisions in h.tobytes()
+    row_slices = [slice(lo, lo + n_cells) for lo in range(0, K * n_cells, n_cells)]
+    flat = dual.reshape(-1)
+    zeros = np.zeros(flat.shape)
+    first = itemgetter(0)
+    by_row = dual.reshape(K, 2 * n_groups)
 
-    for t in range(1, T + 1):
-        lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
+    def miss(k, key):
+        # the terms of row k at a decision pattern it has not met before
+        pattern_rates = patterns.get(key)
+        if pattern_rates is None:
+            pattern_rates = patterns[key] = rates(np.frombuffer(key, dtype=bool), masses)
+        terms = caches[k][key] = round_terms(pattern_rates, gammas[k])
+        return terms
+
+    def bring_back(k):
+        # the exact L1 test, and the projection, for a row whose quick sum
+        # exceeds l1_safe
+        row_p, row_m = rows_p[k], rows_m[k]
+        if row_p.sum() + row_m.sum() > C:
+            projected = project_l1(DualState(row_p, row_m, C), config.projection_mode)
+            row_p[:] = projected.lambda_plus
+            row_m[:] = projected.lambda_minus
+            projections[k] += 1
+
+    for t, lam in enumerate(lam_hist, 1):
+        np.subtract(lam_p, lam_m, out=lam)
         h = lam @ smemb <= thresh
 
-        if sampler is None:
-            key = h.tobytes()
-            terms = cache.get(key)
-            if terms is None:
-                terms = cache[key] = round_terms(h, masses)
-        else:
-            terms = round_terms(h, sampler(t))
+        # one row keeps the one-gamma statements, which cost less than the
+        # batched forms and allocate no Python container per round (each
+        # allocation counts toward a garbage collection)
+        if sampler is not None:
+            row_terms = round_terms(rates(h, sampler(t)), gamma)
             if record_deviation:
                 pop_rho_g, _ = group_rates(row, h.astype(float), masses, G)
-                deviations[t - 1] = np.abs(terms[3] - pop_rho_g)
-        step, err_hat, max_violation, _ = terms
+                deviations[t - 1] = np.abs(row_terms[3] - pop_rho_g)
+        elif K == 1:
+            key = h.tobytes()
+            row_terms = cache.get(key) or miss(0, key)
+        else:
+            keys = list(map(h.tobytes().__getitem__, row_slices))
+            terms = list(map(dict.get, caches, keys))
+            if None in terms:
+                for k, key in enumerate(keys):
+                    terms[k] = terms[k] or miss(k, key)
 
         if compute_gap:
             dec_sum += h
             sum_lam_p += lam_p
             sum_lam_m += lam_m
 
-        np.maximum(0.0, dual + step, out=dual)
-        if sum(dual.tolist()) > l1_safe and lam_p.sum() + lam_m.sum() > C:
-            projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
-            lam_p[:] = projected.lambda_plus
-            lam_m[:] = projected.lambda_minus
-            projections += 1
+        # max(0, dual + step); an array of zeros skips converting the
+        # scalar 0.0 each call and gives the same bits
+        if K == 1:
+            np.maximum(zeros, dual + row_terms[0], out=dual)
+            if sum(dual.tolist()) > l1_safe:
+                bring_back(0)
+        else:
+            np.maximum(zeros, flat + np.concatenate(list(map(first, terms))), out=flat)
+            if max(map(sum, by_row.tolist())) > l1_safe:
+                for k, total in enumerate(map(sum, by_row.tolist())):
+                    if total > l1_safe:
+                        bring_back(k)
 
         if (t - 1) % record_every == 0:
             gap = None
@@ -329,27 +405,28 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
                 gap = _gap_estimate(
                     dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
                     memb, beta, notion, gamma, C)
-            trajectory.append(TrajectoryRecord(
-                t=t,
-                err_hat=err_hat,
-                max_violation_hat=max_violation,
-                lambda_l1=float(lam_p.sum() + lam_m.sum()),
-                duality_gap_estimate=gap,
-            ))
+            for row_p, row_m, (_, err_hat, max_violation, _), trajectory in zip(
+                    rows_p, rows_m, (row_terms,) if K == 1 else terms, trajectories):
+                trajectory.append(TrajectoryRecord(
+                    t=t,
+                    err_hat=err_hat,
+                    max_violation_hat=max_violation,
+                    lambda_l1=float(row_p.sum() + row_m.sum()),
+                    duality_gap_estimate=gap,
+                ))
 
-    mixture = MixtureClassifier(lam_hist, notion, base)
-    return SolveResult(
-        mixture=mixture,
-        final_dual=DualState(lam_p, lam_m, C),
-        trajectory=trajectory,
+    return [SolveResult(
+        mixture=MixtureClassifier(hists[k], notion, base),
+        final_dual=DualState(rows_p[k], rows_m[k], C),
+        trajectory=trajectories[k],
         theorem_bounds=_theorem_bounds(C),
         base=base,
         T=T,
         eta=eta,
         estimation_deviations=deviations,
-        counters={"rounds": T, "projections": projections,
-                  "distinct_decisions": len(cache)},
-    )
+        counters={"rounds": T, "projections": projections[k],
+                  "distinct_decisions": len(caches[k])},
+    ) for k in range(K)]
 
 
 def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
@@ -375,6 +452,38 @@ def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
     return upper - lower
 
 
+def run_batches(dist: CellDistribution,
+                configs: List[SolverConfig]) -> Iterator[List[SolveResult]]:
+    """run() at each of K configs that differ only in gamma, one solver loop
+    per batch of consecutive configs: as many as LAMBDA_HISTORY_CAP admits
+    (K * T * |G| * 8 bytes), at least one.  Yields each batch's results in
+    order, so a caller that keeps only what it derives from a batch holds
+    one batch's histories at a time.
+
+    Result k is byte-identical to run(dist, configs[k]): the same lambda
+    history, trajectory, counters and final dual.  All configs share T and
+    |G|, so every batch runs or the first one raises what run() raises.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("at least one config is needed")
+    config = configs[0]
+    if any(replace(c, gamma=config.gamma) != config for c in configs[1:]):
+        raise ValueError("configs solved together may differ only in gamma")
+    if len(configs) > 1 and config.compute_gap:
+        raise ValueError("compute_gap solves one gamma at a time")
+    n_groups = dist.group_matrix.shape[0]
+    size = max(1, LAMBDA_HISTORY_CAP // max(1, _rounds(config, n_groups) * n_groups * 8))
+    for lo in range(0, len(configs), size):
+        yield _run_loop(dist, configs[lo:lo + size])
+
+
+def run_many(dist: CellDistribution, configs: List[SolverConfig]) -> List[SolveResult]:
+    """run() at each of K configs that differ only in gamma: the results of
+    run_batches, in order."""
+    return [result for batch in run_batches(dist, configs) for result in batch]
+
+
 def run(dist: CellDistribution, config: SolverConfig,
         scores_as_f: bool = True) -> SolveResult:
     """Run the full deterministic dynamics over exact cell expectations.
@@ -385,7 +494,7 @@ def run(dist: CellDistribution, config: SolverConfig,
     """
     if not scores_as_f:
         dist = dist.with_scores_from_labels()
-    return _run_loop(dist, config)
+    return run_many(dist, [config])[0]
 
 
 def run_sampled(population: CellDistribution, sampler_seed: int,
@@ -411,7 +520,7 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
         counts = rng.multinomial(m, masses)
         return counts / m
 
-    result = _run_loop(population, config, sampler=sampler,
-                       record_deviation=record_deviation)
+    result, = _run_loop(population, [config], sampler=sampler,
+                        record_deviation=record_deviation)
     result.theorem_bounds = _theorem_bounds(config.C, epsilon)
     return result

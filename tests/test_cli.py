@@ -368,6 +368,58 @@ def test_sweep_single_gamma(dataset, tmp_path):
     assert lines[2].startswith("0.05,")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--gamma", "inf"], "gamma must be a finite nonnegative number"),
+    (["solve", "--gamma", "nan"], "gamma must be a finite nonnegative number"),
+    (["solve", "--C", "nan"], "C must be positive and finite"),
+    (["solve", "--C", "inf"], "C must be positive and finite"),
+    (["solve", "--eta", "nan"], "eta must be positive and finite"),
+    (["solve", "--eta", "inf"], "eta must be positive and finite"),
+    (["solve", "--work-cap", "nan"], "work_cap must be positive"),
+    (["sweep", "--gammas", "0.01,inf"], "gamma values must be finite and nonnegative"),
+    (["sweep", "--gammas", "nan,0.01"], "gamma values must be finite and nonnegative"),
+])
+def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    if argv[0] == "sweep":
+        argv = argv + ["--C", "4", "--T", "50"]
+    assert main([argv[0], str(dataset), *argv[1:], "--grid-m", "20",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypatch):
+    from fairpost import solver
+    args = ["sweep", str(dataset), "--gammas", "0.2,0.01,0.05,0.0,0.1", "--C", "2",
+            "--T", "300", "--grid-m", "20", "--svg"]
+    one, split = tmp_path / "one", tmp_path / "split"
+    assert main(args + ["--out-dir", str(one)]) == 0
+    # room for two gammas' (T, 3) histories: batches of 2, 2 and 1
+    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 2 * 300 * 3 * 8)
+    assert main(args + ["--out-dir", str(split)]) == 0
+    for name in ("pareto.csv", "pareto.svg"):
+        assert (split / name).read_bytes() == (one / name).read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (one, split)]
+    assert [m["solver_batches"] for m in manifests] == [1, 3]
+    assert manifests[0]["counters"] == manifests[1]["counters"]
+    counters = manifests[0]["counters"]
+    assert [c["gamma"] for c in counters] == [0.0, 0.01, 0.05, 0.1, 0.2]
+    assert all(set(c) == {"gamma", "rounds", "projections", "distinct_decisions"}
+               and c["rounds"] == 300 and c["distinct_decisions"] >= 1 for c in counters)
+    # no room for even one gamma: each row fails with the single-gamma message
+    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 300 * 3 * 8 - 1)
+    over = tmp_path / "over"
+    assert main(args + ["--out-dir", str(over)]) == 1
+    rows = (over / "pareto.csv").read_text().splitlines()[2:]
+    assert len(rows) == 5 and all(
+        ",,,,error: budget exceeded: lambda history T*groups*8 = 7.2e+03 bytes > cap" in r
+        for r in rows)
+    manifest = json.loads((over / "manifest.json").read_text())
+    assert manifest["solver_batches"] == 0 and manifest["counters"] == []
+
+
 def test_sweep_deterministic_and_sorted(dataset, tmp_path):
     args = ["sweep", str(dataset), "--gammas", "0.25,0.05,1.0", "--C", "4",
             "--T", "200", "--grid-m", "20", "--svg"]
@@ -460,6 +512,8 @@ def solved(tmp_path_factory):
     (["eval", 8, "--oracle", "--gamma", "-1"], "oracle: gamma must be nonnegative"),
     (["calibrate", 8, "--alpha", "1.5"], "alpha must lie in (0, 1)"),
     (["synth", "--seed", "1", "--n-cells", "0"], "n_cells must be at least 1"),
+    (["eval", 8, "--oracle", "--gamma", "inf"], "oracle: gamma must be finite"),
+    (["eval", 8, "--oracle", "--gamma", "nan"], "oracle: gamma must be finite"),
 ])
 def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, command, message):
     argv = [command[0]]
@@ -494,9 +548,34 @@ def _mixture_files(tmp_path, lambdas):
     mix = MixtureClassifier(np.asarray(lambdas, dtype=float), FairnessNotion.FP, base)
     payload = cli._mixture_payload(mix, dist, 0.05)
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    cli._write_json(v2, payload)
+    cli._write_mixture(v2, payload)
     _v1_document(v1, payload, mix.lambdas)
     return v1, v2
+
+
+@pytest.mark.parametrize("chunk, T", [
+    (45, 1), (45, 7), (45, 15), (45, 16), (3, 2), (None, 8193)])
+def test_chunked_mixture_bytes_equal_write_json(tmp_path, monkeypatch, chunk, T):
+    # _write_mixture encodes the rows chunk bytes at a time; the pieces must
+    # join to the bytes _write_json writes for the whole base64 string, also
+    # where a chunk ends inside a row (45 bytes: not a multiple of 24) and
+    # where the last chunk is short (T = 8193 at the default chunk size)
+    assert cli._B64_CHUNK % 3 == 0
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_B64_CHUNK", chunk)
+    rng = np.random.Generator(np.random.PCG64(T))
+    lam = rng.standard_normal((T, 3)) * 10.0 ** rng.integers(-300, 300, size=(T, 3))
+    data = tmp_path / "tiny.csv"
+    data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
+    dist, _ = read_dataset(str(data), 4)
+    base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
+    mix = MixtureClassifier(lam, FairnessNotion.FP, base)
+    payload = cli._mixture_payload(mix, dist, 0.05)
+    whole, pieces = tmp_path / "whole.json", tmp_path / "pieces.json"
+    cli._write_json(whole, {**payload,
+                            "lambdas": base64.b64encode(payload["lambdas"]).decode("ascii")})
+    cli._write_mixture(pieces, payload)
+    assert pieces.read_bytes() == whole.read_bytes()
 
 
 @pytest.mark.parametrize("T", [1, 2, 4095, 4096, 4097, 8193])
@@ -563,6 +642,9 @@ def test_sweep_eval_manifest_stages(calibration_dataset, tmp_path, command):
     timings = manifest["timings_seconds"]
     if command == "sweep":
         assert set(timings) == {"parse", "sweep", "write"}
+        assert manifest["solver_batches"] == 1
+        assert [(c["gamma"], c["rounds"]) for c in manifest["counters"]] == [
+            (0.05, 2000), (0.25, 2000), (1.0, 2000)]
     else:
         assert set(timings) == {"load_mixture", "parse", "eval", "write"}
         assert manifest["mixture_bytes"] == (run_dir / "mixture.json").stat().st_size

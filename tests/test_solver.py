@@ -5,6 +5,7 @@ from typing import List
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fairpost import (
     BudgetExceededError,
@@ -21,17 +22,21 @@ from fairpost import (
     pointwise_argmin,
     project_l1,
     run,
+    run_many,
     run_sampled,
     sample_size,
     surrogate_error,
 )
 from fairpost.core import MixtureClassifier, decide_batch
+from fairpost import solver
 from fairpost.solver import (
     SolveResult,
     TrajectoryRecord,
     _gap_estimate,
     _resolve_schedule,
+    _run_loop,
     _theorem_bounds,
+    run_batches,
 )
 
 from conftest import make_dist, rand_lambda
@@ -626,3 +631,116 @@ def test_l1_check_where_summation_orders_differ(eta, quick_above):
     quick = sum(np.concatenate((first.lambda_plus, first.lambda_minus)).tolist())
     exact = first.lambda_plus.sum() + first.lambda_minus.sum()
     assert (quick > exact) if quick_above else (quick < exact)
+
+
+# ------------------------------------------------------------ many gammas
+# run_many advances K duals in one loop; row k must be run() at gamma k.
+
+def _configs(gammas, **kw):
+    return [SolverConfig(gamma=g, **kw) for g in gammas]
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("mode", ["euclidean_l1", "rescale"])
+@pytest.mark.parametrize("gammas", [[0.0], [0.05, 0.0, 0.01]])
+def test_run_many_rows_equal_single_runs(biased_instance, notion, mode, gammas):
+    # C = 0.5 with a large step: the small gammas leave the ball often
+    configs = _configs(gammas, notion=notion, C=0.5, eta=0.05, T=3000, record_every=7,
+                       projection_mode=mode)
+    got = run_many(biased_instance, configs)
+    assert len(got) == len(configs)
+    for row, cfg in zip(got, configs):
+        _assert_same_run(row, run(biased_instance, cfg))
+        _assert_same_run(row, reference_run_loop(biased_instance, cfg))
+        assert row.mixture.lambdas.flags.c_contiguous
+    assert any(row.counters["projections"] > 0 for row in got)
+
+
+def test_run_many_at_the_default_budget(biased_instance):
+    configs = _configs([0.005, 0.25, 0.01], notion="fp", C=3.0, record_every=100)
+    for row, cfg in zip(run_many(biased_instance, configs), configs):
+        _assert_same_run(row, run(biased_instance, cfg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_cells=st.integers(2, 12), n_groups=st.integers(1, 4),
+       notion=st.sampled_from(NOTIONS),
+       gammas=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.2, 1.0]),
+                       min_size=1, max_size=5),
+       C=st.sampled_from([0.3, 1.0, 4.0]), eta=st.sampled_from([0.01, 0.1, 0.5]),
+       mode=st.sampled_from(["euclidean_l1", "rescale"]),
+       profile=st.sampled_from(["uniform", "adversarial_overlap"]))
+def test_run_many_property(seed, n_cells, n_groups, notion, gammas, C, eta, mode, profile):
+    dist, _ = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=10, profile=profile)
+    try:
+        base_rates(dist, FairnessNotion.coerce(notion), "from_scores")
+    except ValueError:    # a label marginal of 0 or 1 has no constrained problem
+        assume(False)
+    configs = _configs(gammas, notion=notion, C=C, eta=eta, T=200, record_every=13,
+                       projection_mode=mode)
+    for row, cfg in zip(run_many(dist, configs), configs):
+        _assert_same_run(row, run(dist, cfg))
+
+
+@pytest.mark.parametrize("n_groups", [2, 3, 4, 12])
+@pytest.mark.parametrize("n_cells", [8, 400])
+def test_stacked_matvec_rows_equal_1d_products(n_groups, n_cells):
+    # the solver's S for K gammas is one (K, 1, |G|) @ (|G|, cells) matmul,
+    # which numpy runs as one gemv per row; each row must have the bits of
+    # the 1-D product of that row, for the contiguous stack and for the
+    # round-major view of the (K, T, |G|) history the solver writes into
+    rng = np.random.Generator(np.random.PCG64(n_groups * 1000 + n_cells))
+    K, T = 6, 5
+    for _ in range(50):
+        smemb = rng.standard_normal((n_groups, n_cells)) * rng.uniform(0.1, 10.0)
+        hists = np.empty((K, T, n_groups))
+        lam_hist = hists[:, :, None, :].transpose(1, 0, 2, 3)
+        lam_hist[...] = rng.standard_normal((T, K, 1, n_groups))
+        for lam in (lam_hist[T - 1], np.ascontiguousarray(lam_hist[T - 1])):
+            S = lam @ smemb
+            assert S.shape == (K, 1, n_cells)
+            for k in range(K):
+                want = np.array(lam[k, 0]) @ smemb
+                assert S[k, 0].tobytes() == want.tobytes()
+
+
+def test_run_many_one_gamma_at_a_time_for_gap_and_sampler(biased_instance, monkeypatch):
+    configs = _configs([0.01, 0.05], notion="fp", C=2.0, T=10)
+    with pytest.raises(ValueError, match="one gamma at a time"):
+        run_many(biased_instance, _configs([0.01, 0.05], notion="fp", C=2.0, T=10,
+                                           compute_gap=True))
+    # also when the cap would put each gamma in a loop of its own
+    n_groups = biased_instance.group_matrix.shape[0]
+    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 10 * n_groups * 8)
+    with pytest.raises(ValueError, match="one gamma at a time"):
+        run_many(biased_instance, _configs([0.01, 0.05], notion="fp", C=2.0, T=10,
+                                           compute_gap=True))
+    with pytest.raises(ValueError, match="one gamma at a time"):
+        _run_loop(biased_instance, configs, sampler=lambda t: biased_instance.masses)
+    with pytest.raises(ValueError, match="differ only in gamma"):
+        run_many(biased_instance, [configs[0], SolverConfig(notion="fp", C=3.0, T=10)])
+    with pytest.raises(ValueError, match="at least one config"):
+        run_many(biased_instance, [])
+    # one gamma with either still runs
+    run_many(biased_instance, _configs([0.01], notion="fp", C=2.0, T=10, compute_gap=True))
+
+
+def test_lambda_history_cap_bounds_the_batch(biased_instance, monkeypatch):
+    n_groups = biased_instance.group_matrix.shape[0]
+    configs = _configs([0.0, 0.1, 0.2, 0.3, 0.01, 0.05, 0.5], notion="fp", C=2.0, T=100,
+                       record_every=9)
+    whole = run_many(biased_instance, configs)
+    # room for three gammas' (T, |G|) histories: loops of 3, 3 and 1
+    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 3 * 100 * n_groups * 8)
+    batches = list(run_batches(biased_instance, configs))
+    assert [len(b) for b in batches] == [3, 3, 1]
+    for got, want in zip([r for b in batches for r in b], whole):
+        _assert_same_run(got, want)
+    for got, want in zip(run_many(biased_instance, configs), whole):
+        _assert_same_run(got, want)
+    # no room for one gamma: the first loop raises run's own message
+    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 100 * n_groups * 8 - 1)
+    message = f"lambda history T*groups*8 = {100 * n_groups * 8:.3g} bytes > cap"
+    for cfgs in (configs, configs[:1]):
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            run_many(biased_instance, cfgs)
