@@ -13,9 +13,9 @@ import base64
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
-import re
 import resource
 import sys
 import time
@@ -271,16 +271,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-
-
 def _write_manifest(out_dir: Path, command: str, config: dict, source: dict,
                     timings: dict, outputs: List[str], extra: Optional[dict] = None,
                     write_start: Optional[float] = None) -> None:
     """Write manifest.json; source is read_dataset's input summary.  With
     write_start, timings["write"] runs from it to just before the manifest
-    itself is written."""
+    itself is written.  peak_rss_mb is the process's peak RSS so far."""
     manifest = {
         "command": command,
         "config": config,
@@ -289,6 +285,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, source: dict,
         "version": __version__,
         "timings_seconds": timings,
         "outputs": outputs,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if extra:
         manifest.update(extra)
@@ -420,93 +418,41 @@ def _decode_lambdas(text, width: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(-1, width)
 
 
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_JSON_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
-
-
-def _parse_mixture(text: str) -> Tuple[dict, Optional[np.ndarray]]:
-    """json.loads of a mixture document, except that a top-level "lambdas"
-    list (schema v1) is decoded one row at a time into a (T, n_groups) float
-    array; a v2 "lambdas" string stays in the payload.
-
-    The plain parse holds a Python list and n_groups float objects per rule,
-    about 170 bytes against the array's 8 per group: 50 MB more at the
-    fixture's T = 313,600.  Every value still goes through the json module's
-    decoder, so the doubles are the ones json.load returns.
-    """
-    decoder = json.JSONDecoder()
-    decode = decoder.raw_decode
-
-    def expect(char, i):
-        i = _JSON_SPACE.match(text, i).end()
-        if not text.startswith(char, i):
-            raise json.JSONDecodeError(f"Expecting {char!r}", text, i)
-        return _JSON_SPACE.match(text, i + 1).end()
-
-    def rows(i):
-        # the C scanner straight, without raw_decode's Python frame: this
-        # loop runs once per rule and is most of the load time
-        scan, comma_at, values = decoder.scan_once, _JSON_COMMA.match, array.array("d")
-        width = count = 0
-        if not text.startswith("]", i):
-            try:
-                row, i = scan(text, i)
-                width = len(row) if isinstance(row, list) else -1
-                while True:
-                    if type(row) is not list or len(row) != width:
-                        raise InputError("mixture lambdas must be a list of equal-length rows")
-                    values.extend(row)
-                    count += 1
-                    comma = comma_at(text, i)
-                    if comma is None:
-                        break
-                    row, i = scan(text, comma.end())
-            except StopIteration as err:
-                raise json.JSONDecodeError("Expecting value", text, err.value) from None
-            except TypeError:
-                raise InputError("mixture lambdas must be numbers") from None
-        return np.frombuffer(values).reshape(count, width), expect("]", i)
-
-    payload, lambdas = {}, None
-    i = expect("{", 0)
-    if not text.startswith("}", i):
-        while True:
-            key, i = decode(text, i)
-            if not isinstance(key, str):
-                raise json.JSONDecodeError("Expecting property name", text, i)
-            i = expect(":", i)
-            if key == "lambdas" and text.startswith("[", i):
-                lambdas, i = rows(expect("[", i))
-            else:
-                payload[key], i = decode(text, i)
-            comma = _JSON_COMMA.match(text, i)
-            if comma is None:
-                break
-            i = comma.end()
-    i = expect("}", i)
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
-    return payload, lambdas
+def _v1_rows(rows) -> np.ndarray:
+    """The (T, width) rows of a v1 "lambdas" list of equal-length lists."""
+    if rows is None:
+        raise ValueError("no lambdas rows")
+    if (not isinstance(rows, list) or not set(map(type, rows)) <= {list}
+            or len(set(map(len, rows))) > 1):
+        raise ValueError("lambdas must be a list of equal-length rows")
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError("lambdas must be numbers")
+    return np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     """Load a mixture.json, schema v2 or v1; the returned payload holds every
-    field but "lambdas"."""
+    field but "lambdas".
+
+    The document is read by one json.load.  A v2 "lambdas" string decodes to
+    8 bytes per value.  A v1 list of rows is held as Python lists and floats
+    until it becomes an array, which peaks about 170 bytes per 3-group rule
+    higher than a v2 load.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload, lambdas = _parse_mixture(fh.read())
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mixture {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"bad mixture: bytes {exc.object[exc.start:exc.end]!r} at offset "
                          f"{exc.start} are not valid UTF-8") from None
+    if not isinstance(payload, dict):
+        raise InputError("bad mixture: the document must be a JSON object")
     schema = payload.get("schema")
-    if schema == MIXTURE_SCHEMA:
-        encoded = payload.pop("lambdas", None)
-    elif schema != "fairpost.mixture.v1":
+    lambdas = payload.pop("lambdas", None)
+    if schema not in (MIXTURE_SCHEMA, "fairpost.mixture.v1"):
         raise InputError("unrecognized mixture schema")
-    elif lambdas is None:
-        raise InputError("mixture has no lambdas rows")
     for key in ("notion", "beta", "w", "grid_m", "group_names"):
         if key not in payload:
             raise InputError(f"bad mixture: missing field {key!r}")
@@ -519,15 +465,17 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError("bad mixture: group_names must be a list of strings")
     if not isinstance(tiebreak, bool):
         raise InputError("bad mixture: tiebreak_positive must be true or false")
-    if type(gamma) not in (int, float) or not 0.0 <= gamma < math.inf:
+    if type(gamma) not in (int, float) or not 0.0 <= gamma <= sys.float_info.max:
         raise InputError("bad mixture: gamma must be a nonnegative number")
     try:
         notion = FairnessNotion.coerce(payload["notion"])
         base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
         if schema == MIXTURE_SCHEMA:
-            lambdas = _decode_lambdas(encoded, len(base.beta))
+            lambdas = _decode_lambdas(lambdas, len(base.beta))
+        else:
+            lambdas = _v1_rows(lambdas)
         mixture = MixtureClassifier(lambdas, notion, base, tiebreak)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):
         raise InputError("bad mixture: group_names and beta differ in length")
@@ -600,8 +548,7 @@ def cmd_solve(args) -> int:
         out_dir, "solve", config, source, timings,
         ["mixture.json", "trajectory.csv", "report.json"],
         extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
-               "mixture_bytes": mixture_path.stat().st_size,
-               "peak_rss_mb": _peak_rss_mb()}, write_start=t4)
+               "mixture_bytes": mixture_path.stat().st_size}, write_start=t4)
     return code
 
 
@@ -669,8 +616,8 @@ def cmd_sweep(args) -> int:
         outputs.append("pareto.svg")
     _write_manifest(out_dir, "sweep", config, source,
                     {"parse": t1 - t0, "sweep": t2 - t1}, outputs,
-                    extra={"counters": counters, "solver_batches": batches,
-                           "peak_rss_mb": _peak_rss_mb()}, write_start=t2)
+                    extra={"counters": counters, "solver_batches": batches},
+                    write_start=t2)
     return EXIT_OK if failures == 0 else EXIT_INPUT
 
 
@@ -747,8 +694,7 @@ def cmd_audit(args) -> int:
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": 0.0,
                      "audit": t3 - t2},
                     ["audit.json"],
-                    extra={"counters": counters, "peak_rss_mb": _peak_rss_mb()},
-                    write_start=t3)
+                    extra={"counters": counters}, write_start=t3)
     return EXIT_OK
 
 
@@ -797,8 +743,7 @@ def cmd_calibrate(args) -> int:
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": t3 - t2,
                      "audit": t4 - t3},
                     ["calibration_history.csv", "calibration.json"],
-                    extra={"counters": counters, "peak_rss_mb": _peak_rss_mb()},
-                    write_start=t4)
+                    extra={"counters": counters}, write_start=t4)
     return EXIT_OK
 
 
@@ -885,8 +830,7 @@ def cmd_eval(args) -> int:
     _write_manifest(out_dir, "eval", {"mixture": args.mixture, "oracle": args.oracle},
                     source, {"load_mixture": t1 - t0, "parse": t2 - t1, "eval": t3 - t2},
                     ["evaluation.json"],
-                    extra={"mixture_bytes": Path(args.mixture).stat().st_size,
-                           "peak_rss_mb": _peak_rss_mb()},
+                    extra={"mixture_bytes": Path(args.mixture).stat().st_size},
                     write_start=t3)
     return EXIT_OK
 

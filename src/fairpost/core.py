@@ -250,6 +250,8 @@ class BaseRates:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+        if self.beta.ndim != 1 or self.beta.shape != self.w.shape:
+            raise ValueError("beta and w must be 1-D arrays of equal length")
         # written so that NaN entries fail too
         if not np.all((self.beta >= -1e-12) & (self.beta <= 1 + 1e-12)):
             raise ValueError("beta entries must lie in [0, 1]")

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairnessNotion, _group_rows, aggregate_cells, mask_from_bits
+from .core import (FairnessNotion, _group_rows, aggregate_cells, grid_indices,
+                   mask_from_bits)
 from .core import build_cells  # noqa: F401  (bench/spans.py traces it by this name)
 from .multical import apply_patches, calibrate, default_checks
 from .metrics import base_rates
@@ -164,17 +165,21 @@ class JointMulticalibrator(_ParamsMixin):
     def transform(self, scores, groups) -> np.ndarray:
         """Recalibrated scores obtained by replaying the patch history.
 
-        A check reads a point only through its raw score and its mask, so
-        the history is replayed once per distinct (score, membership row)
-        and the results are scattered back to the points.  The score key is
-        the bits of score + 0.0, so -0.0 and 0.0 share one replay.
+        A score is first snapped to the 1/grid_m grid, as fit snapped it
+        into its cell, so a training point gets its cell's assignment.  A
+        check reads a point only through that score and its mask, so the
+        history is replayed once per distinct (grid index, membership row)
+        and the results are scattered back to the points.
         """
         if not hasattr(self, "result_"):
             raise NotFittedError("call fit() before transforming")
         scores, groups, _ = check_scores_groups(scores, groups)
         if groups.shape[1] != self.n_groups_:
             raise ValueError("group matrix width changed between fit and transform")
-        row, point_of = _group_rows((scores + 0.0).view(np.int64), groups)
+        grid_m = self.distribution_.grid_m
+        k = grid_indices(scores, grid_m)
+        scores = k / grid_m
+        row, point_of = _group_rows(k, groups)
         replayed = np.array([
             apply_patches(s, mask_from_bits(g), self.result_, self.checks_)
             for s, g in zip(scores[row].tolist(), groups[row].tolist())

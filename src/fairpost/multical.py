@@ -45,6 +45,17 @@ __all__ = [
 # rule's acceptance region is a lower set in the group sum; it is an upper
 # set for FN).  Singular d values compare as 0 for "<=" checks against
 # -inf and for ">=" checks against +inf.
+#
+# ERR is the exception.  d(v) = -1 at every v but 1/2, so the check fires
+# on S >= -1, and never at v = 1/2, where d is infinite.  The best response
+# at f = v decides 1 on S <= -1 for v < 1/2, always at v = 1/2 (a tie), and
+# on S >= -1 for v > 1/2.  So the check is the best response above 1/2 and
+# its complement below (both fire on the tie S = -1 itself).  The audit
+# still bounds the best-response sets: at one level, the complement's term
+# |sum of m (v - q) over the cells where c is 0| is at most the all-ones
+# group's term plus c's own, so an alpha-audit of {I, c} bounds them by
+# 2 alpha whenever a group covers every cell.  read_dataset adds one when
+# no column does, and default_checks audits every group.
 _LE_NOTIONS = (FairnessNotion.FP, FairnessNotion.SP)
 
 

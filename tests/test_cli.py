@@ -210,7 +210,7 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
                    id=f"gamma-{name}")
       for name, text in (("string", '"x"'), ("negative", "-0.5"), ("bool", "true"),
                          ("nan", "NaN"), ("infinite", "Infinity"), ("null", "null"),
-                         ("list", "[0.1]"))),
+                         ("list", "[0.1]"), ("huge", "1" + "0" * 399))),
     pytest.param(V2, "[[0.1]]", "lambdas must be a base64 string", id="v2-list"),
     pytest.param(V2, None, "lambdas must be a base64 string", id="v2-no-lambdas"),
     # without validation the "$" would be dropped, leaving 8 valid bytes
@@ -221,24 +221,36 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
     pytest.param(V2, json.dumps(base64.b64encode(bytes(12)).decode()),
                  "lambdas hold 12 bytes, not a positive multiple of 8 * 1 groups",
                  id="v2-ragged"),
-    pytest.param({**V2, "beta": "[1.0, 1.0]"}, _b64(0.1, 0.2, 0.3),
+    pytest.param({**V2, "beta": "[1.0, 1.0]", "w": "[1.0, 1.0]"}, _b64(0.1, 0.2, 0.3),
                  "lambdas hold 24 bytes, not a positive multiple of 8 * 2 groups",
                  id="v2-width"),
     pytest.param(V2, _b64(0.1, math.nan), "lambdas must be finite", id="v2-nan"),
     pytest.param(V2, _b64(-math.inf), "lambdas must be finite", id="v2-infinite"),
-    pytest.param({**V2, "beta": "[0.0, 0.0]"}, _b64(0.1, 0.2, 1e308, 1e308),
-                 "lambdas too large: a group sum would overflow", id="v2-overflow"),
+    pytest.param({**V2, "beta": "[0.0, 0.0]", "w": "[0.0, 0.0]"},
+                 _b64(0.1, 0.2, 1e308, 1e308), "lambdas too large: a group sum would overflow",
+                 id="v2-overflow"),
+    # the SP constraint report reads w next to beta
+    pytest.param({"notion": '"sp"', "w": "[1.0, 1.0]"}, "[[0.1]]",
+                 "beta and w must be 1-D arrays of equal length", id="w-length"),
+    *(pytest.param({key: "[" + "1" + "0" * 399 + "]"}, "[[0.1]]",
+                   "int too large to convert to float", id=f"{key}-huge-int")
+      for key in ("beta", "w")),
+    pytest.param("[1.0]", "[[1" + "0" * 399 + "]]", "int too large to convert to float",
+                 id="lambdas-huge-int"),
+    pytest.param({"document": "[1]"}, None, "the document must be a JSON object",
+                 id="top-level-list"),
 ])
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
-    """beta is the beta field's JSON text, or a dict of field texts to set
-    (None drops the field)."""
+    """beta is the JSON text of the beta and w fields, or a dict of field
+    texts to set (None drops the field; "document" is the whole file)."""
     fields = {"schema": '"fairpost.mixture.v1"', "notion": '"fp"', "beta": "[1.0]",
               "w": "[1.0]", "grid_m": "20", "group_names": '["I"]'}
-    fields.update(beta if isinstance(beta, dict) else {"beta": beta})
+    fields.update(beta if isinstance(beta, dict) else {"beta": beta, "w": beta})
     fields["lambdas"] = lambdas
+    document = fields.pop("document", None)
     path = tmp_path / "mixture.json"
-    path.write_text("{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()
-                                    if text is not None) + "}")
+    path.write_text(document or "{" + ", ".join(f'"{key}": {text}' for key, text in
+                                                fields.items() if text is not None) + "}")
     code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
     assert code == 1
     assert f"error: bad mixture: {message}" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from fairpost import (
     build_cells,
     default_checks,
 )
-from fairpost.core import mask_from_bits
+from fairpost.core import mask_from_bits, snap_to_grid
 from fairpost.estimators import check_scores_groups
 from fairpost.multical import apply_patches, assignment_from_scores
 
@@ -123,6 +123,22 @@ def test_calibrator_transform_matches_fit_assignment(rng):
     assert np.array_equal(got, cal.result_.assignment)
 
 
+def test_calibrator_fit_transform_equals_fit_assignment_off_the_grid(rng):
+    # ceil(1/0.03) = 34 does not divide grid_m = 100, so a raw score snapped
+    # straight to the 1/34 grid can land on another level than its cell's
+    # score does
+    scores = rng.uniform(size=4000)
+    groups = rng.integers(0, 2, size=(4000, 2))
+    y = (rng.uniform(size=4000) < 1.0 - scores).astype(int)
+    cal = JointMulticalibrator(alpha=0.03, n_random_checks=8, grid_m=100, seed=0)
+    got = cal.fit_transform(scores, groups, y)
+    assert cal.result_.rounds > 0
+    cell_of = {(c.score, c.groups): j for j, c in enumerate(cal.distribution_.cells)}
+    want = cal.result_.assignment[[cell_of[snap_to_grid(s, 100), mask_from_bits(g)]
+                                   for s, g in zip(scores.tolist(), groups.tolist())]]
+    assert got.tobytes() == want.tobytes()
+
+
 def test_calibrator_transform_equals_per_point_replay(rng):
     _, pert = make_dist(23, n_cells=30, n_groups=3, grid_m=20, miscalibration=0.4)
     scores, groups, y = _sample_arrays(rng, pert, 6000)
@@ -136,7 +152,8 @@ def test_calibrator_transform_equals_per_point_replay(rng):
     batch_groups = np.concatenate([groups[:300], groups[300:500]] * 2)
     order = rng.permutation(len(batch_scores))
     batch_scores, batch_groups = batch_scores[order], batch_groups[order]
-    want = np.array([apply_patches(float(s), mask_from_bits(g), cal.result_, cal.checks_)
+    want = np.array([apply_patches(snap_to_grid(float(s), 20), mask_from_bits(g), cal.result_,
+                                   cal.checks_)
                      for s, g in zip(batch_scores, batch_groups.tolist())])
     got = cal.transform(batch_scores, batch_groups)
     assert got.tobytes() == want.tobytes()

@@ -25,6 +25,7 @@ from fairpost import (
     snap_to_grid,
     threshold_eval,
 )
+from fairpost.core import decide_batch
 from fairpost.multical import (
     CalibrationResult,
     PatchRecord,
@@ -264,6 +265,39 @@ def test_threshold_eval_err_ignores_v_away_from_half():
     vals = {threshold_eval(lam, base, mask, v, "err")
             for v in (0.0, 0.1, 0.3, 0.7, 0.9, 1.0)}
     assert len(vals) == 1  # constant away from the singular level 1/2
+
+
+def test_err_check_is_the_best_response_or_its_complement(rng):
+    # 3,000 group sums per level, and the tie S = -1
+    S = np.concatenate([rng.normal(-1.0, 2.0, size=3000), [-1.0]])
+    tie = S == -1.0
+    for v in np.arange(21) / 20:
+        check = _compare(S, d_of_v("err", v), FairnessNotion.ERR)
+        best = decide_batch(S, np.full(len(S), v), FairnessNotion.ERR)
+        if v < 0.5:
+            assert np.array_equal(check[~tie], ~best[~tie])
+            assert check[tie].all() and best[tie].all()
+        elif v == 0.5:
+            assert not check.any() and best.all()
+        else:
+            assert np.array_equal(check, best)
+
+
+def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
+    # per level, the best-response set is the check's set, its complement
+    # or every cell, so its audit term is at most the all-ones group's plus
+    # the check's
+    dist, _ = make_dist(49, n_cells=40, n_groups=3, grid_m=20, miscalibration=0.3)
+    assert (dist.group_matrix[0] == 1.0).all()
+    base = _base(dist, "err")
+    assignment = assignment_from_scores(dist, dist.grid_m)  # level v = cell score
+    assert 0.5 in assignment and (assignment < 0.5).any() and (assignment > 0.5).any()
+    for _ in range(20):
+        lam = rand_lambda(rng, dist.n_groups, 4.0)
+        checks = [CheckFunction("group", 0), CheckFunction("threshold", (lam, "err", base)),
+                  CheckFunction("hypothesis", ThresholdRule(tuple(lam), "err", base))]
+        (ones, check, best), _ = audit(assignment, checks, dist)
+        assert best <= ones + check + 1e-12
 
 
 def test_calibrate_alpha_validation():
