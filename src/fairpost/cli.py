@@ -36,7 +36,7 @@ from .core import (
 from .metrics import base_rates, constraint_vector, surrogate_error, true_rates
 from .multical import (assignment_from_scores, audit, brier, calibrate, default_checks,
                        round_cap)
-from .oracle import enumerate_optimum
+from .oracle import InfeasibleError, enumerate_optimum
 from .solver import BudgetExceededError, SolverConfig, run, run_batches
 from .synth import SplitMix64, SynthSpec, gen_instance
 
@@ -418,6 +418,14 @@ def _decode_lambdas(text, width: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(-1, width)
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """A JSON list as a float array; its entries must be ints or floats, so
+    strings and true/false are refused rather than parsed."""
+    if isinstance(values, list) and not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{name} must be numbers")
+    return np.array(values, dtype=float)
+
+
 def _v1_rows(rows) -> np.ndarray:
     """The (T, width) rows of a v1 "lambdas" list of equal-length lists."""
     if rows is None:
@@ -425,9 +433,8 @@ def _v1_rows(rows) -> np.ndarray:
     if (not isinstance(rows, list) or not set(map(type, rows)) <= {list}
             or len(set(map(len, rows))) > 1):
         raise ValueError("lambdas must be a list of equal-length rows")
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-        raise ValueError("lambdas must be numbers")
-    return np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
+    flat = _numbers(list(itertools.chain.from_iterable(rows)), "lambdas")
+    return flat.reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
@@ -469,7 +476,8 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError("bad mixture: gamma must be a nonnegative number")
     try:
         notion = FairnessNotion.coerce(payload["notion"])
-        base = BaseRates(notion, np.array(payload["beta"]), np.array(payload["w"]))
+        base = BaseRates(notion, _numbers(payload["beta"], "beta"),
+                         _numbers(payload["w"], "w"))
         if schema == MIXTURE_SCHEMA:
             lambdas = _decode_lambdas(lambdas, len(base.beta))
         else:
@@ -807,24 +815,25 @@ def cmd_eval(args) -> int:
         rep = true_rates(p, dist, mixture.notion)
         report["true"] = {"err": rep.err, "max_violation": rep.max_violation}
     if args.oracle:
-        if dist.n_cells > args.max_cells:
-            print(f"error: oracle guard: {dist.n_cells} cells > --max-cells "
-                  f"{args.max_cells}", file=sys.stderr)
-            return EXIT_INPUT
         gamma = args.gamma if args.gamma is not None else payload.get("gamma", 0.0)
         try:
-            base = base_rates(dist, mixture.notion,
-                              "from_labels" if has_labels else "from_scores")
-            sol = enumerate_optimum(dist, mixture.notion, base, gamma,
+            # the solver's own program: the mixture's beta and w, f = scores
+            sol = enumerate_optimum(dist, mixture.notion, mixture.base, gamma,
                                     max_cells=args.max_cells)
-        except ValueError as exc:
+            report["oracle"] = {
+                "gamma": gamma,
+                "opt_value": sol.opt_value,
+                "err_gap": report["err_hat"] - sol.opt_value,
+                "support_size": len(sol.support),
+            }
+            if has_labels:
+                true_opt = enumerate_optimum(
+                    dist, mixture.notion, base_rates(dist, mixture.notion, "from_labels"),
+                    gamma, scores_as_f=False, max_cells=args.max_cells).opt_value
+                report["oracle"].update(true_opt_value=true_opt,
+                                        true_err_gap=report["true"]["err"] - true_opt)
+        except (ValueError, InfeasibleError) as exc:
             raise InputError(f"oracle: {exc}") from exc
-        report["oracle"] = {
-            "gamma": gamma,
-            "opt_value": sol.opt_value,
-            "err_gap": report["err_hat"] - sol.opt_value,
-            "support_size": len(sol.support),
-        }
     t3 = time.perf_counter()
     _write_json(out_dir / "evaluation.json", report)
     _write_manifest(out_dir, "eval", {"mixture": args.mixture, "oracle": args.oracle},
@@ -913,7 +922,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--max-cells", type=int, default=16)
+    p.add_argument("--max-cells", type=int, default=400,
+                   help="the largest cell count the oracle's LP takes")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_eval)
 

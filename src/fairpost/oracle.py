@@ -1,9 +1,10 @@
-"""Desk-scale ground truth: exact optimum over all boolean cell labelings.
+"""Ground truth: the exact optimum over mixtures of cell labelings.
 
 The constrained minimum-error program over mixtures of deterministic
-classifiers is a small LP once the domain is cell-aggregated; we enumerate
-every labeling (capped at 2^20) and solve the LP with a dense two-phase
-simplex.  This module exists to certify the solver, never to drive it.
+classifiers is an LP over the per-cell positive probability once the domain
+is cell-aggregated: n variables in [0, 1], capped at max_cells (default
+400), solved with a dense two-phase simplex.  This module exists to certify
+the solver, never to drive it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ class UnboundedError(RuntimeError):
     pass
 
 
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Make column col the unit vector of row in the tableau, in place."""
+    T[row] /= T[row, col]
+    for r in np.flatnonzero(T[:, col]):
+        if r != row:
+            T[r] -= T[r, col] * T[row]
+
+
 def _bland_pivot(T: np.ndarray, basis: List[int], allowed: int, tol: float,
                  max_iter: int) -> None:
     """Run simplex pivots in place with Bland's anti-cycling rule.
@@ -44,30 +53,20 @@ def _bland_pivot(T: np.ndarray, basis: List[int], allowed: int, tol: float,
     T is (m+1, n+1) with the reduced-cost row last and the rhs column last;
     columns >= allowed may never enter the basis.
     """
-    m = T.shape[0] - 1
     for _ in range(max_iter):
-        red = T[-1, :-1]
-        entering = -1
-        for j in range(allowed):
-            if red[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        candidates = np.flatnonzero(T[-1, :allowed] < -tol)
+        if not len(candidates):
             return
-        col = T[:m, entering]
-        ratios = []
-        for i in range(m):
-            if col[i] > tol:
-                ratios.append((T[i, -1] / col[i], basis[i], i))
-        if not ratios:
+        entering = candidates[0]
+        col = T[:-1, entering]
+        rows = np.flatnonzero(col > tol)
+        if not len(rows):
             raise UnboundedError("unbounded linear program")
-        _, _, leave = min(ratios)
-        piv = T[leave, entering]
-        T[leave, :] /= piv
-        for r in range(m + 1):
-            if r != leave and T[r, entering] != 0.0:
-                T[r, :] -= T[r, entering] * T[leave, :]
-        basis[leave] = entering
+        # the least ratio, ties to the least basis index
+        order = np.lexsort((np.asarray(basis)[rows], T[rows, -1] / col[rows]))
+        leave = int(rows[order[0]])
+        _pivot(T, leave, entering)
+        basis[leave] = int(entering)
     raise RuntimeError("simplex iteration limit reached")
 
 
@@ -126,18 +125,10 @@ def simplex_solve(c: np.ndarray, A_ub: Optional[np.ndarray], b_ub: Optional[np.n
     keep = list(range(m))
     for i in range(m):
         if basis[i] >= n + slack_cols:
-            pivot_col = -1
-            for j in range(n + slack_cols):
-                if abs(T[i, j]) > tol:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                piv = T[i, pivot_col]
-                T[i, :] /= piv
-                for r in range(m + 1):
-                    if r != i and T[r, pivot_col] != 0.0:
-                        T[r, :] -= T[r, pivot_col] * T[i, :]
-                basis[i] = pivot_col
+            cols = np.flatnonzero(np.abs(T[i, :n + slack_cols]) > tol)
+            if len(cols):
+                _pivot(T, i, cols[0])
+                basis[i] = int(cols[0])
             else:
                 keep.remove(i)
     if len(keep) != m:
@@ -165,16 +156,7 @@ def simplex_solve(c: np.ndarray, A_ub: Optional[np.ndarray], b_ub: Optional[np.n
 class OracleSolution:
     opt_value: float
     support: List[Tuple[tuple, float]]
-    certificate: dict
     weights: np.ndarray
-
-
-def _subset_sums(w: np.ndarray) -> np.ndarray:
-    """Vector of sum_{i: bit i of k set} w_i over all 2^n labelings k."""
-    out = np.zeros(1)
-    for wi in w:
-        out = np.concatenate([out, out + wi])
-    return out
 
 
 def _constraint_columns(dist: CellDistribution, notion: FairnessNotion,
@@ -186,14 +168,28 @@ def _constraint_columns(dist: CellDistribution, notion: FairnessNotion,
     return centered @ (m * a), centered * (m * b)
 
 
+def _staircase(p: np.ndarray) -> List[Tuple[tuple, float]]:
+    """p as a mixture of labelings, its staircase: over p's distinct positive
+    levels u, {p >= u} weighs u minus the next level down, and the all-zero
+    labeling weighs 1 - max p.  With 0 added to the levels, {p > u} weighs
+    the step from u up to the next level, or up to 1."""
+    levels = np.unique(np.append(p, 0.0))
+    steps = np.diff(np.append(levels, 1.0))
+    return [(tuple((p > u).astype(int).tolist()), float(w))
+            for u, w in zip(levels, steps) if w > 0.0]
+
+
 def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
                       gamma: float, feasibility_tol: float = 1e-9,
                       scores_as_f: bool = True,
-                      max_cells: int = 20) -> OracleSolution:
-    """Exact optimum of the parity-constrained error LP over all labelings.
+                      max_cells: int = 400) -> OracleSolution:
+    """Exact optimum of the parity-constrained error LP.
 
-    Enumerates every deterministic cell labeling, then solves the mixture
-    LP with the two-phase simplex.  Guarded to 2^max_cells labelings.
+    Error and every constraint are affine in the per-cell positive
+    probability p, and [0, 1]^n is the convex hull of the labelings, so the
+    optimum over mixtures of labelings is the LP over p: n variables, 2|G|
+    constraint rows and n box rows, solved with the two-phase simplex and
+    guarded to max_cells cells.  The support is p*'s staircase.
     """
     notion = FairnessNotion.coerce(notion)
     if not math.isfinite(gamma):
@@ -201,46 +197,23 @@ def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     n = dist.n_cells
-    if n > max_cells or n > 20:
-        raise ValueError(f"cell count {n} exceeds enumeration guard {min(max_cells, 20)}")
+    if n > max_cells:
+        raise ValueError(f"{n} cells exceed LP guard {max_cells}")
     f = dist.scores if scores_as_f else dist.require_labels()
     m = dist.masses
 
     err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
-    err = float(m @ err_a) + _subset_sums(m * err_b)
     const, coef = _constraint_columns(dist, notion, base, f)
-    a = np.stack([const[g] + _subset_sums(coef[g]) for g in range(dist.n_groups)])
+    A_ub = np.vstack([coef, -coef, np.eye(n)])   # (2G + n, n)
+    b_ub = np.concatenate([gamma - const, gamma + const, np.ones(n)])
+    p, value = simplex_solve(m * err_b, A_ub, b_ub, None, None)
+    p = np.clip(p, 0.0, 1.0)
 
-    g, K = a.shape
-    A_ub = np.vstack([a, -a])                    # (2G, K)
-    b_ub = np.full(2 * g, gamma)
-    A_eq = np.ones((1, K))
-    b_eq = np.array([1.0])
-
-    weights, opt_value = simplex_solve(err, A_ub, b_ub, A_eq, b_eq)
-
-    mix_a = a @ weights
-    slack_upper = gamma - mix_a
-    slack_lower = gamma + mix_a
-    if np.any(slack_upper < -feasibility_tol) or np.any(slack_lower < -feasibility_tol):
+    if np.any(np.abs(const + coef @ p) > gamma + feasibility_tol):
         raise RuntimeError("simplex returned an infeasible mixture")
-
-    support = []
-    for k in np.flatnonzero(weights > 1e-12):
-        bits = tuple((int(k) >> i) & 1 for i in range(n))
-        support.append((bits, float(weights[k])))
-    certificate = {
-        "constraint_values": mix_a,
-        "slack_upper": slack_upper,
-        "slack_lower": slack_lower,
-        "feasibility_tol": feasibility_tol,
-    }
-    return OracleSolution(
-        opt_value=opt_value,
-        support=support,
-        certificate=certificate,
-        weights=weights,
-    )
+    support = _staircase(p)
+    return OracleSolution(opt_value=float(m @ err_a) + value, support=support,
+                          weights=np.array([w for _, w in support]))
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,9 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
                  id="lambdas-huge-int"),
     pytest.param({"document": "[1]"}, None, "the document must be a JSON object",
                  id="top-level-list"),
+    pytest.param({"beta": '["1.0"]'}, "[[0.1]]", "beta must be numbers", id="beta-strings"),
+    pytest.param({"w": '["1.0"]'}, "[[0.1]]", "w must be numbers", id="w-strings"),
+    pytest.param({"beta": "[true]"}, "[[0.1]]", "beta must be numbers", id="beta-bools"),
 ])
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
     """beta is the JSON text of the beta and w fields, or a dict of field
@@ -519,8 +522,7 @@ def solved(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["eval", 24, "--oracle", "--max-cells", "30"],
-     "oracle: cell count 24 exceeds enumeration guard 20"),
+    (["eval", 24, "--oracle", "--max-cells", "20"], "oracle: 24 cells exceed LP guard 20"),
     (["eval", 8, "--oracle", "--gamma", "-1"], "oracle: gamma must be nonnegative"),
     (["calibrate", 8, "--alpha", "1.5"], "alpha must lie in (0, 1)"),
     (["synth", "--seed", "1", "--n-cells", "0"], "n_cells must be at least 1"),
@@ -547,6 +549,46 @@ def test_eval_oracle_guard(dataset, tmp_path):
                    "--oracle", "--max-cells", "2", "--out-dir", str(tmp_path / "o"))
     assert proc.returncode == 1
     assert "guard" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def wide_eval(tmp_path_factory):
+    """eval --oracle at the default --max-cells on a solved 400-cell, 4-group
+    dataset (the sweep_wide shape): (exit code, evaluation.json, data, mixture)."""
+    root = tmp_path_factory.mktemp("wide")
+    data, run_dir, out = root / "data.csv", root / "run", root / "eval"
+    assert main(["synth", "--seed", "2", "--n-cells", "400", "--n-groups", "4",
+                 "--profile", "two_group_bias", "--grid-m", "100", "--samples", "50000",
+                 "--out", str(data)]) == 0
+    assert main(["solve", str(data), "--notion", "sp", "--gamma", "0.01", "--C", "2",
+                 "--T", "50", "--grid-m", "100", "--out-dir", str(run_dir)]) == 0
+    code = main(["eval", str(data), "--mixture", str(run_dir / "mixture.json"),
+                 "--oracle", "--out-dir", str(out)])
+    return code, json.loads((out / "evaluation.json").read_text()), data, run_dir / "mixture.json"
+
+
+def test_eval_oracle_at_400_cells(wide_eval):
+    code, report, data, _ = wide_eval
+    assert code == 0
+    assert read_dataset(str(data), 100)[0].n_cells == 400
+    oracle = report["oracle"]
+    assert 1 <= oracle["support_size"] <= 401
+    assert oracle["err_gap"] == report["err_hat"] - oracle["opt_value"]
+    assert oracle["true_err_gap"] == report["true"]["err"] - oracle["true_opt_value"]
+
+
+def test_eval_oracle_is_the_solvers_program(wide_eval):
+    """opt_value is the LP over p with the mixture's own beta and w and
+    f = scores; HiGHS agrees to 1e-9."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    from reference_oracle import highs_optimum
+
+    _, report, data, mixture_path = wide_eval
+    dist = read_dataset(str(data), 100)[0]
+    mixture = load_mixture(str(mixture_path))[0]
+    highs = highs_optimum(scipy_opt.linprog, dist, mixture.notion, mixture.base,
+                          report["oracle"]["gamma"])
+    assert abs(report["oracle"]["opt_value"] - highs) <= 1e-9
 
 
 def _mixture_files(tmp_path, lambdas):

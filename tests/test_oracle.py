@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fairpost import (
+    BaseRates,
     Cell,
     CellDistribution,
     DualState,
@@ -18,8 +20,9 @@ from fairpost import (
     simplex_solve,
     surrogate_error,
 )
-from fairpost.oracle import InfeasibleError
+from fairpost.oracle import InfeasibleError, _staircase
 
+import reference_oracle
 from conftest import make_dist, rand_lambda
 
 NOTIONS = ["fp", "fn", "err", "sp"]
@@ -42,7 +45,8 @@ def test_simplex_infeasible():
 
 def test_simplex_matches_scipy_on_lp_family(rng):
     scipy_opt = pytest.importorskip("scipy.optimize")
-    from fairpost.oracle import _constraint_columns, _subset_sums
+    from fairpost.oracle import _constraint_columns
+    from reference_oracle import _subset_sums
     from fairpost import FairnessNotion
 
     for trial in range(40):
@@ -66,7 +70,8 @@ def test_simplex_matches_scipy_on_lp_family(rng):
 def test_oracle_two_group_bias_cross_check(biased_instance):
     scipy_opt = pytest.importorskip("scipy.optimize")
     from fairpost import FairnessNotion
-    from fairpost.oracle import _constraint_columns, _subset_sums
+    from fairpost.oracle import _constraint_columns
+    from reference_oracle import _subset_sums
 
     dist = biased_instance
     base = base_rates(dist, "fp", "from_labels")
@@ -172,3 +177,81 @@ def test_weak_duality_against_solver_duals(biased_instance):
         value = lagrangian_value(h, dual, dist, "fp", base, gamma)
         best_lower = max(best_lower, value)
     assert sol.opt_value >= best_lower - 1e-9
+
+
+def _solve_or_none(solve, *args):
+    """solve(*args), or None when it raises InfeasibleError."""
+    try:
+        return solve(*args)
+    except InfeasibleError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_cells=st.integers(1, 12), n_groups=st.integers(1, 3),
+       notion=st.sampled_from(NOTIONS), gamma=st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.3]),
+       perturbed=st.booleans(), beta_mode=st.sampled_from(["from_scores", "from_labels"]),
+       shrink=st.sampled_from([1.0, 0.9]), scores_as_f=st.booleans())
+@example(seed=0, n_cells=12, n_groups=3, notion="sp", gamma=0.0, perturbed=True,
+         beta_mode="from_labels", shrink=1.0, scores_as_f=True)
+@example(seed=0, n_cells=5, n_groups=2, notion="err", gamma=0.0, perturbed=False,
+         beta_mode="from_scores", shrink=0.9, scores_as_f=True)
+def test_lp_oracle_equals_labeling_enumeration(seed, n_cells, n_groups, notion, gamma,
+                                                perturbed, beta_mode, shrink, scores_as_f):
+    """The LP over per-cell probabilities has the optimum of the mixture LP
+    over all 2^n labelings, and the two are infeasible together.  On the
+    labeling LP, simplex_solve equals the loop-form simplex bit for bit.
+
+    Base rates from either mode leave some constant p feasible; shrinking
+    beta and w by 0.9 makes small gammas infeasible for ERR and SP."""
+    dist = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=20)[perturbed]
+    base = base_rates(dist, notion, beta_mode)
+    base = BaseRates(base.notion, base.beta * shrink, base.w * shrink)
+    program = reference_oracle.labeling_program(dist, notion, base, gamma, scores_as_f)
+    ref = _solve_or_none(reference_oracle.simplex_solve, *program)
+    new = _solve_or_none(simplex_solve, *program)
+    lp = _solve_or_none(
+        lambda: enumerate_optimum(dist, notion, base, gamma, scores_as_f=scores_as_f))
+    if ref is None or new is None or lp is None:
+        assert ref is new is lp is None
+    else:
+        assert new[0].tobytes() == ref[0].tobytes() and new[1] == ref[1]
+        assert abs(lp.opt_value - ref[1]) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 1 / 3]) | st.floats(0.0, 1.0),
+                       min_size=1, max_size=40))
+def test_staircase_rebuilds_p(levels):
+    p = np.array(levels)
+    support = _staircase(p)
+    bits = np.array([b for b, _ in support], dtype=float)
+    weights = np.array([w for _, w in support])
+    assert len(support) <= len(p) + 1
+    assert weights.min() > 0.0
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    assert np.abs(weights @ bits - p).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_cells, n_groups", [(100, 2), (400, 4)])
+def test_oracle_at_scale(n_cells, n_groups):
+    """At the sweep_wide shape: HiGHS agrees to 1e-9, and the staircase
+    support is a feasible mixture of at most n + 1 labelings whose error is
+    the optimum."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    _, dist = make_dist(2, n_cells=n_cells, n_groups=n_groups, grid_m=100,
+                        profile="two_group_bias")
+    assert dist.n_cells == n_cells
+    gamma = 0.01
+    for notion in NOTIONS:
+        base = base_rates(dist, notion, "from_scores")
+        sol = enumerate_optimum(dist, notion, base, gamma)
+        highs = reference_oracle.highs_optimum(scipy_opt.linprog, dist, notion, base, gamma)
+        assert abs(sol.opt_value - highs) <= 1e-9
+
+        assert len(sol.support) == len(sol.weights) <= n_cells + 1
+        assert sol.weights.min() >= 0.0
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+        p = sol.weights @ np.array([bits for bits, _ in sol.support], dtype=float)
+        assert surrogate_error(p, dist) == pytest.approx(sol.opt_value, abs=1e-12)
+        assert np.abs(constraint_vector(p, dist, notion, base)).max() <= gamma + 1e-9
