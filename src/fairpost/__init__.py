@@ -43,7 +43,6 @@ from .multical import (
     audit,
     brier,
     calibrate,
-    d_of_v,
     default_checks,
     threshold_eval,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "TrajectoryRecord", "best_response", "dual_gradient", "iteration_budget",
     "lagrangian_value", "project_l1", "run", "run_many", "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
-    "calibrate", "d_of_v", "default_checks", "threshold_eval",
+    "calibrate", "default_checks", "threshold_eval",
     "InfeasibleError", "OracleSolution", "PointwiseArgmin", "enumerate_optimum",
     "pointwise_argmin", "simplex_solve",
     "SplitMix64", "SynthSpec", "gen_instance",

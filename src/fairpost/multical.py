@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .core import (
     FairnessNotion,
     ThresholdRule,
     bits_from_mask,
+    decide_batch,
+    decision_thresholds,
     grid_indices,
     snap_to_grid,
 )
@@ -29,7 +31,6 @@ __all__ = [
     "CheckFunction",
     "PatchRecord",
     "CalibrationResult",
-    "d_of_v",
     "threshold_eval",
     "audit",
     "calibrate",
@@ -39,65 +40,22 @@ __all__ = [
     "apply_patches",
 ]
 
-# Comparison direction of the threshold checks, chosen per notion so that
-# s_lambda(x, f(x)) coincides with the closed-form best response whenever
-# the rule's denominator is positive (d is increasing for FP/SP, so the
-# rule's acceptance region is a lower set in the group sum; it is an upper
-# set for FN).  Singular d values compare as 0 for "<=" checks against
-# -inf and for ">=" checks against +inf.
-#
-# ERR is the exception.  d(v) = -1 at every v but 1/2, so the check fires
-# on S >= -1, and never at v = 1/2, where d is infinite.  The best response
-# at f = v decides 1 on S <= -1 for v < 1/2, always at v = 1/2 (a tie), and
-# on S >= -1 for v > 1/2.  So the check is the best response above 1/2 and
-# its complement below (both fire on the tie S = -1 itself).  The audit
-# still bounds the best-response sets: at one level, the complement's term
-# |sum of m (v - q) over the cells where c is 0| is at most the all-ones
-# group's term plus c's own, so an alpha-audit of {I, c} bounds them by
-# 2 alpha whenever a group covers every cell.  read_dataset adds one when
-# no column does, and default_checks audits every group.
-_LE_NOTIONS = (FairnessNotion.FP, FairnessNotion.SP)
-
-
-def d_of_v(notion, v: float) -> float:
-    """Threshold curve d(v) of the check family, with singularities mapped
-    to +inf at the excluded endpoints."""
-    notion = FairnessNotion.coerce(notion)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("v must lie in [0, 1]")
-    if notion is FairnessNotion.FP:
-        if v == 1.0:
-            return math.inf
-        return (2.0 * v - 1.0) / (1.0 - v)
-    if notion is FairnessNotion.FN:
-        if v == 0.0:
-            return math.inf
-        return (1.0 - 2.0 * v) / v
-    if notion is FairnessNotion.ERR:
-        if v == 0.5:
-            return math.inf
-        return (2.0 * v - 1.0) / (1.0 - 2.0 * v)
-    return 2.0 * v - 1.0
-
-
-def _compare(S, d, notion: FairnessNotion):
-    """Check indicator comparing the group sum against d(v)."""
-    if notion in _LE_NOTIONS:
-        return S <= d
-    return S >= d
+d_of_v = decision_thresholds  # bench/spans.py counts table builds by this name
 
 
 def threshold_eval(lam, base: BaseRates, cell_groups: Union[int, Sequence[int]],
                    v: float, notion) -> int:
-    """Evaluate the thresholding check s_lambda at (group mask, level v)."""
+    """The threshold check s_lambda at (group mask, level v): decide_batch at f = v."""
     notion = FairnessNotion.coerce(notion)
+    if not 0.0 <= v <= 1.0:  # NaN fails too
+        raise ValueError("v must lie in [0, 1]")
     lam = np.asarray(lam, dtype=float)
     if isinstance(cell_groups, (int, np.integer)):
         bits = np.array(bits_from_mask(int(cell_groups), len(lam)), dtype=float)
     else:
         bits = np.asarray(cell_groups, dtype=float)
     S = float(lam @ (bits - base.beta))
-    return int(_compare(S, d_of_v(notion, v), notion))
+    return int(decide_batch(np.array([S]), np.array([float(v)]), notion)[0])
 
 
 @dataclass(frozen=True)
@@ -157,26 +115,30 @@ class _CompiledCheck:
                                    for c in dist.cells], dtype=bool)
 
     def fires(self, idx: np.ndarray, tables: dict, level: int) -> np.ndarray:
-        """Indicator on the cells idx, all at one level: ``tables[notion][level]``
-        is d(v) at that level's value v (see _d_tables)."""
+        """Indicator on the cells idx, all at one level: ``tables[notion]``
+        holds (s, d) per level (see _d_tables)."""
         if self.fixed is not None:
             return self.fixed[idx]
-        return _compare(self.S[idx], tables[self.notion][level], self.notion)
+        s, d = tables[self.notion]
+        S = self.S[idx]
+        return (S if s[level] > 0 else -S) <= d[level]
 
     def evaluate(self, levels: np.ndarray) -> np.ndarray:
         """Indicator per cell, with v set to the cell's current level."""
         if self.fixed is not None:
             return self.fixed
         values, k = np.unique(levels, return_inverse=True)
-        d = _d_tables([self], values)[self.notion]
-        return np.asarray(_compare(self.S, d[k], self.notion), dtype=bool)
+        s, d = _d_tables([self], values)[self.notion]
+        return s[k] * self.S <= d[k]
 
 
 def _d_tables(compiled: Sequence[_CompiledCheck], values: np.ndarray) -> dict:
-    """d(v) at every level value, per notion the threshold checks use; these
-    are the only d_of_v calls of an audit or a calibration."""
+    """(s, d) at every level value, per notion the threshold checks use: a check
+    fires on s*S <= d, the best response decide_batch(S, v) bit for bit."""
     notions = {c.notion for c in compiled if c.notion is not None}
-    return {n: np.array([d_of_v(n, float(v)) for v in values]) for n in notions}
+    if notions and not np.all((0.0 <= values) & (values <= 1.0)):
+        raise ValueError("v must lie in [0, 1]")
+    return {n: d_of_v(values, n) for n in notions}
 
 
 @dataclass(frozen=True)

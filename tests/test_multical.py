@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairpost import (
+    BaseRates,
     Cell,
     CellDistribution,
     CheckFunction,
@@ -19,17 +20,15 @@ from fairpost import (
     brier,
     build_cells,
     calibrate,
-    d_of_v,
     default_checks,
     run,
     snap_to_grid,
     threshold_eval,
 )
-from fairpost.core import decide_batch
+from fairpost.core import decide_batch, decision_thresholds
 from fairpost.multical import (
     CalibrationResult,
     PatchRecord,
-    _compare,
     _d_tables,
     apply_patches,
     assignment_from_scores,
@@ -40,18 +39,26 @@ from conftest import make_dist, rand_lambda
 NOTIONS = ["fp", "fn", "err", "sp"]
 
 
+def _table(notion, v):
+    """(s, d) of the check family at one level: it fires on s*S <= d."""
+    s, d = decision_thresholds(np.array([v]), FairnessNotion.coerce(notion))
+    return float(s[0]), float(d[0])
+
+
 def test_d_of_v_values():
-    assert d_of_v("fp", 0.5) == 0.0
-    assert d_of_v("sp", 0.5) == 0.0
-    assert d_of_v("fp", 2 / 3) == pytest.approx(1.0)
-    assert d_of_v("fn", 0.25) == pytest.approx(2.0)
-    assert d_of_v("err", 0.25) == pytest.approx(-1.0)
+    # the rounded best response holds up to an ulp past the exact
+    # threshold, so d = 0 reads as 1.1e-16 (FP) and 5.6e-17 (SP)
+    assert _table("fp", 0.5) == (1.0, pytest.approx(0.0, abs=1e-15))
+    assert _table("sp", 0.5) == (1.0, pytest.approx(0.0, abs=1e-15))
+    assert _table("fp", 2 / 3) == (1.0, pytest.approx(1.0))
+    assert _table("fn", 0.25) == (-1.0, pytest.approx(-2.0))
+    assert _table("err", 0.25) == (1.0, -1.0)
 
 
 def test_d_of_v_singularities():
-    assert d_of_v("fp", 1.0) == math.inf
-    assert d_of_v("fn", 0.0) == math.inf
-    assert d_of_v("err", 0.5) == math.inf
+    assert _table("fp", 1.0)[1] == math.inf
+    assert _table("fn", 0.0)[1] == -math.inf
+    assert _table("err", 0.5)[1] == math.inf
 
 
 def _base(dist, notion):
@@ -257,36 +264,39 @@ def test_calibrate_patch_ties_pick_lowest_level():
     assert result.history[0].level == 0.25
 
 
-def test_threshold_eval_err_ignores_v_away_from_half():
+def test_threshold_eval_err_steps_at_half():
+    # the ERR check fires on S <= -1 below 1/2, everywhere at 1/2 (a tie of
+    # the best response) and on S >= -1 above, whatever else v is
     dist, _ = make_dist(48, n_cells=6, n_groups=2)
     base = _base(dist, "err")
-    lam = np.array([0.5, -0.25, 0.1])
-    mask = int(dist.cells[0].groups)
-    vals = {threshold_eval(lam, base, mask, v, "err")
-            for v in (0.0, 0.1, 0.3, 0.7, 0.9, 1.0)}
-    assert len(vals) == 1  # constant away from the singular level 1/2
+    sums = []
+    for lam in ([0.5, -0.25, 0.1], [0.0, -8.0, 0.5], [0.0, 8.0, -6.0], [0.0, 0.0, 0.0]):
+        lam = np.array(lam)
+        for cell in dist.cells:
+            bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
+            S = float(lam @ (bits - base.beta))
+            sums.append(S)
+            for v in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                want = S <= -1.0 if v < 0.5 else S >= -1.0 or v == 0.5
+                assert threshold_eval(lam, base, cell.groups, v, "err") == want
+    assert min(sums) < -1.0 < max(sums)
 
 
-def test_err_check_is_the_best_response_or_its_complement(rng):
+def test_err_check_is_the_best_response(rng):
     # 3,000 group sums per level, and the tie S = -1
     S = np.concatenate([rng.normal(-1.0, 2.0, size=3000), [-1.0]])
-    tie = S == -1.0
-    for v in np.arange(21) / 20:
-        check = _compare(S, d_of_v("err", v), FairnessNotion.ERR)
-        best = decide_batch(S, np.full(len(S), v), FairnessNotion.ERR)
-        if v < 0.5:
-            assert np.array_equal(check[~tie], ~best[~tie])
-            assert check[tie].all() and best[tie].all()
-        elif v == 0.5:
-            assert not check.any() and best.all()
-        else:
-            assert np.array_equal(check, best)
+    v = np.arange(21) / 20
+    s, d = decision_thresholds(v, FairnessNotion.ERR)
+    for k in range(len(v)):
+        check = s[k] * S <= d[k]
+        best = decide_batch(S, np.full(len(S), v[k]), FairnessNotion.ERR)
+        assert np.array_equal(check, best)
+        assert best[S == -1.0].all()
 
 
 def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
-    # per level, the best-response set is the check's set, its complement
-    # or every cell, so its audit term is at most the all-ones group's plus
-    # the check's
+    # the threshold check is the best response, so the two audit the same
+    # sets; the all-ones group is audited beside them
     dist, _ = make_dist(49, n_cells=40, n_groups=3, grid_m=20, miscalibration=0.3)
     assert (dist.group_matrix[0] == 1.0).all()
     base = _base(dist, "err")
@@ -297,7 +307,7 @@ def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
         checks = [CheckFunction("group", 0), CheckFunction("threshold", (lam, "err", base)),
                   CheckFunction("hypothesis", ThresholdRule(tuple(lam), "err", base))]
         (ones, check, best), _ = audit(assignment, checks, dist)
-        assert best <= ones + check + 1e-12
+        assert best == pytest.approx(check, abs=1e-12)
 
 
 def test_calibrate_alpha_validation():
@@ -321,15 +331,14 @@ def test_apply_patches_replays_training_assignment():
 # ------------------------------------------------ reference: per-round rescan
 #
 # calibrate and audit as they were before the level tables and the term
-# cache: every round evaluates every check on every cell with a scalar
-# d_of_v per cell and re-reduces every (check, level) set.  The optimized
-# functions must reproduce them bit for bit.
+# cache: every round evaluates every check on every cell as the best
+# response at f = the cell's level and re-reduces every (check, level) set.
+# The optimized functions must reproduce them bit for bit.
 
 def _reference_evaluate(comp, levels):
     if comp.fixed is not None:
         return comp.fixed
-    d = np.array([d_of_v(comp.notion, float(v)) for v in levels])
-    return np.asarray(_compare(comp.S, d, comp.notion), dtype=bool)
+    return decide_batch(comp.S, levels, comp.notion)
 
 
 def _reference_audit(assignment, checks, dist):
@@ -533,6 +542,12 @@ def test_audit_rejects_levels_outside_unit_interval():
     checks = default_checks(dist, _base(dist, "fp"), n_random=2, seed=0)
     with pytest.raises(ValueError, match="v must lie"):
         audit(np.full(dist.n_cells, 1.5), checks, dist)
+    with pytest.raises(ValueError, match="v must lie"):
+        audit(np.full(dist.n_cells, np.nan), checks, dist)
+    with pytest.raises(ValueError, match="v must lie"):
+        threshold_eval(np.zeros(dist.n_groups), _base(dist, "fp"), 1, 1.5, "fp")
+    with pytest.raises(ValueError, match="v must lie"):
+        threshold_eval(np.zeros(dist.n_groups), _base(dist, "fp"), 1, math.nan, "fp")
 
 
 @settings(max_examples=300, deadline=None)
@@ -542,7 +557,39 @@ def test_level_table_equals_d_of_v_at_snapped_value(notion, m, x):
     dist, _ = make_dist(15, n_cells=4, n_groups=1)
     comp = CheckFunction("threshold", (np.zeros(dist.n_groups), notion,
                                        _base(dist, "fp"))).compile(dist)
-    table = _d_tables([comp], np.arange(m + 1) / m)[comp.notion]
+    s, d = _d_tables([comp], np.arange(m + 1) / m)[comp.notion]
     v = snap_to_grid(x, m)
     k = round(v * m)
-    assert _bits(table[k]) == _bits(d_of_v(notion, v))
+    want_s, want_d = decision_thresholds(np.array([v]), comp.notion)
+    assert _bits([s[k], d[k]]) == _bits([want_s[0], want_d[0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NOTIONS), st.integers(min_value=1, max_value=2000), st.data())
+def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
+    # every path of a threshold check (the per-cell evaluate, the per-level
+    # fires of audit and calibrate, and the per-point eval_point of
+    # apply_patches) is decide_batch at f = the level, ties and 0, 1/2, 1
+    # included
+    dist, _ = make_dist(16, n_cells=12, n_groups=2)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    lam = np.array(data.draw(st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                                      min_size=dist.n_groups, max_size=dist.n_groups)))
+    beta = np.array(data.draw(st.lists(unit, min_size=dist.n_groups,
+                                       max_size=dist.n_groups)))
+    base = BaseRates(FairnessNotion.coerce(notion), beta, np.ones(dist.n_groups))
+    ks = data.draw(st.lists(st.integers(min_value=0, max_value=m),
+                            min_size=dist.n_cells - 3, max_size=dist.n_cells - 3))
+    levels = np.concatenate([[0.0, 0.5, 1.0], np.array(ks) / m])
+    check = CheckFunction("threshold", (lam, notion, base))
+    comp = check.compile(dist)
+    want = decide_batch(comp.S, levels, comp.notion)
+    assert _bits(comp.evaluate(levels)) == _bits(want)
+
+    values, k = np.unique(levels, return_inverse=True)
+    tables = _d_tables([comp], values)
+    for level in range(len(values)):
+        idx = np.flatnonzero(k == level)
+        assert _bits(comp.fires(idx, tables, level)) == _bits(want[idx])
+    for cell, v, w in zip(dist.cells, levels, want):
+        assert check.eval_point(cell.score, cell.groups, v) == w
