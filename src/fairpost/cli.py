@@ -487,6 +487,9 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):
         raise InputError("bad mixture: group_names and beta differ in length")
+    # SP centres on the group mass, so beta must be w (older SP files carry beta 1)
+    if notion is FairnessNotion.SP and np.any(np.abs(base.beta - base.w) > 1e-12):
+        raise InputError("bad mixture: an sp mixture's beta must equal its w")
     return mixture, payload
 
 

@@ -237,10 +237,9 @@ class CellDistribution:
 class BaseRates:
     """Per-group constants entering the threshold rules and constraints.
 
-    ``beta`` is the multiplier inside the rule's group sum (conditional
-    group frequency for FP/FN, marginal group frequency for ERR, the
-    constant one for SP).  ``w`` is the reporting weight of the parity
-    constraint.
+    ``beta`` centres both the rule's group sum and the parity constraint
+    rho_g - beta_g * rho_0 (conditional group frequency for FP/FN, the group
+    mass for ERR and SP).  ``w`` is the group's conditioning weight.
     """
 
     notion: FairnessNotion

@@ -90,6 +90,12 @@ def group_rates(terms, p, masses: np.ndarray, G: np.ndarray):
     return G @ u, float(u.sum())
 
 
+def _constraint(terms, p, masses: np.ndarray, G: np.ndarray, beta: np.ndarray):
+    """The parity constraint of every group, c_g(p) = rho_g - beta_g * rho_0."""
+    rho_g, rho0 = group_rates(terms, p, masses, G)
+    return rho_g - beta * rho0
+
+
 def error_rate(p, f, masses: np.ndarray) -> float:
     """Misclassification rate: the ERR row of the table, masses @ (f + (1-2f) p)."""
     a, b, _ = rate_terms(FairnessNotion.ERR, f)
@@ -101,7 +107,9 @@ def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> Bas
 
     mode="from_scores" estimates label marginals from the scores (the
     unlabeled-data path); mode="from_labels" uses label_mean.  w is the
-    group's conditioning weight G @ (masses * c).
+    group's conditioning weight G @ (masses * c), and beta is w over the
+    total weight masses @ c: for ERR and SP, whose c is 1, beta is w itself,
+    the group mass.
     """
     notion = FairnessNotion.coerce(notion)
     if mode not in ("from_scores", "from_labels"):
@@ -109,9 +117,7 @@ def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> Bas
     q = dist.scores if mode == "from_scores" else dist.require_labels()
     c = rate_terms(notion, q)[2]
     w = dist.group_matrix @ (dist.masses * c)
-    if notion is FairnessNotion.SP:   # the rule consumes the constant 1
-        beta = np.ones(dist.n_groups)
-    elif notion is FairnessNotion.ERR:
+    if notion in (FairnessNotion.ERR, FairnessNotion.SP):   # c = 1: the group mass
         beta = w.copy()
     else:
         denom = float(dist.masses @ c)
@@ -149,14 +155,6 @@ def surrogate_error(h: ClassifierLike, dist: CellDistribution,
     return float(dist.masses @ (f * (1.0 - p) + (1.0 - f) * p))
 
 
-def _constraint_multiplier(base: BaseRates) -> np.ndarray:
-    # SP reports against the group-mass weight; the other notions compare
-    # against the same beta the threshold rule consumes.
-    if base.notion is FairnessNotion.SP:
-        return base.w
-    return base.beta
-
-
 def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,
                       base: BaseRates, scores_as_f: bool = True) -> np.ndarray:
     """Signed constraint left-hand sides for every group at once."""
@@ -165,8 +163,7 @@ def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,
         raise ValueError("base rates were computed for a different notion")
     p = positive_probs(h, dist)
     f = _f_array(dist, scores_as_f)
-    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
-    return rho_g - _constraint_multiplier(base) * rho0
+    return _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
 
 
 def constraint_lhs(h: ClassifierLike, g: int, dist: CellDistribution, notion,

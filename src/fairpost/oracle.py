@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import BaseRates, Cell, CellDistribution, FairnessNotion, pointwise_values
-from .metrics import _constraint_multiplier, rate_terms
+from .metrics import rate_terms
 
 __all__ = [
     "OracleSolution",
@@ -164,7 +164,7 @@ def _constraint_columns(dist: CellDistribution, notion: FairnessNotion,
     """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group."""
     a, b, _ = rate_terms(notion, f)
     m = dist.masses
-    centered = dist.group_matrix - _constraint_multiplier(base)[:, None]
+    centered = dist.group_matrix - base.beta[:, None]
     return centered @ (m * a), centered * (m * b)
 
 

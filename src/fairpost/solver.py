@@ -26,8 +26,9 @@ from .core import (
     decision_thresholds,
 )
 from .metrics import (
-    _constraint_multiplier,
+    _constraint,
     base_rates,
+    constraint_vector,
     error_rate,
     group_rates,
     positive_probs,
@@ -171,17 +172,11 @@ def best_response(lam, cell: Cell, notion, base: BaseRates,
 
 def dual_gradient(h_t, dist: CellDistribution, notion, base: BaseRates,
                   gamma: float, scores_as_f: bool = True):
-    """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier.
-
-    grad_plus[g] = rho_g - beta_g * rho_0 - gamma and grad_minus is its
-    mirror; for SP the rule-side beta of one makes this the E[h(g-1)] form
-    of the statistical-parity Lagrangian.
-    """
-    p = positive_probs(h_t, dist)
-    f = dist.scores if scores_as_f else dist.require_labels()
-    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
-    centered = rho_g - base.beta * rho0
-    return centered - gamma, -centered - gamma
+    """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier:
+    (c - gamma, -c - gamma) with c = constraint_vector(h_t, ...), the
+    constraint c_g = rho_g - beta_g * rho_0 that every notion imposes."""
+    c = constraint_vector(h_t, dist, notion, base, scores_as_f)
+    return c - gamma, -c - gamma
 
 
 def _project_euclidean(v: np.ndarray, C: float) -> np.ndarray:
@@ -215,11 +210,10 @@ def lagrangian_value(h, dual: DualState, dist: CellDistribution, notion,
                      base: BaseRates, gamma: float, scores_as_f: bool = True) -> float:
     """Lagrangian of the parity-constrained program at (h, lambda):
     err(h) + sum_g lambda+_g (c_g - gamma) + lambda-_g (-c_g - gamma), with
-    c_g = rho_g - beta_g rho_0 the constraint in the rule's own form."""
+    c_g = rho_g - beta_g rho_0 the constraint constraint_vector reports."""
     p = positive_probs(h, dist)
     f = dist.scores if scores_as_f else dist.require_labels()
-    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
-    cons = rho_g - base.beta * rho0
+    cons = _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
     penalty = float(dual.lambda_plus @ (cons - gamma) + dual.lambda_minus @ (-cons - gamma))
     return error_rate(p, f, dist.masses) + penalty
 
@@ -284,7 +278,6 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
     T, eta = _resolve_schedule(config, n_groups, n_cells)
 
     beta = base.beta
-    viol_mult = _constraint_multiplier(base)
     row = rate_terms(notion, f)
     memb = G - beta[:, None]
     C = config.C
@@ -292,20 +285,18 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
     smemb = memb * sign
 
     def rates(h, eval_masses):
-        # (centered constraint, err_hat, max violation, rho_g) of one
-        # decision pattern; for 0/1 h the rate table gives the reference
-        # loop's bits
+        # (constraint, err_hat, max violation) of one decision pattern; for
+        # 0/1 h the rate table gives the reference loop's bits
         h = h.astype(float)
-        rho_g, rho0 = group_rates(row, h, eval_masses, G)
-        return (rho_g - beta * rho0, error_rate(h, f, eval_masses),
-                float(np.abs(rho_g - viol_mult * rho0).max()), rho_g)
+        cons = _constraint(row, h, eval_masses, G, beta)
+        return cons, error_rate(h, f, eval_masses), float(np.abs(cons).max())
 
     def round_terms(pattern_rates, gamma):
         # (dual step for the concatenated (lambda+, lambda-), err_hat, max
-        # violation, rho_g) of one row
-        centered, err_hat, max_violation, rho_g = pattern_rates
-        step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
-        return step, err_hat, max_violation, rho_g
+        # violation) of one row
+        cons, err_hat, max_violation = pattern_rates
+        step = np.concatenate((eta * (cons - gamma), eta * (-cons - gamma)))
+        return step, err_hat, max_violation
 
     batch = () if K == 1 else (K, 1)
     dual = np.zeros(batch + (2 * n_groups,))    # lambda+ then lambda-, updated in place
@@ -367,10 +358,12 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
         # batched forms and allocate no Python container per round (each
         # allocation counts toward a garbage collection)
         if sampler is not None:
-            row_terms = round_terms(rates(h, sampler(t)), gamma)
+            sample = sampler(t)
+            row_terms = round_terms(rates(h, sample), gamma)
             if record_deviation:
-                pop_rho_g, _ = group_rates(row, h.astype(float), masses, G)
-                deviations[t - 1] = np.abs(row_terms[3] - pop_rho_g)
+                h_float = h.astype(float)
+                deviations[t - 1] = np.abs(group_rates(row, h_float, sample, G)[0]
+                                           - group_rates(row, h_float, masses, G)[0])
         elif K == 1:
             key = h.tobytes()
             row_terms = cache.get(key) or miss(0, key)
@@ -405,7 +398,7 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
                 gap = _gap_estimate(
                     dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
                     memb, beta, notion, gamma, C)
-            for row_p, row_m, (_, err_hat, max_violation, _), trajectory in zip(
+            for row_p, row_m, (_, err_hat, max_violation), trajectory in zip(
                     rows_p, rows_m, (row_terms,) if K == 1 else terms, trajectories):
                 trajectory.append(TrajectoryRecord(
                     t=t,
@@ -437,16 +430,14 @@ def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
     Lower: the dual function at the averaged played dual (best response).
     """
     row = rate_terms(notion, f)
-    rho_g, rho0 = group_rates(row, p_bar, masses, G)
-    cons_bar = rho_g - beta * rho0
+    cons_bar = _constraint(row, p_bar, masses, G, beta)
     upper = error_rate(p_bar, f, masses) + max(
         0.0, C * (float(np.abs(cons_bar).max()) - gamma))
 
     avg_lam = avg_lam_p - avg_lam_m
     S = avg_lam @ memb
     h_br = decide_batch(S, f, notion).astype(float)
-    rho_g, rho0 = group_rates(row, h_br, masses, G)
-    cons_br = rho_g - beta * rho0
+    cons_br = _constraint(row, h_br, masses, G, beta)
     lower = error_rate(h_br, f, masses) + float(
         avg_lam_p @ (cons_br - gamma) + avg_lam_m @ (-cons_br - gamma))
     return upper - lower

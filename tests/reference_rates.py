@@ -12,7 +12,7 @@ that `lagrangian_value` once checked itself against.
 import numpy as np
 
 from fairpost import BaseRates, FairnessNotion, RateReport
-from fairpost.metrics import _constraint_multiplier, _f_array, positive_probs
+from fairpost.metrics import _f_array, positive_probs
 
 
 def _rate_terms(notion, f, h, masses, G):
@@ -38,8 +38,7 @@ def _constraint_columns(dist, notion, base, f):
     """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group."""
     m = dist.masses
     G = dist.group_matrix
-    mult = _constraint_multiplier(base)
-    centered = G - mult[:, None]
+    centered = G - base.beta[:, None]
     if notion is FairnessNotion.FP:
         const = np.zeros(dist.n_groups)
         coef = centered * (m * (1.0 - f))[None, :]
@@ -75,9 +74,9 @@ def base_rates(dist, notion, mode="from_scores"):
     elif notion is FairnessNotion.ERR:
         w = G @ m
         beta = w.copy()
-    else:  # SP: the rule consumes the constant 1; w is the group mass
+    else:  # SP: w is the group mass, and so is beta
         w = G @ m
-        beta = np.ones(dist.n_groups)
+        beta = w
     beta = np.clip(beta, 0.0, 1.0)
     return BaseRates(notion=notion, beta=beta, w=w)
 
@@ -120,7 +119,7 @@ def constraint_vector(h, dist, notion, base, scores_as_f=True):
         integrand = p
     per_group = dist.group_matrix @ (m * integrand)
     aggregate = float(m @ integrand)
-    return per_group - _constraint_multiplier(base) * aggregate
+    return per_group - base.beta * aggregate
 
 
 def true_rates(h, dist, notion):

@@ -11,8 +11,7 @@ from typing import List
 import numpy as np
 
 from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
-from fairpost.metrics import (_constraint_multiplier, base_rates, error_rate, group_rates,
-                              rate_terms)
+from fairpost.metrics import base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     DualState,
     SolveResult,
@@ -40,7 +39,6 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     T, eta = _resolve_schedule(config, n_groups, n_cells)
 
     beta = base.beta
-    viol_mult = _constraint_multiplier(base)
     row = rate_terms(notion, f)
     memb = G - beta[:, None]
     gamma, C = config.gamma, config.C
@@ -56,7 +54,7 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
         centered = rho_g - beta * rho0
         step = np.concatenate((eta * (centered - gamma), eta * (-centered - gamma)))
         return (step, error_rate(h, f, eval_masses),
-                float(np.abs(rho_g - viol_mult * rho0).max()), rho_g)
+                float(np.abs(centered).max()), rho_g)
 
     dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
     lam_p, lam_m = dual[:n_groups], dual[n_groups:]

@@ -232,6 +232,10 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
     # the SP constraint report reads w next to beta
     pytest.param({"notion": '"sp"', "w": "[1.0, 1.0]"}, "[[0.1]]",
                  "beta and w must be 1-D arrays of equal length", id="w-length"),
+    # SP's rule and constraint centre on the group mass: beta 1 with w 0.5
+    # would report E[hg] - E[h] as the violation
+    pytest.param({"notion": '"sp"', "beta": "[1.0]", "w": "[0.5]"}, "[[0.1]]",
+                 "an sp mixture's beta must equal its w", id="sp-beta-not-w"),
     *(pytest.param({key: "[" + "1" + "0" * 399 + "]"}, "[[0.1]]",
                    "int too large to convert to float", id=f"{key}-huge-int")
       for key in ("beta", "w")),

@@ -21,6 +21,7 @@ from fairpost import (
     GroupSystem,
     base_rates,
     constraint_vector,
+    dual_gradient,
     surrogate_error,
     surrogate_group_rate,
     true_rates,
@@ -116,6 +117,22 @@ def test_constraint_columns_bit_equal(dist, notion, mode):
         want_const, want_coef = ref._constraint_columns(dist, notion, base, f)
         assert np.array_equal(_bits(const), _bits(want_const))
         assert np.array_equal(_bits(coef), _bits(want_coef))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_dists(), NOTIONS, MODES, st.sampled_from([0.0, 0.01, 0.3]), st.booleans(),
+       st.data())
+def test_dual_gradient_is_the_reported_constraint(dist, notion, mode, gamma, binary, data):
+    """The dynamics step on the constraint the reports measure: dual_gradient
+    is (c - gamma, -c - gamma) with c = constraint_vector, bit for bit, at
+    0/1 and at fractional positive probabilities."""
+    base = _base_or_skip(dist, notion, mode)
+    h = (_decisions if binary else _probabilities)(data, dist.n_cells)
+    for scores_as_f in (True, False):
+        c = constraint_vector(h, dist, notion, base, scores_as_f)
+        grad_plus, grad_minus = dual_gradient(h, dist, notion, base, gamma, scores_as_f)
+        assert np.array_equal(_bits(grad_plus), _bits(c - gamma))
+        assert np.array_equal(_bits(grad_minus), _bits(-c - gamma))
 
 
 @settings(max_examples=300, deadline=None)
