@@ -15,7 +15,6 @@ from .core import (
 from .metrics import (
     RateReport,
     base_rates,
-    constraint_lhs,
     constraint_vector,
     surrogate_error,
     surrogate_group_rate,
@@ -27,7 +26,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     TrajectoryRecord,
-    best_response,
     dual_gradient,
     iteration_budget,
     lagrangian_value,
@@ -67,10 +65,10 @@ __all__ = [
     "BaseRates", "Cell", "CellDistribution", "FairnessNotion", "GroupSystem",
     "MixtureClassifier", "ThresholdRule", "aggregate_cells", "build_cells",
     "snap_to_grid",
-    "RateReport", "base_rates", "constraint_lhs", "constraint_vector",
+    "RateReport", "base_rates", "constraint_vector",
     "surrogate_error", "surrogate_group_rate", "true_rates",
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
-    "TrajectoryRecord", "best_response", "dual_gradient", "iteration_budget",
+    "TrajectoryRecord", "dual_gradient", "iteration_budget",
     "lagrangian_value", "project_l1", "run", "run_many", "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "default_checks", "threshold_eval",

@@ -373,7 +373,7 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
         "group_names": list(dist.groups.names),
         "beta": [float(b) for b in mixture.base.beta],
         "w": [float(w) for w in mixture.base.w],
-        "tiebreak_positive": mixture.tiebreak_positive,
+        "tiebreak_positive": True,   # exact ties always decide 1
         "lambdas": rows,
     }
 
@@ -470,8 +470,8 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError("bad mixture: grid_m must be a positive integer")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise InputError("bad mixture: group_names must be a list of strings")
-    if not isinstance(tiebreak, bool):
-        raise InputError("bad mixture: tiebreak_positive must be true or false")
+    if tiebreak is not True:
+        raise InputError("bad mixture: tiebreak_positive must be true (ties decide 1)")
     if type(gamma) not in (int, float) or not 0.0 <= gamma <= sys.float_info.max:
         raise InputError("bad mixture: gamma must be a nonnegative number")
     try:
@@ -482,7 +482,7 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
             lambdas = _decode_lambdas(lambdas, len(base.beta))
         else:
             lambdas = _v1_rows(lambdas)
-        mixture = MixtureClassifier(lambdas, notion, base, tiebreak)
+        mixture = MixtureClassifier(lambdas, notion, base)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):

@@ -33,7 +33,7 @@ __all__ = [
     "grid_indices",
     "mask_from_bits",
     "bits_from_mask",
-    "pointwise_values",
+    "rate_terms",
     "decide_batch",
     "decision_thresholds",
 ]
@@ -258,78 +258,56 @@ class BaseRates:
             raise ValueError("w entries must lie in [0, 1]")
 
 
-def pointwise_values(S, f, notion: FairnessNotion):
-    """Per-point Lagrangian contribution at decisions 0 and 1.
+def rate_terms(notion, f):
+    """The rate table: (a, b, c) of a notion at per-cell label probability f.
 
-    S is the group-weighted sum sum_g lambda_g * (g(x) - beta_g) (with the
-    notion's beta).  Returns (value_at_0, value_at_1); both are arrays when
-    the inputs are arrays.
+    At positive probability p a cell's rate integrand is a + b*p and its
+    conditioning weight is c:
+
+        notion   a    b      c
+        FP       0    1-f    1-f
+        FN       f    -f     f
+        ERR      f    1-2f   1
+        SP       0    1      1
+
+    Every group rate, weight, constraint value, error and best response in
+    the package is read off this table; the ERR row is the classifier's
+    error, which surrogate_error rounds in its definitional form.
     """
-    S = np.asarray(S, dtype=float)
-    f = np.asarray(f, dtype=float)
+    notion = FairnessNotion.coerce(notion)
     if notion is FairnessNotion.FP:
-        return f + 0.0 * S, (1.0 + S) * (1.0 - f)
+        neg = 1.0 - f
+        return 0.0, neg, neg
     if notion is FairnessNotion.FN:
-        return f * (1.0 + S), (1.0 - f) + 0.0 * S
+        return f, -f, f
     if notion is FairnessNotion.ERR:
-        return f * (1.0 + S), (1.0 + S) * (1.0 - f)
-    if notion is FairnessNotion.SP:
-        return f + 0.0 * S, (1.0 - f) + S
-    raise ValueError(f"unknown notion {notion!r}")
+        return f, 1.0 - 2.0 * f, 1.0
+    return 0.0, 1.0, 1.0
 
 
-def decide_batch(S, f, notion: FairnessNotion, tiebreak_positive: bool = True):
-    """Vectorized closed-form best response: argmin of the pointwise values.
+def decision_thresholds(f, notion: FairnessNotion):
+    """Per-cell sign s and threshold d of the best response: decide 1 iff s*S <= d.
 
-    Exact value ties go to 1 (0 with tiebreak_positive=False), which
-    reproduces the per-sign tie cases of the four gradient-descent
-    algorithm listings, including the zero-denominator rows.
-    """
-    v0, v1 = pointwise_values(S, f, notion)
-    if tiebreak_positive:
-        return v1 <= v0
-    return v1 < v0
-
-
-_SIGN_BIT = np.int64(-2 ** 63)
-_MAX_KEY = np.float64(np.finfo(float).max).view(np.int64)
-
-
-def _double_at(key: np.ndarray) -> np.ndarray:
-    """The double at each position of the ordered finite doubles (key 0 is +0.0)."""
-    return np.where(key >= 0, key, -key | _SIGN_BIT).view(np.float64)
-
-
-def decision_thresholds(f, notion: FairnessNotion, tiebreak_positive: bool = True,
-                        decide=decide_batch):
-    """Per-cell sign s and threshold d with decide(S, f)[j] == (s[j]*S <= d[j]).
-
-    The rounded best response is monotone in S for every finite double S:
-    a down-set for FP and SP, an up-set for FN, and for ERR a step at
-    S = -1 whose direction depends on how f compares with 1-f.  The sign
-    comes from the predicate at the two ends of the finite doubles; d is
-    the last double of s*S at which it holds, found by bisection over the
-    ordered doubles with ``decide`` as the oracle (64 calls), and is +inf
-    or -inf for a cell whose decision never changes.  Multiplying S by
-    s = -1 is exact, so the threshold form reproduces every rounding and
-    tie of ``decide`` bit for bit.
+    A point's Lagrangian contribution at decision h is f + (1-2f)h + S(a + b*h),
+    with (a, b) the notion's row of rate_terms and S = sum_g lambda_g (g - beta_g),
+    so h = 1 is a minimizer exactly when b*S <= 2f - 1; exact ties go to 1.
+    Dividing by |b| gives s = -1 where b < 0 (else 1) and d = (2f - 1)/|b|;
+    a cell with b = 0 always decides 1 (d = +inf) when 2f - 1 >= 0, and never
+    (d = -inf) otherwise.  Subnormal b may overflow d to +-inf, which is the
+    correct decision for every finite S.
     """
     f = np.asarray(f, dtype=float)
-    top = np.full(f.shape, np.finfo(float).max)
-    at_low = decide(-top, f, notion, tiebreak_positive)
-    at_high = decide(top, f, notion, tiebreak_positive)
-    s = np.where(at_high & ~at_low, -1.0, 1.0)
-    lo = np.full(f.shape, -_MAX_KEY)   # predicate of s*y holds here ...
-    hi = np.full(f.shape, _MAX_KEY)    # ... and fails here
-    for _ in range(64):
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        holds = decide(s * _double_at(mid), f, notion, tiebreak_positive)
-        lo = np.where(holds, mid, lo)
-        hi = np.where(holds, hi, mid)
-    d = _double_at(lo)
-    d[at_low & at_high] = np.inf
-    d[~at_low & ~at_high] = -np.inf
-    return s, d
+    b = np.broadcast_to(rate_terms(notion, f)[1], f.shape)
+    margin = 2.0 * f - 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = np.where(b == 0, np.where(margin >= 0, np.inf, -np.inf), margin / np.abs(b))
+    return np.where(b < 0, -1.0, 1.0), d
+
+
+def decide_batch(S, f, notion: FairnessNotion):
+    """Vectorized best response: s*S <= d with (s, d) = decision_thresholds(f)."""
+    s, d = decision_thresholds(f, notion)
+    return s * np.asarray(S, dtype=float) <= d
 
 
 @dataclass(frozen=True)
@@ -339,7 +317,6 @@ class ThresholdRule:
     lam: tuple
     notion: FairnessNotion
     base: BaseRates
-    tiebreak_positive: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
@@ -360,13 +337,12 @@ class ThresholdRule:
         else:
             score = float(cell_or_score)
         S = self.group_sum(mask)
-        return int(decide_batch(np.array([S]), np.array([score]), self.notion,
-                                self.tiebreak_positive)[0])
+        return int(decide_batch(np.array([S]), np.array([score]), self.notion)[0])
 
     def decisions(self, dist: CellDistribution) -> np.ndarray:
         lam = np.asarray(self.lam, dtype=float)
         S = lam @ (dist.group_matrix - self.base.beta[:, None])
-        return decide_batch(S, dist.scores, self.notion, self.tiebreak_positive).astype(float)
+        return decide_batch(S, dist.scores, self.notion).astype(float)
 
 
 # Rules per evaluation block: a block's group terms and partial sums take
@@ -381,8 +357,7 @@ class MixtureClassifier:
     differ, so the mixture is stored as a (T, n_groups) array of lambdas.
     """
 
-    def __init__(self, lambdas, notion: FairnessNotion, base: BaseRates,
-                 tiebreak_positive: bool = True):
+    def __init__(self, lambdas, notion: FairnessNotion, base: BaseRates):
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.ndim != 2:
             raise ValueError("lambdas must be a (T, n_groups) array")
@@ -406,14 +381,12 @@ class MixtureClassifier:
         self.lambdas = lambdas
         self.notion = FairnessNotion.coerce(notion)
         self.base = base
-        self.tiebreak_positive = tiebreak_positive
 
     def __len__(self) -> int:
         return self.lambdas.shape[0]
 
     def rule(self, i: int) -> ThresholdRule:
-        return ThresholdRule(tuple(self.lambdas[i]), self.notion, self.base,
-                             self.tiebreak_positive)
+        return ThresholdRule(tuple(self.lambdas[i]), self.notion, self.base)
 
     def _positive_probs(self, scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Fraction of rules deciding 1 at each point (scores[i], bits[i]).
@@ -439,7 +412,7 @@ class MixtureClassifier:
         row, pattern_of = _group_rows(np.zeros(len(bits), dtype=np.int64), bits[:, ::-1])
         patterns = bits[row].astype(np.intp)
         values, value_of = np.unique(scores, return_inverse=True)
-        sign, thresh = decision_thresholds(values, self.notion, self.tiebreak_positive)
+        sign, thresh = decision_thresholds(values, self.notion)
         sign, thresh = sign[value_of], thresh[value_of]
         rows_by_pattern = np.split(np.argsort(pattern_of, kind="stable"),
                                    np.cumsum(np.bincount(pattern_of))[:-1])

@@ -120,12 +120,18 @@ class FairThresholdPostprocessor(_ParamsMixin):
             raise NotFittedError("call fit() before predicting")
 
     def predict_proba(self, scores, groups) -> np.ndarray:
-        """Positive probability of the randomized classifier per point."""
+        """Positive probability of the randomized classifier per point.
+
+        A score is first snapped to the 1/grid_m grid, as fit snapped it
+        into its cell, so a training point gets its cell's probability.
+        """
         self._check_fitted()
         scores, groups, _ = check_scores_groups(scores, groups)
         if groups.shape[1] != self.n_groups_:
             raise ValueError("group matrix width changed between fit and predict")
-        return self.mixture_.positive_prob_points(scores, groups)
+        grid_m = self.distribution_.grid_m
+        return self.mixture_.positive_prob_points(grid_indices(scores, grid_m) / grid_m,
+                                                  groups)
 
     def predict(self, scores, groups, random_state: Optional[int] = None) -> np.ndarray:
         """Sample hard labels from the randomized classifier."""

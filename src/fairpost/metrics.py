@@ -19,6 +19,7 @@ from .core import (
     FairnessNotion,
     MixtureClassifier,
     ThresholdRule,
+    rate_terms,
 )
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "positive_probs",
     "surrogate_group_rate",
     "surrogate_error",
-    "constraint_lhs",
     "constraint_vector",
     "true_rates",
 ]
@@ -54,33 +54,6 @@ def positive_probs(h: ClassifierLike, dist: CellDistribution) -> np.ndarray:
 
 def _f_array(dist: CellDistribution, scores_as_f: bool) -> np.ndarray:
     return dist.scores if scores_as_f else dist.require_labels()
-
-
-def rate_terms(notion, f):
-    """The rate table: (a, b, c) of a notion at per-cell label probability f.
-
-    At positive probability p a cell's rate integrand is a + b*p and its
-    conditioning weight is c:
-
-        notion   a    b      c
-        FP       0    1-f    1-f
-        FN       f    -f     f
-        ERR      f    1-2f   1
-        SP       0    1      1
-
-    Every group rate, weight, constraint value and error in the package is
-    read off this table; the ERR row is the classifier's error, which
-    surrogate_error rounds in its definitional form.
-    """
-    notion = FairnessNotion.coerce(notion)
-    if notion is FairnessNotion.FP:
-        neg = 1.0 - f
-        return 0.0, neg, neg
-    if notion is FairnessNotion.FN:
-        return f, -f, f
-    if notion is FairnessNotion.ERR:
-        return f, 1.0 - 2.0 * f, 1.0
-    return 0.0, 1.0, 1.0
 
 
 def group_rates(terms, p, masses: np.ndarray, G: np.ndarray):
@@ -164,12 +137,6 @@ def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,
     p = positive_probs(h, dist)
     f = _f_array(dist, scores_as_f)
     return _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
-
-
-def constraint_lhs(h: ClassifierLike, g: int, dist: CellDistribution, notion,
-                   base: BaseRates, scores_as_f: bool = True) -> float:
-    """Signed constraint value for group g; |value| <= gamma means satisfied."""
-    return float(constraint_vector(h, dist, notion, base, scores_as_f)[g])
 
 
 @dataclass(frozen=True)

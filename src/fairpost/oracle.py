@@ -15,8 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BaseRates, Cell, CellDistribution, FairnessNotion, pointwise_values
-from .metrics import rate_terms
+from .core import BaseRates, Cell, CellDistribution, FairnessNotion, rate_terms
 
 __all__ = [
     "OracleSolution",
@@ -224,18 +223,16 @@ class PointwiseArgmin:
     tie: bool
 
 
-def pointwise_argmin(lam, cell: Cell, notion, base: BaseRates,
-                     tiebreak_positive: bool = True) -> PointwiseArgmin:
-    """Brute-force the per-cell Lagrangian contribution at both decisions."""
-    notion = FairnessNotion.coerce(notion)
+def pointwise_argmin(lam, cell: Cell, notion, base: BaseRates) -> PointwiseArgmin:
+    """Brute-force the per-cell Lagrangian contribution at both decisions.
+
+    v_h = f + (1-2f)h + S(a + b*h) from the rate table, evaluated at h = 0
+    and h = 1 and compared; exact ties go to 1.
+    """
     lam = np.asarray(lam, dtype=float)
     bits = np.array([(cell.groups >> i) & 1 for i in range(len(lam))], dtype=float)
     S = float(lam @ (bits - base.beta))
-    v0, v1 = pointwise_values(np.array([S]), np.array([cell.score]), notion)
-    v0, v1 = float(v0[0]), float(v1[0])
-    tie = v0 == v1
-    if tie:
-        bit = 1 if tiebreak_positive else 0
-    else:
-        bit = int(v1 < v0)
-    return PointwiseArgmin(bit=bit, value_zero=v0, value_one=v1, tie=tie)
+    f = cell.score
+    a, b, _ = rate_terms(notion, f)
+    v0, v1 = (f + (1.0 - 2.0 * f) * h + S * (a + b * h) for h in (0.0, 1.0))
+    return PointwiseArgmin(bit=int(v1 <= v0), value_zero=v0, value_one=v1, tie=v0 == v1)

@@ -17,11 +17,9 @@ import numpy as np
 
 from .core import (
     BaseRates,
-    Cell,
     CellDistribution,
     FairnessNotion,
     MixtureClassifier,
-    ThresholdRule,
     decide_batch,
     decision_thresholds,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "BudgetExceededError",
     "iteration_budget",
     "sample_size",
-    "best_response",
     "dual_gradient",
     "project_l1",
     "lagrangian_value",
@@ -163,13 +160,6 @@ def sample_size(T: int, group_count: int, epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 * group_count * T / delta) / (2.0 * epsilon * epsilon))
 
 
-def best_response(lam, cell: Cell, notion, base: BaseRates,
-                  tiebreak_positive: bool = True) -> int:
-    """Closed-form pointwise Lagrangian minimizer for one cell."""
-    rule = ThresholdRule(tuple(lam), FairnessNotion.coerce(notion), base, tiebreak_positive)
-    return rule.decide(cell)
-
-
 def dual_gradient(h_t, dist: CellDistribution, notion, base: BaseRates,
                   gamma: float, scores_as_f: bool = True):
     """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier:
@@ -281,7 +271,7 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
     row = rate_terms(notion, f)
     memb = G - beta[:, None]
     C = config.C
-    sign, thresh = decision_thresholds(f, notion, decide=decide_batch)
+    sign, thresh = decision_thresholds(f, notion)
     smemb = memb * sign
 
     def rates(h, eval_masses):

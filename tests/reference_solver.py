@@ -10,7 +10,7 @@ from typing import List
 
 import numpy as np
 
-from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
+from fairpost.core import CellDistribution, MixtureClassifier, decision_thresholds
 from fairpost.metrics import base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     DualState,
@@ -42,7 +42,7 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     row = rate_terms(notion, f)
     memb = G - beta[:, None]
     gamma, C = config.gamma, config.C
-    sign, thresh = decision_thresholds(f, notion, decide=decide_batch)
+    sign, thresh = decision_thresholds(f, notion)
     smemb = memb * sign
 
     def round_terms(h, eval_masses):

@@ -7,7 +7,6 @@ pytest -s); assertions enforce the same bounds.  Run with:
 """
 
 import math
-import statistics
 import time
 
 import numpy as np
@@ -15,12 +14,10 @@ import pytest
 
 from fairpost import (
     DualState,
-    FairnessNotion,
     SolverConfig,
     SynthSpec,
+    ThresholdRule,
     base_rates,
-    best_response,
-    brier,
     calibrate,
     constraint_vector,
     default_checks,
@@ -98,7 +95,7 @@ def test_criterion_2_best_response(rng):
         cell = dist.cells[rng.integers(dist.n_cells)]
         notion = NOTIONS[rng.integers(4)]
         pw = pointwise_argmin(lam, cell, notion, bases[notion])
-        if best_response(lam, cell, notion, bases[notion]) != pw.bit:
+        if ThresholdRule(lam, notion, bases[notion]).decide(cell) != pw.bit:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed <= 5.0
@@ -154,7 +151,7 @@ def test_criterion_5_fixh_identity(rng):
                 continue
             cells_checked += 1
             if threshold_eval(lam, base, cell.groups, cell.score, "fp") != \
-                    best_response(lam, cell, "fp", base):
+                    ThresholdRule(lam, "fp", base).decide(cell):
                 mismatches += 1
     _report(5, mismatches == 0 and cells_checked > 0,
             f"{cells_checked} cells across 50 instances, {mismatches} mismatches")

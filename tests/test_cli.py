@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairpost import BaseRates, FairnessNotion, MixtureClassifier, build_cells, surrogate_error
+from fairpost import BaseRates, FairnessNotion, MixtureClassifier, surrogate_error
 from fairpost import cli, multical
 from fairpost.cli import load_mixture, main, read_dataset
 
@@ -198,7 +198,9 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
     pytest.param({"grid_m": "true"}, "[[0.1]]", "grid_m must be a positive integer",
                  id="grid_m-bool"),
     pytest.param({"tiebreak_positive": '"no"'}, "[[0.1]]",
-                 "tiebreak_positive must be true or false", id="tiebreak-string"),
+                 "tiebreak_positive must be true", id="tiebreak-string"),
+    pytest.param({"tiebreak_positive": "false"}, "[[0.1]]",
+                 "tiebreak_positive must be true", id="tiebreak-false"),
     pytest.param({"group_names": '"I"'}, "[[0.1]]", "group_names must be a list of strings",
                  id="group_names-string"),
     pytest.param({"group_names": '["I", "a"]'}, "[[0.1]]",

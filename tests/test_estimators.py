@@ -8,9 +8,6 @@ from fairpost import (
     JointMulticalibrator,
     NotFittedError,
     audit,
-    base_rates,
-    build_cells,
-    default_checks,
 )
 from fairpost.core import mask_from_bits, snap_to_grid
 from fairpost.estimators import check_scores_groups
@@ -40,6 +37,21 @@ def test_postprocessor_fit_predict(rng):
     for j, cell in enumerate(est.distribution_.cells):
         bits = [(cell.groups >> i) & 1 for i in range(est.n_groups_)]
         assert est.predict_proba([cell.score], [bits])[0] == cell_p[j]
+
+
+def test_postprocessor_predict_proba_on_off_grid_training_points(rng):
+    # fit puts each point in the cell of its snapped score, so predict_proba
+    # gives an off-grid training point its cell's probability, bit for bit
+    scores = rng.beta(2.0, 3.0, size=4000)
+    groups = rng.integers(0, 2, size=(4000, 2))
+    y = (rng.uniform(size=4000) < scores).astype(int)
+    est = FairThresholdPostprocessor(notion="fp", gamma=0.01, C=5.0, T=2000, grid_m=20)
+    est.fit(scores, groups, y)
+    cell_p = est.mixture_.positive_prob_vector(est.distribution_)
+    cell_of = {(c.score, c.groups): j for j, c in enumerate(est.distribution_.cells)}
+    want = cell_p[[cell_of[snap_to_grid(s, 20), mask_from_bits(g)]
+                   for s, g in zip(scores.tolist(), groups.tolist())]]
+    assert est.predict_proba(scores, groups).tobytes() == want.tobytes()
 
 
 def test_postprocessor_predict_samples_labels(rng):

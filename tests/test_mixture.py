@@ -24,6 +24,7 @@ from fairpost.core import (
     MixtureClassifier,
     decide_batch,
     decision_thresholds,
+    grid_indices,
 )
 
 from conftest import make_dist
@@ -42,7 +43,7 @@ def _ordered_sums(lambdas, beta, bits):
 def _reference_probs(mix, scores, groups):
     T = len(mix)
     counts = [decide_batch(_ordered_sums(mix.lambdas, mix.base.beta, bits), np.full(T, f),
-                           mix.notion, mix.tiebreak_positive).sum()
+                           mix.notion).sum()
               for f, bits in zip(scores, groups)]
     return np.array(counts, dtype=float) / T
 
@@ -62,14 +63,13 @@ def instances(draw):
     beta = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit),
                                   min_size=g, max_size=g)))
     notion = draw(st.sampled_from(NOTIONS))
-    tiebreak = draw(st.booleans())
     scores = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit),
                                     min_size=1, max_size=12)))
     patterns = draw(st.lists(st.lists(st.integers(0, 1), min_size=g, max_size=g),
                              min_size=1, max_size=6))
     # few patterns for many points, so patterns repeat
     groups = np.array([draw(st.sampled_from(patterns)) for _ in scores], dtype=int)
-    s, d = decision_thresholds(scores, notion, tiebreak)
+    s, d = decision_thresholds(scores, notion)
     flips = [float(v) for v in (s * d)[np.isfinite(d)]]
     aimed = flips + [float(np.nextafter(v, w)) for v in flips for w in (-np.inf, np.inf)]
     aimed += [-1.0, 1.0, 0.0, -0.0]
@@ -87,7 +87,7 @@ def instances(draw):
             row[draw(st.integers(0, g - 1))] = draw(st.sampled_from(aimed))
             rows.append(row)
     base = BaseRates(notion, beta, np.full(g, 0.5))
-    mix = MixtureClassifier(np.array(rows), notion, base, tiebreak_positive=tiebreak)
+    mix = MixtureClassifier(np.array(rows), notion, base)
     return mix, scores, groups
 
 
@@ -143,17 +143,16 @@ def test_sums_at_the_threshold_are_counted_by_decide_batch():
     # c = 1 for the single group, so S_t = lambda_t exactly
     f = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     for notion in NOTIONS:
-        for tiebreak in (True, False):
-            s, d = decision_thresholds(f, notion, tiebreak)
-            finite = np.isfinite(d)
-            flips = (s * d)[finite]
-            lams = np.concatenate([flips, np.nextafter(flips, np.inf),
-                                   np.nextafter(flips, -np.inf), [-1.0, 0.0, -0.0]])
-            base = BaseRates(notion, np.zeros(1), np.zeros(1))
-            mix = MixtureClassifier(lams[:, None], notion, base, tiebreak_positive=tiebreak)
-            groups = np.ones((len(f), 1), dtype=int)
-            assert np.array_equal(_bits(mix.positive_prob_points(f, groups)),
-                                  _bits(_reference_probs(mix, f, groups)))
+        s, d = decision_thresholds(f, notion)
+        finite = np.isfinite(d)
+        flips = (s * d)[finite]
+        lams = np.concatenate([flips, np.nextafter(flips, np.inf),
+                               np.nextafter(flips, -np.inf), [-1.0, 0.0, -0.0]])
+        base = BaseRates(notion, np.zeros(1), np.zeros(1))
+        mix = MixtureClassifier(lams[:, None], notion, base)
+        groups = np.ones((len(f), 1), dtype=int)
+        assert np.array_equal(_bits(mix.positive_prob_points(f, groups)),
+                              _bits(_reference_probs(mix, f, groups)))
 
 
 def test_points_need_a_membership_matrix():
@@ -190,17 +189,13 @@ def test_mixture_rejects_lambdas_whose_group_sum_overflows():
 
 
 @pytest.mark.parametrize("notion", [n.value for n in NOTIONS])
-@pytest.mark.parametrize("tiebreak", [True, False])
-def test_predict_proba_is_batch_independent(rng, notion, tiebreak):
+def test_predict_proba_is_batch_independent(rng, notion):
     dist, _ = make_dist(31, n_cells=12, n_groups=3, grid_m=20)
     idx = rng.choice(dist.n_cells, size=2000, p=dist.masses / dist.masses.sum())
     groups = dist.group_matrix[:, idx].T.astype(int)
     y = (rng.uniform(size=len(idx)) < dist.label_means[idx]).astype(int)
     est = FairThresholdPostprocessor(notion=notion, gamma=0.02, C=3.0, T=500, grid_m=20)
     est.fit(dist.scores[idx], groups, y)
-    mix = est.mixture_
-    est.mixture_ = MixtureClassifier(mix.lambdas, mix.notion, mix.base,
-                                     tiebreak_positive=tiebreak)
     # grid scores, off-grid scores and the ends, over every group pattern seen
     n = 60
     scores = np.concatenate([dist.scores[idx[:n // 2]], rng.uniform(size=n // 2 - 3),
@@ -216,4 +211,6 @@ def test_predict_proba_is_batch_independent(rng, notion, tiebreak):
     rep = np.repeat(np.arange(n), 3)
     assert np.array_equal(_bits(est.predict_proba(scores[rep], pts[rep])),
                           _bits(whole[rep]))
-    assert np.array_equal(_bits(whole), _bits(_reference_probs(est.mixture_, scores, pts)))
+    # predict_proba snaps each score to the fit's grid before it counts
+    snapped = grid_indices(scores, 20) / 20
+    assert np.array_equal(_bits(whole), _bits(_reference_probs(est.mixture_, snapped, pts)))

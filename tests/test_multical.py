@@ -16,7 +16,6 @@ from fairpost import (
     ThresholdRule,
     audit,
     base_rates,
-    best_response,
     brier,
     build_cells,
     calibrate,
@@ -87,7 +86,7 @@ def test_threshold_eval_equals_best_response_fp(rng):
             if 2.0 + S <= 0:
                 continue
             assert threshold_eval(lam, base, cell.groups, cell.score, "fp") == \
-                best_response(lam, cell, "fp", base)
+                ThresholdRule(lam, "fp", base).decide(cell)
 
 
 def test_threshold_eval_equals_best_response_fn_and_sp(rng):
@@ -100,9 +99,9 @@ def test_threshold_eval_equals_best_response_fn_and_sp(rng):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base_fn.beta)) > 0:
                 assert threshold_eval(lam, base_fn, cell.groups, cell.score, "fn") == \
-                    best_response(lam, cell, "fn", base_fn)
+                    ThresholdRule(lam, "fn", base_fn).decide(cell)
             assert threshold_eval(lam, base_sp, cell.groups, cell.score, "sp") == \
-                best_response(lam, cell, "sp", base_sp)
+                ThresholdRule(lam, "sp", base_sp).decide(cell)
 
 
 def test_threshold_eval_monotone_in_v(rng):
@@ -521,7 +520,7 @@ def test_calibrate_matches_reference_with_hypothesis_and_product_checks():
     _, pert = make_dist(12, n_cells=40, n_groups=2, grid_m=25, miscalibration=0.4)
     base = _base(pert, "fp")
     rules = [ThresholdRule((0.8, -0.5, 0.3), FairnessNotion.FP, base),
-             ThresholdRule((0.0, 0.0, 0.0), FairnessNotion.FP, base, False)]
+             ThresholdRule((0.0, 0.0, 0.0), FairnessNotion.FP, base)]
     checks = default_checks(pert, base, hypotheses=rules, n_random=8, C=5.0, seed=1)
     assert {"hypothesis", "product"} <= {c.kind for c in checks}
     _assert_same_calibration(checks, pert, 0.01)

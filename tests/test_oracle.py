@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,9 +11,8 @@ from fairpost import (
     DualState,
     GroupSystem,
     SolverConfig,
+    ThresholdRule,
     base_rates,
-    best_response,
-    build_cells,
     constraint_vector,
     enumerate_optimum,
     lagrangian_value,
@@ -155,7 +156,7 @@ def test_pointwise_argmin_cross_check(rng):
         base = base_rates(dist, notion, "from_labels")
         cell = dist.cells[rng.integers(dist.n_cells)]
         pw = pointwise_argmin(lam, cell, notion, base)
-        assert pw.bit == best_response(lam, cell, notion, base)
+        assert pw.bit == ThresholdRule(lam, notion, base).decide(cell)
 
 
 def test_weak_duality_against_solver_duals(biased_instance):
@@ -259,13 +260,12 @@ def test_staircase_rebuilds_p(levels):
 def test_oracle_at_scale(n_cells, n_groups):
     """At the sweep_wide shape: HiGHS agrees to 1e-9, and the staircase
     support is a feasible mixture of at most n + 1 labelings whose error is
-    the optimum."""
+    the optimum, at gamma = 0.01 and at the degenerate gamma = 0."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     _, dist = make_dist(2, n_cells=n_cells, n_groups=n_groups, grid_m=100,
                         profile="two_group_bias")
     assert dist.n_cells == n_cells
-    gamma = 0.01
-    for notion in NOTIONS:
+    for gamma, notion in itertools.product((0.01, 0.0), NOTIONS):
         base = base_rates(dist, notion, "from_scores")
         sol = enumerate_optimum(dist, notion, base, gamma)
         highs = reference_oracle.highs_optimum(scipy_opt.linprog, dist, notion, base, gamma)

@@ -15,7 +15,6 @@ from fairpost import (
     SolverConfig,
     ThresholdRule,
     base_rates,
-    best_response,
     dual_gradient,
     enumerate_optimum,
     iteration_budget,
@@ -68,16 +67,14 @@ def test_sample_size_epsilon_scaling():
 
 
 def test_best_response_bayes_at_zero_dual():
-    base = base_rates(_two_cell_dist(), "fp", "from_scores")
-    lam = (0.0,)
-    assert best_response(lam, Cell(0.6, 1, 0.5), "fp", base) == 1
-    assert best_response(lam, Cell(0.4, 1, 0.5), "fp", base) == 0
+    rule = ThresholdRule((0.0,), "fp", base_rates(_two_cell_dist(), "fp", "from_scores"))
+    assert rule.decide(Cell(0.6, 1, 0.5)) == 1
+    assert rule.decide(Cell(0.4, 1, 0.5)) == 0
 
 
 def test_best_response_sp_tie_goes_positive():
-    dist = _two_cell_dist()
-    base = base_rates(dist, "sp", "from_scores")
-    assert best_response((0.0,), Cell(0.5, 1, 0.5), "sp", base) == 1
+    rule = ThresholdRule((0.0,), "sp", base_rates(_two_cell_dist(), "sp", "from_scores"))
+    assert rule.decide(Cell(0.5, 1, 0.5)) == 1
 
 
 def _two_cell_dist():
@@ -93,7 +90,7 @@ def test_best_response_matches_pointwise_argmin(rng):
         notion = NOTIONS[rng.integers(4)]
         base = base_rates(dist, notion, "from_labels")
         pw = pointwise_argmin(lam, cell, notion, base)
-        assert best_response(lam, cell, notion, base) == pw.bit
+        assert ThresholdRule(lam, notion, base).decide(cell) == pw.bit
         # optimality: the chosen bit never loses to the other one
         chosen = pw.value_one if pw.bit else pw.value_zero
         other = pw.value_zero if pw.bit else pw.value_one
@@ -496,8 +493,7 @@ def _reference_positive_prob_vector(mixture, dist, chunk=65536):
     T = len(mixture)
     for start in range(0, T, chunk):
         S = mixture.lambdas[start:start + chunk] @ memb
-        dec = decide_batch(S, dist.scores[None, :], mixture.notion,
-                           mixture.tiebreak_positive)
+        dec = decide_batch(S, dist.scores[None, :], mixture.notion)
         counts += dec.sum(axis=0)
     return counts / T
 
@@ -519,11 +515,8 @@ def _assert_bit_equal(got, want, dist):
     else:
         assert np.array_equal(_bits(got.estimation_deviations),
                               _bits(want.estimation_deviations))
-    for tiebreak in (True, False):
-        mix = MixtureClassifier(got.mixture.lambdas, got.mixture.notion, got.base,
-                                tiebreak_positive=tiebreak)
-        assert np.array_equal(_bits(mix.positive_prob_vector(dist)),
-                              _bits(_reference_positive_prob_vector(mix, dist)))
+    assert np.array_equal(_bits(got.mixture.positive_prob_vector(dist)),
+                          _bits(_reference_positive_prob_vector(got.mixture, dist)))
 
 
 @pytest.mark.parametrize("notion", NOTIONS)

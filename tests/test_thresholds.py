@@ -1,12 +1,17 @@
-"""The threshold form of the best response reproduces decide_batch exactly.
+"""The best response read off the rate table is the exact pointwise argmin.
 
-decision_thresholds gives each cell a sign s and a double d with
-decide_batch(S, f)[j] == (s[j]*S <= d[j]).  The solver and the mixture
-evaluation rely on this bit for bit, ties and zero-denominator rows
-included, so the property is checked on grid scores, on f in {0, 1/2, 1},
-on S drawn from the reachable range and from all finite doubles, and at the
-thresholds themselves and their neighbouring doubles.
+decision_thresholds gives each cell a sign s and a threshold d, and the
+best response decides 1 where s*S <= d.  At decision h a point contributes
+f + (1-2f)h + S(a + b*h) to the Lagrangian, with (a, b) its notion's row of
+the rate table.  The reference here minimizes that in exact rational
+arithmetic (fractions.Fraction) at the same doubles f and S: the two must
+agree for every S outside a relative 4 eps band around the exact threshold
+(2f-1)/b, and every exact tie must decide 1.  f is drawn from grids with
+m <= 1000 plus {0, 1/2, 1}; S from the reachable range, from all finite
+doubles, and at the threshold and its neighbouring doubles.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from fairpost.core import FairnessNotion, decide_batch, decision_thresholds
 
 NOTIONS = st.sampled_from(list(FairnessNotion))
+BAND = 4 * Fraction(np.finfo(float).eps)
 
 # |S| <= ||lambda||_1 * max|g - beta| <= C for the rules a solve produces;
 # the draws go well past any C the work cap admits
@@ -30,54 +36,97 @@ def grid_scores(draw):
     return np.array([k / m for k in ks] + [0.0, 0.5, 1.0])
 
 
-def _check(S, f, s, d, notion, tiebreak):
-    """decide_batch and the threshold form agree at every (S row, cell)."""
-    want = decide_batch(S, f, notion, tiebreak)
-    got = s * S <= d
-    assert np.array_equal(got, want), (S[got != want], np.broadcast_to(f, got.shape)[
-        got != want])
+def _exact_b(notion, F):
+    """The b column of the rate table, in exact arithmetic."""
+    return {FairnessNotion.FP: 1 - F, FairnessNotion.FN: -F,
+            FairnessNotion.ERR: 1 - 2 * F, FairnessNotion.SP: Fraction(1)}[notion]
+
+
+def _exact_a(notion, F):
+    return F if notion in (FairnessNotion.FN, FairnessNotion.ERR) else Fraction(0)
+
+
+def _check(S, f, notion):
+    """decide_batch at every (S, f) pair against the exact argmin; returns the
+    number of exact ties seen."""
+    got = decide_batch(S, f, notion)
+    ties = 0
+    for S_j, f_j, got_j in zip(S.tolist(), f.tolist(), got.tolist()):
+        F, X = Fraction(f_j), Fraction(S_j)
+        a, b = _exact_a(notion, F), _exact_b(notion, F)
+        v0, v1 = (F + (1 - 2 * F) * h + X * (a + b * h) for h in (0, 1))
+        if v0 == v1:
+            ties += 1
+            assert got_j, ("tie must decide 1", notion, f_j, S_j)
+            continue
+        if b != 0:
+            t = (2 * F - 1) / b
+            if abs(X - t) <= BAND * abs(t):
+                continue
+        assert got_j == (v1 < v0), (notion, f_j, S_j)
+    return ties
+
+
+def _aimed(f, notion):
+    """Per cell: the exact threshold (2f-1)/b rounded to a double, the double
+    at which decide_batch flips, and the neighbours of both."""
+    s, d = decision_thresholds(f, notion)
+    values = []
+    for f_j, s_j, d_j in zip(f.tolist(), s.tolist(), d.tolist()):
+        F = Fraction(f_j)
+        b = _exact_b(notion, F)
+        aims = [s_j * d_j] if np.isfinite(d_j) else []
+        if b != 0:
+            t = (2 * F - 1) / b
+            if abs(t) <= Fraction(np.finfo(float).max):
+                aims.append(float(t))
+        for v in aims:
+            values += [(f_j, v), (f_j, float(np.nextafter(v, np.inf))),
+                       (f_j, float(np.nextafter(v, -np.inf)))]
+    return values
 
 
 @settings(max_examples=300, deadline=None)
-@given(f=grid_scores(), notion=NOTIONS, tiebreak=st.booleans(),
+@given(f=grid_scores(), notion=NOTIONS,
        values=st.lists(st.one_of(reachable, finite, near_minus_one), min_size=1,
                        max_size=40))
-def test_threshold_form_equals_decide_batch(f, notion, tiebreak, values):
-    s, d = decision_thresholds(f, notion, tiebreak)
-    S = np.array(values + [-1.0, 0.0, -0.0, 1.0])[:, None]
-    _check(S, f[None, :], s, d, notion, tiebreak)
+def test_threshold_form_is_the_exact_argmin(f, notion, values):
+    S = np.array(values + [-1.0, 0.0, -0.0, 1.0])
+    pairs = np.array([(f_j, S_j) for f_j in f for S_j in S])
+    _check(pairs[:, 1], pairs[:, 0], notion)
 
 
-@settings(max_examples=200, deadline=None)
-@given(f=grid_scores(), notion=NOTIONS, tiebreak=st.booleans())
-def test_threshold_form_exact_at_the_threshold(f, notion, tiebreak):
-    s, d = decision_thresholds(f, notion, tiebreak)
-    finite_d = np.isfinite(d)
-    for y in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)):
-        keep = finite_d & np.isfinite(y)
-        # S = s*y is the double at which the decision flips (or its neighbour)
-        _check(s[keep] * y[keep], f[keep], s[keep], d[keep], notion, tiebreak)
+@settings(max_examples=300, deadline=None)
+@given(f=grid_scores(), notion=NOTIONS)
+def test_threshold_form_exact_at_the_threshold(f, notion):
+    pairs = np.array(_aimed(f, notion))
+    _check(pairs[:, 1], pairs[:, 0], notion)
     # a cell whose decision never changes has d = +-inf and agrees everywhere
     for S in (-np.finfo(float).max, -1.0, 0.0, np.finfo(float).max):
-        _check(np.full(f.shape, S), f, s, d, notion, tiebreak)
+        _check(np.full(f.shape, S), f, notion)
 
 
 def test_zero_denominator_rows_and_ties():
     f = np.array([0.0, 0.5, 1.0])
-    S = np.array([-3.0, -1.0, -0.0, 0.0, 2.0])[:, None]
+    S = np.array([-3.0, -1.0, -0.0, 0.0, 2.0])
     for notion in FairnessNotion:
-        for tiebreak in (True, False):
-            s, d = decision_thresholds(f, notion, tiebreak)
-            assert set(np.unique(s)) <= {-1.0, 1.0}
-            _check(S, f[None, :], s, d, notion, tiebreak)
-    # SP ties go positive: at S = 0 a score of 1/2 is labelled 1, or 0 without
-    # the positive tiebreak
-    s, d = decision_thresholds(np.array([0.5]), FairnessNotion.SP, True)
+        s, d = decision_thresholds(f, notion)
+        assert set(np.unique(s)) <= {-1.0, 1.0}
+        _check(np.repeat(S, len(f)), np.tile(f, len(S)), notion)
+    # SP ties go positive: at S = 0 a score of 1/2 is labelled 1
+    s, d = decision_thresholds(np.array([0.5]), FairnessNotion.SP)
     assert bool(s[0] * 0.0 <= d[0])
-    s, d = decision_thresholds(np.array([0.5]), FairnessNotion.SP, False)
-    assert not bool(s[0] * 0.0 <= d[0])
     # ERR at f = 1/2 is a tie for every S, so the decision is constant
-    s, d = decision_thresholds(np.array([0.5]), FairnessNotion.ERR, True)
+    s, d = decision_thresholds(np.array([0.5]), FairnessNotion.ERR)
     assert d[0] == np.inf
-    s, d = decision_thresholds(np.array([0.5]), FairnessNotion.ERR, False)
-    assert d[0] == -np.inf
+    # FN at a subnormal f: (2f-1)/|b| overflows to -inf, and no finite S
+    # reaches the exact threshold (1-2f)/f either
+    s, d = decision_thresholds(np.array([2.2e-309]), FairnessNotion.FN)
+    assert (s[0], d[0]) == (-1.0, -np.inf)
+    # at the thresholds of the 1/20 grid the aimed draws reach exact ties
+    f = np.array([k / 20 for k in range(21)])
+    ties = 0
+    for notion in FairnessNotion:
+        pairs = np.array(_aimed(f, notion))
+        ties += _check(pairs[:, 1], pairs[:, 0], notion)
+    assert ties > 0
