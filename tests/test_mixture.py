@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairpost import FairThresholdPostprocessor, core
+from fairpost import FairThresholdPostprocessor, cli, core
 from fairpost.core import (
     BaseRates,
     FairnessNotion,
@@ -189,13 +189,21 @@ def test_mixture_rejects_lambdas_whose_group_sum_overflows():
 
 
 @pytest.mark.parametrize("notion", [n.value for n in NOTIONS])
-def test_predict_proba_is_batch_independent(rng, notion):
+@pytest.mark.parametrize("reloaded", [True, False])
+def test_predict_proba_is_batch_independent(rng, tmp_path, notion, reloaded):
     dist, _ = make_dist(31, n_cells=12, n_groups=3, grid_m=20)
     idx = rng.choice(dist.n_cells, size=2000, p=dist.masses / dist.masses.sum())
     groups = dist.group_matrix[:, idx].T.astype(int)
     y = (rng.uniform(size=len(idx)) < dist.label_means[idx]).astype(int)
     est = FairThresholdPostprocessor(notion=notion, gamma=0.02, C=3.0, T=500, grid_m=20)
     est.fit(dist.scores[idx], groups, y)
+    fitted = est.mixture_
+    if reloaded:
+        # a mixture read back from mixture.json holds read-only rows decoded
+        # from base64; it must score as the fitted one does
+        path = tmp_path / "mixture.json"
+        cli._write_mixture(path, cli._mixture_payload(est.mixture_, dist, 0.02))
+        est.mixture_ = cli.load_mixture(str(path))[0]
     # grid scores, off-grid scores and the ends, over every group pattern seen
     n = 60
     scores = np.concatenate([dist.scores[idx[:n // 2]], rng.uniform(size=n // 2 - 3),
@@ -213,4 +221,4 @@ def test_predict_proba_is_batch_independent(rng, notion):
                           _bits(whole[rep]))
     # predict_proba snaps each score to the fit's grid before it counts
     snapped = grid_indices(scores, 20) / 20
-    assert np.array_equal(_bits(whole), _bits(_reference_probs(est.mixture_, snapped, pts)))
+    assert np.array_equal(_bits(whole), _bits(_reference_probs(fitted, snapped, pts)))
