@@ -382,6 +382,8 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
 # bytes encode to strings that concatenate to the base64 of the whole
 _B64_CHUNK = 3 << 16
 _LAMBDAS_SLOT = "\0lambdas"
+# base64 characters decoded at a time: whole 4-character quanta
+_B64_PIECE = 4 << 16
 
 
 def _write_mixture(path: Path, payload: dict) -> None:
@@ -404,14 +406,35 @@ def _write_mixture(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _b64decode(text: str):
+    """base64.b64decode(text, validate=True), decoded _B64_PIECE characters
+    at a time into one buffer instead of through an ASCII copy of the whole
+    string.  Only the last piece may hold "=" padding; a string that fails in
+    pieces is decoded whole, so it is refused with the whole-string message."""
+    raw, n = bytearray(len(text) // 4 * 3), 0
+    for lo in range(0, len(text), _B64_PIECE):
+        piece = text[lo:lo + _B64_PIECE]
+        if "=" in piece and lo + _B64_PIECE < len(text):
+            break
+        try:
+            out = base64.b64decode(piece, validate=True)
+        except ValueError:
+            break
+        raw[n:n + len(out)] = out
+        n += len(out)
+    else:
+        return memoryview(raw).toreadonly()[:n]
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"lambdas are not valid base64: {exc}") from None
+
+
 def _decode_lambdas(text, width: int) -> np.ndarray:
     """The (T, width) rows of a v2 "lambdas" string."""
     if not isinstance(text, str):
         raise ValueError("lambdas must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"lambdas are not valid base64: {exc}") from None
+    raw = _b64decode(text)
     if width < 1 or not raw or len(raw) % (8 * width):
         raise ValueError(f"lambdas hold {len(raw)} bytes, not a positive multiple of "
                          f"8 * {width} groups")
@@ -690,7 +713,8 @@ def cmd_audit(args) -> int:
     checks = _build_checks(dist, args)
     assignment = assignment_from_scores(dist, args.grid_m)
     t2 = time.perf_counter()
-    per_check, max_violation = audit(assignment, checks, dist)
+    counters = {}
+    per_check, max_violation = audit(assignment, checks, dist, counters)
     t3 = time.perf_counter()
     _write_json(out_dir / "audit.json", {
         "max_violation": max_violation,
@@ -699,8 +723,8 @@ def cmd_audit(args) -> int:
     })
     # audit computes one term per (check, distinct level)
     levels = len(set(assignment.tolist()))
-    counters = {"checks": len(checks), "levels": levels, "patch_rounds": 0,
-                "term_updates": len(checks) * levels}
+    counters.update(checks=len(checks), levels=levels, patch_rounds=0,
+                    term_updates=len(checks) * levels)
     _write_manifest(out_dir, "audit", _check_config(args), source,
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": 0.0,
                      "audit": t3 - t2},
@@ -727,7 +751,8 @@ def cmd_calibrate(args) -> int:
     t2 = time.perf_counter()
     result = calibrate(dist.scores, checks, dist, args.alpha)
     t3 = time.perf_counter()
-    per_check, max_violation = audit(result.assignment, checks, dist)
+    post = {}
+    per_check, max_violation = audit(result.assignment, checks, dist, post)
     t4 = time.perf_counter()
     with open(out_dir / "calibration_history.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_SCHEMA + "\n")
@@ -744,11 +769,12 @@ def cmd_calibrate(args) -> int:
         "final_potential": result.final_potential,
         "post_audit_max_violation": max_violation,
     })
-    # term_updates: the calibration's cached terms plus the post-audit's
+    # term_updates and distinct_sets: the calibration's plus the post-audit's
     counters = {"checks": len(checks), "levels": result.counters["levels"],
                 "patch_rounds": result.rounds,
                 "term_updates": result.counters["term_updates"]
-                + len(checks) * len(set(result.assignment.tolist()))}
+                + len(checks) * len(set(result.assignment.tolist())),
+                "distinct_sets": result.counters["distinct_sets"] + post["distinct_sets"]}
     _write_manifest(out_dir, "calibrate", {"alpha": args.alpha, **_check_config(args)},
                     source,
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": t3 - t2,

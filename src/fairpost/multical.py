@@ -114,15 +114,6 @@ class _CompiledCheck:
             self.fixed = np.array([check.eval_point(c.score, c.groups, c.score)
                                    for c in dist.cells], dtype=bool)
 
-    def fires(self, idx: np.ndarray, tables: dict, level: int) -> np.ndarray:
-        """Indicator on the cells idx, all at one level: ``tables[notion]``
-        holds (s, d) per level (see _d_tables)."""
-        if self.fixed is not None:
-            return self.fixed[idx]
-        s, d = tables[self.notion]
-        S = self.S[idx]
-        return (S if s[level] > 0 else -S) <= d[level]
-
     def evaluate(self, levels: np.ndarray) -> np.ndarray:
         """Indicator per cell, with v set to the cell's current level."""
         if self.fixed is not None:
@@ -139,6 +130,46 @@ def _d_tables(compiled: Sequence[_CompiledCheck], values: np.ndarray) -> dict:
     if notions and not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("v must lie in [0, 1]")
     return {n: d_of_v(values, n) for n in notions}
+
+
+class _CheckFamily:
+    """A check family compiled and stacked: the fixed indicators as one bool
+    matrix, and per notion the threshold checks' group sums as one matrix,
+    with the (s, d) tables at the level values (see _d_tables)."""
+
+    def __init__(self, checks: Sequence[CheckFunction], dist: CellDistribution,
+                 values: np.ndarray):
+        compiled = [c.compile(dist) for c in checks]
+        self.tables = _d_tables(compiled, values)
+        self.n = len(compiled)
+        self.fixed_rows = [i for i, c in enumerate(compiled) if c.fixed is not None]
+        self.fixed = np.array([compiled[i].fixed for i in self.fixed_rows],
+                              dtype=bool).reshape(len(self.fixed_rows), dist.n_cells)
+        self.sums = {}  # notion -> (check rows, group sums per row and cell)
+        for notion in dict.fromkeys(c.notion for c in compiled if c.notion is not None):
+            rows = [i for i, c in enumerate(compiled) if c.notion is notion]
+            self.sums[notion] = (rows, np.array([compiled[i].S for i in rows]))
+
+    def level_sets(self, idx: np.ndarray, level: int):
+        """The distinct cell sets the checks select on the cells idx, all at
+        values[level], as ascending cell arrays, and per check the index of
+        its set."""
+        fires = np.empty((self.n, len(idx)), dtype=bool)
+        fires[self.fixed_rows] = self.fixed[:, idx]
+        for notion, (rows, S) in self.sums.items():
+            s, d = self.tables[notion]
+            S = S[:, idx]
+            fires[rows] = (S if s[level] > 0 else -S) <= d[level]
+        # keyed by the row's bytes: np.unique(fires, axis=0) sorts the rows
+        # as structured records, several times slower
+        index, sets, which = {}, [], []
+        for row in fires:
+            key = row.tobytes()
+            if key not in index:
+                index[key] = len(sets)
+                sets.append(idx[row])
+            which.append(index[key])
+        return sets, np.array(which, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -160,8 +191,8 @@ class CalibrationResult:
     history: List[PatchRecord]
     rounds: int
     final_potential: float
-    # grid levels (m + 1) and (check, level) terms computed, the initial
-    # ones included
+    # grid levels (m + 1), (check, level) terms computed and distinct
+    # selected cell sets reduced, the initial ones included
     counters: dict = field(default_factory=dict)
 
 
@@ -177,27 +208,42 @@ def assignment_from_scores(dist: CellDistribution, m: int) -> np.ndarray:
     return grid_indices(dist.scores, m) / m
 
 
-def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution):
+def _per_cell(values, dist: CellDistribution, name: str) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.shape != (dist.n_cells,):
+        raise ValueError(f"{name} holds {x.size} values for {dist.n_cells} cells")
+    return x
+
+
+def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
+          counters: Optional[dict] = None):
     """Mass-weighted absolute conditional bias per check, plus the maximum.
 
     For each check, sums over level sets v the quantity
-    Pr[f=v, c=1] * |v - E[f* | f=v, c=1]|.
+    Pr[f=v, c=1] * |v - E[f* | f=v, c=1]|.  Each distinct cell set the
+    checks select at a level is reduced once; a given ``counters`` dict
+    receives that count as "distinct_sets".
     """
-    a = np.asarray(assignment, dtype=float)
+    a = _per_cell(assignment, dist, "assignment")
     q = dist.require_labels()
     m = dist.masses
-    compiled = [c.compile(dist) for c in checks]
     values, k = np.unique(a, return_inverse=True)
-    members = [np.flatnonzero(k == level) for level in range(len(values))]
-    tables = _d_tables(compiled, values)
-    per_check = []
-    for comp in compiled:
-        total = 0.0
-        for level, (v, idx) in enumerate(zip(values, members)):
-            sel = idx[comp.fires(idx, tables, level)]
+    members = np.split(np.argsort(k, kind="stable"), np.cumsum(np.bincount(k))[:-1])
+    family = _CheckFamily(checks, dist, values)
+    totals = np.zeros(family.n)
+    distinct_sets = 0
+    for level, (v, idx) in enumerate(zip(values, members)):
+        sets, which = family.level_sets(idx, level)
+        bias = np.zeros(len(sets))
+        for u, sel in enumerate(sets):
             if len(sel):
-                total += abs(float(np.sum(m[sel] * (v - q[sel]))))
-        per_check.append(total)
+                distinct_sets += 1
+                bias[u] = abs(float(np.sum(m[sel] * (v - q[sel]))))
+        # a check's total adds its level terms left to right, ascending
+        totals += bias[which]
+    if counters is not None:
+        counters["distinct_sets"] = distinct_sets
+    per_check = totals.tolist()
     max_violation = max(per_check) if per_check else 0.0
     return per_check, max_violation
 
@@ -219,7 +265,8 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
 
     Cells hold a grid index k (level value k/m).  The term of every
     (level, check) pair is cached; a patch moves cells between two levels
-    only, so a round recomputes the terms of those two levels alone.
+    only, so a round recomputes the terms of those two levels alone, one
+    reduction per distinct cell set the checks select there.
     """
     max_rounds = round_cap(alpha)
     m_grid = math.ceil(1.0 / alpha)
@@ -227,54 +274,50 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     masses = dist.masses
     if f_initial is None:
         f_initial = dist.scores
-    k = grid_indices(f_initial, m_grid)
+    k = grid_indices(_per_cell(f_initial, dist, "f_initial"), m_grid)
     values = np.arange(m_grid + 1) / m_grid  # values[k] == snap_to_grid(., m_grid)
     assign = values[k]
     initial = assign.copy()
 
-    compiled = [c.compile(dist) for c in checks]
-    tables = _d_tables(compiled, values)
-    n_checks = len(compiled)
-    # per occupied level: terms[level][check], 0.0 where the check selects
-    # no mass there, and the selected set's label mean mus[level][check]
-    terms, mus = {}, {}
-    term_updates = 0
-
-    def selected(level: int, ci: int, idx: np.ndarray) -> np.ndarray:
-        return idx[compiled[ci].fires(idx, tables, level)]
+    family = _CheckFamily(checks, dist, values)
+    # terms[level, check], 0.0 where the check selects no mass there, and
+    # the selected set's label mean mus[level, check]
+    terms = np.zeros((m_grid + 1, family.n))
+    mus = np.zeros_like(terms)
+    term_updates = distinct_sets = 0
 
     def refresh(level: int) -> None:
-        nonlocal term_updates
-        terms.pop(level, None)
-        mus.pop(level, None)
+        nonlocal term_updates, distinct_sets
+        terms[level] = mus[level] = 0.0
         idx = np.flatnonzero(k == level)
         if not len(idx):
             return
-        term_updates += n_checks
+        term_updates += family.n
         v = values[level]
-        row, mu_row = np.zeros(n_checks), np.zeros(n_checks)
-        for ci in range(n_checks):
-            sel = selected(level, ci, idx)
+        sets, which = family.level_sets(idx, level)
+        term, mean = np.zeros(len(sets)), np.zeros(len(sets))
+        for u, sel in enumerate(sets):
             if not len(sel):
                 continue
+            distinct_sets += 1
             mass = float(masses[sel].sum())
             if mass <= 0.0:
                 continue
             mu = float((masses[sel] @ q[sel]) / mass)
-            row[ci] = mass * (v - mu) ** 2
-            mu_row[ci] = mu
-        terms[level], mus[level] = row, mu_row
+            term[u] = mass * (v - mu) ** 2
+            mean[u] = mu
+        terms[level], mus[level] = term[which], mean[which]
 
     for level in np.flatnonzero(np.bincount(k)):
         refresh(int(level))
     history: List[PatchRecord] = []
     t = 0
     while True:
-        occupied = sorted(terms)
-        # a check's sum adds its terms left to right in ascending level order
-        check_sums = np.zeros(n_checks)
-        for level in occupied:
-            check_sums += terms[level]
+        # a check's sum adds its terms left to right in ascending level
+        # order; terms.sum(axis=0) would sum pairwise when there is one check
+        # (empty levels hold zero rows, which leave the sums as they are)
+        check_sums = np.add.accumulate(terms[np.bincount(k, minlength=len(values)) > 0],
+                                       axis=0)[-1]
         if check_sums.max(initial=0.0) < alpha:
             break
         t += 1
@@ -283,11 +326,10 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
                 "calibration failed to terminate within 4/alpha^2 rounds")
         # the first maximum in (level, check) order: the largest term, ties
         # to the lowest level, then to the lowest check index
-        top = max(terms[level].max() for level in occupied)
-        level = next(level for level in occupied if terms[level].max() == top)
-        ci = int(np.argmax(terms[level]))
-        mu = float(mus[level][ci])
-        sel = selected(level, ci, np.flatnonzero(k == level))
+        level, ci = divmod(int(np.argmax(terms)), family.n)
+        mu = float(mus[level, ci])
+        sets, which = family.level_sets(np.flatnonzero(k == level), level)
+        sel = sets[which[ci]]
         k_prime = int(grid_indices(mu, m_grid))
         v_prime = k_prime / m_grid
         k[sel] = k_prime
@@ -307,7 +349,8 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
         history=history,
         rounds=t,
         final_potential=brier(assign, dist),
-        counters={"levels": m_grid + 1, "term_updates": term_updates},
+        counters={"levels": m_grid + 1, "term_updates": term_updates,
+                  "distinct_sets": distinct_sets},
     )
 
 

@@ -218,6 +218,10 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
     # without validation the "$" would be dropped, leaving 8 valid bytes
     pytest.param(V2, '"AAAA$AAAAAAA="', "lambdas are not valid base64", id="v2-bad-char"),
     pytest.param(V2, '"AAAAAAAAAAA"', "lambdas are not valid base64", id="v2-unpadded"),
+    # padding that ends the first decoded piece: each piece alone is valid
+    # base64 and the two join to 24,576 zero rows, but the whole string is not
+    pytest.param(V2, '"' + "A" * (cli._B64_PIECE - 1) + '=AA=="',
+                 "lambdas are not valid base64", id="v2-padding-inside"),
     pytest.param(V2, '""', "lambdas hold 0 bytes, not a positive multiple of 8 * 1 groups",
                  id="v2-empty"),
     pytest.param(V2, json.dumps(base64.b64encode(bytes(12)).decode()),
@@ -655,6 +659,53 @@ def test_v1_and_v2_mixtures_load_to_same_bits(tmp_path, T):
     assert v2.stat().st_size < v1.stat().st_size
 
 
+def _whole_decode_lambdas(text, width):
+    """_decode_lambdas as one base64.b64decode of the whole string."""
+    if not isinstance(text, str):
+        raise ValueError("lambdas must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"lambdas are not valid base64: {exc}") from None
+    if width < 1 or not raw or len(raw) % (8 * width):
+        raise ValueError(f"lambdas hold {len(raw)} bytes, not a positive multiple of "
+                         f"8 * {width} groups")
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, width)
+
+
+def _decoded(decode, text, width):
+    try:
+        return decode(text, width).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("width", [1, 3])
+def test_pieced_lambdas_decode_round_trips(width, extra):
+    # rows that encode to just under, exactly and just over one piece, so
+    # the padding falls in the only piece or in a short second one
+    assert cli._B64_PIECE % 4 == 0
+    T = cli._B64_PIECE // 4 * 3 // (8 * width) + extra
+    lam = np.random.Generator(np.random.PCG64(T)).standard_normal((T, width))
+    text = base64.b64encode(lam.astype("<f8").tobytes()).decode("ascii")
+    assert (len(text) > cli._B64_PIECE) == (extra > 0)
+    assert cli._decode_lambdas(text, width).tobytes() == lam.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(st.sampled_from("AQw/+=$\u00e9"), max_size=28),
+       piece=st.sampled_from([4, 8, 12]), width=st.sampled_from([1, 2]))
+@example(text="AAAA=", piece=4, width=1)
+@example(text="AAA=AAAA", piece=4, width=1)
+@example(text="AAAAAAAAAAA=", piece=8, width=1)
+def test_pieced_lambdas_decode_refuses_what_the_whole_decode_refuses(text, piece, width):
+    # the same rows or the same error, message included, at any piece size
+    with mock.patch.object(cli, "_B64_PIECE", piece):
+        got = _decoded(cli._decode_lambdas, text, width)
+    assert got == _decoded(_whole_decode_lambdas, text, width)
+
+
 _FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
 
 
@@ -729,13 +780,17 @@ def test_multical_manifest_stages_and_counters(calibration_dataset, tmp_path, co
     assert all(v >= 0.0 for v in timings.values())
     assert abs(sum(timings.values()) - wall) <= 0.05 * wall
     counters = manifest["counters"]
-    assert set(counters) == {"checks", "levels", "patch_rounds", "term_updates"}
+    assert set(counters) == {"checks", "levels", "patch_rounds", "term_updates",
+                             "distinct_sets"}
+    assert 0 < counters["distinct_sets"] <= counters["term_updates"]
     assert counters["checks"] == 4 + 64  # I and three groups, 64 random thresholds
     assert manifest["peak_rss_mb"] > 0.0
     if command == "audit":
         assert timings["calibrate"] == 0.0 and counters["patch_rounds"] == 0
         assert 1 <= counters["levels"] <= 51
         assert counters["term_updates"] == counters["checks"] * counters["levels"]
+        # the all-ones group selects a nonempty set at every level
+        assert counters["distinct_sets"] >= counters["levels"]
     else:
         calibration = json.loads((out / "calibration.json").read_text())
         assert counters["patch_rounds"] == calibration["rounds"] > 0

@@ -28,6 +28,7 @@ from fairpost.core import decide_batch, decision_thresholds
 from fairpost.multical import (
     CalibrationResult,
     PatchRecord,
+    _CheckFamily,
     _d_tables,
     apply_patches,
     assignment_from_scores,
@@ -536,6 +537,19 @@ def test_audit_matches_reference_off_the_grid(rng):
     _assert_same_audit(rng.uniform(size=dist.n_cells), checks, dist)
 
 
+@pytest.mark.parametrize("n", [21, 31])
+def test_audit_and_calibrate_reject_one_value_per_cell_mismatch(n):
+    # a short assignment once audited only the cells it covered
+    dist, _ = make_dist(17, n_cells=26, n_groups=2, miscalibration=0.3)
+    assert dist.n_cells == 26
+    checks = default_checks(dist, _base(dist, "fp"), n_random=4, seed=0)
+    values = np.resize(assignment_from_scores(dist, dist.grid_m), n)
+    with pytest.raises(ValueError, match=f"assignment holds {n} values for 26 cells"):
+        audit(values, checks, dist)
+    with pytest.raises(ValueError, match=f"f_initial holds {n} values for 26 cells"):
+        calibrate(values, checks, dist, alpha=0.05)
+
+
 def test_audit_rejects_levels_outside_unit_interval():
     dist, _ = make_dist(14, n_cells=8, n_groups=1)
     checks = default_checks(dist, _base(dist, "fp"), n_random=2, seed=0)
@@ -567,7 +581,7 @@ def test_level_table_equals_d_of_v_at_snapped_value(notion, m, x):
 @given(st.sampled_from(NOTIONS), st.integers(min_value=1, max_value=2000), st.data())
 def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
     # every path of a threshold check (the per-cell evaluate, the per-level
-    # fires of audit and calibrate, and the per-point eval_point of
+    # sets of audit and calibrate, and the per-point eval_point of
     # apply_patches) is decide_batch at f = the level, ties and 0, 1/2, 1
     # included
     dist, _ = make_dist(16, n_cells=12, n_groups=2)
@@ -586,9 +600,69 @@ def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
     assert _bits(comp.evaluate(levels)) == _bits(want)
 
     values, k = np.unique(levels, return_inverse=True)
-    tables = _d_tables([comp], values)
+    family = _CheckFamily([check], dist, values)
     for level in range(len(values)):
         idx = np.flatnonzero(k == level)
-        assert _bits(comp.fires(idx, tables, level)) == _bits(want[idx])
+        sets, which = family.level_sets(idx, level)
+        assert np.array_equal(sets[which[0]], idx[want[idx]])
     for cell, v, w in zip(dist.cells, levels, want):
         assert check.eval_point(cell.score, cell.groups, v) == w
+
+
+def _reference_distinct_sets(assignment, checks, dist):
+    """The nonempty (level, selected cell set) pairs of an audit."""
+    seen = set()
+    for check in checks:
+        cval = _reference_evaluate(check.compile(dist), assignment)
+        for v in np.unique(assignment[cval]):
+            seen.add((v, tuple(np.flatnonzero(cval & (assignment == v)))))
+    return len(seen)
+
+
+def _check_pool(dist):
+    """Every check kind, threshold checks for all four notions and a
+    duplicate of each group check."""
+    rng = np.random.Generator(np.random.PCG64(dist.n_cells))
+    base = _base(dist, "fp")
+    rule = ThresholdRule(tuple(rand_lambda(rng, dist.n_groups, 4.0)), "fp", base)
+    pool = [CheckFunction("group", g) for g in range(dist.n_groups)] * 2
+    pool += [CheckFunction("hypothesis", rule),
+             CheckFunction("hypothesis", lambda score, mask: score >= 0.5),
+             CheckFunction("product", (dist.n_groups - 1, rule))]
+    for notion in NOTIONS:
+        base = _base(dist, notion)
+        pool += [CheckFunction("threshold", (rand_lambda(rng, dist.n_groups, 6.0), notion,
+                                             base)) for _ in range(2)]
+    return pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_level_sets_equal_reference_bit_for_bit(data):
+    # level sets of 8 cells and more, where np.sum no longer adds left to
+    # right; families with duplicated checks, of every kind, or of one check
+    n_levels = data.draw(st.integers(min_value=1, max_value=10))
+    n_cells = data.draw(st.integers(min_value=8 * n_levels, max_value=8 * n_levels + 12))
+    dist, _ = make_dist(data.draw(st.integers(min_value=0, max_value=10**6)),
+                        n_cells=n_cells, n_groups=data.draw(st.integers(1, 3)),
+                        grid_m=50, miscalibration=0.4)
+    pool = _check_pool(dist)
+    family = data.draw(st.sampled_from(["pool", "one", "drawn"]))
+    picks = st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    checks = {"pool": pool, "one": [data.draw(st.sampled_from(pool))],
+              "drawn": data.draw(picks) if family == "drawn" else None}[family]
+    levels = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        min_size=n_levels, max_size=n_levels, unique=True)))
+    order = np.random.Generator(np.random.PCG64(n_cells)).permutation(n_cells)
+    assignment = levels[order % n_levels]
+
+    counters = {}
+    got, got_max = audit(assignment, checks, dist, counters)
+    want, want_max = _reference_audit(assignment, checks, dist)
+    assert _bits(got) == _bits(want) and _bits(got_max) == _bits(want_max)
+    assert counters["distinct_sets"] == _reference_distinct_sets(assignment, checks, dist)
+
+    alpha = data.draw(st.sampled_from([0.1, 0.05, 0.02]))
+    got = _assert_same_calibration(checks, dist, alpha, f_initial=assignment)
+    assert got.counters["distinct_sets"] <= got.counters["term_updates"]
