@@ -7,7 +7,6 @@ from .core import (
     FairnessNotion,
     GroupSystem,
     MixtureClassifier,
-    ThresholdRule,
     aggregate_cells,
     build_cells,
     snap_to_grid,
@@ -17,7 +16,6 @@ from .metrics import (
     base_rates,
     constraint_vector,
     surrogate_error,
-    surrogate_group_rate,
     true_rates,
 )
 from .solver import (
@@ -26,9 +24,7 @@ from .solver import (
     SolveResult,
     SolverConfig,
     TrajectoryRecord,
-    dual_gradient,
     iteration_budget,
-    lagrangian_value,
     project_l1,
     run,
     run_many,
@@ -47,9 +43,7 @@ from .multical import (
 from .oracle import (
     InfeasibleError,
     OracleSolution,
-    PointwiseArgmin,
     enumerate_optimum,
-    pointwise_argmin,
     simplex_solve,
 )
 from .synth import SplitMix64, SynthSpec, gen_instance
@@ -63,17 +57,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseRates", "Cell", "CellDistribution", "FairnessNotion", "GroupSystem",
-    "MixtureClassifier", "ThresholdRule", "aggregate_cells", "build_cells",
-    "snap_to_grid",
-    "RateReport", "base_rates", "constraint_vector",
-    "surrogate_error", "surrogate_group_rate", "true_rates",
+    "MixtureClassifier", "aggregate_cells", "build_cells", "snap_to_grid",
+    "RateReport", "base_rates", "constraint_vector", "surrogate_error", "true_rates",
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
-    "TrajectoryRecord", "dual_gradient", "iteration_budget",
-    "lagrangian_value", "project_l1", "run", "run_many", "run_sampled", "sample_size",
+    "TrajectoryRecord", "iteration_budget", "project_l1", "run", "run_many",
+    "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "default_checks", "threshold_eval",
-    "InfeasibleError", "OracleSolution", "PointwiseArgmin", "enumerate_optimum",
-    "pointwise_argmin", "simplex_solve",
+    "InfeasibleError", "OracleSolution", "enumerate_optimum", "simplex_solve",
     "SplitMix64", "SynthSpec", "gen_instance",
     "FairThresholdPostprocessor", "JointMulticalibrator", "NotFittedError",
     "__version__",

@@ -13,7 +13,6 @@ import base64
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
 import resource
@@ -449,25 +448,12 @@ def _numbers(values, name: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _v1_rows(rows) -> np.ndarray:
-    """The (T, width) rows of a v1 "lambdas" list of equal-length lists."""
-    if rows is None:
-        raise ValueError("no lambdas rows")
-    if (not isinstance(rows, list) or not set(map(type, rows)) <= {list}
-            or len(set(map(len, rows))) > 1):
-        raise ValueError("lambdas must be a list of equal-length rows")
-    flat = _numbers(list(itertools.chain.from_iterable(rows)), "lambdas")
-    return flat.reshape(len(rows), len(rows[0]) if rows else 0)
-
-
 def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
-    """Load a mixture.json, schema v2 or v1; the returned payload holds every
+    """Load a mixture.json of schema v2; the returned payload holds every
     field but "lambdas".
 
-    The document is read by one json.load.  A v2 "lambdas" string decodes to
-    8 bytes per value.  A v1 list of rows is held as Python lists and floats
-    until it becomes an array, which peaks about 170 bytes per 3-group rule
-    higher than a v2 load.
+    The document is read by one json.load, and the "lambdas" string decodes
+    to 8 bytes per value.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -481,8 +467,9 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         raise InputError("bad mixture: the document must be a JSON object")
     schema = payload.get("schema")
     lambdas = payload.pop("lambdas", None)
-    if schema not in (MIXTURE_SCHEMA, "fairpost.mixture.v1"):
-        raise InputError("unrecognized mixture schema")
+    if schema != MIXTURE_SCHEMA:
+        raise InputError(f"bad mixture: schema {schema!r} is not {MIXTURE_SCHEMA}; "
+                         "re-run solve to write one")
     for key in ("notion", "beta", "w", "grid_m", "group_names"):
         if key not in payload:
             raise InputError(f"bad mixture: missing field {key!r}")
@@ -501,11 +488,7 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
         notion = FairnessNotion.coerce(payload["notion"])
         base = BaseRates(notion, _numbers(payload["beta"], "beta"),
                          _numbers(payload["w"], "w"))
-        if schema == MIXTURE_SCHEMA:
-            lambdas = _decode_lambdas(lambdas, len(base.beta))
-        else:
-            lambdas = _v1_rows(lambdas)
-        mixture = MixtureClassifier(lambdas, notion, base)
+        mixture = MixtureClassifier(_decode_lambdas(lambdas, len(base.beta)), notion, base)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):

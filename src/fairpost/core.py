@@ -25,7 +25,6 @@ __all__ = [
     "Cell",
     "CellDistribution",
     "BaseRates",
-    "ThresholdRule",
     "MixtureClassifier",
     "aggregate_cells",
     "build_cells",
@@ -272,7 +271,7 @@ def rate_terms(notion, f):
 
     Every group rate, weight, constraint value, error and best response in
     the package is read off this table; the ERR row is the classifier's
-    error, which surrogate_error rounds in its definitional form.
+    error.
     """
     notion = FairnessNotion.coerce(notion)
     if notion is FairnessNotion.FP:
@@ -308,41 +307,6 @@ def decide_batch(S, f, notion: FairnessNotion):
     """Vectorized best response: s*S <= d with (s, d) = decision_thresholds(f)."""
     s, d = decision_thresholds(f, notion)
     return s * np.asarray(S, dtype=float) <= d
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Deterministic classifier thresholding the score at a group-dependent value."""
-
-    lam: tuple
-    notion: FairnessNotion
-    base: BaseRates
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        object.__setattr__(self, "notion", FairnessNotion.coerce(self.notion))
-        if len(self.lam) != len(self.base.beta):
-            raise ValueError("lambda length must match group count")
-
-    def group_sum(self, mask: int) -> float:
-        bits = bits_from_mask(mask, len(self.lam))
-        return float(
-            sum(l * (b - bta) for l, b, bta in zip(self.lam, bits, self.base.beta))
-        )
-
-    def decide(self, cell_or_score, mask: Optional[int] = None) -> int:
-        """Decision in {0,1} for a Cell, or for an explicit (score, mask) pair."""
-        if mask is None:
-            score, mask = cell_or_score.score, cell_or_score.groups
-        else:
-            score = float(cell_or_score)
-        S = self.group_sum(mask)
-        return int(decide_batch(np.array([S]), np.array([score]), self.notion)[0])
-
-    def decisions(self, dist: CellDistribution) -> np.ndarray:
-        lam = np.asarray(self.lam, dtype=float)
-        S = lam @ (dist.group_matrix - self.base.beta[:, None])
-        return decide_batch(S, dist.scores, self.notion).astype(float)
 
 
 # Rules per evaluation block: a block's group terms and partial sums take
@@ -384,9 +348,6 @@ class MixtureClassifier:
 
     def __len__(self) -> int:
         return self.lambdas.shape[0]
-
-    def rule(self, i: int) -> ThresholdRule:
-        return ThresholdRule(tuple(self.lambdas[i]), self.notion, self.base)
 
     def _positive_probs(self, scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Fraction of rules deciding 1 at each point (scores[i], bits[i]).

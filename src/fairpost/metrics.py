@@ -1,15 +1,15 @@
 """Error rates, group rates, base-rate constants, and parity constraint values.
 
 All expectations are exact mass-weighted sums over cells; nothing here
-samples.  Classifiers are accepted as threshold rules, mixtures, or raw
-per-cell positive-probability arrays, since every quantity is linear in the
-positive probability.
+samples.  Classifiers are accepted as mixtures or raw per-cell
+positive-probability arrays, since every quantity is linear in the positive
+probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .core import (
     CellDistribution,
     FairnessNotion,
     MixtureClassifier,
-    ThresholdRule,
     rate_terms,
 )
 
@@ -29,19 +28,16 @@ __all__ = [
     "error_rate",
     "base_rates",
     "positive_probs",
-    "surrogate_group_rate",
     "surrogate_error",
     "constraint_vector",
     "true_rates",
 ]
 
-ClassifierLike = Union[ThresholdRule, MixtureClassifier, np.ndarray, list]
+ClassifierLike = Union[MixtureClassifier, np.ndarray, list]
 
 
 def positive_probs(h: ClassifierLike, dist: CellDistribution) -> np.ndarray:
     """Normalize a classifier to its per-cell positive probability array."""
-    if isinstance(h, ThresholdRule):
-        return h.decisions(dist)
     if isinstance(h, MixtureClassifier):
         return h.positive_prob_vector(dist)
     p = np.asarray(h, dtype=float)
@@ -102,30 +98,11 @@ def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> Bas
     return BaseRates(notion=notion, beta=beta, w=w)
 
 
-def surrogate_group_rate(h: ClassifierLike, g: Optional[int], dist: CellDistribution,
-                         scores_as_f: bool = True, notion=FairnessNotion.FP) -> float:
-    """Surrogate rate E[loss-part * g(x) * f-part] for one group.
-
-    g=None drops the group factor and yields the aggregate the constraint
-    compares against.
-    """
-    p = positive_probs(h, dist)
-    f = _f_array(dist, scores_as_f)
-    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
-    return rho0 if g is None else float(rho_g[g])
-
-
 def surrogate_error(h: ClassifierLike, dist: CellDistribution,
                     scores_as_f: bool = True) -> float:
-    """Score-weighted misclassification rate E[f(1-p) + (1-f)p].
-
-    The ERR row of the rate table in its definitional rounding, which is
-    pinned bit for bit; error_rate's f + (1-2f)p is the same sum rounded
-    another way and differs from it by ulps.
-    """
-    p = positive_probs(h, dist)
-    f = _f_array(dist, scores_as_f)
-    return float(dist.masses @ (f * (1.0 - p) + (1.0 - f) * p))
+    """Score-weighted misclassification rate: error_rate at f = the scores
+    (or the label means)."""
+    return error_rate(positive_probs(h, dist), _f_array(dist, scores_as_f), dist.masses)
 
 
 def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,

@@ -19,7 +19,6 @@ from .core import (
     BaseRates,
     CellDistribution,
     FairnessNotion,
-    ThresholdRule,
     bits_from_mask,
     decide_batch,
     decision_thresholds,
@@ -63,9 +62,8 @@ class CheckFunction:
     """Binary audit function c(x, v); non-threshold kinds ignore v.
 
     kind="group": payload is a group index.
-    kind="hypothesis": payload is a classifier (ThresholdRule or a callable
-        (score, mask) -> {0,1}).
-    kind="product": payload is (group index, classifier).
+    kind="hypothesis": payload is a callable (score, mask) -> {0,1}.
+    kind="product": payload is (group index, such a callable).
     kind="threshold": payload is (lambda vector, notion, BaseRates).
     """
 
@@ -77,19 +75,14 @@ class CheckFunction:
         if self.kind not in ("group", "hypothesis", "product", "threshold"):
             raise ValueError(f"unknown check kind {self.kind!r}")
 
-    def _classifier_bit(self, clf, score: float, mask: int) -> int:
-        if isinstance(clf, ThresholdRule):
-            return clf.decide(score, mask)
-        return int(clf(score, mask))
-
     def eval_point(self, score: float, mask: int, v: float) -> int:
         if self.kind == "group":
             return (mask >> self.payload) & 1
         if self.kind == "hypothesis":
-            return self._classifier_bit(self.payload, score, mask)
+            return int(self.payload(score, mask))
         if self.kind == "product":
             g, clf = self.payload
-            return ((mask >> g) & 1) * self._classifier_bit(clf, score, mask)
+            return ((mask >> g) & 1) * int(clf(score, mask))
         lam, notion, base = self.payload
         return threshold_eval(lam, base, mask, v, notion)
 
@@ -127,8 +120,6 @@ def _d_tables(compiled: Sequence[_CompiledCheck], values: np.ndarray) -> dict:
     """(s, d) at every level value, per notion the threshold checks use: a check
     fires on s*S <= d, the best response decide_batch(S, v) bit for bit."""
     notions = {c.notion for c in compiled if c.notion is not None}
-    if notions and not np.all((0.0 <= values) & (values <= 1.0)):
-        raise ValueError("v must lie in [0, 1]")
     return {n: d_of_v(values, n) for n in notions}
 
 
@@ -222,9 +213,11 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
     For each check, sums over level sets v the quantity
     Pr[f=v, c=1] * |v - E[f* | f=v, c=1]|.  Each distinct cell set the
     checks select at a level is reduced once; a given ``counters`` dict
-    receives that count as "distinct_sets".
+    receives that count as "distinct_sets".  Every level must lie in [0, 1].
     """
     a = _per_cell(assignment, dist, "assignment")
+    if not np.all((0.0 <= a) & (a <= 1.0)):  # NaN fails too
+        raise ValueError("v must lie in [0, 1]")
     q = dist.require_labels()
     m = dist.masses
     values, k = np.unique(a, return_inverse=True)

@@ -15,15 +15,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BaseRates, Cell, CellDistribution, FairnessNotion, rate_terms
+from .core import BaseRates, CellDistribution, FairnessNotion, rate_terms
 
 __all__ = [
     "OracleSolution",
-    "PointwiseArgmin",
     "InfeasibleError",
     "simplex_solve",
     "enumerate_optimum",
-    "pointwise_argmin",
 ]
 
 PIVOT_TOL = 1e-9
@@ -213,26 +211,3 @@ def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
     support = _staircase(p)
     return OracleSolution(opt_value=float(m @ err_a) + value, support=support,
                           weights=np.array([w for _, w in support]))
-
-
-@dataclass(frozen=True)
-class PointwiseArgmin:
-    bit: int
-    value_zero: float
-    value_one: float
-    tie: bool
-
-
-def pointwise_argmin(lam, cell: Cell, notion, base: BaseRates) -> PointwiseArgmin:
-    """Brute-force the per-cell Lagrangian contribution at both decisions.
-
-    v_h = f + (1-2f)h + S(a + b*h) from the rate table, evaluated at h = 0
-    and h = 1 and compared; exact ties go to 1.
-    """
-    lam = np.asarray(lam, dtype=float)
-    bits = np.array([(cell.groups >> i) & 1 for i in range(len(lam))], dtype=float)
-    S = float(lam @ (bits - base.beta))
-    f = cell.score
-    a, b, _ = rate_terms(notion, f)
-    v0, v1 = (f + (1.0 - 2.0 * f) * h + S * (a + b * h) for h in (0.0, 1.0))
-    return PointwiseArgmin(bit=int(v1 <= v0), value_zero=v0, value_one=v1, tie=v0 == v1)

@@ -26,10 +26,8 @@ from .core import (
 from .metrics import (
     _constraint,
     base_rates,
-    constraint_vector,
     error_rate,
     group_rates,
-    positive_probs,
     rate_terms,
 )
 
@@ -41,9 +39,7 @@ __all__ = [
     "BudgetExceededError",
     "iteration_budget",
     "sample_size",
-    "dual_gradient",
     "project_l1",
-    "lagrangian_value",
     "run",
     "run_many",
     "run_batches",
@@ -160,15 +156,6 @@ def sample_size(T: int, group_count: int, epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 * group_count * T / delta) / (2.0 * epsilon * epsilon))
 
 
-def dual_gradient(h_t, dist: CellDistribution, notion, base: BaseRates,
-                  gamma: float, scores_as_f: bool = True):
-    """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier:
-    (c - gamma, -c - gamma) with c = constraint_vector(h_t, ...), the
-    constraint c_g = rho_g - beta_g * rho_0 that every notion imposes."""
-    c = constraint_vector(h_t, dist, notion, base, scores_as_f)
-    return c - gamma, -c - gamma
-
-
 def _project_euclidean(v: np.ndarray, C: float) -> np.ndarray:
     """Euclidean projection of a nonnegative vector onto {x >= 0, sum x <= C}."""
     total = v.sum()
@@ -194,18 +181,6 @@ def project_l1(dual: DualState, mode: str = "euclidean_l1") -> DualState:
         raise ValueError(f"unknown projection mode {mode!r}")
     g = len(dual.lambda_plus)
     return DualState(w[:g], w[g:], dual.bound_C)
-
-
-def lagrangian_value(h, dual: DualState, dist: CellDistribution, notion,
-                     base: BaseRates, gamma: float, scores_as_f: bool = True) -> float:
-    """Lagrangian of the parity-constrained program at (h, lambda):
-    err(h) + sum_g lambda+_g (c_g - gamma) + lambda-_g (-c_g - gamma), with
-    c_g = rho_g - beta_g rho_0 the constraint constraint_vector reports."""
-    p = positive_probs(h, dist)
-    f = dist.scores if scores_as_f else dist.require_labels()
-    cons = _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
-    penalty = float(dual.lambda_plus @ (cons - gamma) + dual.lambda_minus @ (-cons - gamma))
-    return error_rate(p, f, dist.masses) + penalty
 
 
 def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .core import (CellDistribution, GroupSystem, _group_rows, bits_from_mask, grid_indices,
-                   snap_to_grid)
+from .core import (CellDistribution, FairnessNotion, GroupSystem, _group_rows, bits_from_mask,
+                   decide_batch, grid_indices, snap_to_grid)
 from .metrics import true_rates
-from .core import FairnessNotion, ThresholdRule, BaseRates
 import numpy as np
 
 __all__ = ["SynthSpec", "SplitMix64", "gen_instance"]
@@ -160,8 +159,8 @@ def _build(spec: SynthSpec, raw: List[Tuple[int, int, int]], scores: List[float]
 
 
 def _bayes_fp_violation(dist: CellDistribution) -> float:
-    base = BaseRates(FairnessNotion.FP, np.ones(dist.n_groups), np.ones(dist.n_groups))
-    bayes = ThresholdRule((0.0,) * dist.n_groups, FairnessNotion.FP, base)
+    """The false-positive parity violation of the unconstrained rule, lambda = 0."""
+    bayes = decide_batch(np.zeros(dist.n_cells), dist.scores, FairnessNotion.FP)
     return true_rates(bayes, dist, FairnessNotion.FP).max_violation
 
 

@@ -5,14 +5,19 @@ verbatim from the code that `fairpost.metrics.rate_terms` replaced.  The
 tests compare the table against them: bit for bit where the table keeps
 the arithmetic (0/1 decisions, the weights, the oracle's LP columns), and
 to 1e-12 where it sums in another order (fractional positive
-probabilities).  `expanded_lagrangian` is the distributed-out Lagrangian
-that `lagrangian_value` once checked itself against.
+probabilities).
+
+`table_group_rate`, `dual_gradient` and `lagrangian_value` state one
+group's rate, the dual step and the Lagrangian with the table's own
+helpers; `expanded_lagrangian` is the distributed-out Lagrangian that
+`lagrangian_value` is checked against.
 """
 
 import numpy as np
 
-from fairpost import BaseRates, FairnessNotion, RateReport
-from fairpost.metrics import _f_array, positive_probs
+from fairpost import BaseRates, FairnessNotion, RateReport, metrics
+from fairpost.metrics import (_constraint, _f_array, error_rate, group_rates, positive_probs,
+                              rate_terms)
 
 
 def _rate_terms(notion, f, h, masses, G):
@@ -185,3 +190,32 @@ def expanded_lagrangian(h, dual, dist, notion, base, gamma, scores_as_f=True):
     else:
         expanded = float(m @ (f * (1.0 - 2.0 * p) + p + p * S))
     return expanded - budget
+
+
+def table_group_rate(h, g, dist, scores_as_f=True, notion=FairnessNotion.FP):
+    """Surrogate rate E[loss-part * g(x) * f-part] for one group, read off the
+    rate table.  g=None drops the group factor and yields the aggregate the
+    constraint compares against."""
+    p = positive_probs(h, dist)
+    f = _f_array(dist, scores_as_f)
+    rho_g, rho0 = group_rates(rate_terms(notion, f), p, dist.masses, dist.group_matrix)
+    return rho0 if g is None else float(rho_g[g])
+
+
+def dual_gradient(h_t, dist, notion, base, gamma, scores_as_f=True):
+    """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier:
+    (c - gamma, -c - gamma) with c = metrics.constraint_vector(h_t, ...), the
+    constraint c_g = rho_g - beta_g * rho_0 that every notion imposes."""
+    c = metrics.constraint_vector(h_t, dist, notion, base, scores_as_f)
+    return c - gamma, -c - gamma
+
+
+def lagrangian_value(h, dual, dist, notion, base, gamma, scores_as_f=True):
+    """Lagrangian of the parity-constrained program at (h, lambda):
+    err(h) + sum_g lambda+_g (c_g - gamma) + lambda-_g (-c_g - gamma), with
+    c_g = rho_g - beta_g rho_0 the constraint constraint_vector reports."""
+    p = positive_probs(h, dist)
+    f = dist.scores if scores_as_f else dist.require_labels()
+    cons = _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
+    penalty = float(dual.lambda_plus @ (cons - gamma) + dual.lambda_minus @ (-cons - gamma))
+    return error_rate(p, f, dist.masses) + penalty

@@ -1,16 +1,23 @@
-"""The solver loop as it stood before the round-body cuts, kept verbatim.
+"""The solver loop as it stood before the round-body cuts, kept verbatim,
+and the best response decided one point at a time.
 
 `reference_run_loop` keys its step cache by `np.packbits(h).tobytes()` and
 runs the exact `lam_p.sum() + lam_m.sum() > C` test every round.  The tests
 require `solver.run` to give byte-equal lambdas, an equal trajectory and
 equal counters.
+
+`decide` is one threshold rule's decision at one point, and
+`pointwise_argmin` evaluates both decisions' Lagrangian contributions from
+the rate table, the brute force that `decide` is checked against.
 """
 
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from fairpost.core import CellDistribution, MixtureClassifier, decision_thresholds
+from fairpost.core import (CellDistribution, MixtureClassifier, bits_from_mask, decide_batch,
+                           decision_thresholds)
 from fairpost.metrics import base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     DualState,
@@ -124,3 +131,36 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
         counters={"rounds": T, "projections": projections,
                   "distinct_decisions": len(cache)},
     )
+
+
+def decide(lam, notion, base, score, mask) -> int:
+    """The decision in {0, 1} of the threshold rule at lambda, at (score,
+    group mask): the group sum S = lambda . (bits - beta) as the
+    left-to-right Python sum, which a mixture's ordered sum equals, then
+    decide_batch."""
+    bits = bits_from_mask(mask, len(lam))
+    S = float(sum(l * (b - bta) for l, b, bta in zip(lam, bits, base.beta)))
+    return int(decide_batch(np.array([S]), np.array([float(score)]), notion)[0])
+
+
+@dataclass(frozen=True)
+class PointwiseArgmin:
+    bit: int
+    value_zero: float
+    value_one: float
+    tie: bool
+
+
+def pointwise_argmin(lam, cell, notion, base) -> PointwiseArgmin:
+    """Brute-force the per-cell Lagrangian contribution at both decisions.
+
+    v_h = f + (1-2f)h + S(a + b*h) from the rate table, evaluated at h = 0
+    and h = 1 and compared; exact ties go to 1.
+    """
+    lam = np.asarray(lam, dtype=float)
+    bits = np.array([(cell.groups >> i) & 1 for i in range(len(lam))], dtype=float)
+    S = float(lam @ (bits - base.beta))
+    f = cell.score
+    a, b, _ = rate_terms(notion, f)
+    v0, v1 = (f + (1.0 - 2.0 * f) * h + S * (a + b * h) for h in (0.0, 1.0))
+    return PointwiseArgmin(bit=int(v1 <= v0), value_zero=v0, value_one=v1, tie=v0 == v1)

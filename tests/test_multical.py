@@ -12,8 +12,8 @@ from fairpost import (
     CheckFunction,
     FairnessNotion,
     GroupSystem,
+    MixtureClassifier,
     SolverConfig,
-    ThresholdRule,
     audit,
     base_rates,
     brier,
@@ -35,6 +35,7 @@ from fairpost.multical import (
 )
 
 from conftest import make_dist, rand_lambda
+from reference_solver import decide
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -87,7 +88,7 @@ def test_threshold_eval_equals_best_response_fp(rng):
             if 2.0 + S <= 0:
                 continue
             assert threshold_eval(lam, base, cell.groups, cell.score, "fp") == \
-                ThresholdRule(lam, "fp", base).decide(cell)
+                decide(lam, "fp", base, cell.score, cell.groups)
 
 
 def test_threshold_eval_equals_best_response_fn_and_sp(rng):
@@ -100,9 +101,9 @@ def test_threshold_eval_equals_best_response_fn_and_sp(rng):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base_fn.beta)) > 0:
                 assert threshold_eval(lam, base_fn, cell.groups, cell.score, "fn") == \
-                    ThresholdRule(lam, "fn", base_fn).decide(cell)
+                    decide(lam, "fn", base_fn, cell.score, cell.groups)
             assert threshold_eval(lam, base_sp, cell.groups, cell.score, "sp") == \
-                ThresholdRule(lam, "sp", base_sp).decide(cell)
+                decide(lam, "sp", base_sp, cell.score, cell.groups)
 
 
 def test_threshold_eval_monotone_in_v(rng):
@@ -305,7 +306,8 @@ def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
     for _ in range(20):
         lam = rand_lambda(rng, dist.n_groups, 4.0)
         checks = [CheckFunction("group", 0), CheckFunction("threshold", (lam, "err", base)),
-                  CheckFunction("hypothesis", ThresholdRule(tuple(lam), "err", base))]
+                  CheckFunction("hypothesis",
+                                MixtureClassifier(lam[None], "err", base).positive_prob)]
         (ones, check, best), _ = audit(assignment, checks, dist)
         assert best == pytest.approx(check, abs=1e-12)
 
@@ -483,8 +485,8 @@ def test_calibrate_matches_reference_with_ties_and_repeated_levels():
     cells = [Cell(c.score, c.groups, c.mass / total, c.label_mean) for c in cells]
     dist = CellDistribution(4, system, cells)
     checks = [CheckFunction("group", g) for g in (0, 1, 2, 0, 1)]
-    checks.append(CheckFunction("product", (1, ThresholdRule(
-        (0.0, 0.0, 0.0), FairnessNotion.SP, _base(dist, "sp")))))
+    checks.append(CheckFunction("product", (1, MixtureClassifier(
+        np.zeros((1, 3)), FairnessNotion.SP, _base(dist, "sp")).positive_prob)))
     for alpha in (0.3, 0.05, 0.01):
         _assert_same_calibration(checks, dist, alpha)
 
@@ -520,8 +522,8 @@ def test_calibrate_matches_reference_for_every_notion_at_singular_levels():
 def test_calibrate_matches_reference_with_hypothesis_and_product_checks():
     _, pert = make_dist(12, n_cells=40, n_groups=2, grid_m=25, miscalibration=0.4)
     base = _base(pert, "fp")
-    rules = [ThresholdRule((0.8, -0.5, 0.3), FairnessNotion.FP, base),
-             ThresholdRule((0.0, 0.0, 0.0), FairnessNotion.FP, base)]
+    rules = [MixtureClassifier(np.array([lam]), FairnessNotion.FP, base).positive_prob
+             for lam in ((0.8, -0.5, 0.3), (0.0, 0.0, 0.0))]
     checks = default_checks(pert, base, hypotheses=rules, n_random=8, C=5.0, seed=1)
     assert {"hypothesis", "product"} <= {c.kind for c in checks}
     _assert_same_calibration(checks, pert, 0.01)
@@ -561,6 +563,15 @@ def test_audit_rejects_levels_outside_unit_interval():
         threshold_eval(np.zeros(dist.n_groups), _base(dist, "fp"), 1, 1.5, "fp")
     with pytest.raises(ValueError, match="v must lie"):
         threshold_eval(np.zeros(dist.n_groups), _base(dist, "fp"), 1, math.nan, "fp")
+
+
+@pytest.mark.parametrize("level", [1.5, -0.25, math.nan])
+def test_audit_rejects_levels_outside_unit_interval_with_group_checks_alone(level):
+    # the levels are checked on entry, not only where a threshold check
+    # builds its (s, d) table
+    dist, _ = make_dist(14, n_cells=8, n_groups=1)
+    with pytest.raises(ValueError, match=r"v must lie in \[0, 1\]"):
+        audit(np.full(dist.n_cells, level), [CheckFunction("group", 0)], dist)
 
 
 @settings(max_examples=300, deadline=None)
@@ -624,7 +635,8 @@ def _check_pool(dist):
     duplicate of each group check."""
     rng = np.random.Generator(np.random.PCG64(dist.n_cells))
     base = _base(dist, "fp")
-    rule = ThresholdRule(tuple(rand_lambda(rng, dist.n_groups, 4.0)), "fp", base)
+    rule = MixtureClassifier(rand_lambda(rng, dist.n_groups, 4.0)[None], "fp",
+                             base).positive_prob
     pool = [CheckFunction("group", g) for g in range(dist.n_groups)] * 2
     pool += [CheckFunction("hypothesis", rule),
              CheckFunction("hypothesis", lambda score, mask: score >= 0.5),

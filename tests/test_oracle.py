@@ -10,13 +10,11 @@ from fairpost import (
     CellDistribution,
     DualState,
     GroupSystem,
+    MixtureClassifier,
     SolverConfig,
-    ThresholdRule,
     base_rates,
     constraint_vector,
     enumerate_optimum,
-    lagrangian_value,
-    pointwise_argmin,
     run,
     simplex_solve,
     surrogate_error,
@@ -25,6 +23,8 @@ from fairpost.oracle import InfeasibleError, _staircase
 
 import reference_oracle
 from conftest import make_dist, rand_lambda
+from reference_rates import lagrangian_value
+from reference_solver import decide, pointwise_argmin
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -156,7 +156,7 @@ def test_pointwise_argmin_cross_check(rng):
         base = base_rates(dist, notion, "from_labels")
         cell = dist.cells[rng.integers(dist.n_cells)]
         pw = pointwise_argmin(lam, cell, notion, base)
-        assert pw.bit == ThresholdRule(lam, notion, base).decide(cell)
+        assert pw.bit == decide(lam, notion, base, cell.score, cell.groups)
 
 
 def test_weak_duality_against_solver_duals(biased_instance):
@@ -167,14 +167,14 @@ def test_weak_duality_against_solver_duals(biased_instance):
     cfg = SolverConfig(notion="fp", gamma=gamma, C=C, T=400, record_every=100)
     res = run(dist, cfg)
 
-    # rule(i) best-responds to lambdas[i], so pairing them evaluates the
+    # rule i best-responds to lambdas[i], so pairing them evaluates the
     # dual function there: a valid lower bound on the optimum
     lambdas = res.mixture.lambdas
     best_lower = -np.inf
     for i in range(0, len(lambdas), 7):
         lam = lambdas[i]
         dual = DualState(np.maximum(lam, 0.0), np.maximum(-lam, 0.0), C)
-        h = res.mixture.rule(i).decisions(dist)
+        h = MixtureClassifier(lambdas[i:i + 1], "fp", base).positive_prob_vector(dist)
         value = lagrangian_value(h, dual, dist, "fp", base, gamma)
         best_lower = max(best_lower, value)
     assert sol.opt_value >= best_lower - 1e-9

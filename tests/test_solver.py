@@ -9,17 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fairpost import (
     BudgetExceededError,
-    Cell,
     DualState,
     FairnessNotion,
     SolverConfig,
-    ThresholdRule,
     base_rates,
-    dual_gradient,
     enumerate_optimum,
     iteration_budget,
-    lagrangian_value,
-    pointwise_argmin,
     project_l1,
     run,
     run_many,
@@ -41,8 +36,9 @@ from fairpost.solver import (
 )
 
 from conftest import make_dist, rand_lambda
-from reference_rates import _rate_terms, _solver_constraints, expanded_lagrangian
-from reference_solver import reference_run_loop
+from reference_rates import (_rate_terms, _solver_constraints, dual_gradient,
+                             expanded_lagrangian, lagrangian_value)
+from reference_solver import decide, pointwise_argmin, reference_run_loop
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -67,14 +63,14 @@ def test_sample_size_epsilon_scaling():
 
 
 def test_best_response_bayes_at_zero_dual():
-    rule = ThresholdRule((0.0,), "fp", base_rates(_two_cell_dist(), "fp", "from_scores"))
-    assert rule.decide(Cell(0.6, 1, 0.5)) == 1
-    assert rule.decide(Cell(0.4, 1, 0.5)) == 0
+    base = base_rates(_two_cell_dist(), "fp", "from_scores")
+    assert decide((0.0,), "fp", base, 0.6, 1) == 1
+    assert decide((0.0,), "fp", base, 0.4, 1) == 0
 
 
 def test_best_response_sp_tie_goes_positive():
-    rule = ThresholdRule((0.0,), "sp", base_rates(_two_cell_dist(), "sp", "from_scores"))
-    assert rule.decide(Cell(0.5, 1, 0.5)) == 1
+    base = base_rates(_two_cell_dist(), "sp", "from_scores")
+    assert decide((0.0,), "sp", base, 0.5, 1) == 1
 
 
 def _two_cell_dist():
@@ -90,7 +86,7 @@ def test_best_response_matches_pointwise_argmin(rng):
         notion = NOTIONS[rng.integers(4)]
         base = base_rates(dist, notion, "from_labels")
         pw = pointwise_argmin(lam, cell, notion, base)
-        assert ThresholdRule(lam, notion, base).decide(cell) == pw.bit
+        assert decide(lam, notion, base, cell.score, cell.groups) == pw.bit
         # optimality: the chosen bit never loses to the other one
         chosen = pw.value_one if pw.bit else pw.value_zero
         other = pw.value_zero if pw.bit else pw.value_one
@@ -113,7 +109,7 @@ def test_dual_gradient_is_lagrangian_derivative(rng):
     for notion in NOTIONS:
         base = base_rates(dist, notion, "from_labels")
         lam = rand_lambda(rng, dist.n_groups, 3.0)
-        rule = ThresholdRule(tuple(lam), notion, base)
+        rule = MixtureClassifier(lam[None], notion, base)
         gp, gm = dual_gradient(rule, dist, notion, base, gamma=0.02)
         lp = np.abs(rng.standard_normal(dist.n_groups))
         lm = np.abs(rng.standard_normal(dist.n_groups))

@@ -3,9 +3,9 @@ import pytest
 
 from fairpost import (
     FairnessNotion,
+    MixtureClassifier,
     SplitMix64,
     SynthSpec,
-    ThresholdRule,
     base_rates,
     gen_instance,
     snap_to_grid,
@@ -39,7 +39,7 @@ def test_two_group_bias_violation_floor():
                      bias_profile="two_group_bias")
     exact, _ = gen_instance(spec)
     base = base_rates(exact, "fp", "from_labels")
-    bayes = ThresholdRule((0.0,) * exact.n_groups, FairnessNotion.FP, base)
+    bayes = MixtureClassifier(np.zeros((1, exact.n_groups)), FairnessNotion.FP, base)
     rep = true_rates(bayes, exact, "fp")
     assert rep.max_violation > 0.02
 
