@@ -3,7 +3,8 @@
 The constrained minimum-error program over mixtures of deterministic
 classifiers is an LP over the per-cell positive probability once the domain
 is cell-aggregated: n variables in [0, 1], capped at max_cells (default
-400), solved with a dense two-phase simplex.  This module exists to certify
+400), and one constraint row per group, solved with a bounded-variable
+simplex whose basis has one row per group.  This module exists to certify
 the solver, never to drive it.
 """
 
@@ -11,142 +12,105 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .core import BaseRates, CellDistribution, FairnessNotion, rate_terms
 
-__all__ = [
-    "OracleSolution",
-    "InfeasibleError",
-    "simplex_solve",
-    "enumerate_optimum",
-]
+__all__ = ["OracleSolution", "InfeasibleError", "simplex_solve", "enumerate_optimum"]
 
 PIVOT_TOL = 1e-9
+MAX_ITER = 50000
 
 
 class InfeasibleError(RuntimeError):
     pass
 
 
-class UnboundedError(RuntimeError):
-    pass
+def _iterate(T: np.ndarray, x: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+             basis: np.ndarray, cost: np.ndarray) -> None:
+    """Minimize cost @ x from the basic solution x, in place.
 
-
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    """Make column col the unit vector of row in the tableau, in place."""
-    T[row] /= T[row, col]
-    for r in np.flatnonzero(T[:, col]):
-        if r != row:
-            T[r] -= T[r, col] * T[row]
-
-
-def _bland_pivot(T: np.ndarray, basis: List[int], allowed: int, tol: float,
-                 max_iter: int) -> None:
-    """Run simplex pivots in place with Bland's anti-cycling rule.
-
-    T is (m+1, n+1) with the reduced-cost row last and the rhs column last;
-    columns >= allowed may never enter the basis.
+    T is B^-1 [A | -I | artificials] over the reduced-cost row, which this
+    sets from cost; every nonbasic variable sits on a bound.  Pricing takes
+    the largest reduced cost (Dantzig), and the least index right after a
+    degenerate step (Bland): every step of a cycle is degenerate, so the
+    rule cannot cycle.  Ratio ties go to the least basis index.
     """
-    for _ in range(max_iter):
-        candidates = np.flatnonzero(T[-1, :allowed] < -tol)
-        if not len(candidates):
+    T[-1] = cost - cost[basis] @ T[:-1]
+    fixed = lb == ub
+    bland = False
+    for _ in range(MAX_ITER):
+        d = T[-1]
+        score = np.where(x > lb, d, -d)           # the gain of leaving the bound
+        score[basis] = 0.0
+        score[fixed] = 0.0
+        j = int(np.argmax(score > PIVOT_TOL) if bland else np.argmax(score))
+        if score[j] <= PIVOT_TOL:
             return
-        entering = candidates[0]
-        col = T[:-1, entering]
-        rows = np.flatnonzero(col > tol)
-        if not len(rows):
-            raise UnboundedError("unbounded linear program")
-        # the least ratio, ties to the least basis index
-        order = np.lexsort((np.asarray(basis)[rows], T[rows, -1] / col[rows]))
-        leave = int(rows[order[0]])
-        _pivot(T, leave, entering)
-        basis[leave] = int(entering)
+        s = -np.sign(d[j])                        # +1 up from lb, -1 down from ub
+        alpha = s * T[:-1, j]
+        xb = x[basis]
+        room = np.where(alpha > 0, xb - lb[basis], ub[basis] - xb)
+        ratio = np.full(len(basis), np.inf)
+        ok = np.abs(alpha) > PIVOT_TOL
+        ratio[ok] = np.maximum(room[ok], 0.0) / np.abs(alpha[ok])
+        t = min(ratio.min(), ub[j] - lb[j])
+        x[basis] = xb - t * alpha
+        if t < ratio.min():                       # a bound flip, no pivot
+            x[j] = ub[j] if s > 0 else lb[j]
+        else:
+            ties = np.flatnonzero(ratio == t)
+            row = ties[np.argmin(basis[ties])]
+            x[j] += s * t
+            x[basis[row]] = lb[basis[row]] if alpha[row] > 0 else ub[basis[row]]
+            T[row] /= T[row, j]
+            col = T[:, j].copy()
+            col[row] = 0.0
+            T -= np.outer(col, T[row])
+            basis[row] = j
+        bland = t <= PIVOT_TOL
     raise RuntimeError("simplex iteration limit reached")
 
 
-def simplex_solve(c: np.ndarray, A_ub: Optional[np.ndarray], b_ub: Optional[np.ndarray],
-                  A_eq: Optional[np.ndarray], b_eq: Optional[np.ndarray],
-                  tol: float = PIVOT_TOL) -> Tuple[np.ndarray, float]:
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+def simplex_solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Minimize c @ p subject to lo <= A @ p <= hi and 0 <= p <= 1.
 
-    Dense two-phase tableau simplex with Bland's rule.  Raises
-    InfeasibleError when phase one cannot reach zero.
+    Bounded-variable simplex (Dantzig 1955) on the rows A @ p - r = 0 with
+    r_g in [lo_g, hi_g]: the basis has one row per group, and a variable
+    that crosses its box is a bound flip, not a pivot.  Phase one puts an
+    artificial on each row whose r_g cannot start at 0, and fixes them at 0
+    once they sum to 0; InfeasibleError when they cannot.
     """
     c = np.asarray(c, dtype=float)
-    n = len(c)
-    A_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    b_ub = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    A_eq = np.empty((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    A = np.asarray(A, dtype=float)
+    g, n = A.shape
+    start = np.clip(0.0, lo, hi)                  # r at p = 0, or its nearest bound
+    art = np.flatnonzero(start != 0.0)
+    k = len(art)
+    scale = -np.ones(g)                           # rows scaled so that B = I
+    scale[art] = np.sign(start[art])
+    T = np.zeros((g + 1, n + g + k))
+    T[:g, :n] = scale[:, None] * A
+    T[np.arange(g), n + np.arange(g)] = -scale
+    T[art, n + g + np.arange(k)] = 1.0
+    basis = n + np.arange(g)
+    basis[art] = n + g + np.arange(k)
+    lb = np.concatenate([np.zeros(n), lo, np.zeros(k)])
+    ub = np.concatenate([np.ones(n), hi, np.full(k, np.inf)])
+    x = np.concatenate([np.zeros(n), start, np.abs(start[art])])
 
-    mu, me = len(b_ub), len(b_eq)
-    A = np.vstack([A_ub, A_eq])
-    b = np.concatenate([b_ub, b_eq])
-    sign = np.ones(mu + me)
-    flip = b < 0
-    A[flip] *= -1.0
-    b = np.abs(b)
-    sign[:mu][flip[:mu]] = -1.0
-
-    slack_cols = mu
-    art_rows = [i for i in range(mu + me) if i >= mu or sign[i] < 0]
-    art_cols = len(art_rows)
-    total = n + slack_cols + art_cols
-    m = mu + me
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    basis = [-1] * m
-    for i in range(mu):
-        T[i, n + i] = sign[i]
-        if sign[i] > 0:
-            basis[i] = n + i
-    for k, i in enumerate(art_rows):
-        T[i, n + slack_cols + k] = 1.0
-        basis[i] = n + slack_cols + k
-    T[:m, -1] = b
-
-    # phase 1: minimize the artificial total, priced out over the basis
-    T[-1, n + slack_cols:total] = 1.0
-    for i, bcol in enumerate(basis):
-        if bcol >= n + slack_cols:
-            T[-1, :] -= T[i, :]
-    _bland_pivot(T, basis, total, tol, max_iter=50000)
-    if T[-1, -1] < -tol:
+    _iterate(T, x, lb, ub, basis, np.concatenate([np.zeros(n + g), np.ones(k)]))
+    if x[n + g:].sum() > PIVOT_TOL:
         raise InfeasibleError("infeasible instance")
-
-    # drive any artificial still in the basis out of it, or drop its row
-    keep = list(range(m))
-    for i in range(m):
-        if basis[i] >= n + slack_cols:
-            cols = np.flatnonzero(np.abs(T[i, :n + slack_cols]) > tol)
-            if len(cols):
-                _pivot(T, i, cols[0])
-                basis[i] = int(cols[0])
-            else:
-                keep.remove(i)
-    if len(keep) != m:
-        rows = keep + [m]
-        T = T[rows]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-
-    # phase 2 on the original objective
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for i, bcol in enumerate(basis):
-        if T[-1, bcol] != 0.0:
-            T[-1, :] -= T[-1, bcol] * T[i, :]
-    _bland_pivot(T, basis, n + slack_cols, tol, max_iter=50000)
-
-    x = np.zeros(total)
-    for i, bcol in enumerate(basis):
-        x[bcol] = T[i, -1]
-    value = float(c @ x[:n])
-    return x[:n], value
+    ub[n + g:] = 0.0
+    _iterate(T, x, lb, ub, basis, np.concatenate([c, np.zeros(g + k)]))
+    p = x[:n]
+    p[np.abs(p) <= PIVOT_TOL] = 0.0               # rounding dust on a bound
+    p[np.abs(1.0 - p) <= PIVOT_TOL] = 1.0
+    return p, float(c @ p)
 
 
 @dataclass
@@ -177,16 +141,16 @@ def _staircase(p: np.ndarray) -> List[Tuple[tuple, float]]:
 
 
 def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
-                      gamma: float, feasibility_tol: float = 1e-9,
-                      scores_as_f: bool = True,
+                      gamma: float, scores_as_f: bool = True,
                       max_cells: int = 400) -> OracleSolution:
     """Exact optimum of the parity-constrained error LP.
 
     Error and every constraint are affine in the per-cell positive
     probability p, and [0, 1]^n is the convex hull of the labelings, so the
-    optimum over mixtures of labelings is the LP over p: n variables, 2|G|
-    constraint rows and n box rows, solved with the two-phase simplex and
-    guarded to max_cells cells.  The support is p*'s staircase.
+    optimum over mixtures of labelings is the LP over p: n variables in
+    [0, 1] and one two-sided row per group, solved with the bounded-variable
+    simplex and guarded to max_cells cells.  The support is p*'s staircase:
+    a vertex has at most |G| fractional cells, so at most |G| + 1 labelings.
     """
     notion = FairnessNotion.coerce(notion)
     if not math.isfinite(gamma):
@@ -201,12 +165,10 @@ def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
 
     err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
     const, coef = _constraint_columns(dist, notion, base, f)
-    A_ub = np.vstack([coef, -coef, np.eye(n)])   # (2G + n, n)
-    b_ub = np.concatenate([gamma - const, gamma + const, np.ones(n)])
-    p, value = simplex_solve(m * err_b, A_ub, b_ub, None, None)
+    p, value = simplex_solve(m * err_b, coef, -gamma - const, gamma - const)
     p = np.clip(p, 0.0, 1.0)
 
-    if np.any(np.abs(const + coef @ p) > gamma + feasibility_tol):
+    if np.any(np.abs(const + coef @ p) > gamma + PIVOT_TOL):
         raise RuntimeError("simplex returned an infeasible mixture")
     support = _staircase(p)
     return OracleSolution(opt_value=float(m @ err_a) + value, support=support,

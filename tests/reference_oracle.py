@@ -3,10 +3,10 @@ kept verbatim, and a scipy HiGHS solve of the LP that replaced it.
 
 `reference_optimum` enumerates every deterministic cell labeling and solves
 the mixture LP over all 2^n of them with the tableau simplex of that time
-(`simplex_solve`, loop form).  The box [0, 1]^n is the convex hull of the
-labelings, so its optimum must equal `enumerate_optimum`'s; the tests hold
-the two together to 1e-12, and `oracle.simplex_solve` to this simplex bit
-for bit.  `highs_optimum` solves the LP over p with scipy's HiGHS.
+(`simplex_solve`, loop form: a general two-phase program over A_ub/A_eq
+with x >= 0).  The box [0, 1]^n is the convex hull of the labelings, so its
+optimum must equal `enumerate_optimum`'s; the tests hold the two together
+to 1e-12.  `highs_optimum` solves the LP over p with scipy's HiGHS.
 """
 
 from typing import List, Optional, Tuple
@@ -15,7 +15,11 @@ import numpy as np
 
 from fairpost.core import BaseRates, CellDistribution, FairnessNotion
 from fairpost.metrics import rate_terms
-from fairpost.oracle import PIVOT_TOL, InfeasibleError, UnboundedError, _constraint_columns
+from fairpost.oracle import PIVOT_TOL, InfeasibleError, _constraint_columns
+
+
+class UnboundedError(RuntimeError):
+    pass
 
 
 def _bland_pivot(T: np.ndarray, basis: List[int], allowed: int, tol: float,
