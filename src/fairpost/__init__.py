@@ -9,7 +9,6 @@ from .core import (
     MixtureClassifier,
     aggregate_cells,
     build_cells,
-    snap_to_grid,
 )
 from .metrics import (
     RateReport,
@@ -38,7 +37,6 @@ from .multical import (
     brier,
     calibrate,
     default_checks,
-    threshold_eval,
 )
 from .oracle import (
     InfeasibleError,
@@ -57,13 +55,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseRates", "Cell", "CellDistribution", "FairnessNotion", "GroupSystem",
-    "MixtureClassifier", "aggregate_cells", "build_cells", "snap_to_grid",
+    "MixtureClassifier", "aggregate_cells", "build_cells",
     "RateReport", "base_rates", "constraint_vector", "surrogate_error", "true_rates",
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
     "TrajectoryRecord", "iteration_budget", "project_l1", "run", "run_many",
     "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
-    "calibrate", "default_checks", "threshold_eval",
+    "calibrate", "default_checks",
     "InfeasibleError", "OracleSolution", "enumerate_optimum", "simplex_solve",
     "SplitMix64", "SynthSpec", "gen_instance",
     "FairThresholdPostprocessor", "JointMulticalibrator", "NotFittedError",

@@ -704,10 +704,7 @@ def cmd_audit(args) -> int:
         "per_check": [{"name": c.name or c.kind, "kind": c.kind, "violation": v}
                       for c, v in zip(checks, per_check)],
     })
-    # audit computes one term per (check, distinct level)
-    levels = len(set(assignment.tolist()))
-    counters.update(checks=len(checks), levels=levels, patch_rounds=0,
-                    term_updates=len(checks) * levels)
+    counters.update(checks=len(checks), patch_rounds=0)
     _write_manifest(out_dir, "audit", _check_config(args), source,
                     {"parse": t1 - t0, "checks": t2 - t1, "calibrate": 0.0,
                      "audit": t3 - t2},
@@ -755,8 +752,7 @@ def cmd_calibrate(args) -> int:
     # term_updates and distinct_sets: the calibration's plus the post-audit's
     counters = {"checks": len(checks), "levels": result.counters["levels"],
                 "patch_rounds": result.rounds,
-                "term_updates": result.counters["term_updates"]
-                + len(checks) * len(set(result.assignment.tolist())),
+                "term_updates": result.counters["term_updates"] + post["term_updates"],
                 "distinct_sets": result.counters["distinct_sets"] + post["distinct_sets"]}
     _write_manifest(out_dir, "calibrate", {"alpha": args.alpha, **_check_config(args)},
                     source,

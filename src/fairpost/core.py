@@ -28,7 +28,6 @@ __all__ = [
     "MixtureClassifier",
     "aggregate_cells",
     "build_cells",
-    "snap_to_grid",
     "grid_indices",
     "mask_from_bits",
     "bits_from_mask",
@@ -55,19 +54,9 @@ class FairnessNotion(str, Enum):
         return cls(str(value).lower())
 
 
-def snap_to_grid(x: float, m: int) -> float:
-    """Round x in [0,1] to the nearest grid point k/m; half values round up."""
-    k = math.floor(x * m + 0.5)
-    k = min(max(k, 0), m)
-    return k / m
-
-
 def grid_indices(x, m: int) -> np.ndarray:
-    """Array form of snap_to_grid's index: int64 k with k/m nearest each x.
-
-    The same floor(x*m + 0.5) clipped to [0, m], so
-    ``grid_indices(x, m) / m`` equals snap_to_grid elementwise, bit for bit.
-    """
+    """The int64 index k of the grid point k/m nearest each x in [0, 1]:
+    floor(x*m + 0.5) clipped to [0, m], so half values round up."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("values to snap must be finite")

@@ -13,10 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FairnessNotion, _group_rows, aggregate_cells, grid_indices,
-                   mask_from_bits)
+from .core import FairnessNotion, _group_rows, aggregate_cells, grid_indices
 from .core import build_cells  # noqa: F401  (bench/spans.py traces it by this name)
-from .multical import apply_patches, calibrate, default_checks
+from .multical import calibrate, default_checks, replay
 from .metrics import base_rates
 from .solver import SolverConfig, run
 
@@ -169,13 +168,14 @@ class JointMulticalibrator(_ParamsMixin):
         return self
 
     def transform(self, scores, groups) -> np.ndarray:
-        """Recalibrated scores obtained by replaying the patch history.
+        """Recalibrated scores: the patch history replayed on the points.
 
         A score is first snapped to the 1/grid_m grid, as fit snapped it
-        into its cell, so a training point gets its cell's assignment.  A
-        check reads a point only through that score and its mask, so the
-        history is replayed once per distinct (grid index, membership row)
-        and the results are scattered back to the points.
+        into its cell.  A check reads a point only through that score and
+        its membership row, so multical.replay runs once on the distinct
+        (grid index, membership row) points, through the check family that
+        calibrate used, and the results are scattered back.  A training
+        point therefore gets its cell's assignment bit for bit.
         """
         if not hasattr(self, "result_"):
             raise NotFittedError("call fit() before transforming")
@@ -184,13 +184,8 @@ class JointMulticalibrator(_ParamsMixin):
             raise ValueError("group matrix width changed between fit and transform")
         grid_m = self.distribution_.grid_m
         k = grid_indices(scores, grid_m)
-        scores = k / grid_m
         row, point_of = _group_rows(k, groups)
-        replayed = np.array([
-            apply_patches(s, mask_from_bits(g), self.result_, self.checks_)
-            for s, g in zip(scores[row].tolist(), groups[row].tolist())
-        ])
-        return replayed[point_of]
+        return replay(self.result_, self.checks_, k[row] / grid_m, groups[row].T)[point_of]
 
     def fit_transform(self, scores, groups, y, **kwargs) -> np.ndarray:
         return self.fit(scores, groups, y, **kwargs).transform(scores, groups)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,42 +19,24 @@ from .core import (
     BaseRates,
     CellDistribution,
     FairnessNotion,
-    bits_from_mask,
-    decide_batch,
     decision_thresholds,
     grid_indices,
-    snap_to_grid,
+    mask_from_bits,
 )
 
 __all__ = [
     "CheckFunction",
     "PatchRecord",
     "CalibrationResult",
-    "threshold_eval",
     "audit",
     "calibrate",
+    "replay",
     "brier",
     "default_checks",
     "assignment_from_scores",
-    "apply_patches",
 ]
 
 d_of_v = decision_thresholds  # bench/spans.py counts table builds by this name
-
-
-def threshold_eval(lam, base: BaseRates, cell_groups: Union[int, Sequence[int]],
-                   v: float, notion) -> int:
-    """The threshold check s_lambda at (group mask, level v): decide_batch at f = v."""
-    notion = FairnessNotion.coerce(notion)
-    if not 0.0 <= v <= 1.0:  # NaN fails too
-        raise ValueError("v must lie in [0, 1]")
-    lam = np.asarray(lam, dtype=float)
-    if isinstance(cell_groups, (int, np.integer)):
-        bits = np.array(bits_from_mask(int(cell_groups), len(lam)), dtype=float)
-    else:
-        bits = np.asarray(cell_groups, dtype=float)
-    S = float(lam @ (bits - base.beta))
-    return int(decide_batch(np.array([S]), np.array([float(v)]), notion)[0])
 
 
 @dataclass(frozen=True)
@@ -75,86 +57,68 @@ class CheckFunction:
         if self.kind not in ("group", "hypothesis", "product", "threshold"):
             raise ValueError(f"unknown check kind {self.kind!r}")
 
-    def eval_point(self, score: float, mask: int, v: float) -> int:
-        if self.kind == "group":
-            return (mask >> self.payload) & 1
-        if self.kind == "hypothesis":
-            return int(self.payload(score, mask))
-        if self.kind == "product":
-            g, clf = self.payload
-            return ((mask >> g) & 1) * int(clf(score, mask))
-        lam, notion, base = self.payload
-        return threshold_eval(lam, base, mask, v, notion)
-
-    def compile(self, dist: CellDistribution) -> "_CompiledCheck":
-        return _CompiledCheck(self, dist)
-
-
-class _CompiledCheck:
-    """Check bound to a distribution for vectorized evaluation at per-cell levels."""
-
-    def __init__(self, check: CheckFunction, dist: CellDistribution):
-        self.check = check
-        self.S = self.notion = self.fixed = None
-        if check.kind == "threshold":
-            lam, notion, base = check.payload
-            lam = np.asarray(lam, dtype=float)
-            self.notion = FairnessNotion.coerce(notion)
-            self.S = lam @ (dist.group_matrix - base.beta[:, None])
-        elif check.kind == "group":
-            self.fixed = dist.group_matrix[check.payload] == 1.0
-        else:
-            self.fixed = np.array([check.eval_point(c.score, c.groups, c.score)
-                                   for c in dist.cells], dtype=bool)
-
-    def evaluate(self, levels: np.ndarray) -> np.ndarray:
-        """Indicator per cell, with v set to the cell's current level."""
-        if self.fixed is not None:
-            return self.fixed
-        values, k = np.unique(levels, return_inverse=True)
-        s, d = _d_tables([self], values)[self.notion]
-        return s[k] * self.S <= d[k]
-
-
-def _d_tables(compiled: Sequence[_CompiledCheck], values: np.ndarray) -> dict:
-    """(s, d) at every level value, per notion the threshold checks use: a check
-    fires on s*S <= d, the best response decide_batch(S, v) bit for bit."""
-    notions = {c.notion for c in compiled if c.notion is not None}
-    return {n: d_of_v(values, n) for n in notions}
-
 
 class _CheckFamily:
-    """A check family compiled and stacked: the fixed indicators as one bool
-    matrix, and per notion the threshold checks' group sums as one matrix,
-    with the (s, d) tables at the level values (see _d_tables)."""
+    """The checks over points given by their scores and (groups x points)
+    membership matrix G: the level-free indicators as one bool matrix, per
+    notion the threshold checks' group sums as one matrix, and the (s, d)
+    tables of d_of_v at the level values.  A threshold check fires on
+    s*S <= d, decide_batch(S, v) bit for bit, with S MixtureClassifier's
+    ordered sum lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., so
+    a point's S depends on its own bits alone.  Hypothesis and product
+    callables are called once per point with (score, mask)."""
 
-    def __init__(self, checks: Sequence[CheckFunction], dist: CellDistribution,
-                 values: np.ndarray):
-        compiled = [c.compile(dist) for c in checks]
-        self.tables = _d_tables(compiled, values)
-        self.n = len(compiled)
-        self.fixed_rows = [i for i, c in enumerate(compiled) if c.fixed is not None]
-        self.fixed = np.array([compiled[i].fixed for i in self.fixed_rows],
-                              dtype=bool).reshape(len(self.fixed_rows), dist.n_cells)
-        self.sums = {}  # notion -> (check rows, group sums per row and cell)
-        for notion in dict.fromkeys(c.notion for c in compiled if c.notion is not None):
-            rows = [i for i, c in enumerate(compiled) if c.notion is notion]
-            self.sums[notion] = (rows, np.array([compiled[i].S for i in rows]))
+    def __init__(self, checks: Sequence[CheckFunction], scores: np.ndarray,
+                 G: np.ndarray, values: np.ndarray):
+        self.n = len(checks)
+        called = any(c.kind in ("hypothesis", "product") for c in checks)
+        masks = [mask_from_bits(b) for b in G.T.astype(int).tolist()] if called else []
+        points = list(zip(scores.tolist(), masks))
+        self.fixed_rows = [i for i, c in enumerate(checks) if c.kind != "threshold"]
+        fixed, thresholds = [], {}
+        for i, c in enumerate(checks):
+            if c.kind == "threshold":
+                lam, notion, base = c.payload
+                thresholds.setdefault(FairnessNotion.coerce(notion), []).append(
+                    (i, lam, base.beta))
+            elif c.kind == "group":
+                fixed.append(G[c.payload] == 1.0)
+            else:
+                g, fn = c.payload if c.kind == "product" else (None, c.payload)
+                hits = np.array([int(fn(s, mask)) for s, mask in points], dtype=bool)
+                fixed.append(hits if g is None else hits & (G[g] == 1.0))
+        self.fixed = np.array(fixed, dtype=bool).reshape(len(fixed), G.shape[1])
+        self.tables = {notion: d_of_v(values, notion) for notion in thresholds}
+        self.sums = {}  # notion -> (check rows, group sums per row and point)
+        for notion, group in thresholds.items():
+            rows, lam, beta = zip(*group)
+            lam, beta = np.array(lam, dtype=float)[:, :, None], np.array(beta)[:, :, None]
+            if lam.shape[1] != len(G):
+                raise ValueError("lambdas width must match the group count")
+            S = lam[:, 0] * (G[0] - beta[:, 0])
+            for i in range(1, len(G)):
+                S = S + lam[:, i] * (G[i] - beta[:, i])
+            self.sums[notion] = (list(rows), S)
 
-    def level_sets(self, idx: np.ndarray, level: int):
-        """The distinct cell sets the checks select on the cells idx, all at
-        values[level], as ascending cell arrays, and per check the index of
-        its set."""
+    def fires(self, idx: np.ndarray, level: int) -> np.ndarray:
+        """The (checks x idx) indicator matrix of the points idx, all at
+        values[level]."""
         fires = np.empty((self.n, len(idx)), dtype=bool)
         fires[self.fixed_rows] = self.fixed[:, idx]
         for notion, (rows, S) in self.sums.items():
             s, d = self.tables[notion]
             S = S[:, idx]
             fires[rows] = (S if s[level] > 0 else -S) <= d[level]
+        return fires
+
+    def level_sets(self, idx: np.ndarray, level: int):
+        """The distinct point sets the checks select on the points idx, all at
+        values[level], as ascending point arrays, and per check the index of
+        its set."""
         # keyed by the row's bytes: np.unique(fires, axis=0) sorts the rows
         # as structured records, several times slower
         index, sets, which = {}, [], []
-        for row in fires:
+        for row in self.fires(idx, level):
             key = row.tobytes()
             if key not in index:
                 index[key] = len(sets)
@@ -212,8 +176,10 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
 
     For each check, sums over level sets v the quantity
     Pr[f=v, c=1] * |v - E[f* | f=v, c=1]|.  Each distinct cell set the
-    checks select at a level is reduced once; a given ``counters`` dict
-    receives that count as "distinct_sets".  Every level must lie in [0, 1].
+    checks select at a level is reduced once.  A given ``counters`` dict
+    receives the distinct levels as "levels", the (check, level) terms as
+    "term_updates" and the reduced sets as "distinct_sets".  Every level
+    must lie in [0, 1].
     """
     a = _per_cell(assignment, dist, "assignment")
     if not np.all((0.0 <= a) & (a <= 1.0)):  # NaN fails too
@@ -222,7 +188,7 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
     m = dist.masses
     values, k = np.unique(a, return_inverse=True)
     members = np.split(np.argsort(k, kind="stable"), np.cumsum(np.bincount(k))[:-1])
-    family = _CheckFamily(checks, dist, values)
+    family = _CheckFamily(checks, dist.scores, dist.group_matrix, values)
     totals = np.zeros(family.n)
     distinct_sets = 0
     for level, (v, idx) in enumerate(zip(values, members)):
@@ -235,7 +201,8 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
         # a check's total adds its level terms left to right, ascending
         totals += bias[which]
     if counters is not None:
-        counters["distinct_sets"] = distinct_sets
+        counters.update(levels=len(values), term_updates=family.n * len(values),
+                        distinct_sets=distinct_sets)
     per_check = totals.tolist()
     max_violation = max(per_check) if per_check else 0.0
     return per_check, max_violation
@@ -268,11 +235,11 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     if f_initial is None:
         f_initial = dist.scores
     k = grid_indices(_per_cell(f_initial, dist, "f_initial"), m_grid)
-    values = np.arange(m_grid + 1) / m_grid  # values[k] == snap_to_grid(., m_grid)
+    values = np.arange(m_grid + 1) / m_grid
     assign = values[k]
     initial = assign.copy()
 
-    family = _CheckFamily(checks, dist, values)
+    family = _CheckFamily(checks, dist.scores, dist.group_matrix, values)
     # terms[level, check], 0.0 where the check selects no mass there, and
     # the selected set's label mean mus[level, check]
     terms = np.zeros((m_grid + 1, family.n))
@@ -321,8 +288,8 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
         # to the lowest level, then to the lowest check index
         level, ci = divmod(int(np.argmax(terms)), family.n)
         mu = float(mus[level, ci])
-        sets, which = family.level_sets(np.flatnonzero(k == level), level)
-        sel = sets[which[ci]]
+        idx = np.flatnonzero(k == level)
+        sel = idx[family.fires(idx, level)[ci]]
         k_prime = int(grid_indices(mu, m_grid))
         v_prime = k_prime / m_grid
         k[sel] = k_prime
@@ -347,14 +314,19 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     )
 
 
-def apply_patches(score: float, mask: int, result: CalibrationResult,
-                  checks: Sequence[CheckFunction]) -> float:
-    """Replay a calibration history on a fresh (score, mask) point."""
-    v = snap_to_grid(float(score), result.grid_m)
+def replay(result: CalibrationResult, checks: Sequence[CheckFunction],
+           scores: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """A calibration history replayed on points given by their scores and
+    (groups x points) membership matrix G, from the scores snapped to the
+    grid: each patch moves the points at its level that its check fires on."""
+    m = result.grid_m
+    k = grid_indices(scores, m)
+    family = _CheckFamily(checks, scores, G, np.arange(m + 1) / m)
     for patch in result.history:
-        if v == patch.level and checks[patch.check_index].eval_point(score, mask, v):
-            v = patch.v_prime
-    return v
+        level = int(grid_indices(patch.level, m))
+        idx = np.flatnonzero(k == level)
+        k[idx[family.fires(idx, level)[patch.check_index]]] = grid_indices(patch.v_prime, m)
+    return k / m
 
 
 def default_checks(dist: CellDistribution, base: BaseRates,

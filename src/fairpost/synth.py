@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import (CellDistribution, FairnessNotion, GroupSystem, _group_rows, bits_from_mask,
-                   decide_batch, grid_indices, snap_to_grid)
+                   decide_batch, grid_indices)
 from .metrics import true_rates
 import numpy as np
 
@@ -182,11 +182,9 @@ def gen_instance(spec: SynthSpec) -> Tuple[CellDistribution, CellDistribution]:
         if spec.miscalibration == 0.0:
             perturbed = exact
         else:
-            noisy = []
-            for k, _, _ in raw:
-                shift = spec.miscalibration * (2.0 * rng.uniform() - 1.0)
-                x = min(max(k / spec.grid_m + shift, 0.0), 1.0)
-                noisy.append(snap_to_grid(x, spec.grid_m))
+            shift = spec.miscalibration * (2.0 * rng.uniforms(len(raw)) - 1.0)
+            x = np.clip(np.array([k for k, _, _ in raw]) / spec.grid_m + shift, 0.0, 1.0)
+            noisy = grid_indices(x, spec.grid_m) / spec.grid_m
             perturbed = _build(spec, raw, noisy, names)
         if spec.bias_profile != "two_group_bias":
             return exact, perturbed

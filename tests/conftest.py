@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fairpost import SynthSpec, gen_instance
+
+# CI runs with --hypothesis-profile=ci: a failing property prints the blob
+# that reproduces it with @reproduce_failure
+settings.register_profile("ci", print_blob=True)
 
 
 def make_dist(seed, n_cells=10, n_groups=2, grid_m=25, profile="uniform",

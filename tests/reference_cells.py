@@ -5,6 +5,9 @@ is verbatim from the per-cell code that `fairpost.core.CellDistribution`
 replaced, and `_build` verbatim from the dict merge of `fairpost.synth._build`.
 The tests require the array code to give bit-equal `scores`, `masses`,
 `label_means` and `group_matrix`, equal `cells`, and the same rejections.
+
+`snap_to_grid` is the scalar grid rounding that `fairpost.core.grid_indices`
+is tested against: ``grid_indices(x, m) / m`` must equal it bit for bit.
 """
 
 import math
@@ -12,8 +15,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from fairpost.core import MASS_TOL, Cell, GroupSystem, snap_to_grid
+from fairpost.core import MASS_TOL, Cell, GroupSystem
 from fairpost.synth import SynthSpec
+
+
+def snap_to_grid(x: float, m: int) -> float:
+    """Round x in [0,1] to the nearest grid point k/m; half values round up."""
+    k = math.floor(x * m + 0.5)
+    k = min(max(k, 0), m)
+    return k / m
 
 
 class CellDistribution:

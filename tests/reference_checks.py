@@ -1,0 +1,61 @@
+"""Checks evaluated one point at a time, as `fairpost.multical` evaluated
+them before its check family took arrays.
+
+`eval_point` is a check's indicator at one (score, mask, level) point; a
+threshold check there is `reference_solver.decide` at f = the level, whose
+group sum S is the left-to-right Python sum.  `Compiled` is a check over a
+distribution's cells, evaluated at per-cell levels, and `apply_patches` a
+calibration history replayed on one point.  The tests require
+`multical._CheckFamily` and `multical.replay` to agree with them bit for bit.
+"""
+
+import numpy as np
+
+from fairpost.core import CellDistribution, FairnessNotion, decide_batch
+from fairpost.multical import CalibrationResult, CheckFunction
+
+from reference_cells import snap_to_grid
+from reference_solver import decide, group_sum
+
+
+def eval_point(check: CheckFunction, score: float, mask: int, v: float) -> int:
+    if check.kind == "group":
+        return (mask >> check.payload) & 1
+    if check.kind == "hypothesis":
+        return int(check.payload(score, mask))
+    if check.kind == "product":
+        g, clf = check.payload
+        return ((mask >> g) & 1) * int(clf(score, mask))
+    lam, notion, base = check.payload
+    return decide(lam, FairnessNotion.coerce(notion), base, v, mask)
+
+
+class Compiled:
+    """A check bound to a distribution: the level-free indicator per cell,
+    or a threshold check's group sum per cell."""
+
+    def __init__(self, check: CheckFunction, dist: CellDistribution):
+        self.fixed = self.S = self.notion = None
+        if check.kind == "threshold":
+            lam, notion, base = check.payload
+            self.notion = FairnessNotion.coerce(notion)
+            self.S = np.array([group_sum(lam, base.beta, c.groups) for c in dist.cells])
+        else:
+            self.fixed = np.array([eval_point(check, c.score, c.groups, c.score)
+                                   for c in dist.cells], dtype=bool)
+
+    def evaluate(self, levels: np.ndarray) -> np.ndarray:
+        """Indicator per cell, with v set to the cell's level: decide_batch
+        at f = v for a threshold check."""
+        if self.fixed is not None:
+            return self.fixed
+        return decide_batch(self.S, levels, self.notion)
+
+
+def apply_patches(score: float, mask: int, result: CalibrationResult, checks) -> float:
+    """Replay a calibration history on one (score, mask) point."""
+    v = snap_to_grid(float(score), result.grid_m)
+    for patch in result.history:
+        if v == patch.level and eval_point(checks[patch.check_index], score, mask, v):
+            v = patch.v_prime
+    return v

@@ -21,9 +21,10 @@ from fairpost.core import (
     CellDistribution,
     GroupSystem,
     mask_from_bits,
-    snap_to_grid,
 )
 from fairpost.synth import SplitMix64, SynthSpec, gen_instance
+
+from reference_cells import snap_to_grid
 
 
 def build_cells(rows: Iterable, grid_m: int,

@@ -133,13 +133,17 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     )
 
 
+def group_sum(lam, beta, mask) -> float:
+    """The group sum S = lambda . (bits - beta) at a group mask, as the
+    left-to-right Python sum, which a mixture's ordered sum equals."""
+    bits = bits_from_mask(mask, len(lam))
+    return float(sum(l * (b - bta) for l, b, bta in zip(lam, bits, beta)))
+
+
 def decide(lam, notion, base, score, mask) -> int:
     """The decision in {0, 1} of the threshold rule at lambda, at (score,
-    group mask): the group sum S = lambda . (bits - beta) as the
-    left-to-right Python sum, which a mixture's ordered sum equals, then
-    decide_batch."""
-    bits = bits_from_mask(mask, len(lam))
-    S = float(sum(l * (b - bta) for l, b, bta in zip(lam, bits, base.beta)))
+    group mask): decide_batch at the group_sum."""
+    S = group_sum(lam, base.beta, mask)
     return int(decide_batch(np.array([S]), np.array([float(score)]), notion)[0])
 
 

@@ -28,13 +28,13 @@ from fairpost import (
     run_sampled,
     sample_size,
     surrogate_error,
-    threshold_eval,
     true_rates,
 )
 from fairpost.cli import main as cli_main
-from fairpost.multical import audit
+from fairpost.multical import CheckFunction, _CheckFamily, audit
 
 from conftest import make_dist, rand_lambda
+from reference_checks import Compiled
 from reference_rates import expanded_lagrangian, lagrangian_value
 from reference_solver import decide, pointwise_argmin
 
@@ -135,20 +135,24 @@ def test_criterion_4_lemma32_family(rng):
 
 
 def test_criterion_5_fixh_identity(rng):
-    """Threshold checks equal the best response on every cell with positive
-    denominator, over 50 random instances."""
+    """Threshold checks, as the check family that audit, calibrate and
+    transform share evaluates them, equal the best response on every cell
+    with positive denominator, over 50 random instances."""
     mismatches = 0
     cells_checked = 0
     for trial in range(50):
         dist, _ = make_dist(3000 + trial, n_cells=12, n_groups=2, grid_m=30)
         base = base_rates(dist, "fp", "from_labels")
         lam = rand_lambda(rng, dist.n_groups, 5.0)
-        for cell in dist.cells:
+        values, level_of = np.unique(dist.scores, return_inverse=True)
+        family = _CheckFamily([CheckFunction("threshold", (lam, "fp", base))],
+                              dist.scores, dist.group_matrix, values)
+        for j, cell in enumerate(dist.cells):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base.beta)) <= 0:
                 continue
             cells_checked += 1
-            if threshold_eval(lam, base, cell.groups, cell.score, "fp") != \
+            if family.fires(np.array([j]), level_of[j])[0, 0] != \
                     decide(lam, "fp", base, cell.score, cell.groups):
                 mismatches += 1
     _report(5, mismatches == 0 and cells_checked > 0,
@@ -179,7 +183,7 @@ def test_criterion_6_calibration_guarantees():
     prev = float(masses @ (q * (1 - assign) ** 2 + (1 - q) * assign ** 2))
     min_drop = math.inf
     for rec in result.history:
-        comp = checks[rec.check_index].compile(pert)
+        comp = Compiled(checks[rec.check_index], pert)
         sel = comp.evaluate(assign) & (assign == rec.level)
         assign = assign.copy()
         assign[sel] = rec.v_prime

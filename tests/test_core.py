@@ -12,11 +12,11 @@ from fairpost import (
     GroupSystem,
     MixtureClassifier,
     build_cells,
-    snap_to_grid,
 )
 from fairpost.core import grid_indices, mask_from_bits
 
 from conftest import make_dist
+from reference_cells import snap_to_grid
 from reference_solver import decide
 
 

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from fairpost import (
+    BaseRates,
+    CheckFunction,
+    FairnessNotion,
     FairThresholdPostprocessor,
     JointMulticalibrator,
     NotFittedError,
     audit,
+    calibrate,
 )
-from fairpost.core import mask_from_bits, snap_to_grid
+from fairpost.core import mask_from_bits
 from fairpost.estimators import check_scores_groups
-from fairpost.multical import apply_patches, assignment_from_scores
+from fairpost.multical import assignment_from_scores, replay
 
 from conftest import make_dist
+from reference_cells import snap_to_grid
+from reference_checks import apply_patches
 
 
 def _sample_arrays(rng, dist, n):
@@ -135,6 +141,26 @@ def test_calibrator_transform_matches_fit_assignment(rng):
     assert np.array_equal(got, cal.result_.assignment)
 
 
+def test_calibrator_transform_equals_assignment_at_a_group_sum_tie():
+    # cell 1's SP group sum is -1 to within an ulp, on the threshold d = -1
+    # of level 0: a BLAS product reads it as -1.0 and the ordered sum as
+    # -0.9999999999999998, so a transform that summed in another form than
+    # calibrate gave the cell another level than calibrate did
+    _, pert = make_dist(522432655, n_cells=7, n_groups=2, grid_m=20, miscalibration=0.4)
+    beta = np.array([float.fromhex(x) for x in (
+        "0x1.64a1b7e26316cp-1", "0x1.a9b9d6fabd7a0p-1", "0x1.ecfbe5d3403c6p-1")])
+    lam = np.array([float.fromhex(x) for x in (
+        "-0x1.576f306d7a3a5p+2", "0x1.cd2c3b1738d60p+1", "0x1.254d4b607662cp-1")])
+    checks = [CheckFunction("threshold", (lam, "sp", BaseRates(FairnessNotion.SP, beta, beta)))]
+    result = calibrate(pert.scores, checks, pert, alpha=0.05)
+    assert result.rounds > 0
+    cal = JointMulticalibrator(alpha=0.05)
+    cal.result_, cal.checks_, cal.distribution_, cal.n_groups_ = (
+        result, checks, pert, pert.n_groups)
+    got = cal.transform(pert.scores, pert.group_matrix.T.astype(int))
+    assert got.tobytes() == result.assignment.tobytes()
+
+
 def test_calibrator_fit_transform_equals_fit_assignment_off_the_grid(rng):
     # ceil(1/0.03) = 34 does not divide grid_m = 100, so a raw score snapped
     # straight to the 1/34 grid can land on another level than its cell's
@@ -179,10 +205,12 @@ def test_calibrator_transform_signed_zero_and_repeats(rng):
     cal.fit(scores, groups, y)
     rows = np.concatenate([groups[:50], groups[:50]])
     zeros = np.concatenate([np.zeros(50), np.full(50, -0.0)])
-    with mock.patch("fairpost.estimators.apply_patches", wraps=apply_patches) as replay:
+    with mock.patch("fairpost.estimators.replay", wraps=replay) as replayed:
         got = cal.transform(zeros, rows)
-    # -0.0 and 0.0 share a key, so each distinct row is replayed once
-    assert replay.call_count == len(np.unique(groups[:50], axis=0))
+    # -0.0 and 0.0 share a key, so the history is replayed once, on one
+    # point per distinct row
+    assert replayed.call_count == 1
+    assert replayed.call_args.args[2].shape == (len(np.unique(groups[:50], axis=0)),)
     assert got[:50].tobytes() == got[50:].tobytes()
     assert got.tobytes() == cal.transform(np.abs(zeros), rows).tobytes()
     repeated = cal.transform(np.tile(scores[:100], 3), np.tile(groups[:100], (3, 1)))

@@ -21,21 +21,20 @@ from fairpost import (
     calibrate,
     default_checks,
     run,
-    snap_to_grid,
-    threshold_eval,
 )
-from fairpost.core import decide_batch, decision_thresholds
+from fairpost.core import bits_from_mask, decide_batch, decision_thresholds
 from fairpost.multical import (
     CalibrationResult,
     PatchRecord,
     _CheckFamily,
-    _d_tables,
-    apply_patches,
     assignment_from_scores,
+    replay,
 )
 
 from conftest import make_dist, rand_lambda
-from reference_solver import decide
+from reference_cells import snap_to_grid
+from reference_checks import Compiled, apply_patches, eval_point
+from reference_solver import decide, group_sum
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -66,14 +65,32 @@ def _base(dist, notion):
     return base_rates(dist, notion, "from_labels")
 
 
+def _fires_at_levels(checks, dist, levels):
+    """The check family's (checks x cells) indicator, each cell at its level."""
+    values, k = np.unique(levels, return_inverse=True)
+    family = _CheckFamily(checks, dist.scores, dist.group_matrix, values)
+    fires = np.empty((len(checks), dist.n_cells), dtype=bool)
+    for level in range(len(values)):
+        idx = np.flatnonzero(k == level)
+        fires[:, idx] = family.fires(idx, level)
+    return fires
+
+
+def _point_fires(check, mask, v, n_groups) -> int:
+    """The check family's indicator of one check at the point (v, mask),
+    at level v."""
+    G = np.array(bits_from_mask(mask, n_groups), dtype=float)[:, None]
+    family = _CheckFamily([check], np.array([float(v)]), G, np.array([float(v)]))
+    return int(family.fires(np.array([0]), 0)[0, 0])
+
+
 def test_threshold_eval_zero_dual_tracks_bayes_rule():
     # at lambda = 0 the check must agree with thresholding the score at 1/2
     dist, _ = make_dist(40, n_cells=6, n_groups=1)
-    base = _base(dist, "fp")
-    lam = np.zeros(dist.n_groups)
-    assert threshold_eval(lam, base, 1, 0.6, "fp") == 1
-    assert threshold_eval(lam, base, 1, 0.4, "fp") == 0
-    assert threshold_eval(lam, base, 1, 0.5, "fp") == 1  # tie goes positive
+    check = CheckFunction("threshold", (np.zeros(dist.n_groups), "fp", _base(dist, "fp")))
+    for v, want in ((0.6, 1), (0.4, 0), (0.5, 1)):  # the tie goes positive
+        assert _point_fires(check, 1, v, dist.n_groups) == want
+        assert eval_point(check, v, 1, v) == want
 
 
 def test_threshold_eval_equals_best_response_fp(rng):
@@ -82,13 +99,14 @@ def test_threshold_eval_equals_best_response_fp(rng):
         dist, _ = make_dist(500 + trial, n_cells=10, n_groups=2, grid_m=30)
         base = _base(dist, "fp")
         lam = rand_lambda(rng, dist.n_groups, 5.0)
-        for cell in dist.cells:
+        fires = _fires_at_levels([CheckFunction("threshold", (lam, "fp", base))], dist,
+                                 dist.scores)[0]
+        for cell, got in zip(dist.cells, fires):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             S = float(lam @ (bits - base.beta))
             if 2.0 + S <= 0:
                 continue
-            assert threshold_eval(lam, base, cell.groups, cell.score, "fp") == \
-                decide(lam, "fp", base, cell.score, cell.groups)
+            assert got == decide(lam, "fp", base, cell.score, cell.groups)
 
 
 def test_threshold_eval_equals_best_response_fn_and_sp(rng):
@@ -97,13 +115,14 @@ def test_threshold_eval_equals_best_response_fn_and_sp(rng):
         lam = rand_lambda(rng, dist.n_groups, 5.0)
         base_fn = _base(dist, "fn")
         base_sp = _base(dist, "sp")
-        for cell in dist.cells:
+        fires_fn, fires_sp = _fires_at_levels(
+            [CheckFunction("threshold", (lam, "fn", base_fn)),
+             CheckFunction("threshold", (lam, "sp", base_sp))], dist, dist.scores)
+        for cell, got_fn, got_sp in zip(dist.cells, fires_fn, fires_sp):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base_fn.beta)) > 0:
-                assert threshold_eval(lam, base_fn, cell.groups, cell.score, "fn") == \
-                    decide(lam, "fn", base_fn, cell.score, cell.groups)
-            assert threshold_eval(lam, base_sp, cell.groups, cell.score, "sp") == \
-                decide(lam, "sp", base_sp, cell.score, cell.groups)
+                assert got_fn == decide(lam, "fn", base_fn, cell.score, cell.groups)
+            assert got_sp == decide(lam, "sp", base_sp, cell.score, cell.groups)
 
 
 def test_threshold_eval_monotone_in_v(rng):
@@ -115,7 +134,9 @@ def test_threshold_eval_monotone_in_v(rng):
         for _ in range(20):
             lam = rand_lambda(rng, dist.n_groups, 4.0)
             mask = int(dist.cells[rng.integers(dist.n_cells)].groups)
-            vals = [threshold_eval(lam, base, mask, v, notion) for v in grid]
+            check = CheckFunction("threshold", (lam, notion, base))
+            vals = [_point_fires(check, mask, v, dist.n_groups) for v in grid]
+            assert vals == [eval_point(check, v, mask, v) for v in grid]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -163,7 +184,7 @@ def test_audit_matches_per_sample_brute_force(rng):
         for score, bits, y in rows:
             mask = sum(b << i for i, b in enumerate(bits))
             v = level_of[(score, mask)]
-            if check.eval_point(score, mask, v):
+            if eval_point(check, score, mask, v):
                 sums[v] = sums.get(v, 0.0) + (v - y) / n
         total = sum(abs(acc) for acc in sums.values())
         assert got == pytest.approx(total, abs=1e-12)
@@ -239,7 +260,7 @@ def test_calibrate_guarantees_on_miscalibrated_fixture():
     assign = result.initial_assignment.copy()
     prev = brier(assign, pert)
     for rec in result.history:
-        comp = checks[rec.check_index].compile(pert)
+        comp = Compiled(checks[rec.check_index], pert)
         sel = comp.evaluate(assign) & (assign == rec.level)
         assign = assign.copy()
         assign[sel] = rec.v_prime
@@ -273,13 +294,14 @@ def test_threshold_eval_err_steps_at_half():
     sums = []
     for lam in ([0.5, -0.25, 0.1], [0.0, -8.0, 0.5], [0.0, 8.0, -6.0], [0.0, 0.0, 0.0]):
         lam = np.array(lam)
+        check = CheckFunction("threshold", (lam, "err", base))
         for cell in dist.cells:
-            bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
-            S = float(lam @ (bits - base.beta))
+            S = group_sum(lam, base.beta, cell.groups)
             sums.append(S)
             for v in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 want = S <= -1.0 if v < 0.5 else S >= -1.0 or v == 0.5
-                assert threshold_eval(lam, base, cell.groups, v, "err") == want
+                assert _point_fires(check, cell.groups, v, dist.n_groups) == want
+                assert eval_point(check, cell.score, cell.groups, v) == want
     assert min(sums) < -1.0 < max(sums)
 
 
@@ -323,11 +345,52 @@ def test_apply_patches_replays_training_assignment():
     base = _base(pert, "fp")
     checks = default_checks(pert, base, n_random=8, C=5.0, seed=4)
     result = calibrate(pert.scores, checks, pert, alpha=0.02)
-    replayed = np.array([
+    replayed = replay(result, checks, pert.scores, pert.group_matrix)
+    assert _bits(replayed) == _bits(result.assignment)
+    per_point = np.array([
         apply_patches(cell.score, cell.groups, result, checks)
         for cell in pert.cells
     ])
-    assert np.array_equal(replayed, result.assignment)
+    assert _bits(per_point) == _bits(result.assignment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_replay_is_batch_independent_with_tie_aimed_checks(data):
+    # threshold checks scaled so that a cell's group sum lands on its
+    # level's threshold up to rounding, where a BLAS product and the
+    # ordered sum disagree: replaying the history on the cells gives
+    # calibrate's assignment, and on any subset or permutation of the
+    # points the entries of the full replay
+    seed = data.draw(st.integers(min_value=0, max_value=10**6))
+    _, dist = make_dist(seed, n_cells=data.draw(st.integers(min_value=4, max_value=30)),
+                        n_groups=data.draw(st.integers(1, 3)), grid_m=20, miscalibration=0.4)
+    notion = FairnessNotion.coerce(data.draw(st.sampled_from(NOTIONS)))
+    alpha = data.draw(st.sampled_from([0.1, 0.05, 0.02]))
+    m = math.ceil(1.0 / alpha)
+    base = _base(dist, notion)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    checks = [CheckFunction("group", g) for g in range(dist.n_groups)]
+    for j in rng.integers(dist.n_cells, size=6):
+        lam = rand_lambda(rng, dist.n_groups, 4.0)
+        s, d = decision_thresholds(np.array([snap_to_grid(dist.scores[j], m)]), notion)
+        S = group_sum(lam, base.beta, dist.cells[j].groups)
+        if np.isfinite(d[0]) and S != 0.0:
+            lam = lam * (s[0] * d[0] / S)  # s*S = d, up to rounding
+        checks.append(CheckFunction("threshold", (lam, notion, base)))
+    result = calibrate(dist.scores, checks, dist, alpha)
+
+    # the cells, then points of any grid score and membership row
+    n = dist.n_cells + 20
+    scores = np.concatenate([dist.scores, rng.integers(0, 21, size=20) / 20])
+    G = np.concatenate([dist.group_matrix,
+                        rng.integers(0, 2, size=(dist.n_groups, 20)).astype(float)], axis=1)
+    full = replay(result, checks, scores, G)
+    assert _bits(full[:dist.n_cells]) == _bits(result.assignment)
+    for pick in (data.draw(st.permutations(range(n))),
+                 data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))):
+        pick = np.array(pick)
+        assert _bits(replay(result, checks, scores[pick], G[:, pick])) == _bits(full[pick])
 
 
 # ------------------------------------------------ reference: per-round rescan
@@ -337,19 +400,13 @@ def test_apply_patches_replays_training_assignment():
 # response at f = the cell's level and re-reduces every (check, level) set.
 # The optimized functions must reproduce them bit for bit.
 
-def _reference_evaluate(comp, levels):
-    if comp.fixed is not None:
-        return comp.fixed
-    return decide_batch(comp.S, levels, comp.notion)
-
-
 def _reference_audit(assignment, checks, dist):
     a = np.asarray(assignment, dtype=float)
     q = dist.require_labels()
     m = dist.masses
     per_check = []
     for check in checks:
-        cval = _reference_evaluate(check.compile(dist), a)
+        cval = Compiled(check, dist).evaluate(a)
         total = 0.0
         for v in np.unique(a[cval]):
             sel = cval & (a == v)
@@ -371,7 +428,7 @@ def _reference_calibrate(f_initial, checks, dist, alpha):
     assign = np.array([snap_to_grid(float(v), m_grid) for v in f_initial])
     initial = assign.copy()
 
-    compiled = [c.compile(dist) for c in checks]
+    compiled = [Compiled(c, dist) for c in checks]
     max_rounds = math.floor(4.0 / (alpha * alpha)) + 1
     history = []
     t = 0
@@ -379,7 +436,7 @@ def _reference_calibrate(f_initial, checks, dist, alpha):
         best = None  # (term, v, check_idx, sel)
         worst_sum = 0.0
         for ci, comp in enumerate(compiled):
-            cval = _reference_evaluate(comp, assign)
+            cval = comp.evaluate(assign)
             check_sum = 0.0
             for v in np.unique(assign[cval]):
                 sel = cval & (assign == v)
@@ -559,10 +616,21 @@ def test_audit_rejects_levels_outside_unit_interval():
         audit(np.full(dist.n_cells, 1.5), checks, dist)
     with pytest.raises(ValueError, match="v must lie"):
         audit(np.full(dist.n_cells, np.nan), checks, dist)
+    zero = [CheckFunction("threshold", (np.zeros(dist.n_groups), "fp", _base(dist, "fp")))]
     with pytest.raises(ValueError, match="v must lie"):
-        threshold_eval(np.zeros(dist.n_groups), _base(dist, "fp"), 1, 1.5, "fp")
+        audit(np.full(dist.n_cells, 1.5), zero, dist)
     with pytest.raises(ValueError, match="v must lie"):
-        threshold_eval(np.zeros(dist.n_groups), _base(dist, "fp"), 1, math.nan, "fp")
+        audit(np.full(dist.n_cells, math.nan), zero, dist)
+
+
+def test_threshold_check_lambdas_must_match_the_group_count():
+    # the ordered group sum takes lambda entry i with group row i, so a
+    # longer lambda would otherwise lose its last entries without a word
+    dist, _ = make_dist(3, n_cells=8, n_groups=2)
+    for width in (dist.n_groups - 1, dist.n_groups + 1):
+        check = CheckFunction("threshold", (np.ones(width), "fp", _base(dist, "fp")))
+        with pytest.raises(ValueError, match="lambdas width must match the group count"):
+            audit(dist.scores, [check], dist)
 
 
 @pytest.mark.parametrize("level", [1.5, -0.25, math.nan])
@@ -579,22 +647,23 @@ def test_audit_rejects_levels_outside_unit_interval_with_group_checks_alone(leve
        st.floats(min_value=0.0, max_value=1.0))
 def test_level_table_equals_d_of_v_at_snapped_value(notion, m, x):
     dist, _ = make_dist(15, n_cells=4, n_groups=1)
-    comp = CheckFunction("threshold", (np.zeros(dist.n_groups), notion,
-                                       _base(dist, "fp"))).compile(dist)
-    s, d = _d_tables([comp], np.arange(m + 1) / m)[comp.notion]
+    notion = FairnessNotion.coerce(notion)
+    check = CheckFunction("threshold", (np.zeros(dist.n_groups), notion, _base(dist, "fp")))
+    family = _CheckFamily([check], dist.scores, dist.group_matrix, np.arange(m + 1) / m)
+    s, d = family.tables[notion]
     v = snap_to_grid(x, m)
     k = round(v * m)
-    want_s, want_d = decision_thresholds(np.array([v]), comp.notion)
+    want_s, want_d = decision_thresholds(np.array([v]), notion)
     assert _bits([s[k], d[k]]) == _bits([want_s[0], want_d[0]])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(NOTIONS), st.integers(min_value=1, max_value=2000), st.data())
 def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
-    # every path of a threshold check (the per-cell evaluate, the per-level
-    # sets of audit and calibrate, and the per-point eval_point of
-    # apply_patches) is decide_batch at f = the level, ties and 0, 1/2, 1
-    # included
+    # the check family's indicator and per-level sets (which audit,
+    # calibrate and replay share) are decide_batch at f = the level, ties
+    # and 0, 1/2, 1 included, as are the reference's per-cell and per-point
+    # forms
     dist, _ = make_dist(16, n_cells=12, n_groups=2)
     unit = st.floats(min_value=0.0, max_value=1.0)
     lam = np.array(data.draw(st.lists(st.floats(min_value=-10.0, max_value=10.0),
@@ -606,25 +675,26 @@ def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
                             min_size=dist.n_cells - 3, max_size=dist.n_cells - 3))
     levels = np.concatenate([[0.0, 0.5, 1.0], np.array(ks) / m])
     check = CheckFunction("threshold", (lam, notion, base))
-    comp = check.compile(dist)
+    comp = Compiled(check, dist)
     want = decide_batch(comp.S, levels, comp.notion)
     assert _bits(comp.evaluate(levels)) == _bits(want)
+    assert _bits(_fires_at_levels([check], dist, levels)[0]) == _bits(want)
 
     values, k = np.unique(levels, return_inverse=True)
-    family = _CheckFamily([check], dist, values)
+    family = _CheckFamily([check], dist.scores, dist.group_matrix, values)
     for level in range(len(values)):
         idx = np.flatnonzero(k == level)
         sets, which = family.level_sets(idx, level)
         assert np.array_equal(sets[which[0]], idx[want[idx]])
     for cell, v, w in zip(dist.cells, levels, want):
-        assert check.eval_point(cell.score, cell.groups, v) == w
+        assert eval_point(check, cell.score, cell.groups, v) == w
 
 
 def _reference_distinct_sets(assignment, checks, dist):
     """The nonempty (level, selected cell set) pairs of an audit."""
     seen = set()
     for check in checks:
-        cval = _reference_evaluate(check.compile(dist), assignment)
+        cval = Compiled(check, dist).evaluate(assignment)
         for v in np.unique(assignment[cval]):
             seen.add((v, tuple(np.flatnonzero(cval & (assignment == v)))))
     return len(seen)

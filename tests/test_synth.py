@@ -8,9 +8,10 @@ from fairpost import (
     SynthSpec,
     base_rates,
     gen_instance,
-    snap_to_grid,
     true_rates,
 )
+
+from reference_cells import snap_to_grid
 
 
 def _cells_tuple(dist):
