@@ -18,6 +18,7 @@ import math
 import resource
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -299,48 +300,36 @@ def _write_manifest(out_dir: Path, command: str, config: dict, source: dict,
 
 # ---------------------------------------------------------------- config
 
-_CONFIG_KEYS = ("notion", "gamma", "C", "eta", "T", "projection", "beta_mode",
-                "grid_m", "record_every", "seed", "work_cap")
+# The config-file keys and defaults: the solver's options and the score grid.
+_CONFIG_DEFAULTS = {**{f.name: f.default for f in fields(SolverConfig) if f.name != "compute_gap"},
+                    "grid_m": 100}
 
 
 def _load_config(args) -> dict:
-    config = {
-        "notion": "fp", "gamma": 0.05, "C": 10.0, "eta": "auto", "T": "auto",
-        "projection": "euclidean", "beta_mode": "from_scores", "grid_m": 100,
-        "record_every": 100, "seed": 0, "work_cap": 5e9,
-    }
+    """The defaults, overridden by the --config file, overridden by flags."""
+    config = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot read config {args.config!r}: {exc}") from exc
-        for key, value in loaded.items():
-            if key not in _CONFIG_KEYS:
+        if not isinstance(loaded, dict):
+            raise InputError(f"config must be a JSON object, not {type(loaded).__name__}")
+        for key in loaded:
+            if key not in config:
                 raise InputError(f"unknown config key {key!r}")
-            config[key] = value
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+        config.update(loaded)
+    config.update({key: flag for key in config if (flag := getattr(args, key, None)) is not None})
+    if type(config["grid_m"]) is not int or config["grid_m"] < 1:
+        raise InputError(f"grid_m must be a positive integer, not {config['grid_m']!r}")
     return config
 
 
 def _solver_config(config: dict) -> SolverConfig:
-    projection = {"euclidean": "euclidean_l1", "euclidean_l1": "euclidean_l1",
-                  "rescale": "rescale"}.get(config["projection"])
-    if projection is None:
-        raise InputError(f"unknown projection {config['projection']!r}")
-    eta = config["eta"]
-    T = config["T"]
     try:
-        return SolverConfig(
-            notion=config["notion"], gamma=float(config["gamma"]), C=float(config["C"]),
-            eta=eta if eta == "auto" else float(eta),
-            T=T if T == "auto" else int(T),
-            projection_mode=projection, beta_mode=config["beta_mode"],
-            record_every=int(config["record_every"]), work_cap=float(config["work_cap"]))
-    except ValueError as exc:
+        return SolverConfig(**{key: value for key, value in config.items() if key != "grid_m"})
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -541,13 +530,9 @@ def cmd_solve(args) -> int:
     solver_config = _solver_config(config)
     t0 = time.perf_counter()
     source = {}
-    dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]), source)
+    dist, has_labels = read_dataset(args.dataset, config["grid_m"], source)
     t1 = time.perf_counter()
-    try:
-        result = run(dist, solver_config)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = run(dist, solver_config)    # main reports BudgetExceededError
     t2 = time.perf_counter()
     report, code = _solve_report(result, dist, has_labels, solver_config.gamma,
                                  args.guarantee_tol)
@@ -595,19 +580,17 @@ def cmd_sweep(args) -> int:
     try:
         gammas = sorted(float(g) for g in args.gammas.split(","))
     except ValueError:
-        print("error: --gammas must be a comma-separated list of numbers", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--gammas must be a comma-separated list of numbers") from None
     if not all(0.0 <= g < math.inf for g in gammas):
-        print("error: gamma values must be finite and nonnegative", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("gamma values must be finite and nonnegative")
+    configs = [_solver_config({**config, "gamma": g}) for g in gammas]
     source = {}
-    dist, has_labels = read_dataset(args.dataset, int(config["grid_m"]), source)
+    dist, has_labels = read_dataset(args.dataset, config["grid_m"], source)
     t1 = time.perf_counter()
     # the solver runs the gammas in as few loops as LAMBDA_HISTORY_CAP
     # admits; every failure is reported per gamma, in the csv
     rows, counters, batches = [], [], 0
     try:
-        configs = [_solver_config({**config, "gamma": g}) for g in gammas]
         for results in run_batches(dist, configs):
             batches += 1
             for result in results:
@@ -671,11 +654,11 @@ def _write_pareto_svg(path: Path, rows) -> None:
 
 # ---------------------------------------------------------------- audit / calibrate
 
-def _build_checks(dist, args, trajectory_lambdas=None):
-    base = base_rates(dist, FairnessNotion.FP,
-                      "from_labels" if dist.has_labels() else "from_scores")
+def _build_checks(dist, args):
+    # audit and calibrate refuse unlabeled data before they build checks
+    base = base_rates(dist, FairnessNotion.FP, "from_labels")
     return default_checks(dist, base, n_random=args.n_random_checks, C=args.check_C,
-                          seed=args.seed, trajectory_lambdas=trajectory_lambdas)
+                          seed=args.seed)
 
 
 def _check_config(args) -> dict:
@@ -690,8 +673,7 @@ def cmd_audit(args) -> int:
     source = {}
     dist, has_labels = read_dataset(args.dataset, args.grid_m, source)
     if not has_labels:
-        print("error: audit requires labeled data (y column)", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("audit requires labeled data (y column)")
     t1 = time.perf_counter()
     checks = _build_checks(dist, args)
     assignment = assignment_from_scores(dist, args.grid_m)
@@ -724,8 +706,7 @@ def cmd_calibrate(args) -> int:
     source = {}
     dist, has_labels = read_dataset(args.dataset, args.grid_m, source)
     if not has_labels:
-        print("error: calibrate requires labeled data (y column)", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("calibrate requires labeled data (y column)")
     t1 = time.perf_counter()
     checks = _build_checks(dist, args)
     t2 = time.perf_counter()
@@ -861,11 +842,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--C", type=float, dest="C")
     p.add_argument("--eta")
     p.add_argument("--T", dest="T")
-    p.add_argument("--projection", choices=["euclidean", "rescale"])
     p.add_argument("--beta-mode", dest="beta_mode", choices=["from_scores", "from_labels"])
     p.add_argument("--grid-m", dest="grid_m", type=int)
     p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--work-cap", dest="work_cap", type=float)
 
 
@@ -891,24 +870,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("audit", help="multicalibration audit of the scores")
-    p.add_argument("dataset")
-    p.add_argument("--grid-m", dest="grid_m", type=int, default=100)
-    p.add_argument("--n-random-checks", type=int, default=64)
-    p.add_argument("--check-C", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("calibrate", help="patch scores toward joint multicalibration")
-    p.add_argument("dataset")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--grid-m", dest="grid_m", type=int, default=100)
-    p.add_argument("--n-random-checks", type=int, default=64)
-    p.add_argument("--check-C", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_calibrate)
+    for name, help_text, func in (
+            ("audit", "multicalibration audit of the scores", cmd_audit),
+            ("calibrate", "patch scores toward joint multicalibration", cmd_calibrate)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("dataset")
+        if name == "calibrate":
+            p.add_argument("--alpha", type=float, default=0.01)
+        p.add_argument("--grid-m", dest="grid_m", type=int, default=100)
+        p.add_argument("--n-random-checks", type=int, default=64)
+        p.add_argument("--check-C", type=float, default=10.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", default="out")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="emit a sampled synthetic dataset")
     p.add_argument("--seed", type=int, required=True)

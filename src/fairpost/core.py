@@ -195,9 +195,6 @@ class CellDistribution:
     def n_groups(self) -> int:
         return self.groups.count
 
-    def has_labels(self) -> bool:
-        return self.label_means is not None
-
     def require_labels(self) -> np.ndarray:
         if self.label_means is None:
             raise ValueError("operation requires label_mean on every cell")

@@ -81,31 +81,29 @@ class FairThresholdPostprocessor(_ParamsMixin):
 
     fit() aggregates the data into (score, group) cells and runs the
     primal/dual dynamics; predict_proba() returns the mixture's positive
-    probability for new points with the same group schema.
+    probability for new points with the same group schema.  The parameters
+    are SolverConfig's fields, with its defaults and checks, and grid_m,
+    the score grid of the cells.
     """
 
-    def __init__(self, notion="fp", gamma: float = 0.05, C: float = 10.0,
-                 eta="auto", T="auto", projection="euclidean_l1",
-                 beta_mode: str = "from_scores", grid_m: int = 100,
-                 record_every: int = 100, work_cap: float = 5e9):
+    def __init__(self, notion=SolverConfig.notion, gamma=SolverConfig.gamma,
+                 C=SolverConfig.C, eta=SolverConfig.eta, T=SolverConfig.T,
+                 beta_mode=SolverConfig.beta_mode, grid_m: int = 100,
+                 record_every=SolverConfig.record_every, work_cap=SolverConfig.work_cap):
         self.notion = notion
         self.gamma = gamma
         self.C = C
         self.eta = eta
         self.T = T
-        self.projection = projection
         self.beta_mode = beta_mode
         self.grid_m = grid_m
         self.record_every = record_every
         self.work_cap = work_cap
 
     def fit(self, scores, groups, y=None, group_names: Optional[Sequence[str]] = None):
+        config = SolverConfig(**{k: v for k, v in self.get_params().items() if k != "grid_m"})
         scores, groups, y = check_scores_groups(scores, groups, y)
         dist = aggregate_cells(scores, groups, y, self.grid_m, group_names)
-        config = SolverConfig(
-            notion=self.notion, gamma=self.gamma, C=self.C, eta=self.eta,
-            T=self.T, projection_mode=self.projection, beta_mode=self.beta_mode,
-            record_every=self.record_every, work_cap=self.work_cap)
         result = run(dist, config)
         self.result_ = result
         self.mixture_ = result.mixture
@@ -144,21 +142,19 @@ class JointMulticalibrator(_ParamsMixin):
     threshold checks, then apply the learned patches to new points."""
 
     def __init__(self, alpha: float = 0.01, n_random_checks: int = 64,
-                 C: float = 10.0, grid_m: int = 100, seed: int = 0,
-                 beta_mode: str = "from_labels"):
+                 C: float = 10.0, grid_m: int = 100, seed: int = 0):
         self.alpha = alpha
         self.n_random_checks = n_random_checks
         self.C = C
         self.grid_m = grid_m
         self.seed = seed
-        self.beta_mode = beta_mode
 
     def fit(self, scores, groups, y, group_names: Optional[Sequence[str]] = None):
         scores, groups, y = check_scores_groups(scores, groups, y)
         if y is None:
             raise ValueError("calibration requires labels")
         dist = aggregate_cells(scores, groups, y, self.grid_m, group_names)
-        base = base_rates(dist, FairnessNotion.FP, self.beta_mode)
+        base = base_rates(dist, FairnessNotion.FP, "from_labels")
         checks = default_checks(dist, base, n_random=self.n_random_checks,
                                 C=self.C, seed=self.seed)
         self.checks_ = checks

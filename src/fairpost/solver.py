@@ -9,6 +9,7 @@ mixture over all rounds' rules is the returned randomized classifier.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Iterator, List, Optional, Union
@@ -82,29 +83,62 @@ class DualState:
         return float(self.lambda_plus.sum() + self.lambda_minus.sum())
 
 
+def _number(name: str, value, whole: bool = False, auto: bool = False):
+    """value as a float, or an int when whole; numeric strings are read."""
+    if auto and isinstance(value, str) and value == "auto":
+        return value
+    wanted = ('"auto" or ' if auto else "") + ("a whole number" if whole else "a number")
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise TypeError(f"{name} must be {wanted}, not {value!r}")
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):    # not numeric, or an int past the float range
+        number = None
+    if number is None or whole and not number.is_integer():
+        raise ValueError(f"{name} must be {wanted}, not {value!r}")
+    return int(number) if whole else number
+
+
 @dataclass
 class SolverConfig:
+    """The solver's options: the one statement of their names, defaults
+    and checks, which the CLI and the estimator read.  __post_init__ reads
+    numeric strings as numbers; eta is "auto" (C / sqrt(2|G|T)) or a real,
+    T "auto" (iteration_budget) or a whole number.  A value of the wrong
+    type raises TypeError and one out of range ValueError, naming the field.
+    """
+
     notion: Union[str, FairnessNotion] = FairnessNotion.FP
     gamma: float = 0.05
     C: float = 10.0
     eta: Union[str, float] = "auto"
     T: Union[str, int] = "auto"
-    projection_mode: str = "euclidean_l1"
     beta_mode: str = "from_scores"
     record_every: int = 100
     work_cap: float = 5e9
     compute_gap: bool = False
 
     def __post_init__(self):
-        self.notion = FairnessNotion.coerce(self.notion)
+        try:
+            self.notion = FairnessNotion.coerce(self.notion)
+        except ValueError:
+            raise ValueError(f"unknown notion {self.notion!r}") from None
+        self.gamma = _number("gamma", self.gamma)
+        self.C = _number("C", self.C)
+        self.eta = _number("eta", self.eta, auto=True)
+        self.T = _number("T", self.T, whole=True, auto=True)
+        self.record_every = _number("record_every", self.record_every, whole=True)
+        self.work_cap = _number("work_cap", self.work_cap)
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be a finite nonnegative number")
         if not 0 < self.C < math.inf:
             raise ValueError("C must be positive and finite")
-        if self.eta != "auto" and not 0 < float(self.eta) < math.inf:
+        if self.eta != "auto" and not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
-        if self.projection_mode not in ("euclidean_l1", "rescale"):
-            raise ValueError(f"unknown projection mode {self.projection_mode!r}")
+        if self.T != "auto" and self.T < 1:
+            raise ValueError("T must be at least 1")
+        if self.beta_mode not in ("from_scores", "from_labels"):
+            raise ValueError(f"unknown beta_mode {self.beta_mode!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if not self.work_cap > 0:    # NaN too; inf lifts the cap
@@ -156,37 +190,23 @@ def sample_size(T: int, group_count: int, epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 * group_count * T / delta) / (2.0 * epsilon * epsilon))
 
 
-def _project_euclidean(v: np.ndarray, C: float) -> np.ndarray:
-    """Euclidean projection of a nonnegative vector onto {x >= 0, sum x <= C}."""
-    total = v.sum()
-    if total <= C:
-        return v
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(u) + 1)
-    rho = np.nonzero(u * idx > (css - C))[0][-1]
-    theta = (css[rho] - C) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_l1(dual: DualState, mode: str = "euclidean_l1") -> DualState:
-    """Bring the concatenated (lambda+, lambda-) vector back into the L1 ball."""
+def project_l1(dual: DualState) -> DualState:
+    """Euclidean projection of the concatenated (lambda+, lambda-) vector
+    onto the L1 ball {x >= 0, sum x <= C}: the point of the ball nearest
+    it, as the no-regret bound of projected gradient steps requires."""
     v = np.concatenate([dual.lambda_plus, dual.lambda_minus])
-    if mode == "euclidean_l1":
-        w = _project_euclidean(v, dual.bound_C)
-    elif mode == "rescale":
-        total = v.sum()
-        w = v * (dual.bound_C / total) if total > dual.bound_C else v
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
+    C = dual.bound_C
+    if v.sum() > C:
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        rho = np.nonzero(u * np.arange(1, len(u) + 1) > (css - C))[0][-1]
+        v = np.maximum(v - (css[rho] - C) / (rho + 1.0), 0.0)
     g = len(dual.lambda_plus)
-    return DualState(w[:g], w[g:], dual.bound_C)
+    return DualState(v[:g], v[g:], C)
 
 
 def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
     T = _rounds(config, n_groups)
-    if T < 1:
-        raise ValueError("T must be at least 1")
     if T * n_cells > config.work_cap:
         raise BudgetExceededError(
             f"budget exceeded: T*cells = {T * n_cells:.3g} > work cap "
@@ -195,15 +215,12 @@ def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
         raise BudgetExceededError(
             f"budget exceeded: lambda history T*groups*8 = {T * n_groups * 8:.3g} bytes "
             f"> cap {LAMBDA_HISTORY_CAP:.3g} bytes; lower C or T")
-    eta = (config.C / math.sqrt(2.0 * n_groups * T)
-           if config.eta == "auto" else float(config.eta))
-    if not 0.0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
+    eta = config.C / math.sqrt(2.0 * n_groups * T) if config.eta == "auto" else config.eta
     return T, eta
 
 
 def _rounds(config: SolverConfig, n_groups: int) -> int:
-    return iteration_budget(config.C, n_groups) if config.T == "auto" else int(config.T)
+    return iteration_budget(config.C, n_groups) if config.T == "auto" else config.T
 
 
 def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
@@ -310,7 +327,7 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
         # exceeds l1_safe
         row_p, row_m = rows_p[k], rows_m[k]
         if row_p.sum() + row_m.sum() > C:
-            projected = project_l1(DualState(row_p, row_m, C), config.projection_mode)
+            projected = project_l1(DualState(row_p, row_m, C))
             row_p[:] = projected.lambda_plus
             row_m[:] = projected.lambda_minus
             projections[k] += 1

@@ -99,7 +99,7 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
         np.maximum(0.0, dual + step, out=dual)
         total = lam_p.sum() + lam_m.sum()
         if total > C:
-            projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
+            projected = project_l1(DualState(lam_p, lam_m, C))
             lam_p[:] = projected.lambda_plus
             lam_m[:] = projected.lambda_minus
             projections += 1

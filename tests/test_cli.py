@@ -453,12 +453,28 @@ def test_sweep_single_gamma(dataset, tmp_path):
     (["solve", "--work-cap", "nan"], "work_cap must be positive"),
     (["sweep", "--gammas", "0.01,inf"], "gamma values must be finite and nonnegative"),
     (["sweep", "--gammas", "nan,0.01"], "gamma values must be finite and nonnegative"),
+    (["solve", "--config", '{"gamma": null}'], "gamma must be a number, not None"),
+    (["solve", "--config", '{"C": [1]}'], "C must be a number, not [1]"),
+    (["solve", "--config", '{"record_every": null}'],
+     "record_every must be a whole number, not None"),
+    (["solve", "--config", '{"eta": null}'], 'eta must be "auto" or a number, not None'),
+    (["solve", "--config", "[1, 2]"], "config must be a JSON object, not list"),
+    (["solve", "--config", '{"grid_m": "x"}'], "grid_m must be a positive integer, not 'x'"),
+    (["solve", "--config", '{"beta_mode": "xx"}'], "unknown beta_mode 'xx'"),
+    (["solve", "--config", '{"T": 2.5}'], 'T must be "auto" or a whole number, not 2.5'),
+    (["sweep", "--config", '{"beta_mode": "xx"}', "--gammas", "0.01"],
+     "unknown beta_mode 'xx'"),
 ])
 def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
+    grid_m = ["--grid-m", "20"]
+    if argv[1] == "--config":    # the row holds the file's text, which no flag overrides
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[2])
+        argv, grid_m = [argv[0], "--config", str(cfg), *argv[3:]], []
     if argv[0] == "sweep":
         argv = argv + ["--C", "4", "--T", "50"]
-    assert main([argv[0], str(dataset), *argv[1:], "--grid-m", "20",
+    assert main([argv[0], str(dataset), *argv[1:], *grid_m,
                  "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err

@@ -97,6 +97,12 @@ def test_input_validation():
         est.fit([1.5], [[1]], None)
 
 
+def test_fractional_T_refused():
+    # as the --T flag and a config file's "T" are: never truncated to 2 rounds
+    with pytest.raises(ValueError, match='T must be "auto" or a whole number, not 2.5'):
+        FairThresholdPostprocessor(T=2.5).fit([0.5], [[1]], [1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_scores_rejected(bad):
     with pytest.raises(ValueError, match="scores must lie in \\[0, 1\\]"):

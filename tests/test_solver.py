@@ -23,7 +23,8 @@ from fairpost import (
     surrogate_error,
     true_rates,
 )
-from fairpost.core import MixtureClassifier, decide_batch
+from fairpost.cli import main, read_dataset
+from fairpost.core import MixtureClassifier, decide_batch, decision_thresholds
 from fairpost import solver
 from fairpost.solver import (
     SolveResult,
@@ -155,13 +156,6 @@ def test_project_l1_examples():
     d = project_l1(DualState(np.array([2.0, 1.0]), np.array([1.0]), 2.0))
     merged = np.concatenate([d.lambda_plus, d.lambda_minus])
     assert np.allclose(merged, [4 / 3, 1 / 3, 1 / 3], atol=1e-12)
-
-
-def test_project_l1_rescale_mode():
-    d = project_l1(DualState(np.array([3.0, 1.0]), np.array([0.0, 0.0]), 2.0),
-                   mode="rescale")
-    assert d.l1() == pytest.approx(2.0)
-    assert np.allclose(d.lambda_plus, [1.5, 0.5])
 
 
 def _bisect_project(v, C):
@@ -435,7 +429,7 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
         lam_m = np.maximum(0.0, lam_m + eta * (-centered - gamma))
         total = lam_p.sum() + lam_m.sum()
         if total > C:
-            projected = project_l1(DualState(lam_p, lam_m, C), config.projection_mode)
+            projected = project_l1(DualState(lam_p, lam_m, C))
             lam_p, lam_m = projected.lambda_plus, projected.lambda_minus
 
         if (t - 1) % config.record_every == 0:
@@ -525,10 +519,10 @@ def test_threshold_kernel_matches_reference_loop(biased_instance, notion):
     assert 1 <= got.counters["distinct_decisions"] <= 2 ** biased_instance.n_cells
 
 
-@pytest.mark.parametrize("mode", ["euclidean_l1", "rescale"])
+# mode, here and below: the projection these runs exercise, the solver's only one
+@pytest.mark.parametrize("mode", ["euclidean_l1"])
 def test_threshold_kernel_matches_reference_when_projecting(biased_instance, mode):
-    cfg = SolverConfig(notion="fp", gamma=0.0, C=1.0, eta=0.05, T=2000,
-                       record_every=7, projection_mode=mode)
+    cfg = SolverConfig(notion="fp", gamma=0.0, C=1.0, eta=0.05, T=2000, record_every=7)
     got = run(biased_instance, cfg)
     _assert_bit_equal(got, _reference_run_loop(biased_instance, cfg, True),
                       biased_instance)
@@ -581,11 +575,10 @@ def _assert_same_run(got, want):
 @pytest.mark.parametrize("C, eta, T, mode", [
     (10.0, "auto", 20000, "euclidean_l1"),
     (0.5, 0.05, 3000, "euclidean_l1"),
-    (0.5, 0.05, 3000, "rescale"),
 ])
 def test_round_body_matches_parent_loop(biased_instance, notion, C, eta, T, mode):
     cfg = SolverConfig(notion=notion, gamma=0.0 if C < 1.0 else 0.01, C=C, eta=eta, T=T,
-                       record_every=7, projection_mode=mode)
+                       record_every=7)
     got = run(biased_instance, cfg)
     _assert_same_run(got, reference_run_loop(biased_instance, cfg))
     if C < 1.0:
@@ -645,12 +638,11 @@ def _configs(gammas, **kw):
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
-@pytest.mark.parametrize("mode", ["euclidean_l1", "rescale"])
+@pytest.mark.parametrize("mode", ["euclidean_l1"])
 @pytest.mark.parametrize("gammas", [[0.0], [0.05, 0.0, 0.01]])
 def test_run_many_rows_equal_single_runs(biased_instance, notion, mode, gammas):
     # C = 0.5 with a large step: the small gammas leave the ball often
-    configs = _configs(gammas, notion=notion, C=0.5, eta=0.05, T=3000, record_every=7,
-                       projection_mode=mode)
+    configs = _configs(gammas, notion=notion, C=0.5, eta=0.05, T=3000, record_every=7)
     got = run_many(biased_instance, configs)
     assert len(got) == len(configs)
     for row, cfg in zip(got, configs):
@@ -672,16 +664,14 @@ def test_run_many_at_the_default_budget(biased_instance):
        gammas=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.2, 1.0]),
                        min_size=1, max_size=5),
        C=st.sampled_from([0.3, 1.0, 4.0]), eta=st.sampled_from([0.01, 0.1, 0.5]),
-       mode=st.sampled_from(["euclidean_l1", "rescale"]),
        profile=st.sampled_from(["uniform", "adversarial_overlap"]))
-def test_run_many_property(seed, n_cells, n_groups, notion, gammas, C, eta, mode, profile):
+def test_run_many_property(seed, n_cells, n_groups, notion, gammas, C, eta, profile):
     dist, _ = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=10, profile=profile)
     try:
         base_rates(dist, FairnessNotion.coerce(notion), "from_scores")
     except ValueError:    # a label marginal of 0 or 1 has no constrained problem
         assume(False)
-    configs = _configs(gammas, notion=notion, C=C, eta=eta, T=200, record_every=13,
-                       projection_mode=mode)
+    configs = _configs(gammas, notion=notion, C=C, eta=eta, T=200, record_every=13)
     for row, cfg in zip(run_many(dist, configs), configs):
         _assert_same_run(row, run(dist, cfg))
 
@@ -748,3 +738,44 @@ def test_lambda_history_cap_bounds_the_batch(biased_instance, monkeypatch):
     for cfgs in (configs, configs[:1]):
         with pytest.raises(BudgetExceededError, match=re.escape(message)):
             run_many(biased_instance, cfgs)
+
+
+# ------------------------------------------------------------ two forms of S
+# The solver decides each round with the gemv lam @ smemb; a mixture counts
+# its rules with the ordered sum lam[0]*c_0 + lam[1]*c_1 + ...  Each round's
+# rule, replayed through the solver's own 1-D expression, must decide as
+# positive_prob_vector counts it, bit for bit.
+
+def _solver_form_probs(result, dist):
+    sign, thresh = decision_thresholds(dist.scores, result.mixture.notion)
+    smemb = (dist.group_matrix - result.base.beta[:, None]) * sign
+    counts = np.zeros(dist.n_cells, dtype=np.int64)
+    for lam in result.mixture.lambdas:
+        counts += lam @ smemb <= thresh
+    return counts / result.T
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_two_forms_of_S_agree_on_the_acceptance_fixture(biased_instance, notion):
+    result = run(biased_instance, SolverConfig(notion=notion, gamma=0.01, C=10.0,
+                                               record_every=100000))
+    assert result.T == 313600
+    assert np.array_equal(_solver_form_probs(result, biased_instance),
+                          result.mixture.positive_prob_vector(biased_instance))
+
+
+def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
+    # the sweep_wide bench instance, its four gammas solved in one batched loop
+    data = tmp_path / "wide.csv"
+    assert main(["synth", "--seed", "2", "--n-cells", "400", "--n-groups", "4",
+                 "--profile", "two_group_bias", "--grid-m", "100", "--samples", "50000",
+                 "--out", str(data)]) == 0
+    dist, _ = read_dataset(str(data), 100)
+    assert dist.n_cells == 400
+    configs = _configs([0.005, 0.01, 0.02, 0.05], notion="sp", C=6.0)
+    batches = list(run_batches(dist, configs))
+    assert len(batches) == 1
+    for result in batches[0]:
+        assert result.T == 28224
+        assert np.array_equal(_solver_form_probs(result, dist),
+                              result.mixture.positive_prob_vector(dist))
