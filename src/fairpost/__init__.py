@@ -2,7 +2,6 @@
 
 from .core import (
     BaseRates,
-    Cell,
     CellDistribution,
     FairnessNotion,
     GroupSystem,
@@ -54,7 +53,7 @@ from .estimators import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseRates", "Cell", "CellDistribution", "FairnessNotion", "GroupSystem",
+    "BaseRates", "CellDistribution", "FairnessNotion", "GroupSystem",
     "MixtureClassifier", "aggregate_cells", "build_cells",
     "RateReport", "base_rates", "constraint_vector", "surrogate_error", "true_rates",
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",

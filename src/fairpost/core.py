@@ -1,19 +1,17 @@
-"""Cell-aggregated distributions, group systems, and randomized threshold classifiers.
+"""Distributions aggregated into cells, group systems, and randomized threshold classifiers.
 
 Every quantity the solver and the metrics need depends on a point x only
 through its score f(x) and its group-membership vector, so all distributions
-are aggregated into (score, group-mask) cells, held as per-cell arrays.  Rows
-are grouped into cells, and points into membership patterns, by one int64
-key (_cell_keys, _group_rows).  Cell objects are immutable after construction
-and safe to share across threads.
+are aggregated into (score, group-membership) cells, held as per-cell arrays
+and built only by CellDistribution.from_arrays.  Rows are grouped into cells,
+and points into membership patterns, by one int64 key (_cell_keys,
+_group_rows).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
@@ -22,15 +20,12 @@ import numpy as np
 __all__ = [
     "FairnessNotion",
     "GroupSystem",
-    "Cell",
     "CellDistribution",
     "BaseRates",
     "MixtureClassifier",
     "aggregate_cells",
     "build_cells",
     "grid_indices",
-    "mask_from_bits",
-    "bits_from_mask",
     "rate_terms",
     "decide_batch",
     "decision_thresholds",
@@ -63,21 +58,6 @@ def grid_indices(x, m: int) -> np.ndarray:
     return np.clip(np.floor(x * m + 0.5), 0, m).astype(np.int64)
 
 
-def mask_from_bits(bits: Sequence[int]) -> int:
-    """Pack a 0/1 membership vector (group index 0 first) into an int mask."""
-    mask = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"group indicator must be 0 or 1, got {b!r}")
-        if b:
-            mask |= 1 << i
-    return mask
-
-
-def bits_from_mask(mask: int, count: int) -> tuple:
-    return tuple((mask >> i) & 1 for i in range(count))
-
-
 @dataclass(frozen=True)
 class GroupSystem:
     """Ordered collection of group indicators, optionally containing the
@@ -99,67 +79,41 @@ class GroupSystem:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One (score, group-mask) atom of probability mass.
-
-    ``groups`` is an unsigned bitmask, bit i set iff the cell belongs to
-    group i.  Python ints are unbounded, so systems with more than 64
-    groups need no special casing.
-    """
-
-    score: float
-    groups: int
-    mass: float
-    label_mean: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("cell mass must be nonnegative")
-        if self.label_mean is not None and not 0.0 <= self.label_mean <= 1.0:
-            raise ValueError("label_mean must lie in [0, 1]")
-
-    def key(self):
-        return (self.score, self.groups)
-
-
 class CellDistribution:
-    """A probability distribution over (score, group-mask) cells.
+    """A probability distribution over (score, group-membership) cells.
 
     The distribution is its arrays: ``scores``, ``masses``, ``label_means``
-    (None unless every cell has a label mean) and the (n_groups, n_cells)
+    (None for unlabeled data) and the (n_groups, n_cells) 0/1
     ``group_matrix``.  Scores lie on the grid {0, 1/m, ..., 1} to within
-    1e-12, (score, groups) keys are unique and masses sum to one.  ``cells``
-    holds the same cells as Cell objects: the ones given, or built from the
-    arrays on first use.
+    1e-12, (score, groups) keys are unique, masses are nonnegative and sum
+    to one, and label means lie in [0, 1].
     """
 
-    def __init__(self, grid_m: int, groups: GroupSystem, cells: Sequence[Cell]):
-        cells = tuple(cells)
-        labels = [c.label_mean for c in cells]
-        # two's-complement bytes wide enough for every mask, so that masks
-        # which differ only at or above the group count stay distinct keys
-        masks = [operator.index(c.groups) for c in cells]
-        width = max([groups.count] + [mask.bit_length() + 1 for mask in masks]) // 8 + 1
-        packed = b"".join(mask.to_bytes(width, "little", signed=True) for mask in masks)
-        bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(cells), width),
-                             axis=1, bitorder="little")
-        checked = self._from_arrays(grid_m, groups, np.array([c.score for c in cells], float),
-                                    np.array([c.mass for c in cells], float),
-                                    None if None in labels else np.array(labels, float), bits)
-        vars(self).update(vars(checked), cells=cells)
-
     @classmethod
-    def _from_arrays(cls, grid_m: int, groups: GroupSystem, scores: np.ndarray,
-                     masses: np.ndarray, label_means: Optional[np.ndarray],
-                     bits: np.ndarray) -> "CellDistribution":
-        """The distribution of per-cell arrays, checked.  bits is an (n_cells, width)
-        0/1 matrix: its first n_groups columns are the membership, and all of
-        them key the duplicate check."""
+    def from_arrays(cls, grid_m: int, groups: GroupSystem, scores, masses,
+                    label_means, bits) -> "CellDistribution":
+        """The distribution of per-cell arrays, checked.  bits is the
+        (n_cells, n_groups) 0/1 membership matrix, group 0 first."""
         if grid_m < 1:
             raise ValueError("grid_m must be a positive integer")
+        scores, masses = np.asarray(scores, dtype=float), np.asarray(masses, dtype=float)
         if not len(scores):
             raise ValueError("empty dataset")
+        bits = np.asarray(bits)
+        if bits.shape != (len(scores), groups.count):
+            raise ValueError("bits must be an (n_cells, n_groups) membership matrix")
+        if not np.isin(bits, (0, 1)).all():
+            raise ValueError("group indicators must be 0 or 1")
+        bits = bits.astype(np.uint8, copy=False)
+        if label_means is not None:
+            label_means = np.asarray(label_means, dtype=float)
+        if masses.shape != scores.shape or (label_means is not None
+                                            and label_means.shape != scores.shape):
+            raise ValueError("scores, masses and label_means must hold one value per cell")
+        if not np.all(masses >= 0):    # NaN too
+            raise ValueError("cell masses must be nonnegative")
+        if label_means is not None and not np.all((label_means >= 0) & (label_means <= 1)):
+            raise ValueError("label_mean must lie in [0, 1]")
         score_rank = np.unique(scores, return_inverse=True)[1].reshape(-1)
         if len(np.unique(_cell_keys(score_rank, bits))) < len(scores):
             raise ValueError("duplicate (score, groups) cell keys")
@@ -170,22 +124,13 @@ class CellDistribution:
         if off.any():
             raise ValueError(f"score {float(scores[off.argmax()])!r} is not on the "
                              f"1/{grid_m} grid")
-        group_matrix = np.zeros((groups.count, len(scores)))
-        group_matrix[:bits.shape[1]] = bits[:, :groups.count].T
+        group_matrix = np.ascontiguousarray(bits.T, dtype=float)
         if groups.includes_all_group and not np.any(group_matrix.min(axis=1) == 1.0):
             raise ValueError("includes_all_group set but no group covers every cell")
         dist = cls.__new__(cls)
         vars(dist).update(grid_m=grid_m, groups=groups, scores=scores, masses=masses,
                           label_means=label_means, group_matrix=group_matrix)
         return dist
-
-    @cached_property
-    def cells(self) -> tuple:
-        masks = np.packbits(self.group_matrix.T.astype(np.uint8), axis=1, bitorder="little")
-        labels = [None] * self.n_cells if self.label_means is None else self.label_means.tolist()
-        return tuple(Cell(score, int.from_bytes(mask.tobytes(), "little"), mass, label)
-                     for score, mask, mass, label in zip(self.scores.tolist(), masks,
-                                                          self.masses.tolist(), labels))
 
     @property
     def n_cells(self) -> int:
@@ -214,8 +159,8 @@ class CellDistribution:
         mass = np.bincount(cell_of, weights=self.masses)
         wq = np.bincount(cell_of, weights=self.masses * q)
         label_means = np.divide(wq, mass, out=np.zeros_like(mass), where=mass > 0)
-        return CellDistribution._from_arrays(self.grid_m, self.groups, k[row] / self.grid_m,
-                                             mass, label_means, bits[row])
+        return CellDistribution.from_arrays(self.grid_m, self.groups, k[row] / self.grid_m,
+                                            mass, label_means, bits[row])
 
 
 @dataclass(frozen=True)
@@ -392,15 +337,6 @@ class MixtureClassifier:
                             S <= thresh[r] if sign[r] > 0 else S >= -thresh[r])
         return counts / T
 
-    def positive_prob(self, cell_or_score, mask: Optional[int] = None) -> float:
-        """Fraction of the constituent rules classifying the point as 1."""
-        if mask is None:
-            score, mask = cell_or_score.score, cell_or_score.groups
-        else:
-            score = float(cell_or_score)
-        bits = bits_from_mask(mask, self.lambdas.shape[1])
-        return float(self.positive_prob_points([score], [bits])[0])
-
     def positive_prob_points(self, scores, groups) -> np.ndarray:
         """Positive probabilities for a batch of points.
 
@@ -505,8 +441,8 @@ def aggregate_cells(scores, bits, labels, grid_m: int,
         group_names = tuple(f"g{i}" for i in range(bits.shape[1]))
     system = GroupSystem(tuple(group_names),
                          includes_all_group=int(bits.all(axis=0).sum()) == 1)
-    return CellDistribution._from_arrays(grid_m, system, k[row] / grid_m, counts / n,
-                                         label_means, bits[row])
+    return CellDistribution.from_arrays(grid_m, system, k[row] / grid_m, counts / n,
+                                        label_means, bits[row])
 
 
 def build_cells(rows: Iterable, grid_m: int,

@@ -21,7 +21,6 @@ from .core import (
     FairnessNotion,
     decision_thresholds,
     grid_indices,
-    mask_from_bits,
 )
 
 __all__ = [
@@ -44,7 +43,8 @@ class CheckFunction:
     """Binary audit function c(x, v); non-threshold kinds ignore v.
 
     kind="group": payload is a group index.
-    kind="hypothesis": payload is a callable (score, mask) -> {0,1}.
+    kind="hypothesis": payload is a callable (score, bits) -> {0,1}, with bits
+    the point's 0/1 group memberships as a tuple, group 0 first.
     kind="product": payload is (group index, such a callable).
     kind="threshold": payload is (lambda vector, notion, BaseRates).
     """
@@ -66,14 +66,13 @@ class _CheckFamily:
     s*S <= d, decide_batch(S, v) bit for bit, with S MixtureClassifier's
     ordered sum lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., so
     a point's S depends on its own bits alone.  Hypothesis and product
-    callables are called once per point with (score, mask)."""
+    callables are called once per point with (score, bits)."""
 
     def __init__(self, checks: Sequence[CheckFunction], scores: np.ndarray,
                  G: np.ndarray, values: np.ndarray):
         self.n = len(checks)
         called = any(c.kind in ("hypothesis", "product") for c in checks)
-        masks = [mask_from_bits(b) for b in G.T.astype(int).tolist()] if called else []
-        points = list(zip(scores.tolist(), masks))
+        points = list(zip(scores.tolist(), map(tuple, G.T.astype(int).tolist()))) if called else []
         self.fixed_rows = [i for i, c in enumerate(checks) if c.kind != "threshold"]
         fixed, thresholds = [], {}
         for i, c in enumerate(checks):
@@ -85,7 +84,7 @@ class _CheckFamily:
                 fixed.append(G[c.payload] == 1.0)
             else:
                 g, fn = c.payload if c.kind == "product" else (None, c.payload)
-                hits = np.array([int(fn(s, mask)) for s, mask in points], dtype=bool)
+                hits = np.array([int(fn(s, bits)) for s, bits in points], dtype=bool)
                 fixed.append(hits if g is None else hits & (G[g] == 1.0))
         self.fixed = np.array(fixed, dtype=bool).reshape(len(fixed), G.shape[1])
         self.tables = {notion: d_of_v(values, notion) for notion in thresholds}

@@ -99,13 +99,15 @@ def _number(name: str, value, whole: bool = False, auto: bool = False):
     return int(number) if whole else number
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """The solver's options: the one statement of their names, defaults
     and checks, which the CLI and the estimator read.  __post_init__ reads
     numeric strings as numbers; eta is "auto" (C / sqrt(2|G|T)) or a real,
     T "auto" (iteration_budget) or a whole number.  A value of the wrong
     type raises TypeError and one out of range ValueError, naming the field.
+    The config is frozen, so the checks hold for its life; replace() makes a
+    checked copy.
     """
 
     notion: Union[str, FairnessNotion] = FairnessNotion.FP
@@ -120,15 +122,16 @@ class SolverConfig:
 
     def __post_init__(self):
         try:
-            self.notion = FairnessNotion.coerce(self.notion)
+            notion = FairnessNotion.coerce(self.notion)
         except ValueError:
             raise ValueError(f"unknown notion {self.notion!r}") from None
-        self.gamma = _number("gamma", self.gamma)
-        self.C = _number("C", self.C)
-        self.eta = _number("eta", self.eta, auto=True)
-        self.T = _number("T", self.T, whole=True, auto=True)
-        self.record_every = _number("record_every", self.record_every, whole=True)
-        self.work_cap = _number("work_cap", self.work_cap)
+        for name, value in (
+                ("notion", notion), ("gamma", _number("gamma", self.gamma)),
+                ("C", _number("C", self.C)), ("eta", _number("eta", self.eta, auto=True)),
+                ("T", _number("T", self.T, whole=True, auto=True)),
+                ("record_every", _number("record_every", self.record_every, whole=True)),
+                ("work_cap", _number("work_cap", self.work_cap))):
+            object.__setattr__(self, name, value)
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be a finite nonnegative number")
         if not 0 < self.C < math.inf:

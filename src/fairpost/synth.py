@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .core import (CellDistribution, FairnessNotion, GroupSystem, _group_rows, bits_from_mask,
-                   decide_batch, grid_indices)
+from .core import (CellDistribution, FairnessNotion, GroupSystem, _group_rows, decide_batch,
+                   grid_indices)
 from .metrics import true_rates
 import numpy as np
 
@@ -148,14 +148,15 @@ def _build(spec: SynthSpec, raw: List[Tuple[int, int, int]], scores: List[float]
     mass = weights / weights.sum()
     value = np.array(k) / spec.grid_m
     scores = np.array(scores, dtype=float)
-    bits = np.array([bits_from_mask(mask, len(names)) for mask in masks], dtype=np.uint8)
+    bits = np.array([[(mask >> i) & 1 for i in range(len(names))] for mask in masks],
+                    dtype=np.uint8)
     row, cell_of = _group_rows(grid_indices(scores, spec.grid_m), bits)
     cell_mass = np.bincount(cell_of, weights=mass)
     merged = np.bincount(cell_of, weights=mass * value) / cell_mass
     label_means = np.where(np.bincount(cell_of) == 1, value[row], merged)
     system = GroupSystem(names, includes_all_group=True)
-    return CellDistribution._from_arrays(spec.grid_m, system, scores[row], cell_mass,
-                                         label_means, bits[row])
+    return CellDistribution.from_arrays(spec.grid_m, system, scores[row], cell_mass,
+                                        label_means, bits[row])
 
 
 def _bayes_fp_violation(dist: CellDistribution) -> float:

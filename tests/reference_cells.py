@@ -1,21 +1,29 @@
-"""Cell distributions as they stood before the array representation.
+"""Cell distributions as they stood before the array representation, and
+the cell objects the tests build distributions from.
 
 `CellDistribution` (its `__init__`, accessors and `with_scores_from_labels`)
 is verbatim from the per-cell code that `fairpost.core.CellDistribution`
 replaced, and `_build` verbatim from the dict merge of `fairpost.synth._build`.
 The tests require the array code to give bit-equal `scores`, `masses`,
-`label_means` and `group_matrix`, equal `cells`, and the same rejections.
+`label_means` and `group_matrix`, equal cells, and the same rejections.
+
+`Cell` is one (score, group-mask) cell, bit i of the mask set iff the cell
+is in group i; `dist_from_cells` builds fairpost's distribution of such
+cells through `CellDistribution.from_arrays`, and `cells_of` reads a
+distribution's cells back in its order.
 
 `snap_to_grid` is the scalar grid rounding that `fairpost.core.grid_indices`
 is tested against: ``grid_indices(x, m) / m`` must equal it bit for bit.
 """
 
 import math
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from fairpost.core import MASS_TOL, Cell, GroupSystem
+import fairpost
+from fairpost.core import MASS_TOL, GroupSystem
 from fairpost.synth import SynthSpec
 
 
@@ -24,6 +32,51 @@ def snap_to_grid(x: float, m: int) -> float:
     k = math.floor(x * m + 0.5)
     k = min(max(k, 0), m)
     return k / m
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (score, group-mask) atom of probability mass."""
+
+    score: float
+    groups: int
+    mass: float
+    label_mean: Optional[float] = None
+
+    def key(self):
+        return (self.score, self.groups)
+
+
+def mask_from_bits(bits) -> int:
+    """Pack a 0/1 membership vector (group 0 first) into an int mask."""
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
+def bits_from_mask(mask: int, count: int) -> tuple:
+    return tuple((mask >> i) & 1 for i in range(count))
+
+
+def dist_from_cells(grid_m: int, groups: GroupSystem,
+                    cells: Sequence[Cell]) -> fairpost.CellDistribution:
+    """fairpost's distribution of the cells, in their order; label_means is
+    None unless every cell has a label mean."""
+    cells = tuple(cells)
+    labels = [c.label_mean for c in cells]
+    bits = np.array([bits_from_mask(c.groups, groups.count) for c in cells], dtype=np.uint8)
+    return fairpost.CellDistribution.from_arrays(
+        grid_m, groups, np.array([c.score for c in cells], dtype=float),
+        np.array([c.mass for c in cells], dtype=float),
+        None if None in labels else np.array(labels, dtype=float),
+        bits.reshape(len(cells), groups.count))
+
+
+def cells_of(dist) -> tuple:
+    """A distribution's cells as Cell objects, in its order."""
+    masks = [mask_from_bits(b) for b in dist.group_matrix.T.astype(int).tolist()]
+    labels = [None] * dist.n_cells if dist.label_means is None else dist.label_means.tolist()
+    return tuple(Cell(score, mask, mass, label)
+                 for score, mask, mass, label in zip(dist.scores.tolist(), masks,
+                                                      dist.masses.tolist(), labels))
 
 
 class CellDistribution:

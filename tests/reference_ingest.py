@@ -16,15 +16,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from fairpost.cli import InputError, _fmt
-from fairpost.core import (
-    Cell,
-    CellDistribution,
-    GroupSystem,
-    mask_from_bits,
-)
+from fairpost.core import CellDistribution, GroupSystem
 from fairpost.synth import SplitMix64, SynthSpec, gen_instance
 
-from reference_cells import snap_to_grid
+from reference_cells import Cell, cells_of, dist_from_cells, mask_from_bits, snap_to_grid
 
 
 def build_cells(rows: Iterable, grid_m: int,
@@ -79,7 +74,7 @@ def build_cells(rows: Iterable, grid_m: int,
         if all((c.groups >> i) & 1 for c in cells)
     ]
     system = GroupSystem(tuple(group_names), includes_all_group=len(all_ones) == 1)
-    return CellDistribution(grid_m, system, cells)
+    return dist_from_cells(grid_m, system, cells)
 
 
 def read_dataset(path: str, grid_m: int) -> Tuple[CellDistribution, bool]:
@@ -177,11 +172,12 @@ def synth_csv(out, seed, n_cells=8, n_groups=2, grid_m=20, profile="two_group_bi
     cum = np.cumsum(dist.masses)
     rows = []
     names = dist.groups.names
+    cells = cells_of(dist)
     for _ in range(args.samples):
         u = rng.uniform()
         idx = int(np.searchsorted(cum, u, side="right"))
         idx = min(idx, dist.n_cells - 1)
-        cell = dist.cells[idx]
+        cell = cells[idx]
         y = int(rng.uniform() < cell.label_mean)
         bits = tuple((cell.groups >> i) & 1 for i in range(len(names)))
         rows.append((cell.score, bits, y))

@@ -16,8 +16,7 @@ from typing import List
 
 import numpy as np
 
-from fairpost.core import (CellDistribution, MixtureClassifier, bits_from_mask, decide_batch,
-                           decision_thresholds)
+from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
 from fairpost.metrics import base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     DualState,
@@ -29,6 +28,8 @@ from fairpost.solver import (
     _theorem_bounds,
     project_l1,
 )
+
+from reference_cells import bits_from_mask
 
 
 def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,

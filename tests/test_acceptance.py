@@ -34,6 +34,7 @@ from fairpost.cli import main as cli_main
 from fairpost.multical import CheckFunction, _CheckFamily, audit
 
 from conftest import make_dist, rand_lambda
+from reference_cells import cells_of
 from reference_checks import Compiled
 from reference_rates import expanded_lagrangian, lagrangian_value
 from reference_solver import decide, pointwise_argmin
@@ -87,10 +88,11 @@ def test_criterion_2_best_response(rng):
     t0 = time.perf_counter()
     dist, _ = make_dist(77, n_cells=14, n_groups=3, grid_m=50)
     bases = {n: base_rates(dist, n, "from_labels") for n in NOTIONS}
+    cells = cells_of(dist)
     mismatches = 0
     for _ in range(10000):
         lam = rand_lambda(rng, dist.n_groups, 5.0)
-        cell = dist.cells[rng.integers(dist.n_cells)]
+        cell = cells[rng.integers(dist.n_cells)]
         notion = NOTIONS[rng.integers(4)]
         pw = pointwise_argmin(lam, cell, notion, bases[notion])
         if decide(lam, notion, bases[notion], cell.score, cell.groups) != pw.bit:
@@ -147,7 +149,7 @@ def test_criterion_5_fixh_identity(rng):
         values, level_of = np.unique(dist.scores, return_inverse=True)
         family = _CheckFamily([CheckFunction("threshold", (lam, "fp", base))],
                               dist.scores, dist.group_matrix, values)
-        for j, cell in enumerate(dist.cells):
+        for j, cell in enumerate(cells_of(dist)):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base.beta)) <= 0:
                 continue

@@ -2,23 +2,24 @@
 
 `reference_cells` keeps the per-cell `CellDistribution` and the dict merge of
 `synth._build`.  Built from the same input, the array code must give
-bit-equal scores, masses, label means and group matrix, the same Cell
-objects and the same rejection, over one to seventy groups (the grouping key
-ranks past 62), scores on or within 1e-12 of a grid point, -0.0, duplicate
-and shuffled cells, masks with bits past the group count, zero masses and
-merges of zero-mass cells.
+bit-equal scores, masses, label means and group matrix, the same cells and
+the same rejection, over one to seventy groups (the grouping key ranks past
+62), scores on or within 1e-12 of a grid point, -0.0, duplicate and shuffled
+cells, zero masses and merges of zero-mass cells.  `from_arrays` must also
+reject what no distribution holds: NaN or negative masses, label means
+outside [0, 1] and membership matrices of another shape or with entries
+other than 0 and 1.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairpost import synth
-from fairpost.core import Cell, CellDistribution, GroupSystem, aggregate_cells
+from fairpost.core import CellDistribution, GroupSystem, aggregate_cells
 
 import reference_cells as ref
+from reference_cells import Cell, cells_of, dist_from_cells
 
 GROUP_COUNTS = [1, 2, 3, 8, 62, 63, 64, 70]
 
@@ -29,7 +30,7 @@ def _bits(a):
 
 def _cells(dist):
     return [(float(c.score).hex(), c.groups, float(c.mass).hex(),
-             None if c.label_mean is None else float(c.label_mean).hex()) for c in dist.cells]
+             None if c.label_mean is None else float(c.label_mean).hex()) for c in cells_of(dist)]
 
 
 def assert_same(new, old):
@@ -58,16 +59,14 @@ def cell_inputs(draw, valid=False):
     """(grid_m, system, cells); valid=True draws only accepted, labeled input."""
     g = draw(st.sampled_from(GROUP_COUNTS))
     m = draw(st.sampled_from([1, 2, 7, 20, 100, 10 ** 6]))
-    # invalid input may also carry masks past the group count, or negative ones
-    low, high = (0, 2 ** g - 1) if valid else (-2 ** g, 2 ** (g + 1) - 1)
-    patterns = draw(st.lists(st.integers(low, high), min_size=1, max_size=4))
+    patterns = draw(st.lists(st.integers(0, 2 ** g - 1), min_size=1, max_size=4))
     n = draw(st.integers(1, 10))
     keys = draw(st.lists(st.tuples(st.integers(0, m), st.sampled_from(patterns)),
                          min_size=n, max_size=n, unique=True))
     weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     if sum(weights) == 0:
         weights[0] = 1
-    labeled = valid or draw(st.sampled_from(["all", "none", "some"]))
+    labeled = valid or draw(st.sampled_from(["all", "none"]))
     cells = []
     for (k, mask), w in zip(keys, weights):
         score = k / m
@@ -77,7 +76,7 @@ def cell_inputs(draw, valid=False):
                                   -1e-12, 1 + 1e-12))
         elif nudge == "zero" and k == 0:
             score = -0.0
-        if labeled == "none" or (labeled == "some" and draw(st.booleans())):
+        if labeled == "none":
             label = None
         else:
             label = draw(st.one_of(st.integers(0, m).map(lambda j: j / m),
@@ -107,20 +106,20 @@ def cell_inputs(draw, valid=False):
 @given(case=cell_inputs())
 def test_distribution_from_cells_equals_per_cell_code(case):
     m, system, cells = case
-    new = _outcome(lambda: CellDistribution(m, system, cells))
+    new = _outcome(lambda: dist_from_cells(m, system, cells))
     old = _outcome(lambda: ref.CellDistribution(m, system, cells))
     if isinstance(old, tuple):
         assert new == old
     else:
         assert_same(new, old)
-        assert new.cells == tuple(cells)
+        assert cells_of(new) == tuple(cells)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=cell_inputs(valid=True))
 def test_scores_from_labels_equals_dict_merge(case):
     m, system, cells = case
-    new = CellDistribution(m, system, cells).with_scores_from_labels()
+    new = dist_from_cells(m, system, cells).with_scores_from_labels()
     old = ref.CellDistribution(m, system, cells).with_scores_from_labels()
     assert_same(new, old)
     # twice: the second merge starts from an array-built distribution
@@ -137,7 +136,7 @@ def test_aggregated_cells_and_relabelling_equal_per_cell_code(g):
         rng.uniform(size=n) < 0.5) * 0.5
     labels = rng.integers(0, 2, size=n)
     new = aggregate_cells(np.clip(scores, 0.0, 1.0), bits, labels, m)
-    old = ref.CellDistribution(m, new.groups, new.cells)
+    old = ref.CellDistribution(m, new.groups, cells_of(new))
     assert_same(new, old)
     assert_same(new.with_scores_from_labels(), old.with_scores_from_labels())
 
@@ -145,7 +144,7 @@ def test_aggregated_cells_and_relabelling_equal_per_cell_code(g):
 def test_zero_mass_cells_merge_to_label_zero():
     system = GroupSystem(("I",))
     cells = [Cell(0.1, 1, 0.0, 0.5), Cell(0.2, 1, 0.0, 0.5), Cell(0.9, 1, 1.0, 0.9)]
-    new = CellDistribution(10, system, cells).with_scores_from_labels()
+    new = dist_from_cells(10, system, cells).with_scores_from_labels()
     assert_same(new, ref.CellDistribution(10, system, cells).with_scores_from_labels())
     assert new.label_means.tolist() == [0.0, 0.9]
 
@@ -183,11 +182,28 @@ def test_gen_instance_equals_dict_merge(monkeypatch, seed, miscalibration):
         assert_same(a, b)
 
 
-def test_cells_are_built_once_from_arrays():
-    dist = aggregate_cells([0.25, 0.75, 0.25], [[1, 0], [1, 1], [1, 0]], [1, 0, 0], 4)
-    assert "cells" not in vars(dist)
-    assert dist.cells == (Cell(0.25, 1, 2 / 3, 0.5), Cell(0.75, 3, 1 / 3, 0.0))
-    assert dist.cells is dist.cells
-    assert all(type(v) is float for c in dist.cells for v in (c.score, c.mass, c.label_mean))
-    assert all(type(c.groups) is int for c in dist.cells)
-    assert math.fsum(dist.masses) == 1.0
+def _two_cells(masses=(0.25, 0.75), label_means=(0.5, 0.5), bits=((1,), (1,))):
+    return CellDistribution.from_arrays(4, GroupSystem(("I",), includes_all_group=True),
+                                        np.array([0.25, 0.75]), np.array(masses),
+                                        None if label_means is None else np.array(label_means),
+                                        np.array(bits))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"masses": (np.nan, 1.0)}, "cell masses must be nonnegative"),
+    ({"masses": (1.5, -0.5)}, "cell masses must be nonnegative"),
+    ({"label_means": (0.5, 2.0)}, r"label_mean must lie in \[0, 1\]"),
+    ({"label_means": (np.nan, 0.5)}, r"label_mean must lie in \[0, 1\]"),
+    ({"label_means": (-0.25, 0.5)}, r"label_mean must lie in \[0, 1\]"),
+    ({"masses": (0.25, 0.25, 0.5)}, "one value per cell"),
+    ({"bits": ((1, 0), (1, 1))}, r"bits must be an \(n_cells, n_groups\) membership matrix"),
+    ({"bits": (1, 1)}, r"bits must be an \(n_cells, n_groups\) membership matrix"),
+    ({"bits": ((1,), (2,))}, "group indicators must be 0 or 1"),
+    ({"bits": ((1,), (0.5,))}, "group indicators must be 0 or 1"),
+])
+def test_from_arrays_rejects_what_no_distribution_holds(change, message):
+    # NaN masses once passed the sum check, and negative ones summing to one
+    # passed every check
+    assert _two_cells().n_cells == 2
+    with pytest.raises(ValueError, match=message):
+        _two_cells(**change)

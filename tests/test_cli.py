@@ -99,8 +99,8 @@ def test_mixture_roundtrip(dataset, tmp_path):
     mixture, payload = load_mixture(str(out / "mixture.json"))
     dist, _ = read_dataset(str(dataset), 20)
     p = mixture.positive_prob_vector(dist)
-    for j, cell in enumerate(dist.cells):
-        assert mixture.positive_prob(cell) == p[j]
+    for j, (score, bits) in enumerate(zip(dist.scores, dist.group_matrix.T)):
+        assert mixture.positive_prob_points([score], [bits])[0] == p[j]
     report = json.loads((out / "report.json").read_text())
     assert surrogate_error(p, dist) == report["err_hat"]
 
@@ -451,8 +451,8 @@ def test_sweep_single_gamma(dataset, tmp_path):
     (["solve", "--eta", "nan"], "eta must be positive and finite"),
     (["solve", "--eta", "inf"], "eta must be positive and finite"),
     (["solve", "--work-cap", "nan"], "work_cap must be positive"),
-    (["sweep", "--gammas", "0.01,inf"], "gamma values must be finite and nonnegative"),
-    (["sweep", "--gammas", "nan,0.01"], "gamma values must be finite and nonnegative"),
+    (["sweep", "--gammas", "0.01,inf"], "gamma must be a finite nonnegative number"),
+    (["sweep", "--gammas", "nan,0.01"], "gamma must be a finite nonnegative number"),
     (["solve", "--config", '{"gamma": null}'], "gamma must be a number, not None"),
     (["solve", "--config", '{"C": [1]}'], "C must be a number, not [1]"),
     (["solve", "--config", '{"record_every": null}'],

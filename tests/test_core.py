@@ -6,17 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from fairpost import (
     BaseRates,
-    Cell,
-    CellDistribution,
     FairnessNotion,
     GroupSystem,
     MixtureClassifier,
     build_cells,
 )
-from fairpost.core import grid_indices, mask_from_bits
+from fairpost.core import grid_indices
 
 from conftest import make_dist
-from reference_cells import snap_to_grid
+from reference_cells import Cell, cells_of, dist_from_cells, mask_from_bits, snap_to_grid
 from reference_solver import decide
 
 
@@ -30,7 +28,7 @@ def test_snap_to_grid_half_rounds_up():
 def test_build_cells_rounds_and_averages_labels():
     dist = build_cells([(0.37, (1, 0), 1), (0.37, (1, 0), 0)], grid_m=10)
     assert dist.n_cells == 1
-    cell = dist.cells[0]
+    cell = cells_of(dist)[0]
     assert cell.score == 0.4
     assert cell.groups == mask_from_bits((1, 0))
     assert cell.mass == 1.0
@@ -40,7 +38,7 @@ def test_build_cells_rounds_and_averages_labels():
 def test_build_cells_two_cells_equal_mass():
     dist = build_cells([(0.0, (1,), None), (1.0, (0,), None)], grid_m=1)
     assert dist.n_cells == 2
-    assert all(c.mass == 0.5 for c in dist.cells)
+    assert all(c.mass == 0.5 for c in cells_of(dist))
     assert dist.label_means is None
 
 
@@ -58,8 +56,8 @@ def test_build_cells_matches_independent_recount(rng):
         key = (round(math.floor(score * 10 + 0.5)) / 10, bits)
         recount[key] = recount.get(key, 0) + 1
     assert dist.n_cells == len(recount)
-    assert abs(sum(c.mass for c in dist.cells) - 1.0) <= 1e-12
-    for cell in dist.cells:
+    assert abs(sum(c.mass for c in cells_of(dist)) - 1.0) <= 1e-12
+    for cell in cells_of(dist):
         bits = tuple((cell.groups >> i) & 1 for i in range(3))
         assert cell.mass == recount[(cell.score, bits)] / 1000
 
@@ -68,8 +66,8 @@ def test_build_cells_order_invariant(rng):
     rows = [(rng.uniform(), (int(rng.integers(2)),), None) for _ in range(200)]
     a = build_cells(rows, 20)
     b = build_cells(list(reversed(rows)), 20)
-    assert [(c.score, c.groups, c.mass) for c in a.cells] == \
-           [(c.score, c.groups, c.mass) for c in b.cells]
+    assert [(c.score, c.groups, c.mass) for c in cells_of(a)] == \
+           [(c.score, c.groups, c.mass) for c in cells_of(b)]
 
 
 def test_build_cells_errors():
@@ -84,11 +82,11 @@ def test_build_cells_errors():
 def test_cell_distribution_invariants():
     system = GroupSystem(("I",), includes_all_group=True)
     with pytest.raises(ValueError, match="sum"):
-        CellDistribution(10, system, [Cell(0.5, 1, 0.7)])
+        dist_from_cells(10, system, [Cell(0.5, 1, 0.7)])
     with pytest.raises(ValueError, match="duplicate"):
-        CellDistribution(10, system, [Cell(0.5, 1, 0.5), Cell(0.5, 1, 0.5)])
+        dist_from_cells(10, system, [Cell(0.5, 1, 0.5), Cell(0.5, 1, 0.5)])
     with pytest.raises(ValueError, match="grid"):
-        CellDistribution(10, system, [Cell(0.55, 1, 1.0)])
+        dist_from_cells(10, system, [Cell(0.55, 1, 1.0)])
 
 
 def _fp_base(n_groups):
@@ -104,14 +102,14 @@ def test_positive_prob_counts_rules():
     decisions = [decide(lam, FairnessNotion.FP, base, cell.score, cell.groups)
                  for lam in mix.lambdas]
     assert sum(decisions) == 3
-    assert mix.positive_prob(cell) == 0.75
+    assert mix.positive_prob_points([cell.score], [[1]])[0] == 0.75
 
 
 def test_positive_prob_identical_rules_is_binary():
     base = _fp_base(1)
     mix = MixtureClassifier(np.zeros((5, 1)), FairnessNotion.FP, base)
     for score in (0.2, 0.5, 0.8):
-        assert mix.positive_prob(Cell(score, 1, 1.0)) in (0.0, 1.0)
+        assert mix.positive_prob_points([score], [[1]])[0] in (0.0, 1.0)
 
 
 def test_positive_prob_matches_per_rule_enumeration(rng):
@@ -120,7 +118,7 @@ def test_positive_prob_matches_per_rule_enumeration(rng):
     lams = rng.standard_normal((40, dist.n_groups))
     mix = MixtureClassifier(lams, FairnessNotion.FP, base)
     p = mix.positive_prob_vector(dist)
-    for j, cell in enumerate(dist.cells):
+    for j, cell in enumerate(cells_of(dist)):
         manual = sum(decide(lam, FairnessNotion.FP, base, cell.score, cell.groups)
                      for lam in mix.lambdas) / len(mix)
         assert p[j] == manual
@@ -134,18 +132,22 @@ def test_positive_prob_affine_in_concatenation(rng):
     m1 = MixtureClassifier(lam1, FairnessNotion.FP, base)
     m2 = MixtureClassifier(lam2, FairnessNotion.FP, base)
     both = MixtureClassifier(np.vstack([lam1, lam2]), FairnessNotion.FP, base)
-    for cell in dist.cells:
-        p1, p2 = m1.positive_prob(cell), m2.positive_prob(cell)
-        expect = (3 * p1 + 7 * p2) / 10
-        assert abs(both.positive_prob(cell) - expect) <= 1e-15
+    points = (dist.scores, dist.group_matrix.T)
+    p1, p2, p = (m.positive_prob_points(*points) for m in (m1, m2, both))
+    for j in range(dist.n_cells):
+        expect = (3 * p1[j] + 7 * p2[j]) / 10
+        assert abs(p[j] - expect) <= 1e-15
 
 
 def test_rule_is_function_of_score_and_mask(rng):
     base = _fp_base(2)
     rule = MixtureClassifier(np.array([[0.8, -0.3]]), FairnessNotion.FP, base)
-    c1 = Cell(0.6, 3, 0.25, label_mean=0.1)
-    c2 = Cell(0.6, 3, 0.75, label_mean=0.9)
-    assert rule.positive_prob(c1) == rule.positive_prob(c2)
+    # two cells of one (score, mask) with other masses and label means
+    a = dist_from_cells(10, GroupSystem(("I", "g")), [Cell(0.6, 3, 0.25, label_mean=0.1),
+                                                       Cell(0.2, 1, 0.75, label_mean=0.2)])
+    b = dist_from_cells(10, GroupSystem(("I", "g")), [Cell(0.6, 3, 0.75, label_mean=0.9),
+                                                       Cell(0.2, 1, 0.25, label_mean=0.4)])
+    assert rule.positive_prob_vector(a)[0] == rule.positive_prob_vector(b)[0]
 
 
 def test_group_system_validation():
@@ -153,7 +155,7 @@ def test_group_system_validation():
         GroupSystem(("a", "a"))
     system = GroupSystem(("I", "g"), includes_all_group=True)
     with pytest.raises(ValueError, match="covers"):
-        CellDistribution(2, system, [Cell(0.5, 1, 0.5), Cell(0.0, 2, 0.5)])
+        dist_from_cells(2, system, [Cell(0.5, 1, 0.5), Cell(0.0, 2, 0.5)])
 
 
 @st.composite

@@ -13,12 +13,11 @@ from fairpost import (
     audit,
     calibrate,
 )
-from fairpost.core import mask_from_bits
 from fairpost.estimators import check_scores_groups
 from fairpost.multical import assignment_from_scores, replay
 
 from conftest import make_dist
-from reference_cells import snap_to_grid
+from reference_cells import cells_of, mask_from_bits, snap_to_grid
 from reference_checks import apply_patches
 
 
@@ -40,7 +39,7 @@ def test_postprocessor_fit_predict(rng):
     assert np.all((0.0 <= p) & (p <= 1.0))
     # agreement with the underlying mixture on the training cells
     cell_p = est.mixture_.positive_prob_vector(est.distribution_)
-    for j, cell in enumerate(est.distribution_.cells):
+    for j, cell in enumerate(cells_of(est.distribution_)):
         bits = [(cell.groups >> i) & 1 for i in range(est.n_groups_)]
         assert est.predict_proba([cell.score], [bits])[0] == cell_p[j]
 
@@ -54,7 +53,7 @@ def test_postprocessor_predict_proba_on_off_grid_training_points(rng):
     est = FairThresholdPostprocessor(notion="fp", gamma=0.01, C=5.0, T=2000, grid_m=20)
     est.fit(scores, groups, y)
     cell_p = est.mixture_.positive_prob_vector(est.distribution_)
-    cell_of = {(c.score, c.groups): j for j, c in enumerate(est.distribution_.cells)}
+    cell_of = {(c.score, c.groups): j for j, c in enumerate(cells_of(est.distribution_))}
     want = cell_p[[cell_of[snap_to_grid(s, 20), mask_from_bits(g)]
                    for s, g in zip(scores.tolist(), groups.tolist())]]
     assert est.predict_proba(scores, groups).tobytes() == want.tobytes()
@@ -140,7 +139,7 @@ def test_calibrator_transform_matches_fit_assignment(rng):
     y = (rng.uniform(size=8000) < pert.label_means[idx]).astype(int)
     cal = JointMulticalibrator(alpha=0.02, n_random_checks=8, grid_m=20, seed=1)
     cal.fit(scores, groups, y)
-    cells = cal.distribution_.cells
+    cells = cells_of(cal.distribution_)
     got = cal.transform(
         [c.score for c in cells],
         [[(c.groups >> i) & 1 for i in range(cal.n_groups_)] for c in cells])
@@ -177,7 +176,7 @@ def test_calibrator_fit_transform_equals_fit_assignment_off_the_grid(rng):
     cal = JointMulticalibrator(alpha=0.03, n_random_checks=8, grid_m=100, seed=0)
     got = cal.fit_transform(scores, groups, y)
     assert cal.result_.rounds > 0
-    cell_of = {(c.score, c.groups): j for j, c in enumerate(cal.distribution_.cells)}
+    cell_of = {(c.score, c.groups): j for j, c in enumerate(cells_of(cal.distribution_))}
     want = cal.result_.assignment[[cell_of[snap_to_grid(s, 100), mask_from_bits(g)]
                                    for s, g in zip(scores.tolist(), groups.tolist())]]
     assert got.tobytes() == want.tobytes()
@@ -196,7 +195,7 @@ def test_calibrator_transform_equals_per_point_replay(rng):
     batch_groups = np.concatenate([groups[:300], groups[300:500]] * 2)
     order = rng.permutation(len(batch_scores))
     batch_scores, batch_groups = batch_scores[order], batch_groups[order]
-    want = np.array([apply_patches(snap_to_grid(float(s), 20), mask_from_bits(g), cal.result_,
+    want = np.array([apply_patches(snap_to_grid(float(s), 20), tuple(g), cal.result_,
                                    cal.checks_)
                      for s, g in zip(batch_scores, batch_groups.tolist())])
     got = cal.transform(batch_scores, batch_groups)

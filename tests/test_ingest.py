@@ -18,6 +18,7 @@ import reference_ingest as ref
 from fairpost import (FairThresholdPostprocessor, JointMulticalibrator, SplitMix64,
                       aggregate_cells, build_cells, cli)
 from fairpost.cli import InputError, main, read_dataset
+from reference_cells import cells_of
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -26,7 +27,7 @@ def _cells(dist):
     """Everything a distribution holds, floats as bits."""
     return (dist.grid_m, dist.groups,
             [(c.score.hex(), c.groups, c.mass.hex(),
-              None if c.label_mean is None else c.label_mean.hex()) for c in dist.cells])
+              None if c.label_mean is None else c.label_mean.hex()) for c in cells_of(dist)])
 
 
 def _ingest(read, path, grid_m):

@@ -10,6 +10,7 @@ from fairpost import (
 )
 
 from conftest import make_dist
+from reference_cells import Cell, cells_of, dist_from_cells
 from reference_rates import table_group_rate
 
 NOTIONS = ["fp", "fn", "err", "sp"]
@@ -71,8 +72,8 @@ def test_surrogate_rate_matches_per_sample_brute_force(rng):
         bits = (1, int(rng.integers(2)), int(rng.integers(2)))
         rows.append((score, bits, int(rng.uniform() < score)))
     dist = build_cells(rows, 20)
-    decisions = {c.key(): int(rng.integers(2)) for c in dist.cells}
-    p = np.array([decisions[c.key()] for c in dist.cells], dtype=float)
+    decisions = {c.key(): int(rng.integers(2)) for c in cells_of(dist)}
+    p = np.array([decisions[c.key()] for c in cells_of(dist)], dtype=float)
 
     for notion in NOTIONS:
         for g in range(3):
@@ -132,9 +133,9 @@ def test_constraint_linear_in_mixture(rng):
 
 
 def test_true_rates_bayes_error():
-    from fairpost import Cell, CellDistribution, GroupSystem
+    from fairpost import GroupSystem
     system = GroupSystem(("I",), includes_all_group=True)
-    dist = CellDistribution(10, system, [Cell(0.2, 1, 0.5, 0.2), Cell(0.8, 1, 0.5, 0.8)])
+    dist = dist_from_cells(10, system, [Cell(0.2, 1, 0.5, 0.2), Cell(0.8, 1, 0.5, 0.8)])
     rep = true_rates(np.array([0.0, 1.0]), dist, "fp")  # threshold at 1/2
     assert rep.err == pytest.approx(0.2)
 

@@ -102,8 +102,7 @@ def test_compiled_counts_equal_decide_batch(block, case):
     with mock.patch.object(core, "_RULE_BLOCK", block):
         assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)), _bits(want))
         for f, bits, p in zip(scores, groups, want):
-            mask = sum(int(b) << i for i, b in enumerate(bits))
-            assert _bits(mix.positive_prob(f, mask)) == _bits(p)
+            assert _bits(mix.positive_prob_points([f], [bits])[0]) == _bits(p)
 
 
 def test_many_patterns_over_several_blocks(rng):

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from fairpost import (
     BaseRates,
-    Cell,
-    CellDistribution,
     CheckFunction,
     FairnessNotion,
     GroupSystem,
@@ -22,7 +20,7 @@ from fairpost import (
     default_checks,
     run,
 )
-from fairpost.core import bits_from_mask, decide_batch, decision_thresholds
+from fairpost.core import decide_batch, decision_thresholds
 from fairpost.multical import (
     CalibrationResult,
     PatchRecord,
@@ -32,7 +30,7 @@ from fairpost.multical import (
 )
 
 from conftest import make_dist, rand_lambda
-from reference_cells import snap_to_grid
+from reference_cells import Cell, bits_from_mask, cells_of, dist_from_cells, snap_to_grid
 from reference_checks import Compiled, apply_patches, eval_point
 from reference_solver import decide, group_sum
 
@@ -65,6 +63,13 @@ def _base(dist, notion):
     return base_rates(dist, notion, "from_labels")
 
 
+def _point_rule(lambdas, notion, base):
+    """A mixture's positive probability at one (score, bits) point, as a
+    hypothesis callable."""
+    mixture = MixtureClassifier(lambdas, notion, base)
+    return lambda score, bits: mixture.positive_prob_points([score], [bits])[0]
+
+
 def _fires_at_levels(checks, dist, levels):
     """The check family's (checks x cells) indicator, each cell at its level."""
     values, k = np.unique(levels, return_inverse=True)
@@ -90,7 +95,7 @@ def test_threshold_eval_zero_dual_tracks_bayes_rule():
     check = CheckFunction("threshold", (np.zeros(dist.n_groups), "fp", _base(dist, "fp")))
     for v, want in ((0.6, 1), (0.4, 0), (0.5, 1)):  # the tie goes positive
         assert _point_fires(check, 1, v, dist.n_groups) == want
-        assert eval_point(check, v, 1, v) == want
+        assert eval_point(check, v, bits_from_mask(1, dist.n_groups), v) == want
 
 
 def test_threshold_eval_equals_best_response_fp(rng):
@@ -101,7 +106,7 @@ def test_threshold_eval_equals_best_response_fp(rng):
         lam = rand_lambda(rng, dist.n_groups, 5.0)
         fires = _fires_at_levels([CheckFunction("threshold", (lam, "fp", base))], dist,
                                  dist.scores)[0]
-        for cell, got in zip(dist.cells, fires):
+        for cell, got in zip(cells_of(dist), fires):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             S = float(lam @ (bits - base.beta))
             if 2.0 + S <= 0:
@@ -118,7 +123,7 @@ def test_threshold_eval_equals_best_response_fn_and_sp(rng):
         fires_fn, fires_sp = _fires_at_levels(
             [CheckFunction("threshold", (lam, "fn", base_fn)),
              CheckFunction("threshold", (lam, "sp", base_sp))], dist, dist.scores)
-        for cell, got_fn, got_sp in zip(dist.cells, fires_fn, fires_sp):
+        for cell, got_fn, got_sp in zip(cells_of(dist), fires_fn, fires_sp):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base_fn.beta)) > 0:
                 assert got_fn == decide(lam, "fn", base_fn, cell.score, cell.groups)
@@ -133,10 +138,11 @@ def test_threshold_eval_monotone_in_v(rng):
         base = _base(dist, notion)
         for _ in range(20):
             lam = rand_lambda(rng, dist.n_groups, 4.0)
-            mask = int(dist.cells[rng.integers(dist.n_cells)].groups)
+            mask = cells_of(dist)[rng.integers(dist.n_cells)].groups
             check = CheckFunction("threshold", (lam, notion, base))
             vals = [_point_fires(check, mask, v, dist.n_groups) for v in grid]
-            assert vals == [eval_point(check, v, mask, v) for v in grid]
+            bits = bits_from_mask(mask, dist.n_groups)
+            assert vals == [eval_point(check, v, bits, v) for v in grid]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -153,7 +159,7 @@ def test_audit_constant_check_calibrated_levels():
     system = GroupSystem(("I",), includes_all_group=True)
     # the assignment pools the first two cells into one level whose
     # conditional mean equals the level value
-    dist = CellDistribution(10, system, [
+    dist = dist_from_cells(10, system, [
         Cell(0.2, 1, 0.3, 0.2), Cell(0.4, 1, 0.2, 0.45),
         Cell(0.7, 1, 0.5, 0.7),
     ])
@@ -177,14 +183,14 @@ def test_audit_matches_per_sample_brute_force(rng):
     assignment = assignment_from_scores(dist, dist.grid_m)
     per_check, _ = audit(assignment, checks, dist)
 
-    level_of = {c.key(): a for c, a in zip(dist.cells, assignment)}
+    level_of = {c.key(): a for c, a in zip(cells_of(dist), assignment)}
     n = len(rows)
     for check, got in zip(checks, per_check):
         sums = {}
         for score, bits, y in rows:
             mask = sum(b << i for i, b in enumerate(bits))
             v = level_of[(score, mask)]
-            if eval_point(check, score, mask, v):
+            if eval_point(check, score, bits, v):
                 sums[v] = sums.get(v, 0.0) + (v - y) / n
         total = sum(abs(acc) for acc in sums.values())
         assert got == pytest.approx(total, abs=1e-12)
@@ -198,15 +204,15 @@ def test_audit_invariant_under_cell_permutation(rng):
     per, _ = audit(assignment, checks, dist)
 
     order = rng.permutation(dist.n_cells)
-    shuffled = CellDistribution(dist.grid_m, dist.groups,
-                                [dist.cells[i] for i in order])
+    cells = cells_of(dist)
+    shuffled = dist_from_cells(dist.grid_m, dist.groups, [cells[i] for i in order])
     per2, _ = audit(assignment[order], checks, shuffled)
     assert np.allclose(per, per2, atol=1e-15)
 
 
 def test_brier_values():
     system = GroupSystem(("I",), includes_all_group=True)
-    dist = CellDistribution(2, system, [Cell(0.0, 1, 0.5, 0.0), Cell(1.0, 1, 0.5, 1.0)])
+    dist = dist_from_cells(2, system, [Cell(0.0, 1, 0.5, 0.0), Cell(1.0, 1, 0.5, 1.0)])
     assert brier(np.array([0.0, 1.0]), dist) == 0.0
     assert brier(np.array([0.5, 0.5]), dist) == 0.25
 
@@ -237,7 +243,7 @@ def test_calibrate_identity_when_already_calibrated():
 def test_calibrate_single_patch_closed_form():
     # one level set, one constant check, f=0.9 against true mean 0.1
     system = GroupSystem(("I",), includes_all_group=True)
-    dist = CellDistribution(100, system, [Cell(0.9, 1, 1.0, 0.1)])
+    dist = dist_from_cells(100, system, [Cell(0.9, 1, 1.0, 0.1)])
     result = calibrate(np.array([0.9]), [CheckFunction("group", 0)], dist, alpha=0.01)
     assert result.rounds == 1
     assert result.assignment[0] == pytest.approx(0.1)
@@ -279,7 +285,7 @@ def test_calibrate_patch_ties_pick_lowest_level():
     # (0.25 and 0.75 against a 0.5 mean are exact in binary): the patch
     # must repair the lower level first
     system = GroupSystem(("I",), includes_all_group=True)
-    dist = CellDistribution(4, system, [
+    dist = dist_from_cells(4, system, [
         Cell(0.25, 1, 0.5, 0.5), Cell(0.75, 1, 0.5, 0.5),
     ])
     result = calibrate(dist.scores, [CheckFunction("group", 0)], dist, alpha=0.05)
@@ -295,13 +301,14 @@ def test_threshold_eval_err_steps_at_half():
     for lam in ([0.5, -0.25, 0.1], [0.0, -8.0, 0.5], [0.0, 8.0, -6.0], [0.0, 0.0, 0.0]):
         lam = np.array(lam)
         check = CheckFunction("threshold", (lam, "err", base))
-        for cell in dist.cells:
+        for cell in cells_of(dist):
             S = group_sum(lam, base.beta, cell.groups)
             sums.append(S)
             for v in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 want = S <= -1.0 if v < 0.5 else S >= -1.0 or v == 0.5
                 assert _point_fires(check, cell.groups, v, dist.n_groups) == want
-                assert eval_point(check, cell.score, cell.groups, v) == want
+                bits = bits_from_mask(cell.groups, dist.n_groups)
+                assert eval_point(check, cell.score, bits, v) == want
     assert min(sums) < -1.0 < max(sums)
 
 
@@ -328,8 +335,7 @@ def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
     for _ in range(20):
         lam = rand_lambda(rng, dist.n_groups, 4.0)
         checks = [CheckFunction("group", 0), CheckFunction("threshold", (lam, "err", base)),
-                  CheckFunction("hypothesis",
-                                MixtureClassifier(lam[None], "err", base).positive_prob)]
+                  CheckFunction("hypothesis", _point_rule(lam[None], "err", base))]
         (ones, check, best), _ = audit(assignment, checks, dist)
         assert best == pytest.approx(check, abs=1e-12)
 
@@ -348,8 +354,8 @@ def test_apply_patches_replays_training_assignment():
     replayed = replay(result, checks, pert.scores, pert.group_matrix)
     assert _bits(replayed) == _bits(result.assignment)
     per_point = np.array([
-        apply_patches(cell.score, cell.groups, result, checks)
-        for cell in pert.cells
+        apply_patches(cell.score, bits_from_mask(cell.groups, pert.n_groups), result, checks)
+        for cell in cells_of(pert)
     ])
     assert _bits(per_point) == _bits(result.assignment)
 
@@ -371,10 +377,11 @@ def test_replay_is_batch_independent_with_tie_aimed_checks(data):
     base = _base(dist, notion)
     rng = np.random.Generator(np.random.PCG64(seed))
     checks = [CheckFunction("group", g) for g in range(dist.n_groups)]
+    cells = cells_of(dist)
     for j in rng.integers(dist.n_cells, size=6):
         lam = rand_lambda(rng, dist.n_groups, 4.0)
         s, d = decision_thresholds(np.array([snap_to_grid(dist.scores[j], m)]), notion)
-        S = group_sum(lam, base.beta, dist.cells[j].groups)
+        S = group_sum(lam, base.beta, cells[j].groups)
         if np.isfinite(d[0]) and S != 0.0:
             lam = lam * (s[0] * d[0] / S)  # s*S = d, up to rounding
         checks.append(CheckFunction("threshold", (lam, notion, base)))
@@ -540,10 +547,10 @@ def test_calibrate_matches_reference_with_ties_and_repeated_levels():
                           (0.25, 0.5, 0.75, 0.5)[j % 4]))
     total = sum(c.mass for c in cells)
     cells = [Cell(c.score, c.groups, c.mass / total, c.label_mean) for c in cells]
-    dist = CellDistribution(4, system, cells)
+    dist = dist_from_cells(4, system, cells)
     checks = [CheckFunction("group", g) for g in (0, 1, 2, 0, 1)]
-    checks.append(CheckFunction("product", (1, MixtureClassifier(
-        np.zeros((1, 3)), FairnessNotion.SP, _base(dist, "sp")).positive_prob)))
+    checks.append(CheckFunction("product", (1, _point_rule(
+        np.zeros((1, 3)), FairnessNotion.SP, _base(dist, "sp")))))
     for alpha in (0.3, 0.05, 0.01):
         _assert_same_calibration(checks, dist, alpha)
 
@@ -556,7 +563,7 @@ def _singular_level_dist():
     cells = []
     for j, (score, mask) in enumerate(itertools.product(scores, (1, 3, 5, 7))):
         cells.append(Cell(score, mask, 1.0, ((j * 7) % 11) / 10))
-    return CellDistribution(10, system, [
+    return dist_from_cells(10, system, [
         Cell(c.score, c.groups, 1 / len(cells), c.label_mean) for c in cells])
 
 
@@ -579,7 +586,7 @@ def test_calibrate_matches_reference_for_every_notion_at_singular_levels():
 def test_calibrate_matches_reference_with_hypothesis_and_product_checks():
     _, pert = make_dist(12, n_cells=40, n_groups=2, grid_m=25, miscalibration=0.4)
     base = _base(pert, "fp")
-    rules = [MixtureClassifier(np.array([lam]), FairnessNotion.FP, base).positive_prob
+    rules = [_point_rule(np.array([lam]), FairnessNotion.FP, base)
              for lam in ((0.8, -0.5, 0.3), (0.0, 0.0, 0.0))]
     checks = default_checks(pert, base, hypotheses=rules, n_random=8, C=5.0, seed=1)
     assert {"hypothesis", "product"} <= {c.kind for c in checks}
@@ -686,8 +693,8 @@ def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
         idx = np.flatnonzero(k == level)
         sets, which = family.level_sets(idx, level)
         assert np.array_equal(sets[which[0]], idx[want[idx]])
-    for cell, v, w in zip(dist.cells, levels, want):
-        assert eval_point(check, cell.score, cell.groups, v) == w
+    for cell, v, w in zip(cells_of(dist), levels, want):
+        assert eval_point(check, cell.score, bits_from_mask(cell.groups, dist.n_groups), v) == w
 
 
 def _reference_distinct_sets(assignment, checks, dist):
@@ -705,11 +712,10 @@ def _check_pool(dist):
     duplicate of each group check."""
     rng = np.random.Generator(np.random.PCG64(dist.n_cells))
     base = _base(dist, "fp")
-    rule = MixtureClassifier(rand_lambda(rng, dist.n_groups, 4.0)[None], "fp",
-                             base).positive_prob
+    rule = _point_rule(rand_lambda(rng, dist.n_groups, 4.0)[None], "fp", base)
     pool = [CheckFunction("group", g) for g in range(dist.n_groups)] * 2
     pool += [CheckFunction("hypothesis", rule),
-             CheckFunction("hypothesis", lambda score, mask: score >= 0.5),
+             CheckFunction("hypothesis", lambda score, bits: score >= 0.5),
              CheckFunction("product", (dist.n_groups - 1, rule))]
     for notion in NOTIONS:
         base = _base(dist, notion)

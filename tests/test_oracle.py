@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairpost import (
     BaseRates,
-    Cell,
-    CellDistribution,
     DualState,
     GroupSystem,
     MixtureClassifier,
@@ -23,6 +21,7 @@ from fairpost.oracle import InfeasibleError, _staircase
 
 import reference_oracle
 from conftest import make_dist, rand_lambda
+from reference_cells import Cell, cells_of, dist_from_cells
 from reference_rates import lagrangian_value
 from reference_solver import decide, pointwise_argmin
 
@@ -99,7 +98,7 @@ def test_oracle_vacuous_gamma_is_bayes():
 
 def test_oracle_single_cell():
     system = GroupSystem(("I",), includes_all_group=True)
-    dist = CellDistribution(10, system, [Cell(0.3, 1, 1.0, 0.3)])
+    dist = dist_from_cells(10, system, [Cell(0.3, 1, 1.0, 0.3)])
     base = base_rates(dist, "fp", "from_labels")
     sol = enumerate_optimum(dist, "fp", base, gamma=0.0)
     assert sol.opt_value == pytest.approx(0.3, abs=1e-12)
@@ -140,21 +139,23 @@ def test_oracle_cell_guard():
 
 def test_pointwise_argmin_values():
     system = GroupSystem(("I",), includes_all_group=True)
-    dist = CellDistribution(10, system, [Cell(0.6, 1, 0.6, 0.6), Cell(0.5, 1, 0.4, 0.5)])
+    cells = [Cell(0.6, 1, 0.6, 0.6), Cell(0.5, 1, 0.4, 0.5)]
+    dist = dist_from_cells(10, system, cells)
     base = base_rates(dist, "fp", "from_labels")
-    pw = pointwise_argmin(np.zeros(1), dist.cells[0], "fp", base)
+    pw = pointwise_argmin(np.zeros(1), cells[0], "fp", base)
     assert (pw.bit, pw.value_zero, pw.value_one, pw.tie) == (1, 0.6, pytest.approx(0.4), False)
-    pw = pointwise_argmin(np.zeros(1), dist.cells[1], "fp", base)
+    pw = pointwise_argmin(np.zeros(1), cells[1], "fp", base)
     assert pw.tie and pw.value_zero == pw.value_one == 0.5 and pw.bit == 1
 
 
 def test_pointwise_argmin_cross_check(rng):
     dist, _ = make_dist(52, n_cells=10, n_groups=2, grid_m=40)
+    cells = cells_of(dist)
     for _ in range(2000):
         lam = rand_lambda(rng, dist.n_groups, 5.0)
         notion = NOTIONS[rng.integers(4)]
         base = base_rates(dist, notion, "from_labels")
-        cell = dist.cells[rng.integers(dist.n_cells)]
+        cell = cells[rng.integers(dist.n_cells)]
         pw = pointwise_argmin(lam, cell, notion, base)
         assert pw.bit == decide(lam, notion, base, cell.score, cell.groups)
 

@@ -15,8 +15,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fairpost import (
-    Cell,
-    CellDistribution,
     FairnessNotion,
     GroupSystem,
     base_rates,
@@ -28,6 +26,7 @@ from fairpost.metrics import error_rate, group_rates, rate_terms
 from fairpost.oracle import _constraint_columns
 
 import reference_rates as ref
+from reference_cells import Cell, dist_from_cells
 
 NOTIONS = st.sampled_from(list(FairnessNotion))
 MODES = st.sampled_from(["from_scores", "from_labels"])
@@ -48,7 +47,7 @@ def grid_dists(draw):
     cells = [Cell(k / m, 1 | (mask << 1), w / total, lab / m)
              for (k, mask), w, lab in zip(keys, weights, labels)]
     names = ("I",) + tuple(f"g{i}" for i in range(1, n_groups))
-    return CellDistribution(m, GroupSystem(names, includes_all_group=True), cells)
+    return dist_from_cells(m, GroupSystem(names, includes_all_group=True), cells)
 
 
 def _bits(x):

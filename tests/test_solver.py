@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -37,6 +38,7 @@ from fairpost.solver import (
 )
 
 from conftest import make_dist, rand_lambda
+from reference_cells import cells_of
 from reference_rates import (_rate_terms, _solver_constraints, dual_gradient,
                              expanded_lagrangian, lagrangian_value)
 from reference_solver import decide, pointwise_argmin, reference_run_loop
@@ -81,9 +83,10 @@ def _two_cell_dist():
 
 def test_best_response_matches_pointwise_argmin(rng):
     dist, _ = make_dist(30, n_cells=12, n_groups=3, grid_m=40)
+    cells = cells_of(dist)
     for _ in range(1000):
         lam = rand_lambda(rng, dist.n_groups, 5.0)
-        cell = dist.cells[rng.integers(dist.n_cells)]
+        cell = cells[rng.integers(dist.n_cells)]
         notion = NOTIONS[rng.integers(4)]
         base = base_rates(dist, notion, "from_labels")
         pw = pointwise_argmin(lam, cell, notion, base)
@@ -635,6 +638,17 @@ def test_l1_check_where_summation_orders_differ(eta, quick_above):
 
 def _configs(gammas, **kw):
     return [SolverConfig(gamma=g, **kw) for g in gammas]
+
+
+def test_solver_config_is_frozen_and_replace_runs_the_checks():
+    # a field assigned after construction skipped __post_init__ and failed
+    # inside the loop; a copy made with replace, as run_many's, is checked
+    config = SolverConfig(T=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.T = 2.5
+    assert dataclasses.replace(config, gamma="0.1").gamma == 0.1
+    with pytest.raises(ValueError, match="gamma must be a finite nonnegative number"):
+        dataclasses.replace(config, gamma=math.nan)
 
 
 @pytest.mark.parametrize("notion", NOTIONS)

@@ -11,11 +11,11 @@ from fairpost import (
     true_rates,
 )
 
-from reference_cells import snap_to_grid
+from reference_cells import cells_of, snap_to_grid
 
 
 def _cells_tuple(dist):
-    return [(c.score, c.groups, c.mass, c.label_mean) for c in dist.cells]
+    return [(c.score, c.groups, c.mass, c.label_mean) for c in cells_of(dist)]
 
 
 def test_gen_instance_is_pure():
@@ -52,13 +52,13 @@ def test_instance_invariants():
         exact, pert = gen_instance(spec)
         for dist in (exact, pert):
             assert abs(dist.masses.sum() - 1.0) <= 1e-9
-            for c in dist.cells:
+            for c in cells_of(dist):
                 assert c.score == snap_to_grid(c.score, dist.grid_m)
                 assert 0.0 <= c.label_mean <= 1.0
             # the all-ones group is index 0
             assert dist.groups.names[0] == "I"
             assert np.all(dist.group_matrix[0] == 1.0)
-            keys = [c.key() for c in dist.cells]
+            keys = [c.key() for c in cells_of(dist)]
             assert len(set(keys)) == len(keys)
 
 
