@@ -50,6 +50,10 @@ EXIT_INPUT = 1
 EXIT_GUARANTEE = 2
 EXIT_BUDGET = 3
 
+# solve's exit code 2 fires when the reported violation exceeds gamma plus
+# the theorem's slack by more than this
+GUARANTEE_TOL = 0.01
+
 
 class InputError(ValueError):
     pass
@@ -226,15 +230,15 @@ def _read_rows(fh, digest) -> tuple:
             np.frombuffer(labels, np.uint8) if has_y else None, group_names)
 
 
-def read_dataset(path: str, grid_m: int,
-                 source: Optional[dict] = None) -> Tuple[CellDistribution, bool]:
-    """Parse a dataset CSV into a cell distribution.
+def read_dataset(path: str, grid_m: int, source: Optional[dict] = None) -> CellDistribution:
+    """Parse a dataset CSV into a cell distribution, whose label_means is
+    None when the file has no y column.
 
-    Returns (distribution, has_labels).  A synthetic all-ones group I is
-    prepended when no column covers every row.  The array parser reads the
-    file; what it declines, the csv row loop reads again from the start.
-    source, if given, receives the input summary: "sha256" of the bytes
-    parsed, "rows", "cells" and "parser" ("array" or "rows").
+    A synthetic all-ones group I is prepended when no column covers every
+    row.  The array parser reads the file; what it declines, the csv row
+    loop reads again from the start.  source, if given, receives the input
+    summary: "sha256" of the bytes parsed, "rows", "cells" and "parser"
+    ("array" or "rows").
     """
     try:
         fh = open(path, "rb")
@@ -259,7 +263,7 @@ def read_dataset(path: str, grid_m: int,
     if source is not None:
         source.update(sha256=digest.hexdigest(), rows=len(scores), cells=dist.n_cells,
                       parser=parser)
-    return dist, labels is not None
+    return dist
 
 
 # ---------------------------------------------------------------- manifests
@@ -487,17 +491,22 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     return mixture, payload
 
 
-def _solve_report(result, dist: CellDistribution, has_labels: bool, gamma: float,
-                  guarantee_tol: float) -> Tuple[dict, int]:
-    p = result.mixture.positive_prob_vector(dist)
-    notion = result.mixture.notion
-    cons = constraint_vector(p, dist, notion, result.base)
-    err_hat = surrogate_error(p, dist)
+def _evaluate(mixture: MixtureClassifier, dist: CellDistribution):
+    """(err_hat, per-group constraint values, true RateReport or None) of a
+    mixture: error and constraints at f = the scores, true rates on labels."""
+    p = mixture.positive_prob_vector(dist)
+    cons = constraint_vector(p, dist, mixture.notion, mixture.base)
+    true = None if dist.label_means is None else true_rates(p, dist, mixture.notion)
+    return surrogate_error(p, dist), cons, true
+
+
+def _solve_report(result, dist: CellDistribution, gamma: float) -> Tuple[dict, int]:
+    err_hat, cons, rep = _evaluate(result.mixture, dist)
     bounds = result.theorem_bounds
-    threshold = gamma + bounds["violation_slack"] + guarantee_tol
+    threshold = gamma + bounds["violation_slack"] + GUARANTEE_TOL
     max_viol = float(np.abs(cons).max())
     report = {
-        "notion": notion.value,
+        "notion": result.mixture.notion.value,
         "gamma": gamma,
         "err_hat": err_hat,
         "per_group_constraint_abs": {
@@ -508,14 +517,10 @@ def _solve_report(result, dist: CellDistribution, has_labels: bool, gamma: float
         "eta": result.eta,
         "guarantee_threshold": threshold,
     }
-    if has_labels:
-        rep = true_rates(p, dist, notion)
-        report["true"] = {
-            "err": rep.err,
-            "max_violation": rep.max_violation,
-            "violation_by_group": {
-                name: float(v) for name, v in zip(dist.groups.names, rep.violation_by_group)},
-        }
+    if rep is not None:
+        report["true"] = {"err": rep.err, "max_violation": rep.max_violation,
+                          "violation_by_group": dict(zip(dist.groups.names,
+                                                         rep.violation_by_group.tolist()))}
     # the gate watches the surrogate constraint report; true-rate transfer
     # additionally needs a calibrated score function
     report["guarantee_ok"] = max_viol <= threshold
@@ -529,12 +534,11 @@ def cmd_solve(args) -> int:
     solver_config = _solver_config(config)
     t0 = time.perf_counter()
     source = {}
-    dist, has_labels = read_dataset(args.dataset, config["grid_m"], source)
+    dist = read_dataset(args.dataset, config["grid_m"], source)
     t1 = time.perf_counter()
     result = run(dist, solver_config)    # main reports BudgetExceededError
     t2 = time.perf_counter()
-    report, code = _solve_report(result, dist, has_labels, solver_config.gamma,
-                                 args.guarantee_tol)
+    report, code = _solve_report(result, dist, solver_config.gamma)
     report["exit_code"] = code
     t3 = time.perf_counter()
 
@@ -555,14 +559,10 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_row(dist, has_labels, gamma, result):
-    p = result.mixture.positive_prob_vector(dist)
-    err_hat = surrogate_error(p, dist)
-    notion = result.mixture.notion
-    if has_labels:
-        rep = true_rates(p, dist, notion)
+def _sweep_row(dist, gamma, result):
+    err_hat, cons, rep = _evaluate(result.mixture, dist)
+    if rep is not None:
         return gamma, err_hat, rep.err, rep.max_violation, "ok"
-    cons = constraint_vector(p, dist, notion, result.base)
     return gamma, err_hat, None, float(np.abs(cons).max()), "ok"
 
 
@@ -582,7 +582,7 @@ def cmd_sweep(args) -> int:
         raise InputError("--gammas must be a comma-separated list of numbers") from None
     configs = [_solver_config({**config, "gamma": g}) for g in gammas]
     source = {}
-    dist, has_labels = read_dataset(args.dataset, config["grid_m"], source)
+    dist = read_dataset(args.dataset, config["grid_m"], source)
     t1 = time.perf_counter()
     # the solver runs the gammas in as few loops as LAMBDA_HISTORY_CAP
     # admits; every failure is reported per gamma, in the csv
@@ -593,7 +593,7 @@ def cmd_sweep(args) -> int:
             for result in results:
                 g = gammas[len(rows)]
                 try:
-                    rows.append(_sweep_row(dist, has_labels, g, result))
+                    rows.append(_sweep_row(dist, g, result))
                 except Exception as exc:
                     rows.append(_error_row(g, exc))
                 counters.append({"gamma": g, **result.counters})
@@ -668,8 +668,8 @@ def cmd_audit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = {}
-    dist, has_labels = read_dataset(args.dataset, args.grid_m, source)
-    if not has_labels:
+    dist = read_dataset(args.dataset, args.grid_m, source)
+    if dist.label_means is None:
         raise InputError("audit requires labeled data (y column)")
     t1 = time.perf_counter()
     checks = _build_checks(dist, args)
@@ -701,8 +701,8 @@ def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = {}
-    dist, has_labels = read_dataset(args.dataset, args.grid_m, source)
-    if not has_labels:
+    dist = read_dataset(args.dataset, args.grid_m, source)
+    if dist.label_means is None:
         raise InputError("calibrate requires labeled data (y column)")
     t1 = time.perf_counter()
     checks = _build_checks(dist, args)
@@ -785,37 +785,31 @@ def cmd_eval(args) -> int:
     mixture, payload = load_mixture(args.mixture)
     t1 = time.perf_counter()
     source = {}
-    dist, has_labels = read_dataset(args.dataset, payload["grid_m"], source)
+    dist = read_dataset(args.dataset, payload["grid_m"], source)
     if list(dist.groups.names) != payload["group_names"]:
         raise InputError(
             f"dataset groups {list(dist.groups.names)} do not match mixture "
             f"groups {payload['group_names']}")
     t2 = time.perf_counter()
-    p = mixture.positive_prob_vector(dist)
-    report = {
-        "err_hat": surrogate_error(p, dist),
-        "max_violation_hat": float(np.abs(
-            constraint_vector(p, dist, mixture.notion, mixture.base)).max()),
-    }
-    if has_labels:
-        rep = true_rates(p, dist, mixture.notion)
+    err_hat, cons, rep = _evaluate(mixture, dist)
+    report = {"err_hat": err_hat, "max_violation_hat": float(np.abs(cons).max())}
+    if rep is not None:
         report["true"] = {"err": rep.err, "max_violation": rep.max_violation}
     if args.oracle:
         gamma = args.gamma if args.gamma is not None else payload.get("gamma", 0.0)
         try:
             # the solver's own program: the mixture's beta and w, f = scores
-            sol = enumerate_optimum(dist, mixture.notion, mixture.base, gamma,
-                                    max_cells=args.max_cells)
+            sol = enumerate_optimum(dist, mixture.notion, mixture.base, gamma)
             report["oracle"] = {
                 "gamma": gamma,
                 "opt_value": sol.opt_value,
                 "err_gap": report["err_hat"] - sol.opt_value,
                 "support_size": len(sol.support),
             }
-            if has_labels:
+            if rep is not None:
                 true_opt = enumerate_optimum(
                     dist, mixture.notion, base_rates(dist, mixture.notion, "from_labels"),
-                    gamma, scores_as_f=False, max_cells=args.max_cells).opt_value
+                    gamma, scores_as_f=False).opt_value
                 report["oracle"].update(true_opt_value=true_opt,
                                         true_err_gap=report["true"]["err"] - true_opt)
         except (ValueError, InfeasibleError) as exc:
@@ -855,7 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="fit a constrained mixture on a dataset")
     p.add_argument("dataset")
     _add_config_flags(p)
-    p.add_argument("--guarantee-tol", type=float, default=0.01)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_solve)
 
@@ -901,8 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--max-cells", type=int, default=400,
-                   help="the largest cell count the oracle's LP takes")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_eval)
 

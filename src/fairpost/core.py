@@ -58,13 +58,17 @@ def grid_indices(x, m: int) -> np.ndarray:
     return np.clip(np.floor(x * m + 0.5), 0, m).astype(np.int64)
 
 
+def _check_grid(grid_m) -> None:
+    """Refuse a grid_m that operator.index would not take (a float), a bool, or one below 1."""
+    if isinstance(grid_m, bool) or not hasattr(grid_m, "__index__") or grid_m < 1:
+        raise ValueError(f"grid_m must be a positive integer, not {grid_m!r}")
+
+
 @dataclass(frozen=True)
 class GroupSystem:
-    """Ordered collection of group indicators, optionally containing the
-    all-ones group I."""
+    """Ordered, uniquely named collection of group indicators."""
 
     names: tuple
-    includes_all_group: bool = False
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -94,8 +98,7 @@ class CellDistribution:
                     label_means, bits) -> "CellDistribution":
         """The distribution of per-cell arrays, checked.  bits is the
         (n_cells, n_groups) 0/1 membership matrix, group 0 first."""
-        if grid_m < 1:
-            raise ValueError("grid_m must be a positive integer")
+        _check_grid(grid_m)
         scores, masses = np.asarray(scores, dtype=float), np.asarray(masses, dtype=float)
         if not len(scores):
             raise ValueError("empty dataset")
@@ -125,8 +128,6 @@ class CellDistribution:
             raise ValueError(f"score {float(scores[off.argmax()])!r} is not on the "
                              f"1/{grid_m} grid")
         group_matrix = np.ascontiguousarray(bits.T, dtype=float)
-        if groups.includes_all_group and not np.any(group_matrix.min(axis=1) == 1.0):
-            raise ValueError("includes_all_group set but no group covers every cell")
         dist = cls.__new__(cls)
         vars(dist).update(grid_m=grid_m, groups=groups, scores=scores, masses=masses,
                           label_means=label_means, group_matrix=group_matrix)
@@ -405,15 +406,13 @@ def aggregate_cells(scores, bits, labels, grid_m: int,
     (half up); bits: (n, n_groups) 0/1 memberships; labels: n 0/1 labels or
     None.  Masses are count / n and label_mean is label_sum / count, each
     one correctly rounded division as in a per-row count, and the cells come
-    out in (score, mask) order.  The group system includes the all-ones
-    group when exactly one column covers every row.
+    out in (score, mask) order.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     n = len(scores)
     if n == 0:
         raise ValueError("empty dataset")
-    if grid_m < 1:
-        raise ValueError("grid_m must be a positive integer")
+    _check_grid(grid_m)
     bits = np.asarray(bits)
     if bits.ndim != 2 or len(bits) != n:
         raise ValueError("bits must be an (n_rows, n_groups) membership matrix")
@@ -439,10 +438,8 @@ def aggregate_cells(scores, bits, labels, grid_m: int,
         np.bincount(cell_of, weights=labels.astype(float)) / counts)
     if group_names is None:
         group_names = tuple(f"g{i}" for i in range(bits.shape[1]))
-    system = GroupSystem(tuple(group_names),
-                         includes_all_group=int(bits.all(axis=0).sum()) == 1)
-    return CellDistribution.from_arrays(grid_m, system, k[row] / grid_m, counts / n,
-                                        label_means, bits[row])
+    return CellDistribution.from_arrays(grid_m, GroupSystem(tuple(group_names)),
+                                        k[row] / grid_m, counts / n, label_means, bits[row])
 
 
 def build_cells(rows: Iterable, grid_m: int,

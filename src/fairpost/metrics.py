@@ -48,10 +48,6 @@ def positive_probs(h: ClassifierLike, dist: CellDistribution) -> np.ndarray:
     return p
 
 
-def _f_array(dist: CellDistribution, scores_as_f: bool) -> np.ndarray:
-    return dist.scores if scores_as_f else dist.require_labels()
-
-
 def group_rates(terms, p, masses: np.ndarray, G: np.ndarray):
     """(per-group rates G @ u, aggregate u.sum()) with u = masses * (a + b p)."""
     a, b, _ = terms
@@ -98,22 +94,19 @@ def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> Bas
     return BaseRates(notion=notion, beta=beta, w=w)
 
 
-def surrogate_error(h: ClassifierLike, dist: CellDistribution,
-                    scores_as_f: bool = True) -> float:
-    """Score-weighted misclassification rate: error_rate at f = the scores
-    (or the label means)."""
-    return error_rate(positive_probs(h, dist), _f_array(dist, scores_as_f), dist.masses)
+def surrogate_error(h: ClassifierLike, dist: CellDistribution) -> float:
+    """error_rate at f = the scores; at the label means it is true_rates' err."""
+    return error_rate(positive_probs(h, dist), dist.scores, dist.masses)
 
 
 def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,
-                      base: BaseRates, scores_as_f: bool = True) -> np.ndarray:
-    """Signed constraint left-hand sides for every group at once."""
+                      base: BaseRates) -> np.ndarray:
+    """Signed constraint left-hand sides for every group at once, at f = the scores."""
     notion = FairnessNotion.coerce(notion)
     if base.notion is not notion:
         raise ValueError("base rates were computed for a different notion")
-    p = positive_probs(h, dist)
-    f = _f_array(dist, scores_as_f)
-    return _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
+    return _constraint(rate_terms(notion, dist.scores), positive_probs(h, dist), dist.masses,
+                       dist.group_matrix, base.beta)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The constrained minimum-error program over mixtures of deterministic
 classifiers is an LP over the per-cell positive probability once the domain
-is cell-aggregated: n variables in [0, 1], capped at max_cells (default
-400), and one constraint row per group, solved with a bounded-variable
+is cell-aggregated: n variables in [0, 1] and one constraint row per group,
+capped at MAX_CELL_GROUPS cells x groups, solved with a bounded-variable
 simplex whose basis has one row per group.  This module exists to certify
 the solver, never to drive it.
 """
@@ -22,6 +22,7 @@ __all__ = ["OracleSolution", "InfeasibleError", "simplex_solve", "enumerate_opti
 
 PIVOT_TOL = 1e-9
 MAX_ITER = 50000
+MAX_CELL_GROUPS = 50_000     # n_cells * n_groups; 10,000 x 5 solves in about 1 s
 
 
 class InfeasibleError(RuntimeError):
@@ -141,35 +142,40 @@ def _staircase(p: np.ndarray) -> List[Tuple[tuple, float]]:
 
 
 def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
-                      gamma: float, scores_as_f: bool = True,
-                      max_cells: int = 400) -> OracleSolution:
+                      gamma: float, scores_as_f: bool = True) -> OracleSolution:
     """Exact optimum of the parity-constrained error LP.
 
     Error and every constraint are affine in the per-cell positive
     probability p, and [0, 1]^n is the convex hull of the labelings, so the
     optimum over mixtures of labelings is the LP over p: n variables in
     [0, 1] and one two-sided row per group, solved with the bounded-variable
-    simplex and guarded to max_cells cells.  The support is p*'s staircase:
-    a vertex has at most |G| fractional cells, so at most |G| + 1 labelings.
+    simplex, guarded to MAX_CELL_GROUPS cells x groups.  f is the scores (the
+    solver's program), or with scores_as_f=False the raw label means (the
+    true optimum).  The support is p*'s staircase: a vertex has at most |G|
+    fractional cells, so at most |G| + 1 labelings.
     """
     notion = FairnessNotion.coerce(notion)
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    n = dist.n_cells
-    if n > max_cells:
-        raise ValueError(f"{n} cells exceed LP guard {max_cells}")
+    n, g = dist.n_cells, dist.n_groups
+    if n * g > MAX_CELL_GROUPS:
+        raise ValueError(f"{n} cells x {g} groups = {n * g} exceed LP guard {MAX_CELL_GROUPS}")
     f = dist.scores if scores_as_f else dist.require_labels()
     m = dist.masses
 
     err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
     const, coef = _constraint_columns(dist, notion, base, f)
-    p, value = simplex_solve(m * err_b, coef, -gamma - const, gamma - const)
-    p = np.clip(p, 0.0, 1.0)
+    p = simplex_solve(m * err_b, coef, -gamma - const, gamma - const)[0]
+    # values under PIVOT_TOL apart are rounding dust, as at 0 and 1: each run
+    # takes its least, so that no labeling of the staircase has rounding weight
+    levels, level_of = np.unique(np.clip(p, 0.0, 1.0), return_inverse=True)
+    starts = np.diff(levels, prepend=-np.inf) > PIVOT_TOL
+    p = levels[starts][np.cumsum(starts)[level_of.reshape(-1)] - 1]
 
     if np.any(np.abs(const + coef @ p) > gamma + PIVOT_TOL):
         raise RuntimeError("simplex returned an infeasible mixture")
     support = _staircase(p)
-    return OracleSolution(opt_value=float(m @ err_a) + value, support=support,
-                          weights=np.array([w for _, w in support]))
+    return OracleSolution(opt_value=float(m @ err_a) + float((m * err_b) @ p),
+                          support=support, weights=np.array([w for _, w in support]))

@@ -460,22 +460,14 @@ def run_many(dist: CellDistribution, configs: List[SolverConfig]) -> List[SolveR
     return [result for batch in run_batches(dist, configs) for result in batch]
 
 
-def run(dist: CellDistribution, config: SolverConfig,
-        scores_as_f: bool = True) -> SolveResult:
-    """Run the full deterministic dynamics over exact cell expectations.
-
-    With scores_as_f=False the distribution is re-based so that cell scores
-    equal the (grid-snapped) label means first; threshold rules always cut
-    on the cell score, so the dynamics and the returned mixture agree.
-    """
-    if not scores_as_f:
-        dist = dist.with_scores_from_labels()
+def run(dist: CellDistribution, config: SolverConfig) -> SolveResult:
+    """Run the full deterministic dynamics over exact cell expectations, with
+    f = the cell scores (dist.with_scores_from_labels() puts the labels there)."""
     return run_many(dist, [config])[0]
 
 
 def run_sampled(population: CellDistribution, sampler_seed: int,
                 config: SolverConfig, epsilon: float, delta: float,
-                scores_as_f: bool = True,
                 record_deviation: bool = False) -> SolveResult:
     """Dynamics with each round's rates estimated from a fresh i.i.d. sample.
 
@@ -484,8 +476,6 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    if not scores_as_f:
-        population = population.with_scores_from_labels()
     n_groups, n_cells = population.group_matrix.shape
     T, _ = _resolve_schedule(config, n_groups, n_cells)
     m = sample_size(T, n_groups, epsilon, delta)

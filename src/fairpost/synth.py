@@ -154,9 +154,8 @@ def _build(spec: SynthSpec, raw: List[Tuple[int, int, int]], scores: List[float]
     cell_mass = np.bincount(cell_of, weights=mass)
     merged = np.bincount(cell_of, weights=mass * value) / cell_mass
     label_means = np.where(np.bincount(cell_of) == 1, value[row], merged)
-    system = GroupSystem(names, includes_all_group=True)
-    return CellDistribution.from_arrays(spec.grid_m, system, scores[row], cell_mass,
-                                        label_means, bits[row])
+    return CellDistribution.from_arrays(spec.grid_m, GroupSystem(names), scores[row],
+                                        cell_mass, label_means, bits[row])
 
 
 def _bayes_fp_violation(dist: CellDistribution) -> float:

@@ -118,8 +118,6 @@ class CellDistribution:
             for i in range(g):
                 if (c.groups >> i) & 1:
                     self.group_matrix[i, j] = 1.0
-        if groups.includes_all_group and not np.any(self.group_matrix.min(axis=1) == 1.0):
-            raise ValueError("includes_all_group set but no group covers every cell")
 
     @property
     def n_cells(self) -> int:
@@ -170,6 +168,6 @@ def _build(spec: SynthSpec, raw: List[Tuple[int, int, int]], scores: List[float]
         else:
             label_mean = sum(m * v for m, v in parts) / mass
         cells.append(Cell(score=s, groups=mask, mass=mass, label_mean=label_mean))
-    system = GroupSystem(names, includes_all_group=True)
+    system = GroupSystem(names)
     return CellDistribution(spec.grid_m, system, cells)
 

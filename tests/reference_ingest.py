@@ -69,12 +69,7 @@ def build_cells(rows: Iterable, grid_m: int,
 
     if group_names is None:
         group_names = tuple(f"g{i}" for i in range(width))
-    all_ones = [
-        i for i in range(width)
-        if all((c.groups >> i) & 1 for c in cells)
-    ]
-    system = GroupSystem(tuple(group_names), includes_all_group=len(all_ones) == 1)
-    return dist_from_cells(grid_m, system, cells)
+    return dist_from_cells(grid_m, GroupSystem(tuple(group_names)), cells)
 
 
 def read_dataset(path: str, grid_m: int) -> Tuple[CellDistribution, bool]:

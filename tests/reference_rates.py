@@ -16,8 +16,12 @@ helpers; `expanded_lagrangian` is the distributed-out Lagrangian that
 import numpy as np
 
 from fairpost import BaseRates, FairnessNotion, RateReport, metrics
-from fairpost.metrics import (_constraint, _f_array, error_rate, group_rates, positive_probs,
-                              rate_terms)
+from fairpost.metrics import _constraint, error_rate, group_rates, positive_probs, rate_terms
+
+
+def _f_array(dist, scores_as_f):
+    """f for the references: the scores, or with scores_as_f=False the label means."""
+    return dist.scores if scores_as_f else dist.require_labels()
 
 
 def _rate_terms(notion, f, h, masses, G):
@@ -170,12 +174,12 @@ def true_rates(h, dist, notion):
     )
 
 
-def expanded_lagrangian(h, dual, dist, notion, base, gamma, scores_as_f=True):
+def expanded_lagrangian(h, dual, dist, notion, base, gamma):
     """The Lagrangian with the penalty distributed over the cells: the
     per-cell weight S = lambda . (g - beta) multiplies each notion's terms."""
     notion = FairnessNotion.coerce(notion)
     p = positive_probs(h, dist)
-    f = dist.scores if scores_as_f else dist.require_labels()
+    f = dist.scores
     m = dist.masses
     lam_p, lam_m = dual.lambda_plus, dual.lambda_minus
     lam = lam_p - lam_m
@@ -202,20 +206,20 @@ def table_group_rate(h, g, dist, scores_as_f=True, notion=FairnessNotion.FP):
     return rho0 if g is None else float(rho_g[g])
 
 
-def dual_gradient(h_t, dist, notion, base, gamma, scores_as_f=True):
+def dual_gradient(h_t, dist, notion, base, gamma):
     """Gradient of the Lagrangian in (lambda+, lambda-) at a fixed classifier:
     (c - gamma, -c - gamma) with c = metrics.constraint_vector(h_t, ...), the
     constraint c_g = rho_g - beta_g * rho_0 that every notion imposes."""
-    c = metrics.constraint_vector(h_t, dist, notion, base, scores_as_f)
+    c = metrics.constraint_vector(h_t, dist, notion, base)
     return c - gamma, -c - gamma
 
 
-def lagrangian_value(h, dual, dist, notion, base, gamma, scores_as_f=True):
+def lagrangian_value(h, dual, dist, notion, base, gamma):
     """Lagrangian of the parity-constrained program at (h, lambda):
     err(h) + sum_g lambda+_g (c_g - gamma) + lambda-_g (-c_g - gamma), with
     c_g = rho_g - beta_g rho_0 the constraint constraint_vector reports."""
     p = positive_probs(h, dist)
-    f = dist.scores if scores_as_f else dist.require_labels()
+    f = dist.scores
     cons = _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
     penalty = float(dual.lambda_plus @ (cons - gamma) + dual.lambda_minus @ (-cons - gamma))
     return error_rate(p, f, dist.masses) + penalty

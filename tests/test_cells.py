@@ -7,8 +7,8 @@ the same rejection, over one to seventy groups (the grouping key ranks past
 62), scores on or within 1e-12 of a grid point, -0.0, duplicate and shuffled
 cells, zero masses and merges of zero-mass cells.  `from_arrays` must also
 reject what no distribution holds: NaN or negative masses, label means
-outside [0, 1] and membership matrices of another shape or with entries
-other than 0 and 1.
+outside [0, 1], membership matrices of another shape or with entries other
+than 0 and 1, and a grid_m that is not a positive integer.
 """
 
 import numpy as np
@@ -94,12 +94,7 @@ def cell_inputs(draw, valid=False):
         cells[0] = Cell(c.score + 1e-9, c.groups, c.mass, c.label_mean)
     elif fault == "mass":
         cells[0] = Cell(c.score, c.groups, c.mass + 1e-6, c.label_mean)
-    system = GroupSystem(tuple(f"g{i}" for i in range(g)),
-                         includes_all_group=draw(st.booleans()))
-    if valid and system.includes_all_group:
-        system = GroupSystem(system.names, includes_all_group=any(
-            all((c.groups >> i) & 1 for c in cells) for i in range(g)))
-    return m, system, cells
+    return m, GroupSystem(tuple(f"g{i}" for i in range(g))), cells
 
 
 @settings(max_examples=400, deadline=None)
@@ -182,8 +177,8 @@ def test_gen_instance_equals_dict_merge(monkeypatch, seed, miscalibration):
         assert_same(a, b)
 
 
-def _two_cells(masses=(0.25, 0.75), label_means=(0.5, 0.5), bits=((1,), (1,))):
-    return CellDistribution.from_arrays(4, GroupSystem(("I",), includes_all_group=True),
+def _two_cells(masses=(0.25, 0.75), label_means=(0.5, 0.5), bits=((1,), (1,)), grid_m=4):
+    return CellDistribution.from_arrays(grid_m, GroupSystem(("I",)),
                                         np.array([0.25, 0.75]), np.array(masses),
                                         None if label_means is None else np.array(label_means),
                                         np.array(bits))
@@ -200,10 +195,20 @@ def _two_cells(masses=(0.25, 0.75), label_means=(0.5, 0.5), bits=((1,), (1,))):
     ({"bits": (1, 1)}, r"bits must be an \(n_cells, n_groups\) membership matrix"),
     ({"bits": ((1,), (2,))}, "group indicators must be 0 or 1"),
     ({"bits": ((1,), (0.5,))}, "group indicators must be 0 or 1"),
+    ({"grid_m": 2.5}, "grid_m must be a positive integer, not 2.5"),
+    ({"grid_m": True}, "grid_m must be a positive integer, not True"),
 ])
 def test_from_arrays_rejects_what_no_distribution_holds(change, message):
     # NaN masses once passed the sum check, and negative ones summing to one
-    # passed every check
+    # passed every check; grid_m 2.5 made a 1/2.5 grid
     assert _two_cells().n_cells == 2
     with pytest.raises(ValueError, match=message):
         _two_cells(**change)
+
+
+def test_aggregate_cells_takes_only_an_integer_grid():
+    # True once snapped every score to the grid of 1
+    for grid_m in (True, 2.5, np.float64(4.0), 0):
+        with pytest.raises(ValueError, match="grid_m must be a positive integer"):
+            aggregate_cells([0.4, 0.8], np.ones((2, 1)), None, grid_m)
+    assert aggregate_cells([0.4, 0.8], np.ones((2, 1)), None, np.int64(5)).grid_m == 5

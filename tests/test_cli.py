@@ -1,6 +1,7 @@
 import base64
 import binascii
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairpost import BaseRates, FairnessNotion, MixtureClassifier, surrogate_error
-from fairpost import cli, multical
+from fairpost import cli, multical, oracle
 from fairpost.cli import load_mixture, main, read_dataset
 
 
@@ -56,7 +57,7 @@ def test_solve_vacuous_gamma(dataset, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["max_violation_hat"] <= 1.0
-    dist, _ = read_dataset(str(dataset), 20)
+    dist = read_dataset(str(dataset), 20)
     bayes = float(dist.masses @ np.minimum(dist.scores, 1 - dist.scores))
     assert report["err_hat"] == pytest.approx(bayes, abs=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -97,7 +98,7 @@ def test_mixture_roundtrip(dataset, tmp_path):
     assert main(["solve", str(dataset), "--gamma", "0.02", "--C", "4", "--T", "150",
                  "--grid-m", "20", "--out-dir", str(out)]) == 0
     mixture, payload = load_mixture(str(out / "mixture.json"))
-    dist, _ = read_dataset(str(dataset), 20)
+    dist = read_dataset(str(dataset), 20)
     p = mixture.positive_prob_vector(dist)
     for j, (score, bits) in enumerate(zip(dist.scores, dist.group_matrix.T)):
         assert mixture.positive_prob_points([score], [bits])[0] == p[j]
@@ -330,8 +331,8 @@ def test_malformed_row_names_line(tmp_path):
 def test_crlf_dataset_accepted(tmp_path):
     data = tmp_path / "crlf.csv"
     data.write_bytes(b"id,score,y,g_a\r\n0,0.2,0,1\r\n1,0.8,1,0\r\n")
-    dist, has_labels = read_dataset(str(data), 10)
-    assert has_labels
+    dist = read_dataset(str(data), 10)
+    assert dist.label_means is not None
     # no column covers every row: the all-ones group I is synthesized first
     assert dist.groups.names == ("I", "a")
     assert np.all(dist.group_matrix[0] == 1.0)
@@ -417,7 +418,7 @@ def test_manifest_input_summary(dataset, tmp_path, crlf):
     assert main(["solve", str(data), "--gamma", "0.05", "--C", "2", "--T", "20",
                  "--grid-m", "20", "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    dist, _ = read_dataset(str(data), 20)
+    dist = read_dataset(str(data), 20)
     assert manifest["input"] == {"rows": 4000, "cells": dist.n_cells,
                                  "parser": "rows" if crlf else "array"}
     assert manifest["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
@@ -590,7 +591,7 @@ def solved(tmp_path_factory):
         data, run_dir = root / f"data{cells}.csv", root / f"run{cells}"
         assert main(["synth", "--seed", "1", "--n-cells", str(cells), "--grid-m", "20",
                      "--samples", "20000", "--out", str(data)]) == 0
-        assert read_dataset(str(data), 20)[0].n_cells == cells
+        assert read_dataset(str(data), 20).n_cells == cells
         assert main(["solve", str(data), "--gamma", "0.05", "--C", "4", "--T", "50",
                      "--grid-m", "20", "--out-dir", str(run_dir)]) == 0
         paths[cells] = (str(data), str(run_dir / "mixture.json"))
@@ -598,14 +599,18 @@ def solved(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["eval", 24, "--oracle", "--max-cells", "20"], "oracle: 24 cells exceed LP guard 20"),
+    (["eval", 24, "--oracle"], "oracle: 24 cells x 3 groups = 72 exceed LP guard 71"),
     (["eval", 8, "--oracle", "--gamma", "-1"], "oracle: gamma must be nonnegative"),
     (["calibrate", 8, "--alpha", "1.5"], "alpha must lie in (0, 1)"),
     (["synth", "--seed", "1", "--n-cells", "0"], "n_cells must be at least 1"),
     (["eval", 8, "--oracle", "--gamma", "inf"], "oracle: gamma must be finite"),
     (["eval", 8, "--oracle", "--gamma", "nan"], "oracle: gamma must be finite"),
 ])
-def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, command, message):
+def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, command,
+                                        message):
+    # a cap just under the 24-cell data's 72 cells x groups; the 8-cell data
+    # holds 24
+    monkeypatch.setattr(oracle, "MAX_CELL_GROUPS", 71)
     argv = [command[0]]
     if isinstance(command[1], int):
         data, mixture = solved[command[1]]
@@ -617,20 +622,26 @@ def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, command, messa
     assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_eval_oracle_guard(dataset, tmp_path):
-    run_dir = tmp_path / "run"
-    assert main(["solve", str(dataset), "--gamma", "0.05", "--C", "4", "--T", "50",
-                 "--grid-m", "20", "--out-dir", str(run_dir)]) == 0
-    proc = run_cli("eval", str(dataset), "--mixture", str(run_dir / "mixture.json"),
-                   "--oracle", "--max-cells", "2", "--out-dir", str(tmp_path / "o"))
+def test_eval_oracle_guard(tmp_path):
+    """eval --oracle refuses an LP over MAX_CELL_GROUPS cells x groups with
+    exit 1: 1,001 scores x 16 patterns of 4 group columns is 16,016 cells,
+    and the synthesized group I makes 5 groups."""
+    data, run_dir = tmp_path / "wide.csv", tmp_path / "run"
+    rows = [f"{i},{k / 1000!r},{','.join(str(mask >> j & 1) for j in range(4))}\n"
+            for i, (k, mask) in enumerate(itertools.product(range(1001), range(16)))]
+    data.write_text("id,score,g_a,g_b,g_c,g_d\n" + "".join(rows))
+    assert main(["solve", str(data), "--T", "1", "--grid-m", "1000",
+                 "--out-dir", str(run_dir)]) == 0
+    proc = run_cli("eval", str(data), "--mixture", str(run_dir / "mixture.json"),
+                   "--oracle", "--out-dir", str(tmp_path / "o"))
     assert proc.returncode == 1
-    assert "guard" in proc.stderr
+    assert "error: oracle: 16016 cells x 5 groups = 80080 exceed LP guard 50000" in proc.stderr
 
 
 @pytest.fixture(scope="module")
 def wide_eval(tmp_path_factory):
-    """eval --oracle at the default --max-cells on a solved 400-cell, 4-group
-    dataset (the sweep_wide shape): (exit code, evaluation.json, data, mixture)."""
+    """eval --oracle on a solved 400-cell, 4-group dataset (the sweep_wide
+    shape): (exit code, evaluation.json, data, mixture)."""
     root = tmp_path_factory.mktemp("wide")
     data, run_dir, out = root / "data.csv", root / "run", root / "eval"
     assert main(["synth", "--seed", "2", "--n-cells", "400", "--n-groups", "4",
@@ -646,7 +657,7 @@ def wide_eval(tmp_path_factory):
 def test_eval_oracle_at_400_cells(wide_eval):
     code, report, data, _ = wide_eval
     assert code == 0
-    assert read_dataset(str(data), 100)[0].n_cells == 400
+    assert read_dataset(str(data), 100).n_cells == 400
     oracle = report["oracle"]
     assert 1 <= oracle["support_size"] <= 401
     assert oracle["err_gap"] == report["err_hat"] - oracle["opt_value"]
@@ -660,7 +671,7 @@ def test_eval_oracle_is_the_solvers_program(wide_eval):
     from reference_oracle import highs_optimum
 
     _, report, data, mixture_path = wide_eval
-    dist = read_dataset(str(data), 100)[0]
+    dist = read_dataset(str(data), 100)
     mixture = load_mixture(str(mixture_path))[0]
     highs = highs_optimum(scipy_opt.linprog, dist, mixture.notion, mixture.base,
                           report["oracle"]["gamma"])
@@ -672,7 +683,7 @@ def _mixture_file(tmp_path, lambdas):
     writes it."""
     data = tmp_path / "tiny.csv"
     data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
-    dist, _ = read_dataset(str(data), 4)
+    dist = read_dataset(str(data), 4)
     # beta = 1/2 keeps every group sum of rows within +-1e308 finite
     base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
     mix = MixtureClassifier(np.asarray(lambdas, dtype=float), FairnessNotion.FP, base)
@@ -696,7 +707,7 @@ def test_chunked_mixture_bytes_equal_write_json(tmp_path, monkeypatch, chunk, T)
     lam = rng.standard_normal((T, 3)) * 10.0 ** rng.integers(-300, 300, size=(T, 3))
     data = tmp_path / "tiny.csv"
     data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
-    dist, _ = read_dataset(str(data), 4)
+    dist = read_dataset(str(data), 4)
     base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
     mix = MixtureClassifier(lam, FairnessNotion.FP, base)
     payload = cli._mixture_payload(mix, dist, 0.05)

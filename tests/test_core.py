@@ -80,7 +80,7 @@ def test_build_cells_errors():
 
 
 def test_cell_distribution_invariants():
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     with pytest.raises(ValueError, match="sum"):
         dist_from_cells(10, system, [Cell(0.5, 1, 0.7)])
     with pytest.raises(ValueError, match="duplicate"):
@@ -153,9 +153,8 @@ def test_rule_is_function_of_score_and_mask(rng):
 def test_group_system_validation():
     with pytest.raises(ValueError, match="unique"):
         GroupSystem(("a", "a"))
-    system = GroupSystem(("I", "g"), includes_all_group=True)
-    with pytest.raises(ValueError, match="covers"):
-        dist_from_cells(2, system, [Cell(0.5, 1, 0.5), Cell(0.0, 2, 0.5)])
+    with pytest.raises(ValueError, match="at least one group"):
+        GroupSystem(())
 
 
 @st.composite

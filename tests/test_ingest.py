@@ -1,8 +1,8 @@
 """The array data path against the row-by-row code it replaced.
 
 `reference_ingest` keeps the old `read_dataset`, `build_cells` and synth
-loop verbatim.  Ingest must give the same distribution and `has_labels`, or
-the same `InputError` text; synth must write the same bytes.  Scalar uint64
+loop verbatim.  Ingest must give the same distribution, labeled where the
+reference's `has_labels` says so, or the same `InputError` text; synth must write the same bytes.  Scalar uint64
 arithmetic that overflows warns, so these tests turn RuntimeWarning into an
 error.
 """
@@ -31,19 +31,27 @@ def _cells(dist):
 
 
 def _ingest(read, path, grid_m):
-    """(kind, value): ("ok", cells and has_labels), ("input", message) or
-    ("other", exception type) for an error that is not an InputError."""
+    """(kind, value): ("ok", cells and whether they are labeled), ("input",
+    message) or ("other", exception type) for an error that is not an
+    InputError."""
     try:
-        dist, has_labels = read(str(path), grid_m)
+        dist = read(str(path), grid_m)
     except InputError as exc:
         return "input", str(exc)
     except (UnicodeDecodeError, csv.Error) as exc:
         return "other", type(exc).__name__
-    return "ok", (_cells(dist), has_labels)
+    return "ok", (_cells(dist), dist.label_means is not None)
+
+
+def _ref_read(path, grid_m):
+    """The reference's distribution, labeled exactly when its has_labels says so."""
+    dist, has_labels = ref.read_dataset(path, grid_m)
+    assert (dist.label_means is not None) == has_labels
+    return dist
 
 
 def assert_same_ingest(path, grid_m):
-    want = _ingest(ref.read_dataset, path, grid_m)
+    want = _ingest(_ref_read, path, grid_m)
     got = _ingest(read_dataset, path, grid_m)
     if want[0] == "other":
         # the old loop let non-UTF-8 bytes and csv errors escape as tracebacks
@@ -128,9 +136,9 @@ def test_synth_dataset_takes_array_path(tmp_path, monkeypatch, chunk):
                  "--grid-m", "50", "--samples", "3000", "--out", str(path)]) == 0
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     source = {}
-    dist, has_labels = read_dataset(str(path), 50, source)
+    dist = read_dataset(str(path), 50, source)
     want, want_labels = ref.read_dataset(str(path), 50)
-    assert (_cells(dist), has_labels) == (_cells(want), want_labels)
+    assert (_cells(dist), dist.label_means is not None) == (_cells(want), want_labels)
     assert source == {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                       "rows": 3000, "cells": dist.n_cells, "parser": "array"}
 

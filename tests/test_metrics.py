@@ -134,7 +134,7 @@ def test_constraint_linear_in_mixture(rng):
 
 def test_true_rates_bayes_error():
     from fairpost import GroupSystem
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     dist = dist_from_cells(10, system, [Cell(0.2, 1, 0.5, 0.2), Cell(0.8, 1, 0.5, 0.8)])
     rep = true_rates(np.array([0.0, 1.0]), dist, "fp")  # threshold at 1/2
     assert rep.err == pytest.approx(0.2)

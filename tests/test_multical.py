@@ -156,7 +156,7 @@ def test_audit_zero_when_scores_are_label_means():
 
 
 def test_audit_constant_check_calibrated_levels():
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     # the assignment pools the first two cells into one level whose
     # conditional mean equals the level value
     dist = dist_from_cells(10, system, [
@@ -211,7 +211,7 @@ def test_audit_invariant_under_cell_permutation(rng):
 
 
 def test_brier_values():
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     dist = dist_from_cells(2, system, [Cell(0.0, 1, 0.5, 0.0), Cell(1.0, 1, 0.5, 1.0)])
     assert brier(np.array([0.0, 1.0]), dist) == 0.0
     assert brier(np.array([0.5, 0.5]), dist) == 0.25
@@ -242,7 +242,7 @@ def test_calibrate_identity_when_already_calibrated():
 
 def test_calibrate_single_patch_closed_form():
     # one level set, one constant check, f=0.9 against true mean 0.1
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     dist = dist_from_cells(100, system, [Cell(0.9, 1, 1.0, 0.1)])
     result = calibrate(np.array([0.9]), [CheckFunction("group", 0)], dist, alpha=0.01)
     assert result.rounds == 1
@@ -284,7 +284,7 @@ def test_calibrate_patch_ties_pick_lowest_level():
     # two offending levels with exactly equal squared-violation mass
     # (0.25 and 0.75 against a 0.5 mean are exact in binary): the patch
     # must repair the lower level first
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     dist = dist_from_cells(4, system, [
         Cell(0.25, 1, 0.5, 0.5), Cell(0.75, 1, 0.5, 0.5),
     ])
@@ -539,7 +539,7 @@ def test_calibrate_matches_reference_with_ties_and_repeated_levels():
     # equal masses and label means that are exact binary fractions: many
     # (level, check) terms tie exactly, duplicate checks tie across check
     # indices, and a patch can move a set onto an occupied level
-    system = GroupSystem(("I", "a", "b"), includes_all_group=True)
+    system = GroupSystem(("I", "a", "b"))
     cells = []
     for j, (score, mask) in enumerate(itertools.product(
             (0.0, 0.25, 0.5, 0.75, 1.0), (1, 3, 5, 7))):
@@ -558,7 +558,7 @@ def test_calibrate_matches_reference_with_ties_and_repeated_levels():
 def _singular_level_dist():
     # levels 0, 1/2 and 1 all occupied: d(v) is infinite there for FN, ERR
     # and FP respectively
-    system = GroupSystem(("I", "a", "b"), includes_all_group=True)
+    system = GroupSystem(("I", "a", "b"))
     scores = (0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0)
     cells = []
     for j, (score, mask) in enumerate(itertools.product(scores, (1, 3, 5, 7))):

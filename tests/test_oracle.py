@@ -17,6 +17,7 @@ from fairpost import (
     simplex_solve,
     surrogate_error,
 )
+from fairpost import oracle
 from fairpost.oracle import InfeasibleError, _staircase
 
 import reference_oracle
@@ -97,7 +98,7 @@ def test_oracle_vacuous_gamma_is_bayes():
 
 
 def test_oracle_single_cell():
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     dist = dist_from_cells(10, system, [Cell(0.3, 1, 1.0, 0.3)])
     base = base_rates(dist, "fp", "from_labels")
     sol = enumerate_optimum(dist, "fp", base, gamma=0.0)
@@ -130,15 +131,22 @@ def test_oracle_monotone_in_gamma(biased_instance):
             assert lo >= hi - 1e-9
 
 
-def test_oracle_cell_guard():
+def test_oracle_cell_guard(monkeypatch):
+    """The guard is on n_cells * n_groups: at the cap the LP is solved, one
+    below it is refused before the LP is built."""
     dist, _ = make_dist(51, n_cells=12, n_groups=1)
     base = base_rates(dist, "fp", "from_labels")
-    with pytest.raises(ValueError, match="guard"):
-        enumerate_optimum(dist, "fp", base, 0.1, max_cells=8)
+    size = dist.n_cells * dist.n_groups
+    monkeypatch.setattr(oracle, "MAX_CELL_GROUPS", size)
+    enumerate_optimum(dist, "fp", base, 0.1)
+    monkeypatch.setattr(oracle, "MAX_CELL_GROUPS", size - 1)
+    monkeypatch.setattr(oracle, "simplex_solve", None)
+    with pytest.raises(ValueError, match=f"12 cells x 2 groups = 24 exceed LP guard {size - 1}"):
+        enumerate_optimum(dist, "fp", base, 0.1)
 
 
 def test_pointwise_argmin_values():
-    system = GroupSystem(("I",), includes_all_group=True)
+    system = GroupSystem(("I",))
     cells = [Cell(0.6, 1, 0.6, 0.6), Cell(0.5, 1, 0.4, 0.5)]
     dist = dist_from_cells(10, system, cells)
     base = base_rates(dist, "fp", "from_labels")
@@ -251,26 +259,29 @@ def test_staircase_rebuilds_p(levels):
     assert np.abs(weights @ bits - p).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n_cells, n_groups, profile, grid_m", [
-    pytest.param(100, 2, "two_group_bias", 100, id="100-2"),
-    pytest.param(400, 4, "two_group_bias", 100, id="400-4"),
-    pytest.param(1000, 4, "two_group_bias", 1000, id="1000-4"),
-    pytest.param(150, 12, "adversarial_overlap", 100, id="150-12-overlap"),
+@pytest.mark.parametrize("seed, n_cells, n_groups, profile, grid_m, perturbed", [
+    pytest.param(2, 100, 2, "two_group_bias", 100, 1, id="100-2"),
+    pytest.param(2, 400, 4, "two_group_bias", 100, 1, id="400-4"),
+    pytest.param(2, 1000, 4, "two_group_bias", 1000, 1, id="1000-4"),
+    pytest.param(2, 150, 12, "adversarial_overlap", 100, 1, id="150-12-overlap"),
+    # at ERR and gamma = 0 the vertex holds 0.5 - eps, 0.5 and 0.5 + eps; kept
+    # apart, they made labelings of weight 2.8e-16 and 1.9e-15
+    pytest.param(41479, 5, 4, "uniform", 20, 0, id="5-4-rounding-levels"),
 ])
-def test_oracle_at_scale(n_cells, n_groups, profile, grid_m):
-    """At the sweep_wide shape, past the 400-cell guard and over 13
-    overlapping groups: HiGHS agrees to 1e-9, and the staircase support is a
-    feasible mixture whose error is the optimum, at gamma = 0.01 and at the
+def test_oracle_at_scale(seed, n_cells, n_groups, profile, grid_m, perturbed):
+    """At the sweep_wide shape, at 1,000 cells and over 13 overlapping
+    groups: HiGHS agrees to 1e-9, and the staircase support is a feasible
+    mixture whose error is the optimum, at gamma = 0.01 and at the
     degenerate gamma = 0.  A vertex has at most |G| fractional cells and
     every other cell exactly on 0 or 1, so the support holds at most
     |G| + 1 labelings, none of rounding weight."""
     scipy_opt = pytest.importorskip("scipy.optimize")
-    _, dist = make_dist(2, n_cells=n_cells, n_groups=n_groups, grid_m=grid_m,
-                        profile=profile)
+    dist = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=grid_m,
+                     profile=profile)[perturbed]
     assert dist.n_cells == n_cells
     for gamma, notion in itertools.product((0.01, 0.0), NOTIONS):
         base = base_rates(dist, notion, "from_scores")
-        sol = enumerate_optimum(dist, notion, base, gamma, max_cells=n_cells)
+        sol = enumerate_optimum(dist, notion, base, gamma)
         highs = reference_oracle.highs_optimum(scipy_opt.linprog, dist, notion, base, gamma)
         assert abs(sol.opt_value - highs) <= 1e-9
 

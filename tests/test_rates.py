@@ -47,7 +47,7 @@ def grid_dists(draw):
     cells = [Cell(k / m, 1 | (mask << 1), w / total, lab / m)
              for (k, mask), w, lab in zip(keys, weights, labels)]
     names = ("I",) + tuple(f"g{i}" for i in range(1, n_groups))
-    return dist_from_cells(m, GroupSystem(names, includes_all_group=True), cells)
+    return dist_from_cells(m, GroupSystem(names), cells)
 
 
 def _bits(x):
@@ -124,10 +124,10 @@ def test_dual_gradient_is_the_reported_constraint(dist, notion, mode, gamma, bin
     is (c - gamma, -c - gamma) with c = constraint_vector, bit for bit, at
     0/1 and at fractional positive probabilities."""
     base = _base_or_skip(dist, notion, mode)
-    h = (_decisions if binary else _probabilities)(data, dist.n_cells)
-    for scores_as_f in (True, False):
-        c = constraint_vector(h, dist, notion, base, scores_as_f)
-        grad_plus, grad_minus = ref.dual_gradient(h, dist, notion, base, gamma, scores_as_f)
+    for d in (dist, dist.with_scores_from_labels()):    # f = the scores, then the labels
+        h = (_decisions if binary else _probabilities)(data, d.n_cells)
+        c = constraint_vector(h, d, notion, base)
+        grad_plus, grad_minus = ref.dual_gradient(h, d, notion, base, gamma)
         assert np.array_equal(_bits(grad_plus), _bits(c - gamma))
         assert np.array_equal(_bits(grad_minus), _bits(-c - gamma))
 
@@ -137,21 +137,24 @@ def test_dual_gradient_is_the_reported_constraint(dist, notion, mode, gamma, bin
 def test_metrics_match_reference_at_fractional_p(dist, notion, mode, data):
     p = _probabilities(data, dist.n_cells)
     base = _base_or_skip(dist, notion, mode)
+    got = constraint_vector(p, dist, notion, base)
+    assert np.abs(got - ref.constraint_vector(p, dist, notion, base)).max() <= 1e-12
+    assert abs(surrogate_error(p, dist) - ref.surrogate_error(p, dist)) <= 1e-12
     for scores_as_f in (True, False):
-        got = constraint_vector(p, dist, notion, base, scores_as_f)
-        want = ref.constraint_vector(p, dist, notion, base, scores_as_f)
-        assert np.abs(got - want).max() <= 1e-12
         for g in [None, *range(dist.n_groups)]:
             got = ref.table_group_rate(p, g, dist, scores_as_f, notion)
             want = ref.surrogate_group_rate(p, g, dist, scores_as_f, notion)
             assert abs(got - want) <= 1e-12
-        assert abs(surrogate_error(p, dist, scores_as_f)
-                   - ref.surrogate_error(p, dist, scores_as_f)) <= 1e-12
         f = dist.scores if scores_as_f else dist.label_means
         assert abs(error_rate(p, f, dist.masses)
                    - ref.surrogate_error(p, dist, scores_as_f)) <= 1e-12
 
     got, want = true_rates(p, dist, notion), ref.true_rates(p, dist, notion)
+    # the signed constraint at the label means, against the label base
+    # rates, is true_rates' violation up to its sign
+    if mode == "from_labels":
+        label_form = ref.constraint_vector(p, dist, notion, base, scores_as_f=False)
+        assert np.abs(np.abs(label_form) - got.violation_by_group).max() <= 1e-12
     assert got.notion is want.notion
     assert got.degenerate_groups == want.degenerate_groups
     for field in ("err", "rho_overall", "max_violation"):

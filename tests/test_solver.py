@@ -348,18 +348,6 @@ def test_run_sampled_converges_to_exact():
             1 / 5 + 2 / 25 + 8 * eps / 5)
 
 
-def test_run_scores_as_f_false_rebases_on_label_means():
-    dist, pert = make_dist(37, n_cells=12, n_groups=2, grid_m=20, miscalibration=0.4)
-    cfg = SolverConfig(notion="fp", gamma=0.05, C=2.0, T=100, record_every=50)
-    res = run(pert, cfg, scores_as_f=False)
-    rebased = pert.with_scores_from_labels()
-    want = run(rebased, cfg)
-    assert np.array_equal(res.mixture.lambdas, want.mixture.lambdas)
-    # the mixture's own decisions match what the dynamics optimized
-    assert np.array_equal(res.mixture.positive_prob_vector(rebased),
-                          want.mixture.positive_prob_vector(rebased))
-
-
 def test_run_sampled_is_reproducible():
     dist, _ = make_dist(2, n_cells=10, n_groups=2)
     cfg = SolverConfig(notion="fp", gamma=0.02, C=3.0, T=50, record_every=10)
@@ -784,7 +772,7 @@ def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
     assert main(["synth", "--seed", "2", "--n-cells", "400", "--n-groups", "4",
                  "--profile", "two_group_bias", "--grid-m", "100", "--samples", "50000",
                  "--out", str(data)]) == 0
-    dist, _ = read_dataset(str(data), 100)
+    dist = read_dataset(str(data), 100)
     assert dist.n_cells == 400
     configs = _configs([0.005, 0.01, 0.02, 0.05], notion="sp", C=6.0)
     batches = list(run_batches(dist, configs))
