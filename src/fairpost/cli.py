@@ -29,6 +29,7 @@ from .core import (
     FairnessNotion,
     MixtureClassifier,
     BaseRates,
+    _check_grid,
     aggregate_cells,
     build_cells,  # noqa: F401  (bench/spans.py traces it by this name)
 )
@@ -324,8 +325,10 @@ def _load_config(args) -> dict:
                 raise InputError(f"unknown config key {key!r}")
         config.update(loaded)
     config.update({key: flag for key in config if (flag := getattr(args, key, None)) is not None})
-    if type(config["grid_m"]) is not int or config["grid_m"] < 1:
-        raise InputError(f"grid_m must be a positive integer, not {config['grid_m']!r}")
+    try:    # refused here, before any input is read
+        _check_grid(config["grid_m"])
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return config
 
 
@@ -553,6 +556,7 @@ def cmd_solve(args) -> int:
         out_dir, "solve", config, source, timings,
         ["mixture.json", "trajectory.csv", "report.json"],
         extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
+               "speculation": result.speculation,
                "mixture_bytes": mixture_path.stat().st_size}, write_start=t4)
     return code
 

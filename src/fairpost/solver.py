@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, List, Optional, Union
 
@@ -57,6 +58,12 @@ class BudgetExceededError(RuntimeError):
 # bytes.  One solver loop over K gammas holds K such histories, so
 # run_batches gives each loop as many gammas as fit under the cap.
 LAMBDA_HISTORY_CAP = 1 << 30
+
+# Speculative blocks of K = 1 exact runs: the predictor's suffix lengths
+# and lag, the block widths and their cap on rows x cells, and the backoff
+# (README "Speculative blocks").
+BLOCK_CONTEXT, BLOCK_MAX_LAG, BLOCK_WIDTH, BLOCK_CELLS = (16, 1024), 8192, (32, 4096), 1 << 17
+BLOCK_MIN_KEPT, BLOCK_MAX_WAIT = 16, 4096
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,8 @@ class SolveResult:
     # distinct decision patterns in the step cache (0 for sampled runs,
     # whose rounds bypass it)
     counters: dict = field(default_factory=dict)
+    # speculative blocks attempted and the rounds they kept
+    speculation: dict = field(default_factory=dict)
 
 
 def iteration_budget(C: float, group_count: int) -> int:
@@ -243,7 +252,8 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
     decide_batch: one stacked matvec and one compare per round for all K
     duals.  The dual step depends only on the 0/1 decision pattern, so
     exact-rate runs compute each row's step once per distinct pattern;
-    sampled rounds (K = 1 only) recompute it every round.
+    sampled rounds (K = 1 only) recompute it every round.  K = 1 exact runs
+    also replay recurring patterns in speculative blocks (block).
 
     State arrays carry a batch shape, () when K = 1 and (K, 1) when K > 1:
     the dual is batch + (2|G|,) and round t's lambdas are lam_hist[t - 1],
@@ -319,10 +329,13 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
 
     def miss(k, key):
         # the terms of row k at a decision pattern it has not met before
+        nonlocal speculate, next_try
         pattern_rates = patterns.get(key)
         if pattern_rates is None:
             pattern_rates = patterns[key] = rates(np.frombuffer(key, dtype=bool), masses)
-        terms = caches[k][key] = round_terms(pattern_rates, gammas[k])
+        terms = caches[k][key] = round_terms(pattern_rates, gammas[k]) + (len(caches[k]),)
+        if terms[3] > 255:
+            speculate, next_try = False, T + 1
         return terms
 
     def bring_back(k):
@@ -335,7 +348,76 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
             row_m[:] = projected.lambda_minus
             projections[k] += 1
 
-    for t, lam in enumerate(lam_hist, 1):
+    # speculative blocks (K = 1 exact runs): the pattern id of every round
+    # (the fourth term of the cached terms; ids past a byte end speculation),
+    # the duals after the rounds since the last attempt, and a rolling
+    # window with the duals after round t in row t % len(window)
+    speculate = K == 1 and sampler is None and not compute_gap
+    ids, recent, window = bytearray(), [], np.zeros((min(BLOCK_MAX_LAG, T + 1), 2 * n_groups))
+    next_try = BLOCK_CONTEXT[0] + 1 if speculate else T + 1
+    width, wait, tables, blocks, kept_rounds = BLOCK_WIDTH[0], 1, ([],), 0, 0
+
+    def block(n):
+        # guess that rounds n + 1.. replay the ids that followed the latest
+        # earlier occurrence of the longest recurring suffix of the ids, keep
+        # the prefix that the loop's own arithmetic confirms and skip it
+        nonlocal next_try, width, wait, tables, blocks, kept_rounds
+        window[np.arange(n + 1 - len(recent), n + 1) % len(window)] = recent
+        recent.clear()
+        lag, size = 0, BLOCK_CONTEXT[0]
+        while size <= min(BLOCK_CONTEXT[1], n - 1):
+            # a suffix recurring at a shorter one's lag recurs there latest, else further back
+            suffix = ids[n - size:]
+            if not (lag and suffix == ids[n - size - lag:n - lag]):
+                at = ids.rfind(suffix, max(0, n - size - BLOCK_MAX_LAG), n - lag - 1)
+                if at < 0:
+                    break
+                lag = n - size - at
+            size *= 2
+        w, kept = min(width, BLOCK_WIDTH[1], BLOCK_CELLS // n_cells, T - n), 0
+        if lag and w:
+            if len(tables[0]) != len(cache):    # by id: terms, steps, patterns
+                tables = (list(cache.values()), np.array([v[0] for v in cache.values()]),
+                          np.frombuffer(b"".join(cache), bool).reshape(len(cache), n_cells))
+            pattern = (ids[n - lag:] * (w // lag + 1))[:w]
+            guess = np.frombuffer(pattern, np.uint8)
+            steps = tables[1][guess]
+            # duals after rounds n.. n + w: the sequential sums clipped at 0,
+            # right where a column stays positive or at 0; where they fail the
+            # loop's update, the duals lag rounds back, as a column bouncing
+            # off 0 repeats with the ids
+            V = np.maximum(np.cumsum(np.concatenate((dual[None], steps)), axis=0), 0.0)
+            held = np.maximum(zeros, V[:-1] + steps) == V[1:]
+            bounce = ~held.all(axis=0)
+            if bounce.any():
+                np.copyto(V[1:], window[(n - lag + 1 + np.arange(w) % lag) % len(window)],
+                          where=bounce)
+                held = np.maximum(zeros, V[:-1] + steps) == V[1:]
+            lams = np.subtract(V[:-1, :n_groups], V[:-1, n_groups:], out=lam_hist[n:n + w])
+            decided = (lams[:, None] @ smemb)[:, 0] <= thresh
+            bad = np.flatnonzero(~(held.all(axis=1) & (decided == tables[2][guess]).all(axis=1)))
+            kept = int(bad[0]) if bad.size else w
+            over = np.flatnonzero(V[1:kept + 1].sum(axis=1) > l1_safe)
+            kept = int(over[0]) + 1 if over.size else kept
+        if kept:
+            dual[:] = V[kept]
+            if over.size:    # the last kept round left the safe line
+                bring_back(0)
+                V[kept] = dual
+            ids.extend(pattern[:kept])
+            window[np.arange(n + 1, n + kept + 1) % len(window)] = V[1:kept + 1]
+            for t in range(n + 1 + (-n) % record_every, n + kept + 1, record_every):
+                _, err_hat, max_violation, _ = tables[0][pattern[t - n - 1]]
+                trajectories[0].append(TrajectoryRecord(t, err_hat, max_violation, float(
+                    V[t - n, :n_groups].sum() + V[t - n, n_groups:].sum())))
+        blocks, kept_rounds = blocks + 1, kept_rounds + kept
+        width = max(BLOCK_WIDTH[0], 2 * kept)
+        wait = 1 if kept >= BLOCK_MIN_KEPT else min(2 * wait, BLOCK_MAX_WAIT)
+        next_try = n + kept + wait
+        next(islice(rounds, kept, kept), None)
+
+    rounds = enumerate(lam_hist, 1)
+    for t, lam in rounds:
         np.subtract(lam_p, lam_m, out=lam)
         h = lam @ smemb <= thresh
 
@@ -368,8 +450,13 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
         # scalar 0.0 each call and gives the same bits
         if K == 1:
             np.maximum(zeros, dual + row_terms[0], out=dual)
-            if sum(dual.tolist()) > l1_safe:
+            values = dual.tolist()
+            if sum(values) > l1_safe:
                 bring_back(0)
+                values = dual.tolist()
+            if speculate:
+                ids.append(row_terms[3])
+                recent.append(values)
         else:
             np.maximum(zeros, flat + np.concatenate(list(map(first, terms))), out=flat)
             if max(map(sum, by_row.tolist())) > l1_safe:
@@ -383,15 +470,13 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
                 gap = _gap_estimate(
                     dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
                     memb, beta, notion, gamma, C)
-            for row_p, row_m, (_, err_hat, max_violation), trajectory in zip(
+            for row_p, row_m, (_, err_hat, max_violation, *_), trajectory in zip(
                     rows_p, rows_m, (row_terms,) if K == 1 else terms, trajectories):
                 trajectory.append(TrajectoryRecord(
-                    t=t,
-                    err_hat=err_hat,
-                    max_violation_hat=max_violation,
-                    lambda_l1=float(row_p.sum() + row_m.sum()),
-                    duality_gap_estimate=gap,
-                ))
+                    t, err_hat, max_violation, float(row_p.sum() + row_m.sum()), gap))
+
+        if t >= next_try:
+            block(t)
 
     return [SolveResult(
         mixture=MixtureClassifier(hists[k], notion, base),
@@ -404,6 +489,7 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
         estimation_deviations=deviations,
         counters={"rounds": T, "projections": projections[k],
                   "distinct_decisions": len(caches[k])},
+        speculation={"blocks": blocks, "speculated_rounds": kept_rounds},
     ) for k in range(K)]
 
 

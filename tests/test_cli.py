@@ -80,6 +80,9 @@ def test_solve_manifest_counters_and_timings(dataset, tmp_path):
     assert counters["rounds"] == report["iterations"] == 300
     assert 0 < counters["projections"] <= counters["rounds"]
     assert 1 <= counters["distinct_decisions"] <= counters["rounds"]
+    speculation = manifest["speculation"]
+    assert set(speculation) == {"blocks", "speculated_rounds"}
+    assert speculation["blocks"] >= 1 and 0 <= speculation["speculated_rounds"] < 300
     assert manifest["peak_rss_mb"] > 0.0
 
 

@@ -700,6 +700,79 @@ def test_stacked_matvec_rows_equal_1d_products(n_groups, n_cells):
                 assert S[k, 0].tobytes() == want.tobytes()
 
 
+def test_stacked_matvec_rows_of_a_block_equal_1d_products():
+    # a speculative block decides its w rounds with one (w, 1, |G|) @ smemb
+    # over a slice of the (T, |G|) history, up to the widest block
+    rng = np.random.Generator(np.random.PCG64(7))
+    for n_groups, n_cells in ((2, 8), (3, 8), (4, 400)):
+        smemb = rng.standard_normal((n_groups, n_cells)) * rng.uniform(0.1, 10.0)
+        w = min(solver.BLOCK_WIDTH[1], solver.BLOCK_CELLS // n_cells)
+        hist = rng.standard_normal((w + 5, n_groups))
+        for lo in (0, 3):
+            S = hist[lo:lo + w][:, None] @ smemb
+            for k in range(w):
+                assert S[k, 0].tobytes() == (hist[lo + k] @ smemb).tobytes()
+
+
+@pytest.mark.parametrize("n_cols", [2, 4, 6, 24])
+def test_cumsum_rows_equal_the_sequential_update(n_cols):
+    # a block's duals where they stay positive are np.cumsum over the rows
+    # (dual, step_1, step_2, ...); numpy accumulates axis 0 row by row, so
+    # row i has the bits of i in-place updates dual + step, as the loop makes
+    rng = np.random.Generator(np.random.PCG64(n_cols))
+    for scale in (1e-6, 1e-3, 1.0):
+        dual = rng.uniform(0.0, 5.0, n_cols)
+        steps = rng.standard_normal((4096, n_cols)) * scale
+        rows = np.cumsum(np.concatenate((dual[None], steps)), axis=0)
+        for i, step in enumerate(steps, 1):
+            dual = dual + step
+            assert rows[i].tobytes() == dual.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_cells=st.integers(2, 12), n_groups=st.integers(1, 3),
+       grid_m=st.sampled_from([2, 20]), notion=st.sampled_from(NOTIONS),
+       C=st.sampled_from([0.5, 1.0, 10.0]), gamma=st.sampled_from([0.0, 0.01]),
+       eta=st.sampled_from(["auto", 0.05]), record_every=st.sampled_from([1, 7, 100]),
+       T=st.integers(1, 20000) | st.sampled_from([3000, 20000]))
+def test_speculative_blocks_match_the_reference_loop(seed, n_cells, n_groups, grid_m, notion,
+                                                     C, gamma, eta, record_every, T):
+    # K = 1 exact runs replay recurring decision patterns in blocks; every
+    # kept round must be the reference loop's, projections included
+    if grid_m == 2 and n_groups < 3:    # 3 scores on the 1/2 grid: at most 6 cells
+        n_cells = min(n_cells, 6)
+    dist, _ = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=grid_m,
+                        profile="two_group_bias")
+    try:
+        base_rates(dist, FairnessNotion.coerce(notion), "from_scores")
+    except ValueError:    # a label marginal of 0 or 1 has no constrained problem
+        assume(False)
+    cfg = SolverConfig(notion=notion, gamma=gamma, C=C, eta=eta, T=T,
+                       record_every=record_every)
+    _assert_same_run(run(dist, cfg), reference_run_loop(dist, cfg))
+
+
+def test_speculative_blocks_carry_the_fixture_run(biased_instance):
+    result = run(biased_instance, SolverConfig(notion="fp", gamma=0.01, C=10.0))
+    assert result.speculation["speculated_rounds"] >= 0.9 * result.T
+    # batched, duality-gap and sampled runs go round by round
+    config = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=3000)
+    for got in (*run_many(biased_instance, [config, dataclasses.replace(config, gamma=0.02)]),
+                run(biased_instance, dataclasses.replace(config, compute_gap=True)),
+                run_sampled(biased_instance, 5, dataclasses.replace(config, T=300), 0.1, 0.1)):
+        assert got.speculation == {"blocks": 0, "speculated_rounds": 0}
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_speculative_blocks_back_off_when_projecting(biased_instance, notion):
+    # test_round_body_matches_parent_loop's C = 0.5 case: a projection ends
+    # every block, so short blocks double the wait before the next attempt
+    cfg = SolverConfig(notion=notion, gamma=0.0, C=0.5, eta=0.05, T=3000, record_every=7)
+    result = run(biased_instance, cfg)
+    assert result.counters["projections"] > 0.5 * cfg.T
+    assert result.speculation["blocks"] < 0.02 * cfg.T
+
+
 def test_run_many_one_gamma_at_a_time_for_gap_and_sampler(biased_instance, monkeypatch):
     configs = _configs([0.01, 0.05], notion="fp", C=2.0, T=10)
     with pytest.raises(ValueError, match="one gamma at a time"):
