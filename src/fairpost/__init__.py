@@ -25,7 +25,6 @@ from .solver import (
     iteration_budget,
     project_l1,
     run,
-    run_many,
     run_sampled,
     sample_size,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "MixtureClassifier", "aggregate_cells", "build_cells",
     "RateReport", "base_rates", "constraint_vector", "surrogate_error", "true_rates",
     "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
-    "TrajectoryRecord", "iteration_budget", "project_l1", "run", "run_many",
+    "TrajectoryRecord", "iteration_budget", "project_l1", "run",
     "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "default_checks",

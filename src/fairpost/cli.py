@@ -37,7 +37,7 @@ from .metrics import base_rates, constraint_vector, surrogate_error, true_rates
 from .multical import (assignment_from_scores, audit, brier, calibrate, default_checks,
                        round_cap)
 from .oracle import InfeasibleError, enumerate_optimum
-from .solver import BudgetExceededError, SolverConfig, run, run_batches
+from .solver import BudgetExceededError, SolverConfig, run
 from .synth import SplitMix64, SynthSpec, gen_instance
 
 __all__ = ["main"]
@@ -563,7 +563,11 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_row(dist, gamma, result):
+def _sweep_row(dist, config, counters):
+    # one gamma's run and its pareto.csv row; the run's lambda history is
+    # freed on return, so the sweep holds one at a time
+    gamma, result = config.gamma, run(dist, config)
+    counters.append({"gamma": gamma, **result.counters, "speculation": result.speculation})
     err_hat, cons, rep = _evaluate(result.mixture, dist)
     if rep is not None:
         return gamma, err_hat, rep.err, rep.max_violation, "ok"
@@ -588,21 +592,13 @@ def cmd_sweep(args) -> int:
     source = {}
     dist = read_dataset(args.dataset, config["grid_m"], source)
     t1 = time.perf_counter()
-    # the solver runs the gammas in as few loops as LAMBDA_HISTORY_CAP
-    # admits; every failure is reported per gamma, in the csv
-    rows, counters, batches = [], [], 0
-    try:
-        for results in run_batches(dist, configs):
-            batches += 1
-            for result in results:
-                g = gammas[len(rows)]
-                try:
-                    rows.append(_sweep_row(dist, g, result))
-                except Exception as exc:
-                    rows.append(_error_row(g, exc))
-                counters.append({"gamma": g, **result.counters})
-    except Exception as exc:    # the rest fail alike: they share T and |G|
-        rows += [_error_row(g, exc) for g in gammas[len(rows):]]
+    # one run per gamma; every failure is reported per gamma, in the csv
+    rows, counters = [], []
+    for solver_config in configs:
+        try:
+            rows.append(_sweep_row(dist, solver_config, counters))
+        except Exception as exc:
+            rows.append(_error_row(solver_config.gamma, exc))
     failures = sum(row[4] != "ok" for row in rows)
     t2 = time.perf_counter()
 
@@ -617,7 +613,7 @@ def cmd_sweep(args) -> int:
         outputs.append("pareto.svg")
     _write_manifest(out_dir, "sweep", config, source,
                     {"parse": t1 - t0, "sweep": t2 - t1}, outputs,
-                    extra={"counters": counters, "solver_batches": batches},
+                    extra={"counters": counters},
                     write_start=t2)
     return EXIT_OK if failures == 0 else EXIT_INPUT
 

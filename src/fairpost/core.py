@@ -297,7 +297,7 @@ class MixtureClassifier:
         binary search; one with fewer points compares each point against the
         sums, which costs less than the sort.  Both count the same rules
         exactly, and the ordered sum, unlike a BLAS product that may block and
-        fuse with the batch shape, does not depend on the other points
+        fuse by the number of points, does not depend on the other points
         evaluated with it.
         """
         T, g = self.lambdas.shape

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = [
     "sample_size",
     "project_l1",
     "run",
-    "run_many",
-    "run_batches",
     "run_sampled",
 ]
 
@@ -55,11 +52,11 @@ class BudgetExceededError(RuntimeError):
 
 
 # Each mixture keeps one float64 lambda row per round: T * n_groups * 8
-# bytes.  One solver loop over K gammas holds K such histories, so
-# run_batches gives each loop as many gammas as fit under the cap.
+# bytes, and a run whose history would pass this cap is refused before it
+# starts.  sweep runs its gammas one after another and holds one history.
 LAMBDA_HISTORY_CAP = 1 << 30
 
-# Speculative blocks of K = 1 exact runs: the predictor's suffix lengths
+# Speculative blocks of exact runs: the predictor's suffix lengths
 # and lag, the block widths and their cap on rows x cells, and the backoff
 # (README "Speculative blocks").
 BLOCK_CONTEXT, BLOCK_MAX_LAG, BLOCK_WIDTH, BLOCK_CELLS = (16, 1024), 8192, (32, 4096), 1 << 17
@@ -218,7 +215,7 @@ def project_l1(dual: DualState) -> DualState:
 
 
 def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
-    T = _rounds(config, n_groups)
+    T = iteration_budget(config.C, n_groups) if config.T == "auto" else config.T
     if T * n_cells > config.work_cap:
         raise BudgetExceededError(
             f"budget exceeded: T*cells = {T * n_cells:.3g} > work cap "
@@ -231,10 +228,6 @@ def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
     return T, eta
 
 
-def _rounds(config: SolverConfig, n_groups: int) -> int:
-    return iteration_budget(config.C, n_groups) if config.T == "auto" else config.T
-
-
 def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
     v = 1.0 / C
     return {
@@ -245,25 +238,16 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
     }
 
 
-def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
-              record_deviation: bool = False) -> List[SolveResult]:
-    """Primal/dual rounds for K configs that differ only in gamma, advanced
-    together.  The best response is the per-cell threshold form of
-    decide_batch: one stacked matvec and one compare per round for all K
-    duals.  The dual step depends only on the 0/1 decision pattern, so
-    exact-rate runs compute each row's step once per distinct pattern;
-    sampled rounds (K = 1 only) recompute it every round.  K = 1 exact runs
-    also replay recurring patterns in speculative blocks (block).
+def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
+              record_deviation: bool = False) -> SolveResult:
+    """Primal/dual rounds of one config.  The best response is the per-cell
+    threshold form of decide_batch: one gemv and one compare per round.  The
+    dual step depends only on the 0/1 decision pattern, so exact-rate runs
+    compute it once per distinct pattern and replay recurring patterns in
+    speculative blocks (block); sampled rounds recompute it every round.
 
-    State arrays carry a batch shape, () when K = 1 and (K, 1) when K > 1:
-    the dual is batch + (2|G|,) and round t's lambdas are lam_hist[t - 1],
-    batch + (|G|,).  matmul runs one gemv per (1, |G|) row of the stack,
-    the same call the 1-D product makes, so every row's S has the bits of
-    the single-gamma run.  run_batches checks the configs and sizes K."""
-    config = configs[0]
-    K = len(configs)
-    if K > 1 and sampler is not None:
-        raise ValueError("sampled runs solve one gamma at a time")
+    The dual is (lambda+, lambda-), (2|G|,), and round t's lambdas are
+    lam_hist[t - 1], (|G|,)."""
     notion = config.notion
     base = base_rates(dist, notion, config.beta_mode)
     f = dist.scores
@@ -275,84 +259,59 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
     beta = base.beta
     row = rate_terms(notion, f)
     memb = G - beta[:, None]
-    C = config.C
+    C, gamma = config.C, config.gamma
     sign, thresh = decision_thresholds(f, notion)
     smemb = memb * sign
 
-    def rates(h, eval_masses):
-        # (constraint, err_hat, max violation) of one decision pattern; for
-        # 0/1 h the rate table gives the reference loop's bits
+    def round_terms(h, eval_masses):
+        # (dual step for the concatenated (lambda+, lambda-), err_hat, max
+        # violation) of one decision pattern; for 0/1 h the rate table gives
+        # the reference loop's bits
         h = h.astype(float)
         cons = _constraint(row, h, eval_masses, G, beta)
-        return cons, error_rate(h, f, eval_masses), float(np.abs(cons).max())
-
-    def round_terms(pattern_rates, gamma):
-        # (dual step for the concatenated (lambda+, lambda-), err_hat, max
-        # violation) of one row
-        cons, err_hat, max_violation = pattern_rates
         step = np.concatenate((eta * (cons - gamma), eta * (-cons - gamma)))
-        return step, err_hat, max_violation
+        return step, error_rate(h, f, eval_masses), float(np.abs(cons).max())
 
-    batch = () if K == 1 else (K, 1)
-    dual = np.zeros(batch + (2 * n_groups,))    # lambda+ then lambda-, updated in place
-    # thresholds repeated to S's shape: the compare then runs as one loop
-    thresh = np.ascontiguousarray(np.broadcast_to(thresh, batch + (n_cells,)))
-    lam_p, lam_m = dual[..., :n_groups], dual[..., n_groups:]
-    # row k's history is the contiguous (T, |G|) block hists[k]; lam_hist
-    # views it round-major, (T,) + batch + (|G|,)
-    hists = np.empty((K, T, n_groups))
-    lam_hist = hists[0] if K == 1 else hists[:, :, None, :].transpose(1, 0, 2, 3)
-    # per row: 1-D lambda+ and lambda- views, and the step cache
-    rows_p, rows_m = ([lam_p], [lam_m]) if K == 1 else (list(lam_p[:, 0]), list(lam_m[:, 0]))
-    caches = [{} for _ in configs]
-    cache = caches[0]
-    patterns = {}    # decision pattern -> rates, shared by the rows
-    gammas = [c.gamma for c in configs]
+    dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
+    lam_p, lam_m = dual[:n_groups], dual[n_groups:]
+    lam_hist = np.empty((T, n_groups))
+    cache = {}    # decision pattern -> terms and pattern id
     compute_gap, record_every = config.compute_gap, config.record_every
-    gamma = config.gamma
     dec_sum = np.zeros(n_cells)
     sum_lam_p = np.zeros(n_groups)
     sum_lam_m = np.zeros(n_groups)
-    trajectories: List[List[TrajectoryRecord]] = [[] for _ in configs]
+    trajectory: List[TrajectoryRecord] = []
     deviations = np.zeros((T, n_groups)) if record_deviation else None
-    projections = [0] * K
+    projections = 0
     # every order of summing the 2|G| nonnegative entries lands within a
     # relative (2|G| - 1) eps of their exact sum, so a quick sum at or below
     # l1_safe proves that lam_p.sum() + lam_m.sum() does not exceed C
     l1_safe = C * (1.0 - 16.0 * n_groups * np.finfo(float).eps)
-    # row k's decisions in h.tobytes()
-    row_slices = [slice(lo, lo + n_cells) for lo in range(0, K * n_cells, n_cells)]
-    flat = dual.reshape(-1)
-    zeros = np.zeros(flat.shape)
-    first = itemgetter(0)
-    by_row = dual.reshape(K, 2 * n_groups)
+    zeros = np.zeros(2 * n_groups)
 
-    def miss(k, key):
-        # the terms of row k at a decision pattern it has not met before
+    def miss(key):
+        # the terms of a decision pattern not met before
         nonlocal speculate, next_try
-        pattern_rates = patterns.get(key)
-        if pattern_rates is None:
-            pattern_rates = patterns[key] = rates(np.frombuffer(key, dtype=bool), masses)
-        terms = caches[k][key] = round_terms(pattern_rates, gammas[k]) + (len(caches[k]),)
+        terms = cache[key] = round_terms(np.frombuffer(key, dtype=bool), masses) + (len(cache),)
         if terms[3] > 255:
             speculate, next_try = False, T + 1
         return terms
 
-    def bring_back(k):
-        # the exact L1 test, and the projection, for a row whose quick sum
-        # exceeds l1_safe
-        row_p, row_m = rows_p[k], rows_m[k]
-        if row_p.sum() + row_m.sum() > C:
-            projected = project_l1(DualState(row_p, row_m, C))
-            row_p[:] = projected.lambda_plus
-            row_m[:] = projected.lambda_minus
-            projections[k] += 1
+    def bring_back():
+        # the exact L1 test, and the projection, once the quick sum exceeds
+        # l1_safe
+        nonlocal projections
+        if lam_p.sum() + lam_m.sum() > C:
+            projected = project_l1(DualState(lam_p, lam_m, C))
+            lam_p[:] = projected.lambda_plus
+            lam_m[:] = projected.lambda_minus
+            projections += 1
 
-    # speculative blocks (K = 1 exact runs): the pattern id of every round
-    # (the fourth term of the cached terms; ids past a byte end speculation),
-    # the duals after the rounds since the last attempt, and a rolling
-    # window with the duals after round t in row t % len(window)
-    speculate = K == 1 and sampler is None and not compute_gap
+    # speculative blocks (exact runs): the pattern id of every round (the
+    # fourth term of the cached terms; ids past a byte end speculation), the
+    # duals after the rounds since the last attempt, and a rolling window
+    # with the duals after round t in row t % len(window)
+    speculate = sampler is None and not compute_gap
     ids, recent, window = bytearray(), [], np.zeros((min(BLOCK_MAX_LAG, T + 1), 2 * n_groups))
     next_try = BLOCK_CONTEXT[0] + 1 if speculate else T + 1
     width, wait, tables, blocks, kept_rounds = BLOCK_WIDTH[0], 1, ([],), 0, 0
@@ -402,13 +361,13 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
         if kept:
             dual[:] = V[kept]
             if over.size:    # the last kept round left the safe line
-                bring_back(0)
+                bring_back()
                 V[kept] = dual
             ids.extend(pattern[:kept])
             window[np.arange(n + 1, n + kept + 1) % len(window)] = V[1:kept + 1]
             for t in range(n + 1 + (-n) % record_every, n + kept + 1, record_every):
                 _, err_hat, max_violation, _ = tables[0][pattern[t - n - 1]]
-                trajectories[0].append(TrajectoryRecord(t, err_hat, max_violation, float(
+                trajectory.append(TrajectoryRecord(t, err_hat, max_violation, float(
                     V[t - n, :n_groups].sum() + V[t - n, n_groups:].sum())))
         blocks, kept_rounds = blocks + 1, kept_rounds + kept
         width = max(BLOCK_WIDTH[0], 2 * kept)
@@ -421,25 +380,16 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
         np.subtract(lam_p, lam_m, out=lam)
         h = lam @ smemb <= thresh
 
-        # one row keeps the one-gamma statements, which cost less than the
-        # batched forms and allocate no Python container per round (each
-        # allocation counts toward a garbage collection)
         if sampler is not None:
             sample = sampler(t)
-            row_terms = round_terms(rates(h, sample), gamma)
+            row_terms = round_terms(h, sample)
             if record_deviation:
                 h_float = h.astype(float)
                 deviations[t - 1] = np.abs(group_rates(row, h_float, sample, G)[0]
                                            - group_rates(row, h_float, masses, G)[0])
-        elif K == 1:
-            key = h.tobytes()
-            row_terms = cache.get(key) or miss(0, key)
         else:
-            keys = list(map(h.tobytes().__getitem__, row_slices))
-            terms = list(map(dict.get, caches, keys))
-            if None in terms:
-                for k, key in enumerate(keys):
-                    terms[k] = terms[k] or miss(k, key)
+            key = h.tobytes()
+            row_terms = cache.get(key) or miss(key)
 
         if compute_gap:
             dec_sum += h
@@ -448,21 +398,14 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
 
         # max(0, dual + step); an array of zeros skips converting the
         # scalar 0.0 each call and gives the same bits
-        if K == 1:
-            np.maximum(zeros, dual + row_terms[0], out=dual)
+        np.maximum(zeros, dual + row_terms[0], out=dual)
+        values = dual.tolist()
+        if sum(values) > l1_safe:
+            bring_back()
             values = dual.tolist()
-            if sum(values) > l1_safe:
-                bring_back(0)
-                values = dual.tolist()
-            if speculate:
-                ids.append(row_terms[3])
-                recent.append(values)
-        else:
-            np.maximum(zeros, flat + np.concatenate(list(map(first, terms))), out=flat)
-            if max(map(sum, by_row.tolist())) > l1_safe:
-                for k, total in enumerate(map(sum, by_row.tolist())):
-                    if total > l1_safe:
-                        bring_back(k)
+        if speculate:
+            ids.append(row_terms[3])
+            recent.append(values)
 
         if (t - 1) % record_every == 0:
             gap = None
@@ -470,27 +413,24 @@ def _run_loop(dist: CellDistribution, configs: List[SolverConfig], sampler=None,
                 gap = _gap_estimate(
                     dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
                     memb, beta, notion, gamma, C)
-            for row_p, row_m, (_, err_hat, max_violation, *_), trajectory in zip(
-                    rows_p, rows_m, (row_terms,) if K == 1 else terms, trajectories):
-                trajectory.append(TrajectoryRecord(
-                    t, err_hat, max_violation, float(row_p.sum() + row_m.sum()), gap))
+            trajectory.append(TrajectoryRecord(
+                t, row_terms[1], row_terms[2], float(lam_p.sum() + lam_m.sum()), gap))
 
         if t >= next_try:
             block(t)
 
-    return [SolveResult(
-        mixture=MixtureClassifier(hists[k], notion, base),
-        final_dual=DualState(rows_p[k], rows_m[k], C),
-        trajectory=trajectories[k],
+    return SolveResult(
+        mixture=MixtureClassifier(lam_hist, notion, base),
+        final_dual=DualState(lam_p, lam_m, C),
+        trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
         base=base,
         T=T,
         eta=eta,
         estimation_deviations=deviations,
-        counters={"rounds": T, "projections": projections[k],
-                  "distinct_decisions": len(caches[k])},
+        counters={"rounds": T, "projections": projections, "distinct_decisions": len(cache)},
         speculation={"blocks": blocks, "speculated_rounds": kept_rounds},
-    ) for k in range(K)]
+    )
 
 
 def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
@@ -514,42 +454,10 @@ def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
     return upper - lower
 
 
-def run_batches(dist: CellDistribution,
-                configs: List[SolverConfig]) -> Iterator[List[SolveResult]]:
-    """run() at each of K configs that differ only in gamma, one solver loop
-    per batch of consecutive configs: as many as LAMBDA_HISTORY_CAP admits
-    (K * T * |G| * 8 bytes), at least one.  Yields each batch's results in
-    order, so a caller that keeps only what it derives from a batch holds
-    one batch's histories at a time.
-
-    Result k is byte-identical to run(dist, configs[k]): the same lambda
-    history, trajectory, counters and final dual.  All configs share T and
-    |G|, so every batch runs or the first one raises what run() raises.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("at least one config is needed")
-    config = configs[0]
-    if any(replace(c, gamma=config.gamma) != config for c in configs[1:]):
-        raise ValueError("configs solved together may differ only in gamma")
-    if len(configs) > 1 and config.compute_gap:
-        raise ValueError("compute_gap solves one gamma at a time")
-    n_groups = dist.group_matrix.shape[0]
-    size = max(1, LAMBDA_HISTORY_CAP // max(1, _rounds(config, n_groups) * n_groups * 8))
-    for lo in range(0, len(configs), size):
-        yield _run_loop(dist, configs[lo:lo + size])
-
-
-def run_many(dist: CellDistribution, configs: List[SolverConfig]) -> List[SolveResult]:
-    """run() at each of K configs that differ only in gamma: the results of
-    run_batches, in order."""
-    return [result for batch in run_batches(dist, configs) for result in batch]
-
-
 def run(dist: CellDistribution, config: SolverConfig) -> SolveResult:
     """Run the full deterministic dynamics over exact cell expectations, with
     f = the cell scores (dist.with_scores_from_labels() puts the labels there)."""
-    return run_many(dist, [config])[0]
+    return _run_loop(dist, config)
 
 
 def run_sampled(population: CellDistribution, sampler_seed: int,
@@ -572,7 +480,7 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
         counts = rng.multinomial(m, masses)
         return counts / m
 
-    result, = _run_loop(population, [config], sampler=sampler,
-                        record_deviation=record_deviation)
+    result = _run_loop(population, config, sampler=sampler,
+                       record_deviation=record_deviation)
     result.theorem_bounds = _theorem_bounds(config.C, epsilon)
     return result

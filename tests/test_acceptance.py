@@ -24,7 +24,6 @@ from fairpost import (
     gen_instance,
     project_l1,
     run,
-    run_many,
     run_sampled,
     sample_size,
     surrogate_error,
@@ -272,9 +271,8 @@ def test_criterion_9_pareto_monotone(fixture_seed1):
     dist = fixture_seed1
     C = 10.0
     gammas = [0.005, 0.01, 0.02, 0.05, 0.1, 0.25]
-    # one solver loop for the six gammas; each result is run() at its gamma
-    results = run_many(dist, [SolverConfig(notion="fp", gamma=g, C=C, T="auto",
-                                           record_every=100000) for g in gammas])
+    results = [run(dist, SolverConfig(notion="fp", gamma=g, C=C, T="auto",
+                                      record_every=100000)) for g in gammas]
     errs = [surrogate_error(res.mixture.positive_prob_vector(dist), dist) for res in results]
     slack = 2.0 / C + 0.01
     ok = all(b <= a + slack for a, b in zip(errs, errs[1:]))

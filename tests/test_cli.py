@@ -489,21 +489,7 @@ def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypat
     from fairpost import solver
     args = ["sweep", str(dataset), "--gammas", "0.2,0.01,0.05,0.0,0.1", "--C", "2",
             "--T", "300", "--grid-m", "20", "--svg"]
-    one, split = tmp_path / "one", tmp_path / "split"
-    assert main(args + ["--out-dir", str(one)]) == 0
-    # room for two gammas' (T, 3) histories: batches of 2, 2 and 1
-    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 2 * 300 * 3 * 8)
-    assert main(args + ["--out-dir", str(split)]) == 0
-    for name in ("pareto.csv", "pareto.svg"):
-        assert (split / name).read_bytes() == (one / name).read_bytes()
-    manifests = [json.loads((d / "manifest.json").read_text()) for d in (one, split)]
-    assert [m["solver_batches"] for m in manifests] == [1, 3]
-    assert manifests[0]["counters"] == manifests[1]["counters"]
-    counters = manifests[0]["counters"]
-    assert [c["gamma"] for c in counters] == [0.0, 0.01, 0.05, 0.1, 0.2]
-    assert all(set(c) == {"gamma", "rounds", "projections", "distinct_decisions"}
-               and c["rounds"] == 300 and c["distinct_decisions"] >= 1 for c in counters)
-    # no room for even one gamma: each row fails with the single-gamma message
+    # no room for even one gamma: each row fails with run's message
     monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 300 * 3 * 8 - 1)
     over = tmp_path / "over"
     assert main(args + ["--out-dir", str(over)]) == 1
@@ -512,7 +498,7 @@ def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypat
         ",,,,error: budget exceeded: lambda history T*groups*8 = 7.2e+03 bytes > cap" in r
         for r in rows)
     manifest = json.loads((over / "manifest.json").read_text())
-    assert manifest["solver_batches"] == 0 and manifest["counters"] == []
+    assert manifest["counters"] == []
 
 
 def test_sweep_deterministic_and_sorted(dataset, tmp_path):
@@ -826,9 +812,14 @@ def test_sweep_eval_manifest_stages(calibration_dataset, tmp_path, command):
     timings = manifest["timings_seconds"]
     if command == "sweep":
         assert set(timings) == {"parse", "sweep", "write"}
-        assert manifest["solver_batches"] == 1
         assert [(c["gamma"], c["rounds"]) for c in manifest["counters"]] == [
             (0.05, 2000), (0.25, 2000), (1.0, 2000)]
+        # each gamma's own run, with its speculative blocks as solve writes them
+        for c in manifest["counters"]:
+            assert set(c) == {"gamma", "rounds", "projections", "distinct_decisions",
+                              "speculation"} and c["distinct_decisions"] >= 1
+            assert set(c["speculation"]) == {"blocks", "speculated_rounds"}
+            assert 0 < c["speculation"]["speculated_rounds"] <= c["rounds"]
     else:
         assert set(timings) == {"load_mixture", "parse", "eval", "write"}
         assert manifest["mixture_bytes"] == (run_dir / "mixture.json").stat().st_size

@@ -18,7 +18,6 @@ from fairpost import (
     iteration_budget,
     project_l1,
     run,
-    run_many,
     run_sampled,
     sample_size,
     surrogate_error,
@@ -32,9 +31,7 @@ from fairpost.solver import (
     TrajectoryRecord,
     _gap_estimate,
     _resolve_schedule,
-    _run_loop,
     _theorem_bounds,
-    run_batches,
 )
 
 from conftest import make_dist, rand_lambda
@@ -563,18 +560,20 @@ def _assert_same_run(got, want):
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
-@pytest.mark.parametrize("C, eta, T, mode", [
-    (10.0, "auto", 20000, "euclidean_l1"),
-    (0.5, 0.05, 3000, "euclidean_l1"),
-])
-def test_round_body_matches_parent_loop(biased_instance, notion, C, eta, T, mode):
-    cfg = SolverConfig(notion=notion, gamma=0.0 if C < 1.0 else 0.01, C=C, eta=eta, T=T,
-                       record_every=7)
+@pytest.mark.parametrize("C, eta, T, gamma", [
+    (10.0, "auto", 20000, 0.01),
+    (0.5, 0.05, 3000, 0.0),
+    (0.5, 0.05, 3000, 0.01),
+], ids=["10.0-auto-20000-euclidean_l1", "0.5-0.05-3000-euclidean_l1",
+        "0.5-0.05-3000-euclidean_l1-gamma0.01"])
+def test_round_body_matches_parent_loop(biased_instance, notion, C, eta, T, gamma):
+    cfg = SolverConfig(notion=notion, gamma=gamma, C=C, eta=eta, T=T, record_every=7)
     got = run(biased_instance, cfg)
     _assert_same_run(got, reference_run_loop(biased_instance, cfg))
     if C < 1.0:
-        # the quick sum passes rounds on to the exact test, which projects
-        assert 0 < got.counters["projections"] < T
+        # the quick sum passes rounds on to the exact test, which projects;
+        # at gamma = 0.01 the FP dual stays inside the ball
+        assert 0 < got.counters["projections"] < T or (gamma, notion) == (0.01, "fp")
 
 
 def test_round_body_matches_parent_loop_with_gap():
@@ -621,16 +620,9 @@ def test_l1_check_where_summation_orders_differ(eta, quick_above):
     assert (quick > exact) if quick_above else (quick < exact)
 
 
-# ------------------------------------------------------------ many gammas
-# run_many advances K duals in one loop; row k must be run() at gamma k.
-
-def _configs(gammas, **kw):
-    return [SolverConfig(gamma=g, **kw) for g in gammas]
-
-
 def test_solver_config_is_frozen_and_replace_runs_the_checks():
     # a field assigned after construction skipped __post_init__ and failed
-    # inside the loop; a copy made with replace, as run_many's, is checked
+    # inside the loop; a copy made with replace is checked
     config = SolverConfig(T=5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.T = 2.5
@@ -639,66 +631,7 @@ def test_solver_config_is_frozen_and_replace_runs_the_checks():
         dataclasses.replace(config, gamma=math.nan)
 
 
-@pytest.mark.parametrize("notion", NOTIONS)
-@pytest.mark.parametrize("mode", ["euclidean_l1"])
-@pytest.mark.parametrize("gammas", [[0.0], [0.05, 0.0, 0.01]])
-def test_run_many_rows_equal_single_runs(biased_instance, notion, mode, gammas):
-    # C = 0.5 with a large step: the small gammas leave the ball often
-    configs = _configs(gammas, notion=notion, C=0.5, eta=0.05, T=3000, record_every=7)
-    got = run_many(biased_instance, configs)
-    assert len(got) == len(configs)
-    for row, cfg in zip(got, configs):
-        _assert_same_run(row, run(biased_instance, cfg))
-        _assert_same_run(row, reference_run_loop(biased_instance, cfg))
-        assert row.mixture.lambdas.flags.c_contiguous
-    assert any(row.counters["projections"] > 0 for row in got)
-
-
-def test_run_many_at_the_default_budget(biased_instance):
-    configs = _configs([0.005, 0.25, 0.01], notion="fp", C=3.0, record_every=100)
-    for row, cfg in zip(run_many(biased_instance, configs), configs):
-        _assert_same_run(row, run(biased_instance, cfg))
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), n_cells=st.integers(2, 12), n_groups=st.integers(1, 4),
-       notion=st.sampled_from(NOTIONS),
-       gammas=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.2, 1.0]),
-                       min_size=1, max_size=5),
-       C=st.sampled_from([0.3, 1.0, 4.0]), eta=st.sampled_from([0.01, 0.1, 0.5]),
-       profile=st.sampled_from(["uniform", "adversarial_overlap"]))
-def test_run_many_property(seed, n_cells, n_groups, notion, gammas, C, eta, profile):
-    dist, _ = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=10, profile=profile)
-    try:
-        base_rates(dist, FairnessNotion.coerce(notion), "from_scores")
-    except ValueError:    # a label marginal of 0 or 1 has no constrained problem
-        assume(False)
-    configs = _configs(gammas, notion=notion, C=C, eta=eta, T=200, record_every=13)
-    for row, cfg in zip(run_many(dist, configs), configs):
-        _assert_same_run(row, run(dist, cfg))
-
-
-@pytest.mark.parametrize("n_groups", [2, 3, 4, 12])
-@pytest.mark.parametrize("n_cells", [8, 400])
-def test_stacked_matvec_rows_equal_1d_products(n_groups, n_cells):
-    # the solver's S for K gammas is one (K, 1, |G|) @ (|G|, cells) matmul,
-    # which numpy runs as one gemv per row; each row must have the bits of
-    # the 1-D product of that row, for the contiguous stack and for the
-    # round-major view of the (K, T, |G|) history the solver writes into
-    rng = np.random.Generator(np.random.PCG64(n_groups * 1000 + n_cells))
-    K, T = 6, 5
-    for _ in range(50):
-        smemb = rng.standard_normal((n_groups, n_cells)) * rng.uniform(0.1, 10.0)
-        hists = np.empty((K, T, n_groups))
-        lam_hist = hists[:, :, None, :].transpose(1, 0, 2, 3)
-        lam_hist[...] = rng.standard_normal((T, K, 1, n_groups))
-        for lam in (lam_hist[T - 1], np.ascontiguousarray(lam_hist[T - 1])):
-            S = lam @ smemb
-            assert S.shape == (K, 1, n_cells)
-            for k in range(K):
-                want = np.array(lam[k, 0]) @ smemb
-                assert S[k, 0].tobytes() == want.tobytes()
-
+# ------------------------------------------------------------ speculative blocks
 
 def test_stacked_matvec_rows_of_a_block_equal_1d_products():
     # a speculative block decides its w rounds with one (w, 1, |G|) @ smemb
@@ -737,7 +670,7 @@ def test_cumsum_rows_equal_the_sequential_update(n_cols):
        T=st.integers(1, 20000) | st.sampled_from([3000, 20000]))
 def test_speculative_blocks_match_the_reference_loop(seed, n_cells, n_groups, grid_m, notion,
                                                      C, gamma, eta, record_every, T):
-    # K = 1 exact runs replay recurring decision patterns in blocks; every
+    # exact runs replay recurring decision patterns in blocks; every
     # kept round must be the reference loop's, projections included
     if grid_m == 2 and n_groups < 3:    # 3 scores on the 1/2 grid: at most 6 cells
         n_cells = min(n_cells, 6)
@@ -755,10 +688,9 @@ def test_speculative_blocks_match_the_reference_loop(seed, n_cells, n_groups, gr
 def test_speculative_blocks_carry_the_fixture_run(biased_instance):
     result = run(biased_instance, SolverConfig(notion="fp", gamma=0.01, C=10.0))
     assert result.speculation["speculated_rounds"] >= 0.9 * result.T
-    # batched, duality-gap and sampled runs go round by round
+    # duality-gap and sampled runs go round by round
     config = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=3000)
-    for got in (*run_many(biased_instance, [config, dataclasses.replace(config, gamma=0.02)]),
-                run(biased_instance, dataclasses.replace(config, compute_gap=True)),
+    for got in (run(biased_instance, dataclasses.replace(config, compute_gap=True)),
                 run_sampled(biased_instance, 5, dataclasses.replace(config, T=300), 0.1, 0.1)):
         assert got.speculation == {"blocks": 0, "speculated_rounds": 0}
 
@@ -771,48 +703,6 @@ def test_speculative_blocks_back_off_when_projecting(biased_instance, notion):
     result = run(biased_instance, cfg)
     assert result.counters["projections"] > 0.5 * cfg.T
     assert result.speculation["blocks"] < 0.02 * cfg.T
-
-
-def test_run_many_one_gamma_at_a_time_for_gap_and_sampler(biased_instance, monkeypatch):
-    configs = _configs([0.01, 0.05], notion="fp", C=2.0, T=10)
-    with pytest.raises(ValueError, match="one gamma at a time"):
-        run_many(biased_instance, _configs([0.01, 0.05], notion="fp", C=2.0, T=10,
-                                           compute_gap=True))
-    # also when the cap would put each gamma in a loop of its own
-    n_groups = biased_instance.group_matrix.shape[0]
-    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 10 * n_groups * 8)
-    with pytest.raises(ValueError, match="one gamma at a time"):
-        run_many(biased_instance, _configs([0.01, 0.05], notion="fp", C=2.0, T=10,
-                                           compute_gap=True))
-    with pytest.raises(ValueError, match="one gamma at a time"):
-        _run_loop(biased_instance, configs, sampler=lambda t: biased_instance.masses)
-    with pytest.raises(ValueError, match="differ only in gamma"):
-        run_many(biased_instance, [configs[0], SolverConfig(notion="fp", C=3.0, T=10)])
-    with pytest.raises(ValueError, match="at least one config"):
-        run_many(biased_instance, [])
-    # one gamma with either still runs
-    run_many(biased_instance, _configs([0.01], notion="fp", C=2.0, T=10, compute_gap=True))
-
-
-def test_lambda_history_cap_bounds_the_batch(biased_instance, monkeypatch):
-    n_groups = biased_instance.group_matrix.shape[0]
-    configs = _configs([0.0, 0.1, 0.2, 0.3, 0.01, 0.05, 0.5], notion="fp", C=2.0, T=100,
-                       record_every=9)
-    whole = run_many(biased_instance, configs)
-    # room for three gammas' (T, |G|) histories: loops of 3, 3 and 1
-    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 3 * 100 * n_groups * 8)
-    batches = list(run_batches(biased_instance, configs))
-    assert [len(b) for b in batches] == [3, 3, 1]
-    for got, want in zip([r for b in batches for r in b], whole):
-        _assert_same_run(got, want)
-    for got, want in zip(run_many(biased_instance, configs), whole):
-        _assert_same_run(got, want)
-    # no room for one gamma: the first loop raises run's own message
-    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 100 * n_groups * 8 - 1)
-    message = f"lambda history T*groups*8 = {100 * n_groups * 8:.3g} bytes > cap"
-    for cfgs in (configs, configs[:1]):
-        with pytest.raises(BudgetExceededError, match=re.escape(message)):
-            run_many(biased_instance, cfgs)
 
 
 # ------------------------------------------------------------ two forms of S
@@ -840,17 +730,15 @@ def test_two_forms_of_S_agree_on_the_acceptance_fixture(biased_instance, notion)
 
 
 def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
-    # the sweep_wide bench instance, its four gammas solved in one batched loop
+    # the sweep_wide bench instance at its four gammas
     data = tmp_path / "wide.csv"
     assert main(["synth", "--seed", "2", "--n-cells", "400", "--n-groups", "4",
                  "--profile", "two_group_bias", "--grid-m", "100", "--samples", "50000",
                  "--out", str(data)]) == 0
     dist = read_dataset(str(data), 100)
     assert dist.n_cells == 400
-    configs = _configs([0.005, 0.01, 0.02, 0.05], notion="sp", C=6.0)
-    batches = list(run_batches(dist, configs))
-    assert len(batches) == 1
-    for result in batches[0]:
+    for gamma in (0.005, 0.01, 0.02, 0.05):
+        result = run(dist, SolverConfig(notion="sp", gamma=gamma, C=6.0))
         assert result.T == 28224
         assert np.array_equal(_solver_form_probs(result, dist),
                               result.mixture.positive_prob_vector(dist))
