@@ -480,16 +480,15 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     if type(gamma) not in (int, float) or not 0.0 <= gamma <= sys.float_info.max:
         raise InputError("bad mixture: gamma must be a nonnegative number")
     try:
-        notion = FairnessNotion.coerce(payload["notion"])
-        base = BaseRates(notion, _numbers(payload["beta"], "beta"),
+        base = BaseRates(payload["notion"], _numbers(payload["beta"], "beta"),
                          _numbers(payload["w"], "w"))
-        mixture = MixtureClassifier(_decode_lambdas(lambdas, len(base.beta)), notion, base)
+        mixture = MixtureClassifier(_decode_lambdas(lambdas, len(base.beta)), base)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):
         raise InputError("bad mixture: group_names and beta differ in length")
     # SP centres on the group mass, so beta must be w (older SP files carry beta 1)
-    if notion is FairnessNotion.SP and np.any(np.abs(base.beta - base.w) > 1e-12):
+    if base.notion is FairnessNotion.SP and np.any(np.abs(base.beta - base.w) > 1e-12):
         raise InputError("bad mixture: an sp mixture's beta must equal its w")
     return mixture, payload
 
@@ -798,8 +797,8 @@ def cmd_eval(args) -> int:
     if args.oracle:
         gamma = args.gamma if args.gamma is not None else payload.get("gamma", 0.0)
         try:
-            # the solver's own program: the mixture's beta and w, f = scores
-            sol = enumerate_optimum(dist, mixture.notion, mixture.base, gamma)
+            # the solver's own program: the mixture's notion and beta, f = scores
+            sol = enumerate_optimum(dist, mixture.base, gamma)
             report["oracle"] = {
                 "gamma": gamma,
                 "opt_value": sol.opt_value,
@@ -808,8 +807,8 @@ def cmd_eval(args) -> int:
             }
             if rep is not None:
                 true_opt = enumerate_optimum(
-                    dist, mixture.notion, base_rates(dist, mixture.notion, "from_labels"),
-                    gamma, scores_as_f=False).opt_value
+                    dist, base_rates(dist, mixture.notion, "from_labels"), gamma,
+                    scores_as_f=False).opt_value
                 report["oracle"].update(true_opt_value=true_opt,
                                         true_err_gap=report["true"]["err"] - true_opt)
         except (ValueError, InfeasibleError) as exc:
@@ -833,7 +832,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--C", type=float, dest="C")
     p.add_argument("--eta")
     p.add_argument("--T", dest="T")
-    p.add_argument("--beta-mode", dest="beta_mode", choices=["from_scores", "from_labels"])
     p.add_argument("--grid-m", dest="grid_m", type=int)
     p.add_argument("--record-every", dest="record_every", type=int)
     p.add_argument("--work-cap", dest="work_cap", type=float)
@@ -902,7 +900,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:    # argparse has printed its message; --help exits 0
+        if exc.code != 2:
+            raise
+        return EXIT_INPUT
     try:
         return args.func(args)
     except InputError as exc:

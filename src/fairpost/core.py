@@ -166,7 +166,8 @@ class CellDistribution:
 
 @dataclass(frozen=True)
 class BaseRates:
-    """Per-group constants entering the threshold rules and constraints.
+    """Per-group constants entering the threshold rules and constraints, and
+    the notion they were computed for: with the lambdas, all a rule needs.
 
     ``beta`` centres both the rule's group sum and the parity constraint
     rho_g - beta_g * rho_0 (conditional group frequency for FP/FN, the group
@@ -178,6 +179,7 @@ class BaseRates:
     w: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "notion", FairnessNotion.coerce(self.notion))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
         if self.beta.ndim != 1 or self.beta.shape != self.w.shape:
@@ -249,11 +251,12 @@ _RULE_BLOCK = 16384
 class MixtureClassifier:
     """Uniform mixture over T threshold rules (the randomized classifier).
 
-    The rules share one (notion, base) pair; only their dual snapshots
-    differ, so the mixture is stored as a (T, n_groups) array of lambdas.
+    The rules share one BaseRates, which carries their notion; only their
+    dual snapshots differ, so the mixture is stored as a (T, n_groups) array
+    of lambdas.
     """
 
-    def __init__(self, lambdas, notion: FairnessNotion, base: BaseRates):
+    def __init__(self, lambdas, base: BaseRates):
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.ndim != 2:
             raise ValueError("lambdas must be a (T, n_groups) array")
@@ -275,7 +278,7 @@ class MixtureClassifier:
         if not np.isfinite(bound).all():
             raise ValueError("lambdas too large: a group sum would overflow")
         self.lambdas = lambdas
-        self.notion = FairnessNotion.coerce(notion)
+        self.notion = base.notion
         self.base = base
 
     def __len__(self) -> int:

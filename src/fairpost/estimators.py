@@ -87,15 +87,13 @@ class FairThresholdPostprocessor(_ParamsMixin):
     """
 
     def __init__(self, notion=SolverConfig.notion, gamma=SolverConfig.gamma,
-                 C=SolverConfig.C, eta=SolverConfig.eta, T=SolverConfig.T,
-                 beta_mode=SolverConfig.beta_mode, grid_m: int = 100,
+                 C=SolverConfig.C, eta=SolverConfig.eta, T=SolverConfig.T, grid_m: int = 100,
                  record_every=SolverConfig.record_every, work_cap=SolverConfig.work_cap):
         self.notion = notion
         self.gamma = gamma
         self.C = C
         self.eta = eta
         self.T = T
-        self.beta_mode = beta_mode
         self.grid_m = grid_m
         self.record_every = record_every
         self.work_cap = work_cap
@@ -167,8 +165,9 @@ class JointMulticalibrator(_ParamsMixin):
         """Recalibrated scores: the patch history replayed on the points.
 
         A score is first snapped to the 1/grid_m grid, as fit snapped it
-        into its cell.  A check reads a point only through that score and
-        its membership row, so multical.replay runs once on the distinct
+        into its cell.  A patch reads a point only through that score's
+        level and the point's membership row, on which its group or
+        threshold check fires, so multical.replay runs once on the distinct
         (grid index, membership row) points, through the check family that
         calibrate used, and the results are scattered back.  A training
         point therefore gets its cell's assignment bit for bit.

@@ -1,15 +1,13 @@
 """Error rates, group rates, base-rate constants, and parity constraint values.
 
 All expectations are exact mass-weighted sums over cells; nothing here
-samples.  Classifiers are accepted as mixtures or raw per-cell
-positive-probability arrays, since every quantity is linear in the positive
-probability.
+samples.  A classifier is given as its per-cell positive probability, in
+which every quantity is linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from .core import (
     BaseRates,
     CellDistribution,
     FairnessNotion,
-    MixtureClassifier,
     rate_terms,
 )
 
@@ -33,13 +30,8 @@ __all__ = [
     "true_rates",
 ]
 
-ClassifierLike = Union[MixtureClassifier, np.ndarray, list]
-
-
-def positive_probs(h: ClassifierLike, dist: CellDistribution) -> np.ndarray:
-    """Normalize a classifier to its per-cell positive probability array."""
-    if isinstance(h, MixtureClassifier):
-        return h.positive_prob_vector(dist)
+def positive_probs(h, dist: CellDistribution) -> np.ndarray:
+    """A classifier's per-cell positive probabilities as a checked float array."""
     p = np.asarray(h, dtype=float)
     if p.shape != (dist.n_cells,):
         raise ValueError("positive-probability array has wrong shape")
@@ -94,12 +86,12 @@ def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> Bas
     return BaseRates(notion=notion, beta=beta, w=w)
 
 
-def surrogate_error(h: ClassifierLike, dist: CellDistribution) -> float:
+def surrogate_error(h, dist: CellDistribution) -> float:
     """error_rate at f = the scores; at the label means it is true_rates' err."""
     return error_rate(positive_probs(h, dist), dist.scores, dist.masses)
 
 
-def constraint_vector(h: ClassifierLike, dist: CellDistribution, notion,
+def constraint_vector(h, dist: CellDistribution, notion,
                       base: BaseRates) -> np.ndarray:
     """Signed constraint left-hand sides for every group at once, at f = the scores."""
     notion = FairnessNotion.coerce(notion)
@@ -122,7 +114,7 @@ class RateReport:
     degenerate_groups: tuple = ()
 
 
-def true_rates(h: ClassifierLike, dist: CellDistribution, notion) -> RateReport:
+def true_rates(h, dist: CellDistribution, notion) -> RateReport:
     """Exact rates against the conditional label means.
 
     Groups with zero conditioning mass report rate 0 and violation 0; the

@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     BaseRates,
     CellDistribution,
-    FairnessNotion,
     decision_thresholds,
     grid_indices,
 )
@@ -40,13 +39,12 @@ d_of_v = decision_thresholds  # bench/spans.py counts table builds by this name
 
 @dataclass(frozen=True)
 class CheckFunction:
-    """Binary audit function c(x, v); non-threshold kinds ignore v.
+    """Binary audit function c(x, v); a group check ignores v.
 
     kind="group": payload is a group index.
-    kind="hypothesis": payload is a callable (score, bits) -> {0,1}, with bits
-    the point's 0/1 group memberships as a tuple, group 0 first.
-    kind="product": payload is (group index, such a callable).
-    kind="threshold": payload is (lambda vector, notion, BaseRates).
+    kind="threshold": payload is (lambda vector, BaseRates), the threshold
+    rule of a MixtureClassifier with those lambdas and base, whose notion it
+    takes.
     """
 
     kind: str
@@ -54,39 +52,28 @@ class CheckFunction:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("group", "hypothesis", "product", "threshold"):
+        if self.kind not in ("group", "threshold"):
             raise ValueError(f"unknown check kind {self.kind!r}")
 
 
 class _CheckFamily:
-    """The checks over points given by their scores and (groups x points)
-    membership matrix G: the level-free indicators as one bool matrix, per
-    notion the threshold checks' group sums as one matrix, and the (s, d)
-    tables of d_of_v at the level values.  A threshold check fires on
-    s*S <= d, decide_batch(S, v) bit for bit, with S MixtureClassifier's
-    ordered sum lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., so
-    a point's S depends on its own bits alone.  Hypothesis and product
-    callables are called once per point with (score, bits)."""
+    """The checks over points given by their (groups x points) membership
+    matrix G: the group checks' indicators as one bool matrix, per notion
+    the threshold checks' group sums as one matrix, and the (s, d) tables of
+    d_of_v at the level values.  A threshold check fires on s*S <= d,
+    decide_batch(S, v) bit for bit, with S MixtureClassifier's ordered sum
+    lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., so a point's S
+    depends on its own bits alone."""
 
-    def __init__(self, checks: Sequence[CheckFunction], scores: np.ndarray,
-                 G: np.ndarray, values: np.ndarray):
+    def __init__(self, checks: Sequence[CheckFunction], G: np.ndarray, values: np.ndarray):
         self.n = len(checks)
-        called = any(c.kind in ("hypothesis", "product") for c in checks)
-        points = list(zip(scores.tolist(), map(tuple, G.T.astype(int).tolist()))) if called else []
-        self.fixed_rows = [i for i, c in enumerate(checks) if c.kind != "threshold"]
-        fixed, thresholds = [], {}
+        self.group_rows = [i for i, c in enumerate(checks) if c.kind == "group"]
+        self.groups = G[[checks[i].payload for i in self.group_rows]] == 1.0
+        thresholds = {}
         for i, c in enumerate(checks):
             if c.kind == "threshold":
-                lam, notion, base = c.payload
-                thresholds.setdefault(FairnessNotion.coerce(notion), []).append(
-                    (i, lam, base.beta))
-            elif c.kind == "group":
-                fixed.append(G[c.payload] == 1.0)
-            else:
-                g, fn = c.payload if c.kind == "product" else (None, c.payload)
-                hits = np.array([int(fn(s, bits)) for s, bits in points], dtype=bool)
-                fixed.append(hits if g is None else hits & (G[g] == 1.0))
-        self.fixed = np.array(fixed, dtype=bool).reshape(len(fixed), G.shape[1])
+                lam, base = c.payload
+                thresholds.setdefault(base.notion, []).append((i, lam, base.beta))
         self.tables = {notion: d_of_v(values, notion) for notion in thresholds}
         self.sums = {}  # notion -> (check rows, group sums per row and point)
         for notion, group in thresholds.items():
@@ -103,7 +90,7 @@ class _CheckFamily:
         """The (checks x idx) indicator matrix of the points idx, all at
         values[level]."""
         fires = np.empty((self.n, len(idx)), dtype=bool)
-        fires[self.fixed_rows] = self.fixed[:, idx]
+        fires[self.group_rows] = self.groups[:, idx]
         for notion, (rows, S) in self.sums.items():
             s, d = self.tables[notion]
             S = S[:, idx]
@@ -187,7 +174,7 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
     m = dist.masses
     values, k = np.unique(a, return_inverse=True)
     members = np.split(np.argsort(k, kind="stable"), np.cumsum(np.bincount(k))[:-1])
-    family = _CheckFamily(checks, dist.scores, dist.group_matrix, values)
+    family = _CheckFamily(checks, dist.group_matrix, values)
     totals = np.zeros(family.n)
     distinct_sets = 0
     for level, (v, idx) in enumerate(zip(values, members)):
@@ -238,7 +225,7 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     assign = values[k]
     initial = assign.copy()
 
-    family = _CheckFamily(checks, dist.scores, dist.group_matrix, values)
+    family = _CheckFamily(checks, dist.group_matrix, values)
     # terms[level, check], 0.0 where the check selects no mass there, and
     # the selected set's label mean mus[level, check]
     terms = np.zeros((m_grid + 1, family.n))
@@ -320,7 +307,7 @@ def replay(result: CalibrationResult, checks: Sequence[CheckFunction],
     grid: each patch moves the points at its level that its check fires on."""
     m = result.grid_m
     k = grid_indices(scores, m)
-    family = _CheckFamily(checks, scores, G, np.arange(m + 1) / m)
+    family = _CheckFamily(checks, G, np.arange(m + 1) / m)
     for patch in result.history:
         level = int(grid_indices(patch.level, m))
         idx = np.flatnonzero(k == level)
@@ -329,31 +316,22 @@ def replay(result: CalibrationResult, checks: Sequence[CheckFunction],
 
 
 def default_checks(dist: CellDistribution, base: BaseRates,
-                   notion=FairnessNotion.FP,
-                   hypotheses: Sequence = (),
                    n_random: int = 64,
                    C: float = 10.0,
                    seed: int = 0,
                    trajectory_lambdas: Optional[np.ndarray] = None) -> List[CheckFunction]:
-    """Audit set: all groups, group-hypothesis products, random threshold
-    checks from the L1 ball, and optional solver dual snapshots."""
-    notion = FairnessNotion.coerce(notion)
+    """Audit set: all groups, then threshold rules under base (its notion and
+    beta) at random lambdas from the L1 ball of radius C, and at optional
+    solver dual snapshots."""
     checks = [CheckFunction("group", g, name=dist.groups.names[g])
               for g in range(dist.n_groups)]
-    for hi, h in enumerate(hypotheses):
-        checks.append(CheckFunction("hypothesis", h, name=f"h{hi}"))
-        for g in range(dist.n_groups):
-            checks.append(CheckFunction(
-                "product", (g, h), name=f"{dist.groups.names[g]}*h{hi}"))
     rng = np.random.Generator(np.random.PCG64(seed))
     for k in range(n_random):
         raw = rng.standard_normal(dist.n_groups)
         radius = C * rng.uniform()
         lam = raw * (radius / np.abs(raw).sum())
-        checks.append(CheckFunction(
-            "threshold", (lam, notion, base), name=f"s[{k}]"))
+        checks.append(CheckFunction("threshold", (lam, base), name=f"s[{k}]"))
     if trajectory_lambdas is not None:
         for k, lam in enumerate(np.asarray(trajectory_lambdas, dtype=float)):
-            checks.append(CheckFunction(
-                "threshold", (lam.copy(), notion, base), name=f"traj[{k}]"))
+            checks.append(CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]"))
     return checks

@@ -121,10 +121,10 @@ class OracleSolution:
     weights: np.ndarray
 
 
-def _constraint_columns(dist: CellDistribution, notion: FairnessNotion,
-                        base: BaseRates, f: np.ndarray):
-    """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group."""
-    a, b, _ = rate_terms(notion, f)
+def _constraint_columns(dist: CellDistribution, base: BaseRates, f: np.ndarray):
+    """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group,
+    under base's notion and beta."""
+    a, b, _ = rate_terms(base.notion, f)
     m = dist.masses
     centered = dist.group_matrix - base.beta[:, None]
     return centered @ (m * a), centered * (m * b)
@@ -141,20 +141,20 @@ def _staircase(p: np.ndarray) -> List[Tuple[tuple, float]]:
             for u, w in zip(levels, steps) if w > 0.0]
 
 
-def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
-                      gamma: float, scores_as_f: bool = True) -> OracleSolution:
-    """Exact optimum of the parity-constrained error LP.
+def enumerate_optimum(dist: CellDistribution, base: BaseRates, gamma: float,
+                      scores_as_f: bool = True) -> OracleSolution:
+    """Exact optimum of the error LP under base's parity constraints.
 
-    Error and every constraint are affine in the per-cell positive
-    probability p, and [0, 1]^n is the convex hull of the labelings, so the
-    optimum over mixtures of labelings is the LP over p: n variables in
-    [0, 1] and one two-sided row per group, solved with the bounded-variable
-    simplex, guarded to MAX_CELL_GROUPS cells x groups.  f is the scores (the
+    The constraints are base's notion, centred on its beta.  Error and every
+    constraint are affine in the per-cell positive probability p, and
+    [0, 1]^n is the convex hull of the labelings, so the optimum over
+    mixtures of labelings is the LP over p: n variables in [0, 1] and one
+    two-sided row per group, solved with the bounded-variable simplex,
+    guarded to MAX_CELL_GROUPS cells x groups.  f is the scores (the
     solver's program), or with scores_as_f=False the raw label means (the
     true optimum).  The support is p*'s staircase: a vertex has at most |G|
     fractional cells, so at most |G| + 1 labelings.
     """
-    notion = FairnessNotion.coerce(notion)
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
     if gamma < 0:
@@ -166,7 +166,7 @@ def enumerate_optimum(dist: CellDistribution, notion, base: BaseRates,
     m = dist.masses
 
     err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
-    const, coef = _constraint_columns(dist, notion, base, f)
+    const, coef = _constraint_columns(dist, base, f)
     p = simplex_solve(m * err_b, coef, -gamma - const, gamma - const)[0]
     # values under PIVOT_TOL apart are rounding dust, as at 0 and 1: each run
     # takes its least, so that no labeling of the staircase has rounding weight

@@ -119,7 +119,6 @@ class SolverConfig:
     C: float = 10.0
     eta: Union[str, float] = "auto"
     T: Union[str, int] = "auto"
-    beta_mode: str = "from_scores"
     record_every: int = 100
     work_cap: float = 5e9
     compute_gap: bool = False
@@ -144,8 +143,6 @@ class SolverConfig:
             raise ValueError("eta must be positive and finite")
         if self.T != "auto" and self.T < 1:
             raise ValueError("T must be at least 1")
-        if self.beta_mode not in ("from_scores", "from_labels"):
-            raise ValueError(f"unknown beta_mode {self.beta_mode!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if not self.work_cap > 0:    # NaN too; inf lifts the cap
@@ -249,7 +246,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     The dual is (lambda+, lambda-), (2|G|,), and round t's lambdas are
     lam_hist[t - 1], (|G|,)."""
     notion = config.notion
-    base = base_rates(dist, notion, config.beta_mode)
+    base = base_rates(dist, notion)
     f = dist.scores
     masses = dist.masses
     G = dist.group_matrix
@@ -420,7 +417,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
             block(t)
 
     return SolveResult(
-        mixture=MixtureClassifier(lam_hist, notion, base),
+        mixture=MixtureClassifier(lam_hist, base),
         final_dual=DualState(lam_p, lam_m, C),
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),

@@ -12,7 +12,7 @@ calibration history replayed on one point.  The tests require
 
 import numpy as np
 
-from fairpost.core import CellDistribution, FairnessNotion, decide_batch
+from fairpost.core import CellDistribution, decide_batch
 from fairpost.multical import CalibrationResult, CheckFunction
 
 from reference_cells import bits_from_mask, cells_of, mask_from_bits, snap_to_grid
@@ -22,25 +22,20 @@ from reference_solver import decide, group_sum
 def eval_point(check: CheckFunction, score: float, bits: tuple, v: float) -> int:
     if check.kind == "group":
         return bits[check.payload]
-    if check.kind == "hypothesis":
-        return int(check.payload(score, bits))
-    if check.kind == "product":
-        g, clf = check.payload
-        return bits[g] * int(clf(score, bits))
-    lam, notion, base = check.payload
-    return decide(lam, FairnessNotion.coerce(notion), base, v, mask_from_bits(bits))
+    lam, base = check.payload
+    return decide(lam, base.notion, base, v, mask_from_bits(bits))
 
 
 class Compiled:
-    """A check bound to a distribution: the level-free indicator per cell,
+    """A check bound to a distribution: a group check's indicator per cell,
     or a threshold check's group sum per cell."""
 
     def __init__(self, check: CheckFunction, dist: CellDistribution):
         self.fixed = self.S = self.notion = None
         cells = cells_of(dist)
         if check.kind == "threshold":
-            lam, notion, base = check.payload
-            self.notion = FairnessNotion.coerce(notion)
+            lam, base = check.payload
+            self.notion = base.notion
             self.S = np.array([group_sum(lam, base.beta, c.groups) for c in cells])
         else:
             self.fixed = np.array([

@@ -154,16 +154,15 @@ def _subset_sums(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def labeling_program(dist: CellDistribution, notion, base: BaseRates, gamma: float,
+def labeling_program(dist: CellDistribution, base: BaseRates, gamma: float,
                      scores_as_f: bool = True):
     """(c, A_ub, b_ub, A_eq, b_eq) of the mixture LP over all 2^n labelings."""
-    notion = FairnessNotion.coerce(notion)
     f = dist.scores if scores_as_f else dist.require_labels()
     m = dist.masses
 
     err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
     err = float(m @ err_a) + _subset_sums(m * err_b)
-    const, coef = _constraint_columns(dist, notion, base, f)
+    const, coef = _constraint_columns(dist, base, f)
     a = np.stack([const[g] + _subset_sums(coef[g]) for g in range(dist.n_groups)])
 
     g, K = a.shape
@@ -174,21 +173,20 @@ def labeling_program(dist: CellDistribution, notion, base: BaseRates, gamma: flo
     return err, A_ub, b_ub, A_eq, b_eq
 
 
-def reference_optimum(dist: CellDistribution, notion, base: BaseRates, gamma: float,
+def reference_optimum(dist: CellDistribution, base: BaseRates, gamma: float,
                       scores_as_f: bool = True) -> Tuple[float, np.ndarray]:
     """(opt_value, weights over the 2^n labelings) of the mixture LP."""
-    weights, opt_value = simplex_solve(*labeling_program(dist, notion, base, gamma,
-                                                         scores_as_f))
+    weights, opt_value = simplex_solve(*labeling_program(dist, base, gamma, scores_as_f))
     return opt_value, weights
 
 
-def highs_optimum(linprog, dist: CellDistribution, notion, base: BaseRates,
+def highs_optimum(linprog, dist: CellDistribution, base: BaseRates,
                   gamma: float) -> float:
     """The LP over p in [0, 1]^n with f = scores, solved by scipy's linprog
     (HiGHS)."""
     f, m = dist.scores, dist.masses
     err_a, err_b, _ = rate_terms(FairnessNotion.ERR, f)
-    const, coef = _constraint_columns(dist, FairnessNotion.coerce(notion), base, f)
+    const, coef = _constraint_columns(dist, base, f)
     res = linprog(m * err_b, A_ub=np.vstack([coef, -coef]),
                   b_ub=np.concatenate([gamma - const, gamma + const]),
                   bounds=(0, 1), method="highs")

@@ -43,8 +43,9 @@ def _solver_constraints(notion, f, p, masses, G, beta):
     return rho_g - beta * rho0
 
 
-def _constraint_columns(dist, notion, base, f):
+def _constraint_columns(dist, base, f):
     """(constant_g, coef_g) with a_g(h) = constant_g + coef_g @ h for each group."""
+    notion = base.notion
     m = dist.masses
     G = dist.group_matrix
     centered = G - base.beta[:, None]

@@ -39,7 +39,7 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     depends only on the 0/1 decision pattern, so exact-rate runs compute it
     once per distinct pattern; sampled rounds recompute it every round."""
     notion = config.notion
-    base = base_rates(dist, notion, config.beta_mode)
+    base = base_rates(dist, notion)
     f = dist.scores
     masses = dist.masses
     G = dist.group_matrix
@@ -119,7 +119,7 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
                 duality_gap_estimate=gap,
             ))
 
-    mixture = MixtureClassifier(lam_hist, notion, base)
+    mixture = MixtureClassifier(lam_hist, base)
     return SolveResult(
         mixture=mixture,
         final_dual=DualState(lam_p, lam_m, C),

@@ -67,7 +67,7 @@ def test_criterion_1_theorem_gap(fixture_seed1, notion):
     err_hat = surrogate_error(p, dist)
     rep = true_rates(p, dist, notion)
     base = base_rates(dist, notion, "from_scores")
-    opt = enumerate_optimum(dist, notion, base, gamma).opt_value
+    opt = enumerate_optimum(dist, base, gamma).opt_value
     elapsed = time.perf_counter() - t0
 
     err_bound = opt + 2.0 / C + 0.01
@@ -146,8 +146,8 @@ def test_criterion_5_fixh_identity(rng):
         base = base_rates(dist, "fp", "from_labels")
         lam = rand_lambda(rng, dist.n_groups, 5.0)
         values, level_of = np.unique(dist.scores, return_inverse=True)
-        family = _CheckFamily([CheckFunction("threshold", (lam, "fp", base))],
-                              dist.scores, dist.group_matrix, values)
+        family = _CheckFamily([CheckFunction("threshold", (lam, base))],
+                              dist.group_matrix, values)
         for j, cell in enumerate(cells_of(dist)):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base.beta)) <= 0:

@@ -464,10 +464,8 @@ def test_sweep_single_gamma(dataset, tmp_path):
     (["solve", "--config", '{"eta": null}'], 'eta must be "auto" or a number, not None'),
     (["solve", "--config", "[1, 2]"], "config must be a JSON object, not list"),
     (["solve", "--config", '{"grid_m": "x"}'], "grid_m must be a positive integer, not 'x'"),
-    (["solve", "--config", '{"beta_mode": "xx"}'], "unknown beta_mode 'xx'"),
+    (["solve", "--config", '{"beta_mode": "from_scores"}'], "unknown config key 'beta_mode'"),
     (["solve", "--config", '{"T": 2.5}'], 'T must be "auto" or a whole number, not 2.5'),
-    (["sweep", "--config", '{"beta_mode": "xx"}', "--gammas", "0.01"],
-     "unknown beta_mode 'xx'"),
 ])
 def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -611,6 +609,30 @@ def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, c
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["solve", "{data}", "--gamma", "abc"], 1, "argument --gamma: invalid float value: 'abc'"),
+    (["solve", "{data}", "--notion", "xx"], 1, "argument --notion: invalid choice: 'xx'"),
+    (["solve", "{data}", "--beta-mode", "from_labels"], 1,
+     "unrecognized arguments: --beta-mode from_labels"),
+    (["synth", "--seed", "1", "--n-cells", "x", "--out", "{out}"], 1,
+     "argument --n-cells: invalid int value: 'x'"),
+    (["--help"], 0, None),
+    (["solve", "--help"], 0, None),
+])
+def test_usage_errors_exit_1_and_help_exits_0(dataset, tmp_path, capsys, argv, code, message):
+    # exit code 2 is a guarantee miss alone; argparse's own message stays
+    argv = [a.format(data=dataset, out=tmp_path / "out.csv") for a in argv]
+    try:
+        got = main(argv + (["--out-dir", str(tmp_path / "run")] if argv[0] == "solve" else []))
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    if message is not None:
+        assert "usage: fairpost" in err and f"error: {message}" in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out.csv").exists()
+
+
 def test_eval_oracle_guard(tmp_path):
     """eval --oracle refuses an LP over MAX_CELL_GROUPS cells x groups with
     exit 1: 1,001 scores x 16 patterns of 4 group columns is 16,016 cells,
@@ -662,8 +684,7 @@ def test_eval_oracle_is_the_solvers_program(wide_eval):
     _, report, data, mixture_path = wide_eval
     dist = read_dataset(str(data), 100)
     mixture = load_mixture(str(mixture_path))[0]
-    highs = highs_optimum(scipy_opt.linprog, dist, mixture.notion, mixture.base,
-                          report["oracle"]["gamma"])
+    highs = highs_optimum(scipy_opt.linprog, dist, mixture.base, report["oracle"]["gamma"])
     assert abs(report["oracle"]["opt_value"] - highs) <= 1e-9
 
 
@@ -675,7 +696,7 @@ def _mixture_file(tmp_path, lambdas):
     dist = read_dataset(str(data), 4)
     # beta = 1/2 keeps every group sum of rows within +-1e308 finite
     base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
-    mix = MixtureClassifier(np.asarray(lambdas, dtype=float), FairnessNotion.FP, base)
+    mix = MixtureClassifier(np.asarray(lambdas, dtype=float), base)
     payload = cli._mixture_payload(mix, dist, 0.05)
     path = tmp_path / "mixture.json"
     cli._write_mixture(path, payload)
@@ -698,7 +719,7 @@ def test_chunked_mixture_bytes_equal_write_json(tmp_path, monkeypatch, chunk, T)
     data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
     dist = read_dataset(str(data), 4)
     base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
-    mix = MixtureClassifier(lam, FairnessNotion.FP, base)
+    mix = MixtureClassifier(lam, base)
     payload = cli._mixture_payload(mix, dist, 0.05)
     whole, pieces = tmp_path / "whole.json", tmp_path / "pieces.json"
     cli._write_json(whole, {**payload,

@@ -97,7 +97,7 @@ def test_positive_prob_counts_rules():
     base = _fp_base(1)
     # lambda values picked so exactly three of four rules fire on f=0.55
     lams = [[0.0], [0.0], [0.0], [5.0]]
-    mix = MixtureClassifier(np.array(lams), FairnessNotion.FP, base)
+    mix = MixtureClassifier(np.array(lams), base)
     cell = Cell(0.55, 1, 1.0)
     decisions = [decide(lam, FairnessNotion.FP, base, cell.score, cell.groups)
                  for lam in mix.lambdas]
@@ -107,7 +107,7 @@ def test_positive_prob_counts_rules():
 
 def test_positive_prob_identical_rules_is_binary():
     base = _fp_base(1)
-    mix = MixtureClassifier(np.zeros((5, 1)), FairnessNotion.FP, base)
+    mix = MixtureClassifier(np.zeros((5, 1)), base)
     for score in (0.2, 0.5, 0.8):
         assert mix.positive_prob_points([score], [[1]])[0] in (0.0, 1.0)
 
@@ -116,7 +116,7 @@ def test_positive_prob_matches_per_rule_enumeration(rng):
     dist, _ = make_dist(21, n_cells=12, n_groups=2)
     base = _fp_base(dist.n_groups)
     lams = rng.standard_normal((40, dist.n_groups))
-    mix = MixtureClassifier(lams, FairnessNotion.FP, base)
+    mix = MixtureClassifier(lams, base)
     p = mix.positive_prob_vector(dist)
     for j, cell in enumerate(cells_of(dist)):
         manual = sum(decide(lam, FairnessNotion.FP, base, cell.score, cell.groups)
@@ -129,9 +129,9 @@ def test_positive_prob_affine_in_concatenation(rng):
     base = _fp_base(dist.n_groups)
     lam1 = rng.standard_normal((3, dist.n_groups))
     lam2 = rng.standard_normal((7, dist.n_groups))
-    m1 = MixtureClassifier(lam1, FairnessNotion.FP, base)
-    m2 = MixtureClassifier(lam2, FairnessNotion.FP, base)
-    both = MixtureClassifier(np.vstack([lam1, lam2]), FairnessNotion.FP, base)
+    m1 = MixtureClassifier(lam1, base)
+    m2 = MixtureClassifier(lam2, base)
+    both = MixtureClassifier(np.vstack([lam1, lam2]), base)
     points = (dist.scores, dist.group_matrix.T)
     p1, p2, p = (m.positive_prob_points(*points) for m in (m1, m2, both))
     for j in range(dist.n_cells):
@@ -141,7 +141,7 @@ def test_positive_prob_affine_in_concatenation(rng):
 
 def test_rule_is_function_of_score_and_mask(rng):
     base = _fp_base(2)
-    rule = MixtureClassifier(np.array([[0.8, -0.3]]), FairnessNotion.FP, base)
+    rule = MixtureClassifier(np.array([[0.8, -0.3]]), base)
     # two cells of one (score, mask) with other masses and label means
     a = dist_from_cells(10, GroupSystem(("I", "g")), [Cell(0.6, 3, 0.25, label_mean=0.1),
                                                        Cell(0.2, 1, 0.75, label_mean=0.2)])

@@ -156,7 +156,7 @@ def test_calibrator_transform_equals_assignment_at_a_group_sum_tie():
         "0x1.64a1b7e26316cp-1", "0x1.a9b9d6fabd7a0p-1", "0x1.ecfbe5d3403c6p-1")])
     lam = np.array([float.fromhex(x) for x in (
         "-0x1.576f306d7a3a5p+2", "0x1.cd2c3b1738d60p+1", "0x1.254d4b607662cp-1")])
-    checks = [CheckFunction("threshold", (lam, "sp", BaseRates(FairnessNotion.SP, beta, beta)))]
+    checks = [CheckFunction("threshold", (lam, BaseRates(FairnessNotion.SP, beta, beta)))]
     result = calibrate(pert.scores, checks, pert, alpha=0.05)
     assert result.rounds > 0
     cal = JointMulticalibrator(alpha=0.05)

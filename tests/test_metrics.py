@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fairpost import (
+    BaseRates,
+    FairnessNotion,
     base_rates,
     build_cells,
     constraint_vector,
@@ -108,6 +110,19 @@ def test_constraint_lhs_zero_cases(rng):
         b = base_rates(dist, notion, "from_labels")
         p = rng.uniform(size=dist.n_cells)
         assert constraint_vector(p, dist, notion, b)[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_constraint_vector_takes_base_rates_built_from_a_str_notion(rng):
+    # BaseRates coerces its notion, so "fp" there is FairnessNotion.FP
+    dist, _ = make_dist(7, n_cells=10, n_groups=2)
+    base = base_rates(dist, "fp", "from_labels")
+    from_str = BaseRates("fp", base.beta, base.w)
+    assert from_str.notion is FairnessNotion.FP
+    p = rng.uniform(size=dist.n_cells)
+    want = constraint_vector(p, dist, FairnessNotion.FP, base)
+    assert constraint_vector(p, dist, "fp", from_str).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="different notion"):
+        constraint_vector(p, dist, "fn", from_str)
 
 
 def test_lemma32_family_small(rng):

@@ -87,7 +87,7 @@ def instances(draw):
             row[draw(st.integers(0, g - 1))] = draw(st.sampled_from(aimed))
             rows.append(row)
     base = BaseRates(notion, beta, np.full(g, 0.5))
-    mix = MixtureClassifier(np.array(rows), notion, base)
+    mix = MixtureClassifier(np.array(rows), base)
     return mix, scores, groups
 
 
@@ -115,7 +115,7 @@ def test_many_patterns_over_several_blocks(rng):
     groups = rng.integers(0, 2, size=(n, g))
     groups[:200] = groups[0]  # one pattern with enough points for the sort
     for notion in NOTIONS:
-        mix = MixtureClassifier(lambdas, notion, BaseRates(notion, beta, np.full(g, 0.5)))
+        mix = MixtureClassifier(lambdas, BaseRates(notion, beta, np.full(g, 0.5)))
         assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
                               _bits(_reference_probs(mix, scores, groups)))
 
@@ -133,7 +133,7 @@ def test_more_than_62_groups_counts_equal_decide_batch(rng, notion):
     patterns[2, 0] ^= 1    # ... and in the first group only
     groups = patterns[rng.integers(0, 6, size=n)]
     scores = np.concatenate([rng.uniform(size=n - 3), [0.0, 0.5, 1.0]])
-    mix = MixtureClassifier(lambdas, notion, BaseRates(notion, beta, np.full(g, 0.5)))
+    mix = MixtureClassifier(lambdas, BaseRates(notion, beta, np.full(g, 0.5)))
     assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
                           _bits(_reference_probs(mix, scores, groups)))
 
@@ -148,7 +148,7 @@ def test_sums_at_the_threshold_are_counted_by_decide_batch():
         lams = np.concatenate([flips, np.nextafter(flips, np.inf),
                                np.nextafter(flips, -np.inf), [-1.0, 0.0, -0.0]])
         base = BaseRates(notion, np.zeros(1), np.zeros(1))
-        mix = MixtureClassifier(lams[:, None], notion, base)
+        mix = MixtureClassifier(lams[:, None], base)
         groups = np.ones((len(f), 1), dtype=int)
         assert np.array_equal(_bits(mix.positive_prob_points(f, groups)),
                               _bits(_reference_probs(mix, f, groups)))
@@ -156,7 +156,7 @@ def test_sums_at_the_threshold_are_counted_by_decide_batch():
 
 def test_points_need_a_membership_matrix():
     base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
-    mix = MixtureClassifier(np.zeros((3, 2)), FairnessNotion.FP, base)
+    mix = MixtureClassifier(np.zeros((3, 2)), base)
     with pytest.raises(ValueError, match="membership matrix"):
         mix.positive_prob_points([0.5, 0.5], [1, 3])
     for bad in (2, 0.5, -1):
@@ -169,7 +169,7 @@ def test_points_need_a_membership_matrix():
 def test_mixture_rejects_non_finite_lambdas(bad):
     base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
     with pytest.raises(ValueError, match="finite"):
-        MixtureClassifier(np.array([[0.1, 0.2], [bad, 0.0]]), FairnessNotion.FP, base)
+        MixtureClassifier(np.array([[0.1, 0.2], [bad, 0.0]]), base)
 
 
 def test_mixture_rejects_lambdas_whose_group_sum_overflows():
@@ -178,9 +178,9 @@ def test_mixture_rejects_lambdas_whose_group_sum_overflows():
     lambdas = np.array([[1e308, 1e308], [0.1, 0.2]])
     zero = BaseRates(FairnessNotion.FP, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="overflow"):
-        MixtureClassifier(lambdas, FairnessNotion.FP, zero)
+        MixtureClassifier(lambdas, zero)
     half = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
-    mix = MixtureClassifier(lambdas, FairnessNotion.FP, half)
+    mix = MixtureClassifier(lambdas, half)
     groups = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
     scores = np.ones(4)
     assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),

@@ -10,7 +10,6 @@ from fairpost import (
     CheckFunction,
     FairnessNotion,
     GroupSystem,
-    MixtureClassifier,
     SolverConfig,
     audit,
     base_rates,
@@ -63,17 +62,10 @@ def _base(dist, notion):
     return base_rates(dist, notion, "from_labels")
 
 
-def _point_rule(lambdas, notion, base):
-    """A mixture's positive probability at one (score, bits) point, as a
-    hypothesis callable."""
-    mixture = MixtureClassifier(lambdas, notion, base)
-    return lambda score, bits: mixture.positive_prob_points([score], [bits])[0]
-
-
 def _fires_at_levels(checks, dist, levels):
     """The check family's (checks x cells) indicator, each cell at its level."""
     values, k = np.unique(levels, return_inverse=True)
-    family = _CheckFamily(checks, dist.scores, dist.group_matrix, values)
+    family = _CheckFamily(checks, dist.group_matrix, values)
     fires = np.empty((len(checks), dist.n_cells), dtype=bool)
     for level in range(len(values)):
         idx = np.flatnonzero(k == level)
@@ -85,14 +77,14 @@ def _point_fires(check, mask, v, n_groups) -> int:
     """The check family's indicator of one check at the point (v, mask),
     at level v."""
     G = np.array(bits_from_mask(mask, n_groups), dtype=float)[:, None]
-    family = _CheckFamily([check], np.array([float(v)]), G, np.array([float(v)]))
+    family = _CheckFamily([check], G, np.array([float(v)]))
     return int(family.fires(np.array([0]), 0)[0, 0])
 
 
 def test_threshold_eval_zero_dual_tracks_bayes_rule():
     # at lambda = 0 the check must agree with thresholding the score at 1/2
     dist, _ = make_dist(40, n_cells=6, n_groups=1)
-    check = CheckFunction("threshold", (np.zeros(dist.n_groups), "fp", _base(dist, "fp")))
+    check = CheckFunction("threshold", (np.zeros(dist.n_groups), _base(dist, "fp")))
     for v, want in ((0.6, 1), (0.4, 0), (0.5, 1)):  # the tie goes positive
         assert _point_fires(check, 1, v, dist.n_groups) == want
         assert eval_point(check, v, bits_from_mask(1, dist.n_groups), v) == want
@@ -104,7 +96,7 @@ def test_threshold_eval_equals_best_response_fp(rng):
         dist, _ = make_dist(500 + trial, n_cells=10, n_groups=2, grid_m=30)
         base = _base(dist, "fp")
         lam = rand_lambda(rng, dist.n_groups, 5.0)
-        fires = _fires_at_levels([CheckFunction("threshold", (lam, "fp", base))], dist,
+        fires = _fires_at_levels([CheckFunction("threshold", (lam, base))], dist,
                                  dist.scores)[0]
         for cell, got in zip(cells_of(dist), fires):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
@@ -121,8 +113,8 @@ def test_threshold_eval_equals_best_response_fn_and_sp(rng):
         base_fn = _base(dist, "fn")
         base_sp = _base(dist, "sp")
         fires_fn, fires_sp = _fires_at_levels(
-            [CheckFunction("threshold", (lam, "fn", base_fn)),
-             CheckFunction("threshold", (lam, "sp", base_sp))], dist, dist.scores)
+            [CheckFunction("threshold", (lam, base_fn)),
+             CheckFunction("threshold", (lam, base_sp))], dist, dist.scores)
         for cell, got_fn, got_sp in zip(cells_of(dist), fires_fn, fires_sp):
             bits = np.array([(cell.groups >> i) & 1 for i in range(dist.n_groups)])
             if 2.0 + float(lam @ (bits - base_fn.beta)) > 0:
@@ -139,7 +131,7 @@ def test_threshold_eval_monotone_in_v(rng):
         for _ in range(20):
             lam = rand_lambda(rng, dist.n_groups, 4.0)
             mask = cells_of(dist)[rng.integers(dist.n_cells)].groups
-            check = CheckFunction("threshold", (lam, notion, base))
+            check = CheckFunction("threshold", (lam, base))
             vals = [_point_fires(check, mask, v, dist.n_groups) for v in grid]
             bits = bits_from_mask(mask, dist.n_groups)
             assert vals == [eval_point(check, v, bits, v) for v in grid]
@@ -300,7 +292,7 @@ def test_threshold_eval_err_steps_at_half():
     sums = []
     for lam in ([0.5, -0.25, 0.1], [0.0, -8.0, 0.5], [0.0, 8.0, -6.0], [0.0, 0.0, 0.0]):
         lam = np.array(lam)
-        check = CheckFunction("threshold", (lam, "err", base))
+        check = CheckFunction("threshold", (lam, base))
         for cell in cells_of(dist):
             S = group_sum(lam, base.beta, cell.groups)
             sums.append(S)
@@ -325,8 +317,9 @@ def test_err_check_is_the_best_response(rng):
 
 
 def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
-    # the threshold check is the best response, so the two audit the same
-    # sets; the all-ones group is audited beside them
+    # the threshold check is the best response, so it audits the sets of the
+    # reference's per-point best response; the all-ones group is audited
+    # beside it
     dist, _ = make_dist(49, n_cells=40, n_groups=3, grid_m=20, miscalibration=0.3)
     assert (dist.group_matrix[0] == 1.0).all()
     base = _base(dist, "err")
@@ -334,10 +327,10 @@ def test_err_best_response_sets_audited_by_check_and_all_ones_group(rng):
     assert 0.5 in assignment and (assignment < 0.5).any() and (assignment > 0.5).any()
     for _ in range(20):
         lam = rand_lambda(rng, dist.n_groups, 4.0)
-        checks = [CheckFunction("group", 0), CheckFunction("threshold", (lam, "err", base)),
-                  CheckFunction("hypothesis", _point_rule(lam[None], "err", base))]
-        (ones, check, best), _ = audit(assignment, checks, dist)
-        assert best == pytest.approx(check, abs=1e-12)
+        checks = [CheckFunction("group", 0), CheckFunction("threshold", (lam, base))]
+        got, _ = audit(assignment, checks, dist)
+        want, _ = _reference_audit(assignment, checks, dist)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_calibrate_alpha_validation():
@@ -384,7 +377,7 @@ def test_replay_is_batch_independent_with_tie_aimed_checks(data):
         S = group_sum(lam, base.beta, cells[j].groups)
         if np.isfinite(d[0]) and S != 0.0:
             lam = lam * (s[0] * d[0] / S)  # s*S = d, up to rounding
-        checks.append(CheckFunction("threshold", (lam, notion, base)))
+        checks.append(CheckFunction("threshold", (lam, base)))
     result = calibrate(dist.scores, checks, dist, alpha)
 
     # the cells, then points of any grid score and membership row
@@ -549,8 +542,7 @@ def test_calibrate_matches_reference_with_ties_and_repeated_levels():
     cells = [Cell(c.score, c.groups, c.mass / total, c.label_mean) for c in cells]
     dist = dist_from_cells(4, system, cells)
     checks = [CheckFunction("group", g) for g in (0, 1, 2, 0, 1)]
-    checks.append(CheckFunction("product", (1, _point_rule(
-        np.zeros((1, 3)), FairnessNotion.SP, _base(dist, "sp")))))
+    checks.append(CheckFunction("threshold", (np.zeros(3), _base(dist, "sp"))))
     for alpha in (0.3, 0.05, 0.01):
         _assert_same_calibration(checks, dist, alpha)
 
@@ -575,22 +567,12 @@ def test_calibrate_matches_reference_for_every_notion_at_singular_levels():
         base = _base(dist, notion)
         for k in range(6):
             lam = rand_lambda(rng, dist.n_groups, 4.0)
-            checks.append(CheckFunction("threshold", (lam, notion, base)))
-        checks.append(CheckFunction("threshold", (np.zeros(dist.n_groups), notion, base)))
+            checks.append(CheckFunction("threshold", (lam, base)))
+        checks.append(CheckFunction("threshold", (np.zeros(dist.n_groups), base)))
     for alpha in (0.1, 0.02):  # grids of 10 and 50: 0, 1/2 and 1 are levels
         got = _assert_same_calibration(checks, dist, alpha)
         assert {0.0, 0.5, 1.0} <= set(got.initial_assignment)
     _assert_same_audit(dist.scores, checks, dist)
-
-
-def test_calibrate_matches_reference_with_hypothesis_and_product_checks():
-    _, pert = make_dist(12, n_cells=40, n_groups=2, grid_m=25, miscalibration=0.4)
-    base = _base(pert, "fp")
-    rules = [_point_rule(np.array([lam]), FairnessNotion.FP, base)
-             for lam in ((0.8, -0.5, 0.3), (0.0, 0.0, 0.0))]
-    checks = default_checks(pert, base, hypotheses=rules, n_random=8, C=5.0, seed=1)
-    assert {"hypothesis", "product"} <= {c.kind for c in checks}
-    _assert_same_calibration(checks, pert, 0.01)
 
 
 def test_audit_matches_reference_off_the_grid(rng):
@@ -623,7 +605,7 @@ def test_audit_rejects_levels_outside_unit_interval():
         audit(np.full(dist.n_cells, 1.5), checks, dist)
     with pytest.raises(ValueError, match="v must lie"):
         audit(np.full(dist.n_cells, np.nan), checks, dist)
-    zero = [CheckFunction("threshold", (np.zeros(dist.n_groups), "fp", _base(dist, "fp")))]
+    zero = [CheckFunction("threshold", (np.zeros(dist.n_groups), _base(dist, "fp")))]
     with pytest.raises(ValueError, match="v must lie"):
         audit(np.full(dist.n_cells, 1.5), zero, dist)
     with pytest.raises(ValueError, match="v must lie"):
@@ -635,7 +617,7 @@ def test_threshold_check_lambdas_must_match_the_group_count():
     # longer lambda would otherwise lose its last entries without a word
     dist, _ = make_dist(3, n_cells=8, n_groups=2)
     for width in (dist.n_groups - 1, dist.n_groups + 1):
-        check = CheckFunction("threshold", (np.ones(width), "fp", _base(dist, "fp")))
+        check = CheckFunction("threshold", (np.ones(width), _base(dist, "fp")))
         with pytest.raises(ValueError, match="lambdas width must match the group count"):
             audit(dist.scores, [check], dist)
 
@@ -655,8 +637,8 @@ def test_audit_rejects_levels_outside_unit_interval_with_group_checks_alone(leve
 def test_level_table_equals_d_of_v_at_snapped_value(notion, m, x):
     dist, _ = make_dist(15, n_cells=4, n_groups=1)
     notion = FairnessNotion.coerce(notion)
-    check = CheckFunction("threshold", (np.zeros(dist.n_groups), notion, _base(dist, "fp")))
-    family = _CheckFamily([check], dist.scores, dist.group_matrix, np.arange(m + 1) / m)
+    check = CheckFunction("threshold", (np.zeros(dist.n_groups), _base(dist, notion)))
+    family = _CheckFamily([check], dist.group_matrix, np.arange(m + 1) / m)
     s, d = family.tables[notion]
     v = snap_to_grid(x, m)
     k = round(v * m)
@@ -681,14 +663,14 @@ def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
     ks = data.draw(st.lists(st.integers(min_value=0, max_value=m),
                             min_size=dist.n_cells - 3, max_size=dist.n_cells - 3))
     levels = np.concatenate([[0.0, 0.5, 1.0], np.array(ks) / m])
-    check = CheckFunction("threshold", (lam, notion, base))
+    check = CheckFunction("threshold", (lam, base))
     comp = Compiled(check, dist)
     want = decide_batch(comp.S, levels, comp.notion)
     assert _bits(comp.evaluate(levels)) == _bits(want)
     assert _bits(_fires_at_levels([check], dist, levels)[0]) == _bits(want)
 
     values, k = np.unique(levels, return_inverse=True)
-    family = _CheckFamily([check], dist.scores, dist.group_matrix, values)
+    family = _CheckFamily([check], dist.group_matrix, values)
     for level in range(len(values)):
         idx = np.flatnonzero(k == level)
         sets, which = family.level_sets(idx, level)
@@ -708,19 +690,14 @@ def _reference_distinct_sets(assignment, checks, dist):
 
 
 def _check_pool(dist):
-    """Every check kind, threshold checks for all four notions and a
+    """Both check kinds, threshold checks for all four notions and a
     duplicate of each group check."""
     rng = np.random.Generator(np.random.PCG64(dist.n_cells))
-    base = _base(dist, "fp")
-    rule = _point_rule(rand_lambda(rng, dist.n_groups, 4.0)[None], "fp", base)
     pool = [CheckFunction("group", g) for g in range(dist.n_groups)] * 2
-    pool += [CheckFunction("hypothesis", rule),
-             CheckFunction("hypothesis", lambda score, bits: score >= 0.5),
-             CheckFunction("product", (dist.n_groups - 1, rule))]
     for notion in NOTIONS:
         base = _base(dist, notion)
-        pool += [CheckFunction("threshold", (rand_lambda(rng, dist.n_groups, 6.0), notion,
-                                             base)) for _ in range(2)]
+        pool += [CheckFunction("threshold", (rand_lambda(rng, dist.n_groups, 6.0), base))
+                 for _ in range(2)]
     return pool
 
 

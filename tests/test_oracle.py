@@ -48,18 +48,17 @@ def test_simplex_matches_scipy_on_lp_family(rng):
     scipy_opt = pytest.importorskip("scipy.optimize")
     from fairpost.oracle import _constraint_columns
     from reference_oracle import _subset_sums
-    from fairpost import FairnessNotion
 
     for trial in range(40):
         dist, _ = make_dist(7000 + trial, n_cells=7, n_groups=2, grid_m=10)
         notion = NOTIONS[trial % 4]
         gamma = [0.0, 0.005, 0.02, 0.1][trial % 4]
         base = base_rates(dist, notion, "from_labels")
-        sol = enumerate_optimum(dist, notion, base, gamma)
+        sol = enumerate_optimum(dist, base, gamma)
 
         f, m = dist.scores, dist.masses
         err = float(m @ f) + _subset_sums(m * (1 - 2 * f))
-        const, coef = _constraint_columns(dist, FairnessNotion.coerce(notion), base, f)
+        const, coef = _constraint_columns(dist, base, f)
         a = np.stack([const[g] + _subset_sums(coef[g]) for g in range(dist.n_groups)])
         res = scipy_opt.linprog(
             err, A_ub=np.vstack([a, -a]), b_ub=np.full(2 * dist.n_groups, gamma),
@@ -70,16 +69,15 @@ def test_simplex_matches_scipy_on_lp_family(rng):
 
 def test_oracle_two_group_bias_cross_check(biased_instance):
     scipy_opt = pytest.importorskip("scipy.optimize")
-    from fairpost import FairnessNotion
     from fairpost.oracle import _constraint_columns
     from reference_oracle import _subset_sums
 
     dist = biased_instance
     base = base_rates(dist, "fp", "from_labels")
-    sol = enumerate_optimum(dist, "fp", base, 0.01)
+    sol = enumerate_optimum(dist, base, 0.01)
     f, m = dist.scores, dist.masses
     err = float(m @ f) + _subset_sums(m * (1 - 2 * f))
-    const, coef = _constraint_columns(dist, FairnessNotion.FP, base, f)
+    const, coef = _constraint_columns(dist, base, f)
     a = np.stack([const[g] + _subset_sums(coef[g]) for g in range(dist.n_groups)])
     res = scipy_opt.linprog(
         err, A_ub=np.vstack([a, -a]), b_ub=np.full(2 * dist.n_groups, 0.01),
@@ -92,7 +90,7 @@ def test_oracle_vacuous_gamma_is_bayes():
     dist, _ = make_dist(50, n_cells=9, n_groups=2)
     for notion in NOTIONS:
         base = base_rates(dist, notion, "from_labels")
-        sol = enumerate_optimum(dist, notion, base, gamma=1.0)
+        sol = enumerate_optimum(dist, base, gamma=1.0)
         bayes = float(dist.masses @ np.minimum(dist.scores, 1 - dist.scores))
         assert sol.opt_value == pytest.approx(bayes, abs=1e-12)
 
@@ -101,14 +99,14 @@ def test_oracle_single_cell():
     system = GroupSystem(("I",))
     dist = dist_from_cells(10, system, [Cell(0.3, 1, 1.0, 0.3)])
     base = base_rates(dist, "fp", "from_labels")
-    sol = enumerate_optimum(dist, "fp", base, gamma=0.0)
+    sol = enumerate_optimum(dist, base, gamma=0.0)
     assert sol.opt_value == pytest.approx(0.3, abs=1e-12)
     assert sol.support == [((0,), 1.0)]
 
 
 def test_oracle_mixture_is_feasible_and_weights_normalized(biased_instance):
     base = base_rates(biased_instance, "fp", "from_labels")
-    sol = enumerate_optimum(biased_instance, "fp", base, gamma=0.01)
+    sol = enumerate_optimum(biased_instance, base, gamma=0.01)
     assert sol.weights.min() >= 0.0
     assert sol.weights.sum() == pytest.approx(1.0, abs=1e-9)
     # direct recomputation through the metrics module
@@ -124,7 +122,7 @@ def test_oracle_monotone_in_gamma(biased_instance):
     for notion in NOTIONS:
         base = base_rates(biased_instance, notion, "from_labels")
         values = [
-            enumerate_optimum(biased_instance, notion, base, g).opt_value
+            enumerate_optimum(biased_instance, base, g).opt_value
             for g in (0.0, 0.01, 0.05, 0.2, 1.0)
         ]
         for lo, hi in zip(values, values[1:]):
@@ -138,11 +136,11 @@ def test_oracle_cell_guard(monkeypatch):
     base = base_rates(dist, "fp", "from_labels")
     size = dist.n_cells * dist.n_groups
     monkeypatch.setattr(oracle, "MAX_CELL_GROUPS", size)
-    enumerate_optimum(dist, "fp", base, 0.1)
+    enumerate_optimum(dist, base, 0.1)
     monkeypatch.setattr(oracle, "MAX_CELL_GROUPS", size - 1)
     monkeypatch.setattr(oracle, "simplex_solve", None)
     with pytest.raises(ValueError, match=f"12 cells x 2 groups = 24 exceed LP guard {size - 1}"):
-        enumerate_optimum(dist, "fp", base, 0.1)
+        enumerate_optimum(dist, base, 0.1)
 
 
 def test_pointwise_argmin_values():
@@ -172,7 +170,7 @@ def test_weak_duality_against_solver_duals(biased_instance):
     dist = biased_instance
     gamma, C = 0.01, 4.0
     base = base_rates(dist, "fp", "from_scores")
-    sol = enumerate_optimum(dist, "fp", base, gamma)
+    sol = enumerate_optimum(dist, base, gamma)
     cfg = SolverConfig(notion="fp", gamma=gamma, C=C, T=400, record_every=100)
     res = run(dist, cfg)
 
@@ -183,7 +181,7 @@ def test_weak_duality_against_solver_duals(biased_instance):
     for i in range(0, len(lambdas), 7):
         lam = lambdas[i]
         dual = DualState(np.maximum(lam, 0.0), np.maximum(-lam, 0.0), C)
-        h = MixtureClassifier(lambdas[i:i + 1], "fp", base).positive_prob_vector(dist)
+        h = MixtureClassifier(lambdas[i:i + 1], base).positive_prob_vector(dist)
         value = lagrangian_value(h, dual, dist, "fp", base, gamma)
         best_lower = max(best_lower, value)
     assert sol.opt_value >= best_lower - 1e-9
@@ -224,9 +222,9 @@ def test_lp_oracle_equals_labeling_enumeration(seed, n_cells, n_groups, notion, 
     dist = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=20)[perturbed]
     base = base_rates(dist, notion, beta_mode)
     base = BaseRates(base.notion, base.beta * shrink, base.w * shrink)
-    program = reference_oracle.labeling_program(dist, notion, base, gamma, scores_as_f)
+    program = reference_oracle.labeling_program(dist, base, gamma, scores_as_f)
     lp = _solve_or_none(
-        lambda: enumerate_optimum(dist, notion, base, gamma, scores_as_f=scores_as_f))
+        lambda: enumerate_optimum(dist, base, gamma, scores_as_f=scores_as_f))
     try:
         ref = _solve_or_none(reference_oracle.simplex_solve, *program)
     except RuntimeError as exc:
@@ -281,8 +279,8 @@ def test_oracle_at_scale(seed, n_cells, n_groups, profile, grid_m, perturbed):
     assert dist.n_cells == n_cells
     for gamma, notion in itertools.product((0.01, 0.0), NOTIONS):
         base = base_rates(dist, notion, "from_scores")
-        sol = enumerate_optimum(dist, notion, base, gamma)
-        highs = reference_oracle.highs_optimum(scipy_opt.linprog, dist, notion, base, gamma)
+        sol = enumerate_optimum(dist, base, gamma)
+        highs = reference_oracle.highs_optimum(scipy_opt.linprog, dist, base, gamma)
         assert abs(sol.opt_value - highs) <= 1e-9
 
         assert len(sol.support) == len(sol.weights) <= dist.n_groups + 1

@@ -110,8 +110,8 @@ def test_base_rates_bit_equal(dist, notion, mode):
 def test_constraint_columns_bit_equal(dist, notion, mode):
     base = _base_or_skip(dist, notion, mode)
     for f in (dist.scores, dist.label_means):
-        const, coef = _constraint_columns(dist, notion, base, f)
-        want_const, want_coef = ref._constraint_columns(dist, notion, base, f)
+        const, coef = _constraint_columns(dist, base, f)
+        want_const, want_coef = ref._constraint_columns(dist, base, f)
         assert np.array_equal(_bits(const), _bits(want_const))
         assert np.array_equal(_bits(coef), _bits(want_coef))
 

@@ -6,7 +6,7 @@ from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fairpost import (
     BudgetExceededError,
@@ -110,7 +110,7 @@ def test_dual_gradient_is_lagrangian_derivative(rng):
     for notion in NOTIONS:
         base = base_rates(dist, notion, "from_labels")
         lam = rand_lambda(rng, dist.n_groups, 3.0)
-        rule = MixtureClassifier(lam[None], notion, base)
+        rule = MixtureClassifier(lam[None], base).positive_prob_vector(dist)
         gp, gm = dual_gradient(rule, dist, notion, base, gamma=0.02)
         lp = np.abs(rng.standard_normal(dist.n_groups))
         lm = np.abs(rng.standard_normal(dist.n_groups))
@@ -141,7 +141,7 @@ def test_sp_meets_criterion_1_bounds(seed):
     gamma, C = 0.01, 10.0
     res = run(dist, SolverConfig(notion="sp", gamma=gamma, C=C, record_every=100000))
     p = res.mixture.positive_prob_vector(dist)
-    opt = enumerate_optimum(dist, "sp", res.base, gamma).opt_value
+    opt = enumerate_optimum(dist, res.base, gamma).opt_value
     assert surrogate_error(p, dist) <= opt + 2.0 / C + 0.01
     assert true_rates(p, dist, "sp").max_violation <= gamma + 1.0 / C + 2.0 / C ** 2 + 0.01
 
@@ -372,7 +372,7 @@ def test_gap_estimate_nonnegative_and_shrinks():
 def _reference_run_loop(dist, config, scores_as_f, sampler=None,
                         record_deviation=False):
     notion = config.notion
-    base = base_rates(dist, notion, config.beta_mode)
+    base = base_rates(dist, notion)
     f = dist.scores if scores_as_f else dist.require_labels()
     masses = dist.masses
     G = dist.group_matrix
@@ -435,7 +435,7 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
                 duality_gap_estimate=gap,
             ))
 
-    mixture = MixtureClassifier(lam_hist, notion, base)
+    mixture = MixtureClassifier(lam_hist, base)
     return SolveResult(
         mixture=mixture,
         final_dual=DualState(lam_p, lam_m, C),
@@ -668,14 +668,21 @@ def test_cumsum_rows_equal_the_sequential_update(n_cols):
        C=st.sampled_from([0.5, 1.0, 10.0]), gamma=st.sampled_from([0.0, 0.01]),
        eta=st.sampled_from(["auto", 0.05]), record_every=st.sampled_from([1, 7, 100]),
        T=st.integers(1, 20000) | st.sampled_from([3000, 20000]))
+@example(seed=195, n_cells=2, n_groups=2, grid_m=2, notion="fp", C=10.0, gamma=0.01,
+         eta="auto", record_every=100, T=3000)
+@example(seed=27138, n_cells=2, n_groups=1, grid_m=2, notion="fp", C=10.0, gamma=0.01,
+         eta="auto", record_every=100, T=3000)
 def test_speculative_blocks_match_the_reference_loop(seed, n_cells, n_groups, grid_m, notion,
                                                      C, gamma, eta, record_every, T):
     # exact runs replay recurring decision patterns in blocks; every
     # kept round must be the reference loop's, projections included
     if grid_m == 2 and n_groups < 3:    # 3 scores on the 1/2 grid: at most 6 cells
         n_cells = min(n_cells, 6)
-    dist, _ = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=grid_m,
-                        profile="two_group_bias")
+    try:
+        dist, _ = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=grid_m,
+                            profile="two_group_bias")
+    except RuntimeError:    # the generator found no instance past its violation floor
+        assume(False)
     try:
         base_rates(dist, FairnessNotion.coerce(notion), "from_scores")
     except ValueError:    # a label marginal of 0 or 1 has no constrained problem

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fairpost import (
-    FairnessNotion,
     MixtureClassifier,
     SplitMix64,
     SynthSpec,
@@ -40,7 +39,7 @@ def test_two_group_bias_violation_floor():
                      bias_profile="two_group_bias")
     exact, _ = gen_instance(spec)
     base = base_rates(exact, "fp", "from_labels")
-    bayes = MixtureClassifier(np.zeros((1, exact.n_groups)), FairnessNotion.FP, base)
+    bayes = MixtureClassifier(np.zeros((1, exact.n_groups)), base).positive_prob_vector(exact)
     rep = true_rates(bayes, exact, "fp")
     assert rep.max_violation > 0.02
 
