@@ -18,7 +18,6 @@ from .metrics import (
 )
 from .solver import (
     BudgetExceededError,
-    DualState,
     SolveResult,
     SolverConfig,
     TrajectoryRecord,
@@ -55,9 +54,8 @@ __all__ = [
     "BaseRates", "CellDistribution", "FairnessNotion", "GroupSystem",
     "MixtureClassifier", "aggregate_cells", "build_cells",
     "RateReport", "base_rates", "constraint_vector", "surrogate_error", "true_rates",
-    "BudgetExceededError", "DualState", "SolveResult", "SolverConfig",
-    "TrajectoryRecord", "iteration_budget", "project_l1", "run",
-    "run_sampled", "sample_size",
+    "BudgetExceededError", "SolveResult", "SolverConfig", "TrajectoryRecord",
+    "iteration_budget", "project_l1", "run", "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "default_checks",
     "InfeasibleError", "OracleSolution", "enumerate_optimum", "simplex_solve",

@@ -538,7 +538,10 @@ def cmd_solve(args) -> int:
     source = {}
     dist = read_dataset(args.dataset, config["grid_m"], source)
     t1 = time.perf_counter()
-    result = run(dist, solver_config)    # main reports BudgetExceededError
+    try:
+        result = run(dist, solver_config)    # main reports BudgetExceededError
+    except ValueError as exc:    # degenerate base rates
+        raise InputError(str(exc)) from exc
     t2 = time.perf_counter()
     report, code = _solve_report(result, dist, solver_config.gamma)
     report["exit_code"] = code
@@ -652,9 +655,12 @@ def _write_pareto_svg(path: Path, rows) -> None:
 
 def _build_checks(dist, args):
     # audit and calibrate refuse unlabeled data before they build checks
-    base = base_rates(dist, FairnessNotion.FP, "from_labels")
-    return default_checks(dist, base, n_random=args.n_random_checks, C=args.check_C,
-                          seed=args.seed)
+    try:
+        base = base_rates(dist, FairnessNotion.FP, "from_labels")
+        return default_checks(dist, base, n_random=args.n_random_checks, C=args.check_C,
+                              seed=args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _check_config(args) -> dict:

@@ -105,7 +105,7 @@ class FairThresholdPostprocessor(_ParamsMixin):
         result = run(dist, config)
         self.result_ = result
         self.mixture_ = result.mixture
-        self.base_ = result.base
+        self.base_ = result.mixture.base
         self.distribution_ = dist
         self.n_groups_ = groups.shape[1]
         return self

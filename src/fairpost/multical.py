@@ -322,7 +322,13 @@ def default_checks(dist: CellDistribution, base: BaseRates,
                    trajectory_lambdas: Optional[np.ndarray] = None) -> List[CheckFunction]:
     """Audit set: all groups, then threshold rules under base (its notion and
     beta) at random lambdas from the L1 ball of radius C, and at optional
-    solver dual snapshots."""
+    solver dual snapshots.  ValueError unless 0 < C < inf, n_random >= 0, seed >= 0."""
+    if not 0 < C < math.inf:
+        raise ValueError("C must be positive and finite")
+    if n_random < 0:
+        raise ValueError("n_random must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     checks = [CheckFunction("group", g, name=dist.groups.names[g])
               for g in range(dist.n_groups)]
     rng = np.random.Generator(np.random.PCG64(seed))

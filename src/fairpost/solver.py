@@ -1,7 +1,7 @@
 """Primal best-response / dual projected-gradient dynamics over the L1 ball.
 
-The dual player runs additive gradient steps on nonnegative multiplier
-pairs (lambda+, lambda-) projected onto the ball ||lambda||_1 <= C; the
+The dual player runs additive gradient steps on one nonnegative vector
+(lambda+, lambda-) of length 2|G| projected onto the ball of radius C; the
 primal player best-responds with a closed-form threshold rule.  The uniform
 mixture over all rounds' rules is the returned randomized classifier.
 """
@@ -17,7 +17,6 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .core import (
-    BaseRates,
     CellDistribution,
     FairnessNotion,
     MixtureClassifier,
@@ -33,7 +32,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "DualState",
     "SolverConfig",
     "TrajectoryRecord",
     "SolveResult",
@@ -61,30 +59,6 @@ LAMBDA_HISTORY_CAP = 1 << 30
 # (README "Speculative blocks").
 BLOCK_CONTEXT, BLOCK_MAX_LAG, BLOCK_WIDTH, BLOCK_CELLS = (16, 1024), 8192, (32, 4096), 1 << 17
 BLOCK_MIN_KEPT, BLOCK_MAX_WAIT = 16, 4096
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Nonnegative multiplier pairs with an L1 budget C."""
-
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    bound_C: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_plus", np.asarray(self.lambda_plus, dtype=float))
-        object.__setattr__(self, "lambda_minus", np.asarray(self.lambda_minus, dtype=float))
-        if self.bound_C <= 0:
-            raise ValueError("bound_C must be positive")
-        if np.any(self.lambda_plus < 0) or np.any(self.lambda_minus < 0):
-            raise ValueError("dual variables must be nonnegative")
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self.lambda_plus - self.lambda_minus
-
-    def l1(self) -> float:
-        return float(self.lambda_plus.sum() + self.lambda_minus.sum())
 
 
 def _number(name: str, value, whole: bool = False, auto: bool = False):
@@ -160,11 +134,13 @@ class TrajectoryRecord:
 
 @dataclass
 class SolveResult:
+    """One run: the mixture over its T rules (its BaseRates are the run's),
+    the dual (lambda+, lambda-), (2|G|,), after the last round, and eta."""
+
     mixture: MixtureClassifier
-    final_dual: DualState
+    final_dual: np.ndarray
     trajectory: List[TrajectoryRecord]
     theorem_bounds: dict
-    base: BaseRates
     T: int
     eta: float
     estimation_deviations: Optional[np.ndarray] = None
@@ -196,19 +172,22 @@ def sample_size(T: int, group_count: int, epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 * group_count * T / delta) / (2.0 * epsilon * epsilon))
 
 
-def project_l1(dual: DualState) -> DualState:
-    """Euclidean projection of the concatenated (lambda+, lambda-) vector
-    onto the L1 ball {x >= 0, sum x <= C}: the point of the ball nearest
-    it, as the no-regret bound of projected gradient steps requires."""
-    v = np.concatenate([dual.lambda_plus, dual.lambda_minus])
-    C = dual.bound_C
+def project_l1(v: np.ndarray, C: float) -> np.ndarray:
+    """Euclidean projection of the dual v = (lambda+, lambda-), (2|G|,),
+    onto the L1 ball {x >= 0, sum x <= C}, as the no-regret bound of
+    projected gradient steps requires: a new array, equal to v inside the
+    ball.  C <= 0 or a negative entry raises ValueError."""
+    v = np.array(v, dtype=float)
+    if C <= 0:
+        raise ValueError("C must be positive")
+    if np.any(v < 0):
+        raise ValueError("dual variables must be nonnegative")
     if v.sum() > C:
         u = np.sort(v)[::-1]
         css = np.cumsum(u)
         rho = np.nonzero(u * np.arange(1, len(u) + 1) > (css - C))[0][-1]
         v = np.maximum(v - (css[rho] - C) / (rho + 1.0), 0.0)
-    g = len(dual.lambda_plus)
-    return DualState(v[:g], v[g:], C)
+    return v
 
 
 def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
@@ -237,14 +216,14 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
 
 def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
               record_deviation: bool = False) -> SolveResult:
-    """Primal/dual rounds of one config.  The best response is the per-cell
-    threshold form of decide_batch: one gemv and one compare per round.  The
-    dual step depends only on the 0/1 decision pattern, so exact-rate runs
-    compute it once per distinct pattern and replay recurring patterns in
-    speculative blocks (block); sampled rounds recompute it every round.
-
-    The dual is (lambda+, lambda-), (2|G|,), and round t's lambdas are
-    lam_hist[t - 1], (|G|,)."""
+    """Primal/dual rounds of one config.  The dual is one array (lambda+,
+    lambda-), (2|G|,), stepped, clipped at 0 and, off the ball, projected in
+    place; lam_p and lam_m view its halves, and round t plays lam_hist[t - 1]
+    = lam_p - lam_m.  The best response is the per-cell threshold form of
+    decide_batch: one gemv and one compare per round.  The dual step depends
+    only on the 0/1 decision pattern, so exact-rate runs compute it once per
+    distinct pattern and replay recurring patterns in speculative blocks
+    (block); sampled rounds recompute it every round."""
     notion = config.notion
     base = base_rates(dist, notion)
     f = dist.scores
@@ -275,8 +254,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     cache = {}    # decision pattern -> terms and pattern id
     compute_gap, record_every = config.compute_gap, config.record_every
     dec_sum = np.zeros(n_cells)
-    sum_lam_p = np.zeros(n_groups)
-    sum_lam_m = np.zeros(n_groups)
+    sum_dual = np.zeros(2 * n_groups)
     trajectory: List[TrajectoryRecord] = []
     deviations = np.zeros((T, n_groups)) if record_deviation else None
     projections = 0
@@ -299,9 +277,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
         # l1_safe
         nonlocal projections
         if lam_p.sum() + lam_m.sum() > C:
-            projected = project_l1(DualState(lam_p, lam_m, C))
-            lam_p[:] = projected.lambda_plus
-            lam_m[:] = projected.lambda_minus
+            dual[:] = project_l1(dual, C)
             projections += 1
 
     # speculative blocks (exact runs): the pattern id of every round (the
@@ -390,8 +366,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
 
         if compute_gap:
             dec_sum += h
-            sum_lam_p += lam_p
-            sum_lam_m += lam_m
+            sum_dual += dual
 
         # max(0, dual + step); an array of zeros skips converting the
         # scalar 0.0 each call and gives the same bits
@@ -407,9 +382,8 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
         if (t - 1) % record_every == 0:
             gap = None
             if compute_gap:
-                gap = _gap_estimate(
-                    dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
-                    memb, beta, notion, gamma, C)
+                gap = _gap_estimate(dec_sum / t, sum_dual / t, f, masses, G,
+                                    memb, beta, notion, gamma, C)
             trajectory.append(TrajectoryRecord(
                 t, row_terms[1], row_terms[2], float(lam_p.sum() + lam_m.sum()), gap))
 
@@ -418,10 +392,9 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
 
     return SolveResult(
         mixture=MixtureClassifier(lam_hist, base),
-        final_dual=DualState(lam_p, lam_m, C),
+        final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
-        base=base,
         T=T,
         eta=eta,
         estimation_deviations=deviations,
@@ -430,20 +403,21 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     )
 
 
-def _gap_estimate(p_bar, avg_lam_p, avg_lam_m, f, masses, G, memb, beta,
-                  notion, gamma, C) -> float:
-    """Upper minus lower estimate of the bounded game's value.
+def _gap_estimate(p_bar, avg_dual, f, masses, G, memb, beta, notion, gamma, C) -> float:
+    """Upper minus lower estimate of the bounded game's value, from the mean
+    decisions p_bar and the mean played dual avg_dual, (2|G|,).
 
     Upper: the running mixture against the best vertex of the dual ball.
-    Lower: the dual function at the averaged played dual (best response).
+    Lower: the dual function at avg_dual (its best response), each half
+    dotted with its own side of the constraint.
     """
     row = rate_terms(notion, f)
     cons_bar = _constraint(row, p_bar, masses, G, beta)
     upper = error_rate(p_bar, f, masses) + max(
         0.0, C * (float(np.abs(cons_bar).max()) - gamma))
 
-    avg_lam = avg_lam_p - avg_lam_m
-    S = avg_lam @ memb
+    avg_lam_p, avg_lam_m = np.split(avg_dual, 2)
+    S = (avg_lam_p - avg_lam_m) @ memb
     h_br = decide_batch(S, f, notion).astype(float)
     cons_br = _constraint(row, h_br, masses, G, beta)
     lower = error_rate(h_br, f, masses) + float(

@@ -10,7 +10,8 @@ probabilities).
 `table_group_rate`, `dual_gradient` and `lagrangian_value` state one
 group's rate, the dual step and the Lagrangian with the table's own
 helpers; `expanded_lagrangian` is the distributed-out Lagrangian that
-`lagrangian_value` is checked against.
+`lagrangian_value` is checked against.  Both Lagrangians take the dual as
+the solver holds it: one (2|G|,) array, lambda+ then lambda-.
 """
 
 import numpy as np
@@ -182,7 +183,7 @@ def expanded_lagrangian(h, dual, dist, notion, base, gamma):
     p = positive_probs(h, dist)
     f = dist.scores
     m = dist.masses
-    lam_p, lam_m = dual.lambda_plus, dual.lambda_minus
+    lam_p, lam_m = np.split(np.asarray(dual, dtype=float), 2)
     lam = lam_p - lam_m
     S = lam @ (dist.group_matrix - base.beta[:, None])
     budget = gamma * float(lam_p.sum() + lam_m.sum())
@@ -222,5 +223,6 @@ def lagrangian_value(h, dual, dist, notion, base, gamma):
     p = positive_probs(h, dist)
     f = dist.scores
     cons = _constraint(rate_terms(notion, f), p, dist.masses, dist.group_matrix, base.beta)
-    penalty = float(dual.lambda_plus @ (cons - gamma) + dual.lambda_minus @ (-cons - gamma))
+    lam_p, lam_m = np.split(np.asarray(dual, dtype=float), 2)
+    penalty = float(lam_p @ (cons - gamma) + lam_m @ (-cons - gamma))
     return error_rate(p, f, dist.masses) + penalty

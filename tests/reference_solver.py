@@ -2,7 +2,8 @@
 and the best response decided one point at a time.
 
 `reference_run_loop` keys its step cache by `np.packbits(h).tobytes()` and
-runs the exact `lam_p.sum() + lam_m.sum() > C` test every round.  The tests
+runs the exact `lam_p.sum() + lam_m.sum() > C` test every round; its dual
+is the one (2|G|,) array, lambda+ then lambda-, that `project_l1` takes.  The tests
 require `solver.run` to give byte-equal lambdas, an equal trajectory and
 equal counters.
 
@@ -19,7 +20,6 @@ import numpy as np
 from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
 from fairpost.metrics import base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
-    DualState,
     SolveResult,
     SolverConfig,
     TrajectoryRecord,
@@ -100,16 +100,14 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
         np.maximum(0.0, dual + step, out=dual)
         total = lam_p.sum() + lam_m.sum()
         if total > C:
-            projected = project_l1(DualState(lam_p, lam_m, C))
-            lam_p[:] = projected.lambda_plus
-            lam_m[:] = projected.lambda_minus
+            dual[:] = project_l1(dual, C)
             projections += 1
 
         if (t - 1) % record_every == 0:
             gap = None
             if compute_gap:
                 gap = _gap_estimate(
-                    dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
+                    dec_sum / t, np.concatenate((sum_lam_p, sum_lam_m)) / t, f, masses, G,
                     memb, beta, notion, gamma, C)
             trajectory.append(TrajectoryRecord(
                 t=t,
@@ -122,10 +120,9 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     mixture = MixtureClassifier(lam_hist, base)
     return SolveResult(
         mixture=mixture,
-        final_dual=DualState(lam_p, lam_m, C),
+        final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
-        base=base,
         T=T,
         eta=eta,
         estimation_deviations=deviations,

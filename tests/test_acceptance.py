@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from fairpost import (
-    DualState,
     SolverConfig,
     SynthSpec,
     base_rates,
@@ -114,7 +113,7 @@ def test_criterion_3_lagrangian_identity(rng):
         lam_p = np.abs(rng.standard_normal(dist.n_groups)) * rng.uniform(0, 2)
         lam_m = np.abs(rng.standard_normal(dist.n_groups)) * rng.uniform(0, 2)
         gamma = float(rng.uniform(0, 0.2))
-        args = (p, DualState(lam_p, lam_m, 10.0), dist, notion, base, gamma)
+        args = (p, np.concatenate((lam_p, lam_m)), dist, notion, base, gamma)
         worst = max(worst, abs(lagrangian_value(*args) - expanded_lagrangian(*args)))
     _report(3, worst <= 1e-10, f"400 triples, worst gap {worst:.2e} <= 1e-10")
 
@@ -253,13 +252,12 @@ def test_criterion_8_projection(rng):
         lp = rng.uniform(0, 2.5, size=g)
         lm = rng.uniform(0, 2.5, size=g)
         C = float(rng.uniform(0.3, 4.0))
-        d = project_l1(DualState(lp, lm, C))
-        got = np.concatenate([d.lambda_plus, d.lambda_minus])
-        want = bisect(np.concatenate([lp, lm]), C)
+        v = np.concatenate([lp, lm])
+        got = project_l1(v, C)
+        want = bisect(v, C)
         worst = max(worst, float(np.abs(got - want).max()))
         if lp.sum() + lm.sum() <= C:
-            if not (np.array_equal(d.lambda_plus, lp)
-                    and np.array_equal(d.lambda_minus, lm)):
+            if not np.array_equal(got, v):
                 interior_moved += 1
     ok = worst <= 1e-9 and interior_moved == 0
     _report(8, ok, f"1000 points, worst gap {worst:.2e} <= 1e-9, "

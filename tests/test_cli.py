@@ -592,6 +592,14 @@ def solved(tmp_path_factory):
     (["synth", "--seed", "1", "--n-cells", "0"], "n_cells must be at least 1"),
     (["eval", 8, "--oracle", "--gamma", "inf"], "oracle: gamma must be finite"),
     (["eval", 8, "--oracle", "--gamma", "nan"], "oracle: gamma must be finite"),
+    (["audit", 8, "--check-C", "nan"], "C must be positive and finite"),
+    (["audit", 8, "--check-C", "inf"], "C must be positive and finite"),
+    (["audit", 8, "--check-C", "-3"], "C must be positive and finite"),
+    (["calibrate", 8, "--check-C", "nan"], "C must be positive and finite"),
+    (["calibrate", 8, "--check-C", "inf"], "C must be positive and finite"),
+    (["calibrate", 8, "--n-random-checks", "-2"], "n_random must be nonnegative"),
+    (["audit", 8, "--seed", "-1"], "seed must be nonnegative"),
+    (["calibrate", 8, "--seed", "-1"], "seed must be nonnegative"),
 ])
 def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, command,
                                         message):
@@ -605,6 +613,22 @@ def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, c
         argv += command[2:] + ["--out-dir", str(tmp_path / "out")]
     else:
         argv += command[1:] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("score_y, command, message", [
+    ("0.0,0", ["solve", "--notion", "fn"], "degenerate label marginal: Pr[y=1] = 0"),
+    ("1.0,1", ["solve", "--notion", "fp"], "degenerate label marginal: Pr[y=0] = 0"),
+    ("1.0,1", ["audit"], "degenerate label marginal: Pr[y=0] = 0"),
+    ("1.0,1", ["calibrate"], "degenerate label marginal: Pr[y=0] = 0"),
+])
+def test_degenerate_data_is_an_input_error(tmp_path, capsys, score_y, command, message):
+    # three rows whose scores, or labels, are all 0 or all 1: solve's rates
+    # come from the scores, the audit set's from the labels
+    data = tmp_path / "data.csv"
+    data.write_text("id,score,y,g_a\n" + "".join(f"{i},{score_y},{i % 2}\n" for i in range(3)))
+    argv = [command[0], str(data)] + command[1:] + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
 

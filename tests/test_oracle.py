@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairpost import (
     BaseRates,
-    DualState,
     GroupSystem,
     MixtureClassifier,
     SolverConfig,
@@ -180,7 +179,7 @@ def test_weak_duality_against_solver_duals(biased_instance):
     best_lower = -np.inf
     for i in range(0, len(lambdas), 7):
         lam = lambdas[i]
-        dual = DualState(np.maximum(lam, 0.0), np.maximum(-lam, 0.0), C)
+        dual = np.concatenate((np.maximum(lam, 0.0), np.maximum(-lam, 0.0)))
         h = MixtureClassifier(lambdas[i:i + 1], base).positive_prob_vector(dist)
         value = lagrangian_value(h, dual, dist, "fp", base, gamma)
         best_lower = max(best_lower, value)

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fairpost import (
     BudgetExceededError,
-    DualState,
     FairnessNotion,
     SolverConfig,
     base_rates,
@@ -111,24 +110,16 @@ def test_dual_gradient_is_lagrangian_derivative(rng):
         base = base_rates(dist, notion, "from_labels")
         lam = rand_lambda(rng, dist.n_groups, 3.0)
         rule = MixtureClassifier(lam[None], base).positive_prob_vector(dist)
-        gp, gm = dual_gradient(rule, dist, notion, base, gamma=0.02)
-        lp = np.abs(rng.standard_normal(dist.n_groups))
-        lm = np.abs(rng.standard_normal(dist.n_groups))
+        grad = np.concatenate(dual_gradient(rule, dist, notion, base, gamma=0.02))
+        dual = np.abs(rng.standard_normal(2 * dist.n_groups))
         eps = 1e-6
-        for g in range(dist.n_groups):
-            for arr, grad, plus in ((lp, gp, True), (lm, gm, False)):
-                hi, lo = arr.copy(), arr.copy()
-                hi[g] += eps
-                lo[g] -= eps
-                if plus:
-                    dv_hi = DualState(hi, lm, 10.0)
-                    dv_lo = DualState(lo, lm, 10.0)
-                else:
-                    dv_hi = DualState(lp, hi, 10.0)
-                    dv_lo = DualState(lp, lo, 10.0)
-                fd = (lagrangian_value(rule, dv_hi, dist, notion, base, 0.02)
-                      - lagrangian_value(rule, dv_lo, dist, notion, base, 0.02)) / (2 * eps)
-                assert fd == pytest.approx(grad[g], abs=1e-6)
+        for j in range(2 * dist.n_groups):
+            hi, lo = dual.copy(), dual.copy()
+            hi[j] += eps
+            lo[j] -= eps
+            fd = (lagrangian_value(rule, hi, dist, notion, base, 0.02)
+                  - lagrangian_value(rule, lo, dist, notion, base, 0.02)) / (2 * eps)
+            assert fd == pytest.approx(grad[j], abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", [5, 9])
@@ -141,21 +132,27 @@ def test_sp_meets_criterion_1_bounds(seed):
     gamma, C = 0.01, 10.0
     res = run(dist, SolverConfig(notion="sp", gamma=gamma, C=C, record_every=100000))
     p = res.mixture.positive_prob_vector(dist)
-    opt = enumerate_optimum(dist, res.base, gamma).opt_value
+    opt = enumerate_optimum(dist, res.mixture.base, gamma).opt_value
     assert surrogate_error(p, dist) <= opt + 2.0 / C + 0.01
     assert true_rates(p, dist, "sp").max_violation <= gamma + 1.0 / C + 2.0 / C ** 2 + 0.01
 
 
 def test_project_l1_examples():
-    d = project_l1(DualState(np.array([3.0]), np.array([0.0]), 1.0))
-    assert np.allclose(d.lambda_plus, [1.0]) and np.allclose(d.lambda_minus, [0.0])
+    assert np.allclose(project_l1(np.array([3.0, 0.0]), 1.0), [1.0, 0.0])
+    assert project_l1(np.array([0.3, 0.2]), 1.0).tolist() == [0.3, 0.2]
+    assert np.allclose(project_l1(np.array([2.0, 1.0, 1.0, 0.0]), 2.0),
+                       [4 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
 
-    d = project_l1(DualState(np.array([0.3]), np.array([0.2]), 1.0))
-    assert d.lambda_plus[0] == 0.3 and d.lambda_minus[0] == 0.2
 
-    d = project_l1(DualState(np.array([2.0, 1.0]), np.array([1.0]), 2.0))
-    merged = np.concatenate([d.lambda_plus, d.lambda_minus])
-    assert np.allclose(merged, [4 / 3, 1 / 3, 1 / 3], atol=1e-12)
+@pytest.mark.parametrize("v, C, message", [
+    ([0.5, 0.5], 0.0, "C must be positive"),
+    ([0.5, 0.5], -1.0, "C must be positive"),
+    ([0.5, -0.25], 1.0, "dual variables must be nonnegative"),
+    ([-0.0, -1e-300], 1.0, "dual variables must be nonnegative"),
+])
+def test_project_l1_refuses_a_bad_ball_or_dual(v, C, message):
+    with pytest.raises(ValueError, match=message):
+        project_l1(np.array(v), C)
 
 
 def _bisect_project(v, C):
@@ -177,11 +174,11 @@ def test_project_l1_against_bisection(rng):
         lp = rng.uniform(0, 2, size=g)
         lm = rng.uniform(0, 2, size=g)
         C = float(rng.uniform(0.2, 3.0))
-        d = project_l1(DualState(lp, lm, C))
-        got = np.concatenate([d.lambda_plus, d.lambda_minus])
-        want = _bisect_project(np.concatenate([lp, lm]), C)
+        v = np.concatenate([lp, lm])
+        got = project_l1(v, C)
+        want = _bisect_project(v, C)
         assert np.abs(got - want).max() <= 1e-9
-        assert d.l1() <= C + 1e-12
+        assert got.sum() <= C + 1e-12
         assert np.all(got >= 0.0)
 
 
@@ -190,7 +187,7 @@ def test_run_vacuous_gamma_keeps_dual_at_zero():
     for notion in NOTIONS:
         cfg = SolverConfig(notion=notion, gamma=1.0, C=5.0, T=200, record_every=50)
         res = run(dist, cfg)
-        assert res.final_dual.l1() == 0.0
+        assert np.all(res.final_dual == 0.0)
         assert np.all(res.mixture.lambdas == 0.0)
         p = res.mixture.positive_prob_vector(dist)
         bayes = (dist.scores >= 0.5).astype(float)
@@ -212,7 +209,7 @@ def test_run_dual_feasibility(biased_instance):
     cfg = SolverConfig(notion="fp", gamma=0.0, C=0.5, T=800, record_every=1)
     res = run(biased_instance, cfg)
     assert all(r.lambda_l1 <= 0.5 + 1e-12 for r in res.trajectory)
-    assert res.final_dual.l1() <= 0.5 + 1e-12
+    assert res.final_dual.sum() <= 0.5 + 1e-12
 
 
 def test_run_work_cap():
@@ -259,7 +256,7 @@ def test_lagrangian_reduces_to_objective_at_zero_dual(rng):
     p = rng.uniform(size=dist.n_cells)
     for notion in NOTIONS:
         base = base_rates(dist, notion, "from_labels")
-        zero = DualState(np.zeros(dist.n_groups), np.zeros(dist.n_groups), 1.0)
+        zero = np.zeros(2 * dist.n_groups)
         got = lagrangian_value(p, zero, dist, notion, base, gamma=0.3)
         assert got == pytest.approx(surrogate_error(p, dist), abs=1e-15)
 
@@ -269,7 +266,7 @@ def test_lagrangian_all_negative_closed_form(rng):
     base = base_rates(dist, "fp", "from_scores")
     lp = np.abs(rng.standard_normal(dist.n_groups))
     lm = np.abs(rng.standard_normal(dist.n_groups))
-    dual = DualState(lp, lm, 10.0)
+    dual = np.concatenate((lp, lm))
     gamma = 0.07
     got = lagrangian_value(np.zeros(dist.n_cells), dual, dist, "fp", base, gamma)
     want = float(dist.masses @ dist.scores) - gamma * (lp.sum() + lm.sum())
@@ -284,7 +281,7 @@ def test_lagrangian_forms_agree(rng):
         base = base_rates(dist, notion, "from_labels")
         lp = np.abs(rng.standard_normal(dist.n_groups)) * rng.uniform(0, 3)
         lm = np.abs(rng.standard_normal(dist.n_groups)) * rng.uniform(0, 3)
-        args = (p, DualState(lp, lm, 10.0), dist, notion, base, float(rng.uniform(0, 0.2)))
+        args = (p, np.concatenate((lp, lm)), dist, notion, base, float(rng.uniform(0, 0.2)))
         assert abs(lagrangian_value(*args) - expanded_lagrangian(*args)) <= 1e-10
 
 
@@ -295,7 +292,7 @@ def test_no_regret_bound(biased_instance):
     C, gamma, T = 1.0, 0.01, 1500
     cfg = SolverConfig(notion="fp", gamma=gamma, C=C, T=T, record_every=10 ** 9)
     res = run(dist, cfg)
-    base = res.base
+    base = res.mixture.base
     memb = dist.group_matrix - base.beta[:, None]
     f, m, G = dist.scores, dist.masses, dist.group_matrix
 
@@ -313,8 +310,7 @@ def test_no_regret_bound(biased_instance):
         lam_p = np.maximum(0.0, lam_p + res.eta * (cons[t] - gamma))
         lam_m = np.maximum(0.0, lam_m + res.eta * (-cons[t] - gamma))
         if lam_p.sum() + lam_m.sum() > C:
-            d = project_l1(DualState(lam_p, lam_m, C))
-            lam_p, lam_m = d.lambda_plus, d.lambda_minus
+            lam_p, lam_m = np.split(project_l1(np.concatenate((lam_p, lam_m)), C), 2)
     mean_err = errs.mean()
     mean_cons = cons.mean(axis=0)
     best = -np.inf
@@ -417,15 +413,14 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
         lam_m = np.maximum(0.0, lam_m + eta * (-centered - gamma))
         total = lam_p.sum() + lam_m.sum()
         if total > C:
-            projected = project_l1(DualState(lam_p, lam_m, C))
-            lam_p, lam_m = projected.lambda_plus, projected.lambda_minus
+            lam_p, lam_m = np.split(project_l1(np.concatenate((lam_p, lam_m)), C), 2)
 
         if (t - 1) % config.record_every == 0:
             err_hat = float(eval_masses @ (f + h * (1.0 - 2.0 * f)))
             gap = None
             if config.compute_gap:
                 gap = _gap_estimate(
-                    dec_sum / t, sum_lam_p / t, sum_lam_m / t, f, masses, G,
+                    dec_sum / t, np.concatenate((sum_lam_p, sum_lam_m)) / t, f, masses, G,
                     memb, beta, notion, gamma, C)
             trajectory.append(TrajectoryRecord(
                 t=t,
@@ -438,10 +433,9 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
     mixture = MixtureClassifier(lam_hist, base)
     return SolveResult(
         mixture=mixture,
-        final_dual=DualState(lam_p, lam_m, C),
+        final_dual=np.concatenate((lam_p, lam_m)),
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
-        base=base,
         T=T,
         eta=eta,
         estimation_deviations=deviations,
@@ -484,10 +478,7 @@ def _assert_bit_equal(got, want, dist):
     assert np.array_equal(_bits(got.mixture.lambdas), _bits(want.mixture.lambdas))
     # repr round-trips every float, so equal reprs mean equal bits
     assert repr(got.trajectory) == repr(want.trajectory)
-    assert np.array_equal(_bits(got.final_dual.lambda_plus),
-                          _bits(want.final_dual.lambda_plus))
-    assert np.array_equal(_bits(got.final_dual.lambda_minus),
-                          _bits(want.final_dual.lambda_minus))
+    assert np.array_equal(_bits(got.final_dual), _bits(want.final_dual))
     if want.estimation_deviations is None:
         assert got.estimation_deviations is None
     else:
@@ -556,7 +547,7 @@ def _assert_same_run(got, want):
     # repr round-trips every float, so equal reprs mean equal bits
     assert repr(got.trajectory) == repr(want.trajectory)
     assert got.counters == want.counters
-    assert got.final_dual.lam.tobytes() == want.final_dual.lam.tobytes()
+    assert got.final_dual.tobytes() == want.final_dual.tobytes()
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -593,7 +584,8 @@ def _assert_ball_boundary(dist, notion, eta, gamma=0.01):
         return SolverConfig(notion=notion, gamma=gamma, C=C, eta=eta, T=T, record_every=3)
 
     first = run(dist, config(10.0, 1)).final_dual
-    total = first.lambda_plus.sum() + first.lambda_minus.sum()
+    lam_p, lam_m = np.split(first, 2)
+    total = lam_p.sum() + lam_m.sum()    # the loop's exact test
     assert total > 0.0
     for C, projected in ((np.nextafter(total, 0.0), 1), (total, 0),
                          (np.nextafter(total, np.inf), 0)):
@@ -615,8 +607,9 @@ def test_l1_check_where_summation_orders_differ(eta, quick_above):
     # the quick sum alone would project on the wrong rounds
     dist, _ = make_dist(3, n_cells=12, n_groups=3, grid_m=20, profile="two_group_bias")
     first = _assert_ball_boundary(dist, "fp", eta, gamma=0.001)
-    quick = sum(np.concatenate((first.lambda_plus, first.lambda_minus)).tolist())
-    exact = first.lambda_plus.sum() + first.lambda_minus.sum()
+    quick = sum(first.tolist())
+    lam_p, lam_m = np.split(first, 2)
+    exact = lam_p.sum() + lam_m.sum()
     assert (quick > exact) if quick_above else (quick < exact)
 
 
@@ -720,7 +713,7 @@ def test_speculative_blocks_back_off_when_projecting(biased_instance, notion):
 
 def _solver_form_probs(result, dist):
     sign, thresh = decision_thresholds(dist.scores, result.mixture.notion)
-    smemb = (dist.group_matrix - result.base.beta[:, None]) * sign
+    smemb = (dist.group_matrix - result.mixture.base.beta[:, None]) * sign
     counts = np.zeros(dist.n_cells, dtype=np.int64)
     for lam in result.mixture.lambdas:
         counts += lam @ smemb <= thresh
