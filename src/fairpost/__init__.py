@@ -21,6 +21,7 @@ from .solver import (
     SolveResult,
     SolverConfig,
     TrajectoryRecord,
+    duality_gap,
     iteration_budget,
     project_l1,
     run,
@@ -55,7 +56,7 @@ __all__ = [
     "MixtureClassifier", "aggregate_cells", "build_cells",
     "RateReport", "base_rates", "constraint_vector", "surrogate_error", "true_rates",
     "BudgetExceededError", "SolveResult", "SolverConfig", "TrajectoryRecord",
-    "iteration_budget", "project_l1", "run", "run_sampled", "sample_size",
+    "duality_gap", "iteration_budget", "project_l1", "run", "run_sampled", "sample_size",
     "CalibrationResult", "CheckFunction", "audit", "brier",
     "calibrate", "default_checks",
     "InfeasibleError", "OracleSolution", "enumerate_optimum", "simplex_solve",

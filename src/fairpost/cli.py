@@ -305,8 +305,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, source: dict,
 # ---------------------------------------------------------------- config
 
 # The config-file keys and defaults: the solver's options and the score grid.
-_CONFIG_DEFAULTS = {**{f.name: f.default for f in fields(SolverConfig) if f.name != "compute_gap"},
-                    "grid_m": 100}
+_CONFIG_DEFAULTS = {**{f.name: f.default for f in fields(SolverConfig)}, "grid_m": 100}
 
 
 def _load_config(args) -> dict:
@@ -344,10 +343,11 @@ def _solver_config(config: dict) -> SolverConfig:
 def _write_trajectory(path: Path, trajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRAJECTORY_SCHEMA + "\n")
+        # the last column stays empty: the solver keeps no per-round gap
         fh.write("t,err_hat,max_violation_hat,lambda_l1,duality_gap_estimate\n")
         for rec in trajectory:
             fh.write(f"{rec.t},{_fmt(rec.err_hat)},{_fmt(rec.max_violation_hat)},"
-                     f"{_fmt(rec.lambda_l1)},{_fmt(rec.duality_gap_estimate)}\n")
+                     f"{_fmt(rec.lambda_l1)},\n")
 
 
 MIXTURE_SCHEMA = "fairpost.mixture.v2"

@@ -36,6 +36,9 @@ __all__ = [
 
 d_of_v = decision_thresholds  # bench/spans.py counts table builds by this name
 
+# the most checks x cells default_checks builds: 128 MiB of float64 group sums
+MAX_CHECK_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class CheckFunction:
@@ -318,17 +321,20 @@ def replay(result: CalibrationResult, checks: Sequence[CheckFunction],
 def default_checks(dist: CellDistribution, base: BaseRates,
                    n_random: int = 64,
                    C: float = 10.0,
-                   seed: int = 0,
-                   trajectory_lambdas: Optional[np.ndarray] = None) -> List[CheckFunction]:
+                   seed: int = 0) -> List[CheckFunction]:
     """Audit set: all groups, then threshold rules under base (its notion and
-    beta) at random lambdas from the L1 ball of radius C, and at optional
-    solver dual snapshots.  ValueError unless 0 < C < inf, n_random >= 0, seed >= 0."""
+    beta) at random lambdas from the L1 ball of radius C.  ValueError unless
+    0 < C < inf, n_random >= 0, seed >= 0 and the checks times the cells are
+    at most MAX_CHECK_CELLS."""
     if not 0 < C < math.inf:
         raise ValueError("C must be positive and finite")
     if n_random < 0:
         raise ValueError("n_random must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if (dist.n_groups + n_random) * dist.n_cells > MAX_CHECK_CELLS:
+        raise ValueError(f"audit set too large: {dist.n_groups + n_random} checks x "
+                         f"{dist.n_cells} cells > {MAX_CHECK_CELLS}; lower n_random")
     checks = [CheckFunction("group", g, name=dist.groups.names[g])
               for g in range(dist.n_groups)]
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -337,7 +343,4 @@ def default_checks(dist: CellDistribution, base: BaseRates,
         radius = C * rng.uniform()
         lam = raw * (radius / np.abs(raw).sum())
         checks.append(CheckFunction("threshold", (lam, base), name=f"s[{k}]"))
-    if trajectory_lambdas is not None:
-        for k, lam in enumerate(np.asarray(trajectory_lambdas, dtype=float)):
-            checks.append(CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]"))
     return checks

@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .metrics import (
     _constraint,
     base_rates,
     error_rate,
-    group_rates,
     rate_terms,
 )
 
@@ -39,6 +38,7 @@ __all__ = [
     "iteration_budget",
     "sample_size",
     "project_l1",
+    "duality_gap",
     "run",
     "run_sampled",
 ]
@@ -79,13 +79,13 @@ def _number(name: str, value, whole: bool = False, auto: bool = False):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The solver's options: the one statement of their names, defaults
-    and checks, which the CLI and the estimator read.  __post_init__ reads
-    numeric strings as numbers; eta is "auto" (C / sqrt(2|G|T)) or a real,
-    T "auto" (iteration_budget) or a whole number.  A value of the wrong
-    type raises TypeError and one out of range ValueError, naming the field.
-    The config is frozen, so the checks hold for its life; replace() makes a
-    checked copy.
+    """The solver's options, every one a CLI config key and an estimator
+    parameter: the one statement of their names, defaults and checks.
+    __post_init__ reads numeric strings as numbers; eta is "auto" (C /
+    sqrt(2|G|T)) or a real, T "auto" (iteration_budget) or a whole number.
+    A value of the wrong type raises TypeError and one out of range
+    ValueError, naming the field.  The config is frozen, so the checks hold
+    for its life; replace() makes a checked copy.
     """
 
     notion: Union[str, FairnessNotion] = FairnessNotion.FP
@@ -95,7 +95,6 @@ class SolverConfig:
     T: Union[str, int] = "auto"
     record_every: int = 100
     work_cap: float = 5e9
-    compute_gap: bool = False
 
     def __post_init__(self):
         try:
@@ -125,17 +124,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """Round t's err and max |constraint| at its rates, and the dual's L1 norm after it."""
     t: int
     err_hat: float
     max_violation_hat: float
     lambda_l1: float
-    duality_gap_estimate: Optional[float] = None
 
 
 @dataclass
 class SolveResult:
     """One run: the mixture over its T rules (its BaseRates are the run's),
-    the dual (lambda+, lambda-), (2|G|,), after the last round, and eta."""
+    the dual (lambda+, lambda-), (2|G|,), after the last round, and eta.
+    duality_gap(mixture, ...) certifies the mixture, or any prefix of it."""
 
     mixture: MixtureClassifier
     final_dual: np.ndarray
@@ -143,7 +143,6 @@ class SolveResult:
     theorem_bounds: dict
     T: int
     eta: float
-    estimation_deviations: Optional[np.ndarray] = None
     # rounds run, rounds whose step left the L1 ball (project_l1 ran), and
     # distinct decision patterns in the step cache (0 for sampled runs,
     # whose rounds bypass it)
@@ -214,8 +213,7 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
     }
 
 
-def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
-              record_deviation: bool = False) -> SolveResult:
+def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> SolveResult:
     """Primal/dual rounds of one config.  The dual is one array (lambda+,
     lambda-), (2|G|,), stepped, clipped at 0 and, off the ball, projected in
     place; lam_p and lam_m view its halves, and round t plays lam_hist[t - 1]
@@ -223,7 +221,9 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     decide_batch: one gemv and one compare per round.  The dual step depends
     only on the 0/1 decision pattern, so exact-rate runs compute it once per
     distinct pattern and replay recurring patterns in speculative blocks
-    (block); sampled rounds recompute it every round."""
+    (block); sampled rounds recompute it every round.  The loop keeps no
+    other bookkeeping: duality_gap and the sampled rates' deviations are
+    functions of the returned rules."""
     notion = config.notion
     base = base_rates(dist, notion)
     f = dist.scores
@@ -252,11 +252,8 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     lam_p, lam_m = dual[:n_groups], dual[n_groups:]
     lam_hist = np.empty((T, n_groups))
     cache = {}    # decision pattern -> terms and pattern id
-    compute_gap, record_every = config.compute_gap, config.record_every
-    dec_sum = np.zeros(n_cells)
-    sum_dual = np.zeros(2 * n_groups)
+    record_every = config.record_every
     trajectory: List[TrajectoryRecord] = []
-    deviations = np.zeros((T, n_groups)) if record_deviation else None
     projections = 0
     # every order of summing the 2|G| nonnegative entries lands within a
     # relative (2|G| - 1) eps of their exact sum, so a quick sum at or below
@@ -284,7 +281,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
     # fourth term of the cached terms; ids past a byte end speculation), the
     # duals after the rounds since the last attempt, and a rolling window
     # with the duals after round t in row t % len(window)
-    speculate = sampler is None and not compute_gap
+    speculate = sampler is None
     ids, recent, window = bytearray(), [], np.zeros((min(BLOCK_MAX_LAG, T + 1), 2 * n_groups))
     next_try = BLOCK_CONTEXT[0] + 1 if speculate else T + 1
     width, wait, tables, blocks, kept_rounds = BLOCK_WIDTH[0], 1, ([],), 0, 0
@@ -354,19 +351,10 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
         h = lam @ smemb <= thresh
 
         if sampler is not None:
-            sample = sampler(t)
-            row_terms = round_terms(h, sample)
-            if record_deviation:
-                h_float = h.astype(float)
-                deviations[t - 1] = np.abs(group_rates(row, h_float, sample, G)[0]
-                                           - group_rates(row, h_float, masses, G)[0])
+            row_terms = round_terms(h, sampler(t))
         else:
             key = h.tobytes()
             row_terms = cache.get(key) or miss(key)
-
-        if compute_gap:
-            dec_sum += h
-            sum_dual += dual
 
         # max(0, dual + step); an array of zeros skips converting the
         # scalar 0.0 each call and gives the same bits
@@ -380,12 +368,8 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
             recent.append(values)
 
         if (t - 1) % record_every == 0:
-            gap = None
-            if compute_gap:
-                gap = _gap_estimate(dec_sum / t, sum_dual / t, f, masses, G,
-                                    memb, beta, notion, gamma, C)
             trajectory.append(TrajectoryRecord(
-                t, row_terms[1], row_terms[2], float(lam_p.sum() + lam_m.sum()), gap))
+                t, row_terms[1], row_terms[2], float(lam_p.sum() + lam_m.sum())))
 
         if t >= next_try:
             block(t)
@@ -397,31 +381,29 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
         theorem_bounds=_theorem_bounds(C),
         T=T,
         eta=eta,
-        estimation_deviations=deviations,
         counters={"rounds": T, "projections": projections, "distinct_decisions": len(cache)},
         speculation={"blocks": blocks, "speculated_rounds": kept_rounds},
     )
 
 
-def _gap_estimate(p_bar, avg_dual, f, masses, G, memb, beta, notion, gamma, C) -> float:
-    """Upper minus lower estimate of the bounded game's value, from the mean
-    decisions p_bar and the mean played dual avg_dual, (2|G|,).
-
-    Upper: the running mixture against the best vertex of the dual ball.
-    Lower: the dual function at avg_dual (its best response), each half
-    dotted with its own side of the constraint.
-    """
-    row = rate_terms(notion, f)
-    cons_bar = _constraint(row, p_bar, masses, G, beta)
-    upper = error_rate(p_bar, f, masses) + max(
-        0.0, C * (float(np.abs(cons_bar).max()) - gamma))
-
-    avg_lam_p, avg_lam_m = np.split(avg_dual, 2)
-    S = (avg_lam_p - avg_lam_m) @ memb
-    h_br = decide_batch(S, f, notion).astype(float)
-    cons_br = _constraint(row, h_br, masses, G, beta)
-    lower = error_rate(h_br, f, masses) + float(
-        avg_lam_p @ (cons_br - gamma) + avg_lam_m @ (-cons_br - gamma))
+def duality_gap(mixture: MixtureClassifier, dist: CellDistribution,
+                gamma: float, C: float) -> float:
+    """Upper minus lower bound on the value of the C-bounded Lagrangian game
+    on dist (f = its scores), from the mixture's rules alone (a prefix
+    lambdas[:t] gives round t's); it bounds err(mixture) - OPT from above.
+    Upper: the mixture's positive probabilities p against the best vertex
+    of the dual ball, err(p) + C max(0, max|c(p)| - gamma).  Lower: the dual
+    function at the netted mean dual lam, err(h) + lam . c(h) - gamma |lam|_1
+    at its best response h."""
+    base, f, masses, G = mixture.base, dist.scores, dist.masses, dist.group_matrix
+    row = rate_terms(base.notion, f)
+    p = mixture.positive_prob_vector(dist)
+    cons = _constraint(row, p, masses, G, base.beta)
+    upper = error_rate(p, f, masses) + C * max(0.0, float(np.abs(cons).max()) - gamma)
+    lam = mixture.lambdas.mean(axis=0)
+    h = decide_batch(lam @ (G - base.beta[:, None]), f, base.notion).astype(float)
+    cons_h = _constraint(row, h, masses, G, base.beta)
+    lower = error_rate(h, f, masses) + float(lam @ cons_h) - gamma * float(np.abs(lam).sum())
     return upper - lower
 
 
@@ -432,12 +414,12 @@ def run(dist: CellDistribution, config: SolverConfig) -> SolveResult:
 
 
 def run_sampled(population: CellDistribution, sampler_seed: int,
-                config: SolverConfig, epsilon: float, delta: float,
-                record_deviation: bool = False) -> SolveResult:
-    """Dynamics with each round's rates estimated from a fresh i.i.d. sample.
-
-    Per-round sample size comes from sample_size(T, |G|, epsilon, delta);
-    the theorem slacks widen by the 8*epsilon terms.
+                config: SolverConfig, epsilon: float, delta: float) -> SolveResult:
+    """Dynamics with each round's rates estimated from a fresh i.i.d. sample,
+    round by round: round t's sample is the t-th multinomial(m, masses) draw
+    of PCG64(sampler_seed), m = sample_size(T, |G|, epsilon, delta), so a
+    replay of that stream recovers the rates of each rule in mixture.lambdas.
+    The theorem slacks widen by the 8*epsilon terms.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -451,7 +433,6 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
         counts = rng.multinomial(m, masses)
         return counts / m
 
-    result = _run_loop(population, config, sampler=sampler,
-                       record_deviation=record_deviation)
+    result = _run_loop(population, config, sampler=sampler)
     result.theorem_bounds = _theorem_bounds(config.C, epsilon)
     return result

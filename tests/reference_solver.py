@@ -5,7 +5,10 @@ and the best response decided one point at a time.
 runs the exact `lam_p.sum() + lam_m.sum() > C` test every round; its dual
 is the one (2|G|,) array, lambda+ then lambda-, that `project_l1` takes.  The tests
 require `solver.run` to give byte-equal lambdas, an equal trajectory and
-equal counters.
+equal counters.  On request it also keeps the in-loop duality gap
+(`_gap_estimate`, from running sums) and each sampled round's rate
+deviations, the references for `solver.duality_gap` and for
+`replay_deviations`, which recompute both from the returned rules.
 
 `decide` is one threshold rule's decision at one point, and
 `pointwise_argmin` evaluates both decisions' Lagrangian contributions from
@@ -13,27 +16,60 @@ the rate table, the brute force that `decide` is checked against.
 """
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
-from fairpost.metrics import base_rates, error_rate, group_rates, rate_terms
+from fairpost.metrics import _constraint, base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     SolveResult,
     SolverConfig,
     TrajectoryRecord,
-    _gap_estimate,
     _resolve_schedule,
     _theorem_bounds,
     project_l1,
+    sample_size,
 )
 
 from reference_cells import bits_from_mask
 
 
+@dataclass
+class ReferenceResult(SolveResult):
+    """A reference run, with the in-loop gap of each trajectory record (None
+    unless compute_gap) and the (T, |G|) sampled-rate deviations (None
+    unless record_deviation)."""
+
+    gaps: Optional[List[float]] = None
+    deviations: Optional[np.ndarray] = None
+
+
+def _gap_estimate(p_bar, avg_dual, f, masses, G, memb, beta, notion, gamma, C) -> float:
+    """Upper minus lower estimate of the bounded game's value, from the mean
+    decisions p_bar and the mean played dual avg_dual, (2|G|,).
+
+    Upper: the running mixture against the best vertex of the dual ball.
+    Lower: the dual function at avg_dual (its best response), each half
+    dotted with its own side of the constraint.
+    """
+    row = rate_terms(notion, f)
+    cons_bar = _constraint(row, p_bar, masses, G, beta)
+    upper = error_rate(p_bar, f, masses) + max(
+        0.0, C * (float(np.abs(cons_bar).max()) - gamma))
+
+    avg_lam_p, avg_lam_m = np.split(avg_dual, 2)
+    S = (avg_lam_p - avg_lam_m) @ memb
+    h_br = decide_batch(S, f, notion).astype(float)
+    cons_br = _constraint(row, h_br, masses, G, beta)
+    lower = error_rate(h_br, f, masses) + float(
+        avg_lam_p @ (cons_br - gamma) + avg_lam_m @ (-cons_br - gamma))
+    return upper - lower
+
+
 def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=None,
-                       record_deviation: bool = False) -> SolveResult:
+                       compute_gap: bool = False,
+                       record_deviation: bool = False) -> ReferenceResult:
     """Primal/dual rounds.  The best response is the per-cell threshold form
     of decide_batch: one matvec and one compare per round.  The dual step
     depends only on the 0/1 decision pattern, so exact-rate runs compute it
@@ -67,11 +103,12 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
     lam_p, lam_m = dual[:n_groups], dual[n_groups:]
     lam_hist = np.empty((T, n_groups))
-    compute_gap, record_every = config.compute_gap, config.record_every
+    record_every = config.record_every
     dec_sum = np.zeros(n_cells)
     sum_lam_p = np.zeros(n_groups)
     sum_lam_m = np.zeros(n_groups)
     trajectory: List[TrajectoryRecord] = []
+    gaps = [] if compute_gap else None
     deviations = np.zeros((T, n_groups)) if record_deviation else None
     cache = {}
     projections = 0
@@ -104,31 +141,54 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
             projections += 1
 
         if (t - 1) % record_every == 0:
-            gap = None
             if compute_gap:
-                gap = _gap_estimate(
+                gaps.append(_gap_estimate(
                     dec_sum / t, np.concatenate((sum_lam_p, sum_lam_m)) / t, f, masses, G,
-                    memb, beta, notion, gamma, C)
+                    memb, beta, notion, gamma, C))
             trajectory.append(TrajectoryRecord(
                 t=t,
                 err_hat=err_hat,
                 max_violation_hat=max_violation,
                 lambda_l1=float(lam_p.sum() + lam_m.sum()),
-                duality_gap_estimate=gap,
             ))
 
     mixture = MixtureClassifier(lam_hist, base)
-    return SolveResult(
+    return ReferenceResult(
         mixture=mixture,
         final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
         T=T,
         eta=eta,
-        estimation_deviations=deviations,
         counters={"rounds": T, "projections": projections,
                   "distinct_decisions": len(cache)},
+        gaps=gaps,
+        deviations=deviations,
     )
+
+
+def replay_deviations(population: CellDistribution, sampler_seed: int,
+                      mixture: MixtureClassifier, epsilon: float, delta: float) -> np.ndarray:
+    """|sampled - population| group rates, (T, |G|), of each rule of a
+    run_sampled mixture, at the rates that run saw: round t's sample is the
+    t-th multinomial draw of run_sampled's PCG64(sampler_seed) stream, and
+    round t's decisions are the loop's gemv and compare at lambdas[t - 1]."""
+    T, n_groups = mixture.lambdas.shape
+    m = sample_size(T, n_groups, epsilon, delta)
+    rng = np.random.Generator(np.random.PCG64(sampler_seed))
+    masses = population.masses
+    weights = masses / masses.sum()
+    f, G = population.scores, population.group_matrix
+    row = rate_terms(mixture.notion, f)
+    sign, thresh = decision_thresholds(f, mixture.notion)
+    smemb = (G - mixture.base.beta[:, None]) * sign
+    deviations = np.empty((T, n_groups))
+    for t, lam in enumerate(mixture.lambdas):
+        h = (lam @ smemb <= thresh).astype(float)
+        sample = rng.multinomial(m, weights) / m
+        deviations[t] = np.abs(group_rates(row, h, sample, G)[0]
+                               - group_rates(row, h, masses, G)[0])
+    return deviations
 
 
 def group_sum(lam, beta, mask) -> float:

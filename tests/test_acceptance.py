@@ -35,7 +35,7 @@ from conftest import make_dist, rand_lambda
 from reference_cells import cells_of
 from reference_checks import Compiled
 from reference_rates import expanded_lagrangian, lagrangian_value
-from reference_solver import decide, pointwise_argmin
+from reference_solver import decide, pointwise_argmin, replay_deviations
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -170,8 +170,9 @@ def test_criterion_6_calibration_guarantees():
     base = base_rates(pert, "fp", "from_labels")
     traj = run(pert, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=500,
                                   record_every=100)).mixture.lambdas[::50][:10]
-    checks = default_checks(pert, base, n_random=64, C=10.0, seed=9,
-                            trajectory_lambdas=traj)
+    checks = default_checks(pert, base, n_random=64, C=10.0, seed=9)
+    checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
+               for k, lam in enumerate(traj)]
     result = calibrate(pert.scores, checks, pert, alpha)
 
     round_cap = 4.0 / alpha ** 2
@@ -212,8 +213,9 @@ def test_criterion_7_estimation():
     trials = 200
     m = sample_size(trials, pop.n_groups, epsilon, delta)
     cfg = SolverConfig(notion="fp", gamma=0.01, C=5.0, T=trials, record_every=1000)
-    res = run_sampled(pop, 424242, cfg, epsilon, delta, record_deviation=True)
-    dev = res.estimation_deviations
+    res = run_sampled(pop, 424242, cfg, epsilon, delta)
+    # each round's sampled rates, replayed from the sampler's stream
+    dev = replay_deviations(pop, 424242, res.mixture, epsilon, delta)
     n_checks = dev.size
     k_bad = int((dev > epsilon).sum())
     # Clopper-Pearson style upper bound at 95% for the failure fraction

@@ -600,6 +600,10 @@ def solved(tmp_path_factory):
     (["calibrate", 8, "--n-random-checks", "-2"], "n_random must be nonnegative"),
     (["audit", 8, "--seed", "-1"], "seed must be nonnegative"),
     (["calibrate", 8, "--seed", "-1"], "seed must be nonnegative"),
+    (["audit", 8, "--n-random-checks", "100000000"],
+     "audit set too large: 100000003 checks x 8 cells > 16777216; lower n_random"),
+    (["calibrate", 8, "--n-random-checks", "100000000"],
+     "audit set too large: 100000003 checks x 8 cells > 16777216; lower n_random"),
 ])
 def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, command,
                                         message):

@@ -10,6 +10,7 @@ from fairpost import (
     CheckFunction,
     FairnessNotion,
     GroupSystem,
+    JointMulticalibrator,
     SolverConfig,
     audit,
     base_rates,
@@ -19,6 +20,7 @@ from fairpost import (
     default_checks,
     run,
 )
+from fairpost import multical
 from fairpost.core import decide_batch, decision_thresholds
 from fairpost.multical import (
     CalibrationResult,
@@ -243,13 +245,34 @@ def test_calibrate_single_patch_closed_form():
     assert drop == pytest.approx(0.64, abs=1e-12)
 
 
+def test_default_checks_refuses_an_audit_set_past_the_cap(monkeypatch):
+    # (groups + random checks) x cells against MAX_CHECK_CELLS, refused
+    # before a check is built; the estimator's fit refuses it too
+    _, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
+    size = (pert.n_groups + 16) * pert.n_cells
+    monkeypatch.setattr(multical, "MAX_CHECK_CELLS", size)
+    assert len(default_checks(pert, _base(pert, "fp"), n_random=16)) == pert.n_groups + 16
+    monkeypatch.setattr(multical, "MAX_CHECK_CELLS", size - 1)
+    monkeypatch.setattr(multical, "CheckFunction", None)    # building one would fail
+    with pytest.raises(ValueError, match=f"audit set too large: {pert.n_groups + 16} "
+                                         f"checks x {pert.n_cells} cells > {size - 1}"):
+        default_checks(pert, _base(pert, "fp"), n_random=16)
+    scores = np.repeat(pert.scores, 2)
+    groups = np.repeat(pert.group_matrix.T[:, 1:], 2, axis=0).astype(int)
+    y = np.tile([0, 1], pert.n_cells)
+    monkeypatch.setattr(multical, "MAX_CHECK_CELLS", 16)    # the random checks alone pass it
+    with pytest.raises(ValueError, match="audit set too large"):
+        JointMulticalibrator(n_random_checks=16, grid_m=20).fit(scores, groups, y)
+
+
 def test_calibrate_guarantees_on_miscalibrated_fixture():
     exact, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
     base = _base(pert, "fp")
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
     traj = run(pert, cfg).mixture.lambdas[::20][:10]
-    checks = default_checks(pert, base, n_random=16, C=10.0, seed=9,
-                            trajectory_lambdas=traj)
+    checks = default_checks(pert, base, n_random=16, C=10.0, seed=9)
+    checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
+               for k, lam in enumerate(traj)]
     alpha = 0.01
     result = calibrate(pert.scores, checks, pert, alpha)
     assert 0 < result.rounds <= 4 / alpha ** 2
@@ -512,8 +535,9 @@ def test_calibrate_matches_reference_on_miscalibrated_fixture():
     base = _base(pert, "fp")
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
     traj = run(pert, cfg).mixture.lambdas[::20][:10]
-    checks = default_checks(pert, base, n_random=16, C=10.0, seed=9,
-                            trajectory_lambdas=traj)
+    checks = default_checks(pert, base, n_random=16, C=10.0, seed=9)
+    checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
+               for k, lam in enumerate(traj)]
     got = _assert_same_calibration(checks, pert, 0.01)
     assert got.rounds > 0
     assert got.counters["levels"] == 101

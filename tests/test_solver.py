@@ -13,6 +13,7 @@ from fairpost import (
     FairnessNotion,
     SolverConfig,
     base_rates,
+    duality_gap,
     enumerate_optimum,
     iteration_budget,
     project_l1,
@@ -26,9 +27,7 @@ from fairpost.cli import main, read_dataset
 from fairpost.core import MixtureClassifier, decide_batch, decision_thresholds
 from fairpost import solver
 from fairpost.solver import (
-    SolveResult,
     TrajectoryRecord,
-    _gap_estimate,
     _resolve_schedule,
     _theorem_bounds,
 )
@@ -37,7 +36,8 @@ from conftest import make_dist, rand_lambda
 from reference_cells import cells_of
 from reference_rates import (_rate_terms, _solver_constraints, dual_gradient,
                              expanded_lagrangian, lagrangian_value)
-from reference_solver import decide, pointwise_argmin, reference_run_loop
+from reference_solver import (ReferenceResult, _gap_estimate, decide, pointwise_argmin,
+                              reference_run_loop, replay_deviations)
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -349,14 +349,57 @@ def test_run_sampled_is_reproducible():
     assert np.array_equal(a.mixture.lambdas, b.mixture.lambdas)
 
 
+def _prefix_gaps(result, dist, config, rounds):
+    """duality_gap of the first t rules of a run, for each t of rounds."""
+    lambdas, base = result.mixture.lambdas, result.mixture.base
+    return [duality_gap(MixtureClassifier(lambdas[:t], base), dist, config.gamma, config.C)
+            for t in rounds]
+
+
 def test_gap_estimate_nonnegative_and_shrinks():
     dist, _ = make_dist(4, n_cells=10, n_groups=1, grid_m=20)
-    cfg = SolverConfig(notion="fp", gamma=0.01, C=1.0, T=4000, record_every=500,
-                       compute_gap=True)
-    res = run(dist, cfg)
-    gaps = [r.duality_gap_estimate for r in res.trajectory]
+    cfg = SolverConfig(notion="fp", gamma=0.01, C=1.0, T=4000, record_every=500)
+    gaps = _prefix_gaps(run(dist, cfg), dist, cfg, range(1, 4001, 500))
     assert all(g >= -1e-9 for g in gaps)
     assert gaps[-1] <= gaps[0]
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("C, eta, gamma", [(10.0, "auto", 0.01), (0.5, 0.05, 0.0)],
+                         ids=["10.0-auto-0.01", "0.5-0.05-0.0"])
+def test_duality_gap_never_looser_than_the_in_loop_gap(biased_instance, notion, C, eta,
+                                                       gamma):
+    # the netted mean dual's lower bound is at least the split averages',
+    # and the mixture's probabilities are the running decisions' mean, so
+    # the gap of every prefix lies between 0 and the reference loop's gap
+    cfg = SolverConfig(notion=notion, gamma=gamma, C=C, eta=eta, T=3000, record_every=50)
+    want = reference_run_loop(biased_instance, cfg, compute_gap=True)
+    rounds = [r.t for r in want.trajectory]
+    gaps = _prefix_gaps(run(biased_instance, cfg), biased_instance, cfg, rounds)
+    assert len(gaps) == len(want.gaps) == 60
+    for t, gap, reference in zip(rounds, gaps, want.gaps):
+        assert -1e-12 <= gap <= reference + 1e-12, (t, gap, reference)
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("instance", ["fixture", "150-13-overlap"])
+def test_duality_gap_bounds_the_error_above_the_optimum(biased_instance, instance, notion):
+    # err(p) <= upper and lower <= the game's value <= OPT, so every
+    # prefix's error exceeds the oracle's optimum by at most its gap
+    if instance == "fixture":
+        dist, T = biased_instance, 20000
+    else:    # 12 overlapping groups and the all-ones group
+        dist, T = make_dist(2, n_cells=150, n_groups=12, grid_m=100,
+                            profile="adversarial_overlap")[1], 2000
+        assert dist.n_groups == 13
+    cfg = SolverConfig(notion=notion, gamma=0.01, C=10.0, T=T, record_every=T)
+    result = run(dist, cfg)
+    opt = enumerate_optimum(dist, result.mixture.base, cfg.gamma).opt_value
+    rounds = [1, 10, 100, T // 10, T // 2, T]
+    for t, gap in zip(rounds, _prefix_gaps(result, dist, cfg, rounds)):
+        prefix = MixtureClassifier(result.mixture.lambdas[:t], result.mixture.base)
+        err = surrogate_error(prefix.positive_prob_vector(dist), dist)
+        assert err - opt <= gap + 1e-12, (t, err, opt, gap)
 
 
 # ------------------------------------------------------------ reference loop
@@ -365,7 +408,7 @@ def test_gap_estimate_nonnegative_and_shrinks():
 # reference: every round evaluates decide_batch on all cells and recomputes
 # the dual step from scratch.
 
-def _reference_run_loop(dist, config, scores_as_f, sampler=None,
+def _reference_run_loop(dist, config, scores_as_f, sampler=None, compute_gap=False,
                         record_deviation=False):
     notion = config.notion
     base = base_rates(dist, notion)
@@ -386,6 +429,7 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
     sum_lam_p = np.zeros(n_groups)
     sum_lam_m = np.zeros(n_groups)
     trajectory: List[TrajectoryRecord] = []
+    gaps = [] if compute_gap else None
     deviations = np.empty((T, n_groups)) if record_deviation else None
 
     for t in range(1, T + 1):
@@ -405,7 +449,7 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
             deviations[t - 1] = np.abs(rho_g - pop_rho_g)
         centered = rho_g - beta * rho0
 
-        if config.compute_gap:
+        if compute_gap:
             sum_lam_p += lam_p
             sum_lam_m += lam_m
 
@@ -417,28 +461,27 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None,
 
         if (t - 1) % config.record_every == 0:
             err_hat = float(eval_masses @ (f + h * (1.0 - 2.0 * f)))
-            gap = None
-            if config.compute_gap:
-                gap = _gap_estimate(
+            if compute_gap:
+                gaps.append(_gap_estimate(
                     dec_sum / t, np.concatenate((sum_lam_p, sum_lam_m)) / t, f, masses, G,
-                    memb, beta, notion, gamma, C)
+                    memb, beta, notion, gamma, C))
             trajectory.append(TrajectoryRecord(
                 t=t,
                 err_hat=err_hat,
                 max_violation_hat=float(np.abs(centered).max()),
                 lambda_l1=float(lam_p.sum() + lam_m.sum()),
-                duality_gap_estimate=gap,
             ))
 
     mixture = MixtureClassifier(lam_hist, base)
-    return SolveResult(
+    return ReferenceResult(
         mixture=mixture,
         final_dual=np.concatenate((lam_p, lam_m)),
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
         T=T,
         eta=eta,
-        estimation_deviations=deviations,
+        gaps=gaps,
+        deviations=deviations,
     )
 
 
@@ -479,11 +522,6 @@ def _assert_bit_equal(got, want, dist):
     # repr round-trips every float, so equal reprs mean equal bits
     assert repr(got.trajectory) == repr(want.trajectory)
     assert np.array_equal(_bits(got.final_dual), _bits(want.final_dual))
-    if want.estimation_deviations is None:
-        assert got.estimation_deviations is None
-    else:
-        assert np.array_equal(_bits(got.estimation_deviations),
-                              _bits(want.estimation_deviations))
     assert np.array_equal(_bits(got.mixture.positive_prob_vector(dist)),
                           _bits(_reference_positive_prob_vector(got.mixture, dist)))
 
@@ -509,22 +547,40 @@ def test_threshold_kernel_matches_reference_when_projecting(biased_instance, mod
 
 
 def test_threshold_kernel_matches_reference_with_gap(biased_instance):
-    cfg = SolverConfig(notion="fn", gamma=0.0, C=1.0, eta=0.05, T=2000,
-                       record_every=50, compute_gap=True)
+    # FN at gamma = 0, projecting
+    cfg = SolverConfig(notion="fn", gamma=0.0, C=1.0, eta=0.05, T=2000, record_every=50)
     got = run(biased_instance, cfg)
     _assert_bit_equal(got, _reference_run_loop(biased_instance, cfg, True),
                       biased_instance)
-    assert all(r.duality_gap_estimate is not None for r in got.trajectory)
 
 
 def test_threshold_kernel_matches_reference_sampled(biased_instance):
     cfg = SolverConfig(notion="fp", gamma=0.02, C=3.0, T=300, record_every=10)
-    got = run_sampled(biased_instance, 5, cfg, 0.1, 0.1, record_deviation=True)
+    got = run_sampled(biased_instance, 5, cfg, 0.1, 0.1)
     want = _reference_sampled(biased_instance, 5, cfg, 0.1, 0.1, record_deviation=True)
     want.theorem_bounds = _theorem_bounds(cfg.C, 0.1)
     _assert_bit_equal(got, want, biased_instance)
     assert got.theorem_bounds == want.theorem_bounds
     assert got.counters["distinct_decisions"] == 0   # sampled rounds bypass the cache
+    assert _bits(replay_deviations(biased_instance, 5, got.mixture, 0.1, 0.1)).tobytes() == \
+        _bits(want.deviations).tobytes()
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("seed", [0, 5, 424242])
+def test_replayed_deviations_equal_the_in_loop_deviations(biased_instance, notion, seed):
+    # the sampler's stream, replayed against the returned rules, gives the
+    # deviations the reference loop recorded round by round, bit for bit
+    cfg = SolverConfig(notion=notion, gamma=0.01, C=3.0, T=300, record_every=10)
+    got = run_sampled(biased_instance, seed, cfg, 0.1, 0.1)
+    m = sample_size(cfg.T, biased_instance.n_groups, 0.1, 0.1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = biased_instance.masses / biased_instance.masses.sum()
+    want = reference_run_loop(biased_instance, cfg, sampler=lambda _t: rng.multinomial(
+        m, weights) / m, record_deviation=True)
+    assert got.mixture.lambdas.tobytes() == want.mixture.lambdas.tobytes()
+    assert replay_deviations(biased_instance, seed, got.mixture, 0.1, 0.1).tobytes() == \
+        want.deviations.tobytes()
 
 
 def test_threshold_kernel_matches_reference_on_ties():
@@ -568,9 +624,9 @@ def test_round_body_matches_parent_loop(biased_instance, notion, C, eta, T, gamm
 
 
 def test_round_body_matches_parent_loop_with_gap():
+    # SP at gamma = 0 on three groups, projecting
     dist, _ = make_dist(4, n_cells=12, n_groups=3, grid_m=20, profile="two_group_bias")
-    cfg = SolverConfig(notion="sp", gamma=0.0, C=0.5, eta=0.02, T=2000, record_every=25,
-                       compute_gap=True)
+    cfg = SolverConfig(notion="sp", gamma=0.0, C=0.5, eta=0.02, T=2000, record_every=25)
     got = run(dist, cfg)
     _assert_same_run(got, reference_run_loop(dist, cfg))
     assert got.counters["projections"] > 0
@@ -688,11 +744,10 @@ def test_speculative_blocks_match_the_reference_loop(seed, n_cells, n_groups, gr
 def test_speculative_blocks_carry_the_fixture_run(biased_instance):
     result = run(biased_instance, SolverConfig(notion="fp", gamma=0.01, C=10.0))
     assert result.speculation["speculated_rounds"] >= 0.9 * result.T
-    # duality-gap and sampled runs go round by round
-    config = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=3000)
-    for got in (run(biased_instance, dataclasses.replace(config, compute_gap=True)),
-                run_sampled(biased_instance, 5, dataclasses.replace(config, T=300), 0.1, 0.1)):
-        assert got.speculation == {"blocks": 0, "speculated_rounds": 0}
+    # sampled runs go round by round
+    got = run_sampled(biased_instance, 5, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=300),
+                      0.1, 0.1)
+    assert got.speculation == {"blocks": 0, "speculated_rounds": 0}
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
