@@ -275,31 +275,55 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, source: dict,
-                    timings: dict, outputs: List[str], extra: Optional[dict] = None,
-                    write_start: Optional[float] = None) -> None:
-    """Write manifest.json; source is read_dataset's input summary.  With
-    write_start, timings["write"] runs from it to just before the manifest
-    itself is written.  peak_rss_mb is the process's peak RSS so far."""
-    manifest = {
-        "command": command,
-        "config": config,
-        "input_sha256": source["sha256"],
-        "input": {key: source[key] for key in ("rows", "cells", "parser")},
-        "version": __version__,
-        "timings_seconds": timings,
-        "outputs": outputs,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
-    if extra:
-        manifest.update(extra)
-    for name in outputs:
-        if not (out_dir / name).exists():
-            raise RuntimeError(f"manifest names missing output {name!r}")
-    if write_start is not None:
-        timings["write"] = time.perf_counter() - write_start
-    _write_json(out_dir / "manifest.json", manifest)
+def _write_csv(path: Path, schema: str, header: str, rows) -> None:
+    """A CSV output: its schema comment line, its header, then one line per
+    row string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{schema}\n{header}\n")
+        fh.writelines(f"{row}\n" for row in rows)
+
+
+class _Run:
+    """One command's run: its output directory, its stage clock and its input
+    summary.  Stages run back to back from construction, so the timings add
+    up to the command's wall time."""
+
+    def __init__(self, out_dir: str):
+        self._last = time.perf_counter()
+        self.timings, self.source = {}, {}
+        self.dir = Path(out_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+
+    def stage(self, name: str) -> None:
+        """Record the time since the previous stage as stage name."""
+        now = time.perf_counter()
+        self.timings[name] = now - self._last
+        self._last = now
+
+    def read(self, path: str, grid_m: int) -> CellDistribution:
+        dist = read_dataset(path, grid_m, self.source)
+        self.stage("parse")
+        return dist
+
+    def finish(self, command: str, config: dict, outputs: List[str], **extra) -> None:
+        """Write manifest.json, after the stage "write"; extra adds keys.
+        peak_rss_mb is the process's peak RSS so far."""
+        for name in outputs:
+            if not (self.dir / name).exists():
+                raise RuntimeError(f"manifest names missing output {name!r}")
+        self.stage("write")
+        _write_json(self.dir / "manifest.json", {
+            "command": command,
+            "config": config,
+            "input_sha256": self.source["sha256"],
+            "input": {key: self.source[key] for key in ("rows", "cells", "parser")},
+            "version": __version__,
+            "timings_seconds": self.timings,
+            "outputs": outputs,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            **extra,
+        })
 
 
 # ---------------------------------------------------------------- config
@@ -339,16 +363,6 @@ def _solver_config(config: dict) -> SolverConfig:
 
 
 # ---------------------------------------------------------------- solve
-
-def _write_trajectory(path: Path, trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRAJECTORY_SCHEMA + "\n")
-        # the last column stays empty: the solver keeps no per-round gap
-        fh.write("t,err_hat,max_violation_hat,lambda_l1,duality_gap_estimate\n")
-        for rec in trajectory:
-            fh.write(f"{rec.t},{_fmt(rec.err_hat)},{_fmt(rec.max_violation_hat)},"
-                     f"{_fmt(rec.lambda_l1)},\n")
-
 
 MIXTURE_SCHEMA = "fairpost.mixture.v2"
 
@@ -529,117 +543,91 @@ def _solve_report(result, dist: CellDistribution, gamma: float) -> Tuple[dict, i
     return report, EXIT_OK if report["guarantee_ok"] else EXIT_GUARANTEE
 
 
-def cmd_solve(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = _load_config(args)
-    solver_config = _solver_config(config)
-    t0 = time.perf_counter()
-    source = {}
-    dist = read_dataset(args.dataset, config["grid_m"], source)
-    t1 = time.perf_counter()
+def _solve(dist: CellDistribution, config: SolverConfig):
     try:
-        result = run(dist, solver_config)    # main reports BudgetExceededError
+        return run(dist, config)    # main reports BudgetExceededError
     except ValueError as exc:    # degenerate base rates
         raise InputError(str(exc)) from exc
-    t2 = time.perf_counter()
+
+
+def cmd_solve(args) -> int:
+    frame = _Run(args.out_dir)
+    config = _load_config(args)
+    solver_config = _solver_config(config)
+    dist = frame.read(args.dataset, config["grid_m"])
+    result = _solve(dist, solver_config)
+    frame.stage("solve")
     report, code = _solve_report(result, dist, solver_config.gamma)
     report["exit_code"] = code
-    t3 = time.perf_counter()
-
-    mixture_path = out_dir / "mixture.json"
+    frame.stage("report")
+    mixture_path = frame.dir / "mixture.json"
     _write_mixture(mixture_path, _mixture_payload(result.mixture, dist, solver_config.gamma))
-    t4 = time.perf_counter()
-    _write_trajectory(out_dir / "trajectory.csv", result.trajectory)
-    _write_json(out_dir / "report.json", report)
-    timings = {"parse": t1 - t0, "solve": t2 - t1, "report": t3 - t2,
-               "write_mixture": t4 - t3}
-    _write_manifest(
-        out_dir, "solve", config, source, timings,
-        ["mixture.json", "trajectory.csv", "report.json"],
-        extra={"theorem_bounds": result.theorem_bounds, "counters": result.counters,
-               "speculation": result.speculation,
-               "mixture_bytes": mixture_path.stat().st_size}, write_start=t4)
+    frame.stage("write_mixture")
+    # the last column stays empty: the solver keeps no per-round gap
+    _write_csv(frame.dir / "trajectory.csv", TRAJECTORY_SCHEMA,
+               "t,err_hat,max_violation_hat,lambda_l1,duality_gap_estimate",
+               (f"{rec.t},{_fmt(rec.err_hat)},{_fmt(rec.max_violation_hat)},"
+                f"{_fmt(rec.lambda_l1)}," for rec in result.trajectory))
+    _write_json(frame.dir / "report.json", report)
+    frame.finish("solve", config, ["mixture.json", "trajectory.csv", "report.json"],
+                 theorem_bounds=result.theorem_bounds, counters=result.counters,
+                 speculation=result.speculation,
+                 mixture_bytes=mixture_path.stat().st_size)
     return code
 
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_row(dist, config, counters):
-    # one gamma's run and its pareto.csv row; the run's lambda history is
-    # freed on return, so the sweep holds one at a time
-    gamma, result = config.gamma, run(dist, config)
-    counters.append({"gamma": gamma, **result.counters, "speculation": result.speculation})
-    err_hat, cons, rep = _evaluate(result.mixture, dist)
-    if rep is not None:
-        return gamma, err_hat, rep.err, rep.max_violation, "ok"
-    return gamma, err_hat, None, float(np.abs(cons).max()), "ok"
-
-
-def _error_row(gamma, exc):
-    message = str(exc).replace(",", ";").replace("\n", " ")
-    return gamma, None, None, None, f"error: {message}"
-
-
 def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    frame = _Run(args.out_dir)
     config = _load_config(args)
     try:
         gammas = sorted(float(g) for g in args.gammas.split(","))
     except ValueError:
         raise InputError("--gammas must be a comma-separated list of numbers") from None
     configs = [_solver_config({**config, "gamma": g}) for g in gammas]
-    source = {}
-    dist = read_dataset(args.dataset, config["grid_m"], source)
-    t1 = time.perf_counter()
-    # one run per gamma; every failure is reported per gamma, in the csv
+    dist = frame.read(args.dataset, config["grid_m"])
+    # one run per gamma, failing as solve fails
     rows, counters = [], []
     for solver_config in configs:
-        try:
-            rows.append(_sweep_row(dist, solver_config, counters))
-        except Exception as exc:
-            rows.append(_error_row(solver_config.gamma, exc))
-    failures = sum(row[4] != "ok" for row in rows)
-    t2 = time.perf_counter()
-
-    with open(out_dir / "pareto.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PARETO_SCHEMA + "\n")
-        fh.write("gamma,err_hat,true_err,max_violation,status\n")
-        for g, err_hat, true_err, viol, status in rows:
-            fh.write(f"{_fmt(g)},{_fmt(err_hat)},{_fmt(true_err)},{_fmt(viol)},{status}\n")
+        gamma, result = solver_config.gamma, _solve(dist, solver_config)
+        counters.append({"gamma": gamma, **result.counters, "speculation": result.speculation})
+        err_hat, cons, rep = _evaluate(result.mixture, dist)
+        if rep is None:
+            rows.append((gamma, err_hat, None, float(np.abs(cons).max())))
+        else:
+            rows.append((gamma, err_hat, rep.err, rep.max_violation))
+        del result    # so the sweep holds one lambda history at a time
+    frame.stage("sweep")
+    # status is always "ok": a failed run fails the sweep
+    _write_csv(frame.dir / "pareto.csv", PARETO_SCHEMA,
+               "gamma,err_hat,true_err,max_violation,status",
+               (",".join(map(_fmt, row)) + ",ok" for row in rows))
     outputs = ["pareto.csv"]
     if args.svg:
-        _write_pareto_svg(out_dir / "pareto.svg", rows)
+        _write_pareto_svg(frame.dir / "pareto.svg", [row[:2] for row in rows])
         outputs.append("pareto.svg")
-    _write_manifest(out_dir, "sweep", config, source,
-                    {"parse": t1 - t0, "sweep": t2 - t1}, outputs,
-                    extra={"counters": counters},
-                    write_start=t2)
-    return EXIT_OK if failures == 0 else EXIT_INPUT
+    frame.finish("sweep", config, outputs, counters=counters)
+    return EXIT_OK
 
 
-def _write_pareto_svg(path: Path, rows) -> None:
-    pts = [(r[0], r[1]) for r in rows if r[1] is not None]
+def _write_pareto_svg(path: Path, pts) -> None:
+    """The (gamma, err_hat) points as a polyline."""
     width, height, pad = 480, 320, 40
-    if pts:
-        xs, ys = zip(*pts)
-        x0, x1 = min(xs), max(xs) or 1.0
-        y0, y1 = min(ys), max(ys)
-        xs_span = (x1 - x0) or 1.0
-        ys_span = (y1 - y0) or 1.0
-        coords = [
-            (pad + (x - x0) / xs_span * (width - 2 * pad),
-             height - pad - (y - y0) / ys_span * (height - 2 * pad))
-            for x, y in pts
-        ]
-        polyline = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-        circles = "".join(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="steelblue"/>' for x, y in coords)
-        legend = f"gamma in [{min(xs):g}, {max(xs):g}]"
-    else:
-        polyline, circles, legend = "", "", "no data"
+    xs, ys = zip(*pts)
+    x0, x1 = min(xs), max(xs) or 1.0
+    y0, y1 = min(ys), max(ys)
+    xs_span = (x1 - x0) or 1.0
+    ys_span = (y1 - y0) or 1.0
+    coords = [
+        (pad + (x - x0) / xs_span * (width - 2 * pad),
+         height - pad - (y - y0) / ys_span * (height - 2 * pad))
+        for x, y in pts
+    ]
+    polyline = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
+    circles = "".join(
+        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="steelblue"/>' for x, y in coords)
+    legend = f"gamma in [{min(xs):g}, {max(xs):g}]"
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<polyline fill="none" stroke="steelblue" points="{polyline}"/>{circles}'
@@ -653,78 +641,59 @@ def _write_pareto_svg(path: Path, rows) -> None:
 
 # ---------------------------------------------------------------- audit / calibrate
 
-def _build_checks(dist, args):
-    # audit and calibrate refuse unlabeled data before they build checks
+def _audit_set(frame: _Run, args) -> tuple:
+    """(dist, checks, manifest config) of audit and calibrate: the labeled
+    dataset and its audit set, which are refused on unlabeled data."""
+    dist = frame.read(args.dataset, args.grid_m)
+    if dist.label_means is None:
+        raise InputError(f"{args.command} requires labeled data (y column)")
     try:
         base = base_rates(dist, FairnessNotion.FP, "from_labels")
-        return default_checks(dist, base, n_random=args.n_random_checks, C=args.check_C,
-                              seed=args.seed)
+        checks = default_checks(dist, base, n_random=args.n_random_checks, C=args.check_C,
+                                seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _check_config(args) -> dict:
-    return {"grid_m": args.grid_m, "n_random_checks": args.n_random_checks,
-            "check_C": args.check_C, "seed": args.seed}
+    frame.stage("checks")
+    return dist, checks, {"grid_m": args.grid_m, "n_random_checks": args.n_random_checks,
+                          "check_C": args.check_C, "seed": args.seed}
 
 
 def cmd_audit(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source = {}
-    dist = read_dataset(args.dataset, args.grid_m, source)
-    if dist.label_means is None:
-        raise InputError("audit requires labeled data (y column)")
-    t1 = time.perf_counter()
-    checks = _build_checks(dist, args)
-    assignment = assignment_from_scores(dist, args.grid_m)
-    t2 = time.perf_counter()
+    frame = _Run(args.out_dir)
+    dist, checks, config = _audit_set(frame, args)
     counters = {}
-    per_check, max_violation = audit(assignment, checks, dist, counters)
-    t3 = time.perf_counter()
-    _write_json(out_dir / "audit.json", {
+    per_check, max_violation = audit(assignment_from_scores(dist, args.grid_m), checks, dist,
+                                     counters)
+    frame.stage("audit")
+    frame.timings["calibrate"] = 0.0    # the scores are audited as they are
+    _write_json(frame.dir / "audit.json", {
         "max_violation": max_violation,
         "per_check": [{"name": c.name or c.kind, "kind": c.kind, "violation": v}
                       for c, v in zip(checks, per_check)],
     })
     counters.update(checks=len(checks), patch_rounds=0)
-    _write_manifest(out_dir, "audit", _check_config(args), source,
-                    {"parse": t1 - t0, "checks": t2 - t1, "calibrate": 0.0,
-                     "audit": t3 - t2},
-                    ["audit.json"],
-                    extra={"counters": counters}, write_start=t3)
+    frame.finish("audit", config, ["audit.json"], counters=counters)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    t0 = time.perf_counter()
     try:
         cap = round_cap(args.alpha)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source = {}
-    dist = read_dataset(args.dataset, args.grid_m, source)
-    if dist.label_means is None:
-        raise InputError("calibrate requires labeled data (y column)")
-    t1 = time.perf_counter()
-    checks = _build_checks(dist, args)
-    t2 = time.perf_counter()
+    frame = _Run(args.out_dir)
+    dist, checks, config = _audit_set(frame, args)
     result = calibrate(dist.scores, checks, dist, args.alpha)
-    t3 = time.perf_counter()
+    frame.stage("calibrate")
     post = {}
     per_check, max_violation = audit(result.assignment, checks, dist, post)
-    t4 = time.perf_counter()
-    with open(out_dir / "calibration_history.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(HISTORY_SCHEMA + "\n")
-        fh.write("round,check,level,v_tilde,v_prime,potential,mass\n")
-        for rec in result.history:
-            name = checks[rec.check_index].name or checks[rec.check_index].kind
-            fh.write(f"{rec.round},{name},{_fmt(rec.level)},{_fmt(rec.v_tilde)},"
-                     f"{_fmt(rec.v_prime)},{_fmt(rec.potential)},{_fmt(rec.mass)}\n")
-    _write_json(out_dir / "calibration.json", {
+    frame.stage("audit")
+    _write_csv(frame.dir / "calibration_history.csv", HISTORY_SCHEMA,
+               "round,check,level,v_tilde,v_prime,potential,mass",
+               (f"{rec.round},{checks[rec.check_index].name or checks[rec.check_index].kind},"
+                f"{_fmt(rec.level)},{_fmt(rec.v_tilde)},{_fmt(rec.v_prime)},"
+                f"{_fmt(rec.potential)},{_fmt(rec.mass)}" for rec in result.history))
+    _write_json(frame.dir / "calibration.json", {
         "alpha": args.alpha,
         "rounds": result.rounds,
         "round_cap": cap,
@@ -737,12 +706,8 @@ def cmd_calibrate(args) -> int:
                 "patch_rounds": result.rounds,
                 "term_updates": result.counters["term_updates"] + post["term_updates"],
                 "distinct_sets": result.counters["distinct_sets"] + post["distinct_sets"]}
-    _write_manifest(out_dir, "calibrate", {"alpha": args.alpha, **_check_config(args)},
-                    source,
-                    {"parse": t1 - t0, "checks": t2 - t1, "calibrate": t3 - t2,
-                     "audit": t4 - t3},
-                    ["calibration_history.csv", "calibration.json"],
-                    extra={"counters": counters}, write_start=t4)
+    frame.finish("calibrate", {"alpha": args.alpha, **config},
+                 ["calibration_history.csv", "calibration.json"], counters=counters)
     return EXIT_OK
 
 
@@ -753,6 +718,8 @@ _WRITE_ROWS = 1 << 16
 
 
 def cmd_synth(args) -> int:
+    if args.samples < 0:
+        raise InputError("samples must be nonnegative")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     try:
@@ -763,11 +730,9 @@ def cmd_synth(args) -> int:
     except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     dist = exact if args.exact_scores else perturbed
-    # each sample draws its cell, then its label: uniforms 2i and 2i + 1
-    u = SplitMix64((args.seed << 1) ^ 0xD1B54A32D192ED03).uniforms(2 * max(args.samples, 0))
-    cells = np.minimum(np.searchsorted(np.cumsum(dist.masses), u[0::2], "right"),
-                       dist.n_cells - 1)
-    codes = 2 * cells + (u[1::2] < dist.label_means[cells])
+    cum_mass = np.cumsum(dist.masses)
+    # sample i draws its cell, then its label: uniforms 2i and 2i + 1 of one stream
+    stream = SplitMix64((args.seed << 1) ^ 0xD1B54A32D192ED03)
     # a row is "id," plus a tail that depends only on its (cell, y)
     names = dist.groups.names
     with_labels = not args.no_labels
@@ -777,25 +742,24 @@ def cmd_synth(args) -> int:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["id", "score"] + (["y"] if with_labels else [])
                           + [f"g_{n}" for n in names]) + "\n")
-        for start in range(0, len(codes), _WRITE_ROWS):
-            fh.write("".join(f"{i},{tails[code]}\n" for i, code in
-                             enumerate(codes[start:start + _WRITE_ROWS].tolist(), start)))
+        for start in range(0, args.samples, _WRITE_ROWS):
+            u = stream.uniforms(2 * min(_WRITE_ROWS, args.samples - start))
+            cells = np.minimum(np.searchsorted(cum_mass, u[0::2], "right"), dist.n_cells - 1)
+            codes = 2 * cells + (u[1::2] < dist.label_means[cells])
+            fh.write("".join(f"{i},{tails[code]}\n"
+                             for i, code in enumerate(codes.tolist(), start)))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    frame = _Run(args.out_dir)
     mixture, payload = load_mixture(args.mixture)
-    t1 = time.perf_counter()
-    source = {}
-    dist = read_dataset(args.dataset, payload["grid_m"], source)
+    frame.stage("load_mixture")
+    dist = frame.read(args.dataset, payload["grid_m"])
     if list(dist.groups.names) != payload["group_names"]:
         raise InputError(
             f"dataset groups {list(dist.groups.names)} do not match mixture "
             f"groups {payload['group_names']}")
-    t2 = time.perf_counter()
     err_hat, cons, rep = _evaluate(mixture, dist)
     report = {"err_hat": err_hat, "max_violation_hat": float(np.abs(cons).max())}
     if rep is not None:
@@ -819,13 +783,10 @@ def cmd_eval(args) -> int:
                                         true_err_gap=report["true"]["err"] - true_opt)
         except (ValueError, InfeasibleError) as exc:
             raise InputError(f"oracle: {exc}") from exc
-    t3 = time.perf_counter()
-    _write_json(out_dir / "evaluation.json", report)
-    _write_manifest(out_dir, "eval", {"mixture": args.mixture, "oracle": args.oracle},
-                    source, {"load_mixture": t1 - t0, "parse": t2 - t1, "eval": t3 - t2},
-                    ["evaluation.json"],
-                    extra={"mixture_bytes": Path(args.mixture).stat().st_size},
-                    write_start=t3)
+    frame.stage("eval")
+    _write_json(frame.dir / "evaluation.json", report)
+    frame.finish("eval", {"mixture": args.mixture, "oracle": args.oracle}, ["evaluation.json"],
+                 mixture_bytes=Path(args.mixture).stat().st_size)
     return EXIT_OK
 
 

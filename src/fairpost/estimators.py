@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import FairnessNotion, _group_rows, aggregate_cells, grid_indices
 from .core import build_cells  # noqa: F401  (bench/spans.py traces it by this name)
+from . import multical
 from .multical import calibrate, default_checks, replay
 from .metrics import base_rates
 from .solver import SolverConfig, run
@@ -167,9 +168,10 @@ class JointMulticalibrator(_ParamsMixin):
         A score is first snapped to the 1/grid_m grid, as fit snapped it
         into its cell.  A patch reads a point only through that score's
         level and the point's membership row, on which its group or
-        threshold check fires, so multical.replay runs once on the distinct
+        threshold check fires, so multical.replay runs on the distinct
         (grid index, membership row) points, through the check family that
-        calibrate used, and the results are scattered back.  A training
+        calibrate used, in slices of at most multical.MAX_CHECK_CELLS //
+        checks points, and the results are scattered back.  A training
         point therefore gets its cell's assignment bit for bit.
         """
         if not hasattr(self, "result_"):
@@ -180,7 +182,13 @@ class JointMulticalibrator(_ParamsMixin):
         grid_m = self.distribution_.grid_m
         k = grid_indices(scores, grid_m)
         row, point_of = _group_rows(k, groups)
-        return replay(self.result_, self.checks_, k[row] / grid_m, groups[row].T)[point_of]
+        step = max(1, multical.MAX_CHECK_CELLS // len(self.checks_))
+        out = np.empty(len(row))
+        for lo in range(0, len(row), step):
+            part = row[lo:lo + step]
+            out[lo:lo + step] = replay(self.result_, self.checks_, k[part] / grid_m,
+                                       groups[part].T)
+        return out[point_of]
 
     def fit_transform(self, scores, groups, y, **kwargs) -> np.ndarray:
         return self.fit(scores, groups, y, **kwargs).transform(scores, groups)

@@ -66,14 +66,20 @@ def test_solve_vacuous_gamma(dataset, tmp_path):
 
 
 def test_solve_manifest_counters_and_timings(dataset, tmp_path):
+    from fairpost.cli import build_parser
     out = tmp_path / "run"
-    assert main(["solve", str(dataset), "--gamma", "0.0", "--C", "1", "--eta", "0.5",
-                 "--T", "300", "--grid-m", "20", "--out-dir", str(out)]) == 0
+    args = build_parser().parse_args(["solve", str(dataset), "--gamma", "0.0", "--C", "1",
+                                      "--eta", "0.5", "--T", "300", "--grid-m", "20",
+                                      "--out-dir", str(out)])
+    t0 = time.perf_counter()
+    assert args.func(args) == 0
+    wall = time.perf_counter() - t0
     manifest = json.loads((out / "manifest.json").read_text())
     report = json.loads((out / "report.json").read_text())
-    assert set(manifest["timings_seconds"]) == {"parse", "solve", "report", "write_mixture",
-                                                "write"}
-    assert all(v >= 0.0 for v in manifest["timings_seconds"].values())
+    timings = manifest["timings_seconds"]
+    assert set(timings) == {"parse", "solve", "report", "write_mixture", "write"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert abs(sum(timings.values()) - wall) <= 0.05 * wall
     assert manifest["mixture_bytes"] == (out / "mixture.json").stat().st_size
     counters = manifest["counters"]
     assert set(counters) == {"rounds", "projections", "distinct_decisions"}
@@ -483,20 +489,18 @@ def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, m
     assert not any(out.iterdir())
 
 
-def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypatch):
+def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypatch, capsys):
     from fairpost import solver
     args = ["sweep", str(dataset), "--gammas", "0.2,0.01,0.05,0.0,0.1", "--C", "2",
             "--T", "300", "--grid-m", "20", "--svg"]
-    # no room for even one gamma: each row fails with run's message
+    # no room for even one gamma: the sweep fails as solve does, with run's
+    # message and the budget exit code, and writes no pareto.csv
     monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 300 * 3 * 8 - 1)
     over = tmp_path / "over"
-    assert main(args + ["--out-dir", str(over)]) == 1
-    rows = (over / "pareto.csv").read_text().splitlines()[2:]
-    assert len(rows) == 5 and all(
-        ",,,,error: budget exceeded: lambda history T*groups*8 = 7.2e+03 bytes > cap" in r
-        for r in rows)
-    manifest = json.loads((over / "manifest.json").read_text())
-    assert manifest["counters"] == []
+    assert main(args + ["--out-dir", str(over)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: budget exceeded: lambda history T*groups*8 = 7.2e+03 bytes > cap")
+    assert not (over / "pareto.csv").exists() and not (over / "manifest.json").exists()
 
 
 def test_sweep_deterministic_and_sorted(dataset, tmp_path):
@@ -604,6 +608,7 @@ def solved(tmp_path_factory):
      "audit set too large: 100000003 checks x 8 cells > 16777216; lower n_random"),
     (["calibrate", 8, "--n-random-checks", "100000000"],
      "audit set too large: 100000003 checks x 8 cells > 16777216; lower n_random"),
+    (["synth", "--seed", "1", "--samples", "-1"], "samples must be nonnegative"),
 ])
 def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, command,
                                         message):

@@ -203,6 +203,26 @@ def test_calibrator_transform_equals_per_point_replay(rng):
     assert cal.transform(batch_scores[:0], batch_groups[:0]).shape == (0,)
 
 
+def test_calibrator_transform_slices_to_the_audit_set_cap(rng, monkeypatch):
+    from fairpost import multical
+    _, pert = make_dist(23, n_cells=30, n_groups=3, grid_m=20, miscalibration=0.4)
+    scores, groups, y = _sample_arrays(rng, pert, 6000)
+    cal = JointMulticalibrator(alpha=0.02, n_random_checks=8, grid_m=20, seed=2)
+    cal.fit(scores, groups, y)
+    assert cal.result_.rounds > 0
+    batch_scores = np.concatenate([scores[:2000], rng.uniform(size=2000)])
+    batch_groups = np.concatenate([groups[:2000], groups[2000:4000]])
+    whole = cal.transform(batch_scores, batch_groups)
+    # a cap that holds 7 points' worth of checks: the distinct points are
+    # replayed in slices of 7, which read each point alone
+    monkeypatch.setattr(multical, "MAX_CHECK_CELLS", 7 * len(cal.checks_) + 3)
+    with mock.patch("fairpost.estimators.replay", wraps=replay) as replayed:
+        sliced = cal.transform(batch_scores, batch_groups)
+    sizes = [call.args[2].shape[0] for call in replayed.call_args_list]
+    assert len(sizes) > 1 and max(sizes) == 7
+    assert sliced.tobytes() == whole.tobytes()
+
+
 def test_calibrator_transform_signed_zero_and_repeats(rng):
     _, pert = make_dist(23, n_cells=30, n_groups=3, grid_m=20, miscalibration=0.4)
     scores, groups, y = _sample_arrays(rng, pert, 6000)
