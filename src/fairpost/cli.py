@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import array
-import base64
 import csv
 import hashlib
 import io
@@ -286,13 +285,18 @@ def _write_csv(path: Path, schema: str, header: str, rows) -> None:
 class _Run:
     """One command's run: its output directory, its stage clock and its input
     summary.  Stages run back to back from construction, so the timings add
-    up to the command's wall time."""
+    up to the command's wall time.  The directory is made with the first
+    output, so a refused command leaves none behind."""
 
     def __init__(self, out_dir: str):
         self._last = time.perf_counter()
         self.timings, self.source = {}, {}
         self.dir = Path(out_dir)
+
+    def file(self, name: str) -> Path:
+        """The path of output name, in the directory, which this makes."""
         self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
 
     def stage(self, name: str) -> None:
         """Record the time since the previous stage as stage name."""
@@ -312,7 +316,7 @@ class _Run:
             if not (self.dir / name).exists():
                 raise RuntimeError(f"manifest names missing output {name!r}")
         self.stage("write")
-        _write_json(self.dir / "manifest.json", {
+        _write_json(self.file("manifest.json"), {
             "command": command,
             "config": config,
             "input_sha256": self.source["sha256"],
@@ -364,15 +368,14 @@ def _solver_config(config: dict) -> SolverConfig:
 
 # ---------------------------------------------------------------- solve
 
-MIXTURE_SCHEMA = "fairpost.mixture.v2"
+MIXTURE_SCHEMA = "fairpost.mixture.v3"
 
 
 def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
                      gamma: float) -> dict:
-    """The mixture.json document for _write_mixture: the JSON header, and
-    "lambdas" as the (T, n_groups) rows, little-endian float64 in row-major
-    order, which the file holds as their standard padded base64."""
-    rows = np.ascontiguousarray(mixture.lambdas, dtype="<f8")
+    """The mixture.json document: the mixture's K rules, each a list of
+    n_groups lambdas, and their K integer weights, as plain JSON numbers
+    (exact ties always decide 1)."""
     return {
         "schema": MIXTURE_SCHEMA,
         "notion": mixture.notion.value,
@@ -381,72 +384,9 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
         "group_names": list(dist.groups.names),
         "beta": [float(b) for b in mixture.base.beta],
         "w": [float(w) for w in mixture.base.w],
-        "tiebreak_positive": True,   # exact ties always decide 1
-        "lambdas": rows,
+        "rules": mixture.lambdas.tolist(),
+        "weights": mixture.weights.tolist(),
     }
-
-
-# base64 maps each 3 bytes to 4 characters, so pieces of a multiple of 3
-# bytes encode to strings that concatenate to the base64 of the whole
-_B64_CHUNK = 3 << 16
-_LAMBDAS_SLOT = "\0lambdas"
-# base64 characters decoded at a time: whole 4-character quanta
-_B64_PIECE = 4 << 16
-
-
-def _write_mixture(path: Path, payload: dict) -> None:
-    """The bytes of _write_json(path, payload) with "lambdas" replaced by the
-    base64 string of its rows, written _B64_CHUNK bytes of rows at a time
-    instead of held whole (json.dump writes the encoder's pieces the same
-    way, and a base64 string needs no JSON escapes)."""
-    raw = memoryview(payload["lambdas"]).cast("B")
-    slot = json.dumps(_LAMBDAS_SLOT)
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for piece in encoder.iterencode({**payload, "lambdas": _LAMBDAS_SLOT}):
-            if piece != slot:
-                fh.write(piece)
-                continue
-            fh.write('"')
-            for lo in range(0, len(raw), _B64_CHUNK):
-                fh.write(base64.b64encode(raw[lo:lo + _B64_CHUNK]).decode("ascii"))
-            fh.write('"')
-        fh.write("\n")
-
-
-def _b64decode(text: str):
-    """base64.b64decode(text, validate=True), decoded _B64_PIECE characters
-    at a time into one buffer instead of through an ASCII copy of the whole
-    string.  Only the last piece may hold "=" padding; a string that fails in
-    pieces is decoded whole, so it is refused with the whole-string message."""
-    raw, n = bytearray(len(text) // 4 * 3), 0
-    for lo in range(0, len(text), _B64_PIECE):
-        piece = text[lo:lo + _B64_PIECE]
-        if "=" in piece and lo + _B64_PIECE < len(text):
-            break
-        try:
-            out = base64.b64decode(piece, validate=True)
-        except ValueError:
-            break
-        raw[n:n + len(out)] = out
-        n += len(out)
-    else:
-        return memoryview(raw).toreadonly()[:n]
-    try:
-        return base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"lambdas are not valid base64: {exc}") from None
-
-
-def _decode_lambdas(text, width: int) -> np.ndarray:
-    """The (T, width) rows of a v2 "lambdas" string."""
-    if not isinstance(text, str):
-        raise ValueError("lambdas must be a base64 string")
-    raw = _b64decode(text)
-    if width < 1 or not raw or len(raw) % (8 * width):
-        raise ValueError(f"lambdas hold {len(raw)} bytes, not a positive multiple of "
-                         f"8 * {width} groups")
-    return np.frombuffer(raw, dtype="<f8").reshape(-1, width)
 
 
 def _numbers(values, name: str) -> np.ndarray:
@@ -457,13 +397,16 @@ def _numbers(values, name: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
-    """Load a mixture.json of schema v2; the returned payload holds every
-    field but "lambdas".
+def _rules(rules, width: int) -> np.ndarray:
+    """The (K, width) lambdas of a JSON list of K rules of width numbers."""
+    if not (isinstance(rules, list) and all(isinstance(r, list) and len(r) == width
+                                            for r in rules)):
+        raise ValueError(f"rules must be a list of rules, each one number per group ({width})")
+    return _numbers([x for rule in rules for x in rule], "rules").reshape(len(rules), width)
 
-    The document is read by one json.load, and the "lambdas" string decodes
-    to 8 bytes per value.
-    """
+
+def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
+    """Load a mixture.json of schema v3, and return it with its document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -475,28 +418,26 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     if not isinstance(payload, dict):
         raise InputError("bad mixture: the document must be a JSON object")
     schema = payload.get("schema")
-    lambdas = payload.pop("lambdas", None)
     if schema != MIXTURE_SCHEMA:
         raise InputError(f"bad mixture: schema {schema!r} is not {MIXTURE_SCHEMA}; "
                          "re-run solve to write one")
-    for key in ("notion", "beta", "w", "grid_m", "group_names"):
+    for key in ("notion", "beta", "w", "grid_m", "group_names", "rules", "weights"):
         if key not in payload:
             raise InputError(f"bad mixture: missing field {key!r}")
-    grid_m, names = payload["grid_m"], payload["group_names"]
-    tiebreak = payload.get("tiebreak_positive", True)
+    grid_m, names, weights = payload["grid_m"], payload["group_names"], payload["weights"]
     gamma = payload.get("gamma", 0.0)
     if type(grid_m) is not int or grid_m < 1:
         raise InputError("bad mixture: grid_m must be a positive integer")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise InputError("bad mixture: group_names must be a list of strings")
-    if tiebreak is not True:
-        raise InputError("bad mixture: tiebreak_positive must be true (ties decide 1)")
     if type(gamma) not in (int, float) or not 0.0 <= gamma <= sys.float_info.max:
         raise InputError("bad mixture: gamma must be a nonnegative number")
+    if not isinstance(weights, list) or not all(type(w) is int for w in weights):
+        raise InputError("bad mixture: weights must be a list of integers")
     try:
         base = BaseRates(payload["notion"], _numbers(payload["beta"], "beta"),
                          _numbers(payload["w"], "w"))
-        mixture = MixtureClassifier(_decode_lambdas(lambdas, len(base.beta)), base)
+        mixture = MixtureClassifier(_rules(payload["rules"], len(base.beta)), base, weights)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):
@@ -560,15 +501,15 @@ def cmd_solve(args) -> int:
     report, code = _solve_report(result, dist, solver_config.gamma)
     report["exit_code"] = code
     frame.stage("report")
-    mixture_path = frame.dir / "mixture.json"
-    _write_mixture(mixture_path, _mixture_payload(result.mixture, dist, solver_config.gamma))
+    mixture_path = frame.file("mixture.json")
+    _write_json(mixture_path, _mixture_payload(result.mixture, dist, solver_config.gamma))
     frame.stage("write_mixture")
     # the last column stays empty: the solver keeps no per-round gap
-    _write_csv(frame.dir / "trajectory.csv", TRAJECTORY_SCHEMA,
+    _write_csv(frame.file("trajectory.csv"), TRAJECTORY_SCHEMA,
                "t,err_hat,max_violation_hat,lambda_l1,duality_gap_estimate",
                (f"{rec.t},{_fmt(rec.err_hat)},{_fmt(rec.max_violation_hat)},"
                 f"{_fmt(rec.lambda_l1)}," for rec in result.trajectory))
-    _write_json(frame.dir / "report.json", report)
+    _write_json(frame.file("report.json"), report)
     frame.finish("solve", config, ["mixture.json", "trajectory.csv", "report.json"],
                  theorem_bounds=result.theorem_bounds, counters=result.counters,
                  speculation=result.speculation,
@@ -600,12 +541,12 @@ def cmd_sweep(args) -> int:
         del result    # so the sweep holds one lambda history at a time
     frame.stage("sweep")
     # status is always "ok": a failed run fails the sweep
-    _write_csv(frame.dir / "pareto.csv", PARETO_SCHEMA,
+    _write_csv(frame.file("pareto.csv"), PARETO_SCHEMA,
                "gamma,err_hat,true_err,max_violation,status",
                (",".join(map(_fmt, row)) + ",ok" for row in rows))
     outputs = ["pareto.csv"]
     if args.svg:
-        _write_pareto_svg(frame.dir / "pareto.svg", [row[:2] for row in rows])
+        _write_pareto_svg(frame.file("pareto.svg"), [row[:2] for row in rows])
         outputs.append("pareto.svg")
     frame.finish("sweep", config, outputs, counters=counters)
     return EXIT_OK
@@ -666,7 +607,7 @@ def cmd_audit(args) -> int:
                                      counters)
     frame.stage("audit")
     frame.timings["calibrate"] = 0.0    # the scores are audited as they are
-    _write_json(frame.dir / "audit.json", {
+    _write_json(frame.file("audit.json"), {
         "max_violation": max_violation,
         "per_check": [{"name": c.name or c.kind, "kind": c.kind, "violation": v}
                       for c, v in zip(checks, per_check)],
@@ -688,12 +629,12 @@ def cmd_calibrate(args) -> int:
     post = {}
     per_check, max_violation = audit(result.assignment, checks, dist, post)
     frame.stage("audit")
-    _write_csv(frame.dir / "calibration_history.csv", HISTORY_SCHEMA,
+    _write_csv(frame.file("calibration_history.csv"), HISTORY_SCHEMA,
                "round,check,level,v_tilde,v_prime,potential,mass",
                (f"{rec.round},{checks[rec.check_index].name or checks[rec.check_index].kind},"
                 f"{_fmt(rec.level)},{_fmt(rec.v_tilde)},{_fmt(rec.v_prime)},"
                 f"{_fmt(rec.potential)},{_fmt(rec.mass)}" for rec in result.history))
-    _write_json(frame.dir / "calibration.json", {
+    _write_json(frame.file("calibration.json"), {
         "alpha": args.alpha,
         "rounds": result.rounds,
         "round_cap": cap,
@@ -784,7 +725,7 @@ def cmd_eval(args) -> int:
         except (ValueError, InfeasibleError) as exc:
             raise InputError(f"oracle: {exc}") from exc
     frame.stage("eval")
-    _write_json(frame.dir / "evaluation.json", report)
+    _write_json(frame.file("evaluation.json"), report)
     frame.finish("eval", {"mixture": args.mixture, "oracle": args.oracle}, ["evaluation.json"],
                  mixture_bytes=Path(args.mixture).stat().st_size)
     return EXIT_OK

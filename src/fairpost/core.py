@@ -29,6 +29,7 @@ __all__ = [
     "rate_terms",
     "decide_batch",
     "decision_thresholds",
+    "group_sums",
 ]
 
 MASS_TOL = 1e-9
@@ -243,20 +244,36 @@ def decide_batch(S, f, notion: FairnessNotion):
     return s * np.asarray(S, dtype=float) <= d
 
 
+def group_sums(lambdas, beta, G) -> np.ndarray:
+    """S[k, j] of the (K, n_groups) lambdas at the points of the (n_groups,
+    n_points) membership G, with one beta row or one per rule: the ordered
+    sum lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., which
+    MixtureClassifier adds too, so a rule decides alike in every evaluator."""
+    lam = np.asarray(lambdas, dtype=float)
+    lam, beta = lam.T[:, :, None], np.broadcast_to(beta, lam.shape).T[:, :, None]
+    S = lam[0] * (G[0] - beta[0])
+    for i in range(1, len(G)):
+        S = S + lam[i] * (G[i] - beta[i])
+    return S
+
+
 # Rules per evaluation block: a block's group terms and partial sums take
-# O(n_groups * _RULE_BLOCK) memory whatever T is, and stay in cache.
+# O(n_groups * _RULE_BLOCK) memory whatever the rule count is, and stay in cache.
 _RULE_BLOCK = 16384
 
 
 class MixtureClassifier:
-    """Uniform mixture over T threshold rules (the randomized classifier).
+    """Weighted mixture over K threshold rules (the randomized classifier):
+    rule k plays with probability weights[k] / sum(weights).
 
     The rules share one BaseRates, which carries their notion; only their
-    dual snapshots differ, so the mixture is stored as a (T, n_groups) array
-    of lambdas.
+    dual snapshots differ, so the mixture is a (K, n_groups) array of
+    lambdas and K positive integer weights, 1 each by default (the uniform
+    mixture).  solve's mixture holds one rule per distinct decision pattern
+    of its rounds, weighted by the rounds that played it.
     """
 
-    def __init__(self, lambdas, base: BaseRates):
+    def __init__(self, lambdas, base: BaseRates, weights=None):
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.ndim != 2:
             raise ValueError("lambdas must be a (T, n_groups) array")
@@ -268,16 +285,20 @@ class MixtureClassifier:
             raise ValueError("lambdas width must match the group count")
         if not np.isfinite(lambdas).all():
             raise ValueError("lambdas must be finite")
-        # rounding is monotone, so no group sum, in any pattern, exceeds the
-        # same ordered sum of |lambda_i| * max|bits_i - beta_i| in magnitude
+        weights = np.ones(len(lambdas), np.int64) if weights is None else np.asarray(weights)
+        if weights.shape != lambdas.shape[:1] or weights.dtype.kind not in "iu":
+            raise ValueError("weights must hold one integer per rule")
+        # counts of up to 2**53 rules' weights stay exact in int64 and float64
+        if not (weights > 0).all() or weights.sum(dtype=float) > 2.0 ** 53:
+            raise ValueError("weights must be positive and sum to at most 2**53")
+        # rounding is monotone, so no group sum, in any pattern, exceeds in
+        # magnitude the one of |lambda| at c_i = max|bits_i - beta_i|
         c_max = np.maximum(np.abs(base.beta), np.abs(1.0 - base.beta))
-        bound = np.abs(lambdas[:, 0]) * c_max[0]
         with np.errstate(over="ignore"):
-            for i in range(1, len(c_max)):
-                bound += np.abs(lambdas[:, i]) * c_max[i]
+            bound = group_sums(np.abs(lambdas), 0.0, c_max[:, None])
         if not np.isfinite(bound).all():
             raise ValueError("lambdas too large: a group sum would overflow")
-        self.lambdas = lambdas
+        self.lambdas, self.weights = lambdas, weights.astype(np.int64)
         self.notion = base.notion
         self.base = base
 
@@ -285,23 +306,23 @@ class MixtureClassifier:
         return self.lambdas.shape[0]
 
     def _positive_probs(self, scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """Fraction of rules deciding 1 at each point (scores[i], bits[i]).
+        """Weight share of the rules deciding 1 at each point (scores[i], bits[i]).
 
         A rule decides 1 exactly when s*S_t <= d (decision_thresholds), where
         S_t = lambda_t . (bits - beta), so a point's count needs only its
         membership pattern's sums and its (s, d).  The rules are taken in
         blocks of _RULE_BLOCK.  In a block, each distinct pattern's sums are
-        the ordered sum lambda[:, 0]*c_0 + lambda[:, 1]*c_1 + ... with
-        c = bits - beta.  Each group's two possible terms are computed once
-        per block, and _group_rows numbers the patterns in order, group 0
-        most significant, so a pattern keeps the partial sums of the leading
-        groups it shares with the one before.  A pattern with at least
-        log2(block) points sorts its sums and counts each point with one
-        binary search; one with fewer points compares each point against the
-        sums, which costs less than the sort.  Both count the same rules
-        exactly, and the ordered sum, unlike a BLAS product that may block and
-        fuse by the number of points, does not depend on the other points
-        evaluated with it.
+        group_sums' ordered sum with c = bits - beta.  Each group's two
+        possible terms are computed once per block, and _group_rows numbers
+        the patterns in order, group 0 most significant, so a pattern keeps
+        the partial sums of the leading groups it shares with the one before.
+        A pattern with at least log2(block) points sorts its sums and reads
+        each point's count off the cumulative weights with one binary search;
+        one with fewer points adds the weights each point selects, which
+        costs less than the sort.  Both count the same rules exactly, and the
+        ordered sum, unlike a BLAS product that may block and fuse by the
+        number of points, does not depend on the other points evaluated with
+        it.
         """
         T, g = self.lambdas.shape
         bits = np.asarray(bits, dtype=np.uint8)
@@ -319,6 +340,7 @@ class MixtureClassifier:
         counts = np.zeros(len(scores), dtype=np.int64)
         for start in range(0, T, _RULE_BLOCK):
             lam = self.lambdas[start:start + _RULE_BLOCK]
+            w = self.weights[start:start + _RULE_BLOCK]
             n = len(lam)
             # terms[i, b] = lambda_i * (b - beta_i) over the block's rules, each
             # a contiguous row
@@ -331,15 +353,16 @@ class MixtureClassifier:
                     np.add(partial[i - 1], terms[i, pattern[i]], out=partial[i])
                 S = partial[-1]
                 if len(rows) >= np.log2(n):
-                    S.sort()
+                    order = np.argsort(S)
+                    S, below = S[order], np.concatenate(([0], np.cumsum(w[order])))
                     d = thresh[rows]
-                    counts[rows] += np.where(sign[rows] > 0, np.searchsorted(S, d, "right"),
-                                             n - np.searchsorted(S, -d, "left"))
+                    counts[rows] += np.where(sign[rows] > 0,
+                                             below[np.searchsorted(S, d, "right")],
+                                             below[-1] - below[np.searchsorted(S, -d, "left")])
                 else:
                     for r in rows:
-                        counts[r] += np.count_nonzero(
-                            S <= thresh[r] if sign[r] > 0 else S >= -thresh[r])
-        return counts / T
+                        counts[r] += w[S <= thresh[r] if sign[r] > 0 else S >= -thresh[r]].sum()
+        return counts / self.weights.sum()
 
     def positive_prob_points(self, scores, groups) -> np.ndarray:
         """Positive probabilities for a batch of points.
@@ -355,17 +378,10 @@ class MixtureClassifier:
         return self._positive_probs(scores, groups)
 
     def positive_prob_vector(self, dist: CellDistribution) -> np.ndarray:
-        """Per-cell positive probability over a whole distribution.
-
-        The cells take the same compiled path as positive_prob_points: the
-        rules' group sums S_t are built once per distinct membership pattern
-        and block of rules, and each cell counts the rules that decide 1
-        against its exact threshold (s, d) from decision_thresholds, with a
-        binary search in the sorted sums when its pattern has enough cells
-        to pay for the sort.  The count equals the sum of decide_batch over
-        the rules bit for bit, and memory stays O(n_groups * block + n_cells)
-        whatever T is.
-        """
+        """Per-cell positive probability over a whole distribution, on the
+        path of positive_prob_points (_positive_probs): the weighted sum of
+        decide_batch over the rules bit for bit, in O(n_groups * block +
+        n_cells) memory whatever the rule count is."""
         return self._positive_probs(dist.scores, dist.group_matrix.T)
 
 

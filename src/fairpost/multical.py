@@ -20,6 +20,7 @@ from .core import (
     CellDistribution,
     decision_thresholds,
     grid_indices,
+    group_sums,
 )
 
 __all__ = [
@@ -64,9 +65,9 @@ class _CheckFamily:
     matrix G: the group checks' indicators as one bool matrix, per notion
     the threshold checks' group sums as one matrix, and the (s, d) tables of
     d_of_v at the level values.  A threshold check fires on s*S <= d,
-    decide_batch(S, v) bit for bit, with S MixtureClassifier's ordered sum
-    lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., so a point's S
-    depends on its own bits alone."""
+    decide_batch(S, v) bit for bit, with S the ordered sum of group_sums,
+    as MixtureClassifier adds it, so a point's S depends on its own bits
+    alone."""
 
     def __init__(self, checks: Sequence[CheckFunction], G: np.ndarray, values: np.ndarray):
         self.n = len(checks)
@@ -81,13 +82,10 @@ class _CheckFamily:
         self.sums = {}  # notion -> (check rows, group sums per row and point)
         for notion, group in thresholds.items():
             rows, lam, beta = zip(*group)
-            lam, beta = np.array(lam, dtype=float)[:, :, None], np.array(beta)[:, :, None]
+            lam = np.array(lam, dtype=float)
             if lam.shape[1] != len(G):
                 raise ValueError("lambdas width must match the group count")
-            S = lam[:, 0] * (G[0] - beta[:, 0])
-            for i in range(1, len(G)):
-                S = S + lam[:, i] * (G[i] - beta[:, i])
-            self.sums[notion] = (list(rows), S)
+            self.sums[notion] = (list(rows), group_sums(lam, np.array(beta), G))
 
     def fires(self, idx: np.ndarray, level: int) -> np.ndarray:
         """The (checks x idx) indicator matrix of the points idx, all at

@@ -2,8 +2,9 @@
 
 The dual player runs additive gradient steps on one nonnegative vector
 (lambda+, lambda-) of length 2|G| projected onto the ball of radius C; the
-primal player best-responds with a closed-form threshold rule.  The uniform
-mixture over all rounds' rules is the returned randomized classifier.
+primal player best-responds with a closed-form threshold rule.  The returned
+randomized classifier holds one rule per distinct decision pattern on the
+cells, weighted by its rounds: there, the uniform mixture over all rounds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     MixtureClassifier,
     decide_batch,
     decision_thresholds,
+    group_sums,
 )
 from .metrics import (
     _constraint,
@@ -49,9 +51,9 @@ class BudgetExceededError(RuntimeError):
     (T, n_groups) lambda history would exceed LAMBDA_HISTORY_CAP bytes."""
 
 
-# Each mixture keeps one float64 lambda row per round: T * n_groups * 8
-# bytes, and a run whose history would pass this cap is refused before it
-# starts.  sweep runs its gammas one after another and holds one history.
+# Each run keeps one float64 lambda row per round: T * n_groups * 8 bytes,
+# and a run whose history would pass this cap is refused before it starts.
+# sweep runs its gammas one after another and holds one history.
 LAMBDA_HISTORY_CAP = 1 << 30
 
 # Speculative blocks of exact runs: the predictor's suffix lengths
@@ -133,19 +135,20 @@ class TrajectoryRecord:
 
 @dataclass
 class SolveResult:
-    """One run: the mixture over its T rules (its BaseRates are the run's),
-    the dual (lambda+, lambda-), (2|G|,), after the last round, and eta.
-    duality_gap(mixture, ...) certifies the mixture, or any prefix of it."""
+    """One run: the mixture over its distinct rules (its BaseRates are the
+    run's), the (T, |G|) duals the rounds played, the dual (lambda+,
+    lambda-), (2|G|,), after the last round, and eta.  duality_gap certifies
+    the mixture, or the uniform one over lambdas[:t]."""
 
     mixture: MixtureClassifier
+    lambdas: np.ndarray
     final_dual: np.ndarray
     trajectory: List[TrajectoryRecord]
     theorem_bounds: dict
     T: int
     eta: float
     # rounds run, rounds whose step left the L1 ball (project_l1 ran), and
-    # distinct decision patterns in the step cache (0 for sampled runs,
-    # whose rounds bypass it)
+    # distinct decision patterns, the mixture's rules
     counters: dict = field(default_factory=dict)
     # speculative blocks attempted and the rounds they kept
     speculation: dict = field(default_factory=dict)
@@ -221,9 +224,11 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
     decide_batch: one gemv and one compare per round.  The dual step depends
     only on the 0/1 decision pattern, so exact-rate runs compute it once per
     distinct pattern and replay recurring patterns in speculative blocks
-    (block); sampled rounds recompute it every round.  The loop keeps no
-    other bookkeeping: duality_gap and the sampled rates' deviations are
-    functions of the returned rules."""
+    (block); sampled rounds recompute it every round.  The mixture holds one
+    rule per pattern, weighted by its rounds (pid): the mean of their duals,
+    or the first one's where the mean decides otherwise on the cells.
+    duality_gap and the sampled rates' deviations are functions of the
+    returned rules and duals."""
     notion = config.notion
     base = base_rates(dist, notion)
     f = dist.scores
@@ -251,6 +256,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
     dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
     lam_p, lam_m = dual[:n_groups], dual[n_groups:]
     lam_hist = np.empty((T, n_groups))
+    pid = np.empty(T, dtype=np.int32)    # round t's pattern id in pid[t - 1]
     cache = {}    # decision pattern -> terms and pattern id
     record_every = config.record_every
     trajectory: List[TrajectoryRecord] = []
@@ -268,6 +274,10 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         if terms[3] > 255:
             speculate, next_try = False, T + 1
         return terms
+
+    def by_id():    # the cached terms, dual steps and decision patterns
+        return (list(cache.values()), np.array([v[0] for v in cache.values()]),
+                np.frombuffer(b"".join(cache), bool).reshape(len(cache), n_cells))
 
     def bring_back():
         # the exact L1 test, and the projection, once the quick sum exceeds
@@ -305,9 +315,8 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
             size *= 2
         w, kept = min(width, BLOCK_WIDTH[1], BLOCK_CELLS // n_cells, T - n), 0
         if lag and w:
-            if len(tables[0]) != len(cache):    # by id: terms, steps, patterns
-                tables = (list(cache.values()), np.array([v[0] for v in cache.values()]),
-                          np.frombuffer(b"".join(cache), bool).reshape(len(cache), n_cells))
+            if len(tables[0]) != len(cache):
+                tables = by_id()
             pattern = (ids[n - lag:] * (w // lag + 1))[:w]
             guess = np.frombuffer(pattern, np.uint8)
             steps = tables[1][guess]
@@ -334,6 +343,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                 bring_back()
                 V[kept] = dual
             ids.extend(pattern[:kept])
+            pid[n:n + kept] = guess[:kept]
             window[np.arange(n + 1, n + kept + 1) % len(window)] = V[1:kept + 1]
             for t in range(n + 1 + (-n) % record_every, n + kept + 1, record_every):
                 _, err_hat, max_violation, _ = tables[0][pattern[t - n - 1]]
@@ -350,11 +360,11 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         np.subtract(lam_p, lam_m, out=lam)
         h = lam @ smemb <= thresh
 
+        key = h.tobytes()
+        row_terms = cache.get(key) or miss(key)
+        pid[t - 1] = row_terms[3]
         if sampler is not None:
             row_terms = round_terms(h, sampler(t))
-        else:
-            key = h.tobytes()
-            row_terms = cache.get(key) or miss(key)
 
         # max(0, dual + step); an array of zeros skips converting the
         # scalar 0.0 each call and gives the same bits
@@ -374,8 +384,15 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         if t >= next_try:
             block(t)
 
+    weights = np.bincount(pid)
+    rules = np.stack([np.bincount(pid, weights=lam) for lam in lam_hist.T], 1) / weights[:, None]
+    # one pass over the K candidates, through the mixture's own ordered sum
+    off = (decide_batch(group_sums(rules, beta, G), f, notion) != by_id()[2]).any(axis=1)
+    if off.any():
+        rules[off] = lam_hist[np.unique(pid, return_index=True)[1][off]]
     return SolveResult(
-        mixture=MixtureClassifier(lam_hist, base),
+        mixture=MixtureClassifier(rules, base, weights),
+        lambdas=lam_hist,
         final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
@@ -389,18 +406,18 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
 def duality_gap(mixture: MixtureClassifier, dist: CellDistribution,
                 gamma: float, C: float) -> float:
     """Upper minus lower bound on the value of the C-bounded Lagrangian game
-    on dist (f = its scores), from the mixture's rules alone (a prefix
-    lambdas[:t] gives round t's); it bounds err(mixture) - OPT from above.
-    Upper: the mixture's positive probabilities p against the best vertex
-    of the dual ball, err(p) + C max(0, max|c(p)| - gamma).  Lower: the dual
-    function at the netted mean dual lam, err(h) + lam . c(h) - gamma |lam|_1
-    at its best response h."""
+    on dist (f = its scores), from the mixture's rules alone (the uniform
+    mixture over a run's lambdas[:t] gives round t's); it bounds
+    err(mixture) - OPT from above.  Upper: the mixture's positive
+    probabilities p against the best vertex of the dual ball, err(p) +
+    C max(0, max|c(p)| - gamma).  Lower: the dual function at the weighted
+    mean dual lam, err(h) + lam . c(h) - gamma |lam|_1 at its best response h."""
     base, f, masses, G = mixture.base, dist.scores, dist.masses, dist.group_matrix
     row = rate_terms(base.notion, f)
     p = mixture.positive_prob_vector(dist)
     cons = _constraint(row, p, masses, G, base.beta)
     upper = error_rate(p, f, masses) + C * max(0.0, float(np.abs(cons).max()) - gamma)
-    lam = mixture.lambdas.mean(axis=0)
+    lam = np.average(mixture.lambdas, axis=0, weights=mixture.weights)
     h = decide_batch(lam @ (G - base.beta[:, None]), f, base.notion).astype(float)
     cons_h = _constraint(row, h, masses, G, base.beta)
     lower = error_rate(h, f, masses) + float(lam @ cons_h) - gamma * float(np.abs(lam).sum())
@@ -418,7 +435,7 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
     """Dynamics with each round's rates estimated from a fresh i.i.d. sample,
     round by round: round t's sample is the t-th multinomial(m, masses) draw
     of PCG64(sampler_seed), m = sample_size(T, |G|, epsilon, delta), so a
-    replay of that stream recovers the rates of each rule in mixture.lambdas.
+    replay of that stream recovers the rates of each round in lambdas.
     The theorem slacks widen by the 8*epsilon terms.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):

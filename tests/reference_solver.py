@@ -8,7 +8,7 @@ require `solver.run` to give byte-equal lambdas, an equal trajectory and
 equal counters.  On request it also keeps the in-loop duality gap
 (`_gap_estimate`, from running sums) and each sampled round's rate
 deviations, the references for `solver.duality_gap` and for
-`replay_deviations`, which recompute both from the returned rules.
+`replay_deviations`, which recompute both from the returned lambdas.
 
 `decide` is one threshold rule's decision at one point, and
 `pointwise_argmin` evaluates both decisions' Lagrangian contributions from
@@ -20,7 +20,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
+from fairpost.core import (BaseRates, CellDistribution, MixtureClassifier, decide_batch,
+                           decision_thresholds)
 from fairpost.metrics import _constraint, base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     SolveResult,
@@ -152,9 +153,9 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
                 lambda_l1=float(lam_p.sum() + lam_m.sum()),
             ))
 
-    mixture = MixtureClassifier(lam_hist, base)
     return ReferenceResult(
-        mixture=mixture,
+        mixture=MixtureClassifier(lam_hist, base),
+        lambdas=lam_hist,
         final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
@@ -167,23 +168,24 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     )
 
 
-def replay_deviations(population: CellDistribution, sampler_seed: int,
-                      mixture: MixtureClassifier, epsilon: float, delta: float) -> np.ndarray:
-    """|sampled - population| group rates, (T, |G|), of each rule of a
-    run_sampled mixture, at the rates that run saw: round t's sample is the
-    t-th multinomial draw of run_sampled's PCG64(sampler_seed) stream, and
-    round t's decisions are the loop's gemv and compare at lambdas[t - 1]."""
-    T, n_groups = mixture.lambdas.shape
+def replay_deviations(population: CellDistribution, sampler_seed: int, lambdas: np.ndarray,
+                      base: BaseRates, epsilon: float, delta: float) -> np.ndarray:
+    """|sampled - population| group rates, (T, |G|), of each round's rule of
+    a run_sampled run, given its lambdas history and BaseRates, at the rates
+    that run saw: round t's sample is the t-th multinomial draw of
+    run_sampled's PCG64(sampler_seed) stream, and round t's decisions are
+    the loop's gemv and compare at lambdas[t - 1]."""
+    T, n_groups = lambdas.shape
     m = sample_size(T, n_groups, epsilon, delta)
     rng = np.random.Generator(np.random.PCG64(sampler_seed))
     masses = population.masses
     weights = masses / masses.sum()
     f, G = population.scores, population.group_matrix
-    row = rate_terms(mixture.notion, f)
-    sign, thresh = decision_thresholds(f, mixture.notion)
-    smemb = (G - mixture.base.beta[:, None]) * sign
+    row = rate_terms(base.notion, f)
+    sign, thresh = decision_thresholds(f, base.notion)
+    smemb = (G - base.beta[:, None]) * sign
     deviations = np.empty((T, n_groups))
-    for t, lam in enumerate(mixture.lambdas):
+    for t, lam in enumerate(lambdas):
         h = (lam @ smemb <= thresh).astype(float)
         sample = rng.multinomial(m, weights) / m
         deviations[t] = np.abs(group_rates(row, h, sample, G)[0]

@@ -169,7 +169,7 @@ def test_criterion_6_calibration_guarantees():
                                      bias_profile="uniform", miscalibration=0.5))
     base = base_rates(pert, "fp", "from_labels")
     traj = run(pert, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=500,
-                                  record_every=100)).mixture.lambdas[::50][:10]
+                                  record_every=100)).lambdas[::50][:10]
     checks = default_checks(pert, base, n_random=64, C=10.0, seed=9)
     checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
                for k, lam in enumerate(traj)]
@@ -215,7 +215,7 @@ def test_criterion_7_estimation():
     cfg = SolverConfig(notion="fp", gamma=0.01, C=5.0, T=trials, record_every=1000)
     res = run_sampled(pop, 424242, cfg, epsilon, delta)
     # each round's sampled rates, replayed from the sampler's stream
-    dev = replay_deviations(pop, 424242, res.mixture, epsilon, delta)
+    dev = replay_deviations(pop, 424242, res.lambdas, res.mixture.base, epsilon, delta)
     n_checks = dev.size
     k_bad = int((dev > epsilon).sum())
     # Clopper-Pearson style upper bound at 95% for the failure fraction

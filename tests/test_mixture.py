@@ -41,11 +41,11 @@ def _ordered_sums(lambdas, beta, bits):
 
 
 def _reference_probs(mix, scores, groups):
-    T = len(mix)
-    counts = [decide_batch(_ordered_sums(mix.lambdas, mix.base.beta, bits), np.full(T, f),
-                           mix.notion).sum()
+    K = len(mix)
+    counts = [mix.weights[decide_batch(_ordered_sums(mix.lambdas, mix.base.beta, bits),
+                                       np.full(K, f), mix.notion)].sum()
               for f, bits in zip(scores, groups)]
-    return np.array(counts, dtype=float) / T
+    return np.array(counts, dtype=float) / mix.weights.sum()
 
 
 def _bits(a):
@@ -103,6 +103,34 @@ def test_compiled_counts_equal_decide_batch(block, case):
         assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)), _bits(want))
         for f, bits, p in zip(scores, groups, want):
             assert _bits(mix.positive_prob_points([f], [bits])[0]) == _bits(p)
+
+
+# one block of every drawn mixture, and blocks of 1 and 3 rules, as above
+@pytest.mark.parametrize("block", [core._RULE_BLOCK, 1, 3])
+@pytest.mark.parametrize("notion", NOTIONS)
+@settings(max_examples=100, deadline=None)
+@given(case=instances(), data=st.data())
+def test_weights_count_as_repeated_rules(block, notion, case, data):
+    # a rule of weight w counts as w copies of it, bit for bit, whichever
+    # branch counts a point and however the rules fall into blocks
+    mix, scores, groups = case
+    base = BaseRates(notion, mix.base.beta, mix.base.w)
+    w = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(mix), max_size=len(mix))))
+    weighted = MixtureClassifier(mix.lambdas, base, w)
+    repeated = MixtureClassifier(np.repeat(mix.lambdas, w, axis=0), base)
+    with mock.patch.object(core, "_RULE_BLOCK", block):
+        assert np.array_equal(_bits(weighted.positive_prob_points(scores, groups)),
+                              _bits(repeated.positive_prob_points(scores, groups)))
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([1, 2], "one integer per rule"), ([[1, 2, 3]], "one integer per rule"),
+    ([1.0, 2.0, 3.0], "one integer per rule"), ([True, True, True], "one integer per rule"),
+    ([1, 0, 2], "positive"), ([1, -1, 2], "positive"), ([2 ** 53, 2, 1], "2\\*\\*53")])
+def test_mixture_rejects_bad_weights(weights, message):
+    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
+    with pytest.raises(ValueError, match=message):
+        MixtureClassifier(np.zeros((3, 2)), base, np.array(weights))
 
 
 def test_many_patterns_over_several_blocks(rng):
@@ -198,10 +226,10 @@ def test_predict_proba_is_batch_independent(rng, tmp_path, notion, reloaded):
     est.fit(dist.scores[idx], groups, y)
     fitted = est.mixture_
     if reloaded:
-        # a mixture read back from mixture.json holds read-only rows decoded
-        # from base64; it must score as the fitted one does
+        # a mixture read back from mixture.json holds rules and weights
+        # parsed from JSON; it must score as the fitted one does
         path = tmp_path / "mixture.json"
-        cli._write_mixture(path, cli._mixture_payload(est.mixture_, dist, 0.02))
+        cli._write_json(path, cli._mixture_payload(est.mixture_, dist, 0.02))
         est.mixture_ = cli.load_mixture(str(path))[0]
     # grid scores, off-grid scores and the ends, over every group pattern seen
     n = 60

@@ -269,7 +269,7 @@ def test_calibrate_guarantees_on_miscalibrated_fixture():
     exact, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
     base = _base(pert, "fp")
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
-    traj = run(pert, cfg).mixture.lambdas[::20][:10]
+    traj = run(pert, cfg).lambdas[::20][:10]
     checks = default_checks(pert, base, n_random=16, C=10.0, seed=9)
     checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
                for k, lam in enumerate(traj)]
@@ -534,7 +534,7 @@ def test_calibrate_matches_reference_on_miscalibrated_fixture():
     _, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
     base = _base(pert, "fp")
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
-    traj = run(pert, cfg).mixture.lambdas[::20][:10]
+    traj = run(pert, cfg).lambdas[::20][:10]
     checks = default_checks(pert, base, n_random=16, C=10.0, seed=9)
     checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
                for k, lam in enumerate(traj)]

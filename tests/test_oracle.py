@@ -175,7 +175,7 @@ def test_weak_duality_against_solver_duals(biased_instance):
 
     # rule i best-responds to lambdas[i], so pairing them evaluates the
     # dual function there: a valid lower bound on the optimum
-    lambdas = res.mixture.lambdas
+    lambdas = res.lambdas
     best_lower = -np.inf
     for i in range(0, len(lambdas), 7):
         lam = lambdas[i]

@@ -188,7 +188,7 @@ def test_run_vacuous_gamma_keeps_dual_at_zero():
         cfg = SolverConfig(notion=notion, gamma=1.0, C=5.0, T=200, record_every=50)
         res = run(dist, cfg)
         assert np.all(res.final_dual == 0.0)
-        assert np.all(res.mixture.lambdas == 0.0)
+        assert np.all(res.lambdas == 0.0)
         p = res.mixture.positive_prob_vector(dist)
         bayes = (dist.scores >= 0.5).astype(float)
         assert np.array_equal(p, bayes)
@@ -200,7 +200,7 @@ def test_run_is_deterministic(biased_instance):
     cfg = SolverConfig(notion="fp", gamma=0.01, C=4.0, T=500, record_every=25)
     a = run(biased_instance, cfg)
     b = run(biased_instance, cfg)
-    assert np.array_equal(a.mixture.lambdas, b.mixture.lambdas)
+    assert np.array_equal(a.lambdas, b.lambdas)
     assert [(r.t, r.err_hat, r.max_violation_hat, r.lambda_l1) for r in a.trajectory] == \
            [(r.t, r.err_hat, r.max_violation_hat, r.lambda_l1) for r in b.trajectory]
 
@@ -346,12 +346,12 @@ def test_run_sampled_is_reproducible():
     cfg = SolverConfig(notion="fp", gamma=0.02, C=3.0, T=50, record_every=10)
     a = run_sampled(dist, 5, cfg, 0.1, 0.1)
     b = run_sampled(dist, 5, cfg, 0.1, 0.1)
-    assert np.array_equal(a.mixture.lambdas, b.mixture.lambdas)
+    assert np.array_equal(a.lambdas, b.lambdas)
 
 
 def _prefix_gaps(result, dist, config, rounds):
     """duality_gap of the first t rules of a run, for each t of rounds."""
-    lambdas, base = result.mixture.lambdas, result.mixture.base
+    lambdas, base = result.lambdas, result.mixture.base
     return [duality_gap(MixtureClassifier(lambdas[:t], base), dist, config.gamma, config.C)
             for t in rounds]
 
@@ -397,7 +397,7 @@ def test_duality_gap_bounds_the_error_above_the_optimum(biased_instance, instanc
     opt = enumerate_optimum(dist, result.mixture.base, cfg.gamma).opt_value
     rounds = [1, 10, 100, T // 10, T // 2, T]
     for t, gap in zip(rounds, _prefix_gaps(result, dist, cfg, rounds)):
-        prefix = MixtureClassifier(result.mixture.lambdas[:t], result.mixture.base)
+        prefix = MixtureClassifier(result.lambdas[:t], result.mixture.base)
         err = surrogate_error(prefix.positive_prob_vector(dist), dist)
         assert err - opt <= gap + 1e-12, (t, err, opt, gap)
 
@@ -472,9 +472,9 @@ def _reference_run_loop(dist, config, scores_as_f, sampler=None, compute_gap=Fal
                 lambda_l1=float(lam_p.sum() + lam_m.sum()),
             ))
 
-    mixture = MixtureClassifier(lam_hist, base)
     return ReferenceResult(
-        mixture=mixture,
+        mixture=MixtureClassifier(lam_hist, base),
+        lambdas=lam_hist,
         final_dual=np.concatenate((lam_p, lam_m)),
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
@@ -518,12 +518,13 @@ def _bits(a):
 
 
 def _assert_bit_equal(got, want, dist):
-    assert np.array_equal(_bits(got.mixture.lambdas), _bits(want.mixture.lambdas))
+    assert np.array_equal(_bits(got.lambdas), _bits(want.lambdas))
     # repr round-trips every float, so equal reprs mean equal bits
     assert repr(got.trajectory) == repr(want.trajectory)
     assert np.array_equal(_bits(got.final_dual), _bits(want.final_dual))
+    # the distinct-rule mixture counts on the cells as the T-rule one does
     assert np.array_equal(_bits(got.mixture.positive_prob_vector(dist)),
-                          _bits(_reference_positive_prob_vector(got.mixture, dist)))
+                          _bits(_reference_positive_prob_vector(want.mixture, dist)))
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -561,8 +562,10 @@ def test_threshold_kernel_matches_reference_sampled(biased_instance):
     want.theorem_bounds = _theorem_bounds(cfg.C, 0.1)
     _assert_bit_equal(got, want, biased_instance)
     assert got.theorem_bounds == want.theorem_bounds
-    assert got.counters["distinct_decisions"] == 0   # sampled rounds bypass the cache
-    assert _bits(replay_deviations(biased_instance, 5, got.mixture, 0.1, 0.1)).tobytes() == \
+    # sampled rounds step with their own rates but count their patterns
+    assert got.counters["distinct_decisions"] == len(got.mixture) >= 1
+    assert _bits(replay_deviations(biased_instance, 5, got.lambdas, got.mixture.base,
+                                   0.1, 0.1)).tobytes() == \
         _bits(want.deviations).tobytes()
 
 
@@ -578,8 +581,9 @@ def test_replayed_deviations_equal_the_in_loop_deviations(biased_instance, notio
     weights = biased_instance.masses / biased_instance.masses.sum()
     want = reference_run_loop(biased_instance, cfg, sampler=lambda _t: rng.multinomial(
         m, weights) / m, record_deviation=True)
-    assert got.mixture.lambdas.tobytes() == want.mixture.lambdas.tobytes()
-    assert replay_deviations(biased_instance, seed, got.mixture, 0.1, 0.1).tobytes() == \
+    assert got.lambdas.tobytes() == want.lambdas.tobytes()
+    assert replay_deviations(biased_instance, seed, got.lambdas, got.mixture.base,
+                             0.1, 0.1).tobytes() == \
         want.deviations.tobytes()
 
 
@@ -599,7 +603,7 @@ def test_threshold_kernel_matches_reference_on_ties():
 # raw decision bytes, quick L1 sum in front of the exact test).
 
 def _assert_same_run(got, want):
-    assert got.mixture.lambdas.tobytes() == want.mixture.lambdas.tobytes()
+    assert got.lambdas.tobytes() == want.lambdas.tobytes()
     # repr round-trips every float, so equal reprs mean equal bits
     assert repr(got.trajectory) == repr(want.trajectory)
     assert got.counters == want.counters
@@ -766,13 +770,16 @@ def test_speculative_blocks_back_off_when_projecting(biased_instance, notion):
 # rule, replayed through the solver's own 1-D expression, must decide as
 # positive_prob_vector counts it, bit for bit.
 
-def _solver_form_probs(result, dist):
+def _round_patterns(result, dist):
+    """(T, n_cells): each round's decisions through the solver's own 1-D
+    expression."""
     sign, thresh = decision_thresholds(dist.scores, result.mixture.notion)
     smemb = (dist.group_matrix - result.mixture.base.beta[:, None]) * sign
-    counts = np.zeros(dist.n_cells, dtype=np.int64)
-    for lam in result.mixture.lambdas:
-        counts += lam @ smemb <= thresh
-    return counts / result.T
+    return np.array([lam @ smemb <= thresh for lam in result.lambdas])
+
+
+def _solver_form_probs(result, dist):
+    return _round_patterns(result, dist).sum(axis=0) / result.T
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -797,3 +804,63 @@ def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
         assert result.T == 28224
         assert np.array_equal(_solver_form_probs(result, dist),
                               result.mixture.positive_prob_vector(dist))
+
+
+# ------------------------------------------------------------ distinct rules
+# The mixture holds one rule per distinct decision pattern of the rounds,
+# weighted by the rounds that played it; on the cells it was fit on it must
+# count as the uniform mixture over all T rounds does, bit for bit.
+
+def _assert_exact_on_the_cells(result, dist):
+    mixture, base = result.mixture, result.mixture.base
+    assert mixture.weights.sum() == result.T == len(result.lambdas)
+    full = MixtureClassifier(result.lambdas, base)
+    assert np.array_equal(_bits(mixture.positive_prob_vector(dist)),
+                          _bits(full.positive_prob_vector(dist)))
+    # rule k plays the k-th distinct pattern of the rounds, in order of first
+    # play, as often as the rounds played it, and decides it under the
+    # mixture's own evaluation
+    patterns, first, counts = np.unique(_round_patterns(result, dist), axis=0,
+                                        return_index=True, return_counts=True)
+    order = np.argsort(first)
+    assert np.array_equal(mixture.weights, counts[order])
+    assert result.counters["distinct_decisions"] == len(mixture)
+    for rule, pattern in zip(mixture.lambdas, patterns[order]):
+        p = MixtureClassifier(rule[None], base).positive_prob_vector(dist)
+        assert np.array_equal(p, pattern.astype(float))
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_mixture_is_exact_on_the_acceptance_fixture(biased_instance, notion):
+    result = run(biased_instance, SolverConfig(notion=notion, gamma=0.01, C=10.0,
+                                               record_every=100000))
+    assert result.T == 313600
+    _assert_exact_on_the_cells(result, biased_instance)
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_mixture_is_exact_on_thirteen_overlapping_groups(notion):
+    dist, _ = make_dist(2, n_cells=150, n_groups=12, grid_m=100, profile="adversarial_overlap")
+    assert (dist.n_cells, dist.n_groups) == (150, 13)
+    result = run(dist, SolverConfig(notion=notion, gamma=0.01, C=4.0, record_every=100000))
+    _assert_exact_on_the_cells(result, dist)
+
+
+def test_sampled_mixture_is_exact_on_the_cells(biased_instance):
+    cfg = SolverConfig(notion="sp", gamma=0.01, C=3.0, T=2000, record_every=1000)
+    result = run_sampled(biased_instance, 7, cfg, 0.1, 0.1)
+    assert len(result.mixture) > 1
+    _assert_exact_on_the_cells(result, biased_instance)
+
+
+def test_a_mean_that_decides_otherwise_falls_back_to_the_first_round(biased_instance,
+                                                                     monkeypatch):
+    # with every candidate's check inverted, no mean reproduces its pattern,
+    # and each rule is its pattern's first round
+    monkeypatch.setattr(solver, "decide_batch", lambda S, f, notion: ~decide_batch(S, f, notion))
+    result = run(biased_instance, SolverConfig(notion="fn", gamma=0.01, C=10.0, T=20000))
+    monkeypatch.undo()
+    _, first = np.unique(_round_patterns(result, biased_instance), axis=0, return_index=True)
+    assert len(first) > 1
+    assert np.array_equal(result.mixture.lambdas, result.lambdas[np.sort(first)])
+    _assert_exact_on_the_cells(result, biased_instance)
