@@ -3,9 +3,8 @@
 Every quantity the solver and the metrics need depends on a point x only
 through its score f(x) and its group-membership vector, so all distributions
 are aggregated into (score, group-membership) cells, held as per-cell arrays
-and built only by CellDistribution.from_arrays.  Rows are grouped into cells,
-and points into membership patterns, by one int64 key (_cell_keys,
-_group_rows).
+and built only by CellDistribution.from_arrays.  Rows are grouped into cells
+by one int64 key (_cell_keys, _group_rows).
 """
 
 from __future__ import annotations
@@ -249,17 +248,17 @@ def group_sums(lambdas, beta, G) -> np.ndarray:
     n_points) membership G, with one beta row or one per rule: the ordered
     sum lambda_0*(G_0 - beta_0) + lambda_1*(G_1 - beta_1) + ..., which
     MixtureClassifier adds too, so a rule decides alike in every evaluator."""
-    lam = np.asarray(lambdas, dtype=float)
-    lam, beta = lam.T[:, :, None], np.broadcast_to(beta, lam.shape).T[:, :, None]
+    lam = np.asarray(lambdas, dtype=float).T[:, :, None]
+    beta = np.atleast_2d(beta).T[:, :, None]    # (n_groups, 1 or K, 1)
     S = lam[0] * (G[0] - beta[0])
     for i in range(1, len(G)):
         S = S + lam[i] * (G[i] - beta[i])
     return S
 
 
-# Rules per evaluation block: a block's group terms and partial sums take
-# O(n_groups * _RULE_BLOCK) memory whatever the rule count is, and stay in cache.
-_RULE_BLOCK = 16384
+# Rules x points per evaluation chunk: a chunk's group sums and decisions
+# take O(_EVAL_ENTRIES) memory whatever the point count is.
+_EVAL_ENTRIES = 16384
 
 
 class MixtureClassifier:
@@ -276,7 +275,7 @@ class MixtureClassifier:
     def __init__(self, lambdas, base: BaseRates, weights=None):
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.ndim != 2:
-            raise ValueError("lambdas must be a (T, n_groups) array")
+            raise ValueError("lambdas must be a (K, n_groups) array")
         if lambdas.shape[0] == 0:
             raise ValueError("mixture must contain at least one rule")
         if lambdas.shape[1] == 0:
@@ -295,7 +294,7 @@ class MixtureClassifier:
         # magnitude the one of |lambda| at c_i = max|bits_i - beta_i|
         c_max = np.maximum(np.abs(base.beta), np.abs(1.0 - base.beta))
         with np.errstate(over="ignore"):
-            bound = group_sums(np.abs(lambdas), 0.0, c_max[:, None])
+            bound = group_sums(np.abs(lambdas), np.zeros_like(c_max), c_max[:, None])
         if not np.isfinite(bound).all():
             raise ValueError("lambdas too large: a group sum would overflow")
         self.lambdas, self.weights = lambdas, weights.astype(np.int64)
@@ -308,60 +307,22 @@ class MixtureClassifier:
     def _positive_probs(self, scores: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Weight share of the rules deciding 1 at each point (scores[i], bits[i]).
 
-        A rule decides 1 exactly when s*S_t <= d (decision_thresholds), where
-        S_t = lambda_t . (bits - beta), so a point's count needs only its
-        membership pattern's sums and its (s, d).  The rules are taken in
-        blocks of _RULE_BLOCK.  In a block, each distinct pattern's sums are
-        group_sums' ordered sum with c = bits - beta.  Each group's two
-        possible terms are computed once per block, and _group_rows numbers
-        the patterns in order, group 0 most significant, so a pattern keeps
-        the partial sums of the leading groups it shares with the one before.
-        A pattern with at least log2(block) points sorts its sums and reads
-        each point's count off the cumulative weights with one binary search;
-        one with fewer points adds the weights each point selects, which
-        costs less than the sort.  Both count the same rules exactly, and the
-        ordered sum, unlike a BLAS product that may block and fuse by the
-        number of points, does not depend on the other points evaluated with
-        it.
+        Rule k decides 1 at a point exactly when decide_batch does: s*S_k <= d,
+        with (s, d) = decision_thresholds of its score and S_k the ordered
+        group_sums of its membership, which depends on no other point.  The
+        points are taken in chunks of _EVAL_ENTRIES // K, and a point's count
+        is the dot product of the weights with its rules' decisions: integers
+        summing to at most 2**53, so exact in any order.
         """
-        T, g = self.lambdas.shape
-        bits = np.asarray(bits, dtype=np.uint8)
-        row, pattern_of = _group_rows(np.zeros(len(bits), dtype=np.int64), bits[:, ::-1])
-        patterns = bits[row].astype(np.intp)
-        values, value_of = np.unique(scores, return_inverse=True)
-        sign, thresh = decision_thresholds(values, self.notion)
-        sign, thresh = sign[value_of], thresh[value_of]
-        rows_by_pattern = np.split(np.argsort(pattern_of, kind="stable"),
-                                   np.cumsum(np.bincount(pattern_of))[:-1])
-        # the first group in which each pattern differs from the one before
-        first = np.zeros(len(patterns), dtype=int)
-        first[1:] = np.argmax(patterns[1:] != patterns[:-1], axis=1)
-        coeffs = np.array([[0.0], [1.0]]) - self.base.beta  # coeffs[b, i] = b - beta_i
-        counts = np.zeros(len(scores), dtype=np.int64)
-        for start in range(0, T, _RULE_BLOCK):
-            lam = self.lambdas[start:start + _RULE_BLOCK]
-            w = self.weights[start:start + _RULE_BLOCK]
-            n = len(lam)
-            # terms[i, b] = lambda_i * (b - beta_i) over the block's rules, each
-            # a contiguous row
-            terms = np.multiply(lam.T[:, None, :], coeffs.T[:, :, None], order="C")
-            partial = np.empty((g, n))  # partial[i]: the sum over groups 0..i
-            for pattern, shared, rows in zip(patterns, first, rows_by_pattern):
-                if shared == 0:
-                    partial[0] = terms[0, pattern[0]]
-                for i in range(max(shared, 1), g):
-                    np.add(partial[i - 1], terms[i, pattern[i]], out=partial[i])
-                S = partial[-1]
-                if len(rows) >= np.log2(n):
-                    order = np.argsort(S)
-                    S, below = S[order], np.concatenate(([0], np.cumsum(w[order])))
-                    d = thresh[rows]
-                    counts[rows] += np.where(sign[rows] > 0,
-                                             below[np.searchsorted(S, d, "right")],
-                                             below[-1] - below[np.searchsorted(S, -d, "left")])
-                else:
-                    for r in rows:
-                        counts[r] += w[S <= thresh[r] if sign[r] > 0 else S >= -thresh[r]].sum()
+        sign, thresh = decision_thresholds(scores, self.notion)
+        G = np.asarray(bits, dtype=float).T
+        w = self.weights.astype(float)
+        chunk = max(1, _EVAL_ENTRIES // len(self))
+        counts = np.empty(len(scores))
+        for start in range(0, len(scores), chunk):
+            part = slice(start, start + chunk)
+            S = group_sums(self.lambdas, self.base.beta, G[:, part])
+            counts[part] = w @ (sign[part] * S <= thresh[part])
         return counts / self.weights.sum()
 
     def positive_prob_points(self, scores, groups) -> np.ndarray:
@@ -375,13 +336,15 @@ class MixtureClassifier:
             raise ValueError("groups must be an (n_points, n_groups) membership matrix")
         if not np.isin(groups, (0, 1)).all():
             raise ValueError("group indicators must be 0 or 1")
+        if not np.all((scores >= 0) & (scores <= 1)):    # NaN too
+            raise ValueError("scores must lie in [0, 1]")
         return self._positive_probs(scores, groups)
 
     def positive_prob_vector(self, dist: CellDistribution) -> np.ndarray:
         """Per-cell positive probability over a whole distribution, on the
         path of positive_prob_points (_positive_probs): the weighted sum of
-        decide_batch over the rules bit for bit, in O(n_groups * block +
-        n_cells) memory whatever the rule count is."""
+        decide_batch over the rules bit for bit, in O(_EVAL_ENTRIES + K +
+        n_cells) memory."""
         return self._positive_probs(dist.scores, dist.group_matrix.T)
 
 

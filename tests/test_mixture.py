@@ -1,16 +1,17 @@
-"""The compiled mixture evaluation counts exactly the rules decide_batch fires.
+"""The mixture evaluation counts exactly the rules decide_batch fires.
 
-MixtureClassifier sorts each membership pattern's dual sums S_t once and
-counts a point's positive rules with one binary search against its exact
-threshold (s, d).  The reference here builds the same S_t as an ordered sum
-over the groups, applies decide_batch to every rule and counts, so the two
-must agree bit for bit: on off-grid scores and f in {0, 1/2, 1}, on all-zero
-rules, on sums exactly at the threshold, at -1 and at signed zeros, with
-duplicate patterns, and at T = 1 and T = 2, whether a pattern's points are
-counted by a binary search or one by one, and across blocks of rules.  A
-point's probability must also not depend on the batch it is scored in.
+MixtureClassifier takes the points in chunks and, for each, computes every
+rule's ordered group sum S_k, applies decide_batch's own test s*S_k <= d and
+adds the weights of the rules that fire.  The reference here builds the same
+S_k as an ordered sum over the groups, applies decide_batch to every rule and
+counts, so the two must agree bit for bit: on off-grid scores and f in
+{0, 1/2, 1}, on all-zero rules, on sums exactly at the threshold, at -1 and
+at signed zeros, with duplicate patterns, at K = 1 and K = 2, with one point
+per chunk or several, and with weights summing to the 2**53 cap.  A point's
+probability must also not depend on the batch it is scored in.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -91,34 +92,34 @@ def instances(draw):
     return mix, scores, groups
 
 
-# the default block holds every T drawn here; blocks of 1 and 3 rules split
-# the sums, and a block of 3 counts single points directly and pairs by search
-@pytest.mark.parametrize("block", [core._RULE_BLOCK, 1, 3])
+# the default chunk holds every batch drawn here; 1 entry gives one point per
+# chunk, and 3 entries give chunks of 3 // K points, the last one shorter
+@pytest.mark.parametrize("entries", [core._EVAL_ENTRIES, 1, 3])
 @settings(max_examples=300, deadline=None)
 @given(case=instances())
-def test_compiled_counts_equal_decide_batch(block, case):
+def test_compiled_counts_equal_decide_batch(entries, case):
     mix, scores, groups = case
     want = _reference_probs(mix, scores, groups)
-    with mock.patch.object(core, "_RULE_BLOCK", block):
+    with mock.patch.object(core, "_EVAL_ENTRIES", entries):
         assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)), _bits(want))
         for f, bits, p in zip(scores, groups, want):
             assert _bits(mix.positive_prob_points([f], [bits])[0]) == _bits(p)
 
 
-# one block of every drawn mixture, and blocks of 1 and 3 rules, as above
-@pytest.mark.parametrize("block", [core._RULE_BLOCK, 1, 3])
+# one chunk of every drawn batch, and the two smaller chunkings, as above
+@pytest.mark.parametrize("entries", [core._EVAL_ENTRIES, 1, 3])
 @pytest.mark.parametrize("notion", NOTIONS)
 @settings(max_examples=100, deadline=None)
 @given(case=instances(), data=st.data())
-def test_weights_count_as_repeated_rules(block, notion, case, data):
-    # a rule of weight w counts as w copies of it, bit for bit, whichever
-    # branch counts a point and however the rules fall into blocks
+def test_weights_count_as_repeated_rules(entries, notion, case, data):
+    # a rule of weight w counts as w copies of it, bit for bit, however the
+    # points fall into chunks
     mix, scores, groups = case
     base = BaseRates(notion, mix.base.beta, mix.base.w)
     w = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(mix), max_size=len(mix))))
     weighted = MixtureClassifier(mix.lambdas, base, w)
     repeated = MixtureClassifier(np.repeat(mix.lambdas, w, axis=0), base)
-    with mock.patch.object(core, "_RULE_BLOCK", block):
+    with mock.patch.object(core, "_EVAL_ENTRIES", entries):
         assert np.array_equal(_bits(weighted.positive_prob_points(scores, groups)),
                               _bits(repeated.positive_prob_points(scores, groups)))
 
@@ -134,14 +135,14 @@ def test_mixture_rejects_bad_weights(weights, message):
 
 
 def test_many_patterns_over_several_blocks(rng):
-    # 2**8 patterns over a few points each, T spanning three blocks: the
-    # points are counted one by one and the shared group prefixes are reused
-    g, T, n = 8, 2 * core._RULE_BLOCK + 5, 600
+    # 2**8 patterns over a few points each and K = 32,773 rules, more than
+    # _EVAL_ENTRIES, so every point is a chunk of its own
+    g, T, n = 8, 32_773, 600
     beta = rng.uniform(size=g)
     lambdas = rng.standard_normal((T, g)) * rng.choice([0.0, 1.0, 30.0], size=(T, g))
     scores = np.concatenate([rng.uniform(size=n - 3), [0.0, 0.5, 1.0]])
     groups = rng.integers(0, 2, size=(n, g))
-    groups[:200] = groups[0]  # one pattern with enough points for the sort
+    groups[:200] = groups[0]  # one pattern shared by many points
     for notion in NOTIONS:
         mix = MixtureClassifier(lambdas, BaseRates(notion, beta, np.full(g, 0.5)))
         assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
@@ -150,8 +151,8 @@ def test_many_patterns_over_several_blocks(rng):
 
 @pytest.mark.parametrize("notion", NOTIONS)
 def test_more_than_62_groups_counts_equal_decide_batch(rng, notion):
-    # the pattern key ranks between groups past 62, and must keep patterns
-    # in order (group 0 most significant) for the shared prefixes
+    # 70 groups, with patterns that differ from another in the first or the
+    # last group only
     g, T, n = 70, 40, 120
     beta = rng.choice([0.0, 0.5, 1.0], size=g) * rng.uniform(size=g)
     lambdas = rng.standard_normal((T, g)) * rng.choice([0.0, 1.0, 30.0], size=(T, g))
@@ -191,6 +192,33 @@ def test_points_need_a_membership_matrix():
         with pytest.raises(ValueError, match="0 or 1"):
             mix.positive_prob_points([0.5, 0.5], [[1, 0], [bad, 1]])
     assert mix.positive_prob_points([], np.zeros((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25, np.inf])
+def test_points_need_scores_in_the_unit_interval(notion, bad):
+    # decide_batch fires no rule at a NaN score, and a score outside [0, 1]
+    # is no label probability, so neither has a count to stand for it
+    base = BaseRates(notion, np.full(2, 0.5), np.full(2, 0.5))
+    mix = MixtureClassifier(np.zeros((3, 2)), base)
+    with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+        mix.positive_prob_points([0.5, bad], [[1, 0], [0, 1]])
+
+
+def test_counts_are_exact_at_the_weight_cap():
+    # weights summing to exactly 2**53, with points whose counts are 2**53 - 1,
+    # 2**52 + 1, 2**53, 2**52 and 0: each count and its share is exact in float64
+    weights = np.array([2 ** 52, 1, 2 ** 52 - 1])
+    lambdas = np.array([[-2.0, -2.0], [2.0, 0.0], [0.0, 2.0]])
+    # SP with beta = 0: a point decides 1 iff its S = lambda . bits is <= 2f - 1
+    mix = MixtureClassifier(lambdas, BaseRates(FairnessNotion.SP, np.zeros(2), np.zeros(2)),
+                            weights)
+    scores = np.array([0.5, 0.5, 0.5, 0.0, 0.0])
+    groups = np.array([[1, 0], [0, 1], [0, 0], [1, 0], [0, 0]])
+    got = mix.positive_prob_points(scores, groups)
+    counts = [2 ** 53 - 1, 2 ** 52 + 1, 2 ** 53, 2 ** 52, 0]
+    assert [Fraction(p) for p in got] == [Fraction(c, 2 ** 53) for c in counts]
+    assert np.array_equal(_bits(got), _bits(_reference_probs(mix, scores, groups)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
