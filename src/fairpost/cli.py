@@ -383,7 +383,6 @@ def _mixture_payload(mixture: MixtureClassifier, dist: CellDistribution,
         "grid_m": dist.grid_m,
         "group_names": list(dist.groups.names),
         "beta": [float(b) for b in mixture.base.beta],
-        "w": [float(w) for w in mixture.base.w],
         "rules": mixture.lambdas.tolist(),
         "weights": mixture.weights.tolist(),
     }
@@ -421,7 +420,7 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     if schema != MIXTURE_SCHEMA:
         raise InputError(f"bad mixture: schema {schema!r} is not {MIXTURE_SCHEMA}; "
                          "re-run solve to write one")
-    for key in ("notion", "beta", "w", "grid_m", "group_names", "rules", "weights"):
+    for key in ("notion", "beta", "grid_m", "group_names", "rules", "weights"):
         if key not in payload:
             raise InputError(f"bad mixture: missing field {key!r}")
     grid_m, names, weights = payload["grid_m"], payload["group_names"], payload["weights"]
@@ -435,16 +434,12 @@ def load_mixture(path: str) -> Tuple[MixtureClassifier, dict]:
     if not isinstance(weights, list) or not all(type(w) is int for w in weights):
         raise InputError("bad mixture: weights must be a list of integers")
     try:
-        base = BaseRates(payload["notion"], _numbers(payload["beta"], "beta"),
-                         _numbers(payload["w"], "w"))
+        base = BaseRates(payload["notion"], _numbers(payload["beta"], "beta"))
         mixture = MixtureClassifier(_rules(payload["rules"], len(base.beta)), base, weights)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad mixture: {exc}") from exc
     if len(names) != len(base.beta):
         raise InputError("bad mixture: group_names and beta differ in length")
-    # SP centres on the group mass, so beta must be w (older SP files carry beta 1)
-    if base.notion is FairnessNotion.SP and np.any(np.abs(base.beta - base.w) > 1e-12):
-        raise InputError("bad mixture: an sp mixture's beta must equal its w")
     return mixture, payload
 
 
@@ -624,7 +619,10 @@ def cmd_calibrate(args) -> int:
         raise InputError(str(exc)) from exc
     frame = _Run(args.out_dir)
     dist, checks, config = _audit_set(frame, args)
-    result = calibrate(dist.scores, checks, dist, args.alpha)
+    try:
+        result = calibrate(dist.scores, checks, dist, args.alpha)
+    except ValueError as exc:    # a level table past its cap
+        raise InputError(str(exc)) from exc
     frame.stage("calibrate")
     post = {}
     per_check, max_violation = audit(result.assignment, checks, dist, post)

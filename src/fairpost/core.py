@@ -171,24 +171,20 @@ class BaseRates:
 
     ``beta`` centres both the rule's group sum and the parity constraint
     rho_g - beta_g * rho_0 (conditional group frequency for FP/FN, the group
-    mass for ERR and SP).  ``w`` is the group's conditioning weight.
+    mass for ERR and SP).
     """
 
     notion: FairnessNotion
     beta: np.ndarray
-    w: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "notion", FairnessNotion.coerce(self.notion))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if self.beta.ndim != 1 or self.beta.shape != self.w.shape:
-            raise ValueError("beta and w must be 1-D arrays of equal length")
+        if self.beta.ndim != 1:
+            raise ValueError("beta must be a 1-D array")
         # written so that NaN entries fail too
         if not np.all((self.beta >= -1e-12) & (self.beta <= 1 + 1e-12)):
             raise ValueError("beta entries must lie in [0, 1]")
-        if not np.all((self.w >= -1e-12) & (self.w <= 1 + 1e-12)):
-            raise ValueError("w entries must lie in [0, 1]")
 
 
 def rate_terms(notion, f):

@@ -60,13 +60,13 @@ def error_rate(p, f, masses: np.ndarray) -> float:
 
 
 def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> BaseRates:
-    """Per-group beta and w constants for a fairness notion.
+    """Per-group beta constants for a fairness notion.
 
     mode="from_scores" estimates label marginals from the scores (the
-    unlabeled-data path); mode="from_labels" uses label_mean.  w is the
-    group's conditioning weight G @ (masses * c), and beta is w over the
-    total weight masses @ c: for ERR and SP, whose c is 1, beta is w itself,
-    the group mass.
+    unlabeled-data path); mode="from_labels" uses label_mean.  beta is the
+    group's conditioning weight w = G @ (masses * c) over the total weight
+    masses @ c: for ERR and SP, whose c is 1, beta is w itself, the group
+    mass.
     """
     notion = FairnessNotion.coerce(notion)
     if mode not in ("from_scores", "from_labels"):
@@ -75,15 +75,14 @@ def base_rates(dist: CellDistribution, notion, mode: str = "from_scores") -> Bas
     c = rate_terms(notion, q)[2]
     w = dist.group_matrix @ (dist.masses * c)
     if notion in (FairnessNotion.ERR, FairnessNotion.SP):   # c = 1: the group mass
-        beta = w.copy()
+        beta = w
     else:
         denom = float(dist.masses @ c)
         if denom <= 0.0:
             label = 1 if notion is FairnessNotion.FN else 0
             raise ValueError(f"degenerate label marginal: Pr[y={label}] = 0")
         beta = w / denom
-    beta = np.clip(beta, 0.0, 1.0)
-    return BaseRates(notion=notion, beta=beta, w=w)
+    return BaseRates(notion=notion, beta=np.clip(beta, 0.0, 1.0))
 
 
 def surrogate_error(h, dist: CellDistribution) -> float:

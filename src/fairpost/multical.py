@@ -37,7 +37,8 @@ __all__ = [
 
 d_of_v = decision_thresholds  # bench/spans.py counts table builds by this name
 
-# the most checks x cells default_checks builds: 128 MiB of float64 group sums
+# the most checks x cells default_checks builds (128 MiB of float64 group
+# sums), and the most levels x checks in calibrate's level table
 MAX_CHECK_CELLS = 1 << 24
 
 
@@ -196,10 +197,14 @@ def audit(assignment, checks: Sequence[CheckFunction], dist: CellDistribution,
 
 
 def round_cap(alpha: float) -> int:
-    """The most patch rounds calibrate takes at this alpha: floor(4/alpha^2) + 1."""
+    """The most patch rounds calibrate takes at this alpha: floor(4/alpha^2) + 1.
+    ValueError unless 0 < alpha < 1 and 4/alpha^2 is a finite float."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return math.floor(4.0 / (alpha * alpha)) + 1
+    try:
+        return math.floor(4.0 / (alpha * alpha)) + 1
+    except (ZeroDivisionError, OverflowError):    # alpha^2 underflows, or 4/alpha^2 overflows
+        raise ValueError(f"alpha {alpha!r} too small: 4/alpha^2 passes the float range") from None
 
 
 def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution,
@@ -213,10 +218,15 @@ def calibrate(f_initial, checks: Sequence[CheckFunction], dist: CellDistribution
     Cells hold a grid index k (level value k/m).  The term of every
     (level, check) pair is cached; a patch moves cells between two levels
     only, so a round recomputes the terms of those two levels alone, one
-    reduction per distinct cell set the checks select there.
+    reduction per distinct cell set the checks select there.  ValueError,
+    before any level is allocated, when the (ceil(1/alpha) + 1) levels times
+    the checks (at least one) pass MAX_CHECK_CELLS.
     """
     max_rounds = round_cap(alpha)
     m_grid = math.ceil(1.0 / alpha)
+    if (m_grid + 1) * max(len(checks), 1) > MAX_CHECK_CELLS:
+        raise ValueError(f"level table too large: {m_grid + 1} levels x {len(checks)} checks "
+                         f"> {MAX_CHECK_CELLS}; raise alpha")
     q = dist.require_labels()
     masses = dist.masses
     if f_initial is None:

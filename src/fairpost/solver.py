@@ -47,8 +47,14 @@ __all__ = [
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when T * n_cells would exceed the configured work cap, or the
-    (T, n_groups) lambda history would exceed LAMBDA_HISTORY_CAP bytes."""
+    """Raised when T * n_cells would exceed the configured work cap, the
+    (T, n_groups) lambda history would exceed LAMBDA_HISTORY_CAP bytes, or
+    the auto budget T or a sample size would pass the float range."""
+
+
+# The least C whose square is not 0: below it the theorem's 2/C^2 slack
+# divides by zero, so SolverConfig and iteration_budget refuse it.
+C_MIN = 1.5717277847026288e-162
 
 
 # Each run keeps one float64 lambda row per round: T * n_groups * 8 bytes,
@@ -112,8 +118,8 @@ class SolverConfig:
             object.__setattr__(self, name, value)
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be a finite nonnegative number")
-        if not 0 < self.C < math.inf:
-            raise ValueError("C must be positive and finite")
+        if not C_MIN <= self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, in [{C_MIN!r}, inf)")
         if self.eta != "auto" and not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
         if self.T != "auto" and self.T < 1:
@@ -155,23 +161,36 @@ class SolveResult:
 
 
 def iteration_budget(C: float, group_count: int) -> int:
-    """Round budget T = ceil(C^2 (C^2 + 4|G|)^2 / 4)."""
-    if C <= 0 or group_count < 1:
-        raise ValueError("C must be positive and group_count >= 1")
-    return math.ceil(0.25 * C * C * (C * C + 4.0 * group_count) ** 2)
+    """Round budget T = ceil(C^2 (C^2 + 4|G|)^2 / 4), and at least 1.  C must
+    be at least C_MIN, and a T past the float range raises
+    BudgetExceededError."""
+    if not C >= C_MIN or group_count < 1:    # NaN too
+        raise ValueError(f"C must lie in [{C_MIN!r}, inf) and group_count be >= 1")
+    try:
+        return max(1, math.ceil(0.25 * C * C * (C * C + 4.0 * group_count) ** 2))
+    except OverflowError:
+        raise BudgetExceededError(
+            f"budget exceeded: T = C^2 (C^2 + 4|G|)^2 / 4 at C = {C!r} passes the float "
+            "range; lower C or set T") from None
 
 
 def sample_size(T: int, group_count: int, epsilon: float, delta: float) -> int:
     """Per-round i.i.d. sample size for epsilon-accurate rate estimates.
 
     Hoeffding plus a union bound over T rounds and the per-group
-    estimates: m = ceil(ln(2 |G| T / delta) / (2 eps^2)).
+    estimates: m = ceil(ln(2 |G| T / delta) / (2 eps^2)).  An m past the
+    float range raises BudgetExceededError.
     """
     if T < 1 or group_count < 1:
         raise ValueError("T and group_count must be positive")
     if not (0 < epsilon <= 1 and 0 < delta <= 1):
         raise ValueError("epsilon and delta must lie in (0, 1]")
-    return math.ceil(math.log(2.0 * group_count * T / delta) / (2.0 * epsilon * epsilon))
+    try:
+        return math.ceil(math.log(2.0 * group_count * T / delta) / (2.0 * epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):    # 2 eps^2 underflows, or m overflows
+        raise BudgetExceededError(
+            f"budget exceeded: sample size ln(2|G|T/delta) / (2 eps^2) at epsilon = "
+            f"{epsilon!r} passes the float range; raise epsilon") from None
 
 
 def project_l1(v: np.ndarray, C: float) -> np.ndarray:
@@ -187,7 +206,10 @@ def project_l1(v: np.ndarray, C: float) -> np.ndarray:
     if v.sum() > C:
         u = np.sort(v)[::-1]
         css = np.cumsum(u)
-        rho = np.nonzero(u * np.arange(1, len(u) + 1) > (css - C))[0][-1]
+        # index 0 passes the test in exact arithmetic; an entry past C by
+        # about 2**53 can round css - C to css and fail it
+        passed = np.nonzero(u * np.arange(1, len(u) + 1) > (css - C))[0]
+        rho = passed[-1] if passed.size else 0
         v = np.maximum(v - (css[rho] - C) / (rho + 1.0), 0.0)
     return v
 

@@ -89,7 +89,7 @@ def base_rates(dist, notion, mode="from_scores"):
         w = G @ m
         beta = w
     beta = np.clip(beta, 0.0, 1.0)
-    return BaseRates(notion=notion, beta=beta, w=w)
+    return BaseRates(notion=notion, beta=beta)
 
 
 def surrogate_group_rate(h, g, dist, scores_as_f=True, notion=FairnessNotion.FP):

@@ -144,7 +144,8 @@ def test_mixture_v3_load_matches_json(solved_mixture):
 
 def test_mixture_load_matches_json(tmp_path):
     # a v3 document the writer did not lay out: other key order, indented,
-    # an extra field, and rules from subnormal to near overflow with signed zeros
+    # extra fields (among them the "w" that earlier writers added), and rules
+    # from subnormal to near overflow with signed zeros
     rows = np.array([[-0.0, 5e-324, 1e308], [0.0, -2.5e-310, -1.5]])
     path = tmp_path / "mixture.json"
     path.write_text(json.dumps({
@@ -179,6 +180,22 @@ def test_v1_and_v2_mixtures_evaluate_alike(dataset, solved_mixture, tmp_path):
             == (tmp_path / "e3" / "evaluation.json").read_bytes())
 
 
+def test_a_mixture_carrying_w_evaluates_alike(dataset, solved_mixture, tmp_path):
+    # v3 files written while BaseRates kept w carry each group's conditioning
+    # weight G @ (masses * c) as "w"; eval ignores it like any unknown key
+    doc = json.loads(solved_mixture.read_text())
+    assert "w" not in doc and doc["notion"] == "fp"
+    dist = read_dataset(str(dataset), doc["grid_m"])
+    doc["w"] = (dist.group_matrix @ (dist.masses * (1.0 - dist.scores))).tolist()
+    with_w = tmp_path / "with_w.json"
+    with_w.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, path in (("plain", solved_mixture), ("with_w", with_w)):
+        assert main(["eval", str(dataset), "--mixture", str(path), "--oracle",
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "plain" / "evaluation.json").read_bytes()
+            == (tmp_path / "with_w" / "evaluation.json").read_bytes())
+
+
 def test_v1_mixture_is_refused(dataset, solved_mixture, tmp_path):
     # the v1 schema held the rows as nested JSON lists; eval reads v3 alone
     v1 = tmp_path / "v1.json"
@@ -208,7 +225,7 @@ def test_v1_mixture_is_refused(dataset, solved_mixture, tmp_path):
 def test_mixture_load_rejects_bad_lambdas(tmp_path, capsys, lambdas, message):
     path = tmp_path / "mixture.json"
     path.write_text('{"schema": "fairpost.mixture.v3", "notion": "fp", "beta": [1.0],'
-                    f' "w": [1.0], "grid_m": 20, "group_names": ["I"], "rules": {lambdas},'
+                    f' "grid_m": 20, "group_names": ["I"], "rules": {lambdas},'
                     ' "weights": [1]}')
     code = main(["eval", str(path), "--mixture", str(path), "--out-dir", str(tmp_path)])
     assert code == 1
@@ -241,7 +258,7 @@ V2_REFUSED = "schema 'fairpost.mixture.v2' is not fairpost.mixture.v3"
     ("[0.0, 0.0]", "[[0.1, 0.2], [1e308, 1e308]]",
      "lambdas too large: a group sum would overflow"),
     *(pytest.param({key: None}, "[[0.1]]", f"missing field {key!r}", id=f"no-{key}")
-      for key in ("notion", "beta", "w", "grid_m", "group_names", "rules", "weights")),
+      for key in ("notion", "beta", "grid_m", "group_names", "rules", "weights")),
     pytest.param({"grid_m": '"100"'}, "[[0.1]]", "grid_m must be a positive integer",
                  id="grid_m-string"),
     pytest.param({"grid_m": "0"}, "[[0.1]]", "grid_m must be a positive integer",
@@ -253,7 +270,7 @@ V2_REFUSED = "schema 'fairpost.mixture.v2' is not fairpost.mixture.v3"
     pytest.param({"group_names": '["I", "a"]'}, "[[0.1]]",
                  "group_names and beta differ in length", id="group_names-length"),
     pytest.param({"beta": '{"I": 1.0}'}, "[[0.1]]", "float() argument", id="beta-object"),
-    pytest.param({"beta": "[]", "w": "[]", "group_names": "[]"}, "[[]]",
+    pytest.param({"beta": "[]", "group_names": "[]"}, "[[]]",
                  "lambdas must have at least one group column", id="no-groups"),
     *(pytest.param({"gamma": text}, "[[0.1]]", "gamma must be a nonnegative number",
                    id=f"gamma-{name}")
@@ -275,34 +292,25 @@ V2_REFUSED = "schema 'fairpost.mixture.v2' is not fairpost.mixture.v3"
     pytest.param({}, "[[0.1, 0.2]]", "rules must be a list of rules", id="rules-width"),
     pytest.param({}, "[[true]]", "rules must be numbers", id="rules-bools"),
     pytest.param({}, '"[[0.1]]"', "rules must be a list of rules", id="rules-string"),
-    # the SP constraint report reads w next to beta
-    pytest.param({"notion": '"sp"', "w": "[1.0, 1.0]"}, "[[0.1]]",
-                 "beta and w must be 1-D arrays of equal length", id="w-length"),
-    # SP's rule and constraint centre on the group mass: beta 1 with w 0.5
-    # would report E[hg] - E[h] as the violation
-    pytest.param({"notion": '"sp"', "beta": "[1.0]", "w": "[0.5]"}, "[[0.1]]",
-                 "an sp mixture's beta must equal its w", id="sp-beta-not-w"),
-    *(pytest.param({key: "[" + "1" + "0" * 399 + "]"}, "[[0.1]]",
-                   "int too large to convert to float", id=f"{key}-huge-int")
-      for key in ("beta", "w")),
+    pytest.param({"beta": "[" + "1" + "0" * 399 + "]"}, "[[0.1]]",
+                 "int too large to convert to float", id="beta-huge-int"),
     # a number, even one too large for a double, is not a list of rules
     pytest.param({}, "1" + "0" * 399, "rules must be a list of rules", id="lambdas-huge-int"),
     pytest.param({"document": "[1]"}, None, "the document must be a JSON object",
                  id="top-level-list"),
     pytest.param({"beta": '["1.0"]'}, "[[0.1]]", "beta must be numbers", id="beta-strings"),
-    pytest.param({"w": '["1.0"]'}, "[[0.1]]", "w must be numbers", id="w-strings"),
     pytest.param({"beta": "[true]"}, "[[0.1]]", "beta must be numbers", id="beta-bools"),
 ])
 def test_mixture_load_rejects_bad_values(tmp_path, capsys, beta, lambdas, message):
-    """beta is the JSON text of the beta and w fields, or a dict of field
+    """beta is the JSON text of the beta field, or a dict of field
     texts to set (None drops the field; "document" is the whole file);
     lambdas is the text of "rules" (or of a v2 "lambdas"), each rule of
     weight 1."""
     fields = {"schema": '"fairpost.mixture.v3"', "notion": '"fp"', "beta": "[1.0]",
-              "w": "[1.0]", "grid_m": "20", "group_names": '["I"]', "rules": lambdas}
+              "grid_m": "20", "group_names": '["I"]', "rules": lambdas}
     rules = json.loads(lambdas) if lambdas is not None else None
     fields["weights"] = json.dumps([1] * len(rules) if isinstance(rules, list) else [1])
-    fields.update(beta if isinstance(beta, dict) else {"beta": beta, "w": beta})
+    fields.update(beta if isinstance(beta, dict) else {"beta": beta})
     if beta == V2:
         fields["lambdas"] = lambdas
     document = fields.pop("document", None)
@@ -457,6 +465,11 @@ def test_sweep_single_gamma(dataset, tmp_path):
     (["solve", "--config", '{"grid_m": "x"}'], "grid_m must be a positive integer, not 'x'"),
     (["solve", "--config", '{"beta_mode": "from_scores"}'], "unknown config key 'beta_mode'"),
     (["solve", "--config", '{"T": 2.5}'], 'T must be "auto" or a whole number, not 2.5'),
+    # C*C underflows to 0: no auto round, and the theorem slack divides by 0
+    (["solve", "--C", "1e-170"],
+     "C must be positive and finite, in [1.5717277847026288e-162, inf)"),
+    (["solve", "--C", "1e-170", "--T", "5"],
+     "C must be positive and finite, in [1.5717277847026288e-162, inf)"),
 ])
 def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -472,6 +485,33 @@ def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, m
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--gammas", "0.01,0.05"]])
+def test_an_auto_budget_past_the_float_range_is_a_budget_miss(dataset, tmp_path, capsys,
+                                                              command):
+    out = tmp_path / "out"
+    assert main([command[0], str(dataset), *command[1:], "--C", "1e160", "--grid-m", "20",
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: budget exceeded: T = C^2 (C^2 + 4|G|)^2 / 4 at C = 1e+160 passes "
+                   "the float range; lower C or set T\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--T", "50", "--eta", "1e20"],    # a step past C by more than 2**53
+    ["--T", "50", "--eta", "1e17"],
+    ["--C", "1e300", "--T", "5"],
+    ["--C", "2e-162", "--T", "5"],     # C*C is subnormal; the slack 2/C^2 is inf
+])
+def test_extreme_steps_and_balls_run(dataset, tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["solve", str(dataset), *flags, "--grid-m", "20",
+                 "--out-dir", str(out)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    T = int(flags[flags.index("--T") + 1])
+    assert json.loads((out / "report.json").read_text())["iterations"] == T
 
 
 def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypatch, capsys):
@@ -594,6 +634,13 @@ def solved(tmp_path_factory):
     (["calibrate", 8, "--n-random-checks", "100000000"],
      "audit set too large: 100000003 checks x 8 cells > 16777216; lower n_random"),
     (["synth", "--seed", "1", "--samples", "-1"], "samples must be nonnegative"),
+    (["calibrate", 8, "--alpha", "1e-300"],
+     "alpha 1e-300 too small: 4/alpha^2 passes the float range"),
+    # (ceil(1/alpha) + 1) levels x (3 groups + 64 random) checks
+    (["calibrate", 8, "--alpha", "1e-9"],
+     "level table too large: 1000000001 levels x 67 checks > 16777216; raise alpha"),
+    (["calibrate", 8, "--alpha", "1e-6"],
+     "level table too large: 1000001 levels x 67 checks > 16777216; raise alpha"),
 ])
 def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, command,
                                         message):
@@ -604,11 +651,15 @@ def test_bad_arguments_are_input_errors(solved, tmp_path, capsys, monkeypatch, c
     if isinstance(command[1], int):
         data, mixture = solved[command[1]]
         argv += [data] + (["--mixture", mixture] if command[0] == "eval" else [])
-        argv += command[2:] + ["--out-dir", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv += command[2:] + ["--out-dir", str(out)]
     else:
-        argv += command[1:] + ["--out", str(tmp_path / "out.csv")]
+        out = tmp_path / "out.csv"
+        argv += command[1:] + ["--out", str(out)]
     assert main(argv) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("score_y, command, message", [
@@ -694,8 +745,8 @@ def test_eval_oracle_at_400_cells(wide_eval):
 
 
 def test_eval_oracle_is_the_solvers_program(wide_eval):
-    """opt_value is the LP over p with the mixture's own beta and w and
-    f = scores; HiGHS agrees to 1e-9."""
+    """opt_value is the LP over p with the mixture's own beta and f =
+    scores; HiGHS agrees to 1e-9."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     from reference_oracle import highs_optimum
 
@@ -713,7 +764,7 @@ def _mixture_file(tmp_path, lambdas, weights=None):
     data.write_text("id,score,y,g_I,g_a,g_b\n0,0.25,1,1,0,1\n1,0.75,0,1,1,0\n")
     dist = read_dataset(str(data), 4)
     # beta = 1/2 keeps every group sum of rows within +-1e308 finite
-    base = BaseRates(FairnessNotion.FP, np.full(3, 0.5), np.full(3, 0.5))
+    base = BaseRates(FairnessNotion.FP, np.full(3, 0.5))
     mix = MixtureClassifier(np.asarray(lambdas, dtype=float), base, weights)
     path = tmp_path / "mixture.json"
     cli._write_json(path, cli._mixture_payload(mix, dist, 0.05))

@@ -90,7 +90,7 @@ def test_cell_distribution_invariants():
 
 
 def _fp_base(n_groups):
-    return BaseRates(FairnessNotion.FP, np.full(n_groups, 0.5), np.full(n_groups, 0.5))
+    return BaseRates(FairnessNotion.FP, np.full(n_groups, 0.5))
 
 
 def test_positive_prob_counts_rules():

@@ -5,6 +5,7 @@ import pytest
 
 from fairpost import (
     BaseRates,
+    BudgetExceededError,
     CheckFunction,
     FairnessNotion,
     FairThresholdPostprocessor,
@@ -102,6 +103,20 @@ def test_fractional_T_refused():
         FairThresholdPostprocessor(T=2.5).fit([0.5], [[1]], [1])
 
 
+def test_extreme_C_and_alpha_refused_before_any_work():
+    # an auto budget past the float range, a C whose square is 0, and a
+    # level table past the cap
+    scores, groups, y = [0.25, 0.75], [[1], [1]], [0, 1]
+    with pytest.raises(BudgetExceededError, match="T = C\\^2 .* passes the float range"):
+        FairThresholdPostprocessor(C=1e160).fit(scores, groups, y)
+    with pytest.raises(ValueError, match="C must be positive and finite, in"):
+        FairThresholdPostprocessor(C=1e-170).fit(scores, groups, y)
+    with pytest.raises(ValueError, match="level table too large: 1000000001 levels x 65 checks"):
+        JointMulticalibrator(alpha=1e-9).fit(scores, groups, y)
+    with pytest.raises(ValueError, match="alpha 1e-300 too small"):
+        JointMulticalibrator(alpha=1e-300).fit(scores, groups, y)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_scores_rejected(bad):
     with pytest.raises(ValueError, match="scores must lie in \\[0, 1\\]"):
@@ -156,7 +171,7 @@ def test_calibrator_transform_equals_assignment_at_a_group_sum_tie():
         "0x1.64a1b7e26316cp-1", "0x1.a9b9d6fabd7a0p-1", "0x1.ecfbe5d3403c6p-1")])
     lam = np.array([float.fromhex(x) for x in (
         "-0x1.576f306d7a3a5p+2", "0x1.cd2c3b1738d60p+1", "0x1.254d4b607662cp-1")])
-    checks = [CheckFunction("threshold", (lam, BaseRates(FairnessNotion.SP, beta, beta)))]
+    checks = [CheckFunction("threshold", (lam, BaseRates(FairnessNotion.SP, beta)))]
     result = calibrate(pert.scores, checks, pert, alpha=0.05)
     assert result.rounds > 0
     cal = JointMulticalibrator(alpha=0.05)

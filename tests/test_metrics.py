@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ from reference_rates import table_group_rate
 NOTIONS = ["fp", "fn", "err", "sp"]
 
 
+def test_base_rates_is_its_notion_and_beta():
+    assert [f.name for f in dataclasses.fields(BaseRates)] == ["notion", "beta"]
+    assert BaseRates("sp", [0.25, 1.0]).beta.tolist() == [0.25, 1.0]
+    with pytest.raises(ValueError, match="beta must be a 1-D array"):
+        BaseRates("fp", np.full((2, 2), 0.5))
+    for bad in (np.nan, -0.5, 1.5):
+        with pytest.raises(ValueError, match="beta entries must lie in"):
+            BaseRates("fp", [0.5, bad])
+
+
 def test_base_rates_all_group_is_one():
     dist = build_cells([(0.3, (1,), None), (0.7, (1,), None)], 10)
     for notion in NOTIONS:
@@ -31,7 +43,6 @@ def test_base_rates_two_disjoint_groups_at_half():
     b = base_rates(dist, "fp", "from_scores")
     assert b.beta[1] == pytest.approx(0.5)
     assert b.beta[2] == pytest.approx(0.5)
-    assert b.w[1] == pytest.approx(0.25)  # E[g (1-q)] = 0.5 * 0.5
 
 
 def test_base_rates_modes_agree_when_scores_are_label_means():
@@ -41,7 +52,6 @@ def test_base_rates_modes_agree_when_scores_are_label_means():
         a = base_rates(dist, notion, "from_scores")
         b = base_rates(dist, notion, "from_labels")
         assert np.allclose(a.beta, b.beta, atol=0)
-        assert np.allclose(a.w, b.w, atol=0)
 
 
 def test_base_rates_degenerate_marginal():
@@ -105,7 +115,7 @@ def test_constraint_lhs_zero_cases(rng):
     base = base_rates(dist, "fp", "from_labels")
     for g in range(dist.n_groups):
         assert constraint_vector(p0, dist, "fp", base)[g] == 0.0
-    # the all-ones group kills its constraint for any h (beta or w = 1)
+    # the all-ones group kills its constraint for any h (its beta is 1)
     for notion in NOTIONS:
         b = base_rates(dist, notion, "from_labels")
         p = rng.uniform(size=dist.n_cells)
@@ -116,7 +126,7 @@ def test_constraint_vector_takes_base_rates_built_from_a_str_notion(rng):
     # BaseRates coerces its notion, so "fp" there is FairnessNotion.FP
     dist, _ = make_dist(7, n_cells=10, n_groups=2)
     base = base_rates(dist, "fp", "from_labels")
-    from_str = BaseRates("fp", base.beta, base.w)
+    from_str = BaseRates("fp", base.beta)
     assert from_str.notion is FairnessNotion.FP
     p = rng.uniform(size=dist.n_cells)
     want = constraint_vector(p, dist, FairnessNotion.FP, base)

@@ -87,7 +87,7 @@ def instances(draw):
             row = [draw(st.sampled_from([0.0, -0.0])) for _ in range(g)]
             row[draw(st.integers(0, g - 1))] = draw(st.sampled_from(aimed))
             rows.append(row)
-    base = BaseRates(notion, beta, np.full(g, 0.5))
+    base = BaseRates(notion, beta)
     mix = MixtureClassifier(np.array(rows), base)
     return mix, scores, groups
 
@@ -115,7 +115,7 @@ def test_weights_count_as_repeated_rules(entries, notion, case, data):
     # a rule of weight w counts as w copies of it, bit for bit, however the
     # points fall into chunks
     mix, scores, groups = case
-    base = BaseRates(notion, mix.base.beta, mix.base.w)
+    base = BaseRates(notion, mix.base.beta)
     w = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(mix), max_size=len(mix))))
     weighted = MixtureClassifier(mix.lambdas, base, w)
     repeated = MixtureClassifier(np.repeat(mix.lambdas, w, axis=0), base)
@@ -129,7 +129,7 @@ def test_weights_count_as_repeated_rules(entries, notion, case, data):
     ([1.0, 2.0, 3.0], "one integer per rule"), ([True, True, True], "one integer per rule"),
     ([1, 0, 2], "positive"), ([1, -1, 2], "positive"), ([2 ** 53, 2, 1], "2\\*\\*53")])
 def test_mixture_rejects_bad_weights(weights, message):
-    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
+    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5))
     with pytest.raises(ValueError, match=message):
         MixtureClassifier(np.zeros((3, 2)), base, np.array(weights))
 
@@ -144,7 +144,7 @@ def test_many_patterns_over_several_blocks(rng):
     groups = rng.integers(0, 2, size=(n, g))
     groups[:200] = groups[0]  # one pattern shared by many points
     for notion in NOTIONS:
-        mix = MixtureClassifier(lambdas, BaseRates(notion, beta, np.full(g, 0.5)))
+        mix = MixtureClassifier(lambdas, BaseRates(notion, beta))
         assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
                               _bits(_reference_probs(mix, scores, groups)))
 
@@ -162,7 +162,7 @@ def test_more_than_62_groups_counts_equal_decide_batch(rng, notion):
     patterns[2, 0] ^= 1    # ... and in the first group only
     groups = patterns[rng.integers(0, 6, size=n)]
     scores = np.concatenate([rng.uniform(size=n - 3), [0.0, 0.5, 1.0]])
-    mix = MixtureClassifier(lambdas, BaseRates(notion, beta, np.full(g, 0.5)))
+    mix = MixtureClassifier(lambdas, BaseRates(notion, beta))
     assert np.array_equal(_bits(mix.positive_prob_points(scores, groups)),
                           _bits(_reference_probs(mix, scores, groups)))
 
@@ -176,7 +176,7 @@ def test_sums_at_the_threshold_are_counted_by_decide_batch():
         flips = (s * d)[finite]
         lams = np.concatenate([flips, np.nextafter(flips, np.inf),
                                np.nextafter(flips, -np.inf), [-1.0, 0.0, -0.0]])
-        base = BaseRates(notion, np.zeros(1), np.zeros(1))
+        base = BaseRates(notion, np.zeros(1))
         mix = MixtureClassifier(lams[:, None], base)
         groups = np.ones((len(f), 1), dtype=int)
         assert np.array_equal(_bits(mix.positive_prob_points(f, groups)),
@@ -184,7 +184,7 @@ def test_sums_at_the_threshold_are_counted_by_decide_batch():
 
 
 def test_points_need_a_membership_matrix():
-    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
+    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5))
     mix = MixtureClassifier(np.zeros((3, 2)), base)
     with pytest.raises(ValueError, match="membership matrix"):
         mix.positive_prob_points([0.5, 0.5], [1, 3])
@@ -199,7 +199,7 @@ def test_points_need_a_membership_matrix():
 def test_points_need_scores_in_the_unit_interval(notion, bad):
     # decide_batch fires no rule at a NaN score, and a score outside [0, 1]
     # is no label probability, so neither has a count to stand for it
-    base = BaseRates(notion, np.full(2, 0.5), np.full(2, 0.5))
+    base = BaseRates(notion, np.full(2, 0.5))
     mix = MixtureClassifier(np.zeros((3, 2)), base)
     with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
         mix.positive_prob_points([0.5, bad], [[1, 0], [0, 1]])
@@ -211,7 +211,7 @@ def test_counts_are_exact_at_the_weight_cap():
     weights = np.array([2 ** 52, 1, 2 ** 52 - 1])
     lambdas = np.array([[-2.0, -2.0], [2.0, 0.0], [0.0, 2.0]])
     # SP with beta = 0: a point decides 1 iff its S = lambda . bits is <= 2f - 1
-    mix = MixtureClassifier(lambdas, BaseRates(FairnessNotion.SP, np.zeros(2), np.zeros(2)),
+    mix = MixtureClassifier(lambdas, BaseRates(FairnessNotion.SP, np.zeros(2)),
                             weights)
     scores = np.array([0.5, 0.5, 0.5, 0.0, 0.0])
     groups = np.array([[1, 0], [0, 1], [0, 0], [1, 0], [0, 0]])
@@ -223,7 +223,7 @@ def test_counts_are_exact_at_the_weight_cap():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mixture_rejects_non_finite_lambdas(bad):
-    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
+    base = BaseRates(FairnessNotion.FP, np.full(2, 0.5))
     with pytest.raises(ValueError, match="finite"):
         MixtureClassifier(np.array([[0.1, 0.2], [bad, 0.0]]), base)
 
@@ -232,10 +232,10 @@ def test_mixture_rejects_lambdas_whose_group_sum_overflows():
     # with beta = 0 the pattern (1, 1) sums to 2e308 = inf; with beta = 1/2
     # every |c_i| is 1/2 and no pattern can overflow
     lambdas = np.array([[1e308, 1e308], [0.1, 0.2]])
-    zero = BaseRates(FairnessNotion.FP, np.zeros(2), np.zeros(2))
+    zero = BaseRates(FairnessNotion.FP, np.zeros(2))
     with pytest.raises(ValueError, match="overflow"):
         MixtureClassifier(lambdas, zero)
-    half = BaseRates(FairnessNotion.FP, np.full(2, 0.5), np.full(2, 0.5))
+    half = BaseRates(FairnessNotion.FP, np.full(2, 0.5))
     mix = MixtureClassifier(lambdas, half)
     groups = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
     scores = np.ones(4)

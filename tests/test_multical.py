@@ -683,7 +683,7 @@ def test_threshold_check_is_the_best_response_bit_for_bit(notion, m, data):
                                       min_size=dist.n_groups, max_size=dist.n_groups)))
     beta = np.array(data.draw(st.lists(unit, min_size=dist.n_groups,
                                        max_size=dist.n_groups)))
-    base = BaseRates(FairnessNotion.coerce(notion), beta, np.ones(dist.n_groups))
+    base = BaseRates(FairnessNotion.coerce(notion), beta)
     ks = data.draw(st.lists(st.integers(min_value=0, max_value=m),
                             min_size=dist.n_cells - 3, max_size=dist.n_cells - 3))
     levels = np.concatenate([[0.0, 0.5, 1.0], np.array(ks) / m])

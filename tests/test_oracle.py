@@ -217,10 +217,10 @@ def test_lp_oracle_equals_labeling_enumeration(seed, n_cells, n_groups, notion, 
     optimum is checked against HiGHS's on the labeling LP instead.
 
     Base rates from either mode leave some constant p feasible; shrinking
-    beta and w by 0.9 makes small gammas infeasible for ERR and SP."""
+    beta by 0.9 makes small gammas infeasible for ERR and SP."""
     dist = make_dist(seed, n_cells=n_cells, n_groups=n_groups, grid_m=20)[perturbed]
     base = base_rates(dist, notion, beta_mode)
-    base = BaseRates(base.notion, base.beta * shrink, base.w * shrink)
+    base = BaseRates(base.notion, base.beta * shrink)
     program = reference_oracle.labeling_program(dist, base, gamma, scores_as_f)
     lp = _solve_or_none(
         lambda: enumerate_optimum(dist, base, gamma, scores_as_f=scores_as_f))

@@ -102,7 +102,6 @@ def test_base_rates_bit_equal(dist, notion, mode):
     got = base_rates(dist, notion, mode)
     assert got.notion is want.notion
     assert np.array_equal(_bits(got.beta), _bits(want.beta))
-    assert np.array_equal(_bits(got.w), _bits(want.w))
 
 
 @settings(max_examples=300, deadline=None)

@@ -48,10 +48,55 @@ def test_iteration_budget_values():
     assert iteration_budget(10.0, 2) == 291600
 
 
+def _unguarded_budget(C, group_count):
+    """The budget formula with no floor and no range check: None where it
+    overflows."""
+    try:
+        return math.ceil(0.25 * C * C * (C * C + 4.0 * group_count) ** 2)
+    except OverflowError:
+        return None
+
+
+def test_c_min_is_the_least_c_whose_square_is_not_zero():
+    assert solver.C_MIN * solver.C_MIN > 0.0
+    assert np.nextafter(solver.C_MIN, 0.0) ** 2 == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 64))
+@example(solver.C_MIN, 1)
+@example(float(np.nextafter(solver.C_MIN, 0.0)), 1)
+@example(1e-170, 3)
+@example(2e-162, 1)
+@example(3e51, 1)
+@example(1e154, 3)
+@example(1e160, 3)
+def test_iteration_budget_is_positive_or_refused(C, group_count):
+    # at least 1 round; BudgetExceededError where no float holds T, and
+    # ValueError below C_MIN, where the formula gives 0 rounds
+    want = _unguarded_budget(C, group_count)
+    try:
+        T = iteration_budget(C, group_count)
+    except BudgetExceededError as exc:
+        assert want is None and str(exc).startswith("budget exceeded: T = C^2")
+        return
+    except ValueError as exc:
+        assert C < solver.C_MIN and want == 0 and "C must lie in" in str(exc)
+        return
+    assert type(T) is int and T == max(1, want)
+
+
 def test_sample_size_values():
     assert sample_size(1, 1, 1.0, 1.0) == 1
     assert sample_size(10, 2, 0.1, 0.1) == 300
     assert sample_size(100, 4, 0.05, 0.05) == 1937
+
+
+@pytest.mark.parametrize("epsilon", [1e-200, 1e-160, 5e-324])
+def test_sample_size_past_the_float_range_is_a_budget_miss(epsilon):
+    # 2 eps^2 underflows to 0, or m overflows
+    with pytest.raises(BudgetExceededError, match="sample size .* passes the float range"):
+        sample_size(10, 3, epsilon, 0.5)
 
 
 def test_sample_size_epsilon_scaling():
@@ -153,6 +198,28 @@ def test_project_l1_examples():
 def test_project_l1_refuses_a_bad_ball_or_dual(v, C, message):
     with pytest.raises(ValueError, match=message):
         project_l1(np.array(v), C)
+
+
+def test_project_l1_of_an_entry_far_past_the_ball():
+    # 1e16 - 1 rounds to 1e16, so no index passes the rounded test
+    assert project_l1(np.array([1e16, 0.0]), 1.0).tolist() == [0.0, 0.0]
+    assert project_l1(np.array([3.0, 1e16, 2.0]), 1.0).tolist() == [0.0, 0.0, 0.0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=16),
+       st.floats(min_value=1e-300, max_value=1e300))
+@example([1e300, 1.0, 5e-324], 1e-300)
+def test_project_l1_lands_in_the_ball(v, C):
+    # nonnegative, v itself inside the ball, and off it a sum of at most C
+    # up to the rounding of the sums of v
+    v = np.array(v)
+    x = project_l1(v, C)
+    assert x.shape == v.shape and np.all(x >= 0.0)
+    if v.sum() <= C:
+        assert np.array_equal(x, v)
+    else:
+        assert x.sum() <= C + 4 * len(v) * np.finfo(float).eps * v.sum()
 
 
 def _bisect_project(v, C):
