@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import array
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -315,6 +316,7 @@ class _Run:
         for name in outputs:
             if not (self.dir / name).exists():
                 raise RuntimeError(f"manifest names missing output {name!r}")
+        gc.collect(0)    # here, so no collection pauses the unstaged manifest write
         self.stage("write")
         _write_json(self.file("manifest.json"), {
             "command": command,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import List, Union
 
 import numpy as np
@@ -52,9 +51,9 @@ class BudgetExceededError(RuntimeError):
     the auto budget T or a sample size would pass the float range."""
 
 
-# The least C whose square is not 0: below it the theorem's 2/C^2 slack
-# divides by zero, so SolverConfig and iteration_budget refuse it.
-C_MIN = 1.5717277847026288e-162
+# iteration_budget refuses C below the least C whose square is not 0 (0 rounds), SolverConfig
+# below the least C whose theorem slack 1/C + 2/C^2 is finite, so no report holds inf.
+C_MIN, C_SLACK_MIN = 1.5717277847026288e-162, 1.0547686614863001e-154
 
 
 # Each run keeps one float64 lambda row per round: T * n_groups * 8 bytes,
@@ -62,9 +61,8 @@ C_MIN = 1.5717277847026288e-162
 # sweep runs its gammas one after another and holds one history.
 LAMBDA_HISTORY_CAP = 1 << 30
 
-# Speculative blocks of exact runs: the predictor's suffix lengths
-# and lag, the block widths and their cap on rows x cells, and the backoff
-# (README "Speculative blocks").
+# Speculative blocks of exact runs: the predictor's suffix lengths and lag, the block
+# widths and their cap on rows x distinct columns, and the backoff (README "Speculative blocks").
 BLOCK_CONTEXT, BLOCK_MAX_LAG, BLOCK_WIDTH, BLOCK_CELLS = (16, 1024), 8192, (32, 4096), 1 << 17
 BLOCK_MIN_KEPT, BLOCK_MAX_WAIT = 16, 4096
 
@@ -118,8 +116,8 @@ class SolverConfig:
             object.__setattr__(self, name, value)
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be a finite nonnegative number")
-        if not C_MIN <= self.C < math.inf:
-            raise ValueError(f"C must be positive and finite, in [{C_MIN!r}, inf)")
+        if not C_SLACK_MIN <= self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, in [{C_SLACK_MIN!r}, inf)")
         if self.eta != "auto" and not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
         if self.T != "auto" and self.T < 1:
@@ -265,6 +263,9 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
     C, gamma = config.C, config.gamma
     sign, thresh = decision_thresholds(f, notion)
     smemb = memb * sign
+    # the P distinct membership columns, cell j's S in column inv[j] (ravel: numpy 1.x, 2.x)
+    cols, inv = np.unique(memb, axis=1, return_inverse=True)
+    inv, P, up, below = inv.ravel(), cols.shape[1], sign > 0, np.nextafter(-thresh, -np.inf)
 
     def round_terms(h, eval_masses):
         # (dual step for the concatenated (lambda+, lambda-), err_hat, max
@@ -287,19 +288,21 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
     # relative (2|G| - 1) eps of their exact sum, so a quick sum at or below
     # l1_safe proves that lam_p.sum() + lam_m.sum() does not exceed C
     l1_safe = C * (1.0 - 16.0 * n_groups * np.finfo(float).eps)
-    zeros = np.zeros(2 * n_groups)
 
     def miss(key):
-        # the terms of a decision pattern not met before
+        # the terms of a decision pattern not met before, and the caps on (-S, S) per column
+        # that its decisions imply: s*S <= d, or -s*S <= nextafter(-d, -inf) where not decided
         nonlocal speculate, next_try
-        terms = cache[key] = round_terms(np.frombuffer(key, dtype=bool), masses) + (len(cache),)
+        h, bound = np.frombuffer(key, dtype=bool), np.full(2 * P, np.inf)
+        np.minimum.at(bound, inv + P * (h == up), np.where(h, thresh, below))
+        terms = cache[key] = round_terms(h, masses) + (len(cache), bound.reshape(2, P))
         if terms[3] > 255:
             speculate, next_try = False, T + 1
         return terms
 
-    def by_id():    # the cached terms, dual steps and decision patterns
+    def by_id():    # the cached terms, dual steps and caps on S
         return (list(cache.values()), np.array([v[0] for v in cache.values()]),
-                np.frombuffer(b"".join(cache), bool).reshape(len(cache), n_cells))
+                np.array([v[4] for v in cache.values()]))
 
     def bring_back():
         # the exact L1 test, and the projection, once the quick sum exceeds
@@ -317,12 +320,14 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
     ids, recent, window = bytearray(), [], np.zeros((min(BLOCK_MAX_LAG, T + 1), 2 * n_groups))
     next_try = BLOCK_CONTEXT[0] + 1 if speculate else T + 1
     width, wait, tables, blocks, kept_rounds = BLOCK_WIDTH[0], 1, ([],), 0, 0
+    # (round, guessed id) of a block's first failing row whose update held; the loop runs it
+    recheck, margin_stops = (0, -1), 0
 
     def block(n):
         # guess that rounds n + 1.. replay the ids that followed the latest
         # earlier occurrence of the longest recurring suffix of the ids, keep
         # the prefix that the loop's own arithmetic confirms and skip it
-        nonlocal next_try, width, wait, tables, blocks, kept_rounds
+        nonlocal next_try, width, wait, tables, blocks, kept_rounds, recheck
         window[np.arange(n + 1 - len(recent), n + 1) % len(window)] = recent
         recent.clear()
         lag, size = 0, BLOCK_CONTEXT[0]
@@ -335,29 +340,32 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                     break
                 lag = n - size - at
             size *= 2
-        w, kept = min(width, BLOCK_WIDTH[1], BLOCK_CELLS // n_cells, T - n), 0
+        w, kept = min(width, BLOCK_WIDTH[1], BLOCK_CELLS // P, T - n), 0
         if lag and w:
             if len(tables[0]) != len(cache):
                 tables = by_id()
             pattern = (ids[n - lag:] * (w // lag + 1))[:w]
-            guess = np.frombuffer(pattern, np.uint8)
-            steps = tables[1][guess]
+            guess = np.frombuffer(pattern, np.uint8).astype(np.intp)
+            steps = np.take(tables[1], guess, axis=0)
             # duals after rounds n.. n + w: the sequential sums clipped at 0,
             # right where a column stays positive or at 0; where they fail the
             # loop's update, the duals lag rounds back, as a column bouncing
             # off 0 repeats with the ids
             V = np.maximum(np.cumsum(np.concatenate((dual[None], steps)), axis=0), 0.0)
-            held = np.maximum(zeros, V[:-1] + steps) == V[1:]
-            bounce = ~held.all(axis=0)
-            if bounce.any():
+            held = np.maximum(0.0, V[:-1] + steps) == V[1:]
+            if not held.all():
                 np.copyto(V[1:], window[(n - lag + 1 + np.arange(w) % lag) % len(window)],
-                          where=bounce)
-                held = np.maximum(zeros, V[:-1] + steps) == V[1:]
+                          where=~held.all(axis=0))
+                held = np.maximum(0.0, V[:-1] + steps) == V[1:]
             lams = np.subtract(V[:-1, :n_groups], V[:-1, n_groups:], out=lam_hist[n:n + w])
-            decided = (lams[:, None] @ smemb)[:, 0] <= thresh
-            bad = np.flatnonzero(~(held.all(axis=1) & (decided == tables[2][guess]).all(axis=1)))
-            kept = int(bad[0]) if bad.size else w
+            # the rows before the first whose update failed or whose M -+ S passed a cap
+            (S, M), caps = _certify(lams, cols), np.take(tables[2], guess, axis=0)
+            ok = np.concatenate((held, M - S <= caps[:, 0], M + S <= caps[:, 1]), axis=1)
+            miss_at = int(ok.argmin())
+            kept = miss_at // ok.shape[1] if not ok.flat[miss_at] else w
             over = np.flatnonzero(V[1:kept + 1].sum(axis=1) > l1_safe)
+            if kept < w and not over.size and held[kept].all():
+                recheck = (n + kept + 1, int(guess[kept]))
             kept = int(over[0]) + 1 if over.size else kept
         if kept:
             dual[:] = V[kept]
@@ -368,23 +376,25 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
             pid[n:n + kept] = guess[:kept]
             window[np.arange(n + 1, n + kept + 1) % len(window)] = V[1:kept + 1]
             for t in range(n + 1 + (-n) % record_every, n + kept + 1, record_every):
-                _, err_hat, max_violation, _ = tables[0][pattern[t - n - 1]]
+                err_hat, max_violation = tables[0][pattern[t - n - 1]][1:3]
                 trajectory.append(TrajectoryRecord(t, err_hat, max_violation, float(
                     V[t - n, :n_groups].sum() + V[t - n, n_groups:].sum())))
         blocks, kept_rounds = blocks + 1, kept_rounds + kept
         width = max(BLOCK_WIDTH[0], 2 * kept)
         wait = 1 if kept >= BLOCK_MIN_KEPT else min(2 * wait, BLOCK_MAX_WAIT)
         next_try = n + kept + wait
-        next(islice(rounds, kept, kept), None)
+        return kept
 
-    rounds = enumerate(lam_hist, 1)
-    for t, lam in rounds:
-        np.subtract(lam_p, lam_m, out=lam)
+    zeros, t = np.zeros(2 * n_groups), 0
+    while t < T:
+        t += 1
+        lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
         h = lam @ smemb <= thresh
 
         key = h.tobytes()
         row_terms = cache.get(key) or miss(key)
         pid[t - 1] = row_terms[3]
+        margin_stops += t == recheck[0] and row_terms[3] == recheck[1]
         if sampler is not None:
             row_terms = round_terms(h, sampler(t))
 
@@ -404,12 +414,13 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                 t, row_terms[1], row_terms[2], float(lam_p.sum() + lam_m.sum())))
 
         if t >= next_try:
-            block(t)
+            t += block(t)
 
     weights = np.bincount(pid)
     rules = np.stack([np.bincount(pid, weights=lam) for lam in lam_hist.T], 1) / weights[:, None]
     # one pass over the K candidates, through the mixture's own ordered sum
-    off = (decide_batch(group_sums(rules, beta, G), f, notion) != by_id()[2]).any(axis=1)
+    patterns = np.frombuffer(b"".join(cache), bool).reshape(len(cache), n_cells)
+    off = (decide_batch(group_sums(rules, beta, G), f, notion) != patterns).any(axis=1)
     if off.any():
         rules[off] = lam_hist[np.unique(pid, return_index=True)[1][off]]
     return SolveResult(
@@ -421,8 +432,16 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         T=T,
         eta=eta,
         counters={"rounds": T, "projections": projections, "distinct_decisions": len(cache)},
-        speculation={"blocks": blocks, "speculated_rounds": kept_rounds},
+        speculation={"blocks": blocks, "speculated_rounds": kept_rounds, "columns": P,
+                     "margin_stops": margin_stops},
     )
+
+
+def _certify(lams, cols):
+    """S = lams @ cols and M >= |the loop's gemv - s*S| on a column's cells, 0 on a zero row: any
+    order of summing |G| products is within gamma_|G| sum |lam_g m_g| of exact (Higham 3.1)."""
+    X = np.abs(lams) @ np.abs(cols)
+    return lams @ cols, X * (2 * len(cols) * np.finfo(float).eps) + (X > 0) * np.finfo(float).tiny
 
 
 def duality_gap(mixture: MixtureClassifier, dist: CellDistribution,
@@ -458,6 +477,7 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
     round by round: round t's sample is the t-th multinomial(m, masses) draw
     of PCG64(sampler_seed), m = sample_size(T, |G|, epsilon, delta), so a
     replay of that stream recovers the rates of each round in lambdas.
+    An m past the int64 range raises BudgetExceededError before any round.
     The theorem slacks widen by the 8*epsilon terms.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
@@ -465,6 +485,9 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
     n_groups, n_cells = population.group_matrix.shape
     T, _ = _resolve_schedule(config, n_groups, n_cells)
     m = sample_size(T, n_groups, epsilon, delta)
+    if m > np.iinfo(np.int64).max:    # the most one multinomial draw takes
+        raise BudgetExceededError(f"budget exceeded: sample size {m:.3g} at epsilon = "
+                                  f"{epsilon!r} passes the int64 range; raise epsilon")
     rng = np.random.Generator(np.random.PCG64(sampler_seed))
     masses = population.masses / population.masses.sum()
 

@@ -85,8 +85,10 @@ def test_solve_manifest_counters_and_timings(dataset, tmp_path):
     assert 0 < counters["projections"] <= counters["rounds"]
     assert 1 <= counters["distinct_decisions"] <= counters["rounds"]
     speculation = manifest["speculation"]
-    assert set(speculation) == {"blocks", "speculated_rounds"}
+    assert set(speculation) == {"blocks", "speculated_rounds", "columns", "margin_stops"}
     assert speculation["blocks"] >= 1 and 0 <= speculation["speculated_rounds"] < 300
+    assert 1 <= speculation["columns"] <= 2 ** len(read_dataset(str(dataset), 20).group_matrix)
+    assert 0 <= speculation["margin_stops"] <= speculation["blocks"]
     assert manifest["peak_rss_mb"] > 0.0
 
 
@@ -467,9 +469,12 @@ def test_sweep_single_gamma(dataset, tmp_path):
     (["solve", "--config", '{"T": 2.5}'], 'T must be "auto" or a whole number, not 2.5'),
     # C*C underflows to 0: no auto round, and the theorem slack divides by 0
     (["solve", "--C", "1e-170"],
-     "C must be positive and finite, in [1.5717277847026288e-162, inf)"),
+     "C must be positive and finite, in [1.0547686614863001e-154, inf)"),
     (["solve", "--C", "1e-170", "--T", "5"],
-     "C must be positive and finite, in [1.5717277847026288e-162, inf)"),
+     "C must be positive and finite, in [1.0547686614863001e-154, inf)"),
+    # C*C is subnormal: the slack 2/C^2 is inf, which report.json cannot hold
+    (["solve", "--C", "2e-162", "--T", "5"],
+     "C must be positive and finite, in [1.0547686614863001e-154, inf)"),
 ])
 def test_non_finite_settings_are_input_errors(dataset, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -503,7 +508,7 @@ def test_an_auto_budget_past_the_float_range_is_a_budget_miss(dataset, tmp_path,
     ["--T", "50", "--eta", "1e20"],    # a step past C by more than 2**53
     ["--T", "50", "--eta", "1e17"],
     ["--C", "1e300", "--T", "5"],
-    ["--C", "2e-162", "--T", "5"],     # C*C is subnormal; the slack 2/C^2 is inf
+    ["--C", "1.0547686614863001e-154", "--T", "5"],    # the least C whose slack is finite
 ])
 def test_extreme_steps_and_balls_run(dataset, tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -838,7 +843,8 @@ def test_sweep_eval_manifest_stages(calibration_dataset, tmp_path, command):
         for c in manifest["counters"]:
             assert set(c) == {"gamma", "rounds", "projections", "distinct_decisions",
                               "speculation"} and c["distinct_decisions"] >= 1
-            assert set(c["speculation"]) == {"blocks", "speculated_rounds"}
+            assert set(c["speculation"]) == {"blocks", "speculated_rounds", "columns",
+                                             "margin_stops"}
             assert 0 < c["speculation"]["speculated_rounds"] <= c["rounds"]
     else:
         assert set(timings) == {"load_mixture", "parse", "eval", "write"}

@@ -24,7 +24,7 @@ from fairpost import (
     true_rates,
 )
 from fairpost.cli import main, read_dataset
-from fairpost.core import MixtureClassifier, decide_batch, decision_thresholds
+from fairpost.core import CellDistribution, MixtureClassifier, decide_batch, decision_thresholds
 from fairpost import solver
 from fairpost.solver import (
     TrajectoryRecord,
@@ -62,6 +62,20 @@ def test_c_min_is_the_least_c_whose_square_is_not_zero():
     assert np.nextafter(solver.C_MIN, 0.0) ** 2 == 0.0
 
 
+def test_c_slack_min_is_the_least_c_whose_slack_is_finite():
+    # SolverConfig refuses a smaller C: its report would hold inf
+    def slack(C):
+        return _theorem_bounds(C)["violation_slack"]
+    assert math.isfinite(slack(solver.C_SLACK_MIN))
+    below = float(np.nextafter(solver.C_SLACK_MIN, 0.0))
+    assert slack(below) == math.inf
+    SolverConfig(C=solver.C_SLACK_MIN)
+    for C in (below, 2e-162, solver.C_MIN):
+        with pytest.raises(ValueError, match=re.escape(
+                f"C must be positive and finite, in [{solver.C_SLACK_MIN!r}, inf)")):
+            SolverConfig(C=C)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 64))
 @example(solver.C_MIN, 1)
@@ -97,6 +111,20 @@ def test_sample_size_past_the_float_range_is_a_budget_miss(epsilon):
     # 2 eps^2 underflows to 0, or m overflows
     with pytest.raises(BudgetExceededError, match="sample size .* passes the float range"):
         sample_size(10, 3, epsilon, 0.5)
+
+
+def test_a_sample_size_past_int64_is_refused_before_any_round(biased_instance, monkeypatch):
+    # one multinomial draw takes at most 2**63 - 1 samples
+    cfg = SolverConfig(C=1, T=5)
+    assert sample_size(5, biased_instance.n_groups, 1e-10, 0.1) > np.iinfo(np.int64).max
+    monkeypatch.setattr(solver, "_run_loop", None)    # no round may run
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "sample size 2.85e+20 at epsilon = 1e-10 passes the int64 range")):
+        run_sampled(biased_instance, 0, cfg, 1e-10, 0.1)
+    monkeypatch.undo()
+    # a sample size inside the range runs
+    assert sample_size(5, biased_instance.n_groups, 2e-9, 0.1) <= np.iinfo(np.int64).max
+    assert run_sampled(biased_instance, 0, cfg, 2e-9, 0.1).T == 5
 
 
 def test_sample_size_epsilon_scaling():
@@ -251,11 +279,18 @@ def test_project_l1_against_bisection(rng):
 
 def test_run_vacuous_gamma_keeps_dual_at_zero():
     dist, _ = make_dist(33, n_cells=10, n_groups=2)
-    for notion in NOTIONS:
+    # at lambda = 0 the margin M is 0, so a d = 0 cell (f = 0.5) certifies
+    # its decision on the closed side s*S <= d and blocks carry the run
+    halves, _ = make_dist(3, n_cells=6, n_groups=2, grid_m=2)
+    assert np.any(halves.scores == 0.5)
+    _, M = solver._certify(np.zeros((3, halves.n_groups)), halves.group_matrix)
+    assert np.all(M == 0.0)
+    for dist, notion in itertools.product((dist, halves), NOTIONS):
         cfg = SolverConfig(notion=notion, gamma=1.0, C=5.0, T=200, record_every=50)
         res = run(dist, cfg)
         assert np.all(res.final_dual == 0.0)
         assert np.all(res.lambdas == 0.0)
+        assert res.speculation["speculated_rounds"] >= 0.8 * cfg.T
         p = res.mixture.positive_prob_vector(dist)
         bayes = (dist.scores >= 0.5).astype(float)
         assert np.array_equal(p, bayes)
@@ -753,18 +788,73 @@ def test_solver_config_is_frozen_and_replace_runs_the_checks():
 
 # ------------------------------------------------------------ speculative blocks
 
-def test_stacked_matvec_rows_of_a_block_equal_1d_products():
-    # a speculative block decides its w rounds with one (w, 1, |G|) @ smemb
-    # over a slice of the (T, |G|) history, up to the widest block
-    rng = np.random.Generator(np.random.PCG64(7))
-    for n_groups, n_cells in ((2, 8), (3, 8), (4, 400)):
-        smemb = rng.standard_normal((n_groups, n_cells)) * rng.uniform(0.1, 10.0)
-        w = min(solver.BLOCK_WIDTH[1], solver.BLOCK_CELLS // n_cells)
-        hist = rng.standard_normal((w + 5, n_groups))
-        for lo in (0, 3):
-            S = hist[lo:lo + w][:, None] @ smemb
-            for k in range(w):
-                assert S[k, 0].tobytes() == (hist[lo + k] @ smemb).tobytes()
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_groups=st.integers(1, 6), n_cells=st.integers(1, 40),
+       rows=st.integers(1, 40))
+def test_certificate_bounds_the_gemv_of_every_cell(data, n_groups, n_cells, rows):
+    # a block certifies its rows with one gemm S = lams @ cols over the
+    # distinct membership columns and the margin M of solver._certify: on
+    # every cell, the loop's own gemv lies within M of s * S, at any scale
+    G = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_cells,
+                                             max_size=n_cells),
+                                    min_size=n_groups, max_size=n_groups)), dtype=float)
+    beta = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_groups,
+                                       max_size=n_groups)))
+    sign = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_cells,
+                                       max_size=n_cells)))
+    entry = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(1.0, 10.0),
+                      st.integers(-300, 299)).map(lambda t: t[0] * t[1] * 10.0 ** t[2])
+    lams = np.array(data.draw(st.lists(st.lists(entry, min_size=n_groups, max_size=n_groups),
+                                       min_size=rows, max_size=rows)))
+    memb = G - beta[:, None]
+    smemb = memb * sign
+    cols, inv = np.unique(memb, axis=1, return_inverse=True)
+    inv = inv.ravel()
+    S, M = solver._certify(lams, cols)
+    for k, lam in enumerate(lams):
+        gemv = lam @ smemb    # the loop's decision input, over every cell
+        assert np.all(np.abs(gemv - sign * S[k, inv]) <= M[k, inv])
+        assert lam.any() or not M[k].any()
+
+
+def _with_zero_mass_cell(dist, score, like):
+    # dist and one more cell, of mass 0, with cell like's groups and a
+    # score on the 2**-52 grid: its decisions leave every rate as it was
+    bits = dist.group_matrix.T.astype(np.uint8)
+    return CellDistribution.from_arrays(
+        2 ** 52, dist.groups, np.append(dist.scores, score), np.append(dist.masses, 0.0),
+        None, np.vstack((bits, bits[like])))
+
+
+def test_a_near_tie_stops_blocks_at_the_margin_and_keeps_the_loops_bits():
+    # SP: a zero-mass cell with threshold d = 2f - 1 set to the largest S the
+    # loop's gemv gives it, so it is decided every round and one round's S
+    # lies within M of d; inside a block that row fails its certificate with
+    # a right guess, a margin stop, and the loop runs it
+    base, _ = make_dist(2, n_cells=8, n_groups=2, grid_m=20, profile="two_group_bias")
+    stops = 0
+    for C, like in itertools.product((2.0, 1.0), range(base.n_cells)):
+        cfg = SolverConfig(notion="sp", gamma=0.01, C=C, T=3000)
+        probe = _with_zero_mass_cell(base, 1.0, like)    # d = 1 exceeds every S here
+        first = run(probe, cfg)
+        memb = probe.group_matrix - base_rates(probe, "sp").beta[:, None]
+        S = np.array([lam @ memb for lam in first.lambdas])[:, -1]    # the loop's gemv
+        top = int(S.argmax())
+        if not 0.0 < S[top] < 1.0:    # no f in (1/2, 1) puts d there
+            continue
+        f = (1.0 + S[top]) / 2.0    # the least f whose 2f - 1 is at least S[top]
+        while 2.0 * f - 1.0 < S[top]:
+            f = np.nextafter(f, 2.0)
+        while 2.0 * np.nextafter(f, 0.0) - 1.0 >= S[top]:
+            f = np.nextafter(f, 0.0)
+        _, M = solver._certify(first.lambdas[top:top + 1], memb[:, -1:])
+        assert 0.0 <= (2.0 * f - 1.0) - S[top] < M[0, 0]
+        tied = _with_zero_mass_cell(base, f, like)
+        got = run(tied, cfg)
+        assert got.lambdas.tobytes() == first.lambdas.tobytes()
+        _assert_same_run(got, reference_run_loop(tied, cfg))
+        stops += got.speculation["margin_stops"]
+    assert stops >= 1
 
 
 @pytest.mark.parametrize("n_cols", [2, 4, 6, 24])
@@ -818,7 +908,8 @@ def test_speculative_blocks_carry_the_fixture_run(biased_instance):
     # sampled runs go round by round
     got = run_sampled(biased_instance, 5, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=300),
                       0.1, 0.1)
-    assert got.speculation == {"blocks": 0, "speculated_rounds": 0}
+    assert got.speculation == {"blocks": 0, "speculated_rounds": 0, "columns": 3,
+                               "margin_stops": 0}
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
