@@ -61,9 +61,7 @@ class InputError(ValueError):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 # ---------------------------------------------------------------- datasets

@@ -58,6 +58,12 @@ def grid_indices(x, m: int) -> np.ndarray:
     return np.clip(np.floor(x * m + 0.5), 0, m).astype(np.int64)
 
 
+def _zero_one(a: np.ndarray) -> np.ndarray:
+    """Elementwise a == 0 or a == 1; all False for a str, bytes or datetime
+    array, which numpy 1.24 would compare with 0 as one scalar False."""
+    return np.zeros(a.shape, bool) if a.dtype.kind in "USM" else (a == 0) | (a == 1)
+
+
 def _check_grid(grid_m) -> None:
     """Refuse a grid_m that operator.index would not take (a float), a bool, or one below 1."""
     if isinstance(grid_m, bool) or not hasattr(grid_m, "__index__") or grid_m < 1:
@@ -105,7 +111,7 @@ class CellDistribution:
         bits = np.asarray(bits)
         if bits.shape != (len(scores), groups.count):
             raise ValueError("bits must be an (n_cells, n_groups) membership matrix")
-        if not np.isin(bits, (0, 1)).all():
+        if not _zero_one(bits).all():
             raise ValueError("group indicators must be 0 or 1")
         bits = bits.astype(np.uint8, copy=False)
         if label_means is not None:
@@ -220,17 +226,19 @@ def decision_thresholds(f, notion: FairnessNotion):
     A point's Lagrangian contribution at decision h is f + (1-2f)h + S(a + b*h),
     with (a, b) the notion's row of rate_terms and S = sum_g lambda_g (g - beta_g),
     so h = 1 is a minimizer exactly when b*S <= 2f - 1; exact ties go to 1.
-    Dividing by |b| gives s = -1 where b < 0 (else 1) and d = (2f - 1)/|b|;
-    a cell with b = 0 always decides 1 (d = +inf) when 2f - 1 >= 0, and never
-    (d = -inf) otherwise.  Subnormal b may overflow d to +-inf, which is the
-    correct decision for every finite S.
+    Dividing by |b| gives s = -1 where b < 0 (else 1) and d = (2f - 1)/|b|, in
+    one division; then a cell with b = 0 (FP at f = 1, FN at f = 0, ERR's 0/0 at
+    f = 1/2) gets d = +inf (always 1) when 2f - 1 >= 0 and -inf (never) otherwise.
+    Subnormal b may overflow d to +-inf, the correct decision for every finite S.
     """
     f = np.asarray(f, dtype=float)
-    b = np.broadcast_to(rate_terms(notion, f)[1], f.shape)
+    b = rate_terms(notion, f)[1]
     margin = 2.0 * f - 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = np.where(b == 0, np.where(margin >= 0, np.inf, -np.inf), margin / np.abs(b))
-    return np.where(b < 0, -1.0, 1.0), d
+        d = np.divide(margin, np.abs(b), out=np.empty(f.shape))
+    if not np.all(b):
+        np.copyto(d, np.where(margin >= 0, np.inf, -np.inf), where=b == 0)
+    return np.where(b < 0, -1.0, np.ones(f.shape)), d
 
 
 def decide_batch(S, f, notion: FairnessNotion):
@@ -330,7 +338,7 @@ class MixtureClassifier:
         groups = np.asarray(groups)
         if groups.shape != (len(scores), self.lambdas.shape[1]):
             raise ValueError("groups must be an (n_points, n_groups) membership matrix")
-        if not np.isin(groups, (0, 1)).all():
+        if not _zero_one(groups).all():
             raise ValueError("group indicators must be 0 or 1")
         if not np.all((scores >= 0) & (scores <= 1)):    # NaN too
             raise ValueError("scores must lie in [0, 1]")
@@ -397,7 +405,7 @@ def aggregate_cells(scores, bits, labels, grid_m: int,
     row = _first_bad((scores >= 0.0) & (scores <= 1.0))
     if row is not None:
         raise ValueError(f"row {row}: score {float(scores[row])!r} outside [0, 1]")
-    row = _first_bad(((bits == 0) | (bits == 1)).all(axis=1))
+    row = _first_bad(_zero_one(bits).all(axis=1))
     if row is not None:
         raise ValueError(f"row {row}: group indicators must be 0 or 1")
     bits = bits.astype(np.uint8, copy=False)
@@ -405,7 +413,7 @@ def aggregate_cells(scores, bits, labels, grid_m: int,
         labels = np.asarray(labels).reshape(-1)
         if len(labels) != n:
             raise ValueError("labels and scores have different lengths")
-        row = _first_bad((labels == 0) | (labels == 1))
+        row = _first_bad(_zero_one(labels))
         if row is not None:
             raise ValueError(f"row {row}: label must be 0 or 1")
 

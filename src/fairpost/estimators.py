@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FairnessNotion, _group_rows, aggregate_cells, grid_indices
+from .core import FairnessNotion, _group_rows, _zero_one, aggregate_cells, grid_indices
 from .core import build_cells  # noqa: F401  (bench/spans.py traces it by this name)
 from . import multical
 from .multical import calibrate, default_checks, replay
@@ -44,7 +44,7 @@ def check_scores_groups(scores, groups, y=None):
         groups = groups[:, None]
     if groups.shape[0] != scores.shape[0]:
         raise ValueError("scores and groups have different lengths")
-    if not np.all(np.isin(groups, (0, 1))):
+    if not _zero_one(groups).all():
         raise ValueError("group indicators must be 0 or 1")
     if not np.all((scores >= 0) & (scores <= 1)):
         raise ValueError("scores must lie in [0, 1]")
@@ -52,7 +52,7 @@ def check_scores_groups(scores, groups, y=None):
         y = np.asarray(y).ravel()
         if y.shape[0] != scores.shape[0]:
             raise ValueError("labels and scores have different lengths")
-        if not np.all(np.isin(y, (0, 1))):
+        if not _zero_one(y).all():
             raise ValueError("labels must be 0 or 1")
     return scores, groups.astype(int), y
 
@@ -103,17 +103,10 @@ class FairThresholdPostprocessor(_ParamsMixin):
         config = SolverConfig(**{k: v for k, v in self.get_params().items() if k != "grid_m"})
         scores, groups, y = check_scores_groups(scores, groups, y)
         dist = aggregate_cells(scores, groups, y, self.grid_m, group_names)
-        result = run(dist, config)
-        self.result_ = result
-        self.mixture_ = result.mixture
-        self.base_ = result.mixture.base
-        self.distribution_ = dist
-        self.n_groups_ = groups.shape[1]
+        self.result_ = result = run(dist, config)
+        self.mixture_, self.base_ = result.mixture, result.mixture.base
+        self.distribution_, self.n_groups_ = dist, groups.shape[1]
         return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "mixture_"):
-            raise NotFittedError("call fit() before predicting")
 
     def predict_proba(self, scores, groups) -> np.ndarray:
         """Positive probability of the randomized classifier per point.
@@ -121,7 +114,8 @@ class FairThresholdPostprocessor(_ParamsMixin):
         A score is first snapped to the 1/grid_m grid, as fit snapped it
         into its cell, so a training point gets its cell's probability.
         """
-        self._check_fitted()
+        if not hasattr(self, "mixture_"):
+            raise NotFittedError("call fit() before predicting")
         scores, groups, _ = check_scores_groups(scores, groups)
         if groups.shape[1] != self.n_groups_:
             raise ValueError("group matrix width changed between fit and predict")
@@ -154,12 +148,10 @@ class JointMulticalibrator(_ParamsMixin):
             raise ValueError("calibration requires labels")
         dist = aggregate_cells(scores, groups, y, self.grid_m, group_names)
         base = base_rates(dist, FairnessNotion.FP, "from_labels")
-        checks = default_checks(dist, base, n_random=self.n_random_checks,
-                                C=self.C, seed=self.seed)
-        self.checks_ = checks
+        self.checks_ = checks = default_checks(dist, base, n_random=self.n_random_checks,
+                                               C=self.C, seed=self.seed)
         self.result_ = calibrate(dist.scores, checks, dist, self.alpha)
-        self.distribution_ = dist
-        self.n_groups_ = groups.shape[1]
+        self.distribution_, self.n_groups_ = dist, groups.shape[1]
         return self
 
     def transform(self, scores, groups) -> np.ndarray:

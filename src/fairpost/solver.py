@@ -300,9 +300,8 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
             speculate, next_try = False, T + 1
         return terms
 
-    def by_id():    # the cached terms, dual steps and caps on S
-        return (list(cache.values()), np.array([v[0] for v in cache.values()]),
-                np.array([v[4] for v in cache.values()]))
+    def by_id():    # per pattern id: the dual steps, caps on S and (err_hat, max violation)
+        return tuple(np.array([v[i] for v in cache.values()]) for i in (0, 4, slice(1, 3)))
 
     def bring_back():
         # the exact L1 test, and the projection, once the quick sum exceeds
@@ -346,7 +345,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                 tables = by_id()
             pattern = (ids[n - lag:] * (w // lag + 1))[:w]
             guess = np.frombuffer(pattern, np.uint8).astype(np.intp)
-            steps = np.take(tables[1], guess, axis=0)
+            steps = np.take(tables[0], guess, axis=0)
             # duals after rounds n.. n + w: the sequential sums clipped at 0,
             # right where a column stays positive or at 0; where they fail the
             # loop's update, the duals lag rounds back, as a column bouncing
@@ -359,7 +358,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                 held = np.maximum(0.0, V[:-1] + steps) == V[1:]
             lams = np.subtract(V[:-1, :n_groups], V[:-1, n_groups:], out=lam_hist[n:n + w])
             # the rows before the first whose update failed or whose M -+ S passed a cap
-            (S, M), caps = _certify(lams, cols), np.take(tables[2], guess, axis=0)
+            (S, M), caps = _certify(lams, cols), np.take(tables[1], guess, axis=0)
             ok = np.concatenate((held, M - S <= caps[:, 0], M + S <= caps[:, 1]), axis=1)
             miss_at = int(ok.argmin())
             kept = miss_at // ok.shape[1] if not ok.flat[miss_at] else w
@@ -375,10 +374,13 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
             ids.extend(pattern[:kept])
             pid[n:n + kept] = guess[:kept]
             window[np.arange(n + 1, n + kept + 1) % len(window)] = V[1:kept + 1]
-            for t in range(n + 1 + (-n) % record_every, n + kept + 1, record_every):
-                err_hat, max_violation = tables[0][pattern[t - n - 1]][1:3]
-                trajectory.append(TrajectoryRecord(t, err_hat, max_violation, float(
-                    V[t - n, :n_groups].sum() + V[t - n, n_groups:].sum())))
+            # records of rounds n + 1 + rec: one gather, L1 norms summed as the loop sums them
+            rec = np.arange((-n) % record_every, kept, record_every)
+            if rec.size:
+                halves = V[rec + 1].reshape(len(rec), 2, n_groups).sum(axis=2)
+                trajectory.extend(map(TrajectoryRecord, (n + 1 + rec).tolist(),
+                                      *tables[2][guess[rec]].T.tolist(),
+                                      (halves[:, 0] + halves[:, 1]).tolist()))
         blocks, kept_rounds = blocks + 1, kept_rounds + kept
         width = max(BLOCK_WIDTH[0], 2 * kept)
         wait = 1 if kept >= BLOCK_MIN_KEPT else min(2 * wait, BLOCK_MAX_WAIT)

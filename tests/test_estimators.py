@@ -14,12 +14,14 @@ from fairpost import (
     audit,
     calibrate,
 )
+from fairpost import core
 from fairpost.estimators import check_scores_groups
 from fairpost.multical import assignment_from_scores, replay
 
 from conftest import make_dist
 from reference_cells import cells_of, mask_from_bits, snap_to_grid
 from reference_checks import apply_patches
+import reference_thresholds
 
 
 def _sample_arrays(rng, dist, n):
@@ -69,6 +71,28 @@ def test_postprocessor_predict_samples_labels(rng):
     assert set(np.unique(labels)) <= {0, 1}
     again = est.predict(scores[:100], groups[:100], random_state=0)
     assert np.array_equal(labels, again)
+
+
+@pytest.mark.parametrize("notion", ["fp", "fn", "err", "sp"])
+def test_predict_proba_equals_the_reference_threshold_path(notion, monkeypatch):
+    # predict_proba through the one-division threshold form against the same
+    # call through the nested-where reference, bit for bit, on batches of
+    # 1, 499 and 500 points and on either side of one evaluation chunk
+    rng = np.random.Generator(np.random.PCG64(62))
+    dist, _ = make_dist(62, n_cells=12, n_groups=3, grid_m=20)
+    est = FairThresholdPostprocessor(notion=notion, gamma=0.01, C=5.0, T=3000, grid_m=20)
+    est.fit(*_sample_arrays(rng, dist, 4000))
+    K = len(est.mixture_)
+    assert K > 1
+    chunk = core._EVAL_ENTRIES // K
+    for n in (1, 499, 500, chunk - 1, chunk + 1):
+        scores = np.concatenate(([0.0, 0.5, 1.0], rng.uniform(size=n)))[:n]
+        groups = rng.integers(0, 2, size=(n, est.n_groups_))
+        got = est.predict_proba(scores, groups)
+        with monkeypatch.context() as m:
+            m.setattr(core, "decision_thresholds", reference_thresholds.decision_thresholds)
+            want = est.predict_proba(scores, groups)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_postprocessor_requires_fit():

@@ -738,6 +738,22 @@ def test_round_body_matches_parent_loop_with_gap():
     assert got.counters["projections"] > 0
 
 
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_block_records_past_eight_groups_match_the_loop(notion):
+    # a block sums the record rows' lambda+ and lambda- halves in one
+    # row-wise sum; with 10 groups plus I each half has 11 terms, past the
+    # 8 at which numpy's pairwise sum changes its order
+    dist, _ = make_dist(9, n_cells=40, n_groups=10, grid_m=20)
+    cfg = SolverConfig(notion=notion, gamma=0.01, C=2.0, T=6000, record_every=3)
+    got = run(dist, cfg)
+    assert dist.n_groups == 11 and got.speculation["speculated_rounds"] >= 300
+    want = reference_run_loop(dist, cfg)
+    # the first differing record, before the whole-trajectory repr comparison
+    off = [(a, b) for a, b in zip(got.trajectory, want.trajectory) if a != b]
+    assert not off, off[0]
+    _assert_same_run(got, want)
+
+
 def _assert_ball_boundary(dist, notion, eta, gamma=0.01):
     # C set to the exact L1 total after round 1, and one double either
     # side: the quick sum lets each through, and only the exact test tells

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from fairpost.core import FairnessNotion, decide_batch, decision_thresholds
 
+import reference_thresholds
+
 NOTIONS = st.sampled_from(list(FairnessNotion))
 BAND = 4 * Fraction(np.finfo(float).eps)
 
@@ -130,3 +132,21 @@ def test_zero_denominator_rows_and_ties():
         pairs = np.array(_aimed(f, notion))
         ties += _check(pairs[:, 1], pairs[:, 0], notion)
     assert ties > 0
+
+
+subnormals = st.floats(min_value=0.0, max_value=np.finfo(float).tiny, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=grid_scores(), extra=st.lists(subnormals, max_size=6), notion=NOTIONS,
+       scalar=st.booleans())
+def test_threshold_form_equals_the_reference_bit_for_bit(f, extra, notion, scalar):
+    # the one-division form against the nested-where one, both outputs,
+    # signed zeros and infinities included, for arrays and for 0-d inputs
+    f = np.concatenate((f, extra, [1e-320, 0.5]))
+    inputs = [np.float64(v) for v in f.tolist()] + [float(f[0])] if scalar else [f, f[:, None]]
+    for x in inputs:
+        for got, want in zip(decision_thresholds(x, notion),
+                             reference_thresholds.decision_thresholds(x, notion)):
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
