@@ -533,7 +533,6 @@ def cmd_sweep(args) -> int:
             rows.append((gamma, err_hat, None, float(np.abs(cons).max())))
         else:
             rows.append((gamma, err_hat, rep.err, rep.max_violation))
-        del result    # so the sweep holds one lambda history at a time
     frame.stage("sweep")
     # status is always "ok": a failed run fails the sweep
     _write_csv(frame.file("pareto.csv"), PARETO_SCHEMA,

@@ -46,20 +46,14 @@ __all__ = [
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when T * n_cells would exceed the configured work cap, the
-    (T, n_groups) lambda history would exceed LAMBDA_HISTORY_CAP bytes, or
-    the auto budget T or a sample size would pass the float range."""
+    """Raised when T * n_cells would exceed the configured work cap, or the
+    auto budget T or a sample size would pass the float range."""
 
 
 # iteration_budget refuses C below the least C whose square is not 0 (0 rounds), SolverConfig
 # below the least C whose theorem slack 1/C + 2/C^2 is finite, so no report holds inf.
 C_MIN, C_SLACK_MIN = 1.5717277847026288e-162, 1.0547686614863001e-154
 
-
-# Each run keeps one float64 lambda row per round: T * n_groups * 8 bytes,
-# and a run whose history would pass this cap is refused before it starts.
-# sweep runs its gammas one after another and holds one history.
-LAMBDA_HISTORY_CAP = 1 << 30
 
 # Speculative blocks of exact runs: the predictor's suffix lengths and lag, the block
 # widths and their cap on rows x distinct columns, and the backoff (README "Speculative blocks").
@@ -139,13 +133,10 @@ class TrajectoryRecord:
 
 @dataclass
 class SolveResult:
-    """One run: the mixture over its distinct rules (its BaseRates are the
-    run's), the (T, |G|) duals the rounds played, the dual (lambda+,
-    lambda-), (2|G|,), after the last round, and eta.  duality_gap certifies
-    the mixture, or the uniform one over lambdas[:t]."""
+    """One run: the mixture over its distinct rules (its BaseRates are the run's),
+    the dual (lambda+, lambda-), (2|G|,), after the last round, and eta."""
 
     mixture: MixtureClassifier
-    lambdas: np.ndarray
     final_dual: np.ndarray
     trajectory: List[TrajectoryRecord]
     theorem_bounds: dict
@@ -218,10 +209,6 @@ def _resolve_schedule(config: SolverConfig, n_groups: int, n_cells: int):
         raise BudgetExceededError(
             f"budget exceeded: T*cells = {T * n_cells:.3g} > work cap "
             f"{config.work_cap:.3g}; lower C or raise work_cap")
-    if T * n_groups * 8 > LAMBDA_HISTORY_CAP:
-        raise BudgetExceededError(
-            f"budget exceeded: lambda history T*groups*8 = {T * n_groups * 8:.3g} bytes "
-            f"> cap {LAMBDA_HISTORY_CAP:.3g} bytes; lower C or T")
     eta = config.C / math.sqrt(2.0 * n_groups * T) if config.eta == "auto" else config.eta
     return T, eta
 
@@ -239,16 +226,14 @@ def _theorem_bounds(C: float, epsilon: float = 0.0) -> dict:
 def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> SolveResult:
     """Primal/dual rounds of one config.  The dual is one array (lambda+,
     lambda-), (2|G|,), stepped, clipped at 0 and, off the ball, projected in
-    place; lam_p and lam_m view its halves, and round t plays lam_hist[t - 1]
-    = lam_p - lam_m.  The best response is the per-cell threshold form of
-    decide_batch: one gemv and one compare per round.  The dual step depends
-    only on the 0/1 decision pattern, so exact-rate runs compute it once per
-    distinct pattern and replay recurring patterns in speculative blocks
-    (block); sampled rounds recompute it every round.  The mixture holds one
-    rule per pattern, weighted by its rounds (pid): the mean of their duals,
-    or the first one's where the mean decides otherwise on the cells.
-    duality_gap and the sampled rates' deviations are functions of the
-    returned rules and duals."""
+    place; lam_p and lam_m view its halves, and round t plays lam_p - lam_m.
+    The best response is the per-cell threshold form of decide_batch: one
+    gemv and one compare per round.  The dual step depends only on the 0/1
+    decision pattern, so exact-rate runs compute it once per distinct
+    pattern and replay recurring patterns in speculative blocks (block);
+    sampled rounds recompute it every round.  The mixture holds one rule per
+    pattern, weighted by its rounds: the mean of their duals, summed in round
+    order (flush), or the first one's where the mean decides otherwise."""
     notion = config.notion
     base = base_rates(dist, notion)
     f = dist.scores
@@ -278,9 +263,11 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
 
     dual = np.zeros(2 * n_groups)    # lambda+ then lambda-, updated in place
     lam_p, lam_m = dual[:n_groups], dual[n_groups:]
-    lam_hist = np.empty((T, n_groups))
-    pid = np.empty(T, dtype=np.int32)    # round t's pattern id in pid[t - 1]
-    cache = {}    # decision pattern -> terms and pattern id
+    cache = {}    # decision pattern -> terms, pattern id, caps on S and first dual
+    # the duals and pattern ids of the rounds since the last flush in buf[:k] and buf_ids[:k]
+    buf = np.empty((min(T, 4 * BLOCK_WIDTH[1]), n_groups))
+    buf_ids, k = np.empty(len(buf), np.intp), 0
+    sums, counts = np.zeros((0, n_groups)), np.zeros(0, np.int64)    # per pattern id
     record_every = config.record_every
     trajectory: List[TrajectoryRecord] = []
     projections = 0
@@ -293,15 +280,25 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         # the terms of a decision pattern not met before, and the caps on (-S, S) per column
         # that its decisions imply: s*S <= d, or -s*S <= nextafter(-d, -inf) where not decided
         nonlocal speculate, next_try
-        h, bound = np.frombuffer(key, dtype=bool), np.full(2 * P, np.inf)
-        np.minimum.at(bound, inv + P * (h == up), np.where(h, thresh, below))
-        terms = cache[key] = round_terms(h, masses) + (len(cache), bound.reshape(2, P))
+        h, bound = np.frombuffer(key, dtype=bool), np.full((2, P), np.inf)
+        np.minimum.at(bound.ravel(), inv + P * (h == up), np.where(h, thresh, below))
+        terms = cache[key] = round_terms(h, masses) + (len(cache), bound, lam_p - lam_m)
         if terms[3] > 255:
             speculate, next_try = False, T + 1
         return terms
 
     def by_id():    # per pattern id: the dual steps, caps on S and (err_hat, max violation)
         return tuple(np.array([v[i] for v in cache.values()]) for i in (0, 4, slice(1, 3)))
+
+    def flush():
+        # one 1-D np.add.at per group adds in index order, as np.bincount(ids, weights) does
+        nonlocal sums, counts, k
+        grow = len(cache) - len(counts)
+        sums, counts = np.pad(sums, ((0, grow), (0, 0))), np.pad(counts, (0, grow))
+        for g in range(n_groups):
+            np.add.at(sums[:, g], buf_ids[:k], buf[:k, g])
+        counts += np.bincount(buf_ids[:k], minlength=len(counts))
+        k = 0
 
     def bring_back():
         # the exact L1 test, and the projection, once the quick sum exceeds
@@ -326,7 +323,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         # guess that rounds n + 1.. replay the ids that followed the latest
         # earlier occurrence of the longest recurring suffix of the ids, keep
         # the prefix that the loop's own arithmetic confirms and skip it
-        nonlocal next_try, width, wait, tables, blocks, kept_rounds, recheck
+        nonlocal next_try, width, wait, tables, blocks, kept_rounds, recheck, k
         window[np.arange(n + 1 - len(recent), n + 1) % len(window)] = recent
         recent.clear()
         lag, size = 0, BLOCK_CONTEXT[0]
@@ -356,7 +353,9 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                 np.copyto(V[1:], window[(n - lag + 1 + np.arange(w) % lag) % len(window)],
                           where=~held.all(axis=0))
                 held = np.maximum(0.0, V[:-1] + steps) == V[1:]
-            lams = np.subtract(V[:-1, :n_groups], V[:-1, n_groups:], out=lam_hist[n:n + w])
+            if k + w > len(buf):
+                flush()
+            lams = np.subtract(V[:-1, :n_groups], V[:-1, n_groups:], out=buf[k:k + w])
             # the rows before the first whose update failed or whose M -+ S passed a cap
             (S, M), caps = _certify(lams, cols), np.take(tables[1], guess, axis=0)
             ok = np.concatenate((held, M - S <= caps[:, 0], M + S <= caps[:, 1]), axis=1)
@@ -372,7 +371,7 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
                 bring_back()
                 V[kept] = dual
             ids.extend(pattern[:kept])
-            pid[n:n + kept] = guess[:kept]
+            buf_ids[k:k + kept], k = guess[:kept], k + kept
             window[np.arange(n + 1, n + kept + 1) % len(window)] = V[1:kept + 1]
             # records of rounds n + 1 + rec: one gather, L1 norms summed as the loop sums them
             rec = np.arange((-n) % record_every, kept, record_every)
@@ -390,12 +389,14 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
     zeros, t = np.zeros(2 * n_groups), 0
     while t < T:
         t += 1
-        lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
+        if k == len(buf):
+            flush()
+        lam = np.subtract(lam_p, lam_m, out=buf[k])
         h = lam @ smemb <= thresh
 
         key = h.tobytes()
         row_terms = cache.get(key) or miss(key)
-        pid[t - 1] = row_terms[3]
+        buf_ids[k], k = row_terms[3], k + 1
         margin_stops += t == recheck[0] and row_terms[3] == recheck[1]
         if sampler is not None:
             row_terms = round_terms(h, sampler(t))
@@ -418,16 +419,15 @@ def _run_loop(dist: CellDistribution, config: SolverConfig, sampler=None) -> Sol
         if t >= next_try:
             t += block(t)
 
-    weights = np.bincount(pid)
-    rules = np.stack([np.bincount(pid, weights=lam) for lam in lam_hist.T], 1) / weights[:, None]
+    flush()
+    rules = sums / counts[:, None]
     # one pass over the K candidates, through the mixture's own ordered sum
     patterns = np.frombuffer(b"".join(cache), bool).reshape(len(cache), n_cells)
     off = (decide_batch(group_sums(rules, beta, G), f, notion) != patterns).any(axis=1)
     if off.any():
-        rules[off] = lam_hist[np.unique(pid, return_index=True)[1][off]]
+        rules[off] = np.array([v[5] for v in cache.values()])[off]
     return SolveResult(
-        mixture=MixtureClassifier(rules, base, weights),
-        lambdas=lam_hist,
+        mixture=MixtureClassifier(rules, base, counts),
         final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
@@ -450,7 +450,7 @@ def duality_gap(mixture: MixtureClassifier, dist: CellDistribution,
                 gamma: float, C: float) -> float:
     """Upper minus lower bound on the value of the C-bounded Lagrangian game
     on dist (f = its scores), from the mixture's rules alone (the uniform
-    mixture over a run's lambdas[:t] gives round t's); it bounds
+    mixture over the first t rounds' duals gives round t's); it bounds
     err(mixture) - OPT from above.  Upper: the mixture's positive
     probabilities p against the best vertex of the dual ball, err(p) +
     C max(0, max|c(p)| - gamma).  Lower: the dual function at the weighted
@@ -478,7 +478,7 @@ def run_sampled(population: CellDistribution, sampler_seed: int,
     """Dynamics with each round's rates estimated from a fresh i.i.d. sample,
     round by round: round t's sample is the t-th multinomial(m, masses) draw
     of PCG64(sampler_seed), m = sample_size(T, |G|, epsilon, delta), so a
-    replay of that stream recovers the rates of each round in lambdas.
+    replay of that stream, with the rounds' duals, recovers each round's rates.
     An m past the int64 range raises BudgetExceededError before any round.
     The theorem slacks widen by the 8*epsilon terms.
     """

@@ -3,12 +3,15 @@ and the best response decided one point at a time.
 
 `reference_run_loop` keys its step cache by `np.packbits(h).tobytes()` and
 runs the exact `lam_p.sum() + lam_m.sum() > C` test every round; its dual
-is the one (2|G|,) array, lambda+ then lambda-, that `project_l1` takes.  The tests
-require `solver.run` to give byte-equal lambdas, an equal trajectory and
-equal counters.  On request it also keeps the in-loop duality gap
-(`_gap_estimate`, from running sums) and each sampled round's rate
-deviations, the references for `solver.duality_gap` and for
-`replay_deviations`, which recompute both from the returned lambdas.
+is the one (2|G|,) array, lambda+ then lambda-, that `project_l1` takes.  It
+keeps the (T, |G|) duals its rounds played and each round's pattern id, and
+`distinct_rules` makes its mixture from them with `np.bincount`, the form
+`solver.run` had while it kept the same history.  The tests require
+`solver.run` to give a byte-equal mixture and final dual, an equal
+trajectory and equal counters.  On request it also keeps the in-loop
+duality gap (`_gap_estimate`, from running sums) and each sampled round's
+rate deviations, the references for `solver.duality_gap` and for
+`replay_deviations`, which recompute both from the reference's lambdas.
 
 `decide` is one threshold rule's decision at one point, and
 `pointwise_argmin` evaluates both decisions' Lagrangian contributions from
@@ -21,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from fairpost.core import (BaseRates, CellDistribution, MixtureClassifier, decide_batch,
-                           decision_thresholds)
+                           decision_thresholds, group_sums)
 from fairpost.metrics import _constraint, base_rates, error_rate, group_rates, rate_terms
 from fairpost.solver import (
     SolveResult,
@@ -38,10 +41,15 @@ from reference_cells import bits_from_mask
 
 @dataclass
 class ReferenceResult(SolveResult):
-    """A reference run, with the in-loop gap of each trajectory record (None
-    unless compute_gap) and the (T, |G|) sampled-rate deviations (None
-    unless record_deviation)."""
+    """A reference run, with the (T, |G|) duals its rounds played, each
+    round's pattern id (numbered in order of first play) and the (K, cells)
+    patterns, the in-loop gap of each trajectory record (None unless
+    compute_gap) and the (T, |G|) sampled-rate deviations (None unless
+    record_deviation)."""
 
+    lambdas: Optional[np.ndarray] = None
+    pids: Optional[np.ndarray] = None
+    patterns: Optional[np.ndarray] = None
     gaps: Optional[List[float]] = None
     deviations: Optional[np.ndarray] = None
 
@@ -111,15 +119,20 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
     trajectory: List[TrajectoryRecord] = []
     gaps = [] if compute_gap else None
     deviations = np.zeros((T, n_groups)) if record_deviation else None
-    cache = {}
+    cache, ids, patterns = {}, {}, []    # ids: decision pattern -> pattern id
+    pids = np.empty(T, dtype=np.intp)
     projections = 0
 
     for t in range(1, T + 1):
         lam = np.subtract(lam_p, lam_m, out=lam_hist[t - 1])
         h = lam @ smemb <= thresh
 
+        key = np.packbits(h).tobytes()
+        if key not in ids:
+            ids[key] = len(patterns)
+            patterns.append(h)
+        pids[t - 1] = ids[key]
         if sampler is None:
-            key = np.packbits(h).tobytes()
             terms = cache.get(key)
             if terms is None:
                 terms = cache[key] = round_terms(h, masses)
@@ -153,19 +166,51 @@ def reference_run_loop(dist: CellDistribution, config: SolverConfig, sampler=Non
                 lambda_l1=float(lam_p.sum() + lam_m.sum()),
             ))
 
+    patterns = np.array(patterns)
     return ReferenceResult(
-        mixture=MixtureClassifier(lam_hist, base),
-        lambdas=lam_hist,
+        mixture=distinct_rules(lam_hist, pids, patterns, dist, base),
         final_dual=dual,
         trajectory=trajectory,
         theorem_bounds=_theorem_bounds(C),
         T=T,
         eta=eta,
         counters={"rounds": T, "projections": projections,
-                  "distinct_decisions": len(cache)},
+                  "distinct_decisions": len(patterns)},
+        lambdas=lam_hist,
+        pids=pids,
+        patterns=patterns,
         gaps=gaps,
         deviations=deviations,
     )
+
+
+def distinct_rules(lambdas, pids, patterns, dist: CellDistribution,
+                   base: BaseRates) -> MixtureClassifier:
+    """The mixture of a run's rounds, one rule per decision pattern, weighted
+    by its rounds: the mean of their duals, np.bincount summing each group's
+    duals in round order, or the first one's where the mean decides
+    otherwise on the cells, through the mixture's own ordered sum."""
+    weights = np.bincount(pids)
+    rules = np.stack([np.bincount(pids, weights=lam) for lam in lambdas.T], 1) / weights[:, None]
+    S = group_sums(rules, base.beta, dist.group_matrix)
+    off = (decide_batch(S, dist.scores, base.notion) != patterns).any(axis=1)
+    if off.any():
+        rules[off] = lambdas[np.unique(pids, return_index=True)[1][off]]
+    return MixtureClassifier(rules, base, weights)
+
+
+def reference_run_sampled(population: CellDistribution, sampler_seed: int,
+                          config: SolverConfig, epsilon: float, delta: float,
+                          **options) -> ReferenceResult:
+    """reference_run_loop on run_sampled's rates: round t's sample is the t-th
+    multinomial draw of PCG64(sampler_seed), of m = sample_size(T, |G|,
+    epsilon, delta) points."""
+    T, _ = _resolve_schedule(config, population.n_groups, population.n_cells)
+    m = sample_size(T, population.n_groups, epsilon, delta)
+    rng = np.random.Generator(np.random.PCG64(sampler_seed))
+    weights = population.masses / population.masses.sum()
+    return reference_run_loop(population, config,
+                              sampler=lambda _t: rng.multinomial(m, weights) / m, **options)
 
 
 def replay_deviations(population: CellDistribution, sampler_seed: int, lambdas: np.ndarray,

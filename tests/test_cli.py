@@ -379,19 +379,6 @@ def test_budget_exit_code(dataset, tmp_path):
     assert "budget" in proc.stderr
 
 
-def test_lambda_history_cap_exit_code(tmp_path):
-    # 4 cells keep T*cells under the work cap at C=40; the 33 GB lambda
-    # history does not fit under the history cap
-    data = tmp_path / "four.csv"
-    data.write_text("id,score,g_I,g_a,g_b,g_c\n0,0.2,1,0,1,0\n1,0.4,1,1,0,0\n"
-                    "2,0.6,1,0,0,1\n3,0.8,1,1,1,1\n")
-    proc = run_cli("solve", str(data), "--C", "40", "--grid-m", "10",
-                   "--out-dir", str(tmp_path / "o"))
-    assert proc.returncode == 3
-    assert "lambda history" in proc.stderr
-    assert "3.34e+10 bytes > cap 1.07e+09 bytes" in proc.stderr
-
-
 def test_non_utf8_dataset_is_an_input_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"id,score,y,g_a\n0,0.5,1,1\n1,\xff\xfe,0,1\n")
@@ -519,18 +506,18 @@ def test_extreme_steps_and_balls_run(dataset, tmp_path, capsys, flags):
     assert json.loads((out / "report.json").read_text())["iterations"] == T
 
 
-def test_sweep_splits_gammas_to_fit_the_history_cap(dataset, tmp_path, monkeypatch, capsys):
-    from fairpost import solver
+def test_sweep_whose_first_gamma_cannot_run_writes_nothing(dataset, tmp_path, capsys):
     args = ["sweep", str(dataset), "--gammas", "0.2,0.01,0.05,0.0,0.1", "--C", "2",
             "--T", "300", "--grid-m", "20", "--svg"]
-    # no room for even one gamma: the sweep fails as solve does, with run's
-    # message and the budget exit code, and writes no pareto.csv
-    monkeypatch.setattr(solver, "LAMBDA_HISTORY_CAP", 300 * 3 * 8 - 1)
+    # no room for even one gamma under the work cap (300 rounds x 8 cells):
+    # the sweep fails as solve does, with run's message and the budget exit
+    # code, and writes no pareto.csv and no manifest.json
     over = tmp_path / "over"
-    assert main(args + ["--out-dir", str(over)]) == 3
+    assert main(args + ["--work-cap", str(300 * 8 - 1), "--out-dir", str(over)]) == 3
     assert capsys.readouterr().err.startswith(
-        "error: budget exceeded: lambda history T*groups*8 = 7.2e+03 bytes > cap")
+        "error: budget exceeded: T*cells = 2.4e+03 > work cap 2.4e+03")
     assert not (over / "pareto.csv").exists() and not (over / "manifest.json").exists()
+    assert main(args + ["--work-cap", str(300 * 8), "--out-dir", str(tmp_path / "fits")]) == 0
 
 
 def test_sweep_deterministic_and_sorted(dataset, tmp_path):

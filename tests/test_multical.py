@@ -18,7 +18,6 @@ from fairpost import (
     build_cells,
     calibrate,
     default_checks,
-    run,
 )
 from fairpost import multical
 from fairpost.core import decide_batch, decision_thresholds
@@ -33,7 +32,7 @@ from fairpost.multical import (
 from conftest import make_dist, rand_lambda
 from reference_cells import Cell, bits_from_mask, cells_of, dist_from_cells, snap_to_grid
 from reference_checks import Compiled, apply_patches, eval_point
-from reference_solver import decide, group_sum
+from reference_solver import decide, group_sum, reference_run_loop
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -269,7 +268,7 @@ def test_calibrate_guarantees_on_miscalibrated_fixture():
     exact, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
     base = _base(pert, "fp")
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
-    traj = run(pert, cfg).lambdas[::20][:10]
+    traj = reference_run_loop(pert, cfg).lambdas[::20][:10]
     checks = default_checks(pert, base, n_random=16, C=10.0, seed=9)
     checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
                for k, lam in enumerate(traj)]
@@ -534,7 +533,7 @@ def test_calibrate_matches_reference_on_miscalibrated_fixture():
     _, pert = make_dist(9, n_cells=60, n_groups=3, grid_m=20, miscalibration=0.5)
     base = _base(pert, "fp")
     cfg = SolverConfig(notion="fp", gamma=0.01, C=10.0, T=200, record_every=50)
-    traj = run(pert, cfg).lambdas[::20][:10]
+    traj = reference_run_loop(pert, cfg).lambdas[::20][:10]
     checks = default_checks(pert, base, n_random=16, C=10.0, seed=9)
     checks += [CheckFunction("threshold", (lam.copy(), base), name=f"traj[{k}]")
                for k, lam in enumerate(traj)]

@@ -12,7 +12,6 @@ from fairpost import (
     base_rates,
     constraint_vector,
     enumerate_optimum,
-    run,
     simplex_solve,
     surrogate_error,
 )
@@ -23,7 +22,7 @@ import reference_oracle
 from conftest import make_dist, rand_lambda
 from reference_cells import Cell, cells_of, dist_from_cells
 from reference_rates import lagrangian_value
-from reference_solver import decide, pointwise_argmin
+from reference_solver import decide, pointwise_argmin, reference_run_loop
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -171,11 +170,9 @@ def test_weak_duality_against_solver_duals(biased_instance):
     base = base_rates(dist, "fp", "from_scores")
     sol = enumerate_optimum(dist, base, gamma)
     cfg = SolverConfig(notion="fp", gamma=gamma, C=C, T=400, record_every=100)
-    res = run(dist, cfg)
-
-    # rule i best-responds to lambdas[i], so pairing them evaluates the
+    # rule i best-responds to round i's dual, so pairing them evaluates the
     # dual function there: a valid lower bound on the optimum
-    lambdas = res.lambdas
+    lambdas = reference_run_loop(dist, cfg).lambdas
     best_lower = -np.inf
     for i in range(0, len(lambdas), 7):
         lam = lambdas[i]

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
+import tracemalloc
 from typing import List
 
 import numpy as np
@@ -36,8 +38,9 @@ from conftest import make_dist, rand_lambda
 from reference_cells import cells_of
 from reference_rates import (_rate_terms, _solver_constraints, dual_gradient,
                              expanded_lagrangian, lagrangian_value)
-from reference_solver import (ReferenceResult, _gap_estimate, decide, pointwise_argmin,
-                              reference_run_loop, replay_deviations)
+from reference_solver import (ReferenceResult, _gap_estimate, decide, distinct_rules,
+                              pointwise_argmin, reference_run_loop, reference_run_sampled,
+                              replay_deviations)
 
 NOTIONS = ["fp", "fn", "err", "sp"]
 
@@ -287,9 +290,10 @@ def test_run_vacuous_gamma_keeps_dual_at_zero():
     assert np.all(M == 0.0)
     for dist, notion in itertools.product((dist, halves), NOTIONS):
         cfg = SolverConfig(notion=notion, gamma=1.0, C=5.0, T=200, record_every=50)
-        res = run(dist, cfg)
-        assert np.all(res.final_dual == 0.0)
-        assert np.all(res.lambdas == 0.0)
+        res, want = run(dist, cfg), reference_run_loop(dist, cfg)
+        _assert_same_run(res, want)
+        assert np.all(want.lambdas == 0.0) and np.all(res.final_dual == 0.0)
+        assert np.all(res.mixture.lambdas == 0.0)
         assert res.speculation["speculated_rounds"] >= 0.8 * cfg.T
         p = res.mixture.positive_prob_vector(dist)
         bayes = (dist.scores >= 0.5).astype(float)
@@ -300,11 +304,7 @@ def test_run_vacuous_gamma_keeps_dual_at_zero():
 
 def test_run_is_deterministic(biased_instance):
     cfg = SolverConfig(notion="fp", gamma=0.01, C=4.0, T=500, record_every=25)
-    a = run(biased_instance, cfg)
-    b = run(biased_instance, cfg)
-    assert np.array_equal(a.lambdas, b.lambdas)
-    assert [(r.t, r.err_hat, r.max_violation_hat, r.lambda_l1) for r in a.trajectory] == \
-           [(r.t, r.err_hat, r.max_violation_hat, r.lambda_l1) for r in b.trajectory]
+    _assert_same_run(run(biased_instance, cfg), run(biased_instance, cfg))
 
 
 def test_run_dual_feasibility(biased_instance):
@@ -321,21 +321,22 @@ def test_run_work_cap():
         run(dist, cfg)
 
 
-def test_lambda_history_cap():
-    # C=40 on 4 groups: T = 1,044,582,400 rounds.  On 4 cells T*cells stays
-    # under the default work cap, but the lambda history would take 33 GB.
-    from fairpost import build_cells
-    from fairpost.solver import LAMBDA_HISTORY_CAP
-    rows = [(0.2, (1, 0, 1, 0), None), (0.4, (1, 1, 0, 0), None),
-            (0.6, (1, 0, 0, 1), None), (0.8, (1, 1, 1, 1), None)]
-    dist = build_cells(rows, 10)
-    assert dist.n_cells == 4
-    cfg = SolverConfig(notion="fp", gamma=0.01, C=40.0, T="auto")
-    T = iteration_budget(40.0, 4)
-    assert T * 4 <= cfg.work_cap < T * 4 * 8
-    message = f"{T * 4 * 8:.3g} bytes > cap {LAMBDA_HISTORY_CAP:.3g} bytes"
-    with pytest.raises(BudgetExceededError, match=re.escape(message)):
-        run(dist, cfg)
+def test_memory_grows_with_the_patterns_not_the_rounds(biased_instance):
+    # the rounds' duals go into per-pattern sums through a buffer of at most
+    # 16,384 rows, so from T = 20,000 to T = 200,000 a run's traced peak grows
+    # by the pattern ids (1 B a round) and a trajectory record per 100
+    # rounds: far less than a history of each round's dual (|G| float64) and
+    # pattern id (int32) would add, (T2 - T1)(8|G| + 4) bytes
+    def peak(T):
+        tracemalloc.start()
+        try:
+            run(biased_instance, SolverConfig(notion="fp", gamma=0.01, C=10.0, T=T))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    history = (200_000 - 20_000) * (8 * biased_instance.n_groups + 4)
+    assert peak(200_000) - peak(20_000) < history / 4
 
 
 def test_trajectory_row_count(biased_instance):
@@ -446,13 +447,11 @@ def test_run_sampled_converges_to_exact():
 def test_run_sampled_is_reproducible():
     dist, _ = make_dist(2, n_cells=10, n_groups=2)
     cfg = SolverConfig(notion="fp", gamma=0.02, C=3.0, T=50, record_every=10)
-    a = run_sampled(dist, 5, cfg, 0.1, 0.1)
-    b = run_sampled(dist, 5, cfg, 0.1, 0.1)
-    assert np.array_equal(a.lambdas, b.lambdas)
+    _assert_same_run(run_sampled(dist, 5, cfg, 0.1, 0.1), run_sampled(dist, 5, cfg, 0.1, 0.1))
 
 
 def _prefix_gaps(result, dist, config, rounds):
-    """duality_gap of the first t rules of a run, for each t of rounds."""
+    """duality_gap of the first t rounds of a reference run, for each t of rounds."""
     lambdas, base = result.lambdas, result.mixture.base
     return [duality_gap(MixtureClassifier(lambdas[:t], base), dist, config.gamma, config.C)
             for t in rounds]
@@ -461,7 +460,7 @@ def _prefix_gaps(result, dist, config, rounds):
 def test_gap_estimate_nonnegative_and_shrinks():
     dist, _ = make_dist(4, n_cells=10, n_groups=1, grid_m=20)
     cfg = SolverConfig(notion="fp", gamma=0.01, C=1.0, T=4000, record_every=500)
-    gaps = _prefix_gaps(run(dist, cfg), dist, cfg, range(1, 4001, 500))
+    gaps = _prefix_gaps(reference_run_loop(dist, cfg), dist, cfg, range(1, 4001, 500))
     assert all(g >= -1e-9 for g in gaps)
     assert gaps[-1] <= gaps[0]
 
@@ -477,7 +476,7 @@ def test_duality_gap_never_looser_than_the_in_loop_gap(biased_instance, notion, 
     cfg = SolverConfig(notion=notion, gamma=gamma, C=C, eta=eta, T=3000, record_every=50)
     want = reference_run_loop(biased_instance, cfg, compute_gap=True)
     rounds = [r.t for r in want.trajectory]
-    gaps = _prefix_gaps(run(biased_instance, cfg), biased_instance, cfg, rounds)
+    gaps = _prefix_gaps(want, biased_instance, cfg, rounds)
     assert len(gaps) == len(want.gaps) == 60
     for t, gap, reference in zip(rounds, gaps, want.gaps):
         assert -1e-12 <= gap <= reference + 1e-12, (t, gap, reference)
@@ -495,7 +494,7 @@ def test_duality_gap_bounds_the_error_above_the_optimum(biased_instance, instanc
                             profile="adversarial_overlap")[1], 2000
         assert dist.n_groups == 13
     cfg = SolverConfig(notion=notion, gamma=0.01, C=10.0, T=T, record_every=T)
-    result = run(dist, cfg)
+    result = reference_run_loop(dist, cfg)
     opt = enumerate_optimum(dist, result.mixture.base, cfg.gamma).opt_value
     rounds = [1, 10, 100, T // 10, T // 2, T]
     for t, gap in zip(rounds, _prefix_gaps(result, dist, cfg, rounds)):
@@ -620,10 +619,11 @@ def _bits(a):
 
 
 def _assert_bit_equal(got, want, dist):
-    assert np.array_equal(_bits(got.lambdas), _bits(want.lambdas))
-    # repr round-trips every float, so equal reprs mean equal bits
-    assert repr(got.trajectory) == repr(want.trajectory)
-    assert np.array_equal(_bits(got.final_dual), _bits(want.final_dual))
+    # the dense loop's rounds, numbered by pattern as the solver numbers them
+    pids, patterns = _pattern_ids(_round_patterns(want.lambdas, want.mixture.base, dist))
+    rules = distinct_rules(want.lambdas, pids, patterns, dist, want.mixture.base)
+    # the dense loop keeps no counters
+    _assert_same_run(got, dataclasses.replace(want, mixture=rules, counters=got.counters))
     # the distinct-rule mixture counts on the cells as the T-rule one does
     assert np.array_equal(_bits(got.mixture.positive_prob_vector(dist)),
                           _bits(_reference_positive_prob_vector(want.mixture, dist)))
@@ -666,7 +666,7 @@ def test_threshold_kernel_matches_reference_sampled(biased_instance):
     assert got.theorem_bounds == want.theorem_bounds
     # sampled rounds step with their own rates but count their patterns
     assert got.counters["distinct_decisions"] == len(got.mixture) >= 1
-    assert _bits(replay_deviations(biased_instance, 5, got.lambdas, got.mixture.base,
+    assert _bits(replay_deviations(biased_instance, 5, want.lambdas, got.mixture.base,
                                    0.1, 0.1)).tobytes() == \
         _bits(want.deviations).tobytes()
 
@@ -674,17 +674,14 @@ def test_threshold_kernel_matches_reference_sampled(biased_instance):
 @pytest.mark.parametrize("notion", NOTIONS)
 @pytest.mark.parametrize("seed", [0, 5, 424242])
 def test_replayed_deviations_equal_the_in_loop_deviations(biased_instance, notion, seed):
-    # the sampler's stream, replayed against the returned rules, gives the
-    # deviations the reference loop recorded round by round, bit for bit
+    # the run equals the reference loop's, and the sampler's stream, replayed
+    # against its rounds' duals, gives the deviations it recorded round by
+    # round, bit for bit
     cfg = SolverConfig(notion=notion, gamma=0.01, C=3.0, T=300, record_every=10)
     got = run_sampled(biased_instance, seed, cfg, 0.1, 0.1)
-    m = sample_size(cfg.T, biased_instance.n_groups, 0.1, 0.1)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    weights = biased_instance.masses / biased_instance.masses.sum()
-    want = reference_run_loop(biased_instance, cfg, sampler=lambda _t: rng.multinomial(
-        m, weights) / m, record_deviation=True)
-    assert got.lambdas.tobytes() == want.lambdas.tobytes()
-    assert replay_deviations(biased_instance, seed, got.lambdas, got.mixture.base,
+    want = reference_run_sampled(biased_instance, seed, cfg, 0.1, 0.1, record_deviation=True)
+    _assert_same_run(got, want)
+    assert replay_deviations(biased_instance, seed, want.lambdas, got.mixture.base,
                              0.1, 0.1).tobytes() == \
         want.deviations.tobytes()
 
@@ -705,9 +702,14 @@ def test_threshold_kernel_matches_reference_on_ties():
 # raw decision bytes, quick L1 sum in front of the exact test).
 
 def _assert_same_run(got, want):
-    assert got.lambdas.tobytes() == want.lambdas.tobytes()
-    # repr round-trips every float, so equal reprs mean equal bits
-    assert repr(got.trajectory) == repr(want.trajectory)
+    # record by record, so a differing run fails at its first differing record
+    # at once; repr round-trips every float, so equal reprs mean equal bits
+    assert len(got.trajectory) == len(want.trajectory)
+    for a, b in zip(got.trajectory, want.trajectory):
+        assert repr(a) == repr(b)
+    # the rules and weights: each pattern's duals summed in round order
+    assert got.mixture.weights.tobytes() == want.mixture.weights.tobytes()
+    assert got.mixture.lambdas.tobytes() == want.mixture.lambdas.tobytes()
     assert got.counters == want.counters
     assert got.final_dual.tobytes() == want.final_dual.tobytes()
 
@@ -747,11 +749,7 @@ def test_block_records_past_eight_groups_match_the_loop(notion):
     cfg = SolverConfig(notion=notion, gamma=0.01, C=2.0, T=6000, record_every=3)
     got = run(dist, cfg)
     assert dist.n_groups == 11 and got.speculation["speculated_rounds"] >= 300
-    want = reference_run_loop(dist, cfg)
-    # the first differing record, before the whole-trajectory repr comparison
-    off = [(a, b) for a, b in zip(got.trajectory, want.trajectory) if a != b]
-    assert not off, off[0]
-    _assert_same_run(got, want)
+    _assert_same_run(got, reference_run_loop(dist, cfg))
 
 
 def _assert_ball_boundary(dist, notion, eta, gamma=0.01):
@@ -852,7 +850,7 @@ def test_a_near_tie_stops_blocks_at_the_margin_and_keeps_the_loops_bits():
     for C, like in itertools.product((2.0, 1.0), range(base.n_cells)):
         cfg = SolverConfig(notion="sp", gamma=0.01, C=C, T=3000)
         probe = _with_zero_mass_cell(base, 1.0, like)    # d = 1 exceeds every S here
-        first = run(probe, cfg)
+        first = reference_run_loop(probe, cfg)
         memb = probe.group_matrix - base_rates(probe, "sp").beta[:, None]
         S = np.array([lam @ memb for lam in first.lambdas])[:, -1]    # the loop's gemv
         top = int(S.argmax())
@@ -866,9 +864,9 @@ def test_a_near_tie_stops_blocks_at_the_margin_and_keeps_the_loops_bits():
         _, M = solver._certify(first.lambdas[top:top + 1], memb[:, -1:])
         assert 0.0 <= (2.0 * f - 1.0) - S[top] < M[0, 0]
         tied = _with_zero_mass_cell(base, f, like)
-        got = run(tied, cfg)
-        assert got.lambdas.tobytes() == first.lambdas.tobytes()
-        _assert_same_run(got, reference_run_loop(tied, cfg))
+        got, want = run(tied, cfg), reference_run_loop(tied, cfg)
+        assert want.lambdas.tobytes() == first.lambdas.tobytes()
+        _assert_same_run(got, want)
         stops += got.speculation["margin_stops"]
     assert stops >= 1
 
@@ -942,27 +940,46 @@ def test_speculative_blocks_back_off_when_projecting(biased_instance, notion):
 # The solver decides each round with the gemv lam @ smemb; a mixture counts
 # its rules with the ordered sum lam[0]*c_0 + lam[1]*c_1 + ...  Each round's
 # rule, replayed through the solver's own 1-D expression, must decide as
-# positive_prob_vector counts it, bit for bit.
+# positive_prob_vector counts it, bit for bit.  The solver keeps no round
+# duals, so the rounds come from the reference loop, whose run equals it and
+# which keeps each round's pattern through that expression (pids, patterns).
 
-def _round_patterns(result, dist):
+def _round_patterns(lambdas, base, dist):
     """(T, n_cells): each round's decisions through the solver's own 1-D
     expression."""
-    sign, thresh = decision_thresholds(dist.scores, result.mixture.notion)
-    smemb = (dist.group_matrix - result.mixture.base.beta[:, None]) * sign
-    return np.array([lam @ smemb <= thresh for lam in result.lambdas])
+    sign, thresh = decision_thresholds(dist.scores, base.notion)
+    smemb = (dist.group_matrix - base.beta[:, None]) * sign
+    return np.array([lam @ smemb <= thresh for lam in lambdas])
 
 
-def _solver_form_probs(result, dist):
-    return _round_patterns(result, dist).sum(axis=0) / result.T
+def _pattern_ids(rounds):
+    """Each row's pattern id, numbered in order of first play, and the
+    patterns in id order."""
+    _, first, inverse = np.unique(rounds, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.ravel()], rounds[np.sort(first)]
+
+
+def _solver_form_probs(want):
+    return np.bincount(want.pids) @ want.patterns / want.T
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_runs(notion):
+    """The acceptance fixture (biased_instance) and the solver's and the
+    reference loop's runs of it at the full budget, shared by the tests that
+    need them."""
+    dist, _ = make_dist(1, n_cells=8, n_groups=2, grid_m=20, profile="two_group_bias")
+    cfg = SolverConfig(notion=notion, gamma=0.01, C=10.0, record_every=100000)
+    return dist, run(dist, cfg), reference_run_loop(dist, cfg)
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
-def test_two_forms_of_S_agree_on_the_acceptance_fixture(biased_instance, notion):
-    result = run(biased_instance, SolverConfig(notion=notion, gamma=0.01, C=10.0,
-                                               record_every=100000))
+def test_two_forms_of_S_agree_on_the_acceptance_fixture(notion):
+    dist, result, want = _fixture_runs(notion)
     assert result.T == 313600
-    assert np.array_equal(_solver_form_probs(result, biased_instance),
-                          result.mixture.positive_prob_vector(biased_instance))
+    _assert_same_run(result, want)
+    assert np.array_equal(_solver_form_probs(want),
+                          result.mixture.positive_prob_vector(dist))
 
 
 def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
@@ -974,9 +991,11 @@ def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
     dist = read_dataset(str(data), 100)
     assert dist.n_cells == 400
     for gamma in (0.005, 0.01, 0.02, 0.05):
-        result = run(dist, SolverConfig(notion="sp", gamma=gamma, C=6.0))
+        cfg = SolverConfig(notion="sp", gamma=gamma, C=6.0)
+        result, want = run(dist, cfg), reference_run_loop(dist, cfg)
         assert result.T == 28224
-        assert np.array_equal(_solver_form_probs(result, dist),
+        _assert_same_run(result, want)
+        assert np.array_equal(_solver_form_probs(want),
                               result.mixture.positive_prob_vector(dist))
 
 
@@ -985,56 +1004,58 @@ def test_two_forms_of_S_agree_on_sweep_wide(tmp_path):
 # weighted by the rounds that played it; on the cells it was fit on it must
 # count as the uniform mixture over all T rounds does, bit for bit.
 
-def _assert_exact_on_the_cells(result, dist):
+def _assert_exact_on_the_cells(result, want, dist):
     mixture, base = result.mixture, result.mixture.base
-    assert mixture.weights.sum() == result.T == len(result.lambdas)
-    full = MixtureClassifier(result.lambdas, base)
+    assert mixture.weights.sum() == result.T == len(want.lambdas)
+    full = MixtureClassifier(want.lambdas, base)
     assert np.array_equal(_bits(mixture.positive_prob_vector(dist)),
                           _bits(full.positive_prob_vector(dist)))
     # rule k plays the k-th distinct pattern of the rounds, in order of first
     # play, as often as the rounds played it, and decides it under the
     # mixture's own evaluation
-    patterns, first, counts = np.unique(_round_patterns(result, dist), axis=0,
-                                        return_index=True, return_counts=True)
-    order = np.argsort(first)
-    assert np.array_equal(mixture.weights, counts[order])
+    assert np.array_equal(mixture.weights, np.bincount(want.pids))
     assert result.counters["distinct_decisions"] == len(mixture)
-    for rule, pattern in zip(mixture.lambdas, patterns[order]):
+    for rule, pattern in zip(mixture.lambdas, want.patterns):
         p = MixtureClassifier(rule[None], base).positive_prob_vector(dist)
         assert np.array_equal(p, pattern.astype(float))
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
-def test_mixture_is_exact_on_the_acceptance_fixture(biased_instance, notion):
-    result = run(biased_instance, SolverConfig(notion=notion, gamma=0.01, C=10.0,
-                                               record_every=100000))
+def test_mixture_is_exact_on_the_acceptance_fixture(notion):
+    dist, result, want = _fixture_runs(notion)
     assert result.T == 313600
-    _assert_exact_on_the_cells(result, biased_instance)
+    _assert_exact_on_the_cells(result, want, dist)
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
 def test_mixture_is_exact_on_thirteen_overlapping_groups(notion):
     dist, _ = make_dist(2, n_cells=150, n_groups=12, grid_m=100, profile="adversarial_overlap")
     assert (dist.n_cells, dist.n_groups) == (150, 13)
-    result = run(dist, SolverConfig(notion=notion, gamma=0.01, C=4.0, record_every=100000))
-    _assert_exact_on_the_cells(result, dist)
+    cfg = SolverConfig(notion=notion, gamma=0.01, C=4.0, record_every=100000)
+    result, want = run(dist, cfg), reference_run_loop(dist, cfg)
+    _assert_same_run(result, want)
+    _assert_exact_on_the_cells(result, want, dist)
 
 
 def test_sampled_mixture_is_exact_on_the_cells(biased_instance):
     cfg = SolverConfig(notion="sp", gamma=0.01, C=3.0, T=2000, record_every=1000)
     result = run_sampled(biased_instance, 7, cfg, 0.1, 0.1)
+    want = reference_run_sampled(biased_instance, 7, cfg, 0.1, 0.1)
     assert len(result.mixture) > 1
-    _assert_exact_on_the_cells(result, biased_instance)
+    _assert_same_run(result, want)
+    _assert_exact_on_the_cells(result, want, biased_instance)
 
 
 def test_a_mean_that_decides_otherwise_falls_back_to_the_first_round(biased_instance,
                                                                      monkeypatch):
     # with every candidate's check inverted, no mean reproduces its pattern,
     # and each rule is its pattern's first round
+    cfg = SolverConfig(notion="fn", gamma=0.01, C=10.0, T=20000)
     monkeypatch.setattr(solver, "decide_batch", lambda S, f, notion: ~decide_batch(S, f, notion))
-    result = run(biased_instance, SolverConfig(notion="fn", gamma=0.01, C=10.0, T=20000))
+    result = run(biased_instance, cfg)
     monkeypatch.undo()
-    _, first = np.unique(_round_patterns(result, biased_instance), axis=0, return_index=True)
+    want = reference_run_loop(biased_instance, cfg)
+    first = np.unique(want.pids, return_index=True)[1]
     assert len(first) > 1
-    assert np.array_equal(result.mixture.lambdas, result.lambdas[np.sort(first)])
-    _assert_exact_on_the_cells(result, biased_instance)
+    assert result.mixture.lambdas.tobytes() == want.lambdas[first].tobytes()
+    _assert_exact_on_the_cells(result, want, biased_instance)
